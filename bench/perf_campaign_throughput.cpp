@@ -32,7 +32,7 @@
 namespace {
 
 /// Share of the workers' wall time the telemetry spans account for: the
-/// stage, pool, cache and idle spans together should cover nearly all of
+/// stage, cache and idle spans together should cover nearly all of
 /// `threads x wall` (the rest is per-scenario glue).
 double span_coverage(const sdrbist::campaign::campaign_result& result) {
     using sdrbist::telemetry::category;
@@ -43,7 +43,6 @@ double span_coverage(const sdrbist::campaign::campaign_result& result) {
                             s.of(category::stage_calibration).total_ns +
                             s.of(category::stage_reconstruction).total_ns +
                             s.of(category::stage_grading).total_ns +
-                            s.of(category::pool).total_ns +
                             s.of(category::cache).total_ns +
                             s.of(category::idle).total_ns);
     const double budget_ns = static_cast<double>(result.threads_used) *
@@ -162,7 +161,6 @@ int main() {
         rec.add("sched_steals", delta(telemetry::counter::sched_steals));
         rec.add("sched_adopt_fastpath",
                 delta(telemetry::counter::sched_adopt_fastpath));
-        rec.add("stage_waits", delta(telemetry::counter::stage_waits));
         // Where the time went: per-stage mean span cost for this run.
         using telemetry::category;
         const auto& ts = result.telemetry_summary;
@@ -321,7 +319,7 @@ int main() {
     }
 
     // ---- persistent stage-artefact store: warm over cold -----------------
-    // Same guard-banding grid, now with `--stage-store`: the cold run
+    // Same guard-banding grid, now with a stage store: the cold run
     // computes every stage once and publishes the compressed snapshots;
     // the warm run adopts them all back (round-tripped through the byte
     // codec and the JSON stage codec), so no pipeline stage runs at all.

@@ -4,19 +4,17 @@
 ///        scheduler with stage-shared scenario pipelines, print the
 ///        fault-coverage matrix and export structured artefacts.  Also
 ///        merges shard result files from independent processes and
-///        manages the scenario result cache.
+///        manages the artefact store.
 ///
 /// Examples:
 ///   campaign_runner --trials 3 --threads 8 --json campaign.json
 ///   campaign_runner --presets paper-qpsk-10M,dqpsk-1M
 ///                   --faults none,pa-gain-drop --csv coverage.csv
-///   campaign_runner --trials 8 --cache-dir .campaign-cache
+///   campaign_runner --trials 8 --store .sdrbist-store
 ///                   --shard 0/3 --jsonl shard0.jsonl --shard-out s0.json
 ///   campaign_runner --merge s0.json s1.json s2.json --json merged.json
-///   campaign_runner cache-stats .campaign-cache
-///   campaign_runner cache-gc .campaign-cache
-///   campaign_runner cache-stats --store .stage-store
-///   campaign_runner cache-gc --store .stage-store --max-bytes 16000000
+///   campaign_runner cache-stats .sdrbist-store
+///   campaign_runner cache-gc .sdrbist-store --max-bytes 16000000
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -29,7 +27,6 @@
 
 #include "bist/config_canonical.hpp"
 #include "campaign/artefact_store/artefact_store.hpp"
-#include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/export.hpp"
 #include "campaign/journal.hpp"
@@ -107,8 +104,9 @@ void usage() {
         "usage: campaign_runner [options]\n"
         "       campaign_runner --merge shard0.json shard1.json ... [export "
         "options]\n"
-        "       campaign_runner cache-stats [--store] <dir>\n"
-        "       campaign_runner cache-gc [--store] <dir> [budgets]\n"
+        "       campaign_runner cache-stats <dir>\n"
+        "       campaign_runner cache-gc <dir> [--max-bytes N] [--max-age-s N]"
+        " [--max-entries N]\n"
         "  --presets a,b,c   presets to grade (default: whole catalogue)\n"
         "  --faults a,b      faults to inject (default: whole catalogue)\n"
         "  --trials N        Monte-Carlo trials per cell (default 1)\n"
@@ -153,14 +151,12 @@ void usage() {
         "  --merge F...      merge shard result files instead of running\n"
         "  --salvage         with --merge: quarantine unreadable shard\n"
         "                    files and drop bad rows instead of failing\n"
-        "  --cache-dir PATH  scenario result cache: rerunning an\n"
-        "                    overlapping grid skips graded scenarios\n"
-        "  --stage-store PATH\n"
-        "                    persistent stage-artefact store: stage outputs\n"
-        "                    are published by input digest and adopted on\n"
-        "                    later runs, skipping the stage computes while\n"
-        "                    keeping every export byte-identical.  Manage\n"
-        "                    with cache-stats/cache-gc --store <dir>;\n"
+        "  --store DIR       persistent artefact store: graded scenarios and\n"
+        "                    stage outputs are published by content key and\n"
+        "                    reused on later runs (an overlapping grid skips\n"
+        "                    graded scenarios and shared stage computes)\n"
+        "                    while every export stays byte-identical.\n"
+        "                    Manage with cache-stats/cache-gc <dir>;\n"
         "                    cache-gc budgets: --max-bytes N, --max-age-s N,\n"
         "                    --max-entries N (LRU eviction, oldest first)\n"
         "  --max-retries N   re-run a scenario up to N times after a\n"
@@ -189,7 +185,7 @@ void usage() {
         "                    artefacts byte-comparable across runs\n"
         "  --trace-out PATH  record a Chrome trace (load in chrome://tracing\n"
         "                    or https://ui.perfetto.dev): one span per\n"
-        "                    pipeline stage, scenario, cache access, shard\n"
+        "                    pipeline stage, scenario, store access, shard\n"
         "                    I/O and worker task/idle interval\n"
         "  --counters        print the telemetry counter and per-category\n"
         "                    span tables after the run\n"
@@ -293,8 +289,6 @@ std::vector<std::pair<std::string, std::string>> provenance_fields() {
                         std::to_string(bist::canonical_config_version));
     fields.emplace_back("stage_canonical_version",
                         std::to_string(bist::stage_canonical_version));
-    fields.emplace_back("cache_format_version",
-                        std::to_string(campaign::cache_format_version));
     fields.emplace_back("store_format_version",
                         std::to_string(campaign::store_format_version));
     fields.emplace_back("shard_file_version",
@@ -343,30 +337,6 @@ void print_telemetry(const campaign::campaign_result& result) {
 }
 
 int cache_stats_cmd(const std::string& dir) {
-    const auto stats = campaign::scan_cache_dir(dir);
-    std::cout << "cache " << dir << ": " << stats.files() << " files, "
-              << stats.bytes << " bytes\n"
-              << "  entries (current version): " << stats.entries << "\n"
-              << "  version-skewed:            " << stats.stale << "\n"
-              << "  corrupt:                   " << stats.corrupt << "\n"
-              << "  stray temp files:          " << stats.stray_tmp << "\n";
-    if (!stats.version_histogram.empty()) {
-        std::cout << "  version histogram:\n";
-        for (const auto& [version, count] : stats.version_histogram)
-            std::cout << "    v" << version << ": " << count << "\n";
-    }
-    return 0;
-}
-
-int cache_gc_cmd(const std::string& dir) {
-    const auto gc = campaign::gc_cache_dir(dir);
-    std::cout << "cache-gc " << dir << ": scanned " << gc.scanned
-              << ", removed " << gc.removed << " (" << gc.bytes_freed
-              << " bytes), kept " << gc.kept << "\n";
-    return 0;
-}
-
-int store_stats_cmd(const std::string& dir) {
     const auto stats = campaign::scan_store_dir(dir);
     std::cout << "store " << dir << ": " << stats.files() << " files, "
               << stats.bytes << " bytes\n"
@@ -382,9 +352,9 @@ int store_stats_cmd(const std::string& dir) {
     return 0;
 }
 
-int store_gc_cmd(const std::string& dir, campaign::store_gc_policy policy) {
+int cache_gc_cmd(const std::string& dir, campaign::store_gc_policy policy) {
     const auto gc = campaign::gc_store_dir(dir, policy);
-    std::cout << "store-gc " << dir << ": scanned " << gc.scanned
+    std::cout << "cache-gc " << dir << ": scanned " << gc.scanned
               << ", removed " << gc.removed << ", evicted " << gc.evicted
               << " (" << gc.bytes_freed << " bytes freed), kept " << gc.kept
               << "\n";
@@ -505,12 +475,11 @@ int report_and_export(const campaign::campaign_result& result,
 }
 
 int run_cli(int argc, char** argv) {
-    // Cache / stage-store maintenance subcommands.
+    // Store maintenance subcommands.
     if (argc >= 2 && (std::string(argv[1]) == "cache-stats" ||
                       std::string(argv[1]) == "cache-gc")) {
         const std::string sub = argv[1];
         const bool gc = sub == "cache-gc";
-        bool store_mode = false;
         campaign::store_gc_policy policy;
         std::string dir;
         for (int i = 2; i < argc; ++i) {
@@ -522,9 +491,7 @@ int run_cli(int argc, char** argv) {
                 }
                 return argv[++i];
             };
-            if (arg == "--store") {
-                store_mode = true;
-            } else if (gc && arg == "--max-bytes") {
+            if (gc && arg == "--max-bytes") {
                 policy.max_bytes = parse_count(arg, value());
             } else if (gc && arg == "--max-age-s") {
                 policy.max_age_s = parse_count(arg, value());
@@ -541,14 +508,7 @@ int run_cli(int argc, char** argv) {
             std::cerr << sub << " needs a directory\n";
             return 2;
         }
-        if (!store_mode &&
-            (policy.max_bytes || policy.max_age_s || policy.max_entries)) {
-            std::cerr << sub << ": eviction budgets need --store\n";
-            return 2;
-        }
-        if (store_mode)
-            return gc ? store_gc_cmd(dir, policy) : store_stats_cmd(dir);
-        return gc ? cache_gc_cmd(dir) : cache_stats_cmd(dir);
+        return gc ? cache_gc_cmd(dir, policy) : cache_stats_cmd(dir);
     }
 
     campaign::campaign_config cfg;
@@ -634,10 +594,8 @@ int run_cli(int argc, char** argv) {
             merge_mode = true;
         } else if (arg == "--salvage") {
             salvage_mode = true;
-        } else if (arg == "--cache-dir") {
-            cfg.cache_dir = value();
-        } else if (arg == "--stage-store") {
-            cfg.stage_store_dir = value();
+        } else if (arg == "--store") {
+            cfg.cache_dir = cfg.stage_store_dir = value();
         } else if (arg == "--max-retries") {
             cfg.max_retries = parse_count(arg, value());
         } else if (arg == "--retry-backoff-ms") {

@@ -17,7 +17,7 @@
 #include "bist/config_canonical.hpp"
 #include "campaign/artefact_store/byte_codec.hpp"
 #include "campaign/artefact_store/stage_codec.hpp"
-#include "campaign/cache.hpp" // quarantine_file
+#include "campaign/export.hpp"
 #include "core/contracts.hpp"
 #include "core/fault_injection.hpp"
 #include "core/hash.hpp"
@@ -40,30 +40,45 @@ bool is_hex_key(const std::string& stem) {
     return true;
 }
 
-/// "<16-hex>-<stage-name>" → the stage, or false when the name is not one
-/// of the five store entry names.
-bool parse_entry_stem(const std::string& stem, bist::stage& out) {
+/// "<16-hex>-<kind>" → true when the kind is one of the six record kinds.
+bool is_entry_stem(const std::string& stem) {
     if (stem.size() < 18 || !is_hex_key(stem.substr(0, 16)) ||
         stem[16] != '-')
         return false;
-    const std::string name = stem.substr(17);
-    for (const bist::stage s : bist::stage_order) {
-        if (bist::to_string(s) == name) {
-            out = s;
+    const std::string kind = stem.substr(17);
+    if (kind == scenario_record_kind)
+        return true;
+    for (const bist::stage s : bist::stage_order)
+        if (bist::to_string(s) == kind)
             return true;
-        }
-    }
     return false;
 }
 
-std::string entry_header(bist::stage s, std::uint64_t digest,
+/// A header version field; anything but a plausible version number is
+/// corruption (and must not reach an out-of-range int conversion).
+int version_field(const json_value& header, const char* name) {
+    const double v = header.at(name).as_number();
+    SDRBIST_EXPECTS(v >= 0.0 && v <= 1e9);
+    return static_cast<int>(v);
+}
+
+/// True when the header names a version this build cannot read: a plain
+/// miss, not corruption.
+bool is_skewed(const json_value& header) {
+    return version_field(header, "store_version") != store_format_version ||
+           version_field(header, "codec") != byte_codec_version ||
+           version_field(header, "stage_canonical_version") !=
+               bist::stage_canonical_version;
+}
+
+std::string entry_header(std::string_view kind, const std::string& key,
                          std::size_t raw_bytes, const std::string& payload) {
     json_object_writer h;
     h.size_field("store_version",
                  static_cast<std::size_t>(store_format_version));
     h.size_field("codec", static_cast<std::size_t>(byte_codec_version));
-    h.string_field("stage", bist::to_string(s));
-    h.string_field("digest", fnv1a64::hex_digest(digest));
+    h.string_field("kind", std::string(kind));
+    h.string_field("key", key);
     h.size_field("stage_canonical_version",
                  static_cast<std::size_t>(bist::stage_canonical_version));
     h.size_field("raw_bytes", raw_bytes);
@@ -82,106 +97,86 @@ void touch_mtime(const fs::path& path) {
 } // namespace
 
 // ---------------------------------------------------------------------------
-// stage_artefact_store
+// entry_store
 // ---------------------------------------------------------------------------
 
-stage_artefact_store::stage_artefact_store(std::string dir)
-    : dir_(std::move(dir)) {
+entry_store::entry_store(std::string dir) : dir_(std::move(dir)) {
     SDRBIST_EXPECTS(!dir_.empty());
     std::error_code ec;
     fs::create_directories(dir_, ec);
     SDRBIST_EXPECTS(!ec && fs::is_directory(dir_));
 }
 
-std::string stage_artefact_store::path_for(std::uint64_t digest,
-                                           bist::stage s) const {
-    return (fs::path(dir_) / (fnv1a64::hex_digest(digest) + "-" +
-                              bist::to_string(s) + store_extension))
+std::string entry_store::path_for(const std::string& key,
+                                  std::string_view kind) const {
+    return (fs::path(dir_) /
+            (key + "-" + std::string(kind) + store_extension))
         .string();
 }
 
-std::string stage_artefact_store::load_raw(std::uint64_t digest,
-                                           bist::stage s) {
+bool entry_store::load(
+    const std::string& key, std::string_view kind,
+    const std::function<void(const std::string&)>& decode) const {
     const telemetry::scoped_span span(telemetry::category::cache,
                                       "store.load");
     fault_injection::fire(fault_injection::site::store_load);
-    const std::string path = path_for(digest, s);
-    bool corrupt = false;
+    const std::string path = path_for(key, kind);
     {
         std::ifstream in(path, std::ios::binary);
-        if (in.good()) {
-            std::ostringstream buffer;
-            buffer << in.rdbuf();
-            std::string bytes = buffer.str();
-            // Injected load faults garble the just-read bytes, driving the
-            // same quarantine path a real on-disk corruption would.
-            fault_injection::corrupt(fault_injection::site::store_load,
-                                     bytes);
-            try {
-                const std::size_t nl = bytes.find('\n');
-                SDRBIST_EXPECTS(nl != std::string::npos);
-                const json_value header =
-                    parse_json(bytes.substr(0, nl));
-                const bool skewed =
-                    static_cast<int>(
-                        header.at("store_version").as_number()) !=
-                        store_format_version ||
-                    static_cast<int>(header.at("codec").as_number()) !=
-                        byte_codec_version ||
-                    static_cast<int>(
-                        header.at("stage_canonical_version").as_number()) !=
-                        bist::stage_canonical_version;
-                if (!skewed) {
-                    // Current version: the entry must be exactly what its
-                    // name claims, byte-verified.
-                    SDRBIST_EXPECTS(header.at("stage").as_string() ==
-                                    bist::to_string(s));
-                    SDRBIST_EXPECTS(header.at("digest").as_string() ==
-                                    fnv1a64::hex_digest(digest));
-                    const std::string payload = bytes.substr(nl + 1);
-                    SDRBIST_EXPECTS(
-                        payload.size() ==
-                        static_cast<std::size_t>(
-                            header.at("payload_bytes").as_number()));
-                    SDRBIST_EXPECTS(
-                        fnv1a64::hex_digest(fnv1a64::hash(payload)) ==
-                        header.at("payload_fnv").as_string());
-                    std::string raw = byte_codec_decompress(
-                        payload, static_cast<std::size_t>(
-                                     header.at("raw_bytes").as_number()));
-                    touch_mtime(path);
-                    hits_.fetch_add(1, std::memory_order_relaxed);
-                    telemetry::count(telemetry::counter::store_hits);
-                    bytes_.fetch_add(raw.size(),
-                                     std::memory_order_relaxed);
-                    telemetry::count(telemetry::counter::store_bytes,
-                                     raw.size());
-                    return raw;
-                }
-                // Version skew is a plain miss — cache-gc's business.
-            } catch (const std::exception&) {
-                corrupt = true; // truncated / garbled / checksum mismatch
-            }
+        if (!in.good())
+            return false; // plain miss
+        std::ostringstream buffer;
+        buffer << in.rdbuf();
+        std::string bytes = buffer.str();
+        // Injected load faults garble the just-read bytes, driving the
+        // same quarantine path a real on-disk corruption would.
+        fault_injection::corrupt(fault_injection::site::store_load, bytes);
+        try {
+            const std::size_t nl = bytes.find('\n');
+            SDRBIST_EXPECTS(nl != std::string::npos);
+            const json_value header = parse_json(bytes.substr(0, nl));
+            if (is_skewed(header))
+                return false; // plain miss — cache-gc's business
+            // Current version: the entry must be exactly what its name
+            // claims, byte-verified.
+            SDRBIST_EXPECTS(header.at("kind").as_string() == kind);
+            SDRBIST_EXPECTS(header.at("key").as_string() == key);
+            const std::string payload = bytes.substr(nl + 1);
+            // Header sizes compare as doubles: a forged value must not
+            // reach an out-of-range integer conversion.
+            SDRBIST_EXPECTS(static_cast<double>(payload.size()) ==
+                            header.at("payload_bytes").as_number());
+            SDRBIST_EXPECTS(fnv1a64::hex_digest(fnv1a64::hash(payload)) ==
+                            header.at("payload_fnv").as_string());
+            const double raw_bytes = header.at("raw_bytes").as_number();
+            SDRBIST_EXPECTS(raw_bytes >= 0.0 &&
+                            raw_bytes <= static_cast<double>(
+                                             byte_codec_max_raw_bytes));
+            decode(byte_codec_decompress(
+                payload, static_cast<std::size_t>(raw_bytes)));
+            touch_mtime(path);
+            return true;
+        } catch (const std::exception&) {
+            // Truncated / garbled / checksum mismatch / undecodable.
         }
     }
     // Move the wreck into quarantine/ so the recompute publishes into a
     // clean slot and the evidence survives for inspection.
-    if (corrupt && quarantine_file(path))
+    if (quarantine_file(path))
         quarantined_.fetch_add(1, std::memory_order_relaxed);
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    telemetry::count(telemetry::counter::store_misses);
-    return {};
+    return false;
 }
 
-void stage_artefact_store::store_raw(std::uint64_t digest, bist::stage s,
-                                     const std::string& raw) {
+void entry_store::store(const std::string& key, std::string_view kind,
+                        const std::string& raw) const {
     const telemetry::scoped_span span(telemetry::category::cache,
                                       "store.store");
-    // Atomic publish, mirroring scenario_cache::store: unique temp in the
-    // store directory, then rename over the final path.  Concurrent
-    // writers of the same digest produce identical content; last rename
-    // wins.  Best-effort by design — a failed publish degrades to a
-    // future miss, exactly like a real I/O failure.
+    // Atomic publish: unique temp in the store directory, then rename over
+    // the final path.  Concurrent writers of the same key produce
+    // identical content; last rename wins.  Best-effort by design — a
+    // failed publish degrades to a future miss, exactly like a real I/O
+    // failure.  Uniqueness: pid distinguishes processes, the counter
+    // distinguishes threads/stores within one.
 #if defined(__unix__) || defined(__APPLE__)
     const std::uint64_t process_tag = static_cast<std::uint64_t>(::getpid());
 #else
@@ -189,14 +184,14 @@ void stage_artefact_store::store_raw(std::uint64_t digest, bist::stage s,
         std::hash<std::thread::id>{}(std::this_thread::get_id());
 #endif
     static std::atomic<std::uint64_t> sequence{0};
-    const std::string path = path_for(digest, s);
+    const std::string path = path_for(key, kind);
     const std::string tmp =
         path + ".tmp." + fnv1a64::hex_digest(process_tag) + "." +
         std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
     try {
         fault_injection::fire(fault_injection::site::store_store);
         const std::string payload = byte_codec_compress(raw);
-        std::string body = entry_header(s, digest, raw.size(), payload);
+        std::string body = entry_header(kind, key, raw.size(), payload);
         body += '\n';
         body += payload;
         fault_injection::corrupt(fault_injection::site::store_store, body);
@@ -220,75 +215,131 @@ void stage_artefact_store::store_raw(std::uint64_t digest, bist::stage s,
     }
 }
 
+bool quarantine_file(const std::string& file) {
+    std::error_code ec;
+    const fs::path src(file);
+    const fs::path dir = src.parent_path() / "quarantine";
+    fs::create_directories(dir, ec);
+    if (ec)
+        return false;
+    fs::path dst = dir / src.filename();
+    for (int n = 1; fs::exists(dst, ec) && n < 1000; ++n)
+        dst = dir / (src.filename().string() + "." + std::to_string(n));
+    fs::rename(src, dst, ec);
+    return !ec;
+}
+
+// ---------------------------------------------------------------------------
+// stage_artefact_store
+// ---------------------------------------------------------------------------
+
+stage_artefact_store::stage_artefact_store(std::string dir)
+    : entries_(std::move(dir)) {}
+
+std::string stage_artefact_store::path_for(std::uint64_t digest,
+                                           bist::stage s) const {
+    return entries_.path_for(fnv1a64::hex_digest(digest), bist::to_string(s));
+}
+
+void stage_artefact_store::load(
+    std::uint64_t digest, bist::stage s,
+    const std::function<void(const json_value&)>& decode) {
+    std::size_t raw_bytes = 0;
+    const bool hit = entries_.load(fnv1a64::hex_digest(digest),
+                                   bist::to_string(s),
+                                   [&](const std::string& raw) {
+                                       decode(parse_json(raw));
+                                       raw_bytes = raw.size();
+                                   });
+    if (!hit) {
+        misses_.fetch_add(1, std::memory_order_relaxed);
+        telemetry::count(telemetry::counter::store_misses);
+        return;
+    }
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    telemetry::count(telemetry::counter::store_hits);
+    bytes_.fetch_add(raw_bytes, std::memory_order_relaxed);
+    telemetry::count(telemetry::counter::store_bytes, raw_bytes);
+}
+
+void stage_artefact_store::store(std::uint64_t digest, bist::stage s,
+                                 const std::string& raw) {
+    entries_.store(fnv1a64::hex_digest(digest), bist::to_string(s), raw);
+}
+
 std::shared_ptr<const bist::stimulus_output>
 stage_artefact_store::load_stimulus(std::uint64_t digest) {
-    const std::string raw = load_raw(digest, bist::stage::stimulus);
-    if (raw.empty())
-        return nullptr;
-    return std::make_shared<const bist::stimulus_output>(
-        stimulus_from_json(parse_json(raw)));
+    std::shared_ptr<const bist::stimulus_output> out;
+    load(digest, bist::stage::stimulus, [&](const json_value& v) {
+        out = std::make_shared<const bist::stimulus_output>(
+            stimulus_from_json(v));
+    });
+    return out;
 }
 
 std::shared_ptr<const bist::tx_capture_output>
 stage_artefact_store::load_tx_capture(std::uint64_t digest) {
-    const std::string raw = load_raw(digest, bist::stage::tx_capture);
-    if (raw.empty())
-        return nullptr;
-    return std::make_shared<const bist::tx_capture_output>(
-        tx_capture_from_json(parse_json(raw)));
+    std::shared_ptr<const bist::tx_capture_output> out;
+    load(digest, bist::stage::tx_capture, [&](const json_value& v) {
+        out = std::make_shared<const bist::tx_capture_output>(
+            tx_capture_from_json(v));
+    });
+    return out;
 }
 
 std::shared_ptr<const bist::calibration_output>
 stage_artefact_store::load_calibration(std::uint64_t digest) {
-    const std::string raw = load_raw(digest, bist::stage::calibration);
-    if (raw.empty())
-        return nullptr;
-    return std::make_shared<const bist::calibration_output>(
-        calibration_from_json(parse_json(raw)));
+    std::shared_ptr<const bist::calibration_output> out;
+    load(digest, bist::stage::calibration, [&](const json_value& v) {
+        out = std::make_shared<const bist::calibration_output>(
+            calibration_from_json(v));
+    });
+    return out;
 }
 
 std::shared_ptr<const bist::reconstruction_output>
 stage_artefact_store::load_reconstruction(std::uint64_t digest) {
-    const std::string raw = load_raw(digest, bist::stage::reconstruction);
-    if (raw.empty())
-        return nullptr;
-    return std::make_shared<const bist::reconstruction_output>(
-        reconstruction_from_json(parse_json(raw)));
+    std::shared_ptr<const bist::reconstruction_output> out;
+    load(digest, bist::stage::reconstruction, [&](const json_value& v) {
+        out = std::make_shared<const bist::reconstruction_output>(
+            reconstruction_from_json(v));
+    });
+    return out;
 }
 
 std::shared_ptr<const bist::grading_output>
 stage_artefact_store::load_grading(std::uint64_t digest) {
-    const std::string raw = load_raw(digest, bist::stage::grading);
-    if (raw.empty())
-        return nullptr;
-    return std::make_shared<const bist::grading_output>(
-        grading_from_json(parse_json(raw)));
+    std::shared_ptr<const bist::grading_output> out;
+    load(digest, bist::stage::grading, [&](const json_value& v) {
+        out = std::make_shared<const bist::grading_output>(
+            grading_from_json(v));
+    });
+    return out;
 }
 
 void stage_artefact_store::store_stimulus(std::uint64_t digest,
                                           const bist::stimulus_output& out) {
-    store_raw(digest, bist::stage::stimulus, stimulus_json(out));
+    store(digest, bist::stage::stimulus, stimulus_json(out));
 }
 
 void stage_artefact_store::store_tx_capture(
     std::uint64_t digest, const bist::tx_capture_output& out) {
-    store_raw(digest, bist::stage::tx_capture, tx_capture_json(out));
+    store(digest, bist::stage::tx_capture, tx_capture_json(out));
 }
 
 void stage_artefact_store::store_calibration(
     std::uint64_t digest, const bist::calibration_output& out) {
-    store_raw(digest, bist::stage::calibration, calibration_json(out));
+    store(digest, bist::stage::calibration, calibration_json(out));
 }
 
 void stage_artefact_store::store_reconstruction(
     std::uint64_t digest, const bist::reconstruction_output& out) {
-    store_raw(digest, bist::stage::reconstruction,
-              reconstruction_json(out));
+    store(digest, bist::stage::reconstruction, reconstruction_json(out));
 }
 
 void stage_artefact_store::store_grading(std::uint64_t digest,
                                          const bist::grading_output& out) {
-    store_raw(digest, bist::stage::grading, grading_json(out));
+    store(digest, bist::stage::grading, grading_json(out));
 }
 
 // ---------------------------------------------------------------------------
@@ -300,9 +351,9 @@ namespace {
 /// How a store-directory file would behave on the next warm run.
 enum class entry_class { entry, stale, corrupt, stray_tmp, foreign };
 
-/// Classify one file the way stage_artefact_store::load_raw would treat
-/// it.  Header-only (the payload checksum is load's business): a scan must
-/// stay cheap on multi-GB stores.  Sets `version` for files that parse far
+/// Classify one file the way entry_store::load would treat it.
+/// Header-only (the payload checksum is load's business): a scan must stay
+/// cheap on multi-GB stores.  Sets `version` for files that parse far
 /// enough to expose a store_version.
 entry_class classify(const fs::path& path, int& version) {
     const std::string filename = path.filename().string();
@@ -310,10 +361,8 @@ entry_class classify(const fs::path& path, int& version) {
     if (filename.size() > 16 && is_hex_key(filename.substr(0, 16)) &&
         filename.find(".sab.tmp.") != std::string::npos)
         return entry_class::stray_tmp;
-    if (path.extension() != store_extension)
-        return entry_class::foreign;
-    bist::stage named_stage{};
-    if (!parse_entry_stem(path.stem().string(), named_stage))
+    const std::string stem = path.stem().string();
+    if (path.extension() != store_extension || !is_entry_stem(stem))
         return entry_class::foreign;
 
     std::ifstream in(path, std::ios::binary);
@@ -324,23 +373,17 @@ entry_class classify(const fs::path& path, int& version) {
         return entry_class::corrupt;
     try {
         const json_value header = parse_json(header_line);
-        version = static_cast<int>(header.at("store_version").as_number());
-        if (version != store_format_version ||
-            static_cast<int>(header.at("codec").as_number()) !=
-                byte_codec_version ||
-            static_cast<int>(
-                header.at("stage_canonical_version").as_number()) !=
-                bist::stage_canonical_version)
+        version = version_field(header, "store_version");
+        if (is_skewed(header))
             return entry_class::stale;
-        if (header.at("stage").as_string() != bist::to_string(named_stage) ||
-            header.at("digest").as_string() !=
-                path.stem().string().substr(0, 16))
+        if (header.at("kind").as_string() != stem.substr(17) ||
+            header.at("key").as_string() != stem.substr(0, 16))
             return entry_class::corrupt;
         std::error_code ec;
         const std::uintmax_t size = fs::file_size(path, ec);
-        if (ec || size != header_line.size() + 1 +
-                              static_cast<std::uintmax_t>(
-                                  header.at("payload_bytes").as_number()))
+        if (ec || static_cast<double>(size) !=
+                      static_cast<double>(header_line.size() + 1) +
+                          header.at("payload_bytes").as_number())
             return entry_class::corrupt;
         return entry_class::entry;
     } catch (const std::exception&) {

@@ -124,6 +124,7 @@ std::string byte_codec_compress(std::string_view raw) {
 
 std::string byte_codec_decompress(std::string_view packed,
                                   std::size_t raw_size) {
+    SDRBIST_EXPECTS(raw_size <= byte_codec_max_raw_bytes);
     std::string out;
     out.reserve(raw_size);
     std::size_t pos = 0;

@@ -36,12 +36,18 @@ namespace sdrbist::campaign {
 /// Version of the token grammar + encoder behaviour.
 inline constexpr int byte_codec_version = 1;
 
+/// Largest raw size byte_codec_decompress accepts (1 GiB).  No store
+/// record comes near it, so a larger size in an entry header is forged or
+/// corrupt — rejected before anything is allocated for it.
+inline constexpr std::size_t byte_codec_max_raw_bytes = std::size_t{1} << 30;
+
 /// Compress `raw` into the token stream described above.
 [[nodiscard]] std::string byte_codec_compress(std::string_view raw);
 
 /// Inverse of byte_codec_compress.  `raw_size` is the expected decoded
-/// size (from the entry header); throws contract_violation when the
-/// stream is malformed or does not decode to exactly `raw_size` bytes.
+/// size (from the entry header); throws contract_violation when it
+/// exceeds byte_codec_max_raw_bytes, or when the stream is malformed or
+/// does not decode to exactly `raw_size` bytes.
 [[nodiscard]] std::string byte_codec_decompress(std::string_view packed,
                                                 std::size_t raw_size);
 

@@ -1,27 +1,12 @@
 #include "campaign/cache.hpp"
 
-#include <atomic>
-#include <cstdint>
-#include <filesystem>
-#include <fstream>
-#include <functional>
 #include <limits>
-#include <sstream>
-#include <thread>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h> // getpid: temp names must be unique across processes
-#endif
 
 #include "bist/config_canonical.hpp"
 #include "core/contracts.hpp"
-#include "core/fault_injection.hpp"
 #include "core/hash.hpp"
-#include "core/telemetry.hpp"
 
 namespace sdrbist::campaign {
-
-namespace fs = std::filesystem;
 
 // ---------------------------------------------------------------------------
 // Report serialisation
@@ -223,134 +208,17 @@ bist::bist_report report_from_json(const json_value& v) {
 }
 
 // ---------------------------------------------------------------------------
-// Cache lifecycle tooling
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// How a cache-directory file would behave on the next warm run.
-enum class entry_class { entry, stale, corrupt, stray_tmp, foreign };
-
-bool is_hex_key(const std::string& stem) {
-    if (stem.size() != 16)
-        return false;
-    for (const char c : stem)
-        if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')))
-            return false;
-    return true;
-}
-
-/// Classify one file the way scenario_cache::load would treat it.  Sets
-/// `version` for files that parse far enough to expose a cache_version.
-entry_class classify(const fs::path& path, int& version) {
-    const std::string filename = path.filename().string();
-    // Leftover atomic-publish temp: "<16-hex>.json.tmp.<tag>.<seq>".
-    if (filename.size() > 21 && is_hex_key(filename.substr(0, 16)) &&
-        filename.compare(16, 10, ".json.tmp.") == 0)
-        return entry_class::stray_tmp;
-    if (path.extension() != ".json")
-        return entry_class::foreign;
-    const std::string stem = path.stem().string();
-    if (!is_hex_key(stem))
-        return entry_class::foreign;
-
-    std::ifstream in(path, std::ios::binary);
-    if (!in.good())
-        return entry_class::corrupt;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    try {
-        const json_value doc = parse_json(buffer.str());
-        version = static_cast<int>(doc.at("cache_version").as_number());
-        if (version != cache_format_version)
-            return entry_class::stale;
-        if (doc.at("key").as_string() != stem)
-            return entry_class::corrupt;
-        static_cast<void>(report_from_json(doc.at("report")));
-        static_cast<void>(doc.at("engine_error").as_bool());
-        return entry_class::entry;
-    } catch (const std::exception&) {
-        return entry_class::corrupt;
-    }
-}
-
-template <typename OnRemovable>
-cache_dir_stats walk_cache_dir(const std::string& dir,
-                               OnRemovable&& on_removable) {
-    SDRBIST_EXPECTS(fs::is_directory(dir));
-    cache_dir_stats stats;
-    for (const auto& entry : fs::directory_iterator(dir)) {
-        if (!entry.is_regular_file())
-            continue;
-        int version = -1;
-        const entry_class c = classify(entry.path(), version);
-        if (c == entry_class::foreign)
-            continue; // not ours: never counted, never touched
-        std::error_code ec;
-        const std::uintmax_t size = fs::file_size(entry.path(), ec);
-        stats.bytes += ec ? 0 : size;
-        switch (c) {
-        case entry_class::entry:
-            ++stats.entries;
-            ++stats.version_histogram[version];
-            break;
-        case entry_class::stale:
-            ++stats.stale;
-            ++stats.version_histogram[version];
-            on_removable(entry.path(), ec ? 0 : size);
-            break;
-        case entry_class::corrupt:
-            ++stats.corrupt;
-            on_removable(entry.path(), ec ? 0 : size);
-            break;
-        case entry_class::stray_tmp:
-            ++stats.stray_tmp;
-            on_removable(entry.path(), ec ? 0 : size);
-            break;
-        case entry_class::foreign:
-            break;
-        }
-    }
-    return stats;
-}
-
-} // namespace
-
-cache_dir_stats scan_cache_dir(const std::string& dir) {
-    return walk_cache_dir(dir, [](const fs::path&, std::uintmax_t) {});
-}
-
-cache_gc_result gc_cache_dir(const std::string& dir) {
-    cache_gc_result out;
-    const cache_dir_stats stats =
-        walk_cache_dir(dir, [&](const fs::path& path, std::uintmax_t size) {
-            std::error_code ec;
-            if (fs::remove(path, ec) && !ec) {
-                ++out.removed;
-                out.bytes_freed += size;
-            }
-        });
-    out.scanned = stats.files();
-    out.kept = stats.entries;
-    return out;
-}
-
-// ---------------------------------------------------------------------------
 // scenario_cache
 // ---------------------------------------------------------------------------
 
-scenario_cache::scenario_cache(std::string dir) : dir_(std::move(dir)) {
-    SDRBIST_EXPECTS(!dir_.empty());
-    std::error_code ec;
-    fs::create_directories(dir_, ec);
-    SDRBIST_EXPECTS(!ec && fs::is_directory(dir_));
-}
+scenario_cache::scenario_cache(std::string dir) : entries_(std::move(dir)) {}
 
 std::string scenario_cache::key(const scenario& sc,
                                 const bist::bist_config& materialised) {
     fnv1a64 h;
-    h.update("sdrbist-scenario-cache-v" +
-             std::to_string(cache_format_version) + "\n");
+    // The salt of the retired v1 file format, kept verbatim: keys (and
+    // journals that carry them) stay valid across the entry-format move.
+    h.update("sdrbist-scenario-cache-v1\n");
     h.update("seed-derivation-v" + std::to_string(seed_derivation_version) +
              "\n");
     // Grid coordinates by *name*, never by index: a subset or extended
@@ -363,56 +231,24 @@ std::string scenario_cache::key(const scenario& sc,
     return h.hex();
 }
 
-std::string scenario_cache::path_for(const std::string& key) const {
-    return (fs::path(dir_) / (key + ".json")).string();
-}
-
 std::optional<scenario_result>
 scenario_cache::load(const std::string& key) const {
-    const telemetry::scoped_span span(telemetry::category::cache,
-                                      "cache.load");
-    fault_injection::fire(fault_injection::site::cache_load);
-    bool corrupt = false;
-    {
-        std::ifstream in(path_for(key), std::ios::binary);
-        if (!in.good())
-            return std::nullopt; // plain miss
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        try {
-            const json_value doc = parse_json(buffer.str());
-            if (static_cast<int>(doc.at("cache_version").as_number()) !=
-                cache_format_version)
-                return std::nullopt; // stale entry — cache-gc's business
-            if (doc.at("key").as_string() == key) {
-                scenario_result out;
-                out.engine_error = doc.at("engine_error").as_bool();
-                out.error = doc.at("error").as_string();
-                out.elapsed_s = num_or_nan(doc.at("elapsed_s"));
-                out.report = report_from_json(doc.at("report"));
-                return out;
-            }
-            corrupt = true; // parses, but is not the entry its name claims
-        } catch (const std::exception&) {
-            corrupt = true; // truncated / garbled / fields missing
-        }
-    }
-    // Treat as a miss and re-grade — but move the wreck into quarantine/
-    // first, so the re-graded store lands in a clean slot and the evidence
-    // survives for inspection.
-    if (corrupt && quarantine_file(path_for(key)))
-        quarantined_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
+    std::optional<scenario_result> out;
+    entries_.load(key, scenario_record_kind, [&](const std::string& raw) {
+        const json_value doc = parse_json(raw);
+        scenario_result r;
+        r.engine_error = doc.at("engine_error").as_bool();
+        r.error = doc.at("error").as_string();
+        r.elapsed_s = num_or_nan(doc.at("elapsed_s"));
+        r.report = report_from_json(doc.at("report"));
+        out = std::move(r);
+    });
+    return out;
 }
 
 void scenario_cache::store(const std::string& key,
                            const scenario_result& r) const {
-    const telemetry::scoped_span span(telemetry::category::cache,
-                                      "cache.store");
     json_object_writer doc;
-    doc.size_field("cache_version",
-                   static_cast<std::size_t>(cache_format_version));
-    doc.string_field("key", key);
     // Human-debuggable provenance (load() ignores these: the running grid
     // owns its scenario coordinates).
     doc.string_field("preset", r.sc.preset_name);
@@ -423,62 +259,7 @@ void scenario_cache::store(const std::string& key,
     doc.string_field("error", r.error);
     doc.number_field("elapsed_s", r.elapsed_s);
     doc.field("report", report_json(r.report));
-
-    // Atomic publish: write a uniquely named temp file in the cache
-    // directory, then rename over the final path.  Concurrent writers of
-    // the same key (shard processes sharing the directory) both produce
-    // identical content; last rename wins.  Best-effort by design.
-    // Uniqueness: pid distinguishes processes, the counter distinguishes
-    // threads/stores within one.
-#if defined(__unix__) || defined(__APPLE__)
-    const std::uint64_t process_tag = static_cast<std::uint64_t>(::getpid());
-#else
-    const std::uint64_t process_tag =
-        std::hash<std::thread::id>{}(std::this_thread::get_id());
-#endif
-    static std::atomic<std::uint64_t> sequence{0};
-    const std::string tmp =
-        path_for(key) + ".tmp." + fnv1a64::hex_digest(process_tag) + "." +
-        std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
-    try {
-        // Injected store faults degrade to "entry not cached" — exactly
-        // the contract a real I/O failure gets.
-        fault_injection::fire(fault_injection::site::cache_store);
-        std::string body = doc.str();
-        body += '\n';
-        fault_injection::corrupt(fault_injection::site::cache_store, body);
-        {
-            std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-            out << body;
-            out.flush();
-            if (!out.good()) {
-                std::error_code ec;
-                fs::remove(tmp, ec);
-                return;
-            }
-        }
-        std::error_code ec;
-        fs::rename(tmp, path_for(key), ec);
-        if (ec)
-            fs::remove(tmp, ec);
-    } catch (const std::exception&) {
-        std::error_code ec;
-        fs::remove(tmp, ec);
-    }
-}
-
-bool quarantine_file(const std::string& file) {
-    std::error_code ec;
-    const fs::path src(file);
-    const fs::path dir = src.parent_path() / "quarantine";
-    fs::create_directories(dir, ec);
-    if (ec)
-        return false;
-    fs::path dst = dir / src.filename();
-    for (int n = 1; fs::exists(dst, ec) && n < 1000; ++n)
-        dst = dir / (src.filename().string() + "." + std::to_string(n));
-    fs::rename(src, dst, ec);
-    return !ec;
+    entries_.store(key, scenario_record_kind, doc.str());
 }
 
 } // namespace sdrbist::campaign

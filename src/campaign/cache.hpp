@@ -1,11 +1,12 @@
 /// \file cache.hpp
-/// \brief On-disk scenario result cache: content-hash keyed, resumable.
+/// \brief Scenario result cache: finished scenario outcomes as the
+///        `scenario` record kind of the stage-artefact store.
 ///
 /// A campaign over a standard × fault × Monte-Carlo grid is only cheap to
 /// *regrade* if already-graded scenarios can be skipped.  The cache keys
 /// each scenario by an FNV-1a hash of
 ///
-///   - a cache-format version tag (bumping it orphans old entries),
+///   - a key-derivation salt (changing it orphans every old entry),
 ///   - the seed-derivation version (scenario seeds are a function of the
 ///     master seed and grid coordinates; changing that function must move
 ///     every key),
@@ -18,25 +19,21 @@
 /// Because the materialised config determines the report bit-for-bit, a
 /// hit can stand in for an engine run: a warm rerun reproduces the cold
 /// run's coverage matrix and timing-free exports byte-identically.
-/// Entries are one JSON file per scenario (`<dir>/<16-hex-key>.json`),
-/// written atomically (temp file + rename), so concurrent shard processes
-/// can safely share one cache directory.  Corrupt, truncated or
-/// version-mismatched entries read as misses and are re-graded.
+/// Entries are store entries (`<dir>/<16-hex-key>-scenario.sab`,
+/// campaign/artefact_store/artefact_store.hpp): the same header, codec,
+/// atomic publish, quarantine, LRU touch and `cache-stats`/`cache-gc`
+/// tooling as the five stage kinds, so one directory can hold both.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 
+#include "campaign/artefact_store/artefact_store.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/export.hpp"
 
 namespace sdrbist::campaign {
-
-/// On-disk cache entry format version (file layout, report field set).
-inline constexpr int cache_format_version = 1;
 
 /// Version of the master-seed → scenario-seed derivation in
 /// campaign.cpp.  Part of every key: if the derivation changes, equal
@@ -58,80 +55,31 @@ public:
 
     /// Load a cached outcome.  Only `report`, `engine_error`, `error` and
     /// `elapsed_s` are meaningful in the returned value — the caller owns
-    /// the scenario coordinates.  nullopt on miss/corruption/version skew.
-    /// A corrupt entry (truncated, garbled, key mismatch) is additionally
-    /// moved to `<dir>/quarantine/` and counted, so reruns re-grade into a
-    /// clean slot instead of re-parsing the wreck; version-skewed entries
-    /// are *not* corrupt — they stay put for `cache-gc`.
+    /// the scenario coordinates.  nullopt on miss/corruption/version skew;
+    /// a corrupt entry is also quarantined and counted.
     [[nodiscard]] std::optional<scenario_result>
     load(const std::string& key) const;
 
-    /// Persist one graded scenario under `key`.  Atomic (temp + rename)
-    /// and best-effort: storage failure degrades to a future miss, never
-    /// aborts a campaign.
+    /// Persist one graded scenario under `key`.  Atomic and best-effort:
+    /// storage failure degrades to a future miss, never aborts a campaign.
     void store(const std::string& key, const scenario_result& r) const;
 
     /// File path an entry with this key lives at.
-    [[nodiscard]] std::string path_for(const std::string& key) const;
+    [[nodiscard]] std::string path_for(const std::string& key) const {
+        return entries_.path_for(key, scenario_record_kind);
+    }
 
-    [[nodiscard]] const std::string& dir() const { return dir_; }
+    [[nodiscard]] const std::string& dir() const { return entries_.dir(); }
 
     /// Corrupt entries this instance has quarantined (the runner folds
     /// this into `campaign_result::quarantined`).
     [[nodiscard]] std::size_t quarantined() const {
-        return quarantined_.load(std::memory_order_relaxed);
+        return static_cast<std::size_t>(entries_.quarantined());
     }
 
 private:
-    std::string dir_;
-    mutable std::atomic<std::size_t> quarantined_{0};
+    entry_store entries_;
 };
-
-/// Move `file` into a `quarantine/` directory beside it (collisions get a
-/// numeric suffix).  Shared by the cache, the shard salvage reader and
-/// anything else that must get a corrupt input out of the way without
-/// destroying the evidence.  Returns false when the move failed (the file
-/// is left in place).
-bool quarantine_file(const std::string& file);
-
-// ---------------------------------------------------------------------------
-// Cache lifecycle tooling (the CLI's `cache-stats` / `cache-gc`).
-// ---------------------------------------------------------------------------
-
-/// One pass over a cache directory, classifying every entry.
-struct cache_dir_stats {
-    std::size_t entries = 0;  ///< readable, current-version entries
-    std::size_t stale = 0;    ///< version-skewed (would re-grade as a miss)
-    std::size_t corrupt = 0;  ///< unparseable / truncated / key mismatch
-    std::size_t stray_tmp = 0; ///< leftover atomic-publish temp files
-    std::uintmax_t bytes = 0; ///< total size of everything classified
-    /// cache_version value → entry count (corrupt entries excluded).
-    std::map<int, std::size_t> version_histogram;
-
-    [[nodiscard]] std::size_t files() const {
-        return entries + stale + corrupt + stray_tmp;
-    }
-};
-
-/// Classify every cache file under `dir` (non-recursive: the cache writes
-/// a flat directory).  Throws contract_violation when `dir` is not a
-/// directory.
-cache_dir_stats scan_cache_dir(const std::string& dir);
-
-/// Outcome of a garbage collection over a cache directory.
-struct cache_gc_result {
-    std::size_t scanned = 0;
-    std::size_t removed = 0; ///< stale + corrupt entries and stray temps
-    std::size_t kept = 0;    ///< current-version, readable entries
-    std::uintmax_t bytes_freed = 0;
-};
-
-/// Evict everything a warm run could not use: version-skewed entries,
-/// corrupt/truncated files, key-mismatched entries and leftover `.tmp.*`
-/// files from interrupted atomic publishes.  Only touches files matching
-/// the cache's own naming scheme — anything else in the directory is left
-/// alone.  Throws contract_violation when `dir` is not a directory.
-cache_gc_result gc_cache_dir(const std::string& dir);
 
 /// Serialise a full bist_report as a JSON object.  Doubles are written in
 /// shortest round-trip form, so parse(report_json(r)) recovers every

@@ -887,10 +887,10 @@ campaign_result campaign_runner::run(const run_hooks& hooks) const {
             if (hit) {
                 hits.fetch_add(1, std::memory_order_relaxed);
                 telemetry::count(telemetry::counter::cache_hits);
-            } else {
+            } else if (cache) {
                 misses.fetch_add(1, std::memory_order_relaxed);
                 telemetry::count(telemetry::counter::cache_misses);
-                if (cache && !key.empty() && deterministic)
+                if (!key.empty() && deterministic)
                     cache->store(key, slot);
             }
             if (journal && deterministic) {

@@ -129,19 +129,21 @@ struct campaign_config {
     /// `shard` (a scenario runs when both filters accept it).  This is the
     /// campaign service's lease unit; nullopt = no slicing.
     std::optional<lease_range> lease;
-    /// On-disk scenario result cache directory; empty = caching disabled.
-    /// Keys are content hashes of the materialised per-scenario engine
-    /// config (see campaign/cache.hpp), so overlapping grids and repeated
-    /// runs skip already-graded scenarios.
+    /// Store directory for finished scenario outcomes (the `scenario`
+    /// record kind); empty = result caching disabled.  Keys are content
+    /// hashes of the materialised per-scenario engine config (see
+    /// campaign/cache.hpp), so overlapping grids and repeated runs skip
+    /// already-graded scenarios.
     std::string cache_dir;
-    /// On-disk stage-artefact store directory; empty = store disabled.
-    /// Intermediate stage outputs are published keyed by their chained
-    /// input digests (campaign/artefact_store/) and adopted on later runs
-    /// — a warm run skips the stage computes themselves, even for
-    /// scenarios the result cache cannot serve.  Like `cache_dir`, an
-    /// execution knob: never part of the cache key or journal identity,
-    /// and exports stay byte-identical with the store cold, warm, or
-    /// disabled.
+    /// Store directory for the five stage kinds; empty = stage store
+    /// disabled.  Intermediate stage outputs are published keyed by their
+    /// chained input digests (campaign/artefact_store/) and adopted on
+    /// later runs — a warm run skips the stage computes themselves, even
+    /// for scenarios the result cache cannot serve.  May name the same
+    /// directory as `cache_dir` (the CLI's `--store` sets both).  Like
+    /// `cache_dir`, an execution knob: never part of the cache key or
+    /// journal identity, and exports stay byte-identical with the store
+    /// cold, warm, or disabled.
     std::string stage_store_dir;
 
     // Failure containment (see also core/fault_injection.hpp, which makes
@@ -232,9 +234,9 @@ struct campaign_result {
     std::size_t shard_count = 1;
     std::size_t grid_size = 0;
 
-    // Result-cache accounting for this run (both 0 when caching is off).
-    // Environment-dependent like the timing fields: a warm rerun flips
-    // misses into hits, so exporters treat these as measured data.
+    // Result-cache accounting for this run (both 0 when `cache_dir` is
+    // empty).  Environment-dependent like the timing fields: a warm rerun
+    // flips misses into hits, so exporters treat these as measured data.
     std::size_t cache_hits = 0;
     std::size_t cache_misses = 0;
 

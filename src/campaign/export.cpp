@@ -570,7 +570,22 @@ private:
         return parse_number();
     }
 
+    /// Counts one level of nesting for the lifetime of a container parse.
+    class depth_guard {
+    public:
+        explicit depth_guard(std::size_t& depth) : depth_(depth) {
+            SDRBIST_EXPECTS(++depth_ <= json_max_depth);
+        }
+        ~depth_guard() { --depth_; }
+        depth_guard(const depth_guard&) = delete;
+        depth_guard& operator=(const depth_guard&) = delete;
+
+    private:
+        std::size_t& depth_;
+    };
+
     json_value parse_object() {
+        const depth_guard guard(depth_);
         expect('{');
         json_value::object obj;
         skip_ws();
@@ -595,6 +610,7 @@ private:
     }
 
     json_value parse_array() {
+        const depth_guard guard(depth_);
         expect('[');
         json_value::array arr;
         skip_ws();
@@ -685,6 +701,7 @@ private:
 
     const std::string& text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0;
 };
 
 } // namespace

@@ -184,7 +184,13 @@ private:
         v_ = nullptr;
 };
 
-/// Parse a JSON document.  Throws contract_violation on malformed input.
+/// Deepest array/object nesting parse_json accepts.  Every document this
+/// library writes nests under ten levels; the cap keeps hostile input
+/// (a frame or file of `[[[[...`) from exhausting the parser's stack.
+inline constexpr std::size_t json_max_depth = 128;
+
+/// Parse a JSON document.  Throws contract_violation on malformed input,
+/// including nesting deeper than json_max_depth.
 json_value parse_json(const std::string& text);
 
 /// Render a string as a quoted JSON string literal (RFC 8259 escaping).

@@ -13,7 +13,7 @@
 ///   campaign_runner --merge shard0.json shard1.json shard2.json --json …
 ///
 /// `read_result_file` + `merge_results()` therefore recombine shard
-/// processes without the shared `--cache-dir` the old merge flow needed,
+/// processes without the shared `--store` the old merge flow needed,
 /// and the merged exports are byte-identical (timing suppressed) to an
 /// unsharded run's.
 #pragma once
@@ -31,7 +31,8 @@ namespace sdrbist::campaign {
 ///     timed_out, per-result resumed/quarantined.
 /// v4: stage-artefact store counters — per-result store_hits/store_misses/
 ///     store_bytes.
-inline constexpr int shard_file_version = 4;
+/// v5: the never-recorded `pool` category left the telemetry block.
+inline constexpr int shard_file_version = 5;
 
 /// Serialise a campaign result (typically one shard's) with full fidelity.
 /// Deterministic: fixed field order, shortest round-trip doubles — so

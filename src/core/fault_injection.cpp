@@ -19,8 +19,6 @@ const char* to_string(site s) {
     case site::stage_calibration: return "stage.calibration";
     case site::stage_reconstruction: return "stage.reconstruction";
     case site::stage_grading: return "stage.grading";
-    case site::cache_load: return "cache.load";
-    case site::cache_store: return "cache.store";
     case site::shard_read: return "shard.read";
     case site::shard_write: return "shard.write";
     case site::shard_merge: return "shard.merge";

@@ -31,7 +31,7 @@
 ///              | "p=" <float> ",seed=" <int>   seeded per-arrival Bernoulli
 ///
 /// e.g. `SDRBIST_FAULT_SPEC='*:throw-transient:p=0.05,seed=7'` or
-/// `cache.load:corrupt-bytes:count=2;stage.grading:delay-ms=40:every=3`.
+/// `store.load:corrupt-bytes:count=2;stage.grading:delay-ms=40:every=3`.
 /// Omitting the trigger fires on every arrival.
 ///
 /// Contracts (same cost discipline as `core/telemetry`):
@@ -65,8 +65,6 @@ enum class site : int {
     stage_calibration,    ///< pipeline stage 2 entry
     stage_reconstruction, ///< pipeline stage 3 entry
     stage_grading,        ///< pipeline stage 4 entry
-    cache_load,           ///< scenario-cache entry load (cache.cpp)
-    cache_store,          ///< scenario-cache entry store (best-effort site)
     shard_read,           ///< shard result-file read (shard_io.cpp)
     shard_write,          ///< shard result-file write
     shard_merge,          ///< merge_results() entry (campaign.cpp)
@@ -75,14 +73,14 @@ enum class site : int {
     journal_append,       ///< recovery-journal line append (journal.cpp)
     service_send,         ///< campaign-service frame send (service/protocol.cpp)
     service_recv,         ///< campaign-service frame receive
-    store_load,           ///< stage-artefact store entry load
-                          ///< (campaign/artefact_store/; corrupt-bytes
-                          ///< garbles the just-read entry so read-side
-                          ///< quarantine can be exercised)
-    store_store,          ///< stage-artefact store entry publish
-                          ///< (best-effort write site, corrupt-bytes capable)
+    store_load,           ///< store entry load, stage and scenario kinds
+                          ///< alike (campaign/artefact_store/;
+                          ///< corrupt-bytes garbles the just-read entry so
+                          ///< read-side quarantine can be exercised)
+    store_store,          ///< store entry publish (best-effort write site,
+                          ///< corrupt-bytes capable)
 };
-inline constexpr std::size_t site_count = 16;
+inline constexpr std::size_t site_count = 14;
 
 /// Stable spec/export name ("stage.stimulus", "pool.dispatch", ...).
 const char* to_string(site s);

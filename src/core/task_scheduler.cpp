@@ -81,7 +81,7 @@ task_scheduler::run_stats task_scheduler::run(task_graph graph) const {
     // Node 0 can have no dependencies, so every non-empty graph has a root.
     SDRBIST_EXPECTS(roots > 0);
     st.ready.store(roots, std::memory_order_relaxed);
-    telemetry::count_max(telemetry::counter::pool_queue_high_water, roots);
+    telemetry::count_max(telemetry::counter::sched_queue_high_water, roots);
 
     const auto record_error = [&st](std::size_t node) {
         const std::lock_guard<std::mutex> lock(st.error_mutex);
@@ -152,7 +152,7 @@ task_scheduler::run_stats task_scheduler::run(task_graph graph) const {
                 st.stolen.fetch_add(1, std::memory_order_relaxed);
                 telemetry::count(telemetry::counter::sched_steals);
             }
-            telemetry::count(telemetry::counter::pool_tasks);
+            telemetry::count(telemetry::counter::sched_tasks);
             {
                 const telemetry::scoped_span span(telemetry::category::worker,
                                                   "sched.task", task);
@@ -173,7 +173,7 @@ task_scheduler::run_stats task_scheduler::run(task_graph graph) const {
                 const std::size_t depth =
                     st.ready.fetch_add(1, std::memory_order_relaxed) + 1;
                 telemetry::count_max(
-                    telemetry::counter::pool_queue_high_water, depth);
+                    telemetry::counter::sched_queue_high_water, depth);
                 st.spawned.fetch_add(1, std::memory_order_relaxed);
                 telemetry::count(telemetry::counter::sched_spawns);
                 {

@@ -30,11 +30,10 @@
 ///    scheduling order never affects results: any thread count (including
 ///    1) produces bit-identical outputs by construction.
 ///
-/// Telemetry: task/idle spans (`sched.task`/`sched.idle`), `pool.tasks`
-/// and `pool.queue_high_water` counters (names kept stable across the
-/// executor swap), plus `sched.spawns` (dependency-released nodes —
-/// deterministic: nodes minus roots) and `sched.steals` (nondeterministic;
-/// always 0 single-threaded).
+/// Telemetry: task/idle spans (`sched.task`/`sched.idle`), `sched.tasks`
+/// and `sched.queue_high_water` counters, plus `sched.spawns`
+/// (dependency-released nodes — deterministic: nodes minus roots) and
+/// `sched.steals` (nondeterministic; always 0 single-threaded).
 #pragma once
 
 #include <cstddef>

@@ -148,7 +148,6 @@ const char* to_string(category c) {
     case category::stage_grading: return "stage.grading";
     case category::campaign: return "campaign";
     case category::scenario: return "scenario";
-    case category::pool: return "pool";
     case category::cache: return "cache";
     case category::shard: return "shard";
     case category::worker: return "worker";
@@ -163,10 +162,9 @@ const char* to_string(counter c) {
     case counter::cache_misses: return "cache.misses";
     case counter::stage_adopts: return "stage.adopts";
     case counter::stage_computes: return "stage.computes";
-    case counter::stage_waits: return "stage.waits";
-    case counter::pool_tasks: return "pool.tasks";
-    case counter::pool_idle_ns: return "pool.idle_ns";
-    case counter::pool_queue_high_water: return "pool.queue_high_water";
+    case counter::sched_tasks: return "sched.tasks";
+    case counter::sched_idle_ns: return "sched.idle_ns";
+    case counter::sched_queue_high_water: return "sched.queue_high_water";
     case counter::simd_dispatches: return "simd.dispatches";
     case counter::scenario_retries: return "scenario.retries";
     case counter::scenario_failures: return "scenario.failures";
@@ -207,7 +205,7 @@ void record_span(category cat, const char* name, std::uint64_t arg,
     // Worker idle time doubles as a counter (the scheduler work reads it
     // without walking the summary).
     if (cat == category::idle)
-        counter_slots()[static_cast<std::size_t>(counter::pool_idle_ns)]
+        counter_slots()[static_cast<std::size_t>(counter::sched_idle_ns)]
             .fetch_add(dur, std::memory_order_relaxed);
 
     if ((g_mode.load(std::memory_order_relaxed) & mode_trace) == 0)

@@ -2,8 +2,8 @@
 /// \brief Cross-layer telemetry: scoped trace spans, monotonic counters,
 ///        per-category aggregates and a Chrome trace-event export.
 ///
-/// The five-stage BIST pipeline, the campaign stage pool, the scenario
-/// cache and the task scheduler all do their work behind abstraction
+/// The five-stage BIST pipeline, the campaign stage pool, the artefact
+/// store and the task scheduler all do their work behind abstraction
 /// boundaries that make wall-time invisible from the outside.  This layer
 /// makes them observable without perturbing them:
 ///
@@ -14,7 +14,7 @@
 ///    trace, which is what chrome://tracing / Perfetto render as a flame
 ///    graph.
 ///  * `count()` / `count_max()` — named monotonic counters (cache hits,
-///    stage-pool adopts, pool queue high-water, ...).
+///    stage-pool adopts, scheduler queue high-water, ...).
 ///  * Sinks: `snapshot()`/`since()` return the aggregate summary (the
 ///    campaign runner attaches a per-run window of it to
 ///    `campaign_result`, and `merge_results` sums it across shards);
@@ -58,27 +58,26 @@ enum class category : int {
     stage_grading,         ///< pipeline stage 4
     campaign,              ///< campaign plan/run (campaign/campaign.cpp)
     scenario,              ///< one grid scenario, end to end
-    pool,                  ///< stage-pool waits on another worker's compute
-    cache,                 ///< scenario-cache load/store (campaign/cache.cpp)
+    cache,                 ///< store entry load/store, stage and scenario
+                           ///< kinds (campaign/artefact_store/)
     shard,                 ///< shard file read/write/merge (shard_io.cpp)
     worker,                ///< scheduler task execution (task_scheduler.cpp)
     idle,                  ///< scheduler workers waiting for work
 };
-inline constexpr std::size_t category_count = 12;
+inline constexpr std::size_t category_count = 11;
 
-/// Stable export name ("stage.stimulus", "pool", ...).
+/// Stable export name ("stage.stimulus", "cache", ...).
 const char* to_string(category c);
 
 /// Monotonic counters.  All process-wide; reset() zeroes them.
 enum class counter : int {
     cache_hits = 0,       ///< scenario-cache hits (campaign run)
-    cache_misses,         ///< scenario-cache misses
+    cache_misses,         ///< scenario-cache misses (cache configured)
     stage_adopts,         ///< pooled stage results adopted (== reuse hits)
     stage_computes,       ///< pooled stage results computed once
-    stage_waits,          ///< adoptions that blocked on another worker
-    pool_tasks,           ///< thread-pool tasks executed
-    pool_idle_ns,         ///< summed worker idle time (ns)
-    pool_queue_high_water, ///< deepest task queue observed (max, not sum)
+    sched_tasks,          ///< scheduler tasks executed
+    sched_idle_ns,        ///< summed worker idle time (ns)
+    sched_queue_high_water, ///< deepest ready-task backlog (max, not sum)
     simd_dispatches,      ///< kernel_backend::select() table dispatches
     scenario_retries,     ///< scenario attempts re-run after a transient
                           ///< failure (campaign retry loop)
@@ -102,9 +101,9 @@ enum class counter : int {
     store_bytes,          ///< raw (uncompressed) bytes served by store
                           ///< hits (summed, not a count)
 };
-inline constexpr std::size_t counter_count = 22;
+inline constexpr std::size_t counter_count = 21;
 
-/// Stable export name ("cache.hits", "pool.queue_high_water", ...).
+/// Stable export name ("cache.hits", "sched.queue_high_water", ...).
 const char* to_string(counter c);
 
 namespace detail {

@@ -20,6 +20,8 @@
 #include "campaign/artefact_store/stage_codec.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/export.hpp"
+#include "core/contracts.hpp"
+#include "core/hash.hpp"
 #include "support/scratch_dir.hpp"
 
 namespace {
@@ -222,6 +224,37 @@ TEST(StageStore, CorruptEntriesAreQuarantinedEvenOnNameCollision) {
     EXPECT_EQ(scan_store_dir(dir.path.string()).files(), 0u);
     (void)gc_store_dir(dir.path.string());
     EXPECT_EQ(count_files(dir.path / "quarantine"), 2u);
+}
+
+TEST(StageStore, ForgedRawSizeIsQuarantinedBeforeAllocating) {
+    // A header claiming a multi-terabyte payload must never reach the
+    // decompressor's reserve(): the entry is corrupt, not an allocation.
+    EXPECT_THROW(static_cast<void>(byte_codec_decompress(
+                     byte_codec_compress("abc"), std::size_t{1} << 62)),
+                 contract_violation);
+
+    const scratch_dir dir("store_forged_size");
+    stage_artefact_store store(dir.path.string());
+    const std::uint64_t digest = 0xF0ull;
+    const std::string path = store.path_for(digest, bist::stage::calibration);
+    const std::string payload = byte_codec_compress("{}");
+    json_object_writer h;
+    h.size_field("store_version",
+                 static_cast<std::size_t>(store_format_version));
+    h.size_field("codec", static_cast<std::size_t>(byte_codec_version));
+    h.string_field("kind", "calibration");
+    h.string_field("key", fnv1a64::hex_digest(digest));
+    h.size_field("stage_canonical_version",
+                 static_cast<std::size_t>(bist::stage_canonical_version));
+    h.size_field("raw_bytes", std::size_t{1} << 40);
+    h.size_field("payload_bytes", payload.size());
+    h.string_field("payload_fnv",
+                   fnv1a64::hex_digest(fnv1a64::hash(payload)));
+    std::ofstream(path, std::ios::binary) << h.str() << '\n' << payload;
+
+    EXPECT_EQ(store.load_calibration(digest), nullptr);
+    EXPECT_EQ(store.quarantined(), 1u);
+    EXPECT_FALSE(fs::exists(path));
 }
 
 // ---- GC ---------------------------------------------------------------------

@@ -1,12 +1,16 @@
 // Scenario result cache: key properties (stable, coordinate- and
-// config-sensitive), warm-run bit-identity, corruption tolerance, and the
-// full bist_report JSON round-trip the cache rests on.
+// config-sensitive, pinned across releases), warm-run bit-identity,
+// corruption tolerance, the full bist_report JSON round-trip the cache
+// rests on, and one store directory holding scenario and stage kinds.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "bist/config_canonical.hpp"
+#include "campaign/artefact_store/artefact_store.hpp"
 #include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/export.hpp"
@@ -19,6 +23,18 @@ namespace fs = std::filesystem;
 using namespace sdrbist;
 using namespace sdrbist::campaign;
 using sdrbist::testing::scratch_dir;
+
+/// Scenario entries (`<key>-scenario.sab`) directly under `dir`.
+std::vector<fs::path> scenario_entries(const fs::path& dir) {
+    std::vector<fs::path> out;
+    for (const auto& e : fs::directory_iterator(dir)) {
+        const std::string name = e.path().filename().string();
+        if (name.size() > 13 &&
+            name.compare(name.size() - 13, 13, "-scenario.sab") == 0)
+            out.push_back(e.path());
+    }
+    return out;
+}
 
 campaign_config small_campaign() {
     campaign_config cfg;
@@ -119,6 +135,15 @@ TEST(CacheKey, MovesWithGridCoordinatesAndConfig) {
               k_trial0);
 }
 
+TEST(CacheKey, PinnedValueSurvivesTheEntryFormat) {
+    // Computed by the release that still wrote `<key>.json` entries:
+    // journals that carry keys must keep resuming across format moves.
+    const auto cfg = small_campaign();
+    const auto grid = expand_grid(cfg);
+    EXPECT_EQ(scenario_cache::key(grid[0], scenario_config(cfg, grid[0])),
+              "679d5de28aca0e35");
+}
+
 TEST(CacheKey, IndependentOfGridShape) {
     // Appending presets/faults keeps existing coordinates and thus keys:
     // that is what makes overlapping grids share cache entries.
@@ -145,10 +170,7 @@ TEST(ScenarioCache, WarmRerunIsAllHitsAndBitIdentical) {
     EXPECT_EQ(cold.cache_hits, 0u);
     EXPECT_EQ(cold.cache_misses, cold.scenario_count());
     // One entry file per scenario.
-    std::size_t entries = 0;
-    for (const auto& e : fs::directory_iterator(dir.path))
-        entries += e.path().extension() == ".json";
-    EXPECT_EQ(entries, cold.scenario_count());
+    EXPECT_EQ(scenario_entries(dir.path).size(), cold.scenario_count());
 
     const auto warm = campaign_runner(cfg).run();
     EXPECT_EQ(warm.cache_hits, warm.scenario_count());
@@ -202,14 +224,10 @@ TEST(ScenarioCache, CorruptEntryIsReGraded) {
     const auto cold = campaign_runner(cfg).run();
 
     // Truncate/garble one entry; the runner must fall back to the engine.
-    fs::path victim;
-    for (const auto& e : fs::directory_iterator(dir.path))
-        if (e.path().extension() == ".json") {
-            victim = e.path();
-            break;
-        }
-    ASSERT_FALSE(victim.empty());
-    std::ofstream(victim, std::ios::trunc) << "{\"cache_version\":1,ga";
+    const auto entries = scenario_entries(dir.path);
+    ASSERT_FALSE(entries.empty());
+    std::ofstream(entries.front(), std::ios::trunc)
+        << "{\"store_version\":2,ga";
 
     const auto warm = campaign_runner(cfg).run();
     EXPECT_EQ(warm.cache_hits, warm.scenario_count() - 1);
@@ -217,6 +235,7 @@ TEST(ScenarioCache, CorruptEntryIsReGraded) {
     export_options opt;
     opt.include_timing = false;
     EXPECT_EQ(to_json(warm, opt), to_json(cold, opt));
+    EXPECT_EQ(warm.quarantined, 1u);
     // And the re-grade healed the entry.
     const auto healed = campaign_runner(cfg).run();
     EXPECT_EQ(healed.cache_hits, healed.scenario_count());
@@ -254,8 +273,73 @@ TEST(ScenarioCache, VersionSkewReadsAsMiss) {
 
     // A syntactically valid entry from a different format version.
     std::ofstream(cache.path_for("0123456789abcdef"))
-        << R"({"cache_version":999,"key":"0123456789abcdef"})";
+        << R"({"store_version":999,"codec":1,"stage_canonical_version":1})"
+        << "\npayload-from-the-future";
     EXPECT_FALSE(cache.load("0123456789abcdef").has_value());
+    EXPECT_EQ(cache.quarantined(), 0u) << "skew is not corruption";
+    EXPECT_TRUE(fs::exists(cache.path_for("0123456789abcdef")));
+}
+
+// ---- one store, six kinds ---------------------------------------------------
+
+TEST(ScenarioCache, SharesOneLruSetWithStageKindsAndIgnoresOldEntries) {
+    const scratch_dir dir("one_store");
+    const std::string store_dir = dir.path.string();
+    const scenario_cache cache(store_dir);
+    stage_artefact_store stages(store_dir);
+
+    scenario_result r;
+    r.report.preset_name = "paper-qpsk-10M";
+    bist::calibration_output cal;
+    cal.probe_times = {0.25, 0.5};
+    // Oldest first: scenario A, stage 1, scenario B, stage 2.
+    cache.store("000000000000000a", r);
+    stages.store_calibration(1, cal);
+    cache.store("000000000000000b", r);
+    stages.store_calibration(2, cal);
+    const std::vector<std::string> by_age = {
+        cache.path_for("000000000000000a"),
+        stages.path_for(1, bist::stage::calibration),
+        cache.path_for("000000000000000b"),
+        stages.path_for(2, bist::stage::calibration)};
+    for (std::size_t i = 0; i < by_age.size(); ++i)
+        fs::last_write_time(by_age[i],
+                            fs::file_time_type::clock::now() -
+                                std::chrono::hours(10 - static_cast<int>(i)));
+
+    // Entries of the retired `<key>.json` format are foreign files.
+    const fs::path old_entry = dir.path / "00000000000000cc.json";
+    const fs::path old_tmp = dir.path / "00000000000000cc.json.tmp.1f.0";
+    std::ofstream(old_entry)
+        << R"({"cache_version":1,"key":"00000000000000cc"})";
+    std::ofstream(old_tmp) << "torn";
+
+    const auto stats = scan_store_dir(store_dir);
+    EXPECT_EQ(stats.entries, 4u);
+    EXPECT_EQ(stats.files(), 4u) << "old-format files are never counted";
+
+    store_gc_policy policy;
+    policy.max_entries = 2;
+    const auto gc = gc_store_dir(store_dir, policy);
+    EXPECT_EQ(gc.scanned, 4u);
+    EXPECT_EQ(gc.evicted, 2u);
+    EXPECT_EQ(gc.kept, 2u);
+    // One LRU set across kinds: the oldest scenario and the oldest stage
+    // entry go, whatever their kind.
+    EXPECT_FALSE(cache.load("000000000000000a").has_value());
+    EXPECT_EQ(stages.load_calibration(1), nullptr);
+    EXPECT_TRUE(cache.load("000000000000000b").has_value());
+    EXPECT_TRUE(stages.load_calibration(2));
+    EXPECT_TRUE(fs::exists(old_entry)) << "never touched";
+    EXPECT_TRUE(fs::exists(old_tmp)) << "never touched";
+
+    // A byte budget evicts scenario entries too.
+    policy = {};
+    policy.max_bytes = 1;
+    (void)gc_store_dir(store_dir, policy);
+    EXPECT_FALSE(cache.load("000000000000000b").has_value());
+    EXPECT_EQ(scan_store_dir(store_dir).entries, 0u);
+    EXPECT_TRUE(fs::exists(old_entry));
 }
 
 // ---- report round-trip ------------------------------------------------------

@@ -254,6 +254,18 @@ TEST(JsonParser, RejectsMalformedInput) {
     EXPECT_THROW(parse_json("nope"), contract_violation);
 }
 
+TEST(JsonParser, DeepNestingIsRejectedNotAStackOverflow) {
+    // Hostile input: a 1 MB frame of '[' used to recurse once per byte.
+    EXPECT_THROW(parse_json(std::string(1u << 20, '[')), contract_violation);
+    EXPECT_THROW(parse_json(std::string(1u << 20, '{')), contract_violation);
+    // Well-formed nesting at the cap still parses; one level more does not.
+    const auto nested = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_NO_THROW(parse_json(nested(json_max_depth)));
+    EXPECT_THROW(parse_json(nested(json_max_depth + 1)), contract_violation);
+}
+
 TEST(CsvParser, HandlesQuotingAndEmptyCells) {
     const auto rows = parse_csv("a,\"b,1\",\"say \"\"hi\"\"\"\nc,,d\n");
     ASSERT_EQ(rows.size(), 2u);

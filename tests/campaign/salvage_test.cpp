@@ -153,24 +153,26 @@ TEST(Salvage, CacheQuarantinesGarbledEntries) {
     const std::string key = "00deadbeef00cafe";
 
     std::ofstream(cache.path_for(key), std::ios::binary)
-        << "{\"cache_version\":1,ga";
+        << "{\"store_version\":2,ga";
     EXPECT_FALSE(cache.load(key).has_value());
     EXPECT_EQ(cache.quarantined(), 1u);
     EXPECT_FALSE(fs::exists(cache.path_for(key)));
-    EXPECT_TRUE(
-        fs::exists(fs::path(cache.dir()) / "quarantine" / (key + ".json")));
+    EXPECT_TRUE(fs::exists(fs::path(cache.dir()) / "quarantine" /
+                           fs::path(cache.path_for(key)).filename()));
 
     // Version skew is stale, not corrupt: cache-gc's business, no move.
     const std::string skewed = "00deadbeef00cafd";
     std::ofstream(cache.path_for(skewed), std::ios::binary)
-        << R"({"cache_version":999,"key":"00deadbeef00cafd"})";
+        << R"({"store_version":999,"codec":1,"stage_canonical_version":1})"
+        << "\nold";
     EXPECT_FALSE(cache.load(skewed).has_value());
     EXPECT_EQ(cache.quarantined(), 1u);
     EXPECT_TRUE(fs::exists(cache.path_for(skewed)));
 
     // The maintenance scan keeps working over the quarantine subdirectory.
-    const auto stats = scan_cache_dir(cache.dir());
+    const auto stats = scan_store_dir(cache.dir());
     EXPECT_EQ(stats.stale, 1u);
+    EXPECT_EQ(stats.files(), 1u);
 }
 
 TEST(Salvage, QuarantineCollisionsGetNumericSuffixes) {

@@ -180,8 +180,6 @@ TEST_F(CampaignTelemetry, SchedCountersAreExactUnderConcurrency) {
     // into adopts (non-credited) and computes (credited stands in).
     EXPECT_EQ(counter_at(first, tm::counter::sched_adopt_fastpath),
               result.stage_reuse_hits + result.stage_reuse_computes);
-    EXPECT_EQ(counter_at(first, tm::counter::stage_waits), 0u)
-        << "the dag schedule never blocks on a pooled stage";
     EXPECT_EQ(timing_free(result2), timing_free(result));
 
     // Single-threaded there is nobody to steal from.
@@ -250,6 +248,27 @@ TEST_F(CampaignTelemetry, CacheCountersMatchTheResultExactly) {
     EXPECT_EQ(counter_at(after, tm::counter::cache_misses) -
                   counter_at(mid, tm::counter::cache_misses),
               warm.cache_misses);
+}
+
+TEST_F(CampaignTelemetry, CacheOffRunCountsNoMisses) {
+    // Without a cache there is no lookup to miss: the result and the
+    // counter both stay at zero.
+    auto cfg = small_campaign();
+    ASSERT_TRUE(cfg.cache_dir.empty());
+
+    tm::enable();
+    const auto before = tm::counters();
+    const auto result = campaign_runner(cfg).run();
+    const auto after = tm::counters();
+
+    EXPECT_EQ(result.cache_hits, 0u);
+    EXPECT_EQ(result.cache_misses, 0u);
+    EXPECT_EQ(counter_at(after, tm::counter::cache_misses) -
+                  counter_at(before, tm::counter::cache_misses),
+              0u);
+    EXPECT_EQ(counter_at(after, tm::counter::cache_hits) -
+                  counter_at(before, tm::counter::cache_hits),
+              0u);
 }
 
 // ---- summaries merge additively across shards -------------------------------

@@ -28,7 +28,7 @@ TEST_F(FaultInjection, DisarmedProbesAreInert) {
     EXPECT_EQ(fi::current_spec(), "");
     EXPECT_NO_THROW(fi::fire(fi::site::stage_stimulus));
     std::string payload = "intact";
-    EXPECT_FALSE(fi::corrupt(fi::site::cache_store, payload));
+    EXPECT_FALSE(fi::corrupt(fi::site::store_store, payload));
     EXPECT_EQ(payload, "intact");
     // Disarmed probes do not even count arrivals (fast path only).
     EXPECT_EQ(fi::arrivals(fi::site::stage_stimulus), 0u);
@@ -74,16 +74,16 @@ TEST_F(FaultInjection, CountTriggerFiresExactlyOnce) {
 }
 
 TEST_F(FaultInjection, EveryTriggerFiresPeriodically) {
-    fi::arm("cache.load:throw-transient:every=2");
+    fi::arm("store.load:throw-transient:every=2");
     std::size_t thrown = 0;
     for (int i = 0; i < 6; ++i)
         try {
-            fi::fire(fi::site::cache_load);
+            fi::fire(fi::site::store_load);
         } catch (const fi::transient_fault&) {
             ++thrown;
         }
     EXPECT_EQ(thrown, 3u); // arrivals 2, 4, 6
-    EXPECT_EQ(fi::fired(fi::site::cache_load), 3u);
+    EXPECT_EQ(fi::fired(fi::site::store_load), 3u);
 }
 
 TEST_F(FaultInjection, ProbabilityTriggerIsSeedDeterministic) {
@@ -133,13 +133,13 @@ TEST_F(FaultInjection, DelayActionDelaysWithoutThrowing) {
 }
 
 TEST_F(FaultInjection, CorruptActionManglesOnlyThePayloadProbe) {
-    fi::arm("cache.store:corrupt-bytes");
+    fi::arm("store.store:corrupt-bytes");
     // corrupt-bytes never acts through fire()...
-    EXPECT_NO_THROW(fi::fire(fi::site::cache_store));
+    EXPECT_NO_THROW(fi::fire(fi::site::store_store));
     // ...only through corrupt(), which deterministically mangles.
     std::string payload(64, 'x');
     const std::string original = payload;
-    EXPECT_TRUE(fi::corrupt(fi::site::cache_store, payload));
+    EXPECT_TRUE(fi::corrupt(fi::site::store_store, payload));
     EXPECT_NE(payload, original);
     // A site without a corrupt clause passes payloads through untouched.
     std::string other = "untouched";
@@ -156,10 +156,10 @@ TEST_F(FaultInjection, WildcardSiteMatchesEverySite) {
 
 TEST_F(FaultInjection, MultiClauseSpecsApplyIndependently) {
     fi::arm("stage.grading:throw-transient:count=1;"
-            "cache.load:throw-contract:count=2");
+            "store.load:throw-contract:count=2");
     EXPECT_THROW(fi::fire(fi::site::stage_grading), fi::transient_fault);
-    EXPECT_NO_THROW(fi::fire(fi::site::cache_load));
-    EXPECT_THROW(fi::fire(fi::site::cache_load), contract_violation);
+    EXPECT_NO_THROW(fi::fire(fi::site::store_load));
+    EXPECT_THROW(fi::fire(fi::site::store_load), contract_violation);
 }
 
 TEST_F(FaultInjection, SiteNamesRoundTripThroughToString) {
@@ -169,6 +169,9 @@ TEST_F(FaultInjection, SiteNamesRoundTripThroughToString) {
         EXPECT_NO_THROW(
             fi::arm(std::string(fi::to_string(s)) + ":delay-ms=0"));
     }
+    // Scenario entries load and publish through the store's entry path.
+    EXPECT_THROW(fi::arm("cache.load:delay-ms=0"), contract_violation);
+    EXPECT_THROW(fi::arm("cache.store:delay-ms=0"), contract_violation);
 }
 
 } // namespace

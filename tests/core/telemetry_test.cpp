@@ -35,7 +35,7 @@ TEST_F(Telemetry, OffByDefaultProbesAreInert) {
     {
         const tm::scoped_span span(tm::category::cache, "noop");
         tm::count(tm::counter::cache_hits);
-        tm::count_max(tm::counter::pool_queue_high_water, 42);
+        tm::count_max(tm::counter::sched_queue_high_water, 42);
     }
     for (const auto v : tm::counters())
         EXPECT_EQ(v, 0u);
@@ -51,15 +51,15 @@ TEST_F(Telemetry, CountersAccumulateAndReset) {
     tm::count(tm::counter::cache_hits);
     tm::count(tm::counter::cache_hits, 2);
     tm::count(tm::counter::stage_adopts, 7);
-    tm::count_max(tm::counter::pool_queue_high_water, 5);
-    tm::count_max(tm::counter::pool_queue_high_water, 3); // below: no-op
+    tm::count_max(tm::counter::sched_queue_high_water, 5);
+    tm::count_max(tm::counter::sched_queue_high_water, 3); // below: no-op
 
     const auto counts = tm::counters();
     EXPECT_EQ(counts[static_cast<std::size_t>(tm::counter::cache_hits)], 3u);
     EXPECT_EQ(counts[static_cast<std::size_t>(tm::counter::stage_adopts)],
               7u);
     EXPECT_EQ(counts[static_cast<std::size_t>(
-                  tm::counter::pool_queue_high_water)],
+                  tm::counter::sched_queue_high_water)],
               5u);
 
     tm::reset();
@@ -87,12 +87,12 @@ TEST_F(Telemetry, SpansFoldIntoCategoryAggregates) {
 TEST_F(Telemetry, IdleSpansFeedThePoolIdleCounter) {
     tm::enable();
     {
-        const tm::scoped_span idle(tm::category::idle, "pool.idle");
+        const tm::scoped_span idle(tm::category::idle, "sched.idle");
         std::this_thread::sleep_for(std::chrono::microseconds(500));
     }
     const auto s = tm::snapshot();
     EXPECT_EQ(
-        tm::counters()[static_cast<std::size_t>(tm::counter::pool_idle_ns)],
+        tm::counters()[static_cast<std::size_t>(tm::counter::sched_idle_ns)],
         s.of(tm::category::idle).total_ns);
     EXPECT_GT(s.of(tm::category::idle).total_ns, 0u);
 }
@@ -143,13 +143,13 @@ TEST_F(Telemetry, ConcurrentCountsAreExact) {
     for (int t = 0; t < threads; ++t)
         workers.emplace_back([] {
             for (int i = 0; i < per_thread; ++i) {
-                tm::count(tm::counter::pool_tasks);
+                tm::count(tm::counter::sched_tasks);
                 const tm::scoped_span span(tm::category::worker, "work");
             }
         });
     for (auto& w : workers)
         w.join();
-    EXPECT_EQ(tm::counters()[static_cast<std::size_t>(tm::counter::pool_tasks)],
+    EXPECT_EQ(tm::counters()[static_cast<std::size_t>(tm::counter::sched_tasks)],
               static_cast<std::uint64_t>(threads) * per_thread);
     EXPECT_EQ(tm::snapshot().of(tm::category::worker).count,
               static_cast<std::uint64_t>(threads) * per_thread);
@@ -163,7 +163,7 @@ TEST_F(Telemetry, ChromeTraceExportIsWellFormed) {
         const tm::scoped_span outer(tm::category::scenario, "scenario", 7);
         std::this_thread::sleep_for(std::chrono::microseconds(300));
         {
-            const tm::scoped_span inner(tm::category::cache, "cache.load");
+            const tm::scoped_span inner(tm::category::cache, "store.load");
             std::this_thread::sleep_for(std::chrono::microseconds(100));
         }
     }
@@ -205,7 +205,7 @@ TEST_F(Telemetry, ChromeTraceExportIsWellFormed) {
             continue;
         if (e.at("name").as_string() == "scenario")
             outer = &e;
-        else if (e.at("name").as_string() == "cache.load")
+        else if (e.at("name").as_string() == "store.load")
             inner = &e;
     }
     ASSERT_NE(outer, nullptr);
