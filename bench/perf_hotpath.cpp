@@ -8,6 +8,11 @@
 //    behind every BP-TIADC capture against the two-Bessel-series-per-tap
 //    reference.
 //
+//  * Reconstruction DDC — digital_downconvert, which evaluates its
+//    anti-alias FIR only at the kept outputs, against an inline
+//    filter-every-sample-then-subsample reference at the dqpsk-1M preset's
+//    shape.  The two must agree exactly; the bench exits 1 otherwise.
+//
 //  * SIMD backend primitives — every compiled-in, CPU-supported kernel
 //    backend (scalar/AVX2/NEON) timed on the primitive shapes the hot
 //    paths dispatch to, reported as speedup vs the scalar backend.
@@ -29,7 +34,10 @@
 #include "core/simd/kernel_backend.hpp"
 #include "core/stats.hpp"
 #include "core/units.hpp"
+#include "dsp/ddc.hpp"
+#include "dsp/fir.hpp"
 #include "dsp/interpolator.hpp"
+#include "dsp/window.hpp"
 #include "rf/passband.hpp"
 #include "sampling/band.hpp"
 #include "sampling/pnbs.hpp"
@@ -174,6 +182,101 @@ void bench_sinc_capture(std::size_t n_points, int reps) {
     std::cout << "sinc capture: " << 1e9 * s_ref / n_points << " -> "
               << 1e9 * s_fast / n_points << " ns/point  (x"
               << s_ref / s_fast << ", max rel err " << err << ")\n";
+}
+
+/// DDC bench at the dqpsk-1M reconstruction shape: 155031 dense samples
+/// at 1.955 GS/s around a 380 MHz carrier, decimation 131, a 6745-tap
+/// anti-alias FIR with a 6.21 MHz passband.  The reference is the
+/// pre-decimation DDC written out inline: mix, filter every input sample
+/// (zero-padded, ascending taps), keep every D-th output, scale by 2.
+/// Returns the max |digital_downconvert - reference| over both parts.
+double bench_ddc(std::size_t n_in, int reps) {
+    const double fs = 1.955 * GHz;
+    const double fc = 380.0 * MHz;
+    const std::size_t decim = 131;
+    const std::size_t taps = 6745;
+    const double cutoff = 6.21 * MHz;
+
+    rng gen(0xDDC1);
+    std::vector<double> x(n_in);
+    std::vector<rf::tone> tones;
+    for (int i = 0; i < 6; ++i)
+        tones.push_back({gen.uniform(fc - 6.0 * MHz, fc + 6.0 * MHz),
+                         gen.uniform(0.2, 1.0), gen.uniform(0.0, two_pi)});
+    for (std::size_t n = 0; n < n_in; ++n) {
+        const double t = static_cast<double>(n) / fs;
+        for (const auto& tone : tones)
+            x[n] += tone.amplitude *
+                    std::cos(two_pi * tone.frequency_hz * t + tone.phase_rad);
+        x[n] += gen.gaussian(0.0, 0.05);
+    }
+
+    dsp::ddc_options opt;
+    opt.carrier_hz = fc;
+    opt.sample_rate = fs;
+    opt.decimation = decim;
+    opt.fir_taps = taps;
+    opt.cutoff_hz = cutoff;
+
+    // The FIR digital_downconvert designs for these options (its
+    // transition-band placement, written out).
+    const double fs_out = fs / static_cast<double>(decim);
+    const double beta = dsp::kaiser_beta_for_attenuation(opt.stopband_db);
+    const double trans = std::max(fs_out / 2.0 - cutoff, 0.02 * fs_out);
+    const double design_cutoff = std::min(cutoff + trans / 2.0, 0.49 * fs);
+    const auto h = dsp::design_lowpass_fir(taps, design_cutoff / fs,
+                                           dsp::window_kind::kaiser, beta);
+
+    auto reference = [&] {
+        std::vector<std::complex<double>> mixed(n_in);
+        const double dphi = -two_pi * fc / fs;
+        for (std::size_t n = 0; n < n_in; ++n)
+            mixed[n] = x[n] * std::polar(1.0, dphi * static_cast<double>(n));
+        const auto half = static_cast<long>(taps / 2);
+        const auto n_x = static_cast<long>(n_in);
+        std::vector<std::complex<double>> filtered(n_in);
+        for (long n = 0; n < n_x; ++n) {
+            std::complex<double> acc{};
+            for (long k = 0; k < static_cast<long>(taps); ++k) {
+                const long idx = n + half - k;
+                if (idx >= 0 && idx < n_x)
+                    acc += h[static_cast<std::size_t>(k)] *
+                           mixed[static_cast<std::size_t>(idx)];
+            }
+            filtered[static_cast<std::size_t>(n)] = acc;
+        }
+        std::vector<std::complex<double>> out;
+        for (std::size_t n = 0; n < n_in; n += decim)
+            out.push_back(2.0 * filtered[n]);
+        return out;
+    };
+
+    std::vector<std::complex<double>> fast, ref;
+    const double s_fast = best_seconds(
+        [&] { fast = dsp::digital_downconvert(x, opt); }, reps);
+    const double s_ref = best_seconds([&] { ref = reference(); }, 1);
+
+    double max_diff = fast.size() == ref.size() ? 0.0 : 1e300;
+    for (std::size_t i = 0; i < std::min(fast.size(), ref.size()); ++i)
+        max_diff = std::max({max_diff, std::abs(fast[i].real() - ref[i].real()),
+                             std::abs(fast[i].imag() - ref[i].imag())});
+
+    const double n = static_cast<double>(n_in);
+    benchutil::json_record rec;
+    rec.add("kernel", std::string("ddc"));
+    rec.add("input_samples", n_in);
+    rec.add("decimation", decim);
+    rec.add("taps", taps);
+    rec.add("ref_ns_per_input_sample", 1e9 * s_ref / n);
+    rec.add("fast_ns_per_input_sample", 1e9 * s_fast / n);
+    rec.add("speedup", s_ref / s_fast);
+    rec.add("max_abs_diff", max_diff);
+    benchutil::emit_bench_json("perf_hotpath", rec);
+
+    std::cout << "ddc: " << 1e9 * s_ref / n << " -> " << 1e9 * s_fast / n
+              << " ns/input sample  (x" << s_ref / s_fast
+              << ", max abs diff " << max_diff << ")\n";
+    return max_diff;
 }
 
 /// Per-backend primitive bench: every CPU-supported backend timed on the
@@ -346,6 +449,13 @@ int main(int argc, char** argv) {
     const int reps = quick ? 3 : 5;
     bench_pnbs_uniform(n_points, reps);
     bench_sinc_capture(n_points, reps);
+    const double ddc_diff = bench_ddc(quick ? 40000 : 155031, reps);
     bench_backend_kernels(reps);
+    if (ddc_diff != 0.0) {
+        std::cerr << "FAIL: digital_downconvert differs from "
+                     "filter-then-subsample by "
+                  << ddc_diff << "\n";
+        return 1;
+    }
     return 0;
 }

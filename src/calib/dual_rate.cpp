@@ -299,18 +299,16 @@ std::vector<double> make_probe_times(rng& gen, std::size_t n, double t_lo,
 std::pair<double, double>
 valid_probe_interval(const dual_rate_capture& capture,
                      const sampling::pnbs_options& opt) {
-    // Build throwaway reconstructors at a safely-stable hypothesis just to
-    // query the valid spans (the span depends only on record geometry).
-    const double probe_delay =
-        sampling::kohlenberg_kernel::optimal_delay(capture.band_fast);
-    const sampling::pnbs_reconstructor fast(
-        capture.fast.even, capture.fast.odd, capture.fast.period_s,
-        capture.fast.t_start, capture.band_fast, probe_delay, opt);
-    const sampling::pnbs_reconstructor slow(
-        capture.slow.even, capture.slow.odd, capture.slow.period_s,
-        capture.slow.t_start, capture.band_slow, probe_delay, opt);
-    const double lo = std::max(fast.valid_begin(), slow.valid_begin());
-    const double hi = std::min(fast.valid_end(), slow.valid_end());
+    // The valid spans depend only on record geometry.
+    const auto span = [&](const adc::nonuniform_capture& rec) {
+        SDRBIST_EXPECTS(rec.even.size() == rec.odd.size());
+        return sampling::pnbs_reconstructor::valid_span(
+            rec.even.size(), rec.period_s, rec.t_start, opt.taps);
+    };
+    const auto fast = span(capture.fast);
+    const auto slow = span(capture.slow);
+    const double lo = std::max(fast.first, slow.first);
+    const double hi = std::min(fast.second, slow.second);
     SDRBIST_ENSURES(lo < hi);
     return {lo, hi};
 }

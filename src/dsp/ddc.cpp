@@ -49,14 +49,13 @@ digital_downconvert(std::span<const double> x, const ddc_options& opt) {
 
     const auto h = design_lowpass_fir(taps, design_cutoff / fs,
                                       window_kind::kaiser, beta);
-    // Group-delay compensated filtering, then decimation.
-    const auto filtered = filter_same(h, std::span<const std::complex<double>>(
-                                             mixed.data(), mixed.size()));
-    std::vector<std::complex<double>> out;
-    out.reserve(filtered.size() / opt.decimation + 1);
+    // Group-delay compensated filtering, evaluated only at kept outputs.
+    auto out = filter_decimate(
+        h, std::span<const std::complex<double>>(mixed.data(), mixed.size()),
+        opt.decimation);
     // Factor 2: the mix halves the in-band amplitude (cos = (e^+ + e^-)/2).
-    for (std::size_t n = 0; n < filtered.size(); n += opt.decimation)
-        out.push_back(2.0 * filtered[n]);
+    for (auto& v : out)
+        v = 2.0 * v;
     return out;
 }
 

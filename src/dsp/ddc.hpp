@@ -30,7 +30,10 @@ struct ddc_options {
 /// Mix x(t) with exp(-j·2π·fc·t), lowpass filter and decimate.
 /// Returns the complex envelope at rate sample_rate / decimation.
 /// The group delay of the anti-alias FIR is compensated (output sample m
-/// corresponds to input time m·decimation/fs).
+/// corresponds to input time m·decimation/fs).  The FIR runs through
+/// filter_decimate, so it is evaluated only at the kept outputs (one in
+/// `decimation`) and no full-rate filtered record is formed; the result is
+/// bit-identical to filtering every input sample and then decimating.
 std::vector<std::complex<double>>
 digital_downconvert(std::span<const double> x, const ddc_options& opt);
 

@@ -1,5 +1,6 @@
 #include "dsp/fir.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/contracts.hpp"
@@ -62,21 +63,25 @@ std::vector<double> convolve(std::span<const double> a,
 
 namespace {
 template <class T>
-std::vector<T> filter_same_impl(std::span<const double> h, std::span<const T> x) {
+std::vector<T> filter_decimate_impl(std::span<const double> h,
+                                    std::span<const T> x,
+                                    std::size_t decimation) {
     SDRBIST_EXPECTS(h.size() % 2 == 1);
     SDRBIST_EXPECTS(!x.empty());
+    SDRBIST_EXPECTS(decimation >= 1);
     const std::size_t half = h.size() / 2;
-    std::vector<T> y(x.size(), T{});
-    for (std::size_t n = 0; n < x.size(); ++n) {
+    const std::size_t last = x.size() - 1;
+    std::vector<T> y((x.size() + decimation - 1) / decimation, T{});
+    for (std::size_t m = 0; m < y.size(); ++m) {
+        // y[m] = sum_k h[k] * x[c - k] with c = m·D + half; clamp k so that
+        // c - k stays inside the record.
+        const std::size_t c = m * decimation + half;
+        const std::size_t k_lo = c > last ? c - last : 0;
+        const std::size_t k_hi = std::min(c, h.size() - 1);
         T acc{};
-        // y[n] = sum_k h[k] * x[n + half - k], zero-padded outside.
-        for (std::size_t k = 0; k < h.size(); ++k) {
-            const auto idx = static_cast<long>(n) + static_cast<long>(half) -
-                             static_cast<long>(k);
-            if (idx >= 0 && idx < static_cast<long>(x.size()))
-                acc += h[k] * x[static_cast<std::size_t>(idx)];
-        }
-        y[n] = acc;
+        for (std::size_t k = k_lo; k <= k_hi; ++k)
+            acc += h[k] * x[c - k];
+        y[m] = acc;
     }
     return y;
 }
@@ -111,15 +116,17 @@ std::vector<T> upfirdn_impl(std::span<const double> h, std::span<const T> x,
 }
 } // namespace
 
-std::vector<double> filter_same(std::span<const double> h,
-                                std::span<const double> x) {
-    return filter_same_impl<double>(h, x);
+std::vector<double> filter_decimate(std::span<const double> h,
+                                    std::span<const double> x,
+                                    std::size_t decimation) {
+    return filter_decimate_impl<double>(h, x, decimation);
 }
 
 std::vector<std::complex<double>>
-filter_same(std::span<const double> h,
-            std::span<const std::complex<double>> x) {
-    return filter_same_impl<std::complex<double>>(h, x);
+filter_decimate(std::span<const double> h,
+                std::span<const std::complex<double>> x,
+                std::size_t decimation) {
+    return filter_decimate_impl<std::complex<double>>(h, x, decimation);
 }
 
 std::vector<double> upfirdn(std::span<const double> h,

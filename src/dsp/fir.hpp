@@ -1,6 +1,7 @@
 /// \file fir.hpp
-/// \brief FIR filter design (windowed sinc) and filtering, including the
-///        rational-rate `upfirdn` used by the pulse shaper and the DDC.
+/// \brief FIR filter design (windowed sinc) and filtering: the decimating
+///        `filter_decimate` behind the DDC and the rational-rate `upfirdn`
+///        used by the pulse shaper.
 #pragma once
 
 #include <complex>
@@ -31,15 +32,25 @@ std::vector<double> design_bandpass_fir(std::size_t taps, double f1, double f2,
 std::vector<double> convolve(std::span<const double> a,
                              std::span<const double> b);
 
-/// "Same-size" filtering that compensates the FIR group delay: returns
-/// y[n] = (h * x)[n + (taps-1)/2], length x.size().  Odd-length h only.
-std::vector<double> filter_same(std::span<const double> h,
-                                std::span<const double> x);
+/// Delay-compensated FIR filtering evaluated only at the kept outputs of a
+/// decimation by `decimation`: returns
+///   y[m] = (h * x)[m·decimation + (taps-1)/2],  m = 0 .. ceil(N/decimation)-1
+/// with x zero-padded outside [0, N).  Each output sums h[k]·x[c - k],
+/// c = m·decimation + (taps-1)/2, in ascending k over the taps that land
+/// inside the record (the tap range is clamped once; only zero-padded terms
+/// are skipped), so it is bit-identical to filtering at every input sample
+/// and then keeping every decimation-th output, at 1/decimation of the
+/// multiply-adds.
+/// Odd-length h only; decimation >= 1.
+std::vector<double> filter_decimate(std::span<const double> h,
+                                    std::span<const double> x,
+                                    std::size_t decimation);
 
-/// Complex-input variant of filter_same (same real coefficients).
+/// Complex-input variant of filter_decimate (same real coefficients).
 std::vector<std::complex<double>>
-filter_same(std::span<const double> h,
-            std::span<const std::complex<double>> x);
+filter_decimate(std::span<const double> h,
+                std::span<const std::complex<double>> x,
+                std::size_t decimation);
 
 /// Polyphase-style upsample-filter-downsample:
 /// insert (up-1) zeros between samples, filter with h, keep every down-th.

@@ -10,6 +10,8 @@
 #pragma once
 
 #include <complex>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "core/contracts.hpp"
@@ -27,12 +29,16 @@ namespace sdrbist::dsp {
 /// are treated as zero; call `valid_begin()/valid_end()` for the time span
 /// where no edge truncation occurs.
 ///
-/// The hot path draws its coefficients from a polyphase LUT built at
-/// construction: `phase_steps` rows of 2·half_taps windowed-sinc
-/// coefficients over the fractional sample offset, blended with a cubic
-/// (4-row Lagrange) interpolation so the error against the exact
-/// transcendental evaluation stays below ~1e-12 at the default 1024
-/// phases.  `at_reference()` keeps the original two-Bessel-series-per-tap
+/// The hot path draws its coefficients from a polyphase LUT:
+/// `phase_steps` rows of 2·half_taps windowed-sinc coefficients over the
+/// fractional sample offset, blended with a cubic (4-row Lagrange)
+/// interpolation so the error against the exact transcendental evaluation
+/// stays below ~1e-12 at the default 1024 phases.  The LUT depends only on
+/// (half_taps, beta, phase_steps), not on the samples or on T, so it is
+/// built once per process for each exact parameter set and shared by every
+/// interpolator (real or complex) constructed with it — the same
+/// build_lut() output a private table would be, value for value.
+/// `at_reference()` keeps the original two-Bessel-series-per-tap
 /// evaluation for accuracy regression tests and benches.
 template <class T> class sinc_interpolator {
 public:
@@ -82,6 +88,16 @@ public:
     /// simd::kernel_backend::select() at construction).
     [[nodiscard]] const simd::kernel_ops& backend() const { return *ops_; }
 
+    /// The shared polyphase LUT: phase_steps + 3 rows of 2·half_taps
+    /// coefficients, row r at fractional offset (r - 1)/phase_steps (one
+    /// pad row below 0 and two above 1 for the cubic blend), row-major.
+    [[nodiscard]] std::span<const double> lut() const { return *lut_; }
+
+    /// A fresh (unshared) build of the LUT an interpolator with these
+    /// parameters holds.
+    static std::vector<double> build_lut(std::size_t half_taps, double beta,
+                                         std::size_t phase_steps);
+
 private:
     std::vector<T> samples_;
     double rate_;
@@ -89,12 +105,8 @@ private:
     double beta_;
     std::size_t phase_steps_;
     const simd::kernel_ops* ops_;
-    /// Row r holds the 2·half_taps coefficients for fractional offset
-    /// (r - 1)/phase_steps, r = 0 .. phase_steps + 2 (one pad row below 0
-    /// and two above 1 for the cubic blend); row-major, stride 2·half_taps.
-    std::vector<double> lut_;
+    std::shared_ptr<const std::vector<double>> lut_; ///< see lut()
 
-    void build_lut();
     [[nodiscard]] T eval(double pos) const;
 };
 

@@ -1,9 +1,13 @@
 #include "dsp/window.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "core/contracts.hpp"
 #include "core/math_util.hpp"
+#include "core/table_memo.hpp"
 #include "core/units.hpp"
 
 namespace sdrbist::dsp {
@@ -68,17 +72,25 @@ double kaiser_window_at(double u, double beta) {
     return bessel_i0(beta * std::sqrt(1.0 - u * u)) / bessel_i0(beta);
 }
 
-kaiser_lut::kaiser_lut(double beta, std::size_t resolution) : beta_(beta) {
+std::vector<double> kaiser_lut::build_table(double beta,
+                                            std::size_t resolution) {
     SDRBIST_EXPECTS(beta >= 0.0);
     SDRBIST_EXPECTS(resolution >= 16);
-    lut_.resize(resolution + 1);
+    std::vector<double> lut(resolution + 1);
     // Hoist the constant denominator series out of the per-sample loop.
     const double inv_i0b = 1.0 / bessel_i0(beta);
     for (std::size_t i = 0; i <= resolution; ++i) {
         const double u = static_cast<double>(i) / static_cast<double>(resolution);
-        lut_[i] = bessel_i0(beta * std::sqrt(std::max(0.0, 1.0 - u * u))) *
-                  inv_i0b;
+        lut[i] = bessel_i0(beta * std::sqrt(std::max(0.0, 1.0 - u * u))) *
+                 inv_i0b;
     }
+    return lut;
+}
+
+kaiser_lut::kaiser_lut(double beta, std::size_t resolution) : beta_(beta) {
+    static table_memo<std::pair<std::uint64_t, std::size_t>> memo;
+    table_ = memo.get({std::bit_cast<std::uint64_t>(beta), resolution},
+                      [&] { return build_table(beta, resolution); });
 }
 
 double window_sum(const std::vector<double>& w) {

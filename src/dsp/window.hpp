@@ -5,6 +5,8 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,6 +47,12 @@ double kaiser_window_at(double u, double beta);
 /// (~1e-6 absolute at the default 2048 points for beta = 8), far below the
 /// truncation error of any windowed kernel it is applied to.
 ///
+/// The table is built once per process for each (beta, resolution) and
+/// shared by every kaiser_lut constructed with those exact parameters (the
+/// PNBS reconstructor builds one per LMS cost evaluation), so construction
+/// after the first is a locked map lookup.  The shared table is the same
+/// build_table() output a private one would be, value for value.
+///
 /// Shared by the PNBS reconstructor and the hardware-mapped
 /// reconstructor's table builder so both see identical window values.
 /// (The windowed-sinc interpolator bakes exact window values into its own
@@ -58,17 +66,28 @@ public:
         u = u < 0.0 ? -u : u;
         if (u >= 1.0)
             return 0.0;
-        const double pos = u * static_cast<double>(lut_.size() - 1);
+        const std::vector<double>& lut = *table_;
+        const double pos = u * static_cast<double>(lut.size() - 1);
         const auto i = static_cast<std::size_t>(pos);
         const double frac = pos - static_cast<double>(i);
-        return lut_[i] + frac * (lut_[i + 1] - lut_[i]);
+        return lut[i] + frac * (lut[i + 1] - lut[i]);
     }
 
     [[nodiscard]] double beta() const { return beta_; }
-    [[nodiscard]] std::size_t resolution() const { return lut_.size() - 1; }
+    [[nodiscard]] std::size_t resolution() const {
+        return table_->size() - 1;
+    }
+
+    /// The shared table: resolution + 1 window samples over u in [0, 1].
+    [[nodiscard]] std::span<const double> table() const { return *table_; }
+
+    /// A fresh (unshared) build of the table kaiser_lut(beta, resolution)
+    /// holds.
+    static std::vector<double> build_table(double beta,
+                                           std::size_t resolution);
 
 private:
-    std::vector<double> lut_;
+    std::shared_ptr<const std::vector<double>> table_;
     double beta_;
 };
 

@@ -361,14 +361,23 @@ pnbs_reconstructor::uniform_reference(double t0, double rate,
 }
 
 double pnbs_reconstructor::valid_begin() const {
-    return t_start_ + static_cast<double>(opt_.taps / 2 + 1) * period_;
+    return valid_span(even_.size(), period_, t_start_, opt_.taps).first;
 }
 
 double pnbs_reconstructor::valid_end() const {
-    return t_start_ +
-           (static_cast<double>(even_.size()) -
-            static_cast<double>(opt_.taps / 2) - 2.0) *
-               period_;
+    return valid_span(even_.size(), period_, t_start_, opt_.taps).second;
+}
+
+std::pair<double, double>
+pnbs_reconstructor::valid_span(std::size_t record_len, double period,
+                               double t_start, std::size_t taps) {
+    SDRBIST_EXPECTS(period > 0.0);
+    SDRBIST_EXPECTS(taps >= 5 && taps % 2 == 1);
+    SDRBIST_EXPECTS(record_len > taps);
+    return {t_start + static_cast<double>(taps / 2 + 1) * period,
+            t_start + (static_cast<double>(record_len) -
+                       static_cast<double>(taps / 2) - 2.0) *
+                          period};
 }
 
 } // namespace sdrbist::sampling

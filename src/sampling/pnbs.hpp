@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "dsp/window.hpp"
@@ -155,6 +156,14 @@ public:
     /// Earliest/latest t with the full tap window inside the records.
     [[nodiscard]] double valid_begin() const;
     [[nodiscard]] double valid_end() const;
+
+    /// {valid_begin(), valid_end()} of a reconstructor over records of
+    /// `record_len` samples per stream starting at `t_start` with period
+    /// `period` and `taps` taps; the span depends on nothing else, so
+    /// callers that only need it construct no reconstructor.
+    static std::pair<double, double> valid_span(std::size_t record_len,
+                                                double period, double t_start,
+                                                std::size_t taps);
 
     [[nodiscard]] const kohlenberg_kernel& kernel() const { return kernel_; }
     [[nodiscard]] double period() const { return period_; }

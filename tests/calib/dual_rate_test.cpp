@@ -2,6 +2,7 @@
 // search interval m, and — crucially — the unique minimum at D̂ = D.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "adc/tiadc.hpp"
@@ -10,6 +11,7 @@
 #include "core/random.hpp"
 #include "core/units.hpp"
 #include "rf/passband.hpp"
+#include "sampling/pnbs.hpp"
 
 namespace {
 
@@ -139,6 +141,24 @@ TEST(DualRateCost, ProbeHelpersRespectRecordGeometry) {
     // Paper's window: N=300 samples within ~[0.47, 1.7] µs of a record —
     // our geometry must give a usable window of comparable size.
     EXPECT_GT(hi - lo, 1.0 * us);
+}
+
+TEST(DualRateCost, ProbeIntervalMatchesReconstructorSpans) {
+    // valid_probe_interval reads the spans without building reconstructors;
+    // it must give exactly what the reconstructors report.
+    const auto s = make_scenario(180.0 * ps, 0.0, 10);
+    const sampling::pnbs_options opt{41, 7.0};
+    const double d = 180.0 * ps;
+    const auto& cap = s.capture;
+    const sampling::pnbs_reconstructor fast(
+        cap.fast.even, cap.fast.odd, cap.fast.period_s, cap.fast.t_start,
+        cap.band_fast, d, opt);
+    const sampling::pnbs_reconstructor slow(
+        cap.slow.even, cap.slow.odd, cap.slow.period_s, cap.slow.t_start,
+        cap.band_slow, d, opt);
+    const auto [lo, hi] = calib::valid_probe_interval(cap, opt);
+    EXPECT_EQ(lo, std::max(fast.valid_begin(), slow.valid_begin()));
+    EXPECT_EQ(hi, std::min(fast.valid_end(), slow.valid_end()));
 }
 
 TEST(DualRateCost, RejectsEmptyProbes) {

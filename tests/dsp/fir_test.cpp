@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
+#include <span>
+#include <vector>
 
 #include "core/contracts.hpp"
 #include "core/random.hpp"
@@ -47,28 +50,124 @@ TEST(Convolve, KnownResult) {
     EXPECT_DOUBLE_EQ(c[3], 3.0);
 }
 
-TEST(FilterSame, DelayCompensatedIdentity) {
+TEST(FirDecimate, DelayCompensatedIdentity) {
     // A centred unit impulse as "filter" must return the input unchanged.
     std::vector<double> h(21, 0.0);
     h[10] = 1.0;
     rng gen(3);
     const auto x = gen.gaussian_vector(100);
-    const auto y = filter_same(h, x);
+    const auto y = filter_decimate(h, x, 1);
     ASSERT_EQ(y.size(), x.size());
     for (std::size_t i = 0; i < x.size(); ++i)
         EXPECT_NEAR(y[i], x[i], 1e-12);
 }
 
-TEST(FilterSame, RemovesOutOfBandTone) {
+TEST(FirDecimate, RemovesOutOfBandTone) {
     const auto h = design_lowpass_fir(101, 0.1);
     std::vector<double> x(400);
     for (std::size_t n = 0; n < x.size(); ++n)
         x[n] = std::cos(two_pi * 0.3 * static_cast<double>(n));
-    const auto y = filter_same(h, x);
+    const auto y = filter_decimate(h, x, 1);
     double peak = 0.0;
     for (std::size_t n = 100; n < 300; ++n)
         peak = std::max(peak, std::abs(y[n]));
     EXPECT_LT(peak, 1e-3);
+}
+
+// Reference: filter at every input sample, y[n] = (h * x)[n + half] with x
+// zero-padded (ascending k, out-of-record terms skipped), then keep every
+// d-th output.  filter_decimate must match it element for element.
+template <class T>
+std::vector<T> filter_then_subsample(const std::vector<double>& h,
+                                     const std::vector<T>& x, std::size_t d) {
+    const auto half = static_cast<long>(h.size() / 2);
+    const auto n_x = static_cast<long>(x.size());
+    std::vector<T> full(x.size(), T{});
+    for (long n = 0; n < n_x; ++n) {
+        T acc{};
+        for (long k = 0; k < static_cast<long>(h.size()); ++k) {
+            const long idx = n + half - k;
+            if (idx >= 0 && idx < n_x)
+                acc += h[static_cast<std::size_t>(k)] *
+                       x[static_cast<std::size_t>(idx)];
+        }
+        full[static_cast<std::size_t>(n)] = acc;
+    }
+    std::vector<T> out;
+    for (std::size_t n = 0; n < full.size(); n += d)
+        out.push_back(full[n]);
+    return out;
+}
+
+void expect_same_bits(double a, double b, std::size_t i) {
+    EXPECT_EQ(a, b) << "i=" << i;
+}
+
+void expect_same_bits(std::complex<double> a, std::complex<double> b,
+                      std::size_t i) {
+    EXPECT_EQ(a.real(), b.real()) << "i=" << i;
+    EXPECT_EQ(a.imag(), b.imag()) << "i=" << i;
+}
+
+template <class T>
+void expect_matches_reference(const std::vector<double>& h,
+                              const std::vector<T>& x, std::size_t d) {
+    SCOPED_TRACE(testing::Message() << "taps=" << h.size()
+                                    << " n=" << x.size() << " D=" << d);
+    const auto ref = filter_then_subsample(h, x, d);
+    const auto y = filter_decimate(h, std::span<const T>(x), d);
+    ASSERT_EQ(y.size(), ref.size());
+    for (std::size_t i = 0; i < y.size(); ++i)
+        expect_same_bits(y[i], ref[i], i);
+}
+
+TEST(FirDecimate, RealMatchesFilterThenSubsampleExactly) {
+    rng gen(17);
+    const auto h = design_lowpass_fir(151, 0.07);
+    // Lengths that are and are not multiples of each D.
+    for (const std::size_t n : {std::size_t{670}, std::size_t{1001}})
+        for (const std::size_t d : {1, 2, 7, 67})
+            expect_matches_reference(h, gen.gaussian_vector(n), d);
+}
+
+TEST(FirDecimate, ComplexMatchesFilterThenSubsampleExactly) {
+    rng gen(19);
+    const auto h = design_lowpass_fir(201, 0.05);
+    for (const std::size_t n : {std::size_t{670}, std::size_t{1003}})
+        for (const std::size_t d : {1, 2, 7, 67}) {
+            std::vector<std::complex<double>> x(n);
+            for (auto& v : x)
+                v = {gen.gaussian(), gen.gaussian()};
+            expect_matches_reference(h, x, d);
+        }
+}
+
+TEST(FirDecimate, FilterLongerThanRecordMatchesReference) {
+    rng gen(23);
+    const auto h = design_lowpass_fir(301, 0.1);
+    for (const std::size_t n : {std::size_t{1}, std::size_t{40},
+                                std::size_t{149}, std::size_t{299}})
+        for (const std::size_t d : {1, 2, 7, 67}) {
+            expect_matches_reference(h, gen.gaussian_vector(n), d);
+            std::vector<std::complex<double>> x(n);
+            for (auto& v : x)
+                v = {gen.gaussian(), gen.gaussian()};
+            expect_matches_reference(h, x, d);
+        }
+}
+
+TEST(FirDecimate, Preconditions) {
+    const std::vector<double> even_h{1.0, 2.0};
+    const std::vector<double> h{0.25, 0.5, 0.25};
+    const std::vector<double> x{1.0, 2.0, 3.0};
+    const std::vector<std::complex<double>> xc{{1.0, 0.0}};
+    EXPECT_THROW(filter_decimate(even_h, x, 1), contract_violation);
+    EXPECT_THROW(filter_decimate(even_h,
+                                 std::span<const std::complex<double>>(xc), 2),
+                 contract_violation);
+    EXPECT_THROW(filter_decimate(h, x, 0), contract_violation);
+    EXPECT_THROW(filter_decimate(h, std::vector<double>{}, 1),
+                 contract_violation);
 }
 
 TEST(Upfirdn, UpsamplingInterpolatesImpulse) {
@@ -133,7 +232,7 @@ TEST(FirDesign, Preconditions) {
     EXPECT_THROW(design_bandpass_fir(21, 0.3, 0.2), contract_violation);
     std::vector<double> even_h{1.0, 2.0};
     std::vector<double> x{1.0};
-    EXPECT_THROW(filter_same(even_h, x), contract_violation);
+    EXPECT_THROW(filter_decimate(even_h, x, 1), contract_violation);
 }
 
 } // namespace

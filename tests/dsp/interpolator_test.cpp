@@ -2,7 +2,11 @@
 // discrete envelopes and the "analog" waveform the sampler probes.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <complex>
+#include <thread>
+#include <vector>
 
 #include "core/contracts.hpp"
 #include "core/units.hpp"
@@ -92,6 +96,66 @@ TEST(SincInterpolator, Preconditions) {
     EXPECT_THROW(real_interpolator(x, 1e6, 2, 8.0), contract_violation);
     EXPECT_THROW(real_interpolator(std::vector<double>(10, 0.0), 1e6, 16, 8.0),
                  contract_violation);
+}
+
+TEST(SincInterpolatorLut, SharedLutEqualsFreshBuild) {
+    const std::vector<double> x(200, 1.0);
+    for (const std::size_t half : {std::size_t{8}, std::size_t{32}}) {
+        const real_interpolator interp(x, 1e6, half, 9.0, 128);
+        const auto fresh = real_interpolator::build_lut(half, 9.0, 128);
+        const auto shared = interp.lut();
+        ASSERT_EQ(shared.size(), (128u + 3u) * 2u * half);
+        ASSERT_EQ(fresh.size(), shared.size());
+        for (std::size_t i = 0; i < shared.size(); ++i)
+            EXPECT_EQ(shared[i], fresh[i]) << "half=" << half << " i=" << i;
+    }
+}
+
+TEST(SincInterpolatorLut, EqualParametersShareOneTable) {
+    const std::vector<double> x(300, 0.5);
+    const std::vector<std::complex<double>> xc(300, {0.5, -0.25});
+    const real_interpolator a(x, 100.0 * MHz);
+    const real_interpolator b(x, 37.0 * MHz); // rate does not enter the LUT
+    const complex_interpolator c(xc, 100.0 * MHz);
+    EXPECT_EQ(a.lut().data(), b.lut().data());
+    EXPECT_EQ(a.lut().data(), c.lut().data());
+
+    const real_interpolator other_beta(x, 100.0 * MHz, 32, 10.5);
+    const real_interpolator other_half(x, 100.0 * MHz, 16, 10.0);
+    const real_interpolator other_steps(x, 100.0 * MHz, 32, 10.0, 512);
+    EXPECT_NE(a.lut().data(), other_beta.lut().data());
+    EXPECT_NE(a.lut().data(), other_half.lut().data());
+    EXPECT_NE(a.lut().data(), other_steps.lut().data());
+}
+
+TEST(SincInterpolatorLut, ConcurrentConstructionSharesOneTable) {
+    // A parameter set no other test uses, so the eight threads race on its
+    // first build; half of them build complex interpolators.
+    constexpr int n_threads = 8;
+    std::vector<const double*> seen(n_threads, nullptr);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < n_threads; ++t)
+        threads.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < n_threads) {
+            }
+            const auto i = static_cast<std::size_t>(t);
+            if (t % 2 == 0) {
+                const real_interpolator interp(std::vector<double>(64, 1.0),
+                                               1e6, 12, 7.75, 96);
+                seen[i] = interp.lut().data();
+            } else {
+                const complex_interpolator interp(
+                    std::vector<std::complex<double>>(64, {1.0, 0.0}), 1e6,
+                    12, 7.75, 96);
+                seen[i] = interp.lut().data();
+            }
+        });
+    for (auto& th : threads)
+        th.join();
+    for (const double* p : seen)
+        EXPECT_EQ(p, seen.front());
 }
 
 } // namespace

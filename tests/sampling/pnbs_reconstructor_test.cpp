@@ -192,6 +192,26 @@ TEST(PnbsReconstructor, ValidSpanIsInsideRecord) {
     EXPECT_LT(recon.valid_begin(), recon.valid_end());
 }
 
+TEST(PnbsReconstructor, StaticValidSpanMatchesMembers) {
+    const band_spec band = band_around(1.0 * GHz, 90.0 * MHz);
+    const double t_period = 1.0 / band.bandwidth();
+    for (const std::size_t taps : {std::size_t{5}, std::size_t{61}}) {
+        std::vector<double> even(150, 0.0), odd(150, 0.0);
+        const pnbs_reconstructor recon(even, odd, t_period, 0.7 * us, band,
+                                       180.0 * ps, {taps, 8.0});
+        const auto [begin, end] = pnbs_reconstructor::valid_span(
+            even.size(), t_period, 0.7 * us, taps);
+        EXPECT_EQ(begin, recon.valid_begin()) << "taps=" << taps;
+        EXPECT_EQ(end, recon.valid_end()) << "taps=" << taps;
+    }
+    EXPECT_THROW(pnbs_reconstructor::valid_span(61, t_period, 0.0, 61),
+                 contract_violation);
+    EXPECT_THROW(pnbs_reconstructor::valid_span(100, t_period, 0.0, 60),
+                 contract_violation);
+    EXPECT_THROW(pnbs_reconstructor::valid_span(100, 0.0, 0.0, 61),
+                 contract_violation);
+}
+
 TEST(PnbsReconstructor, RejectsMismatchedPeriodAndBand) {
     const band_spec band = band_around(1.0 * GHz, 90.0 * MHz);
     std::vector<double> even(100, 0.0), odd(100, 0.0);
