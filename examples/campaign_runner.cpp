@@ -584,8 +584,9 @@ int run_cli(int argc, char** argv) {
             }
         } else if (arg == "--heartbeat-s") {
             svc.heartbeat_s = parse_double(arg, value());
-            if (!(svc.heartbeat_s > 0.0)) {
-                std::cerr << "--heartbeat-s must be > 0\n";
+            if (!(svc.heartbeat_s > 0.0 &&
+                  svc.heartbeat_s <= campaign::service::max_heartbeat_s)) {
+                std::cerr << "--heartbeat-s must be in (0, 86400]\n";
                 return 2;
             }
         } else if (arg == "--shard-out") {

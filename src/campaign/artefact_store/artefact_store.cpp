@@ -54,21 +54,16 @@ bool is_entry_stem(const std::string& stem) {
     return false;
 }
 
-/// A header version field; anything but a plausible version number is
-/// corruption (and must not reach an out-of-range int conversion).
-int version_field(const json_value& header, const char* name) {
-    const double v = header.at(name).as_number();
-    SDRBIST_EXPECTS(v >= 0.0 && v <= 1e9);
-    return static_cast<int>(v);
-}
-
 /// True when the header names a version this build cannot read: a plain
-/// miss, not corruption.
+/// miss, not corruption.  A version that is not a plausible number is
+/// corruption (as_size throws).
 bool is_skewed(const json_value& header) {
-    return version_field(header, "store_version") != store_format_version ||
-           version_field(header, "codec") != byte_codec_version ||
-           version_field(header, "stage_canonical_version") !=
-               bist::stage_canonical_version;
+    return header.at("store_version").as_size() !=
+               static_cast<std::size_t>(store_format_version) ||
+           header.at("codec").as_size() !=
+               static_cast<std::size_t>(byte_codec_version) ||
+           header.at("stage_canonical_version").as_size() !=
+               static_cast<std::size_t>(bist::stage_canonical_version);
 }
 
 std::string entry_header(std::string_view kind, const std::string& key,
@@ -142,18 +137,14 @@ bool entry_store::load(
             SDRBIST_EXPECTS(header.at("kind").as_string() == kind);
             SDRBIST_EXPECTS(header.at("key").as_string() == key);
             const std::string payload = bytes.substr(nl + 1);
-            // Header sizes compare as doubles: a forged value must not
-            // reach an out-of-range integer conversion.
-            SDRBIST_EXPECTS(static_cast<double>(payload.size()) ==
-                            header.at("payload_bytes").as_number());
+            SDRBIST_EXPECTS(payload.size() ==
+                            header.at("payload_bytes").as_size());
             SDRBIST_EXPECTS(fnv1a64::hex_digest(fnv1a64::hash(payload)) ==
                             header.at("payload_fnv").as_string());
-            const double raw_bytes = header.at("raw_bytes").as_number();
-            SDRBIST_EXPECTS(raw_bytes >= 0.0 &&
-                            raw_bytes <= static_cast<double>(
-                                             byte_codec_max_raw_bytes));
-            decode(byte_codec_decompress(
-                payload, static_cast<std::size_t>(raw_bytes)));
+            // The decompressor bounds the claimed raw size before it
+            // allocates anything.
+            decode(byte_codec_decompress(payload,
+                                         header.at("raw_bytes").as_size()));
             touch_mtime(path);
             return true;
         } catch (const std::exception&) {
@@ -355,7 +346,7 @@ enum class entry_class { entry, stale, corrupt, stray_tmp, foreign };
 /// Header-only (the payload checksum is load's business): a scan must stay
 /// cheap on multi-GB stores.  Sets `version` for files that parse far
 /// enough to expose a store_version.
-entry_class classify(const fs::path& path, int& version) {
+entry_class classify(const fs::path& path, std::size_t& version) {
     const std::string filename = path.filename().string();
     // Leftover atomic-publish temp: "<stem>.sab.tmp.<tag>.<seq>".
     if (filename.size() > 16 && is_hex_key(filename.substr(0, 16)) &&
@@ -373,7 +364,7 @@ entry_class classify(const fs::path& path, int& version) {
         return entry_class::corrupt;
     try {
         const json_value header = parse_json(header_line);
-        version = version_field(header, "store_version");
+        version = header.at("store_version").as_size();
         if (is_skewed(header))
             return entry_class::stale;
         if (header.at("kind").as_string() != stem.substr(17) ||
@@ -381,9 +372,8 @@ entry_class classify(const fs::path& path, int& version) {
             return entry_class::corrupt;
         std::error_code ec;
         const std::uintmax_t size = fs::file_size(path, ec);
-        if (ec || static_cast<double>(size) !=
-                      static_cast<double>(header_line.size() + 1) +
-                          header.at("payload_bytes").as_number())
+        if (ec || size != header_line.size() + 1 +
+                              header.at("payload_bytes").as_size())
             return entry_class::corrupt;
         return entry_class::entry;
     } catch (const std::exception&) {
@@ -408,7 +398,7 @@ store_dir_stats walk_store_dir(const std::string& dir,
     for (const auto& entry : fs::directory_iterator(dir)) {
         if (!entry.is_regular_file())
             continue;
-        int version = -1;
+        std::size_t version = 0;
         const entry_class c = classify(entry.path(), version);
         if (c == entry_class::foreign)
             continue; // not ours: never counted, never touched

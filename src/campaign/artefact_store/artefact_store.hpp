@@ -181,7 +181,7 @@ struct store_dir_stats {
     std::size_t stray_tmp = 0; ///< leftover atomic-publish temp files
     std::uintmax_t bytes = 0;  ///< total size of everything classified
     /// store_version value → entry count (corrupt entries excluded).
-    std::map<int, std::size_t> version_histogram;
+    std::map<std::size_t, std::size_t> version_histogram;
 
     [[nodiscard]] std::size_t files() const {
         return entries + stale + corrupt + stray_tmp;

@@ -1,5 +1,6 @@
 #include "campaign/artefact_store/stage_codec.hpp"
 
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -10,13 +11,12 @@ namespace sdrbist::campaign {
 
 namespace {
 
-double num_or_nan(const json_value& v) {
-    return v.is_null() ? std::numeric_limits<double>::quiet_NaN()
-                       : v.as_number();
-}
-
-std::size_t size_of(const json_value& v) {
-    return static_cast<std::size_t>(v.as_number());
+/// An enumerator or narrow integer written as a number, range-checked
+/// against the type's `last` value before the conversion.
+template <class T> T bounded_from_json(const json_value& v, T last) {
+    const std::size_t i = v.as_size();
+    SDRBIST_EXPECTS(i <= static_cast<std::size_t>(last));
+    return static_cast<T>(i);
 }
 
 std::string double_vector_json(const std::vector<double>& values) {
@@ -35,7 +35,7 @@ std::vector<double> double_vector_from_json(const json_value& v) {
     std::vector<double> out;
     out.reserve(arr.size());
     for (const auto& e : arr)
-        out.push_back(num_or_nan(e));
+        out.push_back(e.as_number_or_nan());
     return out;
 }
 
@@ -60,7 +60,8 @@ complex_vector_from_json(const json_value& v) {
     std::vector<std::complex<double>> out;
     out.reserve(arr.size() / 2);
     for (std::size_t i = 0; i < arr.size(); i += 2)
-        out.emplace_back(num_or_nan(arr[i]), num_or_nan(arr[i + 1]));
+        out.emplace_back(arr[i].as_number_or_nan(),
+                         arr[i + 1].as_number_or_nan());
     return out;
 }
 
@@ -82,13 +83,13 @@ std::string waveform_json(const waveform::baseband_waveform& w) {
 waveform::baseband_waveform waveform_from_json(const json_value& v) {
     waveform::baseband_waveform w;
     w.samples = complex_vector_from_json(v.at("samples"));
-    w.sample_rate = num_or_nan(v.at("sample_rate"));
-    w.symbol_rate = num_or_nan(v.at("symbol_rate"));
-    w.rolloff = num_or_nan(v.at("rolloff"));
-    w.oversample = size_of(v.at("oversample"));
-    w.shaper_delay_samples = size_of(v.at("shaper_delay_samples"));
+    w.sample_rate = v.at("sample_rate").as_number_or_nan();
+    w.symbol_rate = v.at("symbol_rate").as_number_or_nan();
+    w.rolloff = v.at("rolloff").as_number_or_nan();
+    w.oversample = v.at("oversample").as_size();
+    w.shaper_delay_samples = v.at("shaper_delay_samples").as_size();
     w.symbols = complex_vector_from_json(v.at("symbols"));
-    w.mod = static_cast<waveform::modulation>(size_of(v.at("mod")));
+    w.mod = bounded_from_json(v.at("mod"), waveform::modulation::dqpsk_pi4);
     return w;
 }
 
@@ -107,14 +108,15 @@ std::string generator_config_json(const waveform::generator_config& g) {
 
 waveform::generator_config generator_config_from_json(const json_value& v) {
     waveform::generator_config g;
-    g.mod = static_cast<waveform::modulation>(size_of(v.at("mod")));
-    g.symbol_rate = num_or_nan(v.at("symbol_rate"));
-    g.rolloff = num_or_nan(v.at("rolloff"));
-    g.oversample = size_of(v.at("oversample"));
-    g.span_symbols = size_of(v.at("span_symbols"));
-    g.symbol_count = size_of(v.at("symbol_count"));
-    g.data = static_cast<waveform::prbs_order>(size_of(v.at("data")));
-    g.prbs_seed = static_cast<std::uint32_t>(size_of(v.at("prbs_seed")));
+    g.mod = bounded_from_json(v.at("mod"), waveform::modulation::dqpsk_pi4);
+    g.symbol_rate = v.at("symbol_rate").as_number_or_nan();
+    g.rolloff = v.at("rolloff").as_number_or_nan();
+    g.oversample = v.at("oversample").as_size();
+    g.span_symbols = v.at("span_symbols").as_size();
+    g.symbol_count = v.at("symbol_count").as_size();
+    g.data = bounded_from_json(v.at("data"), waveform::prbs_order::prbs31);
+    g.prbs_seed = bounded_from_json(
+        v.at("prbs_seed"), std::numeric_limits<std::uint32_t>::max());
     return g;
 }
 
@@ -129,8 +131,8 @@ std::string band_spec_json(const sampling::band_spec& b) {
 
 sampling::band_spec band_spec_from_json(const json_value& v) {
     sampling::band_spec b;
-    b.f_lo = num_or_nan(v.at("f_lo"));
-    b.f_hi = num_or_nan(v.at("f_hi"));
+    b.f_lo = v.at("f_lo").as_number_or_nan();
+    b.f_hi = v.at("f_hi").as_number_or_nan();
     return b;
 }
 
@@ -147,8 +149,8 @@ calib::band_plan band_plan_from_json(const json_value& v) {
     calib::band_plan p;
     p.fast = band_spec_from_json(v.at("fast"));
     p.slow = band_spec_from_json(v.at("slow"));
-    p.fast_offset_hz = num_or_nan(v.at("fast_offset_hz"));
-    p.slow_offset_hz = num_or_nan(v.at("slow_offset_hz"));
+    p.fast_offset_hz = v.at("fast_offset_hz").as_number_or_nan();
+    p.slow_offset_hz = v.at("slow_offset_hz").as_number_or_nan();
     return p;
 }
 
@@ -167,8 +169,8 @@ std::shared_ptr<const rf::envelope_passband>
 passband_from_json(const json_value& v) {
     return std::make_shared<const rf::envelope_passband>(
         complex_vector_from_json(v.at("envelope")),
-        num_or_nan(v.at("envelope_rate")), num_or_nan(v.at("carrier_hz")),
-        size_of(v.at("half_taps")));
+        v.at("envelope_rate").as_number_or_nan(),
+        v.at("carrier_hz").as_number_or_nan(), v.at("half_taps").as_size());
 }
 
 std::string tx_output_json(const rf::tx_output& t) {
@@ -188,12 +190,12 @@ std::string tx_output_json(const rf::tx_output& t) {
 rf::tx_output tx_output_from_json(const json_value& v) {
     rf::tx_output t;
     t.envelope = complex_vector_from_json(v.at("envelope"));
-    t.envelope_rate = num_or_nan(v.at("envelope_rate"));
-    t.carrier_hz = num_or_nan(v.at("carrier_hz"));
+    t.envelope_rate = v.at("envelope_rate").as_number_or_nan();
+    t.carrier_hz = v.at("carrier_hz").as_number_or_nan();
     auto env = t.envelope;
     t.passband = std::make_shared<const rf::envelope_passband>(
         std::move(env), t.envelope_rate, t.carrier_hz,
-        size_of(v.at("passband_half_taps")));
+        v.at("passband_half_taps").as_size());
     return t;
 }
 
@@ -207,8 +209,8 @@ std::string ranging_json(const adc::ranging_result& r) {
 
 adc::ranging_result ranging_from_json(const json_value& v) {
     adc::ranging_result r;
-    r.input_scale = num_or_nan(v.at("input_scale"));
-    r.observed_peak = num_or_nan(v.at("observed_peak"));
+    r.input_scale = v.at("input_scale").as_number_or_nan();
+    r.observed_peak = v.at("observed_peak").as_number_or_nan();
     r.clipped = v.at("clipped").as_bool();
     return r;
 }
@@ -227,9 +229,9 @@ adc::nonuniform_capture capture_from_json(const json_value& v) {
     adc::nonuniform_capture c;
     c.even = double_vector_from_json(v.at("even"));
     c.odd = double_vector_from_json(v.at("odd"));
-    c.period_s = num_or_nan(v.at("period_s"));
-    c.t_start = num_or_nan(v.at("t_start"));
-    c.true_delay_s = num_or_nan(v.at("true_delay_s"));
+    c.period_s = v.at("period_s").as_number_or_nan();
+    c.t_start = v.at("t_start").as_number_or_nan();
+    c.true_delay_s = v.at("true_delay_s").as_number_or_nan();
     return c;
 }
 
@@ -278,17 +280,17 @@ std::string skew_json(const calib::skew_estimate& s) {
 
 calib::skew_estimate skew_from_json(const json_value& v) {
     calib::skew_estimate s;
-    s.d_hat = num_or_nan(v.at("d_hat"));
-    s.final_cost = num_or_nan(v.at("final_cost"));
-    s.iterations = size_of(v.at("iterations"));
+    s.d_hat = v.at("d_hat").as_number_or_nan();
+    s.final_cost = v.at("final_cost").as_number_or_nan();
+    s.iterations = v.at("iterations").as_size();
     s.converged = v.at("converged").as_bool();
-    s.cost_evaluations = size_of(v.at("cost_evaluations"));
+    s.cost_evaluations = v.at("cost_evaluations").as_size();
     for (const auto& tp : v.at("trace").as_array()) {
         calib::lms_trace_point p;
-        p.iteration = size_of(tp.at("iteration"));
-        p.d_hat = num_or_nan(tp.at("d_hat"));
-        p.cost = num_or_nan(tp.at("cost"));
-        p.mu = num_or_nan(tp.at("mu"));
+        p.iteration = tp.at("iteration").as_size();
+        p.d_hat = tp.at("d_hat").as_number_or_nan();
+        p.cost = tp.at("cost").as_number_or_nan();
+        p.mu = tp.at("mu").as_number_or_nan();
         s.trace.push_back(p);
     }
     return s;
@@ -320,15 +322,15 @@ std::string mask_json(const waveform::mask_report& m) {
 waveform::mask_report mask_from_json(const json_value& v) {
     waveform::mask_report m;
     m.pass = v.at("pass").as_bool();
-    m.worst_margin_db = num_or_nan(v.at("worst_margin_db"));
-    m.reference_dbhz = num_or_nan(v.at("reference_dbhz"));
+    m.worst_margin_db = v.at("worst_margin_db").as_number_or_nan();
+    m.reference_dbhz = v.at("reference_dbhz").as_number_or_nan();
     for (const auto& sv : v.at("segments").as_array()) {
         waveform::mask_segment_report s;
-        s.segment.offset_lo_hz = num_or_nan(sv.at("offset_lo_hz"));
-        s.segment.offset_hi_hz = num_or_nan(sv.at("offset_hi_hz"));
-        s.segment.limit_dbc = num_or_nan(sv.at("limit_dbc"));
-        s.measured_dbc = num_or_nan(sv.at("measured_dbc"));
-        s.margin_db = num_or_nan(sv.at("margin_db"));
+        s.segment.offset_lo_hz = sv.at("offset_lo_hz").as_number_or_nan();
+        s.segment.offset_hi_hz = sv.at("offset_hi_hz").as_number_or_nan();
+        s.segment.limit_dbc = sv.at("limit_dbc").as_number_or_nan();
+        s.measured_dbc = sv.at("measured_dbc").as_number_or_nan();
+        s.margin_db = sv.at("margin_db").as_number_or_nan();
         s.pass = sv.at("pass").as_bool();
         m.segments.push_back(std::move(s));
     }
@@ -348,10 +350,11 @@ std::string evm_json(const waveform::evm_result& e) {
 
 waveform::evm_result evm_from_json(const json_value& v) {
     waveform::evm_result e;
-    e.evm_rms = num_or_nan(v.at("evm_rms"));
-    e.evm_peak = num_or_nan(v.at("evm_peak"));
-    e.gain = {num_or_nan(v.at("gain_re")), num_or_nan(v.at("gain_im"))};
-    e.timing_offset = num_or_nan(v.at("timing_offset"));
+    e.evm_rms = v.at("evm_rms").as_number_or_nan();
+    e.evm_peak = v.at("evm_peak").as_number_or_nan();
+    e.gain = {v.at("gain_re").as_number_or_nan(),
+              v.at("gain_im").as_number_or_nan()};
+    e.timing_offset = v.at("timing_offset").as_number_or_nan();
     e.received_symbols = complex_vector_from_json(v.at("received_symbols"));
     return e;
 }
@@ -385,12 +388,12 @@ bist::stimulus_output stimulus_from_json(const json_value& v) {
     s.calibration_config =
         generator_config_from_json(v.at("calibration_config"));
     s.occupied_bw_calibration_hz =
-        num_or_nan(v.at("occupied_bw_calibration_hz"));
-    s.occupied_bw_graded_hz = num_or_nan(v.at("occupied_bw_graded_hz"));
+        v.at("occupied_bw_calibration_hz").as_number_or_nan();
+    s.occupied_bw_graded_hz = v.at("occupied_bw_graded_hz").as_number_or_nan();
     s.plan = band_plan_from_json(v.at("plan"));
-    s.carrier_hz = num_or_nan(v.at("carrier_hz"));
-    s.carrier_nudge_hz = num_or_nan(v.at("carrier_nudge_hz"));
-    s.plan_discrimination = num_or_nan(v.at("plan_discrimination"));
+    s.carrier_hz = v.at("carrier_hz").as_number_or_nan();
+    s.carrier_nudge_hz = v.at("carrier_nudge_hz").as_number_or_nan();
+    s.plan_discrimination = v.at("plan_discrimination").as_number_or_nan();
     return s;
 }
 
@@ -418,9 +421,9 @@ bist::tx_capture_output tx_capture_from_json(const json_value& v) {
     c.spectrum_input = passband_from_json(v.at("spectrum_input"));
     c.ranging = ranging_from_json(v.at("ranging"));
     c.capture = dual_rate_from_json(v.at("capture"));
-    c.programmed_delay_s = num_or_nan(v.at("programmed_delay_s"));
+    c.programmed_delay_s = v.at("programmed_delay_s").as_number_or_nan();
     c.dual_rate_conditions_ok = v.at("dual_rate_conditions_ok").as_bool();
-    c.max_search_delay_s = num_or_nan(v.at("max_search_delay_s"));
+    c.max_search_delay_s = v.at("max_search_delay_s").as_number_or_nan();
     return c;
 }
 
@@ -456,8 +459,8 @@ bist::reconstruction_output reconstruction_from_json(const json_value& v) {
     r.spectrum_capture = capture_from_json(v.at("spectrum_capture"));
     const auto& env = v.at("envelope");
     r.envelope.samples = complex_vector_from_json(env.at("samples"));
-    r.envelope.rate = num_or_nan(env.at("rate"));
-    r.envelope.t0 = num_or_nan(env.at("t0"));
+    r.envelope.rate = env.at("rate").as_number_or_nan();
+    r.envelope.t0 = env.at("t0").as_number_or_nan();
     return r;
 }
 
@@ -486,16 +489,76 @@ bist::grading_output grading_from_json(const json_value& v) {
     g.evm = evm_from_json(v.at("evm"));
     g.evm_pass = v.at("evm_pass").as_bool();
     const auto& acpr = v.at("acpr");
-    g.acpr.main_power = num_or_nan(acpr.at("main_power"));
-    g.acpr.lower_dbc = num_or_nan(acpr.at("lower_dbc"));
-    g.acpr.upper_dbc = num_or_nan(acpr.at("upper_dbc"));
-    g.acpr_limit_dbc = num_or_nan(v.at("acpr_limit_dbc"));
+    g.acpr.main_power = acpr.at("main_power").as_number_or_nan();
+    g.acpr.lower_dbc = acpr.at("lower_dbc").as_number_or_nan();
+    g.acpr.upper_dbc = acpr.at("upper_dbc").as_number_or_nan();
+    g.acpr_limit_dbc = v.at("acpr_limit_dbc").as_number_or_nan();
     g.acpr_pass = v.at("acpr_pass").as_bool();
-    g.occupied_bw_hz = num_or_nan(v.at("occupied_bw_hz"));
-    g.measured_output_rms = num_or_nan(v.at("measured_output_rms"));
-    g.min_output_rms = num_or_nan(v.at("min_output_rms"));
+    g.occupied_bw_hz = v.at("occupied_bw_hz").as_number_or_nan();
+    g.measured_output_rms = v.at("measured_output_rms").as_number_or_nan();
+    g.min_output_rms = v.at("min_output_rms").as_number_or_nan();
     g.power_pass = v.at("power_pass").as_bool();
     return g;
+}
+
+// ---------------------------------------------------------------------------
+// Scenario report
+// ---------------------------------------------------------------------------
+
+std::string report_json(const bist::bist_report& r) {
+    json_object_writer o;
+    o.string_field("preset_name", r.preset_name);
+    o.number_field("carrier_hz", r.carrier_hz);
+    o.field("skew", skew_json(r.skew));
+    o.number_field("programmed_delay_s", r.programmed_delay_s);
+    o.bool_field("dual_rate_conditions_ok", r.dual_rate_conditions_ok);
+    o.number_field("max_search_delay_s", r.max_search_delay_s);
+    o.number_field("slow_band_offset_hz", r.slow_band_offset_hz);
+    o.number_field("fast_band_offset_hz", r.fast_band_offset_hz);
+    o.number_field("carrier_nudge_hz", r.carrier_nudge_hz);
+    o.number_field("plan_discrimination", r.plan_discrimination);
+    o.field("mask", mask_json(r.mask));
+    o.field("evm", evm_json(r.evm));
+    o.number_field("evm_limit_percent", r.evm_limit_percent);
+    o.bool_field("evm_pass", r.evm_pass);
+    o.number_field("measured_output_rms", r.measured_output_rms);
+    o.number_field("min_output_rms", r.min_output_rms);
+    o.bool_field("power_pass", r.power_pass);
+    o.number_field("acpr_main_power", r.acpr.main_power);
+    o.number_field("acpr_lower_dbc", r.acpr.lower_dbc);
+    o.number_field("acpr_upper_dbc", r.acpr.upper_dbc);
+    o.number_field("acpr_limit_dbc", r.acpr_limit_dbc);
+    o.bool_field("acpr_pass", r.acpr_pass);
+    o.number_field("occupied_bw_hz", r.occupied_bw_hz);
+    return o.str();
+}
+
+bist::bist_report report_from_json(const json_value& v) {
+    bist::bist_report r;
+    r.preset_name = v.at("preset_name").as_string();
+    r.carrier_hz = v.at("carrier_hz").as_number_or_nan();
+    r.skew = skew_from_json(v.at("skew"));
+    r.programmed_delay_s = v.at("programmed_delay_s").as_number_or_nan();
+    r.dual_rate_conditions_ok = v.at("dual_rate_conditions_ok").as_bool();
+    r.max_search_delay_s = v.at("max_search_delay_s").as_number_or_nan();
+    r.slow_band_offset_hz = v.at("slow_band_offset_hz").as_number_or_nan();
+    r.fast_band_offset_hz = v.at("fast_band_offset_hz").as_number_or_nan();
+    r.carrier_nudge_hz = v.at("carrier_nudge_hz").as_number_or_nan();
+    r.plan_discrimination = v.at("plan_discrimination").as_number_or_nan();
+    r.mask = mask_from_json(v.at("mask"));
+    r.evm = evm_from_json(v.at("evm"));
+    r.evm_limit_percent = v.at("evm_limit_percent").as_number_or_nan();
+    r.evm_pass = v.at("evm_pass").as_bool();
+    r.measured_output_rms = v.at("measured_output_rms").as_number_or_nan();
+    r.min_output_rms = v.at("min_output_rms").as_number_or_nan();
+    r.power_pass = v.at("power_pass").as_bool();
+    r.acpr.main_power = v.at("acpr_main_power").as_number_or_nan();
+    r.acpr.lower_dbc = v.at("acpr_lower_dbc").as_number_or_nan();
+    r.acpr.upper_dbc = v.at("acpr_upper_dbc").as_number_or_nan();
+    r.acpr_limit_dbc = v.at("acpr_limit_dbc").as_number_or_nan();
+    r.acpr_pass = v.at("acpr_pass").as_bool();
+    r.occupied_bw_hz = v.at("occupied_bw_hz").as_number_or_nan();
+    return r;
 }
 
 } // namespace sdrbist::campaign

@@ -30,6 +30,7 @@
 #include <string>
 
 #include "campaign/artefact_store/artefact_store.hpp"
+#include "campaign/artefact_store/stage_codec.hpp" // report codec
 #include "campaign/campaign.hpp"
 #include "campaign/export.hpp"
 
@@ -80,16 +81,5 @@ public:
 private:
     entry_store entries_;
 };
-
-/// Serialise a full bist_report as a JSON object.  Doubles are written in
-/// shortest round-trip form, so parse(report_json(r)) recovers every
-/// finite field bit-identically.  Non-finite values collapse to quiet NaN
-/// through JSON `null` — exports render both as `null`, so artefact
-/// byte-identity survives even for degenerate reports.
-std::string report_json(const bist::bist_report& report);
-
-/// Rebuild a report from its JSON form.  Throws contract_violation on
-/// missing fields or kind mismatches.
-bist::bist_report report_from_json(const json_value& v);
 
 } // namespace sdrbist::campaign

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 
 #include "core/contracts.hpp"
@@ -469,6 +470,29 @@ bool json_value::as_bool() const {
 double json_value::as_number() const {
     SDRBIST_EXPECTS(is_number());
     return std::get<double>(v_);
+}
+
+double json_value::as_number_or_nan() const {
+    return is_null() ? std::numeric_limits<double>::quiet_NaN() : as_number();
+}
+
+std::size_t json_value::as_size() const {
+    const double x = as_number();
+    // 2^53: the largest range in which every integer is a double.  The
+    // comparisons also reject NaN, so the cast below is always defined.
+    SDRBIST_EXPECTS(x >= 0.0 && x <= 9007199254740992.0 &&
+                    std::trunc(x) == x);
+    return static_cast<std::size_t>(x);
+}
+
+std::uint64_t json_value::as_u64() const {
+    const std::string& s = as_string();
+    // from_chars on an unsigned type takes digits only (no sign, no
+    // whitespace) and reports overflow; a full match rejects the rest.
+    std::uint64_t out = 0;
+    const auto res = std::from_chars(s.data(), s.data() + s.size(), out);
+    SDRBIST_EXPECTS(res.ec == std::errc() && res.ptr == s.data() + s.size());
+    return out;
 }
 
 const std::string& json_value::as_string() const {

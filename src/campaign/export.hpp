@@ -8,6 +8,7 @@
 /// can be suppressed via export_options for byte-level comparisons).
 #pragma once
 
+#include <cstdint>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -172,6 +173,22 @@ public:
     [[nodiscard]] const std::string& as_string() const;
     [[nodiscard]] const array& as_array() const;
     [[nodiscard]] const object& as_object() const;
+
+    /// The decode half of the writer's number rules — the one checked
+    /// path every integer read from disk or the wire goes through.  Each
+    /// throws contract_violation on anything outside its accepted range,
+    /// never an out-of-range conversion:
+    ///  * as_number_or_nan: any number; `null` (how json_number writes
+    ///    NaN and ±inf) reads back as quiet NaN.
+    ///  * as_size: a number that is finite, integral and in [0, 2^53] —
+    ///    what json_object_writer::size_field writes (a JSON number
+    ///    carries 53 bits exactly).
+    ///  * as_u64: a string of decimal digits only — no sign, whitespace,
+    ///    trailing characters or value above 2^64 - 1 — how 64-bit values
+    ///    (seeds, nanosecond totals) travel.
+    [[nodiscard]] double as_number_or_nan() const;
+    [[nodiscard]] std::size_t as_size() const;
+    [[nodiscard]] std::uint64_t as_u64() const;
 
     /// Object member access; throws contract_violation when missing.
     [[nodiscard]] const json_value& at(const std::string& key) const;

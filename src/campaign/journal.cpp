@@ -64,9 +64,8 @@ journal_replay read_journal(const std::string& path) {
             const std::string row = doc.at("row").as_string();
             if (!saw_header) {
                 if (row != "header" ||
-                    static_cast<int>(
-                        doc.at("journal_version").as_number()) !=
-                        journal_format_version)
+                    doc.at("journal_version").as_size() !=
+                        static_cast<std::size_t>(journal_format_version))
                     throw contract_violation("header/version mismatch");
                 out.identity = doc.at("identity").as_string();
                 saw_header = true;

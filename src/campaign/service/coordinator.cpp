@@ -119,9 +119,8 @@ struct coordinator::impl {
                 const std::string type = msg.at("type").as_string();
 
                 if (type == "hello") {
-                    const int ver = static_cast<int>(
-                        msg.at("protocol_version").as_number());
-                    if (ver != protocol_version) {
+                    if (msg.at("protocol_version").as_size() !=
+                        static_cast<std::size_t>(protocol_version)) {
                         send_frame(sock,
                                    error_msg("protocol version mismatch"));
                         return;
@@ -179,10 +178,11 @@ struct coordinator::impl {
                     continue;
                 }
 
-                const auto lease =
-                    static_cast<std::size_t>(msg.at("lease").as_number());
-                const auto generation = static_cast<std::uint64_t>(
-                    msg.at("generation").as_number());
+                // Out-of-range ids throw into the catch below: the
+                // connection drops, re-queueing only what it held.
+                const std::size_t lease = msg.at("lease").as_size();
+                const std::uint64_t generation =
+                    msg.at("generation").as_size();
 
                 if (type == "heartbeat") {
                     send_frame(sock, ledger.beat(lease, generation, now_s())
@@ -252,7 +252,8 @@ coordinator::coordinator(campaign_config grid, service_config svc) {
     SDRBIST_EXPECTS(!grid.lease);
     SDRBIST_EXPECTS(grid.journal_path.empty() && !grid.resume);
     SDRBIST_EXPECTS(svc.lease_size >= 1);
-    SDRBIST_EXPECTS(svc.heartbeat_s > 0.0);
+    SDRBIST_EXPECTS(svc.heartbeat_s > 0.0 &&
+                    svc.heartbeat_s <= max_heartbeat_s);
     impl_ = std::make_unique<impl>(std::move(grid), svc);
 }
 

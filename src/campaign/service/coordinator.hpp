@@ -33,6 +33,11 @@
 
 namespace sdrbist::campaign::service {
 
+/// Longest beat period a coordinator may dictate (one day).  Timeouts
+/// derived from it must stay representable as socket and clock
+/// durations, so workers reject a `welcome` beyond it.
+inline constexpr double max_heartbeat_s = 86400.0;
+
 /// Knobs shared by `--serve` and `--worker`.
 struct service_config {
     std::string host = "127.0.0.1";

@@ -96,7 +96,8 @@ worker_report run_worker(campaign_config grid, const service_config& svc) {
                                      welcome.at("what").as_string());
         SDRBIST_EXPECTS(welcome.at("type").as_string() == "welcome");
         cadence.heartbeat_s = welcome.at("heartbeat_s").as_number();
-        SDRBIST_EXPECTS(cadence.heartbeat_s > 0.0);
+        SDRBIST_EXPECTS(cadence.heartbeat_s > 0.0 &&
+                        cadence.heartbeat_s <= max_heartbeat_s);
         sock.set_recv_timeout(std::max(2.0 * cadence.timeout(), 5.0));
     }
 
@@ -118,15 +119,13 @@ worker_report run_worker(campaign_config grid, const service_config& svc) {
             throw contract_violation("coordinator error: " +
                                      reply.at("what").as_string());
         SDRBIST_EXPECTS(type == "lease");
-        const auto lease =
-            static_cast<std::size_t>(reply.at("lease").as_number());
-        const auto generation =
-            static_cast<std::uint64_t>(reply.at("generation").as_number());
+        const std::size_t lease = reply.at("lease").as_size();
+        const std::uint64_t generation = reply.at("generation").as_size();
 
         campaign_config cfg = grid;
-        cfg.lease = lease_range{
-            static_cast<std::size_t>(reply.at("begin").as_number()),
-            static_cast<std::size_t>(reply.at("end").as_number())};
+        cfg.lease =
+            lease_range{reply.at("begin").as_size(), reply.at("end").as_size()};
+        SDRBIST_EXPECTS(cfg.lease->begin <= cfg.lease->end);
 
         // The engine cannot be cancelled mid-scenario, so a connection
         // that dies during the compute is only *recorded* here; the lease

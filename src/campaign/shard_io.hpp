@@ -6,8 +6,9 @@
 /// cannot be merged back into a campaign_result.  This module defines the
 /// complementary *shard file*: a versioned JSON document that round-trips
 /// every field the aggregation and exporters read — scenario coordinates,
-/// verdict reports bit-for-bit (through the cache's report serialisation:
-/// shortest round-trip doubles), error strings, timing and counters.
+/// verdict reports bit-for-bit (through the record codec,
+/// artefact_store/stage_codec.hpp: shortest round-trip doubles), error
+/// strings, timing and counters.
 ///
 ///   campaign_runner --shard 0/3 --shard-out shard0.json …
 ///   campaign_runner --merge shard0.json shard1.json shard2.json --json …
@@ -66,7 +67,7 @@ campaign_result read_result_file(const std::string& path);
 /// Lenient multi-file read for salvaging partially-failed distributed
 /// runs (`campaign_runner --merge --salvage`): a file that is missing,
 /// truncated, garbled or version-skewed is moved to a `quarantine/`
-/// directory beside it (see campaign/cache.hpp) and skipped, counted in
+/// directory beside it (see artefact_store.hpp) and skipped, counted in
 /// `stats.quarantined_files` with a note — instead of failing the whole
 /// merge.  Pair with `merge_results_salvage` for row-level leniency.
 std::vector<campaign_result>

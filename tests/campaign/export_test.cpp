@@ -2,6 +2,9 @@
 // the bundled parsers, measured-field suppression audit.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -264,6 +267,33 @@ TEST(JsonParser, DeepNestingIsRejectedNotAStackOverflow) {
     };
     EXPECT_NO_THROW(parse_json(nested(json_max_depth)));
     EXPECT_THROW(parse_json(nested(json_max_depth + 1)), contract_violation);
+}
+
+TEST(JsonValue, CheckedNumberAccessorsAcceptOnlyTheirRange) {
+    const auto num = [](const char* text) { return parse_json(text); };
+
+    EXPECT_TRUE(std::isnan(num("null").as_number_or_nan()));
+    EXPECT_EQ(num("-2.5").as_number_or_nan(), -2.5);
+    EXPECT_THROW(static_cast<void>(num("\"1\"").as_number_or_nan()),
+                 contract_violation);
+
+    EXPECT_EQ(num("0").as_size(), 0u);
+    EXPECT_EQ(num("-0").as_size(), 0u);
+    EXPECT_EQ(num("9007199254740992").as_size(), std::size_t{1} << 53);
+    for (const char* bad : {"-1", "0.5", "1e300", "9007199254740994",
+                            "null", "\"7\"", "true"})
+        EXPECT_THROW(static_cast<void>(num(bad).as_size()),
+                     contract_violation)
+            << bad;
+
+    EXPECT_EQ(num("\"0\"").as_u64(), 0u);
+    EXPECT_EQ(num("\"18446744073709551615\"").as_u64(),
+              std::numeric_limits<std::uint64_t>::max());
+    for (const char* bad : {R"("")", R"("-1")", R"("+1")", R"("12abc")",
+                            R"(" 42")", R"("42 ")", R"("18446744073709551616")",
+                            R"("1e3")", "42"})
+        EXPECT_THROW(static_cast<void>(num(bad).as_u64()), contract_violation)
+            << bad;
 }
 
 TEST(CsvParser, HandlesQuotingAndEmptyCells) {

@@ -5,7 +5,9 @@
 // result bit-identical to a single-process run, with the service.*
 // telemetry counters exactly mirroring the ledger stats.  Plus the two
 // satellite regressions: atomic shard-file publication (no torn reads)
-// and cold-start --resume (a missing journal is created, not rejected).
+// and cold-start --resume (a missing journal is created, not rejected);
+// and hostile frames — out-of-range lease ids and heartbeat periods drop
+// that one connection instead of reaching an out-of-range conversion.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -371,6 +373,125 @@ TEST(CampaignService, MismatchedGridIsRejectedAtHandshake) {
     const service_report report = served.get();
     EXPECT_EQ(wr.leases, report.leases.completed);
     EXPECT_EQ(report.result.results.size(), 4u);
+}
+
+// ---- hostile frames: out-of-range integers drop the connection -------------
+
+/// A raw loopback peer that completes the handshake, so everything it
+/// sends next reaches the coordinator's frame decode.
+tcp_socket welcomed_peer(const campaign_config& cfg, std::uint16_t port) {
+    tcp_socket c = tcp_connect("127.0.0.1", port);
+    json_object_writer hello;
+    hello.string_field("type", "hello");
+    hello.size_field("protocol_version",
+                     static_cast<std::size_t>(protocol_version));
+    hello.string_field("identity", campaign_identity(cfg));
+    send_frame(c, hello.str());
+    EXPECT_EQ(recv_message(c).at("type").as_string(), "welcome");
+    return c;
+}
+
+TEST(CampaignService, HostileLeaseIdsDropOnlyThatConnection) {
+    const auto cfg = small_grid();
+    const auto reference = campaign_runner(cfg).run();
+
+    service_config svc;
+    svc.lease_size = 1;
+    svc.heartbeat_s = 1.0;
+    coordinator coord(cfg, svc);
+    svc.port = coord.port();
+    auto served = std::async(std::launch::async, [&] { return coord.serve(); });
+
+    std::size_t peers = 0;
+    for (const char* type : {"heartbeat", "row", "complete"}) {
+        for (const char* bad : {"-1", "1e300", "0.5"}) {
+            for (const bool bad_lease : {true, false}) {
+                const std::string field = bad_lease ? "lease" : "generation";
+                SCOPED_TRACE(std::string(type) + " " + field + "=" + bad);
+                tcp_socket c = welcomed_peer(cfg, svc.port);
+                ++peers;
+                const std::string lease = bad_lease ? bad : "0";
+                const std::string generation = bad_lease ? "1" : bad;
+                send_frame(c, std::string(R"({"type":")") + type +
+                                  R"(","lease":)" + lease +
+                                  R"(,"generation":)" + generation +
+                                  R"(,"result":{}})");
+                // No reply: the coordinator's catch closed the connection.
+                EXPECT_THROW(static_cast<void>(recv_frame(c)),
+                             fault_injection::transient_fault);
+            }
+        }
+    }
+
+    // The honest fleet still finishes the grid, bit-identically.
+    auto w1 = std::async(std::launch::async,
+                         [&] { return run_worker(cfg, svc); });
+    auto w2 = std::async(std::launch::async,
+                         [&] { return run_worker(cfg, svc); });
+    const worker_report r1 = w1.get();
+    const worker_report r2 = w2.get();
+    const service_report report = served.get();
+    EXPECT_EQ(fingerprint(report.result), fingerprint(reference));
+    EXPECT_EQ(report.workers_seen, peers + 2);
+    // The hostile peers held nothing, so nothing was re-queued.
+    EXPECT_EQ(report.leases.requeues, 0u);
+    EXPECT_EQ(report.dropped_connections, 0u);
+    EXPECT_EQ(r1.leases + r2.leases, 4u);
+}
+
+/// Serves one worker connection from a fake coordinator: answers the
+/// hello with `welcome`, then (when `lease` is non-empty) the first
+/// request with `lease`, and waits for the worker to hang up.
+std::future<void> fake_coordinator(tcp_listener& listener,
+                                   std::string welcome, std::string lease) {
+    return std::async(std::launch::async, [&listener, welcome, lease] {
+        tcp_socket s = listener.accept(/*timeout_s=*/10.0);
+        ASSERT_TRUE(s.valid());
+        s.set_recv_timeout(10.0);
+        EXPECT_EQ(recv_message(s).at("type").as_string(), "hello");
+        send_frame(s, welcome);
+        if (!lease.empty()) {
+            EXPECT_EQ(recv_message(s).at("type").as_string(), "request");
+            send_frame(s, lease);
+        }
+        EXPECT_THROW(static_cast<void>(recv_frame(s)),
+                     fault_injection::transient_fault);
+    });
+}
+
+TEST(CampaignService, WorkerRejectsHostileWelcomeAndLease) {
+    const auto cfg = small_grid();
+    tcp_listener listener("127.0.0.1", 0);
+    service_config svc;
+    svc.port = listener.port();
+
+    const std::string welcome_head =
+        R"({"type":"welcome","protocol_version":1,"grid_size":4,)"
+        R"("lease_count":4,"heartbeat_s":)";
+    // Not finite (null is how NaN/inf travel), not > 0, or beyond the
+    // longest beat period a coordinator may dictate.
+    for (const char* beat : {"null", "0", "-1", "1e300"}) {
+        SCOPED_TRACE(std::string("heartbeat_s=") + beat);
+        auto fake =
+            fake_coordinator(listener, welcome_head + beat + "}", "");
+        EXPECT_THROW(static_cast<void>(run_worker(cfg, svc)),
+                     contract_violation);
+        fake.get();
+    }
+
+    const std::string welcome = welcome_head + "1}";
+    for (const char* grant :
+         {R"({"type":"lease","lease":0,"generation":1,"begin":3,"end":1})",
+          R"({"type":"lease","lease":0,"generation":1,"begin":-1,"end":1})",
+          R"({"type":"lease","lease":0.5,"generation":1,"begin":0,"end":1})",
+          R"({"type":"lease","lease":0,"generation":1e300,)"
+          R"("begin":0,"end":1})"}) {
+        SCOPED_TRACE(grant);
+        auto fake = fake_coordinator(listener, welcome, grant);
+        EXPECT_THROW(static_cast<void>(run_worker(cfg, svc)),
+                     contract_violation);
+        fake.get();
+    }
 }
 
 // ---- satellite regression: atomic shard-file publication --------------------

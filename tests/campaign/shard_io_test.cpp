@@ -3,24 +3,34 @@
 // of synthetic results exercising every report field (skew traces, EVM
 // symbols, mask segments, non-finite values, engine errors), and (b) the
 // end-to-end property: shard files written by real sharded runs merge into
-// a result whose exports are byte-identical to the unsharded run's.
+// a result whose exports are byte-identical to the unsharded run's, and
+// (c) that a row with a malformed integer (a signed, padded or overflowing
+// 64-bit seed string; a negative, fractional or huge index) is rejected by
+// the strict reader, quarantined by salvage and torn in a journal.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/export.hpp"
+#include "campaign/journal.hpp"
 #include "campaign/shard_io.hpp"
 #include "core/contracts.hpp"
+#include "support/scratch_dir.hpp"
 
 namespace {
 
 namespace fs = std::filesystem;
 using namespace sdrbist;
 using namespace sdrbist::campaign;
+using sdrbist::testing::scratch_dir;
 
 /// A synthetic shard exercising the deep report structure the summary
 /// exports drop: LMS traces, received symbols, mask segments, NaN/inf
@@ -202,6 +212,115 @@ TEST(ShardIo, RealShardedRunsMergeBitIdenticalToUnsharded) {
     EXPECT_EQ(coverage_csv(merged), coverage_csv(unsharded));
     EXPECT_EQ(scenarios_csv(merged, opt), scenarios_csv(unsharded, opt));
     EXPECT_EQ(scenarios_jsonl(merged, opt), scenarios_jsonl(unsharded, opt));
+}
+
+// ---- malformed integers are rejected, never converted ----------------------
+
+/// Row fields that must decode through the checked integer path: the
+/// 64-bit `seed` string and the size-valued `index` number.  Every value
+/// here used to decode silently (or through an out-of-range conversion).
+struct bad_field {
+    const char* field;
+    const char* value; ///< raw JSON text replacing the valid value
+};
+const std::vector<bad_field>& bad_row_fields() {
+    static const std::vector<bad_field> cases = {
+        {"seed", R"("-1")"},   {"seed", R"("12abc")"},
+        {"seed", R"(" 42")"},  {"seed", R"("18446744073709551616")"},
+        {"index", "-1"},       {"index", "0.5"},
+        {"index", "1e300"},
+    };
+    return cases;
+}
+
+/// `text` with the first `"field":<value>` replaced by `bad.value`.
+std::string with_bad_field(const std::string& text, const bad_field& bad) {
+    const std::string key = std::string("\"") + bad.field + "\":";
+    const std::size_t at = text.find(key);
+    EXPECT_NE(at, std::string::npos) << bad.field;
+    const std::size_t begin = at + key.size();
+    std::size_t end = begin;
+    if (text[begin] == '"')
+        end = text.find('"', begin + 1) + 1;
+    else
+        while (text[end] != ',' && text[end] != '}')
+            ++end;
+    return text.substr(0, begin) + bad.value + text.substr(end);
+}
+
+std::string slurp(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+}
+
+TEST(ShardIo, MalformedRowIntegersAreRejectedAndQuarantined) {
+    const scratch_dir dir("shard_bad_ints");
+    // Garble the first row: the search starts at the results array, past
+    // the document-level seed.
+    const std::string valid = result_to_json(synthetic_shard(0, 2));
+    const std::size_t rows_at = valid.find("\"results\":");
+    ASSERT_NE(rows_at, std::string::npos);
+    for (const auto& bad : bad_row_fields()) {
+        SCOPED_TRACE(std::string(bad.field) + "=" + bad.value);
+        const std::string text =
+            valid.substr(0, rows_at) +
+            with_bad_field(valid.substr(rows_at), bad);
+        ASSERT_NE(text, valid);
+        EXPECT_THROW(static_cast<void>(result_from_json(parse_json(text))),
+                     contract_violation);
+
+        const std::string path = dir.file("bad.json");
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+        EXPECT_THROW(static_cast<void>(read_result_file(path)),
+                     contract_violation);
+
+        salvage_stats stats;
+        EXPECT_TRUE(read_result_files_salvage({path}, stats).empty());
+        EXPECT_EQ(stats.quarantined_files, 1u);
+        EXPECT_FALSE(fs::exists(path)) << "the file was quarantined";
+    }
+}
+
+TEST(ShardIo, JournalLineWithMalformedIntegersIsTornAndRecomputed) {
+    const scratch_dir dir("journal_bad_ints");
+    campaign_config cfg;
+    cfg.base.tiadc.quant.full_scale = 2.0;
+    cfg.base.min_output_rms = 1.2;
+    cfg.presets = {waveform::find_preset("paper-qpsk-10M")};
+    cfg.faults = {bist::fault_kind::none, bist::fault_kind::pa_gain_drop};
+    cfg.trials = 1;
+    cfg.threads = 2;
+    cfg.seed = 0xB4D1ull;
+    cfg.journal_path = dir.file("run.jsonl");
+    const auto reference = campaign_runner(cfg).run();
+    const std::string clean = slurp(cfg.journal_path);
+
+    // Header + one line per scenario; garble the last scenario line.
+    const std::size_t last = clean.rfind('\n', clean.size() - 2) + 1;
+    export_options opt;
+    opt.include_timing = false;
+    for (const auto& bad : bad_row_fields()) {
+        SCOPED_TRACE(std::string(bad.field) + "=" + bad.value);
+        const std::string text =
+            clean.substr(0, last) + with_bad_field(clean.substr(last), bad);
+        std::ofstream(cfg.journal_path, std::ios::binary | std::ios::trunc)
+            << text;
+
+        const auto replay = read_journal(cfg.journal_path);
+        EXPECT_EQ(replay.torn_lines, 1u);
+        EXPECT_EQ(replay.rows.size(), reference.scenario_count() - 1);
+        EXPECT_EQ(replay.valid_bytes, last);
+
+        // Resume restores the clean rows and recomputes the garbled one.
+        auto resume_cfg = cfg;
+        resume_cfg.resume = true;
+        const auto resumed = campaign_runner(resume_cfg).run();
+        EXPECT_EQ(resumed.resumed, reference.scenario_count() - 1);
+        EXPECT_EQ(to_json(resumed, opt), to_json(reference, opt));
+        EXPECT_EQ(read_journal(cfg.journal_path).torn_lines, 0u);
+    }
 }
 
 } // namespace
