@@ -2,8 +2,8 @@
 // scenario traverses thousands of times, timed fast-path vs reference.
 //
 //  * PNBS uniform() reconstruction — the fused Kohlenberg evaluation
-//    (rotation recurrences + window LUT) against the per-tap
-//    transcendental reference (paper eq. (6)).
+//    (per-tap phase tables, the dispatched pnbs_fill and dot2 kernels)
+//    against the per-tap transcendental reference (paper eq. (6)).
 //  * Windowed-sinc interpolated capture — the polyphase-LUT interpolator
 //    behind every BP-TIADC capture against the two-Bessel-series-per-tap
 //    reference.
@@ -280,9 +280,10 @@ double bench_ddc(std::size_t n_in, int reps) {
 }
 
 /// Per-backend primitive bench: every CPU-supported backend timed on the
-/// kernel shapes the hot paths dispatch to (PNBS 61-tap dual dot, 64-tap
-/// polyphase blends, 4096-sample capture records), reported as speedup of
-/// each kernel vs the scalar backend.  One BENCH_JSON record per backend.
+/// kernel shapes the hot paths dispatch to (PNBS 61-tap coefficient fill
+/// and dual dot, 64-tap polyphase blends, 4096-sample capture records),
+/// reported as speedup of each kernel vs the scalar backend.  One
+/// BENCH_JSON record per backend.
 void bench_backend_kernels(int reps) {
     using simd::kernel_backend;
     using simd::kernel_ops;
@@ -294,6 +295,26 @@ void bench_backend_kernels(int reps) {
     const auto ce = gen.uniform_vector(n_dot, -1.0, 1.0);
     const auto od = gen.uniform_vector(n_dot, -1.0, 1.0);
     const auto co = gen.uniform_vector(n_dot, -1.0, 1.0);
+    // PNBS stage-1 shape: one point's 61-tap fill (tables and weights of
+    // unit scale; the window reads cover the whole LUT span).
+    const auto fill_tabs = gen.uniform_vector(4 * n_dot, -1.0, 1.0);
+    const dsp::kaiser_lut fill_lut(8.0);
+    simd::pnbs_fill_args fill{};
+    fill.c0 = fill_tabs.data();
+    fill.s0 = fill_tabs.data() + n_dot;
+    fill.c1 = fill_tabs.data() + 2 * n_dot;
+    fill.s1 = fill_tabs.data() + 3 * n_dot;
+    fill.window = fill_lut.table().data();
+    fill.window_res = static_cast<double>(fill_lut.resolution());
+    fill.frac = 0.2137;
+    fill.j_first = -30.0;
+    fill.d_frac = 0.0162;
+    fill.inv_span = 1.0 / 31.0;
+    for (int m = 0; m < 4; ++m) {
+        fill.even[m] = gen.uniform(-1.0, 1.0);
+        fill.odd[m] = gen.uniform(-1.0, 1.0);
+    }
+    std::vector<double> fill_e(n_dot), fill_o(n_dot);
     // Interpolator shape: 2·half_taps = 64 taps, 4 consecutive LUT rows.
     const std::size_t n_blend = 64;
     const auto rows = gen.uniform_vector(4 * n_blend, -1.0, 1.0);
@@ -323,6 +344,7 @@ void bench_backend_kernels(int reps) {
     double sink = 0.0;
 
     struct timing {
+        double fill_ns = 0.0;       // per point (61 taps)
         double dot2_ns = 0.0;       // per tap
         double blend_ns = 0.0;      // per tap
         double blend_cplx_ns = 0.0; // per tap
@@ -331,6 +353,17 @@ void bench_backend_kernels(int reps) {
     };
     auto time_backend = [&](const kernel_ops& ops) {
         timing t;
+        t.fill_ns = 1e9 *
+                    best_seconds(
+                        [&] {
+                            for (int k = 0; k < calls; ++k) {
+                                ops.pnbs_fill(fill, n_dot, fill_e.data(),
+                                              fill_o.data());
+                                sink += fill_e[k % n_dot] + fill_o[0];
+                            }
+                        },
+                        reps) /
+                    static_cast<double>(calls);
         t.dot2_ns = 1e9 *
                     best_seconds(
                         [&] {
@@ -399,6 +432,7 @@ void bench_backend_kernels(int reps) {
                              ? scalar_t
                              : time_backend(*ops);
         const double speedups[] = {
+            scalar_t.fill_ns / t.fill_ns,
             scalar_t.dot2_ns / t.dot2_ns,
             scalar_t.blend_ns / t.blend_ns,
             scalar_t.blend_cplx_ns / t.blend_cplx_ns,
@@ -414,24 +448,27 @@ void bench_backend_kernels(int reps) {
         rec.add("dispatched",
                 std::size_t{std::strcmp(ops->name, dispatched) == 0 ? 1u
                                                                     : 0u});
+        rec.add("pnbs_fill_ns_per_point", t.fill_ns);
         rec.add("dot2_ns_per_tap", t.dot2_ns);
         rec.add("blend_dot_ns_per_tap", t.blend_ns);
         rec.add("blend_dot_cplx_ns_per_tap", t.blend_cplx_ns);
         rec.add("quantize_ns_per_sample", t.quantize_ns);
         rec.add("carrier_mix_ns_per_sample", t.mix_ns);
-        rec.add("dot2_speedup", speedups[0]);
-        rec.add("blend_dot_speedup", speedups[1]);
-        rec.add("blend_dot_cplx_speedup", speedups[2]);
-        rec.add("quantize_speedup", speedups[3]);
-        rec.add("carrier_mix_speedup", speedups[4]);
+        rec.add("pnbs_fill_speedup", speedups[0]);
+        rec.add("dot2_speedup", speedups[1]);
+        rec.add("blend_dot_speedup", speedups[2]);
+        rec.add("blend_dot_cplx_speedup", speedups[3]);
+        rec.add("quantize_speedup", speedups[4]);
+        rec.add("carrier_mix_speedup", speedups[5]);
         rec.add("best_speedup", best);
         benchutil::emit_bench_json("perf_hotpath", rec);
 
-        std::cout << "backend " << ops->name << ": dot2 x" << speedups[0]
-                  << ", blend x" << speedups[1] << ", blend_cplx x"
-                  << speedups[2] << ", quantize x" << speedups[3]
-                  << ", mix x" << speedups[4] << "  (best x" << best
-                  << ")\n";
+        std::cout << "backend " << ops->name << ": pnbs_fill "
+                  << t.fill_ns << " ns/point x" << speedups[0] << ", dot2 x"
+                  << speedups[1] << ", blend x" << speedups[2]
+                  << ", blend_cplx x" << speedups[3] << ", quantize x"
+                  << speedups[4] << ", mix x" << speedups[5] << "  (best x"
+                  << best << ")\n";
     }
     if (sink == 42.25) // defeat dead-code elimination of the timed loops
         std::cout << "";

@@ -15,7 +15,11 @@
 ///     serialisation version);
 ///   - a leading `canon=vN` line versions the serialisation itself — any
 ///     change to the field set or rendering MUST bump it, which moves every
-///     cache key and naturally invalidates stale on-disk entries.
+///     cache key and naturally invalidates stale on-disk entries.  So MUST
+///     any change to the numbers the engine computes from an unchanged
+///     configuration (a reassociated or re-derived kernel): the promise
+///     above is about bits, and entries primed by the old numerics must
+///     miss rather than mix into exports.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +31,7 @@
 namespace sdrbist::bist {
 
 /// Version of the canonical serialisation (see file comment).
-inline constexpr int canonical_config_version = 1;
+inline constexpr int canonical_config_version = 2;
 
 /// Render the configuration in canonical text form.
 [[nodiscard]] std::string canonical_config_text(const bist_config& config);
@@ -53,11 +57,13 @@ inline constexpr int canonical_config_version = 1;
 // renamed-but-identical presets still share work.  Over-keying a slice
 // costs sharing; under-keying is a correctness bug — any new config field
 // must be added to the slice of every stage that reads it, and any change
-// here MUST bump `stage_canonical_version`.
+// here MUST bump `stage_canonical_version`.  So MUST any change to the
+// numbers a stage produces from unchanged inputs, so stage entries primed
+// by the old numerics read as plain misses.
 // ---------------------------------------------------------------------------
 
 /// Version of the stage-slice serialisation (field assignment + rendering).
-inline constexpr int stage_canonical_version = 1;
+inline constexpr int stage_canonical_version = 2;
 
 /// Canonical text of the configuration subset stage `s` consumes directly
 /// (upstream fields are covered by the upstream stages' slices).

@@ -12,6 +12,9 @@
 ///    explicit FMA — reassociated relative to scalar, deterministic for a
 ///    given length (lane assignment depends only on the index, never on
 ///    pointer alignment: all loads are unaligned loads).
+///  * `pnbs_fill` computes each tap's numerators as FMA chains (bounded
+///    against scalar) and reads the window with gathers that reproduce the
+///    scalar LUT read bit for bit; its tail taps run the scalar loop.
 ///  * The elementwise kernels (`quantize_midrise`, `carrier_mix`) use only
 ///    correctly-rounded mul/add/sub/div/min/max/floor in the scalar
 ///    expression order — bit-identical to the scalar backend.  No FMA
@@ -184,6 +187,69 @@ void avx2_carrier_mix(const std::complex<double>* env, const double* cos_wt,
     }
 }
 
+/// dsp::kaiser_lut::operator() on four lanes: |u|·res truncated to an
+/// int32 index and the same blend.  Lanes with |u| ≥ 1 are masked out of
+/// the gathers (no read leaves the table) and blend 0 + 0·0 = 0.
+inline __m256d lut_window4(const double* lut, __m256d res, __m256d u) {
+    const __m256d au = _mm256_andnot_pd(_mm256_set1_pd(-0.0), u);
+    const __m256d inside =
+        _mm256_cmp_pd(au, _mm256_set1_pd(1.0), _CMP_LT_OQ);
+    const __m256d pos = _mm256_mul_pd(_mm256_and_pd(au, inside), res);
+    const __m128i idx = _mm256_cvttpd_epi32(pos);
+    const __m256d zero = _mm256_setzero_pd();
+    const __m256d lo = _mm256_mask_i32gather_pd(zero, lut, idx, inside, 8);
+    const __m256d hi =
+        _mm256_mask_i32gather_pd(zero, lut + 1, idx, inside, 8);
+    const __m256d frac = _mm256_sub_pd(pos, _mm256_cvtepi32_pd(idx));
+    return _mm256_add_pd(lo, _mm256_mul_pd(frac, _mm256_sub_pd(hi, lo)));
+}
+
+/// Σ wm·tab_m[i..i+4) as a fused multiply-add chain in the scalar order.
+inline __m256d numerator4(const pnbs_fill_args& a, const double* wt,
+                          std::size_t i) {
+    __m256d r = _mm256_mul_pd(_mm256_set1_pd(wt[0]), _mm256_loadu_pd(a.c0 + i));
+    r = _mm256_fmadd_pd(_mm256_set1_pd(wt[1]), _mm256_loadu_pd(a.s0 + i), r);
+    r = _mm256_fmadd_pd(_mm256_set1_pd(wt[2]), _mm256_loadu_pd(a.c1 + i), r);
+    return _mm256_fmadd_pd(_mm256_set1_pd(wt[3]), _mm256_loadu_pd(a.s1 + i),
+                           r);
+}
+
+void avx2_pnbs_fill(const pnbs_fill_args& a, std::size_t n, double* ce,
+                    double* co) {
+    const __m256d frac = _mm256_set1_pd(a.frac);
+    const __m256d d_frac = _mm256_set1_pd(a.d_frac);
+    const __m256d inv_span = _mm256_set1_pd(a.inv_span);
+    const __m256d res = _mm256_set1_pd(a.window_res);
+    // Tap offsets are small integers, so stepping them in double is exact.
+    __m256d j = _mm256_add_pd(_mm256_set1_pd(a.j_first),
+                              _mm256_set_pd(3.0, 2.0, 1.0, 0.0));
+    const __m256d four = _mm256_set1_pd(4.0);
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4, j = _mm256_add_pd(j, four)) {
+        const __m256d fj = _mm256_sub_pd(frac, j);
+        const __m256d q = _mm256_sub_pd(d_frac, fj);
+        const __m256d we =
+            lut_window4(a.window, res, _mm256_mul_pd(fj, inv_span));
+        const __m256d wo =
+            lut_window4(a.window, res, _mm256_mul_pd(q, inv_span));
+        _mm256_storeu_pd(ce + i,
+                         _mm256_mul_pd(we, _mm256_div_pd(
+                                               numerator4(a, a.even, i), fj)));
+        _mm256_storeu_pd(co + i,
+                         _mm256_mul_pd(wo, _mm256_div_pd(
+                                               numerator4(a, a.odd, i), q)));
+    }
+    if (i < n) {
+        pnbs_fill_args rest = a;
+        rest.c0 += i;
+        rest.s0 += i;
+        rest.c1 += i;
+        rest.s1 += i;
+        rest.j_first += static_cast<double>(i);
+        scalar_ops().pnbs_fill(rest, n - i, ce + i, co + i);
+    }
+}
+
 } // namespace
 
 const kernel_ops& avx2_ops() {
@@ -195,6 +261,7 @@ const kernel_ops& avx2_ops() {
         &avx2_blend_dot_cplx,
         &avx2_quantize,
         &avx2_carrier_mix,
+        &avx2_pnbs_fill,
     };
     return ops;
 }

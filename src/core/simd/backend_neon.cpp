@@ -149,7 +149,9 @@ void neon_carrier_mix(const std::complex<double>* env, const double* cos_wt,
 } // namespace
 
 const kernel_ops& neon_ops() {
-    static constexpr kernel_ops ops{
+    // The PNBS fill's window reads are gathers, which NEON lacks; it runs
+    // the scalar loop.
+    static const kernel_ops ops{
         "neon",
         10,
         &neon_dot2,
@@ -157,6 +159,7 @@ const kernel_ops& neon_ops() {
         &neon_blend_dot_cplx,
         &neon_quantize,
         &neon_carrier_mix,
+        scalar_ops().pnbs_fill,
     };
     return ops;
 }

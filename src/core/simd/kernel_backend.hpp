@@ -2,10 +2,11 @@
 /// \brief Runtime-dispatched SIMD kernel backends for the hot-path dot
 ///        products of the BIST engine.
 ///
-/// PR 2 reduced every per-scenario hot loop to a handful of primitive
-/// shapes: plain dot products (PNBS stage 2), 4-row polyphase blended dot
-/// products (the windowed-sinc LUT interpolator behind every capture), and
-/// two elementwise record transforms (mid-rise quantisation, carrier mix).
+/// Every per-scenario hot loop reduces to a handful of primitive shapes:
+/// the PNBS coefficient fill and plain dot products (PNBS stages 1 and 2),
+/// 4-row polyphase blended dot products (the windowed-sinc LUT interpolator
+/// behind every capture), and two elementwise record transforms (mid-rise
+/// quantisation, carrier mix).
 /// This header is the layer that lets those shapes run on explicit SIMD:
 /// each backend fills one `kernel_ops` table, and `kernel_backend`
 /// dispatches to the best table the CPU supports — overridable with the
@@ -20,6 +21,12 @@
 ///    ≤ 1e-12 of that magnitude for every record shape it generates.
 ///    Within one backend, results are deterministic (same inputs, same
 ///    lengths → bit-identical outputs, call after call).
+///  * `pnbs_fill` — each coefficient's four-term numerator is a fused
+///    multiply-add chain on the SIMD backends and separate multiplies and
+///    adds on scalar, so it is bounded, not bit-identical, across backends:
+///    the suite asserts ≤ 1e-14 relative to the tap's Σ|terms| (the sum can
+///    cancel).  Deterministic within one backend.  Its window read is
+///    bit-identical to `dsp::kaiser_lut::operator()` on every backend.
 ///  * `quantize_midrise`, `carrier_mix` — elementwise, built only from
 ///    correctly-rounded IEEE operations in the same order as the scalar
 ///    expression, therefore **bit-identical across all backends**.  The
@@ -51,6 +58,30 @@ struct quantize_params {
     double clip_lo = 0.0; ///< lower clip rail (-full_scale)
     double clip_hi = 0.0; ///< upper clip rail (full_scale - eps)
     double lsb = 0.0;     ///< quantisation step
+};
+
+/// Per-point inputs of the PNBS stage-1 coefficient fill (`pnbs_fill`,
+/// see sampling::pnbs_reconstructor).  Tap i of the window has offset
+/// j = j_first + i from the nearest even sample, even-stream distance
+/// fj = frac - j and odd-stream distance q = d_frac - fj (in periods).
+struct pnbs_fill_args {
+    /// Signed per-tap phase tables at the first tap: (-1)^{k·j}·cos(δ0·j),
+    /// (-1)^{k·j}·sin(δ0·j), and the same pair for δ1 with k⁺.
+    const double* c0;
+    const double* s0;
+    const double* c1;
+    const double* s1;
+    /// Kaiser window LUT (dsp::kaiser_lut::table()): window_res + 1
+    /// samples over u in [0, 1].
+    const double* window;
+    double window_res;
+    double frac;     ///< point position minus its nearest even sample
+    double j_first;  ///< tap offset of the first tap (an integer)
+    double d_frac;   ///< D̂ / T
+    double inv_span; ///< window normalisation 1 / (taps/2 + 1)
+    /// Numerator weights against (c0, s0, c1, s1) for each stream.
+    double even[4];
+    double odd[4];
 };
 
 /// One backend: a named table of hot-loop primitives.  All pointers are
@@ -91,6 +122,15 @@ struct kernel_ops {
     /// Bit-identical across backends.
     void (*carrier_mix)(const std::complex<double>* env, const double* cos_wt,
                         const double* sin_wt, double* out, std::size_t n);
+
+    /// PNBS stage-1 coefficient fill over n taps (independent per tap):
+    ///   ce[i] = w(fj·inv_span)·((Σ even[m]·tab_m[i]) / fj)
+    ///   co[i] = w(q·inv_span)·((Σ odd[m]·tab_m[i]) / q)
+    /// with tab = (c0, s0, c1, s1) and w the Kaiser LUT read of
+    /// dsp::kaiser_lut (0 for |u| ≥ 1).  A tap with fj = 0 or q = 0 yields
+    /// a non-finite coefficient; the caller patches those.
+    void (*pnbs_fill)(const pnbs_fill_args& a, std::size_t n, double* ce,
+                      double* co);
 };
 
 /// CPU feature set relevant to the compiled-in backends.  Kept explicit so

@@ -147,22 +147,43 @@ pnbs_reconstructor::pnbs_reconstructor(std::vector<double> even,
     //   s0(τ) = -sin(a0·τ - φ)·c0·sinc(f0·τ)/sin φ
     // evaluated at τ = (frac - j)·T (even stream) and (j - frac)·T + D̂
     // (odd stream) splits into per-call sines, per-tap sign flips
-    // (-1)^{k·j}, and per-tap sinc terms whose phases advance by ±π·f·T
-    // per tap — a rotation recurrence.
+    // (-1)^{k·j}, and per-tap sinc numerators sin(del·(frac - j)) whose
+    // per-tap factors cos/sin(del·j) are tabulated below.
     half_ = static_cast<long>(opt_.taps / 2);
-    half_span_ = static_cast<double>(half_) + 1.0;
+    inv_span_ = 1.0 / (static_cast<double>(half_) + 1.0);
     const double d_hat = kernel_.delay();
     d_frac_ = d_hat / period_;
-    g0_ = kernel_.s0_vanishes() ? 0.0 : kernel_.c0() / kernel_.sin_phi();
+    const bool s0_zero = kernel_.s0_vanishes();
+    g0_ = s0_zero ? 0.0 : kernel_.c0() / kernel_.sin_phi();
     g1_ = kernel_.c1() / kernel_.sin_psi();
+    cos_phi_ = std::cos(kernel_.phi());
+    cos_psi_ = std::cos(kernel_.psi());
     del0_ = pi * kernel_.f0() * period_;
     del1_ = pi * kernel_.f1() * period_;
-    eps0_ = pi * kernel_.f0() * d_hat;
-    eps1_ = pi * kernel_.f1() * d_hat;
-    cd0_ = std::cos(del0_);
-    sd0_ = std::sin(del0_);
-    cd1_ = std::cos(del1_);
-    sd1_ = std::sin(del1_);
+    inv_del0_ = s0_zero ? 0.0 : 1.0 / del0_;
+    inv_del1_ = 1.0 / del1_;
+    const double eps0 = pi * kernel_.f0() * d_hat;
+    const double eps1 = pi * kernel_.f1() * d_hat;
+    sin_eps0_ = std::sin(eps0);
+    cos_eps0_ = std::cos(eps0);
+    sin_eps1_ = std::sin(eps1);
+    cos_eps1_ = std::cos(eps1);
+
+    const std::size_t taps = opt_.taps;
+    const bool k_odd = (kernel_.k() & 1L) != 0;
+    phase_tabs_.resize(4 * taps);
+    for (long j = -half_; j <= half_; ++j) {
+        const auto i = static_cast<std::size_t>(j + half_);
+        const bool j_odd = (j & 1L) != 0;
+        const double sg0 = (k_odd && j_odd) ? -1.0 : 1.0;
+        const double sg1 = (!k_odd && j_odd) ? -1.0 : 1.0;
+        const double p0 = del0_ * static_cast<double>(j);
+        const double p1 = del1_ * static_cast<double>(j);
+        phase_tabs_[i] = sg0 * std::cos(p0);
+        phase_tabs_[taps + i] = sg0 * std::sin(p0);
+        phase_tabs_[2 * taps + i] = sg1 * std::cos(p1);
+        phase_tabs_[3 * taps + i] = sg1 * std::sin(p1);
+    }
 }
 
 double pnbs_reconstructor::value(double t) const {
@@ -180,85 +201,71 @@ double pnbs_reconstructor::value(double t) const {
         return 0.0;
     const auto count = static_cast<std::size_t>(j_hi - j_lo + 1);
 
-    const bool s0_zero = kernel_.s0_vanishes();
-    const double kd = static_cast<double>(kernel_.k());
-    const double kpd = kd + 1.0;
-
     // Per-call NCO factors: sin(a·τ - φ) at every tap differs from these
-    // only by the (-1)^{k·j} flip, so four sines serve the whole window.
+    // only by the (-1)^{k·j} flip, so two sincos serve the whole window
+    // (g0 is 0 when s0 vanishes).
+    const double kd = static_cast<double>(kernel_.k());
     const double thk = pi * kd * frac;
-    const double thp = pi * kpd * frac;
-    const double s0e = s0_zero ? 0.0 : -std::sin(thk - kernel_.phi()) * g0_;
-    const double s1e = -std::sin(thp - kernel_.psi()) * g1_;
-    const double s0o = s0_zero ? 0.0 : std::sin(thk) * g0_;
-    const double s1o = std::sin(thp) * g1_;
+    const double thp = pi * (kd + 1.0) * frac;
+    const double sin_k = std::sin(thk), cos_k = std::cos(thk);
+    const double sin_p = std::sin(thp), cos_p = std::cos(thp);
+    const double s0e = -(sin_k * cos_phi_ - cos_k * kernel_.sin_phi()) * g0_;
+    const double s1e = -(sin_p * cos_psi_ - cos_p * kernel_.sin_psi()) * g1_;
+    const double s0o = sin_k * g0_;
+    const double s1o = sin_p * g1_;
 
-    // Rotation-recurrence state for the four sinc numerators.  The even
-    // phases decrease by del as j increases; the odd phases increase.
-    const double fj0 = frac - static_cast<double>(j_lo);
-    double sn0e = std::sin(del0_ * fj0);
-    double cs0e = std::cos(del0_ * fj0);
-    double sn1e = std::sin(del1_ * fj0);
-    double cs1e = std::cos(del1_ * fj0);
-    double sn0o = std::sin(eps0_ - del0_ * fj0);
-    double cs0o = std::cos(eps0_ - del0_ * fj0);
-    double sn1o = std::sin(eps1_ - del1_ * fj0);
-    double cs1o = std::cos(eps1_ - del1_ * fj0);
+    // Sinc numerator phases at j = 0: del·frac for the even stream and
+    // π·f·D̂ - del·frac for the odd one.
+    const double a0 = del0_ * frac;
+    const double a1 = del1_ * frac;
+    const double sin_a0 = std::sin(a0), cos_a0 = std::cos(a0);
+    const double sin_a1 = std::sin(a1), cos_a1 = std::cos(a1);
+    const double sin_b0 = sin_eps0_ * cos_a0 - cos_eps0_ * sin_a0;
+    const double cos_b0 = cos_eps0_ * cos_a0 + sin_eps0_ * sin_a0;
+    const double sin_b1 = sin_eps1_ * cos_a1 - cos_eps1_ * sin_a1;
+    const double cos_b1 = cos_eps1_ * cos_a1 + sin_eps1_ * sin_a1;
 
-    const bool k_odd = (kernel_.k() & 1L) != 0;
-    const bool kp_odd = !k_odd;
-    double sk = (k_odd && (j_lo & 1L) != 0) ? -1.0 : 1.0;
-    double skp = (kp_odd && (j_lo & 1L) != 0) ? -1.0 : 1.0;
-    const double sk_step = k_odd ? -1.0 : 1.0;
-    const double skp_step = kp_odd ? -1.0 : 1.0;
-
-    // Stage 1: fill the per-tap coefficient arrays (serial recurrences).
+    // Stage 1: fill the per-tap coefficient arrays.  With the sign flips
+    // folded into the tables, tap j's even numerator is
+    //   (s0e/del0)·(sin a0·c0[j] - cos a0·s0[j]) + (s1e/del1)·(...)
+    // over the even distance fj = frac - j, and the odd one
+    //   (s0o/del0)·(sin b0·c0[j] + cos b0·s0[j]) + (s1o/del1)·(...)
+    // over the odd distance d_frac - fj.
     static thread_local std::vector<double> ce_buf, co_buf;
     ce_buf.resize(count);
     co_buf.resize(count);
     double* ce = ce_buf.data();
     double* co = co_buf.data();
 
-    const double inv_span = 1.0 / half_span_;
-    for (std::size_t i = 0; i < count; ++i) {
-        const double fj =
-            frac - static_cast<double>(j_lo + static_cast<long>(i));
-        const double w_e = window_(fj * inv_span);
-        const double w_o = window_((fj - d_frac_) * inv_span);
-
-        const double th0e = del0_ * fj;        // π·f0·τ_even
-        const double th1e = del1_ * fj;
-        const double th0o = eps0_ - th0e;      // π·f0·τ_odd
-        const double th1o = eps1_ - th1e;
-        const double snc0e = s0_zero ? 0.0 : sn0e / th0e;
-        const double snc1e = sn1e / th1e;
-        const double snc0o = s0_zero ? 0.0 : sn0o / th0o;
-        const double snc1o = sn1o / th1o;
-
-        ce[i] = w_e * (s0e * sk * snc0e + s1e * skp * snc1e);
-        co[i] = w_o * (s0o * sk * snc0o + s1o * skp * snc1o);
-
-        // Advance the four rotations by one tap.
-        const double t0e = sn0e * cd0_ - cs0e * sd0_;
-        cs0e = cs0e * cd0_ + sn0e * sd0_;
-        sn0e = t0e;
-        const double t1e = sn1e * cd1_ - cs1e * sd1_;
-        cs1e = cs1e * cd1_ + sn1e * sd1_;
-        sn1e = t1e;
-        const double t0o = sn0o * cd0_ + cs0o * sd0_;
-        cs0o = cs0o * cd0_ - sn0o * sd0_;
-        sn0o = t0o;
-        const double t1o = sn1o * cd1_ + cs1o * sd1_;
-        cs1o = cs1o * cd1_ - sn1o * sd1_;
-        sn1o = t1o;
-
-        sk *= sk_step;
-        skp *= skp_step;
-    }
+    const std::size_t taps = opt_.taps;
+    const double* tab = phase_tabs_.data() + (j_lo + half_);
+    const double e0 = s0e * inv_del0_;
+    const double e1 = s1e * inv_del1_;
+    const double o0 = s0o * inv_del0_;
+    const double o1 = s1o * inv_del1_;
+    const auto lut = window_.table();
+    const simd::pnbs_fill_args args{
+        tab,
+        tab + taps,
+        tab + 2 * taps,
+        tab + 3 * taps,
+        lut.data(),
+        static_cast<double>(lut.size() - 1),
+        frac,
+        static_cast<double>(j_lo),
+        d_frac_,
+        inv_span_,
+        {e0 * sin_a0, -e0 * cos_a0, e1 * sin_a1, -e1 * cos_a1},
+        {o0 * sin_b0, o0 * cos_b0, o1 * sin_b1, o1 * cos_b1},
+    };
+    ops_->pnbs_fill(args, count, ce, co);
 
     // Stage 2 prep: the sinc quotients above are ill-conditioned where the
     // kernel argument crosses zero (at most one tap per stream); patch
     // those taps with the exact library sinc.
+    const bool s0_zero = kernel_.s0_vanishes();
+    const bool k_odd = (kernel_.k() & 1L) != 0;
+    const bool kp_odd = !k_odd;
     const double d_hat = kernel_.delay();
     {
         const long j_e = std::llround(frac); // even-stream zero crossing
@@ -270,7 +277,7 @@ double pnbs_reconstructor::value(double t) const {
             const double sgn_kp = (kp_odd && (j_e & 1L) != 0) ? -1.0 : 1.0;
             const double snc0 = s0_zero ? 0.0 : sinc(kernel_.f0() * tau);
             const double snc1 = sinc(kernel_.f1() * tau);
-            ce[i] = window_(fj * inv_span) *
+            ce[i] = window_(fj * inv_span_) *
                     (s0e * sgn_k * snc0 + s1e * sgn_kp * snc1);
         }
         const long j_o = std::llround(frac - d_frac_); // odd-stream crossing
@@ -282,7 +289,7 @@ double pnbs_reconstructor::value(double t) const {
             const double sgn_kp = (kp_odd && (j_o & 1L) != 0) ? -1.0 : 1.0;
             const double snc0 = s0_zero ? 0.0 : sinc(kernel_.f0() * tau);
             const double snc1 = sinc(kernel_.f1() * tau);
-            co[i] = window_((fj - d_frac_) * inv_span) *
+            co[i] = window_((fj - d_frac_) * inv_span_) *
                     (s0o * sgn_k * snc0 + s1o * sgn_kp * snc1);
         }
     }

@@ -55,7 +55,7 @@ public:
     [[nodiscard]] const band_spec& band() const { return band_; }
 
     // Product-form coefficients, exposed so reconstructors can fuse the
-    // kernel evaluation (per-tap phase recurrences instead of per-tap
+    // kernel evaluation (per-tap phase tables instead of per-tap
     // transcendentals).
     [[nodiscard]] double f0() const { return f0_; }  ///< s0 sinc frequency
     [[nodiscard]] double f1() const { return f1_; }  ///< s1 sinc frequency
@@ -108,16 +108,23 @@ struct pnbs_options {
 ///   f(t) ≈ Σ_{n in window} [ f(nT)·s(t-nT) + f(nT+D̂)·s(nT+D̂-t) ]·w(·)
 /// from finite records of the two sample streams.
 ///
-/// The default evaluation path fuses s0 + s1 into per-call NCO factors plus
-/// per-tap rotation recurrences: the tap index enters the kernel's sin()
+/// The default evaluation path fuses s0 + s1 into per-call factors and
+/// per-tap tables.  The tap index j enters the kernel's NCO sin()
 /// arguments only through integer multiples of π·k / π·k⁺ (pure sign
-/// flips), so four sines per evaluation replace the four sines per *tap*
-/// of the textbook form, and the remaining per-tap cost is multiplies, a
-/// division and a window LUT load.  The accumulation runs as two
-/// contiguous dot products over the even/odd records so the compiler can
-/// vectorise it.  `value_reference()` retains the direct per-tap
-/// transcendental evaluation; `uniform()` calls the same fused kernel as
-/// `value()` and is therefore bit-identical to per-point evaluation.
+/// flips), and the sinc numerators' phases π·f·T·(frac - j) split by angle
+/// addition into a per-call part and a per-tap part.  The constructor
+/// therefore builds four signed tables (-1)^{k·j}·cos/sin(π·f0·T·j) and
+/// (-1)^{k⁺·j}·cos/sin(π·f1·T·j), which depend on band, T and taps only.
+/// Each evaluation makes four sincos calls (two NCO phases, two sinc
+/// phases; the odd stream's follow through cos/sin(π·f·D̂) from the
+/// constructor), then the dispatched `pnbs_fill` kernel computes every
+/// tap independently: four multiply-adds against the tables, one divide
+/// and one window LUT read per stream.  The taps where a stream's
+/// argument crosses zero are patched with the library sinc, and the
+/// accumulation runs as the dispatched `dot2` over the even/odd records.
+/// `value_reference()` retains the direct per-tap transcendental
+/// evaluation; `values()` and `uniform()` call `value()` per point and
+/// are therefore bit-identical to it.
 class pnbs_reconstructor {
 public:
     /// \param even     f(t_start + n·T) record
@@ -168,8 +175,9 @@ public:
     [[nodiscard]] const kohlenberg_kernel& kernel() const { return kernel_; }
     [[nodiscard]] double period() const { return period_; }
 
-    /// SIMD kernel backend running the stage-2 dot products (captured from
-    /// simd::kernel_backend::select() at construction).
+    /// SIMD kernel backend running the coefficient fill and the stage-2
+    /// dot products (captured from simd::kernel_backend::select() at
+    /// construction).
     [[nodiscard]] const simd::kernel_ops& backend() const { return *ops_; }
 
 private:
@@ -184,16 +192,22 @@ private:
 
     // Fused fast-path constants (derived from the kernel in the ctor).
     long half_ = 0;          ///< taps / 2
-    double half_span_ = 0.0; ///< half + 1, window normalisation
+    double inv_span_ = 0.0;  ///< 1 / (half + 1), window normalisation
     double d_frac_ = 0.0;    ///< D̂ / T
     double g0_ = 0.0;        ///< c0 / sin φ (0 when s0 vanishes)
     double g1_ = 0.0;        ///< c1 / sin ψ
+    double cos_phi_ = 0.0;   ///< cos φ
+    double cos_psi_ = 0.0;   ///< cos ψ
     double del0_ = 0.0;      ///< π·f0·T, per-tap phase step of the s0 sinc
     double del1_ = 0.0;      ///< π·f1·T
-    double eps0_ = 0.0;      ///< π·f0·D̂, odd-stream phase offset
-    double eps1_ = 0.0;      ///< π·f1·D̂
-    double cd0_ = 1.0, sd0_ = 0.0; ///< cos/sin of del0 (rotation recurrence)
-    double cd1_ = 1.0, sd1_ = 0.0; ///< cos/sin of del1
+    double inv_del0_ = 0.0;  ///< 1 / del0 (0 when s0 vanishes)
+    double inv_del1_ = 0.0;  ///< 1 / del1
+    double sin_eps0_ = 0.0, cos_eps0_ = 1.0; ///< of π·f0·D̂ (odd stream)
+    double sin_eps1_ = 0.0, cos_eps1_ = 1.0; ///< of π·f1·D̂
+    /// Signed per-tap phase tables, taps entries each, indexed by j + half:
+    /// [(-1)^{k·j}·cos(del0·j) | (-1)^{k·j}·sin(del0·j) |
+    ///  (-1)^{k⁺·j}·cos(del1·j) | (-1)^{k⁺·j}·sin(del1·j)].
+    std::vector<double> phase_tabs_;
 
     [[nodiscard]] double window_at(double u) const { return window_(u); }
 };

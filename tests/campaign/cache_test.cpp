@@ -138,10 +138,13 @@ TEST(CacheKey, MovesWithGridCoordinatesAndConfig) {
 TEST(CacheKey, PinnedValueSurvivesTheEntryFormat) {
     // Computed by the release that still wrote `<key>.json` entries:
     // journals that carry keys must keep resuming across format moves.
+    // Re-pinned when canonical_config_version went to 2 for the
+    // vectorised PNBS coefficient fill (its numbers moved by ~1e-14, so
+    // entries and journals primed by the old numerics must miss).
     const auto cfg = small_campaign();
     const auto grid = expand_grid(cfg);
     EXPECT_EQ(scenario_cache::key(grid[0], scenario_config(cfg, grid[0])),
-              "679d5de28aca0e35");
+              "2c4584e82c9746da");
 }
 
 TEST(CacheKey, IndependentOfGridShape) {

@@ -7,7 +7,10 @@
 //  * dot / dot2 / blend_dot / blend_dot_cplx: reassociated accumulation,
 //    deviation ≤ 1e-12 relative to Σ|aᵢ·bᵢ| (the documented ULP-style
 //    bound; the true reassociation error is ~n·eps of that magnitude);
-//  * quantize_midrise / carrier_mix: bit-identical.
+//  * quantize_midrise / carrier_mix: bit-identical;
+//  * pnbs_fill: FMA numerators, deviation ≤ 1e-14 relative to the tap's
+//    Σ|terms| (the zero-crossing taps the reconstructor patches are
+//    excluded), with a window read bit-identical to dsp::kaiser_lut.
 //
 // On top of the primitive shapes, the object-level paths (windowed-sinc
 // interpolator, PNBS reconstructor) are rebuilt under every forced backend
@@ -18,6 +21,7 @@
 // leg keeps that configuration exercised end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <complex>
@@ -31,6 +35,7 @@
 #include "core/simd/kernel_backend.hpp"
 #include "core/units.hpp"
 #include "dsp/interpolator.hpp"
+#include "dsp/window.hpp"
 #include "rf/passband.hpp"
 #include "sampling/band.hpp"
 #include "sampling/pnbs.hpp"
@@ -257,6 +262,217 @@ TEST(BackendEquivalence, CarrierMixIsBitIdenticalAcrossBackends) {
 }
 
 // ---------------------------------------------------------------------------
+// PNBS coefficient fill.
+// ---------------------------------------------------------------------------
+
+/// Documented relative bound for pnbs_fill against the tap's Σ|terms|.
+constexpr double fill_rel_bound = 1e-14;
+
+/// Full-window phase tables and per-point weights of one PNBS evaluation,
+/// derived from the Kohlenberg kernel the way pnbs_reconstructor does.
+struct fill_case {
+    std::vector<double> tabs; ///< c0 | s0 | c1 | s1, taps entries each
+    double even[4];
+    double odd[4];
+    double d_frac;
+};
+
+fill_case make_fill_case(const sampling::band_spec& band, double d,
+                         long half, double frac) {
+    const sampling::kohlenberg_kernel kern(band, d);
+    const double period = 1.0 / band.bandwidth();
+    const auto taps = static_cast<std::size_t>(2 * half + 1);
+    const double del0 = pi * kern.f0() * period;
+    const double del1 = pi * kern.f1() * period;
+    fill_case c;
+    c.tabs.resize(4 * taps);
+    const bool k_odd = (kern.k() & 1L) != 0;
+    for (long j = -half; j <= half; ++j) {
+        const auto i = static_cast<std::size_t>(j + half);
+        const bool j_odd = (j & 1L) != 0;
+        const double sg0 = (k_odd && j_odd) ? -1.0 : 1.0;
+        const double sg1 = (!k_odd && j_odd) ? -1.0 : 1.0;
+        c.tabs[i] = sg0 * std::cos(del0 * static_cast<double>(j));
+        c.tabs[taps + i] = sg0 * std::sin(del0 * static_cast<double>(j));
+        c.tabs[2 * taps + i] = sg1 * std::cos(del1 * static_cast<double>(j));
+        c.tabs[3 * taps + i] = sg1 * std::sin(del1 * static_cast<double>(j));
+    }
+    const bool s0_zero = kern.s0_vanishes();
+    const double kd = static_cast<double>(kern.k());
+    const double g0 = s0_zero ? 0.0 : kern.c0() / kern.sin_phi() / del0;
+    const double g1 = kern.c1() / kern.sin_psi() / del1;
+    const double e0 = -std::sin(pi * kd * frac - kern.phi()) * g0;
+    const double e1 = -std::sin(pi * (kd + 1.0) * frac - kern.psi()) * g1;
+    const double o0 = std::sin(pi * kd * frac) * g0;
+    const double o1 = std::sin(pi * (kd + 1.0) * frac) * g1;
+    const double a0 = del0 * frac;
+    const double a1 = del1 * frac;
+    const double b0 = pi * kern.f0() * d - a0;
+    const double b1 = pi * kern.f1() * d - a1;
+    const double even[4] = {e0 * std::sin(a0), -e0 * std::cos(a0),
+                            e1 * std::sin(a1), -e1 * std::cos(a1)};
+    const double odd[4] = {o0 * std::sin(b0), o0 * std::cos(b0),
+                           o1 * std::sin(b1), o1 * std::cos(b1)};
+    std::copy(std::begin(even), std::end(even), c.even);
+    std::copy(std::begin(odd), std::end(odd), c.odd);
+    c.d_frac = d / period;
+    return c;
+}
+
+/// Kernel arguments for taps [j_first, j_first + n) of a fill_case.
+simd::pnbs_fill_args fill_args(const fill_case& c, long half, long j_first,
+                               double frac, const dsp::kaiser_lut& lut) {
+    const std::size_t taps = c.tabs.size() / 4;
+    const double* tab = c.tabs.data() + (j_first + half);
+    simd::pnbs_fill_args a{};
+    a.c0 = tab;
+    a.s0 = tab + taps;
+    a.c1 = tab + 2 * taps;
+    a.s1 = tab + 3 * taps;
+    a.window = lut.table().data();
+    a.window_res = static_cast<double>(lut.resolution());
+    a.frac = frac;
+    a.j_first = static_cast<double>(j_first);
+    a.d_frac = c.d_frac;
+    a.inv_span = 1.0 / (static_cast<double>(half) + 1.0);
+    std::copy(std::begin(c.even), std::end(c.even), a.even);
+    std::copy(std::begin(c.odd), std::end(c.odd), a.odd);
+    return a;
+}
+
+TEST(BackendEquivalence, PnbsFillMatchesScalarWithinDocumentedBound) {
+    const dsp::kaiser_lut lut(8.0);
+    const long half = 30; // the paper's 61 taps
+    const double d = 180.0 * ps;
+    // The paper band, and one whose s0 term vanishes (2·f_lo/B = 19).
+    const sampling::band_spec bands[] = {
+        sampling::band_around(1.0 * GHz, 90.0 * MHz),
+        sampling::band_around(1.0 * GHz, 100.0 * MHz)};
+    ASSERT_FALSE(sampling::kohlenberg_kernel(bands[0], d).s0_vanishes());
+    ASSERT_TRUE(sampling::kohlenberg_kernel(bands[1], d).s0_vanishes());
+    for (const auto* ops : simd_backends()) {
+        for (const auto& band : bands) {
+            const double d_frac = d * band.bandwidth();
+            for (const double frac :
+                 {-0.5, 0.0, 0.5, 1e-13, -1e-13, 0.3172, d_frac,
+                  std::nextafter(d_frac, 1.0), std::nextafter(d_frac, 0.0)}) {
+                const fill_case c = make_fill_case(band, d, half, frac);
+                const long j_e = std::llround(frac);
+                const long j_o = std::llround(frac - c.d_frac);
+                // Every count 1..61, anchored at the window start (a record
+                // end clamps j_hi), at the window end (a record start clamps
+                // j_lo) and, when it fits, centred.
+                for (std::size_t n = 1; n <= 61; ++n) {
+                    const long span = static_cast<long>(n) - 1;
+                    for (const long j_first :
+                         {-half, half - span, -span / 2}) {
+                        const auto a = fill_args(c, half, j_first, frac, lut);
+                        std::vector<double> ref_e(n), ref_o(n), got_e(n),
+                            got_o(n), again_e(n), again_o(n);
+                        scalar_ops().pnbs_fill(a, n, ref_e.data(),
+                                               ref_o.data());
+                        ops->pnbs_fill(a, n, got_e.data(), got_o.data());
+                        ops->pnbs_fill(a, n, again_e.data(), again_o.data());
+                        for (std::size_t i = 0; i < n; ++i) {
+                            const long j = j_first + static_cast<long>(i);
+                            const double fj = frac - static_cast<double>(j);
+                            const double q = c.d_frac - fj;
+                            const double terms[4] = {a.c0[i], a.s0[i],
+                                                     a.c1[i], a.s1[i]};
+                            double mag_e = 0.0, mag_o = 0.0;
+                            for (int m = 0; m < 4; ++m) {
+                                mag_e += std::abs(a.even[m] * terms[m]);
+                                mag_o += std::abs(a.odd[m] * terms[m]);
+                            }
+                            const double w_e = lut(fj * a.inv_span);
+                            const double w_o = lut(q * a.inv_span);
+                            if (j != j_e) {
+                                EXPECT_LE(std::abs(got_e[i] - ref_e[i]),
+                                          fill_rel_bound * w_e * mag_e /
+                                              std::abs(fj))
+                                    << ops->name << " frac=" << frac
+                                    << " n=" << n << " j=" << j;
+                            }
+                            if (j != j_o) {
+                                EXPECT_LE(std::abs(got_o[i] - ref_o[i]),
+                                          fill_rel_bound * w_o * mag_o /
+                                              std::abs(q))
+                                    << ops->name << " frac=" << frac
+                                    << " n=" << n << " j=" << j;
+                            }
+                            // Deterministic within the backend, bit for bit
+                            // (patched lanes included).
+                            EXPECT_EQ(std::bit_cast<std::uint64_t>(got_e[i]),
+                                      std::bit_cast<std::uint64_t>(again_e[i]));
+                            EXPECT_EQ(std::bit_cast<std::uint64_t>(got_o[i]),
+                                      std::bit_cast<std::uint64_t>(again_o[i]));
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(BackendEquivalence, PnbsFillWindowIsBitIdenticalToKaiserLut) {
+    // Tables and weights that make every numerator equal its divisor
+    // exactly (c0 = fj, s0 = q), so each coefficient is the bare window
+    // read; checked on every backend, scalar included.
+    rng gen(0x3A15);
+    for (const std::size_t res : {std::size_t{2048}, std::size_t{1000}}) {
+        const dsp::kaiser_lut lut(8.0, res);
+        auto check = [&](const kernel_ops& ops, double frac, double j_first,
+                         double d_frac, double inv_span, std::size_t n) {
+            std::vector<double> c0(n), s0(n), zero(n, 0.0);
+            for (std::size_t i = 0; i < n; ++i) {
+                c0[i] = frac - (j_first + static_cast<double>(i));
+                s0[i] = d_frac - c0[i];
+            }
+            simd::pnbs_fill_args a{};
+            a.c0 = c0.data();
+            a.s0 = s0.data();
+            a.c1 = zero.data();
+            a.s1 = zero.data();
+            a.window = lut.table().data();
+            a.window_res = static_cast<double>(lut.resolution());
+            a.frac = frac;
+            a.j_first = j_first;
+            a.d_frac = d_frac;
+            a.inv_span = inv_span;
+            a.even[0] = 1.0;
+            a.odd[1] = 1.0;
+            std::vector<double> ce(n), co(n);
+            ops.pnbs_fill(a, n, ce.data(), co.data());
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(ce[i]),
+                          std::bit_cast<std::uint64_t>(lut(c0[i] * inv_span)))
+                    << ops.name << " res=" << res << " u="
+                    << c0[i] * inv_span;
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(co[i]),
+                          std::bit_cast<std::uint64_t>(lut(s0[i] * inv_span)))
+                    << ops.name << " res=" << res << " u="
+                    << s0[i] * inv_span;
+            }
+        };
+        for (const auto* ops : kernel_backend::available()) {
+            // Random positions spanning |u| < 1 and |u| ≥ 1 → 0.
+            for (int rep = 0; rep < 200; ++rep)
+                check(*ops, gen.uniform(-0.5, 0.5),
+                      static_cast<double>(gen.uniform_int(-45, 0)),
+                      gen.uniform(0.01, 0.99), gen.uniform(0.01, 0.05), 67);
+            if (res == 2048) {
+                // Exact nodes: u = j/32 from the centre to u = 1 (→ 0),
+                // and u = 2047/2048, 2048/2048 — the last interval's lower
+                // node and the last node itself.
+                check(*ops, 0.0, -33.0, 0.5, 1.0 / 32.0, 33);
+                check(*ops, 0.0, -2048.0, 0.5, 1.0 / 2048.0, 2);
+                check(*ops, 0.0, 2047.0, 0.5, 1.0 / 2048.0, 2);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Object-level equivalence: the hot-path classes rebuilt under every forced
 // backend agree with their scalar-forced twins.
 // ---------------------------------------------------------------------------
@@ -326,6 +542,43 @@ TEST(BackendEquivalence, PnbsReconstructorAgreesWithScalarBackendBuild) {
         for (std::size_t i = 0; i < ts.size(); ++i)
             EXPECT_NEAR(got[i], ref[i], 1e-11)
                 << ops->name << " t=" << ts[i];
+    }
+}
+
+TEST(BackendEquivalence, PnbsFillPerPointEqualsBatchOnEveryBackend) {
+    // values() and uniform() evaluate through the same fill as value(), so
+    // they stay bit-identical to per-point evaluation under every backend.
+    backend_restore restore;
+    const sampling::band_spec band =
+        sampling::band_around(1.0 * GHz, 90.0 * MHz);
+    const double period = 1.0 / band.bandwidth();
+    const double d = 250.0 * ps;
+    const std::size_t n = 200;
+    rng gen(0x9B7);
+    std::vector<double> even(n), odd(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        even[k] = gen.uniform(-1.0, 1.0);
+        odd[k] = gen.uniform(-1.0, 1.0);
+    }
+    for (const auto* ops : kernel_backend::available()) {
+        kernel_backend::force(ops->name);
+        const sampling::pnbs_reconstructor recon(even, odd, period, 0.0, band,
+                                                 d, {61, 8.0});
+        ASSERT_STREQ(recon.backend().name, ops->name);
+        // Includes clamped windows at both record ends.
+        std::vector<double> ts(300);
+        for (auto& t : ts)
+            t = gen.uniform(-0.05, 1.05) * static_cast<double>(n) * period;
+        const auto batch = recon.values(ts);
+        for (std::size_t i = 0; i < ts.size(); ++i)
+            EXPECT_EQ(batch[i], recon.value(ts[i])) << ops->name << " " << i;
+        const double t0 = recon.valid_begin();
+        const double rate = 500.0 / (recon.valid_end() - t0);
+        const auto grid = recon.uniform(t0, rate, 500);
+        for (std::size_t i = 0; i < grid.size(); ++i)
+            EXPECT_EQ(grid[i],
+                      recon.value(t0 + static_cast<double>(i) / rate))
+                << ops->name << " " << i;
     }
 }
 
