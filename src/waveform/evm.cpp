@@ -42,15 +42,20 @@ matched_output(std::span<const std::complex<double>> env, double fs,
 struct trial_result {
     double evm = 0.0;
     std::complex<double> gain{1.0, 0.0};
-    std::vector<std::complex<double>> corrected;
+    std::vector<std::complex<double>> matched; ///< y[k - k_lo]
 };
 
-trial_result evaluate_at_offset(std::span<const std::complex<double>> env,
-                                double fs, const baseband_waveform& ref,
-                                double tau, std::size_t k_lo, std::size_t k_hi,
-                                double span_symbols) {
+// Matched-filter every symbol in [k_lo, k_hi) at offset tau into `out`
+// (its buffer is reused across trials), fit the gain and score the EVM.
+// Only the winning trial's outputs are kept; `corrected` is formed once
+// from them after the search.
+void evaluate_at_offset(std::span<const std::complex<double>> env, double fs,
+                        const baseband_waveform& ref, double tau,
+                        std::size_t k_lo, std::size_t k_hi,
+                        double span_symbols, trial_result& out) {
     const double ts = 1.0 / ref.symbol_rate;
-    std::vector<std::complex<double>> y(k_hi - k_lo);
+    auto& y = out.matched;
+    y.resize(k_hi - k_lo);
     for (std::size_t k = k_lo; k < k_hi; ++k)
         y[k - k_lo] = matched_output(env, fs, ref.symbol_instant(k) + tau, ts,
                                      ref.rolloff, span_symbols);
@@ -66,16 +71,11 @@ trial_result evaluate_at_offset(std::span<const std::complex<double>> env,
     const std::complex<double> g = num / den;
     SDRBIST_EXPECTS(std::abs(g) > 0.0);
 
-    trial_result out;
     out.gain = g;
-    out.corrected.resize(y.size());
     double err = 0.0;
-    for (std::size_t i = 0; i < y.size(); ++i) {
-        out.corrected[i] = y[i] / g;
-        err += std::norm(out.corrected[i] - ref.symbols[k_lo + i]);
-    }
+    for (std::size_t i = 0; i < y.size(); ++i)
+        err += std::norm(y[i] / g - ref.symbols[k_lo + i]);
     out.evm = std::sqrt(err / den);
-    return out;
 }
 
 } // namespace
@@ -112,18 +112,20 @@ evm_result measure_evm(std::span<const std::complex<double>> envelope,
     double best_tau = 0.0;
     trial_result best;
     best.evm = std::numeric_limits<double>::infinity();
+    trial_result trial;
+    auto try_offset = [&](double tau) {
+        evaluate_at_offset(envelope, sample_rate, reference, tau - t_shift,
+                           k_lo, k_hi, span_symbols, trial);
+        if (trial.evm < best.evm) {
+            std::swap(best, trial);
+            best_tau = tau;
+        }
+    };
     for (std::size_t s = 0; s < opt.timing_steps; ++s) {
         const double frac = static_cast<double>(s) /
                                 static_cast<double>(opt.timing_steps - 1) * 2.0 -
                             1.0;
-        const double tau = frac * opt.timing_search_span * ts;
-        auto trial = evaluate_at_offset(envelope, sample_rate, reference,
-                                        tau - t_shift, k_lo, k_hi,
-                                        span_symbols);
-        if (trial.evm < best.evm) {
-            best = std::move(trial);
-            best_tau = tau;
-        }
+        try_offset(frac * opt.timing_search_span * ts);
     }
 
     // One golden-section-style refinement pass around the best grid point.
@@ -131,16 +133,10 @@ evm_result measure_evm(std::span<const std::complex<double>> envelope,
                          static_cast<double>(opt.timing_steps - 1);
     double step = step0 / 2.0;
     for (int it = 0; it < 6; ++it) {
-        for (const double tau :
-             {best_tau - step, best_tau + step}) {
-            auto trial = evaluate_at_offset(envelope, sample_rate, reference,
-                                            tau - t_shift, k_lo, k_hi,
-                                            span_symbols);
-            if (trial.evm < best.evm) {
-                best = std::move(trial);
-                best_tau = tau;
-            }
-        }
+        // Both neighbours of the best offset as it stood before the pair.
+        const double centre = best_tau;
+        for (const double tau : {centre - step, centre + step})
+            try_offset(tau);
         step /= 2.0;
     }
 
@@ -148,7 +144,9 @@ evm_result measure_evm(std::span<const std::complex<double>> envelope,
     out.evm_rms = best.evm;
     out.gain = best.gain;
     out.timing_offset = best_tau;
-    out.received_symbols = std::move(best.corrected);
+    out.received_symbols.resize(best.matched.size());
+    for (std::size_t i = 0; i < best.matched.size(); ++i)
+        out.received_symbols[i] = best.matched[i] / best.gain;
     double peak = 0.0;
     double sym_rms = 0.0;
     for (std::size_t i = 0; i < out.received_symbols.size(); ++i) {

@@ -34,7 +34,6 @@ struct evm_options {
     std::size_t skip_symbols = 8;   ///< discard edge symbols (filter tails)
     double timing_search_span = 0.5;///< ± span of timing search, in symbols
     std::size_t timing_steps = 33;  ///< coarse search grid size (odd)
-    std::size_t interp_half_taps = 16; ///< envelope interpolation support
     double envelope_t0 = 0.0; ///< absolute time of envelope[0] on the
                               ///< reference waveform's timeline
 };
