@@ -8,10 +8,17 @@
 //    behind every BP-TIADC capture against the two-Bessel-series-per-tap
 //    reference.
 //
-//  * Reconstruction DDC — digital_downconvert, which evaluates its
-//    anti-alias FIR only at the kept outputs, against an inline
-//    filter-every-sample-then-subsample reference at the dqpsk-1M preset's
-//    shape.  The two must agree exactly; the bench exits 1 otherwise.
+//  * Envelope reconstruction — bist::reconstruct_envelope (the direct
+//    complex envelope of the PNBS product form, then a short FIR) at the
+//    dqpsk-1M preset's shape, per envelope sample, with its oversampling M,
+//    FIR length and interior error against the dense passband grid + DDC
+//    yardstick it replaced (also timed).
+//
+//  * DDC — digital_downconvert (the yardstick's second half), which
+//    evaluates its anti-alias FIR only at the kept outputs, against an
+//    inline filter-every-sample-then-subsample reference at the dqpsk-1M
+//    preset's shape.  The two must agree exactly; the bench exits 1
+//    otherwise.
 //
 //  * SIMD backend primitives — every compiled-in, CPU-supported kernel
 //    backend (scalar/AVX2/NEON) timed on the primitive shapes the hot
@@ -30,6 +37,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "bist/spectrum.hpp"
 #include "core/random.hpp"
 #include "core/simd/kernel_backend.hpp"
 #include "core/stats.hpp"
@@ -184,6 +192,92 @@ void bench_sinc_capture(std::size_t n_points, int reps) {
               << s_ref / s_fast << ", max rel err " << err << ")\n";
 }
 
+/// Envelope bench at the dqpsk-1M reconstruction shape: a 90 MHz band
+/// around a 380 MHz carrier, 61 taps, a 6.21 MHz cutoff and the envelope
+/// rate the pipeline derives from it (2.4 × cutoff, decimation 131 of a
+/// 1.955 GS/s dense grid).  The signal is six tones within a quarter of the
+/// cutoff of the carrier, where a graded signal sits.  The error is the
+/// largest |envelope - yardstick| beyond one FIR half-span (the longer
+/// FIR's) from either edge, over the yardstick's peak.
+void bench_envelope(std::size_t pairs, int reps) {
+    const double fc = 380.0 * MHz;
+    const auto band = sampling::band_around(fc, 90.0 * MHz);
+    const double period = 1.0 / band.bandwidth();
+    const double d = sampling::kohlenberg_kernel::optimal_delay(band);
+    const double cutoff = 6.21 * MHz;
+
+    rng gen(0xE4E1);
+    std::vector<rf::tone> tones;
+    for (int i = 0; i < 6; ++i)
+        tones.push_back({gen.uniform(fc - cutoff / 4.0, fc + cutoff / 4.0),
+                         gen.uniform(0.2, 1.0), gen.uniform(0.0, two_pi)});
+    const rf::multitone_signal sig(
+        std::move(tones), static_cast<double>(pairs) * period + 1.0 * us);
+    std::vector<double> even(pairs), odd(pairs);
+    for (std::size_t k = 0; k < pairs; ++k) {
+        even[k] = sig.value(static_cast<double>(k) * period);
+        odd[k] = sig.value(static_cast<double>(k) * period + d);
+    }
+    const sampling::pnbs_reconstructor recon(even, odd, period, 0.0, band, d,
+                                             {61, 8.0});
+
+    bist::spectrum_options opt;
+    opt.mix_frequency = fc;
+    opt.ddc_cutoff_hz = cutoff;
+    opt.envelope_rate_min = 2.4 * cutoff;
+    const auto plan = bist::plan_envelope(recon, opt);
+    dsp::ddc_options ddc = plan.lowpass;
+    ddc.carrier_hz = fc;
+    ddc.sample_rate = plan.dense_rate;
+    ddc.decimation = plan.decimation;
+
+    bist::reconstructed_envelope env;
+    const double s_env = best_seconds(
+        [&] { env = bist::reconstruct_envelope(recon, opt); }, reps);
+    std::vector<std::complex<double>> ref;
+    const double s_ref = best_seconds(
+        [&] {
+            const auto x =
+                recon.uniform(plan.t0, plan.dense_rate, plan.n_dense);
+            ref = dsp::digital_downconvert(x, ddc);
+            const auto rot = std::polar(1.0, -two_pi * fc * plan.t0);
+            for (auto& v : ref)
+                v *= rot;
+        },
+        1);
+
+    const std::size_t taps = dsp::ddc_lowpass(plan.lowpass).size();
+    const std::size_t edge =
+        std::max((dsp::ddc_lowpass(ddc).size() / 2 + plan.decimation - 1) /
+                     plan.decimation,
+                 (taps / 2 + plan.oversample - 1) / plan.oversample);
+    double peak = 0.0;
+    double worst = 0.0;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        peak = std::max(peak, std::abs(ref[i]));
+        if (i >= edge && i + edge < ref.size())
+            worst = std::max(worst, std::abs(env.samples[i] - ref[i]));
+    }
+
+    const double n = static_cast<double>(plan.count);
+    benchutil::json_record rec;
+    rec.add("kernel", std::string("envelope"));
+    rec.add("backend", std::string(simd::kernel_backend::select().name));
+    rec.add("envelope_samples", plan.count);
+    rec.add("oversample", plan.oversample);
+    rec.add("fir_taps", taps);
+    rec.add("ns_per_envelope_sample", 1e9 * s_env / n);
+    rec.add("yardstick_ns_per_envelope_sample", 1e9 * s_ref / n);
+    rec.add("speedup", s_ref / s_env);
+    rec.add("interior_max_rel_error", worst / peak);
+    benchutil::emit_bench_json("perf_hotpath", rec);
+
+    std::cout << "envelope: " << 1e9 * s_ref / n << " -> " << 1e9 * s_env / n
+              << " ns/envelope sample  (x" << s_ref / s_env << ", M "
+              << plan.oversample << ", " << taps
+              << " taps, interior rel err " << worst / peak << ")\n";
+}
+
 /// DDC bench at the dqpsk-1M reconstruction shape: 155031 dense samples
 /// at 1.955 GS/s around a 380 MHz carrier, decimation 131, a 6745-tap
 /// anti-alias FIR with a 6.21 MHz passband.  The reference is the
@@ -218,14 +312,8 @@ double bench_ddc(std::size_t n_in, int reps) {
     opt.fir_taps = taps;
     opt.cutoff_hz = cutoff;
 
-    // The FIR digital_downconvert designs for these options (its
-    // transition-band placement, written out).
-    const double fs_out = fs / static_cast<double>(decim);
-    const double beta = dsp::kaiser_beta_for_attenuation(opt.stopband_db);
-    const double trans = std::max(fs_out / 2.0 - cutoff, 0.02 * fs_out);
-    const double design_cutoff = std::min(cutoff + trans / 2.0, 0.49 * fs);
-    const auto h = dsp::design_lowpass_fir(taps, design_cutoff / fs,
-                                           dsp::window_kind::kaiser, beta);
+    // The FIR digital_downconvert designs for these options.
+    const auto h = dsp::ddc_lowpass(opt);
 
     auto reference = [&] {
         std::vector<std::complex<double>> mixed(n_in);
@@ -486,6 +574,7 @@ int main(int argc, char** argv) {
     const int reps = quick ? 3 : 5;
     bench_pnbs_uniform(n_points, reps);
     bench_sinc_capture(n_points, reps);
+    bench_envelope(quick ? 2000 : 7200, reps);
     const double ddc_diff = bench_ddc(quick ? 40000 : 155031, reps);
     bench_backend_kernels(reps);
     if (ddc_diff != 0.0) {

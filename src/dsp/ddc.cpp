@@ -9,11 +9,9 @@
 
 namespace sdrbist::dsp {
 
-std::vector<std::complex<double>>
-digital_downconvert(std::span<const double> x, const ddc_options& opt) {
+std::vector<double> ddc_lowpass(const ddc_options& opt) {
     SDRBIST_EXPECTS(opt.sample_rate > 0.0);
     SDRBIST_EXPECTS(opt.decimation >= 1);
-    SDRBIST_EXPECTS(!x.empty());
 
     const double fs = opt.sample_rate;
     const double fs_out = fs / static_cast<double>(opt.decimation);
@@ -40,15 +38,22 @@ digital_downconvert(std::span<const double> x, const ddc_options& opt) {
     }
     taps |= 1u; // force odd
     SDRBIST_EXPECTS(taps % 2 == 1);
+    return design_lowpass_fir(taps, design_cutoff / fs, window_kind::kaiser,
+                              beta);
+}
+
+std::vector<std::complex<double>>
+digital_downconvert(std::span<const double> x, const ddc_options& opt) {
+    SDRBIST_EXPECTS(!x.empty());
+    const auto h = ddc_lowpass(opt);
 
     // Complex mix: exp(-j 2π fc n / fs).
+    const double fs = opt.sample_rate;
     std::vector<std::complex<double>> mixed(x.size());
     const double dphi = -two_pi * opt.carrier_hz / fs;
     for (std::size_t n = 0; n < x.size(); ++n)
         mixed[n] = x[n] * std::polar(1.0, dphi * static_cast<double>(n));
 
-    const auto h = design_lowpass_fir(taps, design_cutoff / fs,
-                                      window_kind::kaiser, beta);
     // Group-delay compensated filtering, evaluated only at kept outputs.
     auto out = filter_decimate(
         h, std::span<const std::complex<double>>(mixed.data(), mixed.size()),

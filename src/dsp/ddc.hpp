@@ -2,9 +2,12 @@
 /// \brief Digital downconversion of a real passband sequence to a complex
 ///        baseband envelope (mix, lowpass, decimate).
 ///
-/// After PNBS reconstruction the BIST evaluates the spectrum *around the
-/// carrier*; the DDC recentres the reconstructed RF waveform at 0 Hz so the
-/// mask checker and EVM meter operate on the complex envelope.
+/// The BIST pipeline does not mix a passband grid down: it evaluates the
+/// complex envelope directly from the PNBS product form
+/// (`sampling::pnbs_reconstructor::envelope`, `bist::reconstruct_envelope`).
+/// `digital_downconvert` over a dense `pnbs_reconstructor::uniform` grid is
+/// the yardstick that envelope is bounded against; `ddc_lowpass` is the one
+/// anti-alias design rule both paths use.
 #pragma once
 
 #include <complex>
@@ -27,7 +30,16 @@ struct ddc_options {
     double stopband_db = 70.0;   ///< auto-design stopband attenuation
 };
 
-/// Mix x(t) with exp(-j·2π·fc·t), lowpass filter and decimate.
+/// Anti-alias lowpass for decimating by `opt.decimation` at
+/// `opt.sample_rate`: a Kaiser windowed sinc, flat up to the cutoff, with
+/// its -6 dB point mid-way to the post-decimation Nyquist edge (transition
+/// at least 2 % of the output rate) and, when `fir_taps` is 0, a length
+/// from the Kaiser estimate for `stopband_db` clamped to [63, 8191].
+/// `carrier_hz` is not read.
+std::vector<double> ddc_lowpass(const ddc_options& opt);
+
+/// Mix x(t) with exp(-j·2π·fc·t), lowpass filter (`ddc_lowpass`) and
+/// decimate.
 /// Returns the complex envelope at rate sample_rate / decimation.
 /// The group delay of the anti-alias FIR is compensated (output sample m
 /// corresponds to input time m·decimation/fs).  The FIR runs through

@@ -16,6 +16,12 @@
 /// This class models exactly that datapath (table ROM + NCO + MACs) so the
 /// wordlength / grid-density trade-offs can be measured before an RTL
 /// implementation.
+///
+/// The same factorisation runs in the BIST pipeline in floating point:
+/// `pnbs_reconstructor::envelope` keeps the per-term envelope sums apart
+/// and replaces each NCO sine by its complex rotation, so the complex
+/// envelope is evaluated only at envelope-rate instants, with no passband
+/// grid and no downconversion FIR at the passband rate.
 #pragma once
 
 #include <cstddef>

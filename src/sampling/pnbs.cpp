@@ -186,59 +186,49 @@ pnbs_reconstructor::pnbs_reconstructor(std::vector<double> even,
     }
 }
 
-double pnbs_reconstructor::value(double t) const {
+pnbs_reconstructor::point_frame
+pnbs_reconstructor::locate(double t) const {
+    point_frame p;
     const double tr = t - t_start_;
     const double pos = tr / period_;
-    const auto centre = static_cast<long>(std::llround(pos));
-    const double frac = pos - static_cast<double>(centre); // in [-0.5, 0.5]
+    p.centre = static_cast<long>(std::llround(pos));
+    p.frac = pos - static_cast<double>(p.centre); // in [-0.5, 0.5]
     const auto n_max = static_cast<long>(even_.size()) - 1;
 
     // Tap offsets j = n - centre, clamped to the records once so the tap
-    // loops below run branch-free over contiguous memory.
-    const long j_lo = std::max(centre - half_, 0L) - centre;
-    const long j_hi = std::min(centre + half_, n_max) - centre;
-    if (j_lo > j_hi)
-        return 0.0;
-    const auto count = static_cast<std::size_t>(j_hi - j_lo + 1);
-
-    // Per-call NCO factors: sin(a·τ - φ) at every tap differs from these
-    // only by the (-1)^{k·j} flip, so two sincos serve the whole window
-    // (g0 is 0 when s0 vanishes).
-    const double kd = static_cast<double>(kernel_.k());
-    const double thk = pi * kd * frac;
-    const double thp = pi * (kd + 1.0) * frac;
-    const double sin_k = std::sin(thk), cos_k = std::cos(thk);
-    const double sin_p = std::sin(thp), cos_p = std::cos(thp);
-    const double s0e = -(sin_k * cos_phi_ - cos_k * kernel_.sin_phi()) * g0_;
-    const double s1e = -(sin_p * cos_psi_ - cos_p * kernel_.sin_psi()) * g1_;
-    const double s0o = sin_k * g0_;
-    const double s1o = sin_p * g1_;
+    // loops run branch-free over contiguous memory.
+    p.j_lo = std::max(p.centre - half_, 0L) - p.centre;
+    p.j_hi = std::min(p.centre + half_, n_max) - p.centre;
+    if (p.j_lo > p.j_hi)
+        return p;
+    p.count = static_cast<std::size_t>(p.j_hi - p.j_lo + 1);
 
     // Sinc numerator phases at j = 0: del·frac for the even stream and
     // π·f·D̂ - del·frac for the odd one.
-    const double a0 = del0_ * frac;
-    const double a1 = del1_ * frac;
-    const double sin_a0 = std::sin(a0), cos_a0 = std::cos(a0);
-    const double sin_a1 = std::sin(a1), cos_a1 = std::cos(a1);
-    const double sin_b0 = sin_eps0_ * cos_a0 - cos_eps0_ * sin_a0;
-    const double cos_b0 = cos_eps0_ * cos_a0 + sin_eps0_ * sin_a0;
-    const double sin_b1 = sin_eps1_ * cos_a1 - cos_eps1_ * sin_a1;
-    const double cos_b1 = cos_eps1_ * cos_a1 + sin_eps1_ * sin_a1;
+    const double a0 = del0_ * p.frac;
+    const double a1 = del1_ * p.frac;
+    p.sin_a0 = std::sin(a0);
+    p.cos_a0 = std::cos(a0);
+    p.sin_a1 = std::sin(a1);
+    p.cos_a1 = std::cos(a1);
+    p.sin_b0 = sin_eps0_ * p.cos_a0 - cos_eps0_ * p.sin_a0;
+    p.cos_b0 = cos_eps0_ * p.cos_a0 + sin_eps0_ * p.sin_a0;
+    p.sin_b1 = sin_eps1_ * p.cos_a1 - cos_eps1_ * p.sin_a1;
+    p.cos_b1 = cos_eps1_ * p.cos_a1 + sin_eps1_ * p.sin_a1;
+    return p;
+}
 
+void pnbs_reconstructor::fill_taps(const point_frame& p, double s0e,
+                                   double s1e, double s0o, double s1o,
+                                   double* ce, double* co) const {
     // Stage 1: fill the per-tap coefficient arrays.  With the sign flips
     // folded into the tables, tap j's even numerator is
     //   (s0e/del0)·(sin a0·c0[j] - cos a0·s0[j]) + (s1e/del1)·(...)
     // over the even distance fj = frac - j, and the odd one
     //   (s0o/del0)·(sin b0·c0[j] + cos b0·s0[j]) + (s1o/del1)·(...)
     // over the odd distance d_frac - fj.
-    static thread_local std::vector<double> ce_buf, co_buf;
-    ce_buf.resize(count);
-    co_buf.resize(count);
-    double* ce = ce_buf.data();
-    double* co = co_buf.data();
-
     const std::size_t taps = opt_.taps;
-    const double* tab = phase_tabs_.data() + (j_lo + half_);
+    const double* tab = phase_tabs_.data() + (p.j_lo + half_);
     const double e0 = s0e * inv_del0_;
     const double e1 = s1e * inv_del1_;
     const double o0 = s0o * inv_del0_;
@@ -251,57 +241,130 @@ double pnbs_reconstructor::value(double t) const {
         tab + 3 * taps,
         lut.data(),
         static_cast<double>(lut.size() - 1),
-        frac,
-        static_cast<double>(j_lo),
+        p.frac,
+        static_cast<double>(p.j_lo),
         d_frac_,
         inv_span_,
-        {e0 * sin_a0, -e0 * cos_a0, e1 * sin_a1, -e1 * cos_a1},
-        {o0 * sin_b0, o0 * cos_b0, o1 * sin_b1, o1 * cos_b1},
+        {e0 * p.sin_a0, -e0 * p.cos_a0, e1 * p.sin_a1, -e1 * p.cos_a1},
+        {o0 * p.sin_b0, o0 * p.cos_b0, o1 * p.sin_b1, o1 * p.cos_b1},
     };
-    ops_->pnbs_fill(args, count, ce, co);
+    ops_->pnbs_fill(args, p.count, ce, co);
 
-    // Stage 2 prep: the sinc quotients above are ill-conditioned where the
-    // kernel argument crosses zero (at most one tap per stream); patch
-    // those taps with the exact library sinc.
+    // The sinc quotients above are ill-conditioned where the kernel
+    // argument crosses zero (at most one tap per stream); patch those taps
+    // with the exact library sinc.
     const bool s0_zero = kernel_.s0_vanishes();
     const bool k_odd = (kernel_.k() & 1L) != 0;
     const bool kp_odd = !k_odd;
     const double d_hat = kernel_.delay();
-    {
-        const long j_e = std::llround(frac); // even-stream zero crossing
-        if (j_e >= j_lo && j_e <= j_hi) {
-            const auto i = static_cast<std::size_t>(j_e - j_lo);
-            const double fj = frac - static_cast<double>(j_e);
-            const double tau = fj * period_;
-            const double sgn_k = (k_odd && (j_e & 1L) != 0) ? -1.0 : 1.0;
-            const double sgn_kp = (kp_odd && (j_e & 1L) != 0) ? -1.0 : 1.0;
-            const double snc0 = s0_zero ? 0.0 : sinc(kernel_.f0() * tau);
-            const double snc1 = sinc(kernel_.f1() * tau);
-            ce[i] = window_(fj * inv_span_) *
-                    (s0e * sgn_k * snc0 + s1e * sgn_kp * snc1);
-        }
-        const long j_o = std::llround(frac - d_frac_); // odd-stream crossing
-        if (j_o >= j_lo && j_o <= j_hi) {
-            const auto i = static_cast<std::size_t>(j_o - j_lo);
-            const double fj = frac - static_cast<double>(j_o);
-            const double tau = d_hat - fj * period_;
-            const double sgn_k = (k_odd && (j_o & 1L) != 0) ? -1.0 : 1.0;
-            const double sgn_kp = (kp_odd && (j_o & 1L) != 0) ? -1.0 : 1.0;
-            const double snc0 = s0_zero ? 0.0 : sinc(kernel_.f0() * tau);
-            const double snc1 = sinc(kernel_.f1() * tau);
-            co[i] = window_((fj - d_frac_) * inv_span_) *
-                    (s0o * sgn_k * snc0 + s1o * sgn_kp * snc1);
-        }
+    const double frac = p.frac;
+    const long j_e = std::llround(frac); // even-stream zero crossing
+    if (j_e >= p.j_lo && j_e <= p.j_hi) {
+        const auto i = static_cast<std::size_t>(j_e - p.j_lo);
+        const double fj = frac - static_cast<double>(j_e);
+        const double tau = fj * period_;
+        const double sgn_k = (k_odd && (j_e & 1L) != 0) ? -1.0 : 1.0;
+        const double sgn_kp = (kp_odd && (j_e & 1L) != 0) ? -1.0 : 1.0;
+        const double snc0 = s0_zero ? 0.0 : sinc(kernel_.f0() * tau);
+        const double snc1 = sinc(kernel_.f1() * tau);
+        ce[i] = window_(fj * inv_span_) *
+                (s0e * sgn_k * snc0 + s1e * sgn_kp * snc1);
     }
+    const long j_o = std::llround(frac - d_frac_); // odd-stream crossing
+    if (j_o >= p.j_lo && j_o <= p.j_hi) {
+        const auto i = static_cast<std::size_t>(j_o - p.j_lo);
+        const double fj = frac - static_cast<double>(j_o);
+        const double tau = d_hat - fj * period_;
+        const double sgn_k = (k_odd && (j_o & 1L) != 0) ? -1.0 : 1.0;
+        const double sgn_kp = (kp_odd && (j_o & 1L) != 0) ? -1.0 : 1.0;
+        const double snc0 = s0_zero ? 0.0 : sinc(kernel_.f0() * tau);
+        const double snc1 = sinc(kernel_.f1() * tau);
+        co[i] = window_((fj - d_frac_) * inv_span_) *
+                (s0o * sgn_k * snc0 + s1o * sgn_kp * snc1);
+    }
+}
+
+namespace {
+/// Per-thread stage-1 coefficient buffers of at least `count` taps each.
+std::pair<double*, double*> tap_buffers(std::size_t count) {
+    static thread_local std::vector<double> ce_buf, co_buf;
+    ce_buf.resize(count);
+    co_buf.resize(count);
+    return {ce_buf.data(), co_buf.data()};
+}
+} // namespace
+
+double pnbs_reconstructor::value(double t) const {
+    const point_frame p = locate(t);
+    if (p.count == 0)
+        return 0.0;
+
+    // Per-call NCO factors: sin(a·τ - φ) at every tap differs from these
+    // only by the (-1)^{k·j} flip, so two sincos serve the whole window
+    // (g0 is 0 when s0 vanishes).
+    const double kd = static_cast<double>(kernel_.k());
+    const double thk = pi * kd * p.frac;
+    const double thp = pi * (kd + 1.0) * p.frac;
+    const double sin_k = std::sin(thk), cos_k = std::cos(thk);
+    const double sin_p = std::sin(thp), cos_p = std::cos(thp);
+    const double s0e = -(sin_k * cos_phi_ - cos_k * kernel_.sin_phi()) * g0_;
+    const double s1e = -(sin_p * cos_psi_ - cos_p * kernel_.sin_psi()) * g1_;
+    const double s0o = sin_k * g0_;
+    const double s1o = sin_p * g1_;
+
+    const auto [ce, co] = tap_buffers(p.count);
+    fill_taps(p, s0e, s1e, s0o, s1o, ce, co);
 
     // Stage 2: the fused even/odd pair of contiguous dot products, run on
     // the dispatched SIMD backend.
-    const double* ev = even_.data() + (centre + j_lo);
-    const double* od = odd_.data() + (centre + j_lo);
+    const double* ev = even_.data() + (p.centre + p.j_lo);
+    const double* od = odd_.data() + (p.centre + p.j_lo);
     double acc_e = 0.0;
     double acc_o = 0.0;
-    ops_->dot2(ev, ce, od, co, count, &acc_e, &acc_o);
+    ops_->dot2(ev, ce, od, co, p.count, &acc_e, &acc_o);
     return acc_e + acc_o;
+}
+
+std::vector<std::complex<double>>
+pnbs_reconstructor::envelope(double t0, double rate, std::size_t n,
+                             double f_mix) const {
+    SDRBIST_EXPECTS(rate > 0.0);
+    std::vector<std::complex<double>> out(n);
+    const double kd = static_cast<double>(kernel_.k());
+    const bool use_s0 = !kernel_.s0_vanishes();
+    const std::complex<double> rot_phi{cos_phi_, -kernel_.sin_phi()};
+    const std::complex<double> rot_psi{cos_psi_, -kernel_.sin_psi()};
+    for (std::size_t i = 0; i < n; ++i) {
+        const double t = t0 + static_cast<double>(i) / rate;
+        const point_frame p = locate(t);
+        if (p.count == 0)
+            continue;
+        const auto [ce, co] = tap_buffers(p.count);
+        const double* ev = even_.data() + (p.centre + p.j_lo);
+        const double* od = odd_.data() + (p.centre + p.j_lo);
+
+        // Term m contributes g_m·e^{jπ·k_m·frac}·(E_m·e^{-jφ_m} - O_m),
+        // with E_m / O_m the records dotted with term m's signed, windowed
+        // sinc coefficients: the fill run with the other term's weights
+        // zeroed.  s0 contributes nothing when it vanishes.
+        double e = 0.0;
+        double o = 0.0;
+        std::complex<double> acc{0.0, 0.0};
+        if (use_s0) {
+            fill_taps(p, 1.0, 0.0, 1.0, 0.0, ce, co);
+            ops_->dot2(ev, ce, od, co, p.count, &e, &o);
+            acc = g0_ * std::polar(1.0, pi * kd * p.frac) * (e * rot_phi - o);
+        }
+        fill_taps(p, 0.0, 1.0, 0.0, 1.0, ce, co);
+        ops_->dot2(ev, ce, od, co, p.count, &e, &o);
+        acc += g1_ * std::polar(1.0, pi * (kd + 1.0) * p.frac) *
+               (e * rot_psi - o);
+
+        // j·Σ(...) is the analytic signal; mix it down by f_mix.
+        out[i] = std::complex<double>(-acc.imag(), acc.real()) *
+                 std::polar(1.0, -(two_pi * f_mix * t));
+    }
+    return out;
 }
 
 double pnbs_reconstructor::value_reference(double t) const {

@@ -4,6 +4,7 @@
 ///        truncated, Kaiser-windowed reconstructor (eq. (6)).
 #pragma once
 
+#include <complex>
 #include <cstddef>
 #include <span>
 #include <utility>
@@ -125,6 +126,18 @@ struct pnbs_options {
 /// `value_reference()` retains the direct per-tap transcendental
 /// evaluation; `values()` and `uniform()` call `value()` per point and
 /// are therefore bit-identical to it.
+///
+/// `envelope()` evaluates the complex envelope about a mix frequency
+/// directly from the same product form (paper §VI).  Per term m (s0 with
+/// k, φ; s1 with k⁺, ψ) it runs the fill once with the other term's
+/// weights zeroed, patches the zero crossings and dots both records, giving
+/// E_m / O_m: the even / odd records against term m's signed, windowed
+/// sinc coefficients.  With g_m = c_m / sin φ_m,
+///   e(t) = j·Σ_m g_m·e^{j(π·k_m·frac - 2π·f_mix·t)}·(E_m·e^{-jφ_m} - O_m),
+/// and Re{e(t)·e^{j2π·f_mix·t}} = value(t): the NCO sines are the real
+/// parts of the rotations, so mixing needs no passband grid and leaves no
+/// image at -2·f_mix.  `uniform()` plus `dsp::digital_downconvert` stays
+/// as the yardstick the envelope is bounded against.
 class pnbs_reconstructor {
 public:
     /// \param even     f(t_start + n·T) record
@@ -148,6 +161,12 @@ public:
     /// Bit-identical to calling value(t0 + i/rate) per point.
     [[nodiscard]] std::vector<double> uniform(double t0, double rate,
                                               std::size_t n) const;
+
+    /// Complex envelope about `f_mix` at n instants t0, t0+1/rate, ...
+    /// (analytic signal times e^{-j2π·f_mix·t}, absolute-time phase):
+    /// Re{envelope·e^{j2π·f_mix·t}} equals value(t) up to rounding.
+    [[nodiscard]] std::vector<std::complex<double>>
+    envelope(double t0, double rate, std::size_t n, double f_mix) const;
 
     /// Reference evaluation: direct per-tap kernel transcendentals
     /// (retained, like dft_reference, so tests and benches can bound the
@@ -210,6 +229,25 @@ private:
     std::vector<double> phase_tabs_;
 
     [[nodiscard]] double window_at(double u) const { return window_(u); }
+
+    /// One evaluation instant on the records: nearest even sample, offset
+    /// from it, the tap range clamped to the records (count 0 when no tap
+    /// lands inside) and the sinc numerator phases at j = 0.
+    struct point_frame {
+        long centre = 0;
+        double frac = 0.0;
+        long j_lo = 0, j_hi = -1;
+        std::size_t count = 0;
+        double sin_a0 = 0.0, cos_a0 = 1.0, sin_b0 = 0.0, cos_b0 = 1.0;
+        double sin_a1 = 0.0, cos_a1 = 1.0, sin_b1 = 0.0, cos_b1 = 1.0;
+    };
+    [[nodiscard]] point_frame locate(double t) const;
+
+    /// Stage 1 for one point: ce[i] / co[i] = the even / odd tap
+    /// coefficients with NCO weights s0e, s1e (even) and s0o, s1o (odd) on
+    /// the two kernel terms, zero crossings patched.  count taps each.
+    void fill_taps(const point_frame& p, double s0e, double s1e, double s0o,
+                   double s1o, double* ce, double* co) const;
 };
 
 } // namespace sdrbist::sampling

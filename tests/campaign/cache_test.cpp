@@ -140,11 +140,13 @@ TEST(CacheKey, PinnedValueSurvivesTheEntryFormat) {
     // journals that carry keys must keep resuming across format moves.
     // Re-pinned when canonical_config_version went to 2 for the
     // vectorised PNBS coefficient fill (its numbers moved by ~1e-14, so
-    // entries and journals primed by the old numerics must miss).
+    // entries and journals primed by the old numerics must miss), and
+    // again at 3 for the direct complex-envelope reconstruction (mask
+    // margins moved by up to ~0.008 dB).
     const auto cfg = small_campaign();
     const auto grid = expand_grid(cfg);
     EXPECT_EQ(scenario_cache::key(grid[0], scenario_config(cfg, grid[0])),
-              "2c4584e82c9746da");
+              "10988a7cc4ea80ab");
 }
 
 TEST(CacheKey, IndependentOfGridShape) {
