@@ -20,6 +20,12 @@
 //    preset's shape.  The two must agree exactly; the bench exits 1
 //    otherwise.
 //
+//  * EVM matched filter — waveform::srrc_matched_filter (the memoised
+//    polyphase SRRC table read through the dispatched blend_dot_cplx)
+//    against the closed-form per-tap yardstick it replaced
+//    (tests/support/evm_yardstick.hpp), per matched output, at the
+//    dqpsk-1M preset's shape (sps ≈ 14.9, α = 0.35).
+//
 //  * SIMD backend primitives — every compiled-in, CPU-supported kernel
 //    backend (scalar/AVX2/NEON) timed on the primitive shapes the hot
 //    paths dispatch to, reported as speedup vs the scalar backend.
@@ -49,6 +55,8 @@
 #include "rf/passband.hpp"
 #include "sampling/band.hpp"
 #include "sampling/pnbs.hpp"
+#include "support/evm_yardstick.hpp"
+#include "waveform/evm.hpp"
 
 namespace {
 
@@ -367,6 +375,83 @@ double bench_ddc(std::size_t n_in, int reps) {
     return max_diff;
 }
 
+/// EVM matched-filter bench at the dqpsk-1M shape: 1 MS/s symbols, α =
+/// 0.35, an envelope at 14.9 samples per symbol.  Every symbol of a noise
+/// record is matched-filtered at `offsets` timing offsets spread over ±½
+/// symbol, as the timing search does, once through the table and once
+/// through the closed-form yardstick.  The error is the largest
+/// |table - yardstick| over the yardstick's Σ|env·h| (every window is
+/// whole here).
+void bench_evm(std::size_t symbols, std::size_t offsets, int reps) {
+    const double rs = 1.0 * MHz;
+    const double ts = 1.0 / rs;
+    const double fs = 14.9 * rs;
+    const double alpha = 0.35;
+    const double span = waveform::matched_span_symbols;
+    const auto n = static_cast<std::size_t>(
+        (static_cast<double>(symbols) + 2.0 * span + 1.0) * fs * ts);
+    rng gen(0xE7B1);
+    std::vector<std::complex<double>> env(n);
+    for (auto& v : env)
+        v = {gen.gaussian(), gen.gaussian()};
+    std::vector<double> centres;
+    for (std::size_t k = 0; k < symbols; ++k)
+        for (std::size_t i = 0; i < offsets; ++i)
+            centres.push_back(
+                (span + 0.5 + static_cast<double>(k)) * ts +
+                (static_cast<double>(i) / static_cast<double>(offsets) -
+                 0.5) *
+                    ts);
+
+    const waveform::srrc_matched_filter mf(fs, rs, alpha);
+    std::vector<std::complex<double>> fast(centres.size());
+    std::vector<sdrbist::testing::matched_sum> ref(centres.size());
+    const double s_fast = best_seconds(
+        [&] {
+            for (std::size_t i = 0; i < centres.size(); ++i)
+                fast[i] = mf(env, centres[i]);
+        },
+        reps);
+    const double s_ref = best_seconds(
+        [&] {
+            for (std::size_t i = 0; i < centres.size(); ++i)
+                ref[i] = sdrbist::testing::matched_output(env, fs, centres[i],
+                                                          ts, alpha, span);
+        },
+        reps);
+
+    double worst = 0.0;
+    double taps = 0.0; // every window is interior, so none is clamped
+    for (std::size_t i = 0; i < centres.size(); ++i) {
+        worst = std::max(worst,
+                         std::abs(fast[i] - ref[i].value) / ref[i].abs_sum);
+        taps += std::floor((centres[i] + span * ts) * fs) -
+                std::ceil((centres[i] - span * ts) * fs) + 1.0;
+    }
+    const double m = static_cast<double>(centres.size());
+    taps /= m;
+
+    benchutil::json_record rec;
+    rec.add("kernel", std::string("evm"));
+    rec.add("backend", std::string(simd::kernel_backend::select().name));
+    rec.add("matched_outputs", centres.size());
+    rec.add("samples_per_symbol", fs * ts);
+    rec.add("taps_per_output", taps);
+    rec.add("phase_steps", waveform::srrc_matched_filter::phase_steps);
+    rec.add("table_bytes", mf.table().size() * sizeof(double));
+    rec.add("ns_per_output", 1e9 * s_fast / m);
+    rec.add("yardstick_ns_per_output", 1e9 * s_ref / m);
+    rec.add("speedup", s_ref / s_fast);
+    rec.add("max_rel_error", worst);
+    benchutil::emit_bench_json("perf_hotpath", rec);
+
+    std::cout << "evm: " << 1e9 * s_ref / m << " -> " << 1e9 * s_fast / m
+              << " ns/matched output  (x" << s_ref / s_fast << ", ~" << taps
+              << " taps, P " << waveform::srrc_matched_filter::phase_steps
+              << ", table " << mf.table().size() * sizeof(double)
+              << " B, max rel err " << worst << ")\n";
+}
+
 /// Per-backend primitive bench: every CPU-supported backend timed on the
 /// kernel shapes the hot paths dispatch to (PNBS 61-tap coefficient fill
 /// and dual dot, 64-tap polyphase blends, 4096-sample capture records),
@@ -576,6 +661,7 @@ int main(int argc, char** argv) {
     bench_sinc_capture(n_points, reps);
     bench_envelope(quick ? 2000 : 7200, reps);
     const double ddc_diff = bench_ddc(quick ? 40000 : 155031, reps);
+    bench_evm(quick ? 60 : 96, quick ? 9 : 45, reps);
     bench_backend_kernels(reps);
     if (ddc_diff != 0.0) {
         std::cerr << "FAIL: digital_downconvert differs from "

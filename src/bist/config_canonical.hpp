@@ -31,7 +31,7 @@
 namespace sdrbist::bist {
 
 /// Version of the canonical serialisation (see file comment).
-inline constexpr int canonical_config_version = 3;
+inline constexpr int canonical_config_version = 4;
 
 /// Render the configuration in canonical text form.
 [[nodiscard]] std::string canonical_config_text(const bist_config& config);
@@ -63,7 +63,7 @@ inline constexpr int canonical_config_version = 3;
 // ---------------------------------------------------------------------------
 
 /// Version of the stage-slice serialisation (field assignment + rendering).
-inline constexpr int stage_canonical_version = 3;
+inline constexpr int stage_canonical_version = 4;
 
 /// Canonical text of the configuration subset stage `s` consumes directly
 /// (upstream fields are covered by the upstream stages' slices).

@@ -145,15 +145,4 @@ std::vector<double> fftshift(std::vector<double> x) {
     return fftshift_impl(std::move(x));
 }
 
-std::vector<cplx> dft_reference(std::span<const cplx> x) {
-    const std::size_t n = x.size();
-    std::vector<cplx> out(n, cplx{0.0, 0.0});
-    for (std::size_t k = 0; k < n; ++k)
-        for (std::size_t m = 0; m < n; ++m)
-            out[k] += x[m] * std::polar(1.0, -two_pi * static_cast<double>(k) *
-                                                 static_cast<double>(m) /
-                                                 static_cast<double>(n));
-    return out;
-}
-
 } // namespace sdrbist::dsp

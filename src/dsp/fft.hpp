@@ -35,7 +35,4 @@ std::vector<cplx> fftshift(std::vector<cplx> x);
 /// Same rotation for a real-valued vector (e.g. the frequency axis).
 std::vector<double> fftshift(std::vector<double> x);
 
-/// Direct O(n^2) DFT — reference implementation used by the unit tests.
-std::vector<cplx> dft_reference(std::span<const cplx> x);
-
 } // namespace sdrbist::dsp

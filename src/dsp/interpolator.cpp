@@ -9,6 +9,7 @@
 #include "core/math_util.hpp"
 #include "core/simd/kernel_backend.hpp"
 #include "core/table_memo.hpp"
+#include "dsp/phase_blend.hpp"
 #include "dsp/window.hpp"
 
 namespace sdrbist::dsp {
@@ -113,23 +114,10 @@ template <class T> T sinc_interpolator<T>::eval(double pos) const {
     const auto half = static_cast<long>(half_taps_);
     const auto n_samples = static_cast<long>(samples_.size());
 
-    // Cubic Lagrange blend of the four phase rows bracketing `frac`
-    // (nodes at -1, 0, 1, 2 in units of the phase step).
-    const double x = frac * static_cast<double>(phase_steps_);
-    auto p = static_cast<std::size_t>(x);
-    if (p > phase_steps_ - 1)
-        p = phase_steps_ - 1;
-    const double u = x - static_cast<double>(p);
-    const double um = u - 1.0;
-    const double um2 = u - 2.0;
-    const double up = u + 1.0;
-    const double w0 = -u * um * um2 * (1.0 / 6.0);
-    const double w1 = up * um * um2 * 0.5;
-    const double w2 = -up * u * um2 * 0.5;
-    const double w3 = up * u * um * (1.0 / 6.0);
-
+    // Cubic Lagrange blend of the four phase rows bracketing `frac`.
+    const auto blend = cubic_phase_blend(frac, phase_steps_);
     const std::size_t stride = 2 * half_taps_;
-    const double* r0 = lut_->data() + p * stride;
+    const double* r0 = lut_->data() + blend.row * stride;
 
     // Range checks hoisted out of the tap loop: clamp once, then hand the
     // backend one branch-free contiguous blended dot product (the interior
@@ -140,10 +128,9 @@ template <class T> T sinc_interpolator<T>::eval(double pos) const {
     if (n1 < n0)
         return T{};
 
-    const double w[4] = {w0, w1, w2, w3};
     return backend_blend(*ops_, samples_.data() + n0,
-                         r0 + static_cast<std::size_t>(n0 - lo), stride, w,
-                         static_cast<std::size_t>(n1 - n0 + 1));
+                         r0 + static_cast<std::size_t>(n0 - lo), stride,
+                         blend.w, static_cast<std::size_t>(n1 - n0 + 1));
 }
 
 template <class T> T sinc_interpolator<T>::at_reference(double t) const {

@@ -33,7 +33,9 @@ namespace sdrbist::dsp {
 /// `phase_steps` rows of 2·half_taps windowed-sinc coefficients over the
 /// fractional sample offset, blended with a cubic (4-row Lagrange)
 /// interpolation so the error against the exact transcendental evaluation
-/// stays below ~1e-12 at the default 1024 phases.  The LUT depends only on
+/// stays below ~1e-12 at the default 1024 phases.  Row selection and blend
+/// weights come from `dsp::cubic_phase_blend` (dsp/phase_blend.hpp), which
+/// the EVM matched filter's SRRC table reads through too.  The LUT depends only on
 /// (half_taps, beta, phase_steps), not on the samples or on T, so it is
 /// built once per process for each exact parameter set and shared by every
 /// interpolator (real or complex) constructed with it — the same

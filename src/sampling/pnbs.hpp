@@ -169,8 +169,8 @@ public:
     envelope(double t0, double rate, std::size_t n, double f_mix) const;
 
     /// Reference evaluation: direct per-tap kernel transcendentals
-    /// (retained, like dft_reference, so tests and benches can bound the
-    /// fused fast path's deviation).
+    /// (retained so tests and benches can bound the fused fast path's
+    /// deviation).
     [[nodiscard]] double value_reference(double t) const;
 
     /// Batch / uniform-grid reference evaluation.

@@ -1,10 +1,15 @@
 #include "waveform/evm.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <tuple>
 
 #include "core/contracts.hpp"
-#include "core/units.hpp"
+#include "core/simd/kernel_backend.hpp"
+#include "dsp/phase_blend.hpp"
 #include "waveform/srrc.hpp"
 
 namespace sdrbist::waveform {
@@ -15,28 +20,34 @@ double evm_result::evm_db() const {
 
 namespace {
 
-// Continuous-time matched filtering: correlate the envelope with the SRRC
-// centred at t_k + tau.  With the closed-form SRRC normalised so that
-// integral srrc^2(u) du = 1 (u in symbol periods), the output approximates
-// the transmitted symbol scaled by the channel's complex gain.
-std::complex<double>
-matched_output(std::span<const std::complex<double>> env, double fs,
-               double t_centre, double symbol_period, double rolloff,
-               double span_symbols) {
-    const double t_lo = t_centre - span_symbols * symbol_period;
-    const double t_hi = t_centre + span_symbols * symbol_period;
-    auto n_lo = static_cast<long>(std::ceil(t_lo * fs));
-    auto n_hi = static_cast<long>(std::floor(t_hi * fs));
-    n_lo = std::max<long>(n_lo, 0);
-    n_hi = std::min<long>(n_hi, static_cast<long>(env.size()) - 1);
-    std::complex<double> acc{0.0, 0.0};
-    for (long n = n_lo; n <= n_hi; ++n) {
-        const double u =
-            (static_cast<double>(n) / fs - t_centre) / symbol_period;
-        acc += env[static_cast<std::size_t>(n)] * srrc_value(u, rolloff);
+/// The table srrc_matched_filter reads (see its class comment).
+std::vector<double> build_srrc_table(double rolloff, double sps,
+                                     std::size_t half) {
+    constexpr std::size_t steps = srrc_matched_filter::phase_steps;
+    const std::size_t stride = 2 * half + 2;
+    std::vector<double> table((steps + 3) * stride);
+    for (std::size_t r = 0; r < steps + 3; ++r) {
+        const double phase =
+            (static_cast<double>(r) - 1.0) / static_cast<double>(steps);
+        double* row = table.data() + r * stride;
+        for (std::size_t c = 0; c < stride; ++c) {
+            const double j =
+                static_cast<double>(c) - static_cast<double>(half);
+            row[c] = srrc_value((j - phase) / sps, rolloff);
+        }
     }
-    // Riemann sum dt / Ts converts to symbol-period units.
-    return acc / (fs * symbol_period);
+    return table;
+}
+
+/// The process-wide table for (rolloff, sps, span).
+shared_table shared_srrc_table(double rolloff, double sps, double span,
+                               std::size_t half) {
+    static table_memo<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>>
+        memo;
+    return memo.get({std::bit_cast<std::uint64_t>(rolloff),
+                     std::bit_cast<std::uint64_t>(sps),
+                     std::bit_cast<std::uint64_t>(span)},
+                    [&] { return build_srrc_table(rolloff, sps, half); });
 }
 
 struct trial_result {
@@ -49,16 +60,14 @@ struct trial_result {
 // (its buffer is reused across trials), fit the gain and score the EVM.
 // Only the winning trial's outputs are kept; `corrected` is formed once
 // from them after the search.
-void evaluate_at_offset(std::span<const std::complex<double>> env, double fs,
+void evaluate_at_offset(const matched_filter& filter,
                         const baseband_waveform& ref, double tau,
                         std::size_t k_lo, std::size_t k_hi,
-                        double span_symbols, trial_result& out) {
-    const double ts = 1.0 / ref.symbol_rate;
+                        trial_result& out) {
     auto& y = out.matched;
     y.resize(k_hi - k_lo);
     for (std::size_t k = k_lo; k < k_hi; ++k)
-        y[k - k_lo] = matched_output(env, fs, ref.symbol_instant(k) + tau, ts,
-                                     ref.rolloff, span_symbols);
+        y[k - k_lo] = filter(ref.symbol_instant(k) + tau);
 
     // Least-squares complex gain: g = <y, s> / <s, s>.
     std::complex<double> num{0.0, 0.0};
@@ -80,24 +89,76 @@ void evaluate_at_offset(std::span<const std::complex<double>> env, double fs,
 
 } // namespace
 
+srrc_matched_filter::srrc_matched_filter(double sample_rate,
+                                         double symbol_rate, double rolloff,
+                                         double span_symbols)
+    : fs_(sample_rate), ts_(1.0 / symbol_rate), span_(span_symbols),
+      ops_(&simd::kernel_backend::select()) {
+    SDRBIST_EXPECTS(sample_rate > 0.0 && symbol_rate > 0.0);
+    SDRBIST_EXPECTS(rolloff > 0.0 && rolloff <= 1.0);
+    SDRBIST_EXPECTS(span_symbols > 0.0);
+    const double sps = sample_rate / symbol_rate;
+    half_ = static_cast<std::size_t>(std::ceil(span_symbols * sps)) + 2;
+    table_ = shared_srrc_table(rolloff, sps, span_symbols, half_);
+}
+
+std::complex<double>
+srrc_matched_filter::operator()(std::span<const std::complex<double>> env,
+                                double t_centre) const {
+    const double t_lo = t_centre - span_ * ts_;
+    const double t_hi = t_centre + span_ * ts_;
+    auto n_lo = static_cast<long>(std::ceil(t_lo * fs_));
+    auto n_hi = static_cast<long>(std::floor(t_hi * fs_));
+    n_lo = std::max<long>(n_lo, 0);
+    n_hi = std::min<long>(n_hi, static_cast<long>(env.size()) - 1);
+    if (n_hi < n_lo)
+        return {0.0, 0.0};
+
+    // Sample n = fpos + j sits (j - frac)/sps symbols from the centre:
+    // column j + H of the rows blended at phase frac.
+    const double pos = t_centre * fs_;
+    const double fpos = std::floor(pos);
+    const auto blend = dsp::cubic_phase_blend(pos - fpos, phase_steps);
+    const long c_lo =
+        n_lo - static_cast<long>(fpos) + static_cast<long>(half_);
+    const long c_hi = c_lo + (n_hi - n_lo);
+    SDRBIST_EXPECTS(c_lo >= 0 && c_hi < static_cast<long>(stride()));
+    const double* rows = table_->data() + blend.row * stride() +
+                         static_cast<std::size_t>(c_lo);
+    const auto acc = ops_->blend_dot_cplx(
+        env.data() + n_lo, rows, stride(), blend.w,
+        static_cast<std::size_t>(n_hi - n_lo + 1));
+    // Riemann sum dt / Ts converts to symbol-period units.
+    return acc / (fs_ * ts_);
+}
+
 evm_result measure_evm(std::span<const std::complex<double>> envelope,
                        double sample_rate, const baseband_waveform& reference,
                        const evm_options& opt) {
+    const srrc_matched_filter mf(sample_rate, reference.symbol_rate,
+                                 reference.rolloff);
+    return measure_evm(envelope, sample_rate, reference, opt,
+                       [&](double t) { return mf(envelope, t); });
+}
+
+evm_result measure_evm(std::span<const std::complex<double>> envelope,
+                       double sample_rate, const baseband_waveform& reference,
+                       const evm_options& opt, const matched_filter& filter) {
     SDRBIST_EXPECTS(sample_rate > 0.0);
     SDRBIST_EXPECTS(envelope.size() >= 16);
     SDRBIST_EXPECTS(opt.timing_steps >= 3 && opt.timing_steps % 2 == 1);
     SDRBIST_EXPECTS(reference.symbols.size() > 2 * opt.skip_symbols + 8);
 
     const double ts = 1.0 / reference.symbol_rate;
-    const double span_symbols = 6.0; // matched-filter one-sided support
     // Envelope sample n sits at absolute time envelope_t0 + n/fs; shift to
-    // the envelope-local timeline used by matched_output.
+    // the envelope-local timeline the matched filter works on.
     const double t_shift = opt.envelope_t0;
     const double env_end =
         static_cast<double>(envelope.size() - 1) / sample_rate;
 
     // Usable symbol range: matched window plus worst-case tau inside data.
-    const double guard = span_symbols * ts + opt.timing_search_span * ts;
+    const double guard =
+        matched_span_symbols * ts + opt.timing_search_span * ts;
     std::size_t k_lo = opt.skip_symbols;
     while (k_lo < reference.symbols.size() &&
            reference.symbol_instant(k_lo) - t_shift - guard < 0.0)
@@ -114,8 +175,8 @@ evm_result measure_evm(std::span<const std::complex<double>> envelope,
     best.evm = std::numeric_limits<double>::infinity();
     trial_result trial;
     auto try_offset = [&](double tau) {
-        evaluate_at_offset(envelope, sample_rate, reference, tau - t_shift,
-                           k_lo, k_hi, span_symbols, trial);
+        evaluate_at_offset(filter, reference, tau - t_shift, k_lo, k_hi,
+                           trial);
         if (trial.evm < best.evm) {
             std::swap(best, trial);
             best_tau = tau;

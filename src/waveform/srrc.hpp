@@ -23,6 +23,9 @@ std::vector<double> srrc_taps(double rolloff, std::size_t oversample,
 
 /// Closed-form SRRC waveform value at t (in symbol periods, Ts = 1),
 /// handling the removable singularities at t = 0 and |t| = 1/(4·alpha).
+/// Fills the EVM matched filter's polyphase table
+/// (`waveform::srrc_matched_filter`), and is the yardstick that table is
+/// bounded against.
 double srrc_value(double t_symbols, double rolloff);
 
 /// Raised-cosine (full Nyquist) value at t in symbol periods — the

@@ -7,6 +7,7 @@
 #include "core/random.hpp"
 #include "core/units.hpp"
 #include "dsp/fft.hpp"
+#include "support/dft_reference.hpp"
 
 namespace {
 
@@ -35,7 +36,7 @@ TEST_P(FftAgainstDft, MatchesReference) {
     const std::size_t n = GetParam();
     const auto x = random_signal(n, 100 + n);
     const auto fast = dsp::fft(x);
-    const auto ref = dsp::dft_reference(x);
+    const auto ref = sdrbist::testing::dft_reference(x);
     EXPECT_LT(max_error(fast, ref), 1e-7 * static_cast<double>(n));
 }
 
