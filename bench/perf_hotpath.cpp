@@ -416,7 +416,7 @@ void bench_evm(std::size_t symbols, std::size_t offsets, int reps) {
         [&] {
             for (std::size_t i = 0; i < centres.size(); ++i)
                 ref[i] = sdrbist::testing::matched_output(env, fs, centres[i],
-                                                          ts, alpha, span);
+                                                          ts, alpha);
         },
         reps);
 

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <tuple>
+#include <utility>
 
 #include "core/contracts.hpp"
 #include "core/simd/kernel_backend.hpp"
@@ -39,14 +39,11 @@ std::vector<double> build_srrc_table(double rolloff, double sps,
     return table;
 }
 
-/// The process-wide table for (rolloff, sps, span).
-shared_table shared_srrc_table(double rolloff, double sps, double span,
-                               std::size_t half) {
-    static table_memo<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>>
-        memo;
+/// The process-wide table for (rolloff, sps).
+shared_table shared_srrc_table(double rolloff, double sps, std::size_t half) {
+    static table_memo<std::pair<std::uint64_t, std::uint64_t>> memo;
     return memo.get({std::bit_cast<std::uint64_t>(rolloff),
-                     std::bit_cast<std::uint64_t>(sps),
-                     std::bit_cast<std::uint64_t>(span)},
+                     std::bit_cast<std::uint64_t>(sps)},
                     [&] { return build_srrc_table(rolloff, sps, half); });
 }
 
@@ -90,23 +87,22 @@ void evaluate_at_offset(const matched_filter& filter,
 } // namespace
 
 srrc_matched_filter::srrc_matched_filter(double sample_rate,
-                                         double symbol_rate, double rolloff,
-                                         double span_symbols)
-    : fs_(sample_rate), ts_(1.0 / symbol_rate), span_(span_symbols),
+                                         double symbol_rate, double rolloff)
+    : fs_(sample_rate), ts_(1.0 / symbol_rate),
       ops_(&simd::kernel_backend::select()) {
     SDRBIST_EXPECTS(sample_rate > 0.0 && symbol_rate > 0.0);
     SDRBIST_EXPECTS(rolloff > 0.0 && rolloff <= 1.0);
-    SDRBIST_EXPECTS(span_symbols > 0.0);
     const double sps = sample_rate / symbol_rate;
-    half_ = static_cast<std::size_t>(std::ceil(span_symbols * sps)) + 2;
-    table_ = shared_srrc_table(rolloff, sps, span_symbols, half_);
+    half_ =
+        static_cast<std::size_t>(std::ceil(matched_span_symbols * sps)) + 2;
+    table_ = shared_srrc_table(rolloff, sps, half_);
 }
 
 std::complex<double>
 srrc_matched_filter::operator()(std::span<const std::complex<double>> env,
                                 double t_centre) const {
-    const double t_lo = t_centre - span_ * ts_;
-    const double t_hi = t_centre + span_ * ts_;
+    const double t_lo = t_centre - matched_span_symbols * ts_;
+    const double t_hi = t_centre + matched_span_symbols * ts_;
     auto n_lo = static_cast<long>(std::ceil(t_lo * fs_));
     auto n_hi = static_cast<long>(std::floor(t_hi * fs_));
     n_lo = std::max<long>(n_lo, 0);

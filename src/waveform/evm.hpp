@@ -70,10 +70,11 @@ inline constexpr double matched_span_symbols = 6.0;
 /// (`dsp::cubic_phase_blend`, as the sinc interpolator does) and dots them
 /// with the window's samples in the dispatched `blend_dot_cplx` kernel.
 ///
-/// The table depends only on (α, sps, span), so it is built once per
-/// process for each (one per preset: the envelope rate is fixed per
-/// preset) and shared through `table_memo`, keyed by the three bit
-/// patterns.  At sps = 23.15 it holds 67 × 284 doubles (≈152 KB).
+/// The window is the fixed `matched_span_symbols`, the span measure_evm's
+/// symbol guard assumes, so the table depends only on (α, sps): it is
+/// built once per process for each pair (one per preset: the envelope rate
+/// is fixed per preset) and shared through `table_memo`, keyed by the two
+/// bit patterns.  At sps = 23.15 it holds 67 × 284 doubles (≈152 KB).
 ///
 /// Bound: the blended pulse is within ~5.5e-11 of `srrc_value` across the
 /// window (absolute; the peak is 1 - α + 4α/π), so an output is within
@@ -90,10 +91,8 @@ public:
     /// \param sample_rate  envelope rate fs in Hz (> 0)
     /// \param symbol_rate  symbol rate Rs in Hz (> 0); sps = fs / Rs
     /// \param rolloff      SRRC roll-off α in (0, 1]
-    /// \param span_symbols one-sided window in symbol periods (> 0)
     srrc_matched_filter(double sample_rate, double symbol_rate,
-                        double rolloff,
-                        double span_symbols = matched_span_symbols);
+                        double rolloff);
 
     /// Matched output of the symbol centred at t_centre (seconds on the
     /// envelope's own timeline); 0 when the window misses the record.
@@ -110,7 +109,6 @@ public:
 private:
     double fs_;
     double ts_;
-    double span_;
     std::size_t half_;
     const simd::kernel_ops* ops_;
     shared_table table_;

@@ -3,8 +3,8 @@
 ///        `waveform::srrc_matched_filter` is bounded against.
 ///
 /// The same window arithmetic as the table (samples inside
-/// t_centre ± span·Ts, clamped to the record), with `srrc_value` evaluated
-/// at every sample.
+/// t_centre ± matched_span_symbols·Ts, clamped to the record), with
+/// `srrc_value` evaluated at every sample.
 #pragma once
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <complex>
 #include <span>
 
+#include "waveform/evm.hpp"
 #include "waveform/srrc.hpp"
 
 namespace sdrbist::testing {
@@ -30,10 +31,10 @@ struct matched_sum {
 /// error is bounded against.
 inline matched_sum matched_output(std::span<const std::complex<double>> env,
                                   double fs, double t_centre,
-                                  double symbol_period, double rolloff,
-                                  double span_symbols) {
-    const double t_lo = t_centre - span_symbols * symbol_period;
-    const double t_hi = t_centre + span_symbols * symbol_period;
+                                  double symbol_period, double rolloff) {
+    const double span = waveform::matched_span_symbols;
+    const double t_lo = t_centre - span * symbol_period;
+    const double t_hi = t_centre + span * symbol_period;
     auto n_lo = static_cast<long>(std::ceil(t_lo * fs));
     auto n_hi = static_cast<long>(std::floor(t_hi * fs));
     n_lo = std::max<long>(n_lo, 0);

@@ -14,6 +14,7 @@
 #include "core/random.hpp"
 #include "core/simd/kernel_backend.hpp"
 #include "core/units.hpp"
+#include "support/evm_fixtures.hpp"
 #include "support/evm_yardstick.hpp"
 #include "waveform/evm.hpp"
 #include "waveform/srrc.hpp"
@@ -53,8 +54,8 @@ table_error worst_error(const srrc_matched_filter& mf,
                         double rolloff, const std::vector<double>& centres) {
     table_error worst;
     for (const double t : centres) {
-        const auto ref = sdrbist::testing::matched_output(env, fs, t, ts,
-                                                          rolloff, span);
+        const auto ref =
+            sdrbist::testing::matched_output(env, fs, t, ts, rolloff);
         const cplx y = mf(env, t);
         if (ref.env_sum == 0.0) {
             // The window misses the record: both sums are empty.
@@ -191,79 +192,18 @@ TEST(EvmTable, MemoSharesOneTablePerKey) {
     EXPECT_EQ(a.table().data(), scalar.table().data());
 }
 
-// ---- measure_evm against the yardstick-driven search ----------------------
-
-baseband_waveform make_wf() {
-    generator_config g;
-    g.mod = modulation::qpsk;
-    g.symbol_rate = 10.0 * MHz;
-    g.rolloff = 0.5;
-    g.oversample = 16;
-    g.span_symbols = 8;
-    g.symbol_count = 96;
-    return generate_baseband(g);
-}
-
-struct fixture {
-    const char* name;
-    std::vector<cplx> env;
-    evm_options opt;
-};
-
-/// The envelopes and options of tests/waveform/evm_test.cpp.
-std::vector<fixture> evm_fixtures(const baseband_waveform& wf) {
-    std::vector<fixture> out;
-    out.push_back({"clean", wf.samples, {}});
-
-    auto scaled = wf.samples;
-    for (auto& v : scaled)
-        v *= 2.5 * std::polar(1.0, 0.8);
-    out.push_back({"complex-gain", scaled, {}});
-
-    evm_options shifted_opt;
-    shifted_opt.envelope_t0 = 20.0 * ns;
-    const auto skip = static_cast<std::size_t>(
-        std::lround(20.0 * ns * wf.sample_rate));
-    out.push_back({"timing-offset",
-                   {wf.samples.begin() + static_cast<long>(skip),
-                    wf.samples.end()},
-                   shifted_opt});
-
-    evm_options narrow;
-    narrow.timing_search_span = 0.0001;
-    narrow.timing_steps = 3;
-    out.push_back({"residual-timing",
-                   {wf.samples.begin() + 1, wf.samples.end()},
-                   narrow});
-
-    rng gen(33);
-    for (const double snr_db : {30.0, 20.0}) {
-        auto noisy = wf.samples;
-        const double sigma = std::pow(10.0, -snr_db / 20.0) / std::sqrt(2.0);
-        for (auto& v : noisy)
-            v += cplx(gen.gaussian(0.0, sigma), gen.gaussian(0.0, sigma));
-        out.push_back({snr_db > 25.0 ? "awgn-30dB" : "awgn-20dB", noisy, {}});
-    }
-
-    rng gen7(7);
-    auto noisy = wf.samples;
-    for (auto& v : noisy)
-        v += cplx(gen7.gaussian(0.0, 0.02), gen7.gaussian(0.0, 0.02));
-    out.push_back({"peak-noise", noisy, {}});
-    return out;
-}
-
+// measure_evm against the same search driven by the yardstick, on the
+// fixtures evm_test checks the meter's behaviour with.
 TEST(EvmTable, MeasureEvmMatchesYardstickSearch) {
     backend_restore restore;
-    const auto wf = make_wf();
+    const auto wf = sdrbist::testing::evm_waveform();
     const double wf_ts = 1.0 / wf.symbol_rate;
-    for (const auto& f : evm_fixtures(wf)) {
+    for (const auto& f : sdrbist::testing::evm_fixtures(wf)) {
         const std::span<const cplx> env(f.env.data(), f.env.size());
         const auto ref = measure_evm(
             env, wf.sample_rate, wf, f.opt, [&](double t) {
                 return sdrbist::testing::matched_output(
-                           env, wf.sample_rate, t, wf_ts, wf.rolloff,
-                           matched_span_symbols)
+                           env, wf.sample_rate, t, wf_ts, wf.rolloff)
                     .value;
             });
         for (const auto* ops : kernel_backend::available()) {

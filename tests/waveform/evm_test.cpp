@@ -4,8 +4,8 @@
 #include <cmath>
 
 #include "core/contracts.hpp"
-#include "core/random.hpp"
 #include "core/units.hpp"
+#include "support/evm_fixtures.hpp"
 #include "waveform/evm.hpp"
 
 namespace {
@@ -13,37 +13,27 @@ namespace {
 using namespace sdrbist;
 using namespace sdrbist::waveform;
 
-baseband_waveform make_wf() {
-    generator_config g;
-    g.mod = modulation::qpsk;
-    g.symbol_rate = 10.0 * MHz;
-    g.rolloff = 0.5;
-    g.oversample = 16;
-    g.span_symbols = 8;
-    g.symbol_count = 96;
-    return generate_baseband(g);
+using cplx = std::complex<double>;
+namespace fx = sdrbist::testing; // the shared EVM fixtures
+using fx::evm_waveform;
+
+evm_result measure(const fx::evm_fixture& f,
+                   const baseband_waveform& wf) {
+    return measure_evm(std::span<const cplx>(f.env.data(), f.env.size()),
+                       wf.sample_rate, wf, f.opt);
 }
 
 TEST(Evm, CleanChainIsNearZero) {
-    const auto wf = make_wf();
-    const auto r = measure_evm(
-        std::span<const std::complex<double>>(wf.samples.data(),
-                                              wf.samples.size()),
-        wf.sample_rate, wf);
+    const auto wf = evm_waveform();
+    const auto r = measure(fx::clean_fixture(wf), wf);
     EXPECT_LT(r.evm_percent(), 0.5);
     EXPECT_NEAR(std::abs(r.gain), 1.0, 0.02);
     EXPECT_NEAR(r.timing_offset, 0.0, 2.0 * ns);
 }
 
 TEST(Evm, RecoversComplexGain) {
-    const auto wf = make_wf();
-    const std::complex<double> g = 2.5 * std::polar(1.0, 0.8);
-    auto scaled = wf.samples;
-    for (auto& v : scaled)
-        v *= g;
-    const auto r = measure_evm(
-        std::span<const std::complex<double>>(scaled.data(), scaled.size()),
-        wf.sample_rate, wf);
+    const auto wf = evm_waveform();
+    const auto r = measure(fx::complex_gain_fixture(wf), wf);
     EXPECT_LT(r.evm_percent(), 0.5);
     EXPECT_NEAR(std::abs(r.gain), 2.5, 0.05);
     EXPECT_NEAR(std::arg(r.gain), 0.8, 0.02);
@@ -52,48 +42,25 @@ TEST(Evm, RecoversComplexGain) {
 TEST(Evm, RecoversTimingOffset) {
     // Shift the envelope timeline via envelope_t0 and verify the search
     // finds it.
-    const auto wf = make_wf();
-    evm_options opt;
-    opt.envelope_t0 = 20.0 * ns; // envelope[0] sits at t = 20 ns
-    // envelope[n] = wf(t) sampled at t = 20ns + n/fs  -> drop first samples
-    const auto skip = static_cast<std::size_t>(
-        std::lround(20.0 * ns * wf.sample_rate));
-    std::vector<std::complex<double>> shifted(wf.samples.begin() + skip,
-                                              wf.samples.end());
-    const auto r = measure_evm(
-        std::span<const std::complex<double>>(shifted.data(), shifted.size()),
-        wf.sample_rate, wf, opt);
+    const auto wf = evm_waveform();
+    const auto r = measure(fx::timing_offset_fixture(wf), wf);
     EXPECT_LT(r.evm_percent(), 0.6);
 }
 
 TEST(Evm, ResidualTimingErrorDegradesGracefully) {
-    // A deliberate unmodelled sub-sample delay shows up as EVM, roughly
-    // linear in the offset for small offsets.
-    const auto wf = make_wf();
-    evm_options opt;
-    opt.timing_search_span = 0.0001; // effectively disable the search
-    opt.timing_steps = 3;
-    // Feed an envelope offset by half a sample without telling the meter.
-    std::vector<std::complex<double>> late(wf.samples.begin() + 1,
-                                           wf.samples.end());
-    const auto r = measure_evm(
-        std::span<const std::complex<double>>(late.data(), late.size()),
-        wf.sample_rate, wf, opt);
+    // A deliberate unmodelled delay shows up as EVM, roughly linear in the
+    // offset for small offsets.
+    const auto wf = evm_waveform();
+    const auto r = measure(fx::residual_timing_fixture(wf), wf);
     EXPECT_GT(r.evm_percent(), 1.0); // a full sample late: visible
 }
 
 TEST(Evm, AwgnSetsEvmFloor) {
-    const auto wf = make_wf();
-    rng gen(33);
-    for (const double snr_db : {30.0, 20.0}) {
-        auto noisy = wf.samples;
-        const double sigma = std::pow(10.0, -snr_db / 20.0) / std::sqrt(2.0);
-        for (auto& v : noisy)
-            v += std::complex<double>(gen.gaussian(0.0, sigma),
-                                      gen.gaussian(0.0, sigma));
-        const auto r = measure_evm(
-            std::span<const std::complex<double>>(noisy.data(), noisy.size()),
-            wf.sample_rate, wf);
+    const auto wf = evm_waveform();
+    const auto fixtures = fx::awgn_fixtures(wf);
+    for (std::size_t i = 0; i < fixtures.size(); ++i) {
+        const double snr_db = fx::awgn_snr_db[i];
+        const auto r = measure(fixtures[i], wf);
         // Matched filtering gains ~ sqrt(oversample·...) against white
         // noise; EVM must be below the raw noise level but non-zero.
         const double raw_percent = 100.0 * std::pow(10.0, -snr_db / 20.0);
@@ -103,15 +70,8 @@ TEST(Evm, AwgnSetsEvmFloor) {
 }
 
 TEST(Evm, PeakAtLeastRms) {
-    const auto wf = make_wf();
-    rng gen(7);
-    auto noisy = wf.samples;
-    for (auto& v : noisy)
-        v += std::complex<double>(gen.gaussian(0.0, 0.02),
-                                  gen.gaussian(0.0, 0.02));
-    const auto r = measure_evm(
-        std::span<const std::complex<double>>(noisy.data(), noisy.size()),
-        wf.sample_rate, wf);
+    const auto wf = evm_waveform();
+    const auto r = measure(fx::peak_noise_fixture(wf), wf);
     EXPECT_GE(r.evm_peak, r.evm_rms);
     EXPECT_FALSE(r.received_symbols.empty());
 }
@@ -124,7 +84,7 @@ TEST(Evm, DbConversion) {
 }
 
 TEST(Evm, Preconditions) {
-    const auto wf = make_wf();
+    const auto wf = evm_waveform();
     std::vector<std::complex<double>> tiny(8, {0.0, 0.0});
     EXPECT_THROW(measure_evm(std::span<const std::complex<double>>(
                                  tiny.data(), tiny.size()),
