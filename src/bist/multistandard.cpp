@@ -20,7 +20,6 @@ run_catalogue(const bist_config& base,
     // seeds (the serial loop never reseeded), so results stay bit-identical
     // with the pre-campaign implementation.
     cc.reseed = campaign::reseed_policy::off;
-    cc.relax_mask_to_floor = true;
 
     const campaign::campaign_runner runner(std::move(cc));
     const auto result = runner.run();

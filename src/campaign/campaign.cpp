@@ -10,6 +10,7 @@
 #include <limits>
 #include <mutex>
 #include <optional>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -87,25 +88,26 @@ void aggregate(campaign_result& out) {
 // ---------------------------------------------------------------------------
 // Stage pool: planned cross-scenario sharing of pipeline-stage results.
 //
-// The runner computes every scenario's stage input digests up front and
-// keeps one slot per digest that has MORE than one consumer.  The task-DAG
-// schedule fills the slots: a dedicated owner node per slot computes the
-// stage before any consumer runs (graph dependency), so consumers `peek`
-// the finished snapshot without ever blocking.  Cache probes register
-// per-slot demand first, letting owners skip stages no pending consumer
-// needs, and the lowest-indexed demander is *credited*: its adoption
-// stands in for the compute in the reuse accounting, so adopted/computed
-// totals stay a pure function of the grid, independent of thread count.
+// The runner first looks every pending scenario up in the scenario result
+// cache, then computes the stage input digests of the rows the cache did
+// not serve and keeps one slot per digest that has MORE than one such
+// consumer.  Cache-served rows never touch the pool, so a warm run does
+// no stage work.  The task-DAG schedule fills the slots: a dedicated owner
+// node per slot computes the stage before any consumer runs (graph
+// dependency), so consumers `peek` the finished snapshot without ever
+// blocking.  The lowest-indexed consumer of each slot is *credited* when
+// the plan is made: its adoption stands in for the compute in the reuse
+// accounting, so adopted/computed totals stay a pure function of the grid
+// and the cache contents, independent of thread count.
 //
 // With a stage-artefact store configured, the owner's compute consults
 // the store first — a hit publishes the decoded snapshot and still counts
 // as the slot's one compute, so the reuse accounting is identical with
 // the store cold, warm, or disabled.
 //
-// Every consumer — including ones served from the scenario result cache,
-// which never touch the pool — releases its claim when its scenario
-// finishes, and the slot is freed with the last release, so retained
-// memory is bounded by the overlap that is still live.
+// Every consumer releases its claim when its scenario finishes, and the
+// slot is freed with the last release, so retained memory is bounded by
+// the overlap that is still live.
 // ---------------------------------------------------------------------------
 
 /// The shareable prefix of the pipeline (grading is always terminal).
@@ -113,39 +115,26 @@ constexpr std::array<bist::stage, 4> shareable_stages{
     bist::stage::stimulus, bist::stage::tx_capture,
     bist::stage::calibration, bist::stage::reconstruction};
 
-/// Outcome of a DAG owner node's publish (see stage_slot_map::publish).
-enum class publish_status {
-    skipped,  ///< no pending consumer demanded the slot (warm cache)
-    computed, ///< snapshot published; counts the slot's one compute
-    halted,   ///< the flow never reaches this stage; null published
-    failed,   ///< compute threw; consumers rethrow it on attempt 1
-};
-
 template <typename T>
 class stage_slot_map {
 public:
+    using snapshot = std::shared_ptr<const T>;
+
     /// Plan phase (single-threaded): register one expected consumer.
     void expect(std::uint64_t digest, std::size_t consumer) {
         plan& p = expected_[digest];
         ++p.consumers;
-        p.owner = std::min(p.owner, consumer);
+        p.credited = std::min(p.credited, consumer);
     }
 
     /// End of plan phase: digests with a single consumer are dropped —
-    /// they would cost retention without ever being reused.  With
-    /// `auto_demand` (no cache probes) every slot is marked demanded up
-    /// front and the lowest planned consumer is credited.
-    void finalise_plan(bool auto_demand) {
+    /// they would cost retention without ever being reused.
+    void finalise_plan() {
         for (auto it = expected_.begin(); it != expected_.end();) {
             if (it->second.consumers < 2) {
                 it = expected_.erase(it);
             } else {
-                slot& s = slots_.try_emplace(it->first).first->second;
-                s.remaining = it->second.consumers;
-                if (auto_demand) {
-                    s.demanded = true;
-                    s.credited = it->second.owner;
-                }
+                slots_[it->first].remaining = it->second.consumers;
                 ++it;
             }
         }
@@ -157,39 +146,14 @@ public:
         return expected_.find(digest) != expected_.end();
     }
 
-    /// Probe phase: consumer `index` announces it was not served by the
-    /// scenario cache and will adopt this slot.  Runs strictly before the
-    /// slot's owner node (graph dependency).  No-op for un-pooled digests.
-    void demand(std::uint64_t digest, std::size_t index) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = slots_.find(digest);
-        if (it == slots_.end())
-            return;
-        it->second.demanded = true;
-        it->second.credited = std::min(it->second.credited, index);
-    }
-
     /// Owner node: run `compute` and publish its snapshot (or the
     /// exception it threw) exactly once, before any consumer peeks.
-    /// Undemanded slots (every consumer was a cache hit) skip the compute
-    /// so a warm run does no stage work.
+    /// Returns true when a snapshot was published — the slot's one
+    /// compute; a null (the flow halts before this stage) or a failure
+    /// (consumers rethrow it on attempt 1) is not one.
     template <typename Fn>
-    publish_status publish(std::uint64_t digest, Fn&& compute) {
-        slot* s = nullptr;
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            const auto it = slots_.find(digest);
-            SDRBIST_EXPECTS(it != slots_.end());
-            // The slot cannot be erased while its consumers' main nodes —
-            // all graph-ordered after this node — still hold claims, and
-            // unordered_map references are stable.
-            s = &it->second;
-            if (!s->demanded) {
-                s->done = true;
-                return publish_status::skipped;
-            }
-        }
-        std::shared_ptr<const T> value;
+    bool publish(std::uint64_t digest, Fn&& compute) {
+        snapshot value;
         std::exception_ptr error;
         try {
             value = compute();
@@ -197,19 +161,22 @@ public:
             error = std::current_exception();
         }
         const std::lock_guard<std::mutex> lock(mutex_);
-        s->value = value;
-        s->error = error;
-        s->done = true;
-        return error ? publish_status::failed
-                     : (value ? publish_status::computed
-                              : publish_status::halted);
+        const auto it = slots_.find(digest);
+        // The slot cannot be erased while its consumers' nodes — all
+        // graph-ordered after this one — still hold claims.
+        SDRBIST_EXPECTS(it != slots_.end());
+        it->second.value = value;
+        it->second.error = error;
+        it->second.done = true;
+        return value != nullptr;
     }
 
     /// A published slot as its consumers see it.  A null snapshot with no
     /// error marks a flow that halts before this stage (so the adopting
-    /// scenario's will too).
+    /// scenario's will too).  `credited` is the slot's lowest planned
+    /// consumer.
     struct published_view {
-        std::shared_ptr<const T> snapshot;
+        snapshot value;
         std::exception_ptr error;
         std::size_t credited = std::numeric_limits<std::size_t>::max();
     };
@@ -221,10 +188,9 @@ public:
         const auto it = slots_.find(digest);
         SDRBIST_EXPECTS(it != slots_.end());
         SDRBIST_EXPECTS(it->second.done);
-        return {it->second.value, it->second.error, it->second.credited};
+        return {it->second.value, it->second.error,
+                expected_.at(digest).credited};
     }
-
-    // ----------------------------------------------------------------------
 
     /// One consumer is done with this digest; frees the slot on the last
     /// release.  No-op for digests that were never pooled.
@@ -240,14 +206,14 @@ public:
 private:
     struct plan {
         std::size_t consumers = 0;
-        std::size_t owner = std::numeric_limits<std::size_t>::max();
+        /// Lowest planned consumer: its adoption books no `stage.adopts`,
+        /// standing in for the compute the owner node books.
+        std::size_t credited = std::numeric_limits<std::size_t>::max();
     };
     struct slot {
         std::size_t remaining = 0;
-        bool demanded = false;
         bool done = false;
-        std::size_t credited = std::numeric_limits<std::size_t>::max();
-        std::shared_ptr<const T> value;
+        snapshot value;
         std::exception_ptr error;
     };
     std::mutex mutex_;
@@ -267,48 +233,63 @@ struct stage_pool {
     std::atomic<std::size_t> hits{0};
     std::atomic<std::size_t> computes{0};
 
-    void expect(const stage_digests& d, int depth, std::size_t consumer) {
-        if (depth > 0) stimulus.expect(d[0], consumer);
-        if (depth > 1) tx_capture.expect(d[1], consumer);
-        if (depth > 2) calibration.expect(d[2], consumer);
-        if (depth > 3) reconstruction.expect(d[3], consumer);
-    }
-    void finalise_plan(bool auto_demand) {
-        stimulus.finalise_plan(auto_demand);
-        tx_capture.finalise_plan(auto_demand);
-        calibration.finalise_plan(auto_demand);
-        reconstruction.finalise_plan(auto_demand);
-    }
-    void demand(const stage_digests& d, int depth, std::size_t consumer) {
-        if (depth > 0) stimulus.demand(d[0], consumer);
-        if (depth > 1) tx_capture.demand(d[1], consumer);
-        if (depth > 2) calibration.demand(d[2], consumer);
-        if (depth > 3) reconstruction.demand(d[3], consumer);
-    }
-    [[nodiscard]] bool pooled_at(int level, const stage_digests& d) const {
+    /// Call `fn(slots, adopt, share, load)` with the slot map of prefix
+    /// level `level` and the session / store members for its stage.
+    template <typename Fn>
+    void at_level(int level, Fn&& fn) {
+        using S = bist::bist_session;
+        using store_t = bist::stage_snapshot_store;
         switch (level) {
-        case 0: return stimulus.pooled(d[0]);
-        case 1: return tx_capture.pooled(d[1]);
-        case 2: return calibration.pooled(d[2]);
-        case 3: return reconstruction.pooled(d[3]);
-        default: return false;
+        case 0:
+            fn(stimulus, &S::adopt_stimulus, &S::share_stimulus,
+               &store_t::load_stimulus);
+            break;
+        case 1:
+            fn(tx_capture, &S::adopt_tx_capture, &S::share_tx_capture,
+               &store_t::load_tx_capture);
+            break;
+        case 2:
+            fn(calibration, &S::adopt_calibration, &S::share_calibration,
+               &store_t::load_calibration);
+            break;
+        case 3:
+            fn(reconstruction, &S::adopt_reconstruction,
+               &S::share_reconstruction, &store_t::load_reconstruction);
+            break;
+        default:
+            SDRBIST_EXPECTS(false);
         }
+    }
+
+    void expect(const stage_digests& d, int depth, std::size_t consumer) {
+        for (int k = 0; k < depth; ++k)
+            at_level(k, [&](auto& slots, auto&&...) {
+                slots.expect(d[k], consumer);
+            });
+    }
+    void finalise_plan() {
+        for (int k = 0; k < static_cast<int>(shareable_stages.size()); ++k)
+            at_level(k, [](auto& slots, auto&&...) { slots.finalise_plan(); });
     }
     /// Deepest pooled prefix level of `d` (-1 = none).  The prefix-digest
     /// chain makes consumer sets monotone along the pipeline, so pooling
     /// always covers a contiguous prefix.
-    [[nodiscard]] int deepest_pooled(const stage_digests& d,
-                                     int depth) const {
+    [[nodiscard]] int deepest_pooled(const stage_digests& d, int depth) {
         int deepest = -1;
-        for (int k = 0; k < depth && pooled_at(k, d); ++k)
+        for (int k = 0; k < depth; ++k) {
+            bool pooled = false;
+            at_level(k, [&](auto& slots, auto&&...) {
+                pooled = slots.pooled(d[k]);
+            });
+            if (!pooled)
+                break;
             deepest = k;
+        }
         return deepest;
     }
     void release(const stage_digests& d) {
-        stimulus.release(d[0]);
-        tx_capture.release(d[1]);
-        calibration.release(d[2]);
-        reconstruction.release(d[3]);
+        for (int k = 0; k < static_cast<int>(shareable_stages.size()); ++k)
+            at_level(k, [&](auto& slots, auto&&...) { slots.release(d[k]); });
     }
 };
 
@@ -337,90 +318,80 @@ void run_stages_with_store(bist::bist_session& session,
             session.publish_to_store(*store, s);
 }
 
+/// Adopt the published pool slots of the first `levels` prefix stages of
+/// `digests` into `session`, in pipeline order (graph dependencies
+/// published them already).  Stops at the first stage that is not pooled,
+/// whose donor flow halted before it (a null snapshot: this session's
+/// flow halts there too), or whose owner failed — rethrowing that failure
+/// when `rethrow` is set.  `on_adopt(credited)` runs for every adopted
+/// slot with the slot's credited consumer.  Returns the stages adopted.
+template <typename OnAdopt>
+int adopt_published(bist::bist_session& session, stage_pool& pool,
+                     const stage_digests& digests, int levels, bool rethrow,
+                     OnAdopt&& on_adopt) {
+    int adopted = 0;
+    for (; adopted < levels; ++adopted) {
+        const std::uint64_t digest = digests[adopted];
+        bool ok = false;
+        pool.at_level(adopted, [&](auto& slots, auto adopt_fn, auto&&...) {
+            if (!slots.pooled(digest))
+                return;
+            const auto v = slots.peek(digest);
+            if (v.error && rethrow)
+                std::rethrow_exception(v.error);
+            if (!v.value)
+                return; // halted donor, or a failure this retry computes
+            on_adopt(v.credited);
+            (session.*adopt_fn)(v.value);
+            ok = true;
+        });
+        if (!ok)
+            break;
+    }
+    return adopted;
+}
+
 /// DAG owner node: compute pooled slot (`level`, `digests[level]`) on a
 /// session built from the owning scenario's config — any consumer's would
 /// do, equal digests guarantee equal stage inputs — adopting the already
-/// published upstream slots (graph dependencies ran first).  Publishes the
-/// snapshot, a null (the flow halts before this stage; every consumer's
-/// halts identically), or the exception (consumers rethrow it as their own
-/// attempt-1 failure, so the retry path stays per-scenario).
+/// published upstream slots.  Publishes the snapshot, a null (the flow
+/// halts before this stage; every consumer's halts identically), or the
+/// exception (consumers rethrow it as their own attempt-1 failure, so the
+/// retry path stays per-scenario).
 ///
 /// With a stage-artefact store, the compute consults the store first: a
 /// hit publishes the decoded snapshot without touching the pipeline — and
-/// still reports `computed`, so the stage-reuse accounting is identical
+/// still counts as the compute, so the stage-reuse accounting is identical
 /// with the store cold, warm, or disabled (a store hit must publish a
 /// real snapshot: consumers read null as "the donor's flow halted").  A
 /// real compute persists its snapshot for the next run.
 void run_owner_node(const campaign_config& cfg, const scenario& owner_sc,
                     const stage_digests& digests, int level,
                     stage_pool& pool, bist::stage_snapshot_store* store) {
-    using S = bist::bist_session;
-    const auto compute = [&](auto& slot_map, bist::stage target,
-                             auto share_fn, auto load_fn) {
-        using result_t = decltype((std::declval<S&>().*share_fn)());
-        const publish_status status = slot_map.publish(
-            digests[bist::stage_index(target)], [&]() -> result_t {
-                if (store) {
-                    if (auto cached = (store->*load_fn)(
-                            digests[bist::stage_index(target)]))
-                        return cached;
-                }
-                S session(scenario_config(cfg, owner_sc));
-                const auto adopt = [&](auto& upstream, bist::stage s,
-                                       auto adopt_fn) -> bool {
-                    const auto v =
-                        upstream.peek(digests[bist::stage_index(s)]);
-                    if (v.error)
-                        std::rethrow_exception(v.error);
-                    if (!v.snapshot)
-                        return false;
-                    (session.*adopt_fn)(v.snapshot);
-                    return true;
-                };
-                const int idx = bist::stage_index(target);
-                bool go = true;
-                if (go && idx > 0)
-                    go = adopt(pool.stimulus, bist::stage::stimulus,
-                               &S::adopt_stimulus);
-                if (go && idx > 1)
-                    go = adopt(pool.tx_capture, bist::stage::tx_capture,
-                               &S::adopt_tx_capture);
-                if (go && idx > 2)
-                    go = adopt(pool.calibration, bist::stage::calibration,
-                               &S::adopt_calibration);
-                if (!go)
-                    return result_t{}; // upstream halted: cascade the null
-                session.run_until(target);
-                if (store && session.completed(target))
-                    session.publish_to_store(*store, target);
-                return (session.*share_fn)();
-            });
-        if (status == publish_status::computed) {
+    const bist::stage target = shareable_stages[level];
+    const std::uint64_t digest = digests[level];
+    pool.at_level(level, [&](auto& slots, auto, auto share_fn,
+                             auto load_fn) {
+        using snapshot = typename std::decay_t<decltype(slots)>::snapshot;
+        const bool computed = slots.publish(digest, [&]() -> snapshot {
+            if (store) {
+                if (auto cached = (store->*load_fn)(digest))
+                    return cached;
+            }
+            bist::bist_session session(scenario_config(cfg, owner_sc));
+            if (adopt_published(session, pool, digests, level, true,
+                                [](std::size_t) {}) < level)
+                return nullptr; // upstream halted: cascade the null
+            session.run_until(target);
+            if (store && session.completed(target))
+                session.publish_to_store(*store, target);
+            return (session.*share_fn)();
+        });
+        if (computed) {
             pool.computes.fetch_add(1, std::memory_order_relaxed);
             telemetry::count(telemetry::counter::stage_computes);
         }
-    };
-    using store_t = bist::stage_snapshot_store;
-    switch (level) {
-    case 0:
-        compute(pool.stimulus, bist::stage::stimulus, &S::share_stimulus,
-                &store_t::load_stimulus);
-        break;
-    case 1:
-        compute(pool.tx_capture, bist::stage::tx_capture,
-                &S::share_tx_capture, &store_t::load_tx_capture);
-        break;
-    case 2:
-        compute(pool.calibration, bist::stage::calibration,
-                &S::share_calibration, &store_t::load_calibration);
-        break;
-    case 3:
-        compute(pool.reconstruction, bist::stage::reconstruction,
-                &S::share_reconstruction, &store_t::load_reconstruction);
-        break;
-    default:
-        break;
-    }
+    });
 }
 
 /// Run one scenario's pipeline under the dag schedule: every pooled
@@ -430,51 +401,24 @@ void run_owner_node(const campaign_config& cfg, const scenario& owner_sc,
 /// compute privately instead (the slot is not re-armed — transient faults
 /// stay per-attempt).  The credited consumer's adoption books no
 /// `stage.adopts`: it stands in for the compute the owner node already
-/// booked.  Stages below the pooled prefix (multiplicity one, never
-/// pooled) go through the stage-artefact store when one is attached.
+/// booked.  Stages below the pooled prefix (never pooled, or nothing
+/// pooled at all) go through the stage-artefact store when one is
+/// attached.
 bist::bist_report run_with_dag(const bist::bist_config& materialised,
                                const stage_digests& digests, int depth,
                                stage_pool& pool, std::size_t attempt,
                                std::size_t my_index,
                                bist::stage_snapshot_store* store) {
     bist::bist_session session(materialised);
-    const auto adopt = [&](auto& slot_map, bist::stage s,
-                           auto adopt_fn) -> bool {
-        const std::uint64_t digest = digests[bist::stage_index(s)];
-        if (!slot_map.pooled(digest))
-            return false;
-        const auto v = slot_map.peek(digest);
-        if (v.error) {
-            if (attempt <= 1)
-                std::rethrow_exception(v.error);
-            return false; // retry computes the prefix privately
-        }
-        if (!v.snapshot)
-            return false; // donor halted before this stage; so will we
-        telemetry::count(telemetry::counter::sched_adopt_fastpath);
-        if (v.credited != my_index) {
-            pool.hits.fetch_add(1, std::memory_order_relaxed);
-            telemetry::count(telemetry::counter::stage_adopts);
-        }
-        (session.*adopt_fn)(v.snapshot);
-        return true;
-    };
-
-    using S = bist::bist_session;
-    const bool go =
-        depth > 0 &&
-        adopt(pool.stimulus, bist::stage::stimulus, &S::adopt_stimulus) &&
-        depth > 1 &&
-        adopt(pool.tx_capture, bist::stage::tx_capture,
-              &S::adopt_tx_capture) &&
-        depth > 2 &&
-        adopt(pool.calibration, bist::stage::calibration,
-              &S::adopt_calibration) &&
-        depth > 3 &&
-        adopt(pool.reconstruction, bist::stage::reconstruction,
-              &S::adopt_reconstruction);
-    static_cast<void>(go);
-
+    adopt_published(session, pool, digests, depth, attempt <= 1,
+                    [&](std::size_t credited) {
+                        telemetry::count(
+                            telemetry::counter::sched_adopt_fastpath);
+                        if (credited != my_index) {
+                            pool.hits.fetch_add(1, std::memory_order_relaxed);
+                            telemetry::count(telemetry::counter::stage_adopts);
+                        }
+                    });
     run_stages_with_store(session, store);
     return session.report();
 }
@@ -546,19 +490,16 @@ bist::bist_config scenario_config(const campaign_config& cfg,
         break;
     }
 
-    if (cfg.relax_mask_to_floor) {
-        // Keep the mask limits above what this capture hardware can measure
-        // at the preset's carrier (paper §II-B3: jitter-induced wideband
-        // noise bounds the observable floor).  Uses the *perturbed* jitter:
-        // a noisier trial device also has a higher measurement floor.
-        const double occupied = preset.stimulus.symbol_rate *
-                                (1.0 + preset.stimulus.rolloff);
-        const double floor = waveform::bist_measurement_floor_dbc(
-            preset.default_carrier_hz, out.tiadc.jitter_rms_s, occupied,
-            out.tiadc.channel_rate_hz);
-        out.preset.mask =
-            waveform::relax_to_measurement_floor(preset.mask, floor);
-    }
+    // Keep the mask limits above what this capture hardware can measure
+    // at the preset's carrier (paper §II-B3: jitter-induced wideband
+    // noise bounds the observable floor).  Uses the *perturbed* jitter:
+    // a noisier trial device also has a higher measurement floor.
+    const double occupied = preset.stimulus.symbol_rate *
+                            (1.0 + preset.stimulus.rolloff);
+    const double floor = waveform::bist_measurement_floor_dbc(
+        preset.default_carrier_hz, out.tiadc.jitter_rms_s, occupied,
+        out.tiadc.channel_rate_hz);
+    out.preset.mask = waveform::relax_to_measurement_floor(preset.mask, floor);
     return out;
 }
 
@@ -693,42 +634,6 @@ campaign_result campaign_runner::run(const run_hooks& hooks) const {
                     hooks.on_scenario(out.results[i]);
     }
 
-    // Stage-pool plan: compute the shareable-prefix digests of every
-    // scenario this process grades, and pool only the digests more than
-    // one scenario needs.  A scenario whose materialisation throws here
-    // is left un-pooled — the worker rethrows the identical error into
-    // the scenario's result slot, exactly like the unpooled path.
-    const int share_depth =
-        config_.stage_sharing
-            ? std::min<int>(bist::stage_index(*config_.stage_sharing) + 1,
-                            static_cast<int>(shareable_stages.size()))
-            : 0;
-    std::vector<stage_digests> digests;
-    stage_pool shared;
-    if (share_depth > 0 && grid.size() > 1) {
-        const telemetry::scoped_span plan_span(telemetry::category::campaign,
-                                               "campaign.plan");
-        digests.assign(grid.size(), stage_digests{});
-        for (std::size_t i = 0; i < grid.size(); ++i) {
-            if (done[i])
-                continue; // resumed rows never consume pooled stages
-            try {
-                const bist::bist_config materialised =
-                    scenario_config(config_, grid[i]);
-                for (std::size_t k = 0; k < shareable_stages.size(); ++k)
-                    digests[i][k] = bist::stage_input_digest(
-                        materialised, shareable_stages[k]);
-                shared.expect(digests[i], share_depth, i);
-            } catch (const std::exception&) {
-                digests[i] = stage_digests{};
-            }
-        }
-        // Without cache probes every planned consumer is a real one, so
-        // slots are demanded up front.
-        shared.finalise_plan(!cache);
-    }
-    const bool pooling = !digests.empty();
-
     // Execute the rows the journal did not already cover: each job reads
     // the shared config and writes only its own grid-indexed slot, so
     // thread count cannot affect any result.
@@ -747,16 +652,63 @@ campaign_result campaign_runner::run(const run_hooks& hooks) const {
                             : task_scheduler::default_thread_count();
         out.threads_used = std::min(requested, grid.size());
     }
-    // DAG cache probes park a loaded outcome here between the probe node
-    // and the scenario's main node (each slot is written by the probe and
-    // consumed by the main, which the graph orders after it).
-    struct probe_staging {
-        bool probed = false;
-        std::string key;
-        std::optional<scenario_result> outcome;
-    };
-    std::vector<probe_staging> staged;
+    stage_pool shared;
     if (!pending.empty()) {
+        const task_scheduler sched(std::min(out.threads_used, pending.size()));
+
+        // Lookup phase: consult the scenario cache for every pending row
+        // before the pool is planned, so cache-served rows never plan,
+        // compute or adopt a stage.
+        struct cache_lookup {
+            std::string key;
+            std::optional<scenario_result> outcome;
+        };
+        std::vector<cache_lookup> looked_up(cache ? grid.size() : 0);
+        if (cache)
+            sched.parallel_for(pending.size(), [&](std::size_t pi) {
+                const std::size_t i = pending[pi];
+                try {
+                    std::string key = scenario_cache::key(
+                        grid[i], scenario_config(config_, grid[i]));
+                    looked_up[i].outcome = cache->load(key);
+                    looked_up[i].key = std::move(key);
+                } catch (const std::exception&) {
+                    // The key stays empty: the row looks up again inside
+                    // its retry loop.
+                }
+            });
+
+        // Stage-pool plan: compute the shareable-prefix digests of every
+        // row the cache did not serve, and pool only the digests more
+        // than one such row needs.  A scenario whose materialisation
+        // throws here is left un-pooled — its node rethrows the identical
+        // error into the scenario's result slot.
+        const int share_depth =
+            config_.stage_sharing
+                ? std::min<int>(bist::stage_index(*config_.stage_sharing) + 1,
+                                static_cast<int>(shareable_stages.size()))
+                : 0;
+        std::vector<stage_digests> digests(grid.size());
+        if (share_depth > 0 && grid.size() > 1) {
+            const telemetry::scoped_span plan_span(
+                telemetry::category::campaign, "campaign.plan");
+            for (const std::size_t i : pending) {
+                if (cache && looked_up[i].outcome)
+                    continue; // served rows never consume pooled stages
+                try {
+                    const bist::bist_config materialised =
+                        scenario_config(config_, grid[i]);
+                    for (std::size_t k = 0; k < shareable_stages.size(); ++k)
+                        digests[i][k] = bist::stage_input_digest(
+                            materialised, shareable_stages[k]);
+                    shared.expect(digests[i], share_depth, i);
+                } catch (const std::exception&) {
+                    digests[i] = stage_digests{};
+                }
+            }
+            shared.finalise_plan();
+        }
+
         const auto scenario_body = [&](std::size_t i) {
             scenario_result& slot = out.results[i];
             slot.sc = grid[i];
@@ -790,19 +742,15 @@ campaign_result campaign_runner::run(const run_hooks& hooks) const {
                     // leave a later successful attempt key-less — the
                     // retried result still gets cached below.
                     if (cache && key.empty()) {
-                        probe_staging* probed =
-                            !staged.empty() && staged[i].probed ? &staged[i]
-                                                                : nullptr;
-                        if (probed) {
-                            // The DAG probe node already did this lookup
-                            // (it had to, to register stage demand before
-                            // the owner nodes ran) — reuse its outcome.
-                            key = probed->key;
+                        std::optional<scenario_result> cached;
+                        if (!looked_up[i].key.empty()) {
+                            // The lookup phase already did this lookup.
+                            key = std::move(looked_up[i].key);
+                            cached = std::move(looked_up[i].outcome);
                         } else {
                             key = scenario_cache::key(grid[i], materialised);
+                            cached = cache->load(key);
                         }
-                        auto cached = probed ? std::move(probed->outcome)
-                                             : cache->load(key);
                         if (cached) {
                             // Restore the graded outcome; `elapsed_s`
                             // keeps the original grading cost, not the
@@ -820,15 +768,9 @@ campaign_result campaign_runner::run(const run_hooks& hooks) const {
                         // outcome is this scenario's verdict.
                         slot.engine_error = false;
                         slot.error.clear();
-                        if (pooling) {
-                            slot.report = run_with_dag(
-                                materialised, digests[i], share_depth,
-                                shared, attempt, i, store_ptr);
-                        } else {
-                            bist::bist_session session(materialised);
-                            run_stages_with_store(session, store_ptr);
-                            slot.report = session.report();
-                        }
+                        slot.report =
+                            run_with_dag(materialised, digests[i], share_depth,
+                                         shared, attempt, i, store_ptr);
                     }
                 } catch (const contract_violation& e) {
                     // Deterministic config rejection: re-running
@@ -877,10 +819,10 @@ campaign_result campaign_runner::run(const run_hooks& hooks) const {
                         std::chrono::duration<double, std::milli>(delay_ms));
             }
             // Give up this scenario's claims on pooled stage results no
-            // matter how it finished (cache hit, error, success): the last
-            // claim frees the slot.
-            if (pooling)
-                shared.release(digests[i]);
+            // matter how it finished (error, success, or a hit on a retried
+            // lookup): the last claim frees the slot.  No-op for rows that
+            // planned no pooled stage.
+            shared.release(digests[i]);
             // A gave-up or timed-out verdict is environment-dependent —
             // never persisted, so a rerun (or resume) re-attempts it.
             const bool deterministic = !slot.gave_up && !slot.timed_out;
@@ -910,93 +852,49 @@ campaign_result campaign_runner::run(const run_hooks& hooks) const {
                 hooks.on_scenario(slot);
         };
 
-        task_scheduler sched(std::min(out.threads_used, pending.size()));
-        if (pooling) {
-            // Emit the campaign as a task DAG: pooled stage owners launch
-            // topologically first, scenarios adopt their published
-            // snapshots without blocking, and work stealing overlaps
-            // independent scenarios with pooled-prefix computes.
-            task_graph graph;
-            // Probe nodes (cache only): look the scenario up and, on a
-            // miss (or probe failure), register demand on its pooled
-            // prefix — so owners skip stages no pending consumer needs
-            // and a warm run does no stage work.
-            std::unordered_map<std::uint64_t, std::vector<std::size_t>>
-                level0_probes;
-            if (cache) {
-                staged.resize(grid.size());
-                for (const std::size_t i : pending) {
-                    if (shared.deepest_pooled(digests[i], share_depth) < 0)
-                        continue;
-                    const std::size_t node = graph.add([&, i] {
-                        probe_staging st;
-                        try {
-                            const bist::bist_config materialised =
-                                scenario_config(config_, grid[i]);
-                            st.key =
-                                scenario_cache::key(grid[i], materialised);
-                            st.outcome = cache->load(st.key);
-                            st.probed = true;
-                        } catch (const std::exception&) {
-                            st = {}; // the main node redoes the lookup
-                        }
-                        if (!st.probed || !st.outcome)
-                            shared.demand(digests[i], share_depth, i);
-                        staged[i] = std::move(st);
-                    });
-                    level0_probes[digests[i][0]].push_back(node);
-                }
-            }
-            // Owner nodes: one per pooled slot, level by level.  owner(k)
-            // depends on owner(k-1) of the same prefix, which transitively
-            // covers every consumer probe hung off level 0 — so a slot is
-            // published before anything peeks it, with its demand settled.
-            std::array<std::unordered_map<std::uint64_t, std::size_t>,
-                       shareable_stages.size()>
-                owner_node;
-            for (int k = 0; k < share_depth; ++k) {
-                for (const std::size_t i : pending) {
-                    if (shared.deepest_pooled(digests[i], share_depth) < k)
-                        continue;
-                    const std::uint64_t d = digests[i][k];
-                    if (owner_node[k].count(d) != 0)
-                        continue;
-                    std::vector<std::size_t> deps;
-                    if (k > 0)
-                        deps.push_back(
-                            owner_node[k - 1].at(digests[i][k - 1]));
-                    else if (cache)
-                        deps = level0_probes.at(d);
-                    // `i` is the lowest pending consumer: the owner binds
-                    // to its config (any consumer's is digest-equal).
-                    owner_node[k][d] = graph.add(
-                        [&, i, k] {
-                            run_owner_node(config_, grid[i], digests[i], k,
-                                           shared, store_ptr);
-                        },
-                        deps);
-                }
-            }
-            // Main nodes: a scenario waits only on the owner of its
-            // deepest pooled slot; the owner chain orders the rest.
+        // Emit the campaign as one task DAG: pooled stage owners launch
+        // topologically first, scenarios adopt their published snapshots
+        // without blocking, and work stealing overlaps independent
+        // scenarios with pooled-prefix computes.  Owner nodes: one per
+        // pooled slot, level by level; owner(k) depends on owner(k-1) of
+        // the same prefix, so a slot is published before anything peeks
+        // it.
+        task_graph graph;
+        std::array<std::unordered_map<std::uint64_t, std::size_t>,
+                   shareable_stages.size()>
+            owner_node;
+        for (int k = 0; k < share_depth; ++k) {
             for (const std::size_t i : pending) {
-                const int deepest =
-                    shared.deepest_pooled(digests[i], share_depth);
+                if (shared.deepest_pooled(digests[i], share_depth) < k)
+                    continue;
+                const std::uint64_t d = digests[i][k];
+                if (owner_node[k].count(d) != 0)
+                    continue;
                 std::vector<std::size_t> deps;
-                if (deepest >= 0)
-                    deps.push_back(
-                        owner_node[static_cast<std::size_t>(deepest)].at(
-                            digests[i][static_cast<std::size_t>(deepest)]));
-                graph.add([&, i] { scenario_body(i); }, deps);
+                if (k > 0)
+                    deps.push_back(owner_node[k - 1].at(digests[i][k - 1]));
+                // `i` is the lowest pooled consumer: the owner binds to its
+                // config (any consumer's is digest-equal).
+                owner_node[k][d] = graph.add(
+                    [&, i, k] {
+                        run_owner_node(config_, grid[i], digests[i], k,
+                                       shared, store_ptr);
+                    },
+                    deps);
             }
-            sched.run(std::move(graph));
-        } else {
-            // Nothing pooled: a flat dependency-free graph — every
-            // scenario runs its own session end to end.
-            sched.parallel_for(pending.size(), [&](std::size_t pi) {
-                scenario_body(pending[pi]);
-            });
         }
+        // Scenario nodes: a scenario waits only on the owner of its
+        // deepest pooled slot; the owner chain orders the rest.  Served
+        // and un-pooled rows are dependency-free.
+        for (const std::size_t i : pending) {
+            const int deepest = shared.deepest_pooled(digests[i], share_depth);
+            std::vector<std::size_t> deps;
+            if (deepest >= 0)
+                deps.push_back(owner_node[static_cast<std::size_t>(deepest)].at(
+                    digests[i][static_cast<std::size_t>(deepest)]));
+            graph.add([&, i] { scenario_body(i); }, deps);
+        }
+        sched.run(std::move(graph));
     }
     out.wall_s =
         std::chrono::duration<double>(clock::now() - wall_start).count();

@@ -107,19 +107,16 @@ struct campaign_config {
 
     /// Deepest pipeline stage whose results the runner pools across
     /// scenarios (prefix sharing: a stage is adopted only when every stage
-    /// upstream of it is too).  The pool is *planned*: stage input digests
-    /// are computed for the whole (shard's) grid up front, only results
-    /// with more than one consumer are ever retained, and each entry is
-    /// dropped the moment its last consumer finishes — so memory is
-    /// bounded by the actual overlap, and grids with no overlap (e.g.
-    /// fully device-reseeded trials) pay nothing.  Results are bit-
+    /// upstream of it is too).  The pool is *planned*: after the scenario
+    /// cache lookups, stage input digests are computed up front for the
+    /// rows the cache does not serve (every pending row without a cache),
+    /// only results with more than one such consumer are ever retained,
+    /// and each entry is dropped the moment its last consumer finishes —
+    /// so memory is bounded by the actual overlap, and grids with no
+    /// overlap (e.g. fully device-reseeded trials) pay nothing.  Results are bit-
     /// identical with sharing on, off, or at any level (equal digests
     /// guarantee equal outputs).  nullopt disables pooling entirely.
     std::optional<bist::stage> stage_sharing = bist::stage::reconstruction;
-
-    /// Relax each preset's mask to the jitter measurement floor at the
-    /// preset carrier (paper §II-B3), as `run_catalogue` always did.
-    bool relax_mask_to_floor = true;
 
     std::size_t threads = 0;                ///< worker count; 0 = hardware
 
@@ -250,10 +247,11 @@ struct campaign_result {
     std::uintmax_t store_bytes = 0;
 
     // Stage-pool accounting (both 0 when `stage_sharing` is off or the
-    // grid has no overlap).  Unlike the cache counters these are
-    // deterministic — the pool is planned from digest multiplicities, so
-    // adopted/computed totals are a pure function of the grid and sharing
-    // level, independent of thread count and completion order.
+    // rows the cache does not serve have no overlap).  Unlike the cache
+    // counters these do not depend on timing — the pool is planned from
+    // the digest multiplicities of those rows, so adopted/computed totals
+    // are a pure function of the grid, the sharing level and the cache
+    // contents, independent of thread count and completion order.
     std::size_t stage_reuse_hits = 0;     ///< pooled stage results adopted
     std::size_t stage_reuse_computes = 0; ///< pooled stage results computed
 
@@ -322,7 +320,7 @@ struct campaign_result {
 std::vector<scenario> expand_grid(const campaign_config& cfg);
 
 /// Materialise the engine configuration for one scenario: preset applied
-/// (mask optionally relaxed to the measurement floor, per-preset
+/// (mask relaxed to the measurement floor, per-preset
 /// `acpr_offset_hz` preserved), fault injected, seeds/perturbations derived.
 bist::bist_config scenario_config(const campaign_config& cfg,
                                   const scenario& sc);

@@ -29,8 +29,9 @@ std::string campaign_identity(const campaign_config& cfg) {
              "\n");
     h.update("dcde_static_sigma_s=" +
              json_number(cfg.perturb.dcde_static_sigma_s) + "\n");
-    h.update("relax_mask_to_floor=" +
-             std::string(cfg.relax_mask_to_floor ? "1" : "0") + "\n");
+    // Every scenario relaxes its mask to the measurement floor; the line
+    // stays so identities (and resumes) match journals that hashed it.
+    h.update("relax_mask_to_floor=1\n");
     h.update("shard=" + std::to_string(cfg.shard.index) + "/" +
              std::to_string(cfg.shard.count) + "\n");
     for (const auto& p : cfg.presets)

@@ -88,6 +88,13 @@ TEST_F(CampaignJournal, IdentityCoversShapeNotExecution) {
     EXPECT_EQ(campaign_identity(changed), id);
 }
 
+TEST_F(CampaignJournal, IdentityIsPinned) {
+    // Journals written by earlier builds must keep resuming: a change to
+    // the identity text (a field added, dropped or renamed) moves this
+    // literal and needs a journal_format_version bump instead.
+    EXPECT_EQ(campaign_identity(small_campaign()), "55e211af78e2d399");
+}
+
 TEST_F(CampaignJournal, JournalledRunRoundTripsThroughReadJournal) {
     const scratch_dir dir("round_trip");
     auto cfg = small_campaign();

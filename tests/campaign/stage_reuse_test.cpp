@@ -4,14 +4,24 @@
 // where digests overlap.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <string>
+
 #include "campaign/campaign.hpp"
 #include "campaign/export.hpp"
+#include "core/fault_injection.hpp"
+#include "core/telemetry.hpp"
 #include "core/units.hpp"
+#include "support/scratch_dir.hpp"
 
 namespace {
 
 using namespace sdrbist;
 using namespace sdrbist::campaign;
+namespace fi = sdrbist::fault_injection;
+namespace tm = sdrbist::telemetry;
+using sdrbist::testing::scratch_dir;
 
 /// Guard-banding grid: one standard against two candidate masks,
 /// Monte-Carlo over probe draws — downstream-only variation, maximal
@@ -38,6 +48,34 @@ std::string timing_free(const campaign_result& r) {
     export_options opt;
     opt.include_timing = false;
     return to_json(r, opt);
+}
+
+/// Telemetry and fault injection are process-global: a test that turns
+/// either on restores the quiet default however it exits.
+struct quiet_globals {
+    quiet_globals() { reset(); }
+    ~quiet_globals() { reset(); }
+    static void reset() {
+        tm::disable();
+        tm::reset();
+        fi::disarm();
+    }
+};
+
+std::uint64_t counter_delta(
+    const std::array<std::uint64_t, tm::counter_count>& before,
+    const std::array<std::uint64_t, tm::counter_count>& after,
+    tm::counter which) {
+    const auto k = static_cast<std::size_t>(which);
+    return after[k] - before[k];
+}
+
+/// Grade grid rows [0, 3) into `cache_dir` (and the stage store, when
+/// set): the first plain-mask preset's (none, t0), (none, t1) and
+/// (pa-gain-drop, t0).
+void prime_first_three_rows(campaign_config cfg) {
+    cfg.lease = lease_range{0, 3};
+    static_cast<void>(campaign_runner(cfg).run());
 }
 
 TEST(StageReuse, EverySharingLevelIsBitIdentical) {
@@ -76,6 +114,73 @@ TEST(StageReuse, PoolAccountingMatchesTheDigestPlan) {
     EXPECT_EQ(threaded.stage_reuse_computes, result.stage_reuse_computes);
     EXPECT_EQ(threaded.stage_reuse_hits, result.stage_reuse_hits);
     EXPECT_EQ(timing_free(threaded), timing_free(result));
+}
+
+TEST(StageReuse, PartiallyWarmCachePlansOnlyUncachedRows) {
+    // Rows 0-2 are cached; the pool is planned over the 5 rows the cache
+    // does not serve: 3 = (plain, pa-gain-drop, t1) and 4-7 = strict x
+    // {none, pa-gain-drop} x {t0, t1}.
+    //  - stimulus: shared by all five                  -> 1 compute, 4 adopts
+    //  - tx_capture: none {4,5}, pa-gain-drop {3,6,7}  -> 2 computes, 3 adopts
+    //  - calibration: only (pa-gain-drop, t1) {3,7}    -> 1 compute, 1 adopt
+    //  - reconstruction: likewise                      -> 1 compute, 1 adopt
+    // (none, t0) {4}, (none, t1) {5} and (pa-gain-drop, t0) {6} have a
+    // single uncached consumer each: not pooled, computed in the row.
+    const quiet_globals quiet;
+    auto cfg = reuse_campaign();
+    cfg.stage_sharing = bist::stage::reconstruction;
+    const std::string cache_off = timing_free(campaign_runner(cfg).run());
+
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{5}}) {
+        SCOPED_TRACE(threads);
+        const scratch_dir dir("reuse_partial_" + std::to_string(threads));
+        cfg.cache_dir = dir.path.string();
+        cfg.threads = threads;
+        prime_first_three_rows(cfg);
+
+        tm::enable();
+        const auto before = tm::counters();
+        const auto warm = campaign_runner(cfg).run();
+        const auto after = tm::counters();
+        tm::disable();
+
+        EXPECT_EQ(warm.cache_hits, 3u);
+        EXPECT_EQ(warm.cache_misses, 5u);
+        EXPECT_EQ(timing_free(warm), cache_off);
+        EXPECT_EQ(warm.stage_reuse_computes, 1u + 2u + 1u + 1u);
+        EXPECT_EQ(warm.stage_reuse_hits, 4u + 3u + 1u + 1u);
+        EXPECT_EQ(counter_delta(before, after, tm::counter::stage_computes),
+                  warm.stage_reuse_computes);
+        EXPECT_EQ(counter_delta(before, after, tm::counter::stage_adopts),
+                  warm.stage_reuse_hits);
+    }
+}
+
+TEST(StageReuse, LookupPhaseTransientIsRetriedByItsRow) {
+    // The first store load of the run is a scenario-cache lookup; failing
+    // it leaves that row to look up again inside its own retry loop, with
+    // no trace in the exports.
+    const quiet_globals quiet;
+    auto cfg = reuse_campaign();
+    cfg.stage_sharing = bist::stage::reconstruction;
+    const std::string fault_free = timing_free(campaign_runner(cfg).run());
+
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE(threads);
+        const scratch_dir dir("reuse_lookup_fault_" + std::to_string(threads));
+        cfg.cache_dir = dir.file("cache");
+        cfg.stage_store_dir = dir.file("store");
+        cfg.threads = threads;
+        prime_first_three_rows(cfg);
+
+        fi::arm("store.load:throw-transient:count=1");
+        const auto run = campaign_runner(cfg).run();
+        fi::disarm();
+
+        EXPECT_EQ(timing_free(run), fault_free);
+        EXPECT_EQ(run.scenario_gave_up, 0u);
+        EXPECT_EQ(run.cache_hits + run.cache_misses, run.scenario_count());
+    }
 }
 
 TEST(StageReuse, DeviceReseedHasNoOverlapToPool) {

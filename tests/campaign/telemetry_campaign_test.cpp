@@ -189,10 +189,10 @@ TEST_F(CampaignTelemetry, SchedCountersAreExactUnderConcurrency) {
     EXPECT_EQ(counter_at(single, tm::counter::sched_steals), 0u);
 }
 
-TEST_F(CampaignTelemetry, WarmCacheSkipsUndemandedOwnerNodes) {
-    // On a warm cache every consumer is served before the owner nodes
-    // run; the demand gate must leave all stage work (and its counters)
-    // at zero.
+TEST_F(CampaignTelemetry, WarmCacheDoesNoStageWork) {
+    // On a warm cache the lookup phase serves every row before the pool
+    // is planned, so nothing is pooled: all stage work (and its counters)
+    // stays at zero.
     const scratch_dir dir("sched_warm_owners");
     auto cfg = small_campaign();
     cfg.faults = {bist::fault_kind::none};
