@@ -20,7 +20,8 @@ int main() {
     for (int bits : {6, 8, 10, 12, 14}) {
         const auto run = benchutil::run_paper_engine(
             [&](bist::bist_config& c) { c.tiadc.quant.bits = bits; });
-        const double d_true = run.art.capture.fast.true_delay_s;
+        const double d_true =
+            run.session.tx_capture().capture.fast.true_delay_s;
         table.add_row(
             {std::to_string(bits),
              text_table::num(std::abs(run.report.skew.d_hat - d_true) / ps, 3),

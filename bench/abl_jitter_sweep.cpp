@@ -23,12 +23,14 @@ int main() {
             [&](bist::bist_config& c) {
                 c.tiadc.jitter_rms_s = jit_ps * ps;
             });
-        const double d_true = run.art.capture.fast.true_delay_s;
+        const double d_true =
+            run.session.tx_capture().capture.fast.true_delay_s;
         const double err = std::abs(run.report.skew.d_hat - d_true);
         const double rec =
             benchutil::reconstruction_rel_error(run, run.report.skew.d_hat);
-        const double analytic =
-            two_pi * run.config.preset.default_carrier_hz * jit_ps * ps;
+        const double analytic = two_pi *
+                                run.session.config().preset.default_carrier_hz *
+                                jit_ps * ps;
         table.add_row({text_table::num(jit_ps, 1),
                        text_table::num(err / ps, 3),
                        text_table::num(100.0 * rec, 2),

@@ -16,10 +16,11 @@ int main() {
     using namespace sdrbist;
 
     const auto run = benchutil::run_paper_engine();
-    const double d_true = run.art.capture.fast.true_delay_s;
-    const auto [lo, hi] = calib::valid_probe_interval(run.art.capture,
-                                                      run.config.lms.recon);
-    const calib::lms_skew_estimator estimator(run.config.lms);
+    const auto& capture = run.session.tx_capture().capture;
+    const auto& lms = run.session.config().lms;
+    const double d_true = capture.fast.true_delay_s;
+    const auto [lo, hi] = calib::valid_probe_interval(capture, lms.recon);
+    const calib::lms_skew_estimator estimator(lms);
 
     std::cout << "Ablation — probe count N (paper: N = 300, 'N > 100')\n\n";
     text_table table({"N", "mean |err| [ps]", "max |err| [ps]",
@@ -31,7 +32,7 @@ int main() {
             const auto probes =
                 calib::make_probe_times(gen, n_probes, lo, hi);
             estimates.push_back(
-                estimator.estimate(run.art.capture, 120.0 * ps, probes).d_hat);
+                estimator.estimate(capture, 120.0 * ps, probes).d_hat);
         }
         double mean_err = 0.0, max_err = 0.0;
         double mn = estimates[0], mx = estimates[0];

@@ -12,7 +12,7 @@
 #include <utility>
 #include <vector>
 
-#include "bist/engine.hpp"
+#include "bist/pipeline.hpp"
 #include "campaign/export.hpp"
 #include "core/stats.hpp"
 #include "core/units.hpp"
@@ -76,24 +76,23 @@ inline void emit_bench_json(const std::string& bench_name,
     os << "BENCH_JSON " << line.str() << "\n";
 }
 
-/// One fully-executed paper-configuration BIST run.
+/// One fully-executed paper-configuration BIST run: the session holds the
+/// configuration and every stage's output.
 struct paper_run {
-    bist::bist_config config;
+    bist::bist_session session;
     bist::bist_report report;
-    bist::bist_artifacts art;
 };
 
-/// Execute the default (paper) configuration and keep all artefacts.
+/// Execute the default (paper) configuration and keep every stage output.
 inline paper_run run_paper_engine(
     const std::function<void(bist::bist_config&)>& tweak = {}) {
-    paper_run r;
-    r.config.tiadc.quant.full_scale = 2.0;
+    bist::bist_config config;
+    config.tiadc.quant.full_scale = 2.0;
     if (tweak)
-        tweak(r.config);
-    const bist::bist_engine engine(r.config);
-    auto [report, art] = engine.run_verbose();
-    r.report = std::move(report);
-    r.art = std::move(art);
+        tweak(config);
+    paper_run r{bist::bist_session(std::move(config)), {}};
+    r.session.run();
+    r.report = r.session.report();
     return r;
 }
 
@@ -103,18 +102,19 @@ inline paper_run run_paper_engine(
 inline double reconstruction_rel_error(const paper_run& run, double d_hat,
                                        std::size_t n_eval = 400,
                                        std::uint64_t seed = 0xE7A1) {
-    const auto& cap = run.art.capture.fast;
+    const auto& config = run.session.config();
+    const auto& tx = run.session.tx_capture();
+    const auto& cap = tx.capture.fast;
     const sampling::pnbs_reconstructor recon(
-        cap.even, cap.odd, cap.period_s, cap.t_start,
-        run.art.capture.band_fast, d_hat, run.config.lms.recon);
+        cap.even, cap.odd, cap.period_s, cap.t_start, tx.capture.band_fast,
+        d_hat, config.lms.recon);
 
     rng gen(seed);
     std::vector<double> ref(n_eval), est(n_eval);
-    const double scale = run.config.auto_range ? run.art.ranging.input_scale
-                                               : 1.0;
+    const double scale = config.auto_range ? tx.ranging.input_scale : 1.0;
     for (std::size_t i = 0; i < n_eval; ++i) {
         const double t = gen.uniform(recon.valid_begin(), recon.valid_end());
-        ref[i] = scale * run.art.capture_input->value(t);
+        ref[i] = scale * tx.capture_input->value(t);
         est[i] = recon.value(t);
     }
     return relative_rms_error(ref, est);

@@ -22,16 +22,15 @@ int main() {
     // True PSD: welch on the (wide-filtered) capture-path envelope.
     dsp::welch_options wopt;
     wopt.segment_length = 256;
-    const auto& env_true_src = run.art.spectrum_input;
-    // Re-sample the true envelope at the reconstructed envelope's rate via
-    // its own samples (the tx envelope rate is fine for a PSD comparison).
+    // The tx envelope at its own rate is fine for a PSD comparison.
+    const auto& tx_out = run.session.tx_capture().tx_out;
     const auto psd_true = dsp::welch_psd(
-        std::span<const std::complex<double>>(
-            run.art.tx_out.envelope.data(), run.art.tx_out.envelope.size()),
-        run.art.tx_out.envelope_rate, wopt);
-    (void)env_true_src;
+        std::span<const std::complex<double>>(tx_out.envelope.data(),
+                                              tx_out.envelope.size()),
+        tx_out.envelope_rate, wopt);
 
-    const auto psd_rec = bist::envelope_psd(run.art.envelope, 256);
+    const auto psd_rec =
+        bist::envelope_psd(run.session.reconstruction().envelope, 256);
 
     const double ref_true = psd_true.peak_density(-7.5 * MHz, 7.5 * MHz);
     const double ref_rec = psd_rec.peak_density(-7.5 * MHz, 7.5 * MHz);

@@ -7,7 +7,7 @@
 /// Expected shape: a single minimum at D̂ = D = 180 ps.
 #include <iostream>
 
-#include "bist/engine.hpp"
+#include "bist/pipeline.hpp"
 #include "calib/dual_rate.hpp"
 #include "core/table.hpp"
 #include "core/units.hpp"
@@ -15,18 +15,22 @@
 int main() {
     using namespace sdrbist;
 
-    // Paper configuration via the default engine; we only need artefacts.
+    // Paper configuration run through calibration: the sweep needs the
+    // estimation capture and the probe instants only.
     bist::bist_config config;
     config.tiadc.quant.full_scale = 2.0;
-    const bist::bist_engine engine(config);
-    const auto [report, art] = engine.run_verbose();
+    bist::bist_session session(config);
+    session.run_until(bist::stage::calibration);
+    const auto& tx = session.tx_capture();
+    const auto& capture = tx.capture;
+    const auto& probe_times = session.calibration().probe_times;
 
     std::cout << "Fig. 5 — cost function vs delay estimate D-hat\n";
     std::cout << "setup: fc = 1 GHz, B = 90 MHz, B1 = 45 MHz, D = "
-              << art.capture.fast.true_delay_s / ps << " ps (true), N = "
-              << art.probe_times.size() << " probes, "
+              << capture.fast.true_delay_s / ps << " ps (true), N = "
+              << probe_times.size() << " probes, "
               << config.lms.recon.taps << " taps\n";
-    std::cout << "search interval ]0, " << report.max_search_delay_s / ps
+    std::cout << "search interval ]0, " << tx.max_search_delay_s / ps
               << " ps[  (paper: m = 483 ps)\n\n";
 
     text_table table({"D-hat [ps]", "cost function"});
@@ -34,8 +38,7 @@ int main() {
     double best_cost = 1e300;
     for (double d = 120.0 * ps; d <= 260.0 * ps + 1e-15; d += 5.0 * ps) {
         const double c =
-            calib::skew_cost(art.capture, d, art.probe_times,
-                             config.lms.recon);
+            calib::skew_cost(capture, d, probe_times, config.lms.recon);
         if (c < best_cost) {
             best_cost = c;
             best_d = d;

@@ -16,20 +16,21 @@ int main() {
     // One paper-configuration capture, shared by all four runs (as in the
     // paper: same data, several starting points).
     const auto run = benchutil::run_paper_engine();
-    const double d_true = run.art.capture.fast.true_delay_s;
+    const auto& capture = run.session.tx_capture().capture;
+    const auto& probe_times = run.session.calibration().probe_times;
+    const double d_true = capture.fast.true_delay_s;
 
     std::cout << "Fig. 6 — LMS cost evolution for several D-hat_0 "
                  "(true D = " << d_true / ps << " ps, mu0 = 1e-12)\n\n";
 
     const std::vector<double> starts{50.0 * ps, 100.0 * ps, 350.0 * ps,
                                      400.0 * ps};
-    const calib::lms_skew_estimator estimator(run.config.lms);
+    const calib::lms_skew_estimator estimator(run.session.config().lms);
 
     std::vector<calib::skew_estimate> results;
     std::size_t max_len = 0;
     for (double d0 : starts) {
-        results.push_back(
-            estimator.estimate(run.art.capture, d0, run.art.probe_times));
+        results.push_back(estimator.estimate(capture, d0, probe_times));
         max_len = std::max(max_len, results.back().trace.size());
     }
 

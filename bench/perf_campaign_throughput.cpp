@@ -159,8 +159,6 @@ int main() {
         rec.add("stage_computes", result.stage_reuse_computes);
         rec.add("sched_spawns", delta(telemetry::counter::sched_spawns));
         rec.add("sched_steals", delta(telemetry::counter::sched_steals));
-        rec.add("sched_adopt_fastpath",
-                delta(telemetry::counter::sched_adopt_fastpath));
         // Where the time went: per-stage mean span cost for this run.
         using telemetry::category;
         const auto& ts = result.telemetry_summary;

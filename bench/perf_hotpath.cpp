@@ -3,10 +3,11 @@
 //
 //  * PNBS uniform() reconstruction — the fused Kohlenberg evaluation
 //    (per-tap phase tables, the dispatched pnbs_fill and dot2 kernels)
-//    against the per-tap transcendental reference (paper eq. (6)).
+//    against the per-tap transcendental yardstick (paper eq. (6),
+//    tests/support/pnbs_yardstick.hpp).
 //  * Windowed-sinc interpolated capture — the polyphase-LUT interpolator
 //    behind every BP-TIADC capture against the two-Bessel-series-per-tap
-//    reference.
+//    yardstick (tests/support/interp_yardstick.hpp).
 //
 //  * Envelope reconstruction — bist::reconstruct_envelope (the direct
 //    complex envelope of the PNBS product form, then a short FIR) at the
@@ -56,6 +57,8 @@
 #include "sampling/band.hpp"
 #include "sampling/pnbs.hpp"
 #include "support/evm_yardstick.hpp"
+#include "support/interp_yardstick.hpp"
+#include "support/pnbs_yardstick.hpp"
 #include "waveform/evm.hpp"
 
 namespace {
@@ -107,6 +110,8 @@ void bench_pnbs_uniform(std::size_t n_points, int reps) {
     }
     const sampling::pnbs_reconstructor recon(even, odd, period, 0.0, band, d,
                                              {61, 8.0});
+    const testing::pnbs_yardstick yardstick(even, odd, period, 0.0, band, d,
+                                            {61, 8.0});
 
     // Dense grid spanning the whole valid reconstruction interval.
     const double t_lo = recon.valid_begin();
@@ -117,7 +122,7 @@ void bench_pnbs_uniform(std::size_t n_points, int reps) {
     const double s_fast = best_seconds(
         [&] { fast = recon.uniform(t_lo, rate, n_points); }, reps);
     const double s_ref = best_seconds(
-        [&] { ref = recon.uniform_reference(t_lo, rate, n_points); }, reps);
+        [&] { ref = yardstick.uniform(t_lo, rate, n_points); }, reps);
 
     const double err = max_rel_error(ref, fast);
     benchutil::json_record rec;
@@ -169,7 +174,8 @@ void bench_sinc_capture(std::size_t n_points, int reps) {
         [&] {
             ref.resize(t.size());
             for (std::size_t i = 0; i < t.size(); ++i)
-                ref[i] = interp.at_reference(t[i]);
+                ref[i] = testing::interp_reference<std::complex<double>>(
+                    interp.samples(), env_rate, 32, 10.0, t[i]);
         },
         reps);
 
@@ -228,6 +234,8 @@ void bench_envelope(std::size_t pairs, int reps) {
     }
     const sampling::pnbs_reconstructor recon(even, odd, period, 0.0, band, d,
                                              {61, 8.0});
+    const testing::pnbs_yardstick yardstick(even, odd, period, 0.0, band, d,
+                                            {61, 8.0});
 
     bist::spectrum_options opt;
     opt.mix_frequency = fc;

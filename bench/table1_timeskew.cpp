@@ -26,8 +26,9 @@ using namespace sdrbist;
 // sine-fit skew estimate.  omega_norm = observed tone frequency / B.
 calib::jamal_estimate jamal_row(const benchutil::paper_run& run,
                                 double omega_norm) {
-    const double b = run.config.tiadc.channel_rate_hz;
-    const double fc = run.config.preset.default_carrier_hz;
+    const auto& config = run.session.config();
+    const double b = config.tiadc.channel_rate_hz;
+    const double fc = config.preset.default_carrier_hz;
     // Choose the RF tone inside the band that folds to omega_norm · B:
     // fc = 11.111·B  =>  fc mod B = 0.1111·B; add the needed offset.
     const double frac_fc = std::fmod(fc / b, 1.0);
@@ -38,9 +39,9 @@ calib::jamal_estimate jamal_row(const benchutil::paper_run& run,
 
     rf::multitone_signal tone({{f_tone, 1.0, 0.4}}, 12.0 * us);
 
-    adc::bp_tiadc sampler(run.config.tiadc);
-    sampler.program_delay(run.config.dcde_target_delay_s);
-    sampler.set_input_scale(0.65 * run.config.tiadc.quant.full_scale);
+    adc::bp_tiadc sampler(config.tiadc);
+    sampler.program_delay(config.dcde_target_delay_s);
+    sampler.set_input_scale(0.65 * config.tiadc.quant.full_scale);
     const auto cap = sampler.capture(tone, 1.0 * us, 720, /*capture*/ 7);
 
     calib::jamal_options opt;
@@ -54,7 +55,9 @@ int main() {
     using namespace sdrbist;
 
     const auto run = benchutil::run_paper_engine();
-    const double d_true = run.art.capture.fast.true_delay_s;
+    const auto& capture = run.session.tx_capture().capture;
+    const auto& probe_times = run.session.calibration().probe_times;
+    const double d_true = capture.fast.true_delay_s;
 
     std::cout << "Table I — time-skew estimation analysis (true D = "
               << d_true / ps << " ps)\n\n";
@@ -75,10 +78,9 @@ int main() {
     }
 
     // LMS rows.
-    const calib::lms_skew_estimator estimator(run.config.lms);
+    const calib::lms_skew_estimator estimator(run.session.config().lms);
     for (double d0 : {50.0 * ps, 400.0 * ps}) {
-        const auto est =
-            estimator.estimate(run.art.capture, d0, run.art.probe_times);
+        const auto est = estimator.estimate(capture, d0, probe_times);
         const double derr = std::abs(est.d_hat - d_true);
         const double rel = std::abs(1.0 - est.d_hat / d_true);
         const double deps = benchutil::reconstruction_rel_error(run, est.d_hat);

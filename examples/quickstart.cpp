@@ -7,7 +7,7 @@
 /// Build & run:  cmake --build build && ./build/examples/quickstart
 #include <iostream>
 
-#include "bist/engine.hpp"
+#include "bist/pipeline.hpp"
 #include "core/units.hpp"
 
 int main() {
@@ -22,27 +22,28 @@ int main() {
     // The default bist_config is exactly the paper's evaluation setup.
     bist::bist_config config;
     config.tiadc.quant.full_scale = 2.0; // generous headroom for the PA gain
-    const bist::bist_engine engine(config);
-
-    const auto [report, artifacts] = engine.run_verbose();
+    // The session runs the five stages and keeps each one's output.
+    bist::bist_session session(config);
+    session.run();
+    const bist::bist_report report = session.report();
+    const double true_delay =
+        session.tx_capture().capture.fast.true_delay_s;
+    const auto& envelope = session.reconstruction().envelope;
 
     std::cout << report.summary() << "\n";
 
     std::cout << "details:\n";
     std::cout << "  true DCDE delay (hidden from estimator): "
-              << artifacts.capture.fast.true_delay_s / ps << " ps\n";
+              << true_delay / ps << " ps\n";
     std::cout << "  estimated delay:                         "
               << report.skew.d_hat / ps << " ps\n";
     std::cout << "  |error|: "
-              << std::abs(report.skew.d_hat -
-                          artifacts.capture.fast.true_delay_s) /
-                     ps
-              << " ps\n";
+              << std::abs(report.skew.d_hat - true_delay) / ps << " ps\n";
     std::cout << "  LMS cost evaluations: " << report.skew.cost_evaluations
               << "\n";
     std::cout << "  reconstructed envelope samples: "
-              << artifacts.envelope.samples.size() << " @ "
-              << artifacts.envelope.rate / MHz << " MHz\n";
+              << envelope.samples.size() << " @ " << envelope.rate / MHz
+              << " MHz\n";
 
     return report.pass() ? 0 : 1;
 }

@@ -8,8 +8,8 @@
 /// instrumentation.
 #include <iostream>
 
-#include "bist/engine.hpp"
 #include "bist/faults.hpp"
+#include "bist/pipeline.hpp"
 #include "core/table.hpp"
 #include "core/units.hpp"
 
@@ -31,11 +31,13 @@ int main() {
         // the capture path; accept no less than 60 % of that.
         config.min_output_rms = 1.2;
         config.tx = bist::inject_fault(config.tx, fault);
-        const bist::bist_engine engine(config);
-        const auto [report, art] = engine.run_verbose();
+        bist::bist_session session(config);
+        session.run();
+        const bist::bist_report report = session.report();
 
-        const double err =
-            std::abs(report.skew.d_hat - art.capture.fast.true_delay_s);
+        const double err = std::abs(
+            report.skew.d_hat -
+            session.tx_capture().capture.fast.true_delay_s);
         table.add_row({bist::to_string(fault), text_table::num(err / ps, 2),
                        text_table::num(report.mask.worst_margin_db, 1),
                        text_table::num(report.evm.evm_percent(), 2),

@@ -22,13 +22,6 @@ bist_engine::bist_engine(bist_config config) : config_(std::move(config)) {
     SDRBIST_EXPECTS(config_.probe_count >= 16);
 }
 
-std::pair<bist_report, bist_artifacts> bist_engine::run_verbose() const {
-    bist_session session(config_);
-    session.run();
-    bist_report report = session.report();
-    return {std::move(report), std::move(session).artifacts()};
-}
-
 bist_report bist_engine::run() const {
     bist_session session(config_);
     session.run();

@@ -7,9 +7,9 @@
 ///
 /// The flow itself lives in the staged pipeline (bist/pipeline.hpp):
 /// `bist_engine` is the one-shot convenience wrapper that runs a
-/// `bist_session` end to end.  Use the session directly to run stages
-/// individually, resume, re-run with a modified downstream config, or
-/// share upstream stage results across executions.
+/// `bist_session` end to end.  Use the session directly to read a stage's
+/// typed output, run stages individually, resume, re-run with a modified
+/// downstream config, or share upstream stage results across executions.
 #pragma once
 
 #include <cstdint>
@@ -71,28 +71,6 @@ struct bist_config {
     [[nodiscard]] sampling::band_spec slow_band() const;
 };
 
-/// Intermediate artefacts (exposed so tests, benches and notebooks can
-/// inspect every stage).  Legacy aggregate view: the pipeline's typed
-/// per-stage structs (bist/stages.hpp) are the primary interface; this is
-/// what `bist_session::artifacts()` assembles from them.
-struct bist_artifacts {
-    waveform::baseband_waveform stimulus;      ///< the graded waveform
-    waveform::baseband_waveform calibration;   ///< the skew-calibration one
-    rf::tx_output tx_out;                      ///< DUT output, graded wf
-    rf::tx_output calibration_tx_out;          ///< DUT output, calibration wf
-    /// What the sampler sees during estimation: calibration PA output
-    /// through the narrow capture BPF.
-    std::shared_ptr<const rf::envelope_passband> capture_input;
-    /// What it sees during spectrum grading (graded waveform, wide BPF).
-    std::shared_ptr<const rf::envelope_passband> spectrum_input;
-    adc::ranging_result ranging;          ///< estimation-phase ranging
-    adc::ranging_result spectrum_ranging; ///< grading-phase ranging
-    calib::dual_rate_capture capture;
-    adc::nonuniform_capture spectrum_capture; ///< wide-band, fast rate
-    std::vector<double> probe_times;
-    reconstructed_envelope envelope;
-};
-
 /// BIST orchestration engine: thin one-shot wrapper over `bist_session`
 /// (bit-identical to the staged pipeline by construction — it *is* the
 /// staged pipeline, run end to end).
@@ -103,9 +81,6 @@ public:
     /// Execute the full flow against a transmitter built from the config
     /// (optionally with an injected fault applied by the caller).
     [[nodiscard]] bist_report run() const;
-
-    /// Execute and also return all intermediate artefacts.
-    [[nodiscard]] std::pair<bist_report, bist_artifacts> run_verbose() const;
 
     [[nodiscard]] const bist_config& config() const { return config_; }
 

@@ -579,88 +579,4 @@ bist_report bist_session::report() const {
     return report;
 }
 
-namespace {
-
-/// Mutable access to a snapshot this session holds uniquely (safe to move
-/// from: no other owner can observe the theft); nullptr when shared.
-template <typename T>
-T* exclusive(const std::shared_ptr<const T>& p) {
-    return p.use_count() == 1 ? const_cast<T*>(p.get()) : nullptr;
-}
-
-} // namespace
-
-bist_artifacts bist_session::artifacts() const& {
-    bist_artifacts art;
-    if (stimulus_) {
-        art.stimulus = stimulus_->stimulus;
-        art.calibration = stimulus_->calibration;
-    }
-    if (tx_capture_) {
-        art.tx_out = tx_capture_->tx_out;
-        art.calibration_tx_out = tx_capture_->calibration_tx_out;
-        art.capture_input = tx_capture_->capture_input;
-        art.spectrum_input = tx_capture_->spectrum_input;
-        art.ranging = tx_capture_->ranging;
-        art.capture = tx_capture_->capture;
-    }
-    if (calibration_)
-        art.probe_times = calibration_->probe_times;
-    if (reconstruction_) {
-        art.spectrum_ranging = reconstruction_->spectrum_ranging;
-        art.spectrum_capture = reconstruction_->spectrum_capture;
-        art.envelope = reconstruction_->envelope;
-    }
-    return art;
-}
-
-bist_artifacts bist_session::artifacts() && {
-    bist_artifacts art;
-    if (stimulus_) {
-        if (stimulus_output* s = exclusive(stimulus_)) {
-            art.stimulus = std::move(s->stimulus);
-            art.calibration = std::move(s->calibration);
-        } else {
-            art.stimulus = stimulus_->stimulus;
-            art.calibration = stimulus_->calibration;
-        }
-    }
-    if (tx_capture_) {
-        if (tx_capture_output* c = exclusive(tx_capture_)) {
-            art.tx_out = std::move(c->tx_out);
-            art.calibration_tx_out = std::move(c->calibration_tx_out);
-            art.capture_input = std::move(c->capture_input);
-            art.spectrum_input = std::move(c->spectrum_input);
-            art.ranging = c->ranging;
-            art.capture = std::move(c->capture);
-        } else {
-            art.tx_out = tx_capture_->tx_out;
-            art.calibration_tx_out = tx_capture_->calibration_tx_out;
-            art.capture_input = tx_capture_->capture_input;
-            art.spectrum_input = tx_capture_->spectrum_input;
-            art.ranging = tx_capture_->ranging;
-            art.capture = tx_capture_->capture;
-        }
-    }
-    if (calibration_) {
-        if (calibration_output* c = exclusive(calibration_))
-            art.probe_times = std::move(c->probe_times);
-        else
-            art.probe_times = calibration_->probe_times;
-    }
-    if (reconstruction_) {
-        if (reconstruction_output* r = exclusive(reconstruction_)) {
-            art.spectrum_ranging = r->spectrum_ranging;
-            art.spectrum_capture = std::move(r->spectrum_capture);
-            art.envelope = std::move(r->envelope);
-        } else {
-            art.spectrum_ranging = reconstruction_->spectrum_ranging;
-            art.spectrum_capture = reconstruction_->spectrum_capture;
-            art.envelope = reconstruction_->envelope;
-        }
-    }
-    drop_from(stage::stimulus); // the snapshots were consumed
-    return art;
-}
-
 } // namespace sdrbist::bist

@@ -17,9 +17,11 @@
 /// (e.g. Monte-Carlo probe draws reuse stimulus generation and the Tx
 /// captures; fault grids reuse stimulus generation across faults).
 ///
-/// `bist_engine::run()` / `run_verbose()` are thin wrappers over a session
-/// and stay bit-identical to the pre-pipeline monolith (locked down by
-/// tests/bist/pipeline_test.cpp against a retained monolithic reference).
+/// A session is the one home for stage outputs: callers read them through
+/// the typed accessors.  `bist_engine::run()` is a thin wrapper that runs a
+/// session for its report.  Report and stage outputs stay bit-identical to
+/// the pre-pipeline monolith (locked down by tests/bist/pipeline_test.cpp
+/// against a retained monolithic reference).
 #pragma once
 
 #include <cstdint>
@@ -205,16 +207,6 @@ public:
     /// have not run keep their defaults — the monolithic early-return
     /// behaviour).
     [[nodiscard]] bist_report report() const;
-
-    /// Legacy aggregate view of every completed stage's artefacts
-    /// (copies out of the shared snapshots).
-    [[nodiscard]] bist_artifacts artifacts() const&;
-
-    /// Expiring-session variant: snapshots this session holds uniquely are
-    /// *moved* into the view (no multi-MB record copies — what the
-    /// pre-pipeline engine's one-shot path did); shared ones are still
-    /// copied.  Consumes the session's stage outputs.
-    [[nodiscard]] bist_artifacts artifacts() &&;
 
 private:
     /// Drop `s` and everything downstream.

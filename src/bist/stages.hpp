@@ -5,11 +5,10 @@
 /// output with the re-used Rx ADCs, identify the DCDE time-skew, PNBS-
 /// reconstruct the bandpass signal, grade spectrum and modulation quality.
 /// This header names those stages and gives each one an explicit output
-/// struct (refactored out of the former monolithic `bist_artifacts`), so
-/// the pipeline can run them individually, resume after any of them, and —
-/// because each stage's inputs are hashable (see config_canonical.hpp) —
-/// share upstream stage results across campaign scenarios that only differ
-/// downstream.
+/// struct, so the pipeline can run them individually, resume after any of
+/// them, and — because each stage's inputs are hashable (see
+/// config_canonical.hpp) — share upstream stage results across campaign
+/// scenarios that only differ downstream.
 #pragma once
 
 #include <array>

@@ -412,8 +412,6 @@ bist::bist_report run_with_dag(const bist::bist_config& materialised,
     bist::bist_session session(materialised);
     adopt_published(session, pool, digests, depth, attempt <= 1,
                     [&](std::size_t credited) {
-                        telemetry::count(
-                            telemetry::counter::sched_adopt_fastpath);
                         if (credited != my_index) {
                             pool.hits.fetch_add(1, std::memory_order_relaxed);
                             telemetry::count(telemetry::counter::stage_adopts);

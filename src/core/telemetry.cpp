@@ -171,7 +171,6 @@ const char* to_string(counter c) {
     case counter::scenario_gave_up: return "scenario.gave_up";
     case counter::sched_spawns: return "sched.spawns";
     case counter::sched_steals: return "sched.steals";
-    case counter::sched_adopt_fastpath: return "sched.adopt_fastpath";
     case counter::service_leases: return "service.leases";
     case counter::service_requeues: return "service.requeues";
     case counter::service_heartbeats: return "service.heartbeats";

@@ -87,8 +87,6 @@ enum class counter : int {
                           ///< (deterministic: nodes minus roots)
     sched_steals,         ///< tasks stolen from another worker's deque
                           ///< (nondeterministic; 0 single-threaded)
-    sched_adopt_fastpath, ///< pooled stage snapshots adopted without
-                          ///< blocking (campaign DAG schedule)
     service_leases,       ///< campaign-service lease grants (incl. re-grants
                           ///< of re-queued leases)
     service_requeues,     ///< leases re-queued after a lapsed heartbeat or a
@@ -101,7 +99,7 @@ enum class counter : int {
     store_bytes,          ///< raw (uncompressed) bytes served by store
                           ///< hits (summed, not a count)
 };
-inline constexpr std::size_t counter_count = 21;
+inline constexpr std::size_t counter_count = 20;
 
 /// Stable export name ("cache.hits", "sched.queue_high_water", ...).
 const char* to_string(counter c);

@@ -97,14 +97,13 @@ sinc_interpolator<T>::sinc_interpolator(std::vector<T> samples, double rate,
                                         std::size_t half_taps, double beta,
                                         std::size_t phase_steps)
     : samples_(std::move(samples)), rate_(rate), half_taps_(half_taps),
-      beta_(beta), phase_steps_(phase_steps),
-      ops_(&simd::kernel_backend::select()) {
+      phase_steps_(phase_steps), ops_(&simd::kernel_backend::select()) {
     SDRBIST_EXPECTS(rate_ > 0.0);
     SDRBIST_EXPECTS(half_taps_ >= 4);
     SDRBIST_EXPECTS(samples_.size() > 2 * half_taps_);
-    SDRBIST_EXPECTS(beta_ >= 0.0);
+    SDRBIST_EXPECTS(beta >= 0.0);
     SDRBIST_EXPECTS(phase_steps_ >= 64);
-    lut_ = shared_lut(half_taps_, beta_, phase_steps_);
+    lut_ = shared_lut(half_taps_, beta, phase_steps_);
 }
 
 template <class T> T sinc_interpolator<T>::eval(double pos) const {
@@ -131,26 +130,6 @@ template <class T> T sinc_interpolator<T>::eval(double pos) const {
     return backend_blend(*ops_, samples_.data() + n0,
                          r0 + static_cast<std::size_t>(n0 - lo), stride,
                          blend.w, static_cast<std::size_t>(n1 - n0 + 1));
-}
-
-template <class T> T sinc_interpolator<T>::at_reference(double t) const {
-    const double pos = t * rate_; // fractional sample index
-    const auto centre = static_cast<long>(std::floor(pos));
-    const auto n_samples = static_cast<long>(samples_.size());
-    const auto half = static_cast<long>(half_taps_);
-
-    T acc{};
-    const long lo = centre - half + 1;
-    const long hi = centre + half;
-    const double inv_half = 1.0 / static_cast<double>(half);
-    for (long n = lo; n <= hi; ++n) {
-        if (n < 0 || n >= n_samples)
-            continue;
-        const double d = pos - static_cast<double>(n);
-        const double w = kaiser_window_at(d * inv_half, beta_);
-        acc += samples_[static_cast<std::size_t>(n)] * (sinc(d) * w);
-    }
-    return acc;
 }
 
 template <class T>

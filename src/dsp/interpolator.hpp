@@ -40,8 +40,9 @@ namespace sdrbist::dsp {
 /// built once per process for each exact parameter set and shared by every
 /// interpolator (real or complex) constructed with it — the same
 /// build_lut() output a private table would be, value for value.
-/// `at_reference()` keeps the original two-Bessel-series-per-tap
-/// evaluation for accuracy regression tests and benches.
+/// The exact two-Bessel-series-per-tap evaluation it is bounded against is
+/// the test yardstick `testing::interp_reference`
+/// (tests/support/interp_yardstick.hpp).
 template <class T> class sinc_interpolator {
 public:
     /// \param samples     uniform samples, x[n] at t = n/rate
@@ -64,10 +65,6 @@ public:
     /// Bit-identical to calling at(t0 + i/rate_out) per point.
     [[nodiscard]] std::vector<T> uniform_grid(double t0, double rate_out,
                                               std::size_t n) const;
-
-    /// Reference evaluation: exact per-tap sinc × Kaiser (two Bessel-I0
-    /// series per tap).  Retained so tests can bound the LUT fast path.
-    [[nodiscard]] T at_reference(double t) const;
 
     /// First instant free of edge truncation.
     [[nodiscard]] double valid_begin() const {
@@ -104,7 +101,6 @@ private:
     std::vector<T> samples_;
     double rate_;
     std::size_t half_taps_;
-    double beta_;
     std::size_t phase_steps_;
     const simd::kernel_ops* ops_;
     std::shared_ptr<const std::vector<double>> lut_; ///< see lut()

@@ -367,47 +367,11 @@ pnbs_reconstructor::envelope(double t0, double rate, std::size_t n,
     return out;
 }
 
-double pnbs_reconstructor::value_reference(double t) const {
-    const double tr = t - t_start_;
-    const double pos = tr / period_;
-    const auto centre = static_cast<long>(std::llround(pos));
-    const auto half = static_cast<long>(opt_.taps / 2);
-    const auto n_max = static_cast<long>(even_.size()) - 1;
-    const double half_span = static_cast<double>(half) + 1.0;
-    const double d_hat = kernel_.delay();
-    const double d_frac = d_hat / period_;
-
-    double acc = 0.0;
-    for (long n = centre - half; n <= centre + half; ++n) {
-        if (n < 0 || n > n_max)
-            continue;
-        const double nt = static_cast<double>(n) * period_;
-        // Even stream: f(nT)·s(t - nT), windowed by distance in periods.
-        const double u0 = (pos - static_cast<double>(n)) / half_span;
-        acc += even_[static_cast<std::size_t>(n)] * kernel_.s(tr - nt) *
-               window_at(u0);
-        // Odd stream: f(nT+D)·s(nT + D - t).
-        const double u1 =
-            (pos - static_cast<double>(n) - d_frac) / half_span;
-        acc += odd_[static_cast<std::size_t>(n)] * kernel_.s(nt + d_hat - tr) *
-               window_at(u1);
-    }
-    return acc;
-}
-
 std::vector<double>
 pnbs_reconstructor::values(std::span<const double> t) const {
     std::vector<double> out(t.size());
     for (std::size_t i = 0; i < t.size(); ++i)
         out[i] = value(t[i]);
-    return out;
-}
-
-std::vector<double>
-pnbs_reconstructor::values_reference(std::span<const double> t) const {
-    std::vector<double> out(t.size());
-    for (std::size_t i = 0; i < t.size(); ++i)
-        out[i] = value_reference(t[i]);
     return out;
 }
 
@@ -417,16 +381,6 @@ std::vector<double> pnbs_reconstructor::uniform(double t0, double rate,
     std::vector<double> out(n);
     for (std::size_t i = 0; i < n; ++i)
         out[i] = value(t0 + static_cast<double>(i) / rate);
-    return out;
-}
-
-std::vector<double>
-pnbs_reconstructor::uniform_reference(double t0, double rate,
-                                      std::size_t n) const {
-    SDRBIST_EXPECTS(rate > 0.0);
-    std::vector<double> out(n);
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = value_reference(t0 + static_cast<double>(i) / rate);
     return out;
 }
 

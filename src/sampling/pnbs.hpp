@@ -123,9 +123,10 @@ struct pnbs_options {
 /// and one window LUT read per stream.  The taps where a stream's
 /// argument crosses zero are patched with the library sinc, and the
 /// accumulation runs as the dispatched `dot2` over the even/odd records.
-/// `value_reference()` retains the direct per-tap transcendental
-/// evaluation; `values()` and `uniform()` call `value()` per point and
-/// are therefore bit-identical to it.
+/// The direct per-tap transcendental evaluation it is bounded against is
+/// the test yardstick `testing::pnbs_yardstick`
+/// (tests/support/pnbs_yardstick.hpp); `values()` and `uniform()` call
+/// `value()` per point and are therefore bit-identical to it.
 ///
 /// `envelope()` evaluates the complex envelope about a mix frequency
 /// directly from the same product form (paper §VI).  Per term m (s0 with
@@ -167,17 +168,6 @@ public:
     /// Re{envelope·e^{j2π·f_mix·t}} equals value(t) up to rounding.
     [[nodiscard]] std::vector<std::complex<double>>
     envelope(double t0, double rate, std::size_t n, double f_mix) const;
-
-    /// Reference evaluation: direct per-tap kernel transcendentals
-    /// (retained so tests and benches can bound the fused fast path's
-    /// deviation).
-    [[nodiscard]] double value_reference(double t) const;
-
-    /// Batch / uniform-grid reference evaluation.
-    [[nodiscard]] std::vector<double>
-    values_reference(std::span<const double> t) const;
-    [[nodiscard]] std::vector<double>
-    uniform_reference(double t0, double rate, std::size_t n) const;
 
     /// Earliest/latest t with the full tap window inside the records.
     [[nodiscard]] double valid_begin() const;
@@ -227,8 +217,6 @@ private:
     /// [(-1)^{k·j}·cos(del0·j) | (-1)^{k·j}·sin(del0·j) |
     ///  (-1)^{k⁺·j}·cos(del1·j) | (-1)^{k⁺·j}·sin(del1·j)].
     std::vector<double> phase_tabs_;
-
-    [[nodiscard]] double window_at(double u) const { return window_(u); }
 
     /// One evaluation instant on the records: nearest even sample, offset
     /// from it, the tap range clamped to the records (count 0 when no tap

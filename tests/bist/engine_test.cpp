@@ -3,7 +3,7 @@
 
 #include <cmath>
 
-#include "bist/engine.hpp"
+#include "bist/pipeline.hpp"
 #include "core/contracts.hpp"
 #include "core/units.hpp"
 
@@ -19,15 +19,17 @@ bist_config golden_config() {
 }
 
 TEST(BistEngine, GoldenDevicePasses) {
-    const bist_engine engine(golden_config());
-    const auto [report, art] = engine.run_verbose();
+    bist_session session(golden_config());
+    session.run();
+    const auto report = session.report();
     EXPECT_TRUE(report.pass()) << report.summary();
     EXPECT_TRUE(report.dual_rate_conditions_ok);
     EXPECT_TRUE(report.skew.converged);
     EXPECT_TRUE(report.mask.pass);
     EXPECT_TRUE(report.evm_pass);
     // Paper-grade skew accuracy on the full chain.
-    EXPECT_NEAR(report.skew.d_hat, art.capture.fast.true_delay_s, 1.0 * ps);
+    EXPECT_NEAR(report.skew.d_hat,
+                session.tx_capture().capture.fast.true_delay_s, 1.0 * ps);
     EXPECT_LT(report.evm.evm_percent(), 2.0);
 }
 
@@ -77,9 +79,11 @@ TEST(BistEngine, DcdeStaticErrorIsEstimatedNotAssumed) {
     // static error: the report's estimate must track the *true* delay.
     auto cfg = golden_config();
     cfg.tiadc.delay_element.static_error_s = 12.0 * ps;
-    const bist_engine engine(cfg);
-    const auto [report, art] = engine.run_verbose();
-    EXPECT_NEAR(art.capture.fast.true_delay_s, 192.0 * ps, 0.1 * ps);
+    bist_session session(cfg);
+    session.run();
+    const auto report = session.report();
+    EXPECT_NEAR(session.tx_capture().capture.fast.true_delay_s, 192.0 * ps,
+                0.1 * ps);
     EXPECT_NEAR(report.skew.d_hat, 192.0 * ps, 1.5 * ps);
     EXPECT_TRUE(report.pass()) << report.summary();
 }

@@ -1,12 +1,13 @@
 // Staged-pipeline lockdown.
 //
 // 1. Equivalence: `monolithic_run_verbose` below is a verbatim copy of the
-//    pre-pipeline `bist_engine::run_verbose` (PR 4 state).  Every staged
-//    run must reproduce its report *bit-for-bit* (compared through the
-//    full-fidelity campaign::report_json serialisation, which renders
-//    doubles in shortest round-trip form) and its artefact records
-//    element-exact.  This is the same retained-reference idiom the fast
-//    kernels use (`at_reference`, `value_reference`).
+//    pre-pipeline one-shot engine.  Every staged run must reproduce its
+//    report *bit-for-bit* (compared through the full-fidelity
+//    campaign::report_json serialisation, which renders doubles in
+//    shortest round-trip form), and every stage output the session holds
+//    must equal the monolith's artefact records element-exactly.  This is
+//    the same retained-reference idiom the fast kernels use (the
+//    yardsticks in tests/support/).
 // 2. Session mechanics: run_until/resume, reconfigure-keeps-upstream,
 //    adopt (shared-stage reuse), and the per-stage digest slicing the
 //    campaign runner's stage pool relies on.
@@ -29,18 +30,34 @@ using namespace sdrbist;
 using namespace sdrbist::bist;
 
 // ---------------------------------------------------------------------------
-// Retained monolithic reference (pre-pipeline bist_engine::run_verbose).
+// Retained monolithic reference (the pre-pipeline one-shot engine).
 // Do not "improve" this copy: its whole value is staying frozen.
 // ---------------------------------------------------------------------------
+
+/// Every intermediate record the monolith produced.
+struct monolith_artifacts {
+    waveform::baseband_waveform stimulus;    ///< the graded waveform
+    waveform::baseband_waveform calibration; ///< the skew-calibration one
+    rf::tx_output tx_out;                    ///< DUT output, graded wf
+    rf::tx_output calibration_tx_out;        ///< DUT output, calibration wf
+    std::shared_ptr<const rf::envelope_passband> capture_input;
+    std::shared_ptr<const rf::envelope_passband> spectrum_input;
+    adc::ranging_result ranging;          ///< estimation-phase ranging
+    adc::ranging_result spectrum_ranging; ///< grading-phase ranging
+    calib::dual_rate_capture capture;
+    adc::nonuniform_capture spectrum_capture; ///< wide-band, fast rate
+    std::vector<double> probe_times;
+    reconstructed_envelope envelope;
+};
 
 double occupied_bandwidth_ref(const waveform::generator_config& g) {
     return g.symbol_rate * (1.0 + g.rolloff);
 }
 
-std::pair<bist_report, bist_artifacts>
+std::pair<bist_report, monolith_artifacts>
 monolithic_run_verbose(const bist_config& config) {
     bist_report report;
-    bist_artifacts art;
+    monolith_artifacts art;
 
     const double nominal_carrier = config.preset.default_carrier_hz;
     const double b = config.tiadc.channel_rate_hz;
@@ -295,29 +312,55 @@ std::vector<std::pair<std::string, bist_config>> equivalence_configs() {
     return cases;
 }
 
+void expect_same_waveform(const waveform::baseband_waveform& a,
+                          const waveform::baseband_waveform& b) {
+    EXPECT_EQ(a.samples, b.samples);
+    EXPECT_EQ(a.sample_rate, b.sample_rate);
+}
+
+void expect_same_tx(const rf::tx_output& a, const rf::tx_output& b) {
+    EXPECT_EQ(a.envelope, b.envelope);
+    EXPECT_EQ(a.envelope_rate, b.envelope_rate);
+}
+
 TEST(PipelineEquivalence, StagedRunIsBitIdenticalToMonolith) {
     for (const auto& [name, cfg] : equivalence_configs()) {
         SCOPED_TRACE(name);
-        const auto [mono_report, mono_art] = monolithic_run_verbose(cfg);
-        const auto [report, art] = bist_engine(cfg).run_verbose();
+        const auto [mono_report, mono] = monolithic_run_verbose(cfg);
+        bist_session session(cfg);
+        session.run();
 
         // Full report, every double in shortest round-trip form.
-        EXPECT_EQ(campaign::report_json(report),
+        EXPECT_EQ(campaign::report_json(session.report()),
                   campaign::report_json(mono_report));
 
-        // Artefact records element-exact.
-        EXPECT_EQ(art.capture.fast.even, mono_art.capture.fast.even);
-        EXPECT_EQ(art.capture.fast.odd, mono_art.capture.fast.odd);
-        EXPECT_EQ(art.capture.slow.even, mono_art.capture.slow.even);
-        EXPECT_EQ(art.capture.slow.odd, mono_art.capture.slow.odd);
-        EXPECT_EQ(art.spectrum_capture.even, mono_art.spectrum_capture.even);
-        EXPECT_EQ(art.spectrum_capture.odd, mono_art.spectrum_capture.odd);
-        EXPECT_EQ(art.probe_times, mono_art.probe_times);
-        EXPECT_EQ(art.envelope.samples, mono_art.envelope.samples);
-        EXPECT_DOUBLE_EQ(art.envelope.rate, mono_art.envelope.rate);
-        EXPECT_EQ(art.ranging.input_scale, mono_art.ranging.input_scale);
-        EXPECT_EQ(art.spectrum_ranging.input_scale,
-                  mono_art.spectrum_ranging.input_scale);
+        // Stage outputs element-exact against the monolith's records.
+        const auto& stim = session.stimulus();
+        expect_same_waveform(stim.stimulus, mono.stimulus);
+        expect_same_waveform(stim.calibration, mono.calibration);
+
+        const auto& tx = session.tx_capture();
+        expect_same_tx(tx.tx_out, mono.tx_out);
+        expect_same_tx(tx.calibration_tx_out, mono.calibration_tx_out);
+        EXPECT_EQ(tx.capture_input->envelope_samples(),
+                  mono.capture_input->envelope_samples());
+        EXPECT_EQ(tx.spectrum_input->envelope_samples(),
+                  mono.spectrum_input->envelope_samples());
+        EXPECT_EQ(tx.ranging.input_scale, mono.ranging.input_scale);
+        EXPECT_EQ(tx.capture.fast.even, mono.capture.fast.even);
+        EXPECT_EQ(tx.capture.fast.odd, mono.capture.fast.odd);
+        EXPECT_EQ(tx.capture.slow.even, mono.capture.slow.even);
+        EXPECT_EQ(tx.capture.slow.odd, mono.capture.slow.odd);
+
+        EXPECT_EQ(session.calibration().probe_times, mono.probe_times);
+
+        const auto& recon = session.reconstruction();
+        EXPECT_EQ(recon.spectrum_capture.even, mono.spectrum_capture.even);
+        EXPECT_EQ(recon.spectrum_capture.odd, mono.spectrum_capture.odd);
+        EXPECT_EQ(recon.envelope.samples, mono.envelope.samples);
+        EXPECT_DOUBLE_EQ(recon.envelope.rate, mono.envelope.rate);
+        EXPECT_EQ(recon.spectrum_ranging.input_scale,
+                  mono.spectrum_ranging.input_scale);
     }
 }
 

@@ -1,6 +1,6 @@
 // Accuracy regression for the polyphase-LUT windowed-sinc fast path
-// against the retained transcendental reference (at_reference), plus
-// bit-for-bit guarantees for the batch and uniform-grid entry points.
+// against the exact transcendental yardstick (support/interp_yardstick.hpp),
+// plus bit-for-bit guarantees for the batch and uniform-grid entry points.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,12 +10,14 @@
 #include "core/random.hpp"
 #include "core/units.hpp"
 #include "dsp/interpolator.hpp"
+#include "support/interp_yardstick.hpp"
 
 namespace {
 
 using namespace sdrbist;
 using dsp::complex_interpolator;
 using dsp::real_interpolator;
+using sdrbist::testing::interp_reference;
 
 std::vector<double> bandlimited_signal(std::size_t n, double fs,
                                        std::uint64_t seed) {
@@ -54,14 +56,15 @@ TEST(SincInterpolatorFastPath, MatchesReferenceOnInBandSignal) {
     for (int i = 0; i < 2000; ++i) {
         const double t = gen.uniform(interp.valid_begin(),
                                      interp.valid_end());
-        worst = std::max(worst,
-                         std::abs(interp.at(t) - interp.at_reference(t)));
+        worst = std::max(worst, std::abs(interp.at(t) -
+                                         interp_reference<double>(
+                                             x, fs, 32, 10.0, t)));
     }
     EXPECT_LT(worst / scale, 1e-9);
 }
 
 TEST(SincInterpolatorFastPath, MatchesReferenceAtRecordEdges) {
-    // The clamped-loop edge path must agree with the reference's
+    // The clamped-loop edge path must agree with the yardstick's
     // skip-out-of-range semantics, including instants outside the record.
     const double fs = 100.0 * MHz;
     const auto x = bandlimited_signal(256, fs, 0xED6E);
@@ -73,8 +76,9 @@ TEST(SincInterpolatorFastPath, MatchesReferenceAtRecordEdges) {
     double worst = 0.0;
     for (int i = 0; i < 2000; ++i) {
         const double t = gen.uniform(-0.1 * span, 1.1 * span);
-        worst = std::max(worst,
-                         std::abs(interp.at(t) - interp.at_reference(t)));
+        worst = std::max(worst, std::abs(interp.at(t) -
+                                         interp_reference<double>(
+                                             x, fs, 16, 8.0, t)));
     }
     EXPECT_LT(worst / scale, 1e-9);
 }
@@ -94,7 +98,9 @@ TEST(SincInterpolatorFastPath, ComplexMatchesReference) {
         const double t = gen.uniform(interp.valid_begin(),
                                      interp.valid_end());
         worst = std::max(worst,
-                         std::abs(interp.at(t) - interp.at_reference(t)));
+                         std::abs(interp.at(t) -
+                                  interp_reference<std::complex<double>>(
+                                      x, fs, 32, 10.0, t)));
     }
     EXPECT_LT(worst, 1e-9);
 }
@@ -153,7 +159,7 @@ TEST(SincInterpolatorFastPath, PhaseResolutionControlsLutError) {
     for (int i = 0; i < 1500; ++i) {
         const double t = gen.uniform(coarse.valid_begin(),
                                      coarse.valid_end());
-        const double ref = coarse.at_reference(t);
+        const double ref = interp_reference<double>(x, fs, 32, 10.0, t);
         worst_coarse = std::max(worst_coarse, std::abs(coarse.at(t) - ref));
         worst_fine = std::max(worst_fine, std::abs(fine.at(t) - ref));
     }

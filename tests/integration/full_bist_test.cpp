@@ -3,9 +3,9 @@
 
 #include <cmath>
 
-#include "bist/engine.hpp"
 #include "bist/faults.hpp"
 #include "bist/multistandard.hpp"
+#include "bist/pipeline.hpp"
 #include "core/units.hpp"
 
 namespace {
@@ -83,9 +83,11 @@ TEST_P(SkewAccuracySeeds, SubPicosecondOnPaperSetup) {
     auto cfg = base_config();
     cfg.tiadc.seed = GetParam();
     cfg.probe_seed = GetParam() ^ 0xABCD;
-    const bist_engine engine(cfg);
-    const auto [report, art] = engine.run_verbose();
-    EXPECT_NEAR(report.skew.d_hat, art.capture.fast.true_delay_s, 1.2 * ps)
+    bist_session session(cfg);
+    session.run();
+    const auto report = session.report();
+    EXPECT_NEAR(report.skew.d_hat,
+                session.tx_capture().capture.fast.true_delay_s, 1.2 * ps)
         << "seed " << GetParam();
 }
 
@@ -103,10 +105,12 @@ TEST(Integration, ChannelMismatchHandledByCalibration) {
     auto cfg = base_config();
     cfg.tiadc.ch1_gain_error = 0.02;
     cfg.tiadc.ch1_offset_error = 0.01;
-    const bist_engine engine(cfg);
-    const auto [report, art] = engine.run_verbose();
+    bist_session session(cfg);
+    session.run();
+    const auto report = session.report();
     // Mild mismatch must not break the skew estimate badly.
-    EXPECT_NEAR(report.skew.d_hat, art.capture.fast.true_delay_s, 5.0 * ps);
+    EXPECT_NEAR(report.skew.d_hat,
+                session.tx_capture().capture.fast.true_delay_s, 5.0 * ps);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 // Accuracy regression for the fused PNBS fast path (per-call NCO factors,
-// per-tap rotation recurrences) against the retained transcendental
-// reference, across a delay × taps grid, plus the uniform()/value()
-// bit-for-bit guarantee and the forbidden-delay drift fix.
+// per-tap phase tables) against the per-tap transcendental yardstick
+// (support/pnbs_yardstick.hpp), across a delay × taps grid, plus the
+// uniform()/value() bit-for-bit guarantee and the forbidden-delay drift fix.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include "core/units.hpp"
 #include "rf/passband.hpp"
 #include "sampling/pnbs.hpp"
+#include "support/pnbs_yardstick.hpp"
 
 namespace {
 
@@ -22,6 +23,7 @@ using sampling::band_spec;
 using sampling::kohlenberg_kernel;
 using sampling::pnbs_options;
 using sampling::pnbs_reconstructor;
+using sdrbist::testing::pnbs_yardstick;
 
 struct streams {
     std::vector<double> even, odd;
@@ -56,15 +58,15 @@ rf::multitone_signal in_band_multitone(const band_spec& band, double duration,
     return rf::multitone_signal(std::move(tones), duration);
 }
 
-/// Max |fast - reference| over random probes, normalised to signal RMS.
-double fast_path_deviation(const pnbs_reconstructor& recon, double rms_scale,
+/// Max |fast - yardstick| over random probes, normalised to signal RMS.
+double fast_path_deviation(const pnbs_reconstructor& recon,
+                           const pnbs_yardstick& ref, double rms_scale,
                            double t_lo, double t_hi, std::uint64_t seed) {
     rng probe(seed);
     double worst = 0.0;
     for (int i = 0; i < 300; ++i) {
         const double t = probe.uniform(t_lo, t_hi);
-        worst = std::max(worst,
-                         std::abs(recon.value(t) - recon.value_reference(t)));
+        worst = std::max(worst, std::abs(recon.value(t) - ref.value(t)));
     }
     return worst / rms_scale;
 }
@@ -81,8 +83,10 @@ TEST(PnbsFastPath, MatchesReferenceAcrossDelayAndTapsGrid) {
         for (const std::size_t taps : {41u, 61u, 81u}) {
             const pnbs_reconstructor recon(s.even, s.odd, period, 0.0, band,
                                            d, {taps, 8.0});
+            const pnbs_yardstick ref(s.even, s.odd, period, 0.0, band, d,
+                                     {taps, 8.0});
             const double dev =
-                fast_path_deviation(recon, s.rms, recon.valid_begin(),
+                fast_path_deviation(recon, ref, s.rms, recon.valid_begin(),
                                     recon.valid_end(), 0x7 + taps);
             EXPECT_LT(dev, 1e-9) << "D=" << d / ps << " ps, taps=" << taps;
         }
@@ -91,7 +95,7 @@ TEST(PnbsFastPath, MatchesReferenceAcrossDelayAndTapsGrid) {
 
 TEST(PnbsFastPath, MatchesReferenceAtRecordEdges) {
     // Clipped tap windows (probes outside the valid span) must follow the
-    // reference's skip-out-of-range semantics.
+    // yardstick's skip-out-of-range semantics.
     const band_spec band = band_around(1.0 * GHz, 90.0 * MHz);
     const double period = 1.0 / band.bandwidth();
     const std::size_t n = 200;
@@ -101,9 +105,10 @@ TEST(PnbsFastPath, MatchesReferenceAtRecordEdges) {
     const auto s = sample_streams(sig, period, d, n);
     const pnbs_reconstructor recon(s.even, s.odd, period, 0.0, band, d,
                                    {61, 8.0});
+    const pnbs_yardstick ref(s.even, s.odd, period, 0.0, band, d, {61, 8.0});
     const double span = static_cast<double>(n) * period;
-    const double dev =
-        fast_path_deviation(recon, s.rms, -0.1 * span, 1.1 * span, 0x21);
+    const double dev = fast_path_deviation(recon, ref, s.rms, -0.1 * span,
+                                           1.1 * span, 0x21);
     EXPECT_LT(dev, 1e-9);
 }
 
@@ -119,12 +124,12 @@ TEST(PnbsFastPath, MatchesReferenceAtSampleInstantsAndMidpoints) {
     const auto s = sample_streams(sig, period, d, n);
     const pnbs_reconstructor recon(s.even, s.odd, period, 0.0, band, d,
                                    {61, 8.0});
+    const pnbs_yardstick ref(s.even, s.odd, period, 0.0, band, d, {61, 8.0});
     double worst = 0.0;
     for (std::size_t k = 40; k < 260; ++k) {
         for (const double offs : {0.0, 0.5, -0.5, 1e-13, d / period}) {
             const double t = (static_cast<double>(k) + offs) * period;
-            worst = std::max(
-                worst, std::abs(recon.value(t) - recon.value_reference(t)));
+            worst = std::max(worst, std::abs(recon.value(t) - ref.value(t)));
         }
     }
     EXPECT_LT(worst / s.rms, 1e-9);
@@ -172,8 +177,8 @@ TEST(PnbsFastPath, BatchValuesBitIdenticalToPerPoint) {
 }
 
 TEST(PnbsFastPath, ReferencePathStillReconstructs) {
-    // Guard the retained reference itself: it must keep reconstructing
-    // in-band signals (it is the yardstick every fast path is held to).
+    // Guard the yardstick itself: it must keep reconstructing in-band
+    // signals (it is what every fast path is held to).
     const band_spec band = band_around(1.0 * GHz, 90.0 * MHz);
     const double period = 1.0 / band.bandwidth();
     const std::size_t n = 400;
@@ -181,15 +186,16 @@ TEST(PnbsFastPath, ReferencePathStillReconstructs) {
         band, static_cast<double>(n) * period + 10.0 * ns, 0x44);
     const double d = 180.0 * ps;
     const auto s = sample_streams(sig, period, d, n);
-    const pnbs_reconstructor recon(s.even, s.odd, period, 0.0, band, d,
+    const pnbs_yardstick yardstick(s.even, s.odd, period, 0.0, band, d,
                                    {81, 8.0});
+    const auto [t_lo, t_hi] =
+        pnbs_reconstructor::valid_span(n, period, 0.0, 81);
     rng probe(0x45);
     std::vector<double> ref, est;
     for (int i = 0; i < 200; ++i) {
-        const double t =
-            probe.uniform(recon.valid_begin(), recon.valid_end());
+        const double t = probe.uniform(t_lo, t_hi);
         ref.push_back(sig.value(t));
-        est.push_back(recon.value_reference(t));
+        est.push_back(yardstick.value(t));
     }
     EXPECT_LT(relative_rms_error(ref, est), 0.02);
 }

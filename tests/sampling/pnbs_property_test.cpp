@@ -6,7 +6,7 @@
 //  * uniform() and values() stay bit-identical to per-point value() —
 //    the PR 2 invariant, now quantified over backends;
 //  * the fused fast path stays within its accuracy envelope of the
-//    per-tap transcendental reference;
+//    per-tap transcendental yardstick (support/pnbs_yardstick.hpp);
 //  * a backend-built reconstructor agrees with its scalar-forced twin
 //    within the documented accumulation bound.
 //
@@ -24,6 +24,7 @@
 #include "core/units.hpp"
 #include "sampling/band.hpp"
 #include "sampling/pnbs.hpp"
+#include "support/pnbs_yardstick.hpp"
 
 namespace {
 
@@ -32,6 +33,7 @@ using sampling::band_spec;
 using sampling::kohlenberg_kernel;
 using sampling::pnbs_reconstructor;
 using simd::kernel_backend;
+using sdrbist::testing::pnbs_yardstick;
 
 /// One randomly drawn reconstruction scenario.
 struct scenario {
@@ -121,6 +123,8 @@ TEST(PnbsProperty, FastPathTracksReferenceUnderEveryBackend) {
     rng gen(0xF023);
     for (int config = 0; config < 8; ++config) {
         const scenario s = draw_scenario(gen);
+        const pnbs_yardstick ref(s.even, s.odd, s.period, s.t_start, s.band,
+                                 s.delay, {s.taps, s.beta});
         for (const auto* ops : kernel_backend::available()) {
             kernel_backend::force(ops->name);
             const auto recon = build(s);
@@ -130,12 +134,12 @@ TEST(PnbsProperty, FastPathTracksReferenceUnderEveryBackend) {
             for (int i = 0; i < 100; ++i) {
                 const double t =
                     probe.uniform(recon.valid_begin(), recon.valid_end());
-                worst = std::max(
-                    worst, std::abs(recon.value(t) - recon.value_reference(t)));
+                worst = std::max(worst,
+                                 std::abs(recon.value(t) - ref.value(t)));
             }
             // Random (non-bandlimited) records: the envelope is looser
             // than the curated fastpath suites but still pins the fused
-            // evaluation to the transcendental reference.
+            // evaluation to the transcendental yardstick.
             EXPECT_LT(worst, 1e-8)
                 << ops->name << " config=" << config << " taps=" << s.taps;
         }
