@@ -137,7 +137,8 @@ void usage() {
         "                    — the handshake verifies the identity digest\n"
         "  --worker H:P      run as a worker for the coordinator at\n"
         "                    host:port: request leases, grade them,\n"
-        "                    stream rows back, heartbeat while computing.\n"
+        "                    send each lease's rows back on completion,\n"
+        "                    heartbeat while computing.\n"
         "                    Pair with --journal so a restarted worker\n"
         "                    resumes instead of re-grading (resume is\n"
         "                    implied, cold start included)\n"
@@ -664,7 +665,7 @@ int run_cli(int argc, char** argv) {
         (!json_path.empty() || !csv_path.empty() || !scenarios_path.empty() ||
          !jsonl_path.empty() || !shard_out_path.empty() ||
          cfg.shard.count > 1)) {
-        std::cerr << "--worker streams results to its coordinator; export "
+        std::cerr << "--worker sends results to its coordinator; export "
                      "flags and --shard belong on --serve\n";
         return 2;
     }
@@ -746,7 +747,7 @@ int run_cli(int argc, char** argv) {
             const auto wr = campaign::service::run_worker(cfg, svc);
             std::cout << "worker: " << wr.leases << " leases completed, "
                       << wr.stale << " stale, " << wr.rows
-                      << " rows streamed, " << wr.heartbeats
+                      << " rows delivered, " << wr.heartbeats
                       << " heartbeats\n";
             return 0;
         } catch (const fault_injection::transient_fault& e) {

@@ -162,23 +162,9 @@ void entry_store::store(const std::string& key, std::string_view kind,
                         const std::string& raw) const {
     const telemetry::scoped_span span(telemetry::category::cache,
                                       "store.store");
-    // Atomic publish: unique temp in the store directory, then rename over
-    // the final path.  Concurrent writers of the same key produce
-    // identical content; last rename wins.  Best-effort by design — a
-    // failed publish degrades to a future miss, exactly like a real I/O
-    // failure.  Uniqueness: pid distinguishes processes, the counter
-    // distinguishes threads/stores within one.
-#if defined(__unix__) || defined(__APPLE__)
-    const std::uint64_t process_tag = static_cast<std::uint64_t>(::getpid());
-#else
-    const std::uint64_t process_tag =
-        std::hash<std::thread::id>{}(std::this_thread::get_id());
-#endif
-    static std::atomic<std::uint64_t> sequence{0};
-    const std::string path = path_for(key, kind);
-    const std::string tmp =
-        path + ".tmp." + fnv1a64::hex_digest(process_tag) + "." +
-        std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
+    // Concurrent writers of the same key produce identical content; last
+    // rename wins.  Best-effort by design — a failed publish degrades to a
+    // future miss, exactly like a real I/O failure.
     try {
         fault_injection::fire(fault_injection::site::store_store);
         const std::string payload = byte_codec_compress(raw);
@@ -186,24 +172,40 @@ void entry_store::store(const std::string& key, std::string_view kind,
         body += '\n';
         body += payload;
         fault_injection::corrupt(fault_injection::site::store_store, body);
-        {
-            std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-            out << body;
-            out.flush();
-            if (!out.good()) {
-                std::error_code ec;
-                fs::remove(tmp, ec);
-                return;
-            }
-        }
-        std::error_code ec;
-        fs::rename(tmp, path, ec);
-        if (ec)
-            fs::remove(tmp, ec);
+        (void)publish_file(path_for(key, kind), body);
     } catch (const std::exception&) {
-        std::error_code ec;
-        fs::remove(tmp, ec);
     }
+}
+
+bool publish_file(const std::string& path, std::string_view body) {
+    // Uniqueness: pid distinguishes processes, the counter distinguishes
+    // threads and writers within one.
+#if defined(__unix__) || defined(__APPLE__)
+    const std::uint64_t process_tag = static_cast<std::uint64_t>(::getpid());
+#else
+    const std::uint64_t process_tag =
+        std::hash<std::thread::id>{}(std::this_thread::get_id());
+#endif
+    static std::atomic<std::uint64_t> sequence{0};
+    const std::string tmp =
+        path + ".tmp." + fnv1a64::hex_digest(process_tag) + "." +
+        std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
+    std::error_code ec;
+    {
+        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+        out.write(body.data(), static_cast<std::streamsize>(body.size()));
+        out.flush();
+        if (!out.good()) {
+            fs::remove(tmp, ec);
+            return false;
+        }
+    }
+    fs::rename(tmp, path, ec);
+    if (ec) {
+        fs::remove(tmp, ec);
+        return false;
+    }
+    return true;
 }
 
 bool quarantine_file(const std::string& file) {

@@ -168,6 +168,14 @@ private:
 /// is left in place).
 bool quarantine_file(const std::string& file);
 
+/// Atomic publish, shared by the store and the shard-file writer: write
+/// `body` to a temp file unique across processes and threads
+/// (`<path>.tmp.<pid>.<seq>`) next to `path`, then rename it over `path`,
+/// so a reader — or a crash mid-write — sees the target absent or
+/// complete, never torn.  Returns false (temp removed, any previous file
+/// untouched) when the write or the rename fails.
+bool publish_file(const std::string& path, std::string_view body);
+
 // ---------------------------------------------------------------------------
 // Store lifecycle tooling (the CLI's `cache-stats` / `cache-gc`).
 // ---------------------------------------------------------------------------

@@ -179,6 +179,8 @@ struct scenario {
     bist::fault_kind fault = bist::fault_kind::none;
     std::string preset_name;
     std::uint64_t seed = 0;       ///< derived scenario seed (grid-stable)
+
+    bool operator==(const scenario&) const = default;
 };
 
 /// Outcome of one scenario.

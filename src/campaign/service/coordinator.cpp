@@ -39,7 +39,7 @@ struct coordinator::impl {
     campaign_config config;
     service_config svc;
     std::string identity;
-    std::size_t grid_size = 0;
+    std::vector<scenario> grid; ///< what every `complete` row must echo
     lease_ledger ledger;
     tcp_listener listener;
 
@@ -50,7 +50,6 @@ struct coordinator::impl {
 
     std::mutex results_mu;
     std::vector<std::optional<campaign_result>> lease_results;
-    std::vector<char> row_seen; ///< first-wins dedupe for hooks.on_scenario
 
     std::mutex reaper_mu;
     std::condition_variable reaper_cv;
@@ -58,15 +57,14 @@ struct coordinator::impl {
     std::chrono::steady_clock::time_point epoch =
         std::chrono::steady_clock::now();
 
-    impl(campaign_config grid, service_config s)
-        : config(std::move(grid)),
+    impl(campaign_config cfg, service_config s)
+        : config(std::move(cfg)),
           svc(s),
           identity(campaign_identity(config)),
-          grid_size(expand_grid(config).size()),
-          ledger(grid_size, s.lease_size),
+          grid(expand_grid(config)),
+          ledger(grid.size(), s.lease_size),
           listener(s.host, s.port),
-          lease_results(ledger.lease_count()),
-          row_seen(grid_size, 0) {}
+          lease_results(ledger.lease_count()) {}
 
     [[nodiscard]] double now_s() const {
         return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -93,16 +91,34 @@ struct coordinator::impl {
     }
 
     /// Validate that an incoming lease result is exactly the granted
-    /// slice: the right row count, every index inside the range.
+    /// slice of this campaign: the coordinator's own axes, and row k
+    /// echoing grid scenario `range.begin + k` field for field.  Anything
+    /// looser lets a peer smuggle a duplicate or foreign row past the
+    /// ledger into merge_results(), which would reject the whole grid.
     [[nodiscard]] bool lease_result_ok(std::size_t lease,
                                        const campaign_result& r) const {
-        if (lease >= ledger.lease_count() || r.grid_size != grid_size)
+        const auto same_preset = [](const std::string& name,
+                                    const waveform::standard_preset& p) {
+            return name == p.name;
+        };
+        const auto same_fault = [](const std::string& name,
+                                   bist::fault_kind f) {
+            return name == bist::to_string(f);
+        };
+        if (lease >= ledger.lease_count() || r.grid_size != grid.size() ||
+            r.trials != config.trials || r.seed != config.seed ||
+            !std::equal(r.preset_names.begin(), r.preset_names.end(),
+                        config.presets.begin(), config.presets.end(),
+                        same_preset) ||
+            !std::equal(r.fault_names.begin(), r.fault_names.end(),
+                        config.faults.begin(), config.faults.end(),
+                        same_fault))
             return false;
         const lease_range range = ledger.range_of(lease);
         if (r.results.size() != range.size())
             return false;
-        for (const auto& row : r.results)
-            if (!range.contains(row.sc.index))
+        for (std::size_t k = 0; k < range.size(); ++k)
+            if (r.results[k].sc != grid[range.begin + k])
                 return false;
         return true;
     }
@@ -139,7 +155,7 @@ struct coordinator::impl {
                     o.string_field("type", "welcome");
                     o.size_field("protocol_version",
                                  static_cast<std::size_t>(protocol_version));
-                    o.size_field("grid_size", grid_size);
+                    o.size_field("grid_size", grid.size());
                     o.size_field("lease_count", ledger.lease_count());
                     // The beat cadence is the coordinator's to dictate:
                     // its reaper times out at 3 × this, so workers must
@@ -190,30 +206,12 @@ struct coordinator::impl {
                                          : simple_msg("stale"));
                     continue;
                 }
-                if (type == "row") {
-                    // A streamed row proves the worker is alive (counts as
-                    // a beat) and feeds --jsonl streaming, first copy wins.
-                    const bool live = ledger.beat(lease, generation, now_s());
-                    if (live && hooks.on_scenario) {
-                        const scenario_result r =
-                            scenario_row_from_json(msg.at("result"));
-                        SDRBIST_EXPECTS(r.sc.index < grid_size);
-                        const std::lock_guard<std::mutex> lock(results_mu);
-                        if (!row_seen[r.sc.index]) {
-                            row_seen[r.sc.index] = 1;
-                            hooks.on_scenario(r);
-                        }
-                    }
-                    send_frame(sock,
-                               live ? simple_msg("ok") : simple_msg("stale"));
-                    continue;
-                }
                 if (type == "complete") {
                     campaign_result r = result_from_json(msg.at("result"));
                     if (!lease_result_ok(lease, r)) {
                         send_frame(sock, error_msg(
                                              "lease result does not match "
-                                             "the granted range"));
+                                             "the granted grid slice"));
                         throw fault_injection::transient_fault(
                             "mismatched lease result");
                     }
@@ -223,6 +221,13 @@ struct coordinator::impl {
                                 results_mu);
                             lease_results[lease] = std::move(r);
                         }
+                        // Only accepted rows reach --jsonl, so the stream
+                        // and the merge read the same rows.  The slot is
+                        // final: the ledger accepts each lease once.
+                        if (hooks.on_scenario)
+                            for (const auto& row :
+                                 lease_results[lease]->results)
+                                hooks.on_scenario(row);
                         if (ledger.all_complete())
                             finish(); // the accept loop re-checks within
                                       // its timeout and stops

@@ -7,9 +7,11 @@
 /// `lease_range` slices (see lease_ledger.hpp), hands them to workers on
 /// request, and treats worker death as an expected event — a dead
 /// connection or a lapsed heartbeat re-queues the lease for the next
-/// requester.  Each accepted `complete` frame carries the worker's
-/// per-lease `campaign_result` (the shard-file codec), and the final
-/// answer is `merge_results()` over the lease results — the same
+/// requester.  The lease is the one unit in which results are delivered:
+/// a `complete` frame carries the worker's per-lease `campaign_result`
+/// (the shard-file codec), accepted only when its axes are the
+/// coordinator's and row k is grid scenario `begin + k`.  The final
+/// answer is `merge_results()` over the accepted lease results — the same
 /// exact-coverage merge the CLI `--merge` path uses, so exports are
 /// byte-identical (timing suppressed) to a single-process run of the
 /// same grid.
@@ -76,9 +78,10 @@ public:
     [[nodiscard]] std::uint16_t port() const;
 
     /// Serve workers until every lease completes, then merge and return.
-    /// `hooks.on_scenario` fires once per grid row as its first copy
-    /// streams in (duplicates from re-run leases are suppressed), so
-    /// `--jsonl` streaming works exactly like a local run.
+    /// `hooks.on_scenario` fires once per grid row, for the rows of each
+    /// `complete` the ledger accepts, so `--jsonl` carries exactly the rows
+    /// the merge reads.  Like a local run's, calls may be concurrent (one
+    /// per connection handler); the callee synchronises.
     service_report serve(const run_hooks& hooks = {});
 
 private:

@@ -5,11 +5,11 @@
 /// `lease_size` scenarios (the last one short).  Each lease moves through
 /// queued → granted → completed; a granted lease carries a **generation**
 /// that increments every time it is (re-)granted, so frames from a worker
-/// whose lease lapsed — heartbeats, streamed rows, even a late
-/// `complete` — are recognisably stale and rejected.  Re-queueing happens
-/// on two signals: the owner's connection died (fast path, a SIGKILLed
-/// worker's socket EOFs immediately) or its heartbeats lapsed (slow path,
-/// catches wedged-but-connected workers).  First accepted completion
+/// whose lease lapsed — heartbeats, even a late `complete` — are
+/// recognisably stale and rejected.  Re-queueing happens on two signals:
+/// the owner's connection died (fast path, a SIGKILLed worker's socket
+/// EOFs immediately) or its heartbeats lapsed (slow path, catches
+/// wedged-but-connected workers).  First accepted completion
 /// wins; grid determinism makes duplicate executions byte-identical, so
 /// "wins" is about accounting, not correctness.
 ///
@@ -60,9 +60,9 @@ public:
     /// all done, or every remaining lease is granted elsewhere ("wait").
     std::optional<lease_grant> grant(std::uint64_t owner, double now_s);
 
-    /// Record life on a grant (heartbeat frame or streamed row).  False
-    /// when the (lease, generation) pair is stale — re-queued or already
-    /// completed — telling the worker its effort no longer counts.
+    /// Record life on a grant (a heartbeat frame).  False when the
+    /// (lease, generation) pair is stale — re-queued or already completed
+    /// — telling the worker its effort no longer counts.
     bool beat(std::size_t lease, std::uint64_t generation, double now_s);
 
     /// First accepted completion retires the lease; false when stale.

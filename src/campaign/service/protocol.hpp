@@ -8,7 +8,8 @@
 /// `parse_json` pair the exporters use — no new dependencies).  One
 /// persistent connection per worker, strictly request → response, so the
 /// coordinator never pushes unsolicited frames and a worker can serialise
-/// its heartbeat thread and row streaming behind one mutex.
+/// its heartbeat thread and its lease loop behind one mutex.  Rows travel
+/// only inside a lease's `complete` frame.
 ///
 /// Failure taxonomy (PR 7 vocabulary):
 ///  * A dead peer — EOF, ECONNRESET, recv timeout — raises
@@ -36,8 +37,10 @@
 
 namespace sdrbist::campaign::service {
 
-/// Handshake-checked protocol revision.
-inline constexpr int protocol_version = 1;
+/// Handshake-checked protocol revision.  Bump it whenever the message
+/// set changes, so a mixed-build fleet is rejected at `hello` instead of
+/// being dropped mid-lease.
+inline constexpr int protocol_version = 2;
 
 /// Upper bound on one frame's payload.  A larger length prefix is a
 /// protocol violation, not an allocation request.

@@ -74,9 +74,8 @@ worker_report run_worker(campaign_config grid, const service_config& svc) {
     tcp_socket sock = connect_with_retry(svc);
     sock.set_recv_timeout(std::max(2.0 * svc.timeout(), 5.0));
 
-    // One connection, strict request → response: the main loop, the
-    // heartbeat sidecar and the row-streaming hook (called from scheduler
-    // worker threads) all serialise whole exchanges behind this mutex.
+    // One connection, strict request → response: the main loop and the
+    // heartbeat sidecar serialise whole exchanges behind this mutex.
     std::mutex wire_mu;
     auto transact = [&](const std::string& payload) {
         const std::lock_guard<std::mutex> lock(wire_mu);
@@ -102,7 +101,6 @@ worker_report run_worker(campaign_config grid, const service_config& svc) {
     }
 
     worker_report report;
-    std::atomic<std::size_t> rows{0};
     std::atomic<std::size_t> beats{0};
 
     for (;;) {
@@ -155,43 +153,22 @@ worker_report run_worker(campaign_config grid, const service_config& svc) {
             }
         });
 
-        run_hooks hooks;
-        hooks.on_scenario = [&](const scenario_result& r) {
-            if (conn_dead.load(std::memory_order_relaxed))
-                return;
-            json_object_writer o;
-            o.string_field("type", "row");
-            o.size_field("lease", lease);
-            o.size_field("generation", static_cast<std::size_t>(generation));
-            o.field("result", scenario_row_json(r));
-            try {
-                transact(o.str());
-                rows.fetch_add(1, std::memory_order_relaxed);
-            } catch (const std::exception&) {
-                // Never let a wire failure masquerade as a scenario
-                // failure inside the runner; surface it after the lease.
-                conn_dead.store(true, std::memory_order_relaxed);
-            }
-        };
-
-        campaign_result result;
-        try {
-            result = campaign_runner(cfg).run(hooks);
-        } catch (...) {
+        const auto stop_beater = [&] {
             {
                 const std::lock_guard<std::mutex> lock(beat_mu);
                 computing = false;
             }
             beat_cv.notify_all();
             beater.join();
+        };
+        campaign_result result;
+        try {
+            result = campaign_runner(cfg).run();
+        } catch (...) {
+            stop_beater();
             throw;
         }
-        {
-            const std::lock_guard<std::mutex> lock(beat_mu);
-            computing = false;
-        }
-        beat_cv.notify_all();
-        beater.join();
+        stop_beater();
         if (conn_dead.load(std::memory_order_relaxed))
             throw transient_fault("lost the coordinator mid-lease");
 
@@ -201,13 +178,14 @@ worker_report run_worker(campaign_config grid, const service_config& svc) {
         o.size_field("generation", static_cast<std::size_t>(generation));
         o.field("result", result_to_json(result));
         const json_value resp = transact(o.str());
-        if (resp.at("type").as_string() == "ok")
+        if (resp.at("type").as_string() == "ok") {
             ++report.leases;
-        else
+            report.rows += result.results.size();
+        } else {
             ++report.stale; // lapsed under us; the re-run is deterministic
+        }
     }
 
-    report.rows = rows.load(std::memory_order_relaxed);
     report.heartbeats = beats.load(std::memory_order_relaxed);
     return report;
 }

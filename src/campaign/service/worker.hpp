@@ -1,17 +1,17 @@
 /// \file worker.hpp
-/// \brief Campaign-service worker loop: lease → grade → stream → repeat.
+/// \brief Campaign-service worker loop: lease → grade → complete → repeat.
 ///
 /// `campaign_runner --worker HOST:PORT` wraps `run_worker()`.  The worker
 /// connects (retrying while the coordinator comes up), handshakes with
 /// its `campaign_identity()` digest, then loops: request a lease, grade
 /// the slice with a plain `campaign_runner` (the `lease` filter on
-/// `campaign_config`), stream every finished row back through the
-/// `scenario_row_json` codec, and post the per-lease `campaign_result`
-/// as `complete`.  While a lease computes, a sidecar thread heartbeats
-/// at the cadence the `welcome` frame dictates (the coordinator's
-/// `heartbeat_s` — its re-queue timeout derives from it, so the two can
-/// never disagree); both the beats and the row frames share one
-/// connection behind a mutex (the protocol is strictly request →
+/// `campaign_config`), and post the per-lease `campaign_result` as
+/// `complete` — the only frame that carries rows, so a lease is two
+/// request/response exchanges plus its beats.  While a lease computes, a
+/// sidecar thread heartbeats at the cadence the `welcome` frame dictates
+/// (the coordinator's `heartbeat_s` — its re-queue timeout derives from
+/// it, so the two can never disagree); the beats and the main loop share
+/// one connection behind a mutex (the protocol is strictly request →
 /// response, so interleaving is safe).
 ///
 /// Failure model: losing the coordinator mid-anything raises
@@ -40,7 +40,7 @@ namespace sdrbist::campaign::service {
 struct worker_report {
     std::size_t leases = 0;     ///< leases completed and accepted
     std::size_t stale = 0;      ///< completions rejected as lapsed
-    std::size_t rows = 0;       ///< scenario rows streamed (accepted or not)
+    std::size_t rows = 0;       ///< scenario rows in accepted completions
     std::size_t heartbeats = 0; ///< beats sent by the sidecar thread
 };
 

@@ -1,22 +1,13 @@
 #include "campaign/shard_io.hpp"
 
-#include <atomic>
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
-#include <functional>
 #include <sstream>
-#include <thread>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h> // getpid: temp names must be unique across processes
-#endif
 
 #include "campaign/artefact_store/artefact_store.hpp"
 #include "campaign/artefact_store/stage_codec.hpp"
 #include "core/contracts.hpp"
 #include "core/fault_injection.hpp"
-#include "core/hash.hpp"
 #include "core/telemetry.hpp"
 
 namespace sdrbist::campaign {
@@ -212,41 +203,7 @@ bool write_result_file(const std::string& path,
     std::string body = result_to_json(result);
     body += '\n';
     fault_injection::corrupt(fault_injection::site::shard_write, body);
-
-    // Atomic publish (same discipline as the scenario cache): write a
-    // uniquely named temp file next to the target, then rename over it, so
-    // a crash or SIGKILL mid-write leaves the target either absent or
-    // complete — never a torn file that strict --merge rejects.
-#if defined(__unix__) || defined(__APPLE__)
-    const std::uint64_t process_tag = static_cast<std::uint64_t>(::getpid());
-#else
-    const std::uint64_t process_tag =
-        std::hash<std::thread::id>{}(std::this_thread::get_id());
-#endif
-    static std::atomic<std::uint64_t> sequence{0};
-    const std::string tmp =
-        path + ".tmp." + fnv1a64::hex_digest(process_tag) + "." +
-        std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
-    namespace fs = std::filesystem;
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out.good())
-            return false;
-        out << body;
-        out.flush();
-        if (!out.good()) {
-            std::error_code ec;
-            fs::remove(tmp, ec);
-            return false;
-        }
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        fs::remove(tmp, ec);
-        return false;
-    }
-    return true;
+    return publish_file(path, body);
 }
 
 std::vector<campaign_result>

@@ -545,7 +545,6 @@ TEST(CodecMutation, ServiceFramesThroughALiveCoordinator) {
     const std::vector<std::string> frames = {
         hello.str(),
         lease_frame("heartbeat", ""),
-        lease_frame("row", scenario_row_json(small_row(0))),
         lease_frame("complete", result_to_json(small_result(1))),
     };
 
@@ -566,9 +565,7 @@ TEST(CodecMutation, ServiceFramesThroughALiveCoordinator) {
             }
             (void)msg.at("lease").as_size();
             (void)msg.at("generation").as_size();
-            if (type == "row")
-                (void)scenario_row_from_json(msg.at("result"));
-            else if (type == "complete")
+            if (type == "complete")
                 (void)result_from_json(msg.at("result"));
         });
 

@@ -6,8 +6,10 @@
 // telemetry counters exactly mirroring the ledger stats.  Plus the two
 // satellite regressions: atomic shard-file publication (no torn reads)
 // and cold-start --resume (a missing journal is created, not rejected);
-// and hostile frames — out-of-range lease ids and heartbeat periods drop
-// that one connection instead of reaching an out-of-range conversion.
+// and hostile frames — out-of-range lease ids and heartbeat periods, and
+// `complete` frames that are not exactly the granted grid slice, drop
+// that one connection instead of reaching an out-of-range conversion or
+// the merge.  `--jsonl` streaming sees only rows of accepted leases.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -15,7 +17,9 @@
 #include <chrono>
 #include <filesystem>
 #include <future>
+#include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -269,7 +273,7 @@ TEST(CampaignService, TwoWorkersMatchSingleProcessBitIdentically) {
     service_config svc;
     svc.port = 0; // ephemeral
     svc.lease_size = 1;
-    svc.heartbeat_s = 1.0; // generous: rows count as beats anyway
+    svc.heartbeat_s = 1.0; // generous: 3 s of silence before a re-queue
     coordinator coord(cfg, svc);
     svc.port = coord.port();
 
@@ -381,6 +385,8 @@ TEST(CampaignService, MismatchedGridIsRejectedAtHandshake) {
 /// sends next reaches the coordinator's frame decode.
 tcp_socket welcomed_peer(const campaign_config& cfg, std::uint16_t port) {
     tcp_socket c = tcp_connect("127.0.0.1", port);
+    // A coordinator that stopped serving fails the test instead of hanging.
+    c.set_recv_timeout(10.0);
     json_object_writer hello;
     hello.string_field("type", "hello");
     hello.size_field("protocol_version",
@@ -403,7 +409,7 @@ TEST(CampaignService, HostileLeaseIdsDropOnlyThatConnection) {
     auto served = std::async(std::launch::async, [&] { return coord.serve(); });
 
     std::size_t peers = 0;
-    for (const char* type : {"heartbeat", "row", "complete"}) {
+    for (const char* type : {"heartbeat", "complete"}) {
         for (const char* bad : {"-1", "1e300", "0.5"}) {
             for (const bool bad_lease : {true, false}) {
                 const std::string field = bad_lease ? "lease" : "generation";
@@ -439,6 +445,130 @@ TEST(CampaignService, HostileLeaseIdsDropOnlyThatConnection) {
     EXPECT_EQ(r1.leases + r2.leases, 4u);
 }
 
+/// Takes the next lease as `peer`; returns the grant frame.
+json_value take_lease(tcp_socket& peer) {
+    send_frame(peer, R"({"type":"request"})");
+    json_value grant = recv_message(peer);
+    EXPECT_EQ(grant.at("type").as_string(), "lease");
+    return grant;
+}
+
+/// A lease-scoped frame for `grant` carrying `result` under "result".
+std::string lease_frame(const char* type, const json_value& grant,
+                        const std::string& result) {
+    json_object_writer o;
+    o.string_field("type", type);
+    o.size_field("lease", grant.at("lease").as_size());
+    o.size_field("generation", grant.at("generation").as_size());
+    o.field("result", result);
+    return o.str();
+}
+
+/// `complete` is checked against the coordinator's own grid: a peer that
+/// sends the right row count but a duplicate index, or rows under other
+/// axes, is dropped and its lease re-queued — it never reaches the merge,
+/// so the honest worker still finishes the grid bit-identically.
+TEST(CampaignService, HostileCompleteDropsOnlyThatConnection) {
+    const auto cfg = small_grid();
+    const auto reference = campaign_runner(cfg).run();
+
+    service_config svc;
+    svc.lease_size = 2;
+    svc.heartbeat_s = 1.0;
+    coordinator coord(cfg, svc);
+    svc.port = coord.port();
+    auto served = std::async(std::launch::async, [&] { return coord.serve(); });
+
+    using forgery = void (*)(campaign_result&);
+    const std::vector<std::pair<const char*, forgery>> forgeries = {
+        {"duplicate index",
+         [](campaign_result& r) { r.results[1] = r.results[0]; }},
+        {"seed axis", [](campaign_result& r) { r.seed ^= 1; }},
+        {"trials axis", [](campaign_result& r) { ++r.trials; }},
+        {"preset axis",
+         [](campaign_result& r) {
+             std::swap(r.preset_names[0], r.preset_names[1]);
+         }},
+        {"fault axis", [](campaign_result& r) { r.fault_names.pop_back(); }},
+        {"row seed", [](campaign_result& r) { r.results[0].sc.seed ^= 1; }},
+    };
+    for (const auto& [what, forge] : forgeries) {
+        SCOPED_TRACE(what);
+        tcp_socket c = welcomed_peer(cfg, svc.port);
+        const json_value grant = take_lease(c);
+        const auto rows = reference.results.begin();
+        campaign_result piece = reference;
+        piece.results.assign(
+            rows + static_cast<std::ptrdiff_t>(grant.at("begin").as_size()),
+            rows + static_cast<std::ptrdiff_t>(grant.at("end").as_size()));
+        forge(piece);
+        send_frame(c, lease_frame("complete", grant, result_to_json(piece)));
+        EXPECT_EQ(recv_message(c).at("type").as_string(), "error");
+        EXPECT_THROW(static_cast<void>(recv_frame(c)),
+                     fault_injection::transient_fault);
+    }
+
+    const worker_report wr = run_worker(cfg, svc);
+    const service_report report = served.get();
+    EXPECT_EQ(fingerprint(report.result), fingerprint(reference));
+    EXPECT_EQ(report.leases.requeues, forgeries.size());
+    EXPECT_EQ(report.dropped_connections, forgeries.size());
+    EXPECT_EQ(wr.leases, 2u);
+    EXPECT_EQ(wr.rows, 4u);
+}
+
+/// `--jsonl` reads what the merge reads.  A peer that takes a lease, sends
+/// a forged per-scenario `row` frame (a message the protocol no longer
+/// has) and hangs up feeds nothing to `on_scenario`; the rows of accepted
+/// completions feed every grid index exactly once.
+TEST(CampaignService, ScenarioStreamCarriesOnlyAcceptedRows) {
+    const auto cfg = small_grid();
+    const auto reference = campaign_runner(cfg).run();
+    export_options no_timing;
+    no_timing.include_timing = false;
+
+    service_config svc;
+    svc.lease_size = 2;
+    svc.heartbeat_s = 1.0;
+    coordinator coord(cfg, svc);
+    svc.port = coord.port();
+
+    std::mutex seen_mu;
+    std::vector<std::vector<std::string>> seen(reference.results.size());
+    run_hooks hooks;
+    hooks.on_scenario = [&](const scenario_result& r) {
+        const std::lock_guard<std::mutex> lock(seen_mu);
+        if (r.sc.index < seen.size())
+            seen[r.sc.index].push_back(scenario_json(r, no_timing));
+    };
+    auto served =
+        std::async(std::launch::async, [&] { return coord.serve(hooks); });
+
+    {
+        tcp_socket c = welcomed_peer(cfg, svc.port);
+        const json_value grant = take_lease(c);
+        scenario_result forged = reference.results[grant.at("begin").as_size()];
+        forged.report.evm_pass = !forged.report.evm_pass;
+        send_frame(c, lease_frame("row", grant, scenario_row_json(forged)));
+        try {
+            static_cast<void>(recv_frame(c));
+        } catch (const fault_injection::transient_fault&) {
+        }
+        c.close(); // hang up holding the lease
+    }
+
+    const worker_report wr = run_worker(cfg, svc);
+    const service_report report = served.get();
+    EXPECT_EQ(fingerprint(report.result), fingerprint(reference));
+    EXPECT_EQ(report.leases.requeues, 1u);
+    EXPECT_EQ(wr.rows, reference.results.size());
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+        SCOPED_TRACE("grid index " + std::to_string(i));
+        ASSERT_EQ(seen[i].size(), 1u);
+        EXPECT_EQ(seen[i][0], scenario_json(reference.results[i], no_timing));
+    }
+}
+
 /// Serves one worker connection from a fake coordinator: answers the
 /// hello with `welcome`, then (when `lease` is non-empty) the first
 /// request with `lease`, and waits for the worker to hang up.
@@ -466,7 +596,7 @@ TEST(CampaignService, WorkerRejectsHostileWelcomeAndLease) {
     svc.port = listener.port();
 
     const std::string welcome_head =
-        R"({"type":"welcome","protocol_version":1,"grid_size":4,)"
+        R"({"type":"welcome","protocol_version":2,"grid_size":4,)"
         R"("lease_count":4,"heartbeat_s":)";
     // Not finite (null is how NaN/inf travel), not > 0, or beyond the
     // longest beat period a coordinator may dictate.
