@@ -19,7 +19,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -122,10 +121,6 @@ void usage() {
         "  --backend NAME    force the SIMD kernel backend (scalar, avx2,\n"
         "                    neon; default: best the CPU supports, or the\n"
         "                    SDRBIST_FORCE_BACKEND environment variable)\n"
-        "  --stage-sharing S deepest pipeline stage pooled across scenarios\n"
-        "                    that provably need the same result: off,\n"
-        "                    stimulus, tx-capture, calibration,\n"
-        "                    reconstruction (default)\n"
         "  --shard i/N       grade only shard i of N (grid index mod N)\n"
         "  --serve H:P       run as the distributed-campaign coordinator:\n"
         "                    listen on host:port (port 0 = ephemeral),\n"
@@ -238,20 +233,6 @@ campaign::reseed_policy parse_reseed(const std::string& text) {
     if (text == "off")
         return campaign::reseed_policy::off;
     std::cerr << "--reseed needs device|probes|off, got '" << text << "'\n";
-    std::exit(2);
-}
-
-std::optional<bist::stage> parse_stage_sharing(const std::string& text) {
-    if (text == "off")
-        return std::nullopt;
-    for (const bist::stage s :
-         {bist::stage::stimulus, bist::stage::tx_capture,
-          bist::stage::calibration, bist::stage::reconstruction})
-        if (bist::to_string(s) == text)
-            return s;
-    std::cerr << "--stage-sharing needs off|stimulus|tx-capture|calibration|"
-                 "reconstruction, got '"
-              << text << "'\n";
     std::exit(2);
 }
 
@@ -567,8 +548,6 @@ int run_cli(int argc, char** argv) {
             // Force before any engine object captures the dispatched table;
             // unknown/unsupported names throw (caught in main, exit 2).
             simd::kernel_backend::force(value());
-        } else if (arg == "--stage-sharing") {
-            cfg.stage_sharing = parse_stage_sharing(value());
         } else if (arg == "--shard") {
             cfg.shard = parse_shard(value());
         } else if (arg == "--serve") {

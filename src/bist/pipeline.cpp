@@ -86,11 +86,10 @@ stimulus_output run_stimulus(const bist_config& config) {
         for (const double frac :
              {0.0, 0.25, -0.25, 0.125, -0.125, 0.375, -0.375}) {
             const double cand_carrier = nominal_carrier + frac * b1;
+            double disc = 0.0;
             const auto cand_plan = calib::choose_band_plan(
                 cand_carrier, b, b1, out.occupied_bw_calibration_hz, occ_max,
-                disc_threshold);
-            const double disc = calib::dual_rate_discrimination(
-                cand_plan, cand_carrier, out.occupied_bw_calibration_hz);
+                disc_threshold, &disc);
             if (disc > best_disc) {
                 best_disc = disc;
                 best_plan = cand_plan;

@@ -216,7 +216,8 @@ double dual_rate_discrimination(const band_plan& plan, double carrier_hz,
 band_plan choose_band_plan(double carrier_hz, double fast_bandwidth,
                            double slow_bandwidth, double occupied_bw,
                            double fast_occupied_bw,
-                           double min_discrimination) {
+                           double min_discrimination,
+                           double* discrimination) {
     SDRBIST_EXPECTS(carrier_hz > 0.0);
     SDRBIST_EXPECTS(slow_bandwidth > 0.0 &&
                     slow_bandwidth < fast_bandwidth);
@@ -252,14 +253,19 @@ band_plan choose_band_plan(double carrier_hz, double fast_bandwidth,
 
         const double disc =
             dual_rate_discrimination(plan, carrier_hz, occupied_bw);
-        if (disc >= min_discrimination)
+        if (disc >= min_discrimination) {
+            if (discrimination)
+                *discrimination = disc;
             return plan;
+        }
         if (disc > best_disc) {
             best_disc = disc;
             best = plan;
         }
     }
     SDRBIST_EXPECTS(best_disc >= 0.0); // no admissible plan at all
+    if (discrimination)
+        *discrimination = best_disc;
     return best;
 }
 

@@ -77,8 +77,9 @@ double dual_rate_discrimination(const band_plan& plan, double carrier_hz,
 /// exact multiple of B1, where no slow shift can satisfy eq. (9)).  Among
 /// admissible plans the first with dual_rate_discrimination above
 /// `min_discrimination` wins; if none qualifies the most discriminating
-/// plan is returned (query its value again to decide whether to move the
-/// BIST carrier).
+/// plan is returned.  `discrimination`, when non-null, receives the
+/// returned plan's dual_rate_discrimination (so callers deciding whether
+/// to move the BIST carrier need not measure it again).
 /// `occupied_bw` is the signal width the *slow* band must keep (the
 /// calibration stimulus); `fast_occupied_bw` (0 = same) the width the fast
 /// band must keep (the widest waveform to be graded).
@@ -86,7 +87,8 @@ double dual_rate_discrimination(const band_plan& plan, double carrier_hz,
 band_plan choose_band_plan(double carrier_hz, double fast_bandwidth,
                            double slow_bandwidth, double occupied_bw,
                            double fast_occupied_bw = 0.0,
-                           double min_discrimination = 1e-2);
+                           double min_discrimination = 1e-2,
+                           double* discrimination = nullptr);
 
 /// The paper's cost (eqs. (7)/(8)): mean squared difference between the
 /// rate-B and rate-B1 reconstructions under hypothesis D̂, evaluated at the

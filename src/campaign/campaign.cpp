@@ -88,12 +88,12 @@ void aggregate(campaign_result& out) {
 // ---------------------------------------------------------------------------
 // Stage pool: planned cross-scenario sharing of pipeline-stage results.
 //
-// The runner first looks every pending scenario up in the scenario result
-// cache, then computes the stage input digests of the rows the cache did
-// not serve and keeps one slot per digest that has MORE than one such
-// consumer.  Cache-served rows never touch the pool, so a warm run does
-// no stage work.  The task-DAG schedule fills the slots: a dedicated owner
-// node per slot computes the stage before any consumer runs (graph
+// The runner's plan pass looks every pending scenario up in the scenario
+// result cache and computes the stage input digests of the rows the cache
+// did not serve; the pool keeps one slot per digest that has MORE than one
+// such consumer.  Cache-served rows never touch the pool, so a warm run
+// does no stage work.  The task-DAG schedule fills the slots: a dedicated
+// owner node per slot computes the stage before any consumer runs (graph
 // dependency), so consumers `peek` the finished snapshot without ever
 // blocking.  The lowest-indexed consumer of each slot is *credited* when
 // the plan is made: its adoption stands in for the compute in the reuse
@@ -114,6 +114,7 @@ void aggregate(campaign_result& out) {
 constexpr std::array<bist::stage, 4> shareable_stages{
     bist::stage::stimulus, bist::stage::tx_capture,
     bist::stage::calibration, bist::stage::reconstruction};
+constexpr int shareable_levels = static_cast<int>(shareable_stages.size());
 
 template <typename T>
 class stage_slot_map {
@@ -261,22 +262,22 @@ struct stage_pool {
         }
     }
 
-    void expect(const stage_digests& d, int depth, std::size_t consumer) {
-        for (int k = 0; k < depth; ++k)
+    void expect(const stage_digests& d, std::size_t consumer) {
+        for (int k = 0; k < shareable_levels; ++k)
             at_level(k, [&](auto& slots, auto&&...) {
                 slots.expect(d[k], consumer);
             });
     }
     void finalise_plan() {
-        for (int k = 0; k < static_cast<int>(shareable_stages.size()); ++k)
+        for (int k = 0; k < shareable_levels; ++k)
             at_level(k, [](auto& slots, auto&&...) { slots.finalise_plan(); });
     }
     /// Deepest pooled prefix level of `d` (-1 = none).  The prefix-digest
     /// chain makes consumer sets monotone along the pipeline, so pooling
     /// always covers a contiguous prefix.
-    [[nodiscard]] int deepest_pooled(const stage_digests& d, int depth) {
+    [[nodiscard]] int deepest_pooled(const stage_digests& d) {
         int deepest = -1;
-        for (int k = 0; k < depth; ++k) {
+        for (int k = 0; k < shareable_levels; ++k) {
             bool pooled = false;
             at_level(k, [&](auto& slots, auto&&...) {
                 pooled = slots.pooled(d[k]);
@@ -288,7 +289,7 @@ struct stage_pool {
         return deepest;
     }
     void release(const stage_digests& d) {
-        for (int k = 0; k < static_cast<int>(shareable_stages.size()); ++k)
+        for (int k = 0; k < shareable_levels; ++k)
             at_level(k, [&](auto& slots, auto&&...) { slots.release(d[k]); });
     }
 };
@@ -352,12 +353,12 @@ int adopt_published(bist::bist_session& session, stage_pool& pool,
 }
 
 /// DAG owner node: compute pooled slot (`level`, `digests[level]`) on a
-/// session built from the owning scenario's config — any consumer's would
-/// do, equal digests guarantee equal stage inputs — adopting the already
-/// published upstream slots.  Publishes the snapshot, a null (the flow
-/// halts before this stage; every consumer's halts identically), or the
-/// exception (consumers rethrow it as their own attempt-1 failure, so the
-/// retry path stays per-scenario).
+/// session built from the owning scenario's materialised config — any
+/// consumer's would do, equal digests guarantee equal stage inputs —
+/// adopting the already published upstream slots.  Publishes the
+/// snapshot, a null (the flow halts before this stage; every consumer's
+/// halts identically), or the exception (consumers rethrow it as their own
+/// attempt-1 failure, so the retry path stays per-scenario).
 ///
 /// With a stage-artefact store, the compute consults the store first: a
 /// hit publishes the decoded snapshot without touching the pipeline — and
@@ -365,7 +366,7 @@ int adopt_published(bist::bist_session& session, stage_pool& pool,
 /// with the store cold, warm, or disabled (a store hit must publish a
 /// real snapshot: consumers read null as "the donor's flow halted").  A
 /// real compute persists its snapshot for the next run.
-void run_owner_node(const campaign_config& cfg, const scenario& owner_sc,
+void run_owner_node(const bist::bist_config& owner_config,
                     const stage_digests& digests, int level,
                     stage_pool& pool, bist::stage_snapshot_store* store) {
     const bist::stage target = shareable_stages[level];
@@ -378,7 +379,7 @@ void run_owner_node(const campaign_config& cfg, const scenario& owner_sc,
                 if (auto cached = (store->*load_fn)(digest))
                     return cached;
             }
-            bist::bist_session session(scenario_config(cfg, owner_sc));
+            bist::bist_session session(owner_config);
             if (adopt_published(session, pool, digests, level, true,
                                 [](std::size_t) {}) < level)
                 return nullptr; // upstream halted: cascade the null
@@ -405,12 +406,12 @@ void run_owner_node(const campaign_config& cfg, const scenario& owner_sc,
 /// pooled at all) go through the stage-artefact store when one is
 /// attached.
 bist::bist_report run_with_dag(const bist::bist_config& materialised,
-                               const stage_digests& digests, int depth,
+                               const stage_digests& digests,
                                stage_pool& pool, std::size_t attempt,
                                std::size_t my_index,
                                bist::stage_snapshot_store* store) {
     bist::bist_session session(materialised);
-    adopt_published(session, pool, digests, depth, attempt <= 1,
+    adopt_published(session, pool, digests, shareable_levels, attempt <= 1,
                     [&](std::size_t credited) {
                         if (credited != my_index) {
                             pool.hits.fetch_add(1, std::memory_order_relaxed);
@@ -420,6 +421,22 @@ bist::bist_report run_with_dag(const bist::bist_config& materialised,
     run_stages_with_store(session, store);
     return session.report();
 }
+
+/// What the plan pass derives for one pending row, exactly once.  The
+/// pool plan, the scenario body, the cache store and the journal append
+/// all read it.
+struct row_plan {
+    std::optional<bist::bist_config> config; ///< materialised engine config
+    std::exception_ptr error; ///< what materialisation threw (no config)
+    std::string key; ///< scenario key; "" without cache/journal or config
+    /// The cache lookup ran.  It can throw (a transient I/O fault); the
+    /// row then looks up again inside its own retry loop.
+    bool looked_up = false;
+    std::optional<scenario_result> outcome; ///< the cache's graded outcome
+    /// Shareable-prefix digests; all zero for rows that plan no stage
+    /// (served by the cache, or no config).
+    stage_digests digests{};
+};
 
 } // namespace
 
@@ -654,60 +671,49 @@ campaign_result campaign_runner::run(const run_hooks& hooks) const {
     if (!pending.empty()) {
         const task_scheduler sched(std::min(out.threads_used, pending.size()));
 
-        // Lookup phase: consult the scenario cache for every pending row
-        // before the pool is planned, so cache-served rows never plan,
-        // compute or adopt a stage.
-        struct cache_lookup {
-            std::string key;
-            std::optional<scenario_result> outcome;
-        };
-        std::vector<cache_lookup> looked_up(cache ? grid.size() : 0);
-        if (cache)
-            sched.parallel_for(pending.size(), [&](std::size_t pi) {
-                const std::size_t i = pending[pi];
-                try {
-                    std::string key = scenario_cache::key(
-                        grid[i], scenario_config(config_, grid[i]));
-                    looked_up[i].outcome = cache->load(key);
-                    looked_up[i].key = std::move(key);
-                } catch (const std::exception&) {
-                    // The key stays empty: the row looks up again inside
-                    // its retry loop.
-                }
-            });
-
-        // Stage-pool plan: compute the shareable-prefix digests of every
-        // row the cache did not serve, and pool only the digests more
-        // than one such row needs.  A scenario whose materialisation
-        // throws here is left un-pooled — its node rethrows the identical
-        // error into the scenario's result slot.
-        const int share_depth =
-            config_.stage_sharing
-                ? std::min<int>(bist::stage_index(*config_.stage_sharing) + 1,
-                                static_cast<int>(shareable_stages.size()))
-                : 0;
-        std::vector<stage_digests> digests(grid.size());
-        if (share_depth > 0 && grid.size() > 1) {
+        // Plan pass: materialise each pending row once, derive its
+        // scenario key (when a cache or journal needs it), look it up, and
+        // digest the shareable prefix of every row the cache did not
+        // serve.  Only digests more than one such row needs are pooled.
+        // A row whose materialisation throws plans nothing; its attempts
+        // rethrow the identical error into its result slot.
+        std::vector<row_plan> plans(grid.size());
+        {
             const telemetry::scoped_span plan_span(
                 telemetry::category::campaign, "campaign.plan");
-            for (const std::size_t i : pending) {
-                if (cache && looked_up[i].outcome)
-                    continue; // served rows never consume pooled stages
+            sched.parallel_for(pending.size(), [&](std::size_t pi) {
+                const std::size_t i = pending[pi];
+                row_plan& plan = plans[i];
                 try {
-                    const bist::bist_config materialised =
-                        scenario_config(config_, grid[i]);
-                    for (std::size_t k = 0; k < shareable_stages.size(); ++k)
-                        digests[i][k] = bist::stage_input_digest(
-                            materialised, shareable_stages[k]);
-                    shared.expect(digests[i], share_depth, i);
+                    plan.config = scenario_config(config_, grid[i]);
+                    if (cache || journal)
+                        plan.key = scenario_cache::key(grid[i], *plan.config);
                 } catch (const std::exception&) {
-                    digests[i] = stage_digests{};
+                    plan.config.reset();
+                    plan.error = std::current_exception();
+                    return;
                 }
-            }
+                if (cache) {
+                    try {
+                        plan.outcome = cache->load(plan.key);
+                        plan.looked_up = true;
+                    } catch (const std::exception&) {
+                        // `looked_up` stays false: the row retries it.
+                    }
+                }
+                if (!plan.outcome)
+                    for (std::size_t k = 0; k < shareable_stages.size(); ++k)
+                        plan.digests[k] = bist::stage_input_digest(
+                            *plan.config, shareable_stages[k]);
+            });
+            for (const std::size_t i : pending)
+                if (plans[i].config && !plans[i].outcome)
+                    shared.expect(plans[i].digests, i);
             shared.finalise_plan();
         }
 
         const auto scenario_body = [&](std::size_t i) {
+            row_plan& plan = plans[i];
             scenario_result& slot = out.results[i];
             slot.sc = grid[i];
             // One span covers the whole scenario, retries and backoff
@@ -715,7 +721,6 @@ campaign_result campaign_runner::run(const run_hooks& hooks) const {
             const telemetry::scoped_span scenario_span(
                 telemetry::category::scenario, "scenario", grid[i].index);
             const auto scenario_start = clock::now();
-            std::string key;
             bool hit = false;
             // Retry loop: transient failures re-run the attempt with
             // bounded deterministic backoff; contract violations are
@@ -724,51 +729,38 @@ campaign_result campaign_runner::run(const run_hooks& hooks) const {
                 slot.attempts = attempt;
                 bool transient = false;
                 const auto t0 = clock::now();
-                // Only scenario materialisation and the engine run belong
-                // in the try: a throwing observer hook must propagate (and
-                // abort the campaign), never be recorded as this
-                // scenario's engine error — that would poison the cache
-                // entry.
+                // Only the planned config's outcome, the cache lookup and
+                // the engine run belong in the try: a throwing observer
+                // hook must propagate (and abort the campaign), never be
+                // recorded as this scenario's engine error — that would
+                // poison the cache entry.
                 try {
                     fault_injection::fire(
                         fault_injection::site::pool_dispatch);
-                    const bist::bist_config materialised =
-                        scenario_config(config_, grid[i]);
-                    // `key.empty()`, not `attempt == 1`: a transient
-                    // thrown before the key was derived (dispatch probe,
-                    // config materialisation, the load itself) must not
-                    // leave a later successful attempt key-less — the
-                    // retried result still gets cached below.
-                    if (cache && key.empty()) {
-                        std::optional<scenario_result> cached;
-                        if (!looked_up[i].key.empty()) {
-                            // The lookup phase already did this lookup.
-                            key = std::move(looked_up[i].key);
-                            cached = std::move(looked_up[i].outcome);
-                        } else {
-                            key = scenario_cache::key(grid[i], materialised);
-                            cached = cache->load(key);
-                        }
-                        if (cached) {
-                            // Restore the graded outcome; `elapsed_s`
-                            // keeps the original grading cost, not the
-                            // lookup cost, so `scenario_cpu_s` still
-                            // reports what the grid costs to compute.
-                            slot.report = std::move(cached->report);
-                            slot.engine_error = cached->engine_error;
-                            slot.error = std::move(cached->error);
-                            slot.elapsed_s = cached->elapsed_s;
-                            hit = true;
-                        }
+                    if (plan.error)
+                        std::rethrow_exception(plan.error);
+                    if (cache && !plan.looked_up) {
+                        plan.outcome = cache->load(plan.key);
+                        plan.looked_up = true;
                     }
-                    if (!hit) {
+                    if (plan.outcome) {
+                        // Restore the graded outcome; `elapsed_s` keeps
+                        // the original grading cost, not the lookup cost,
+                        // so `scenario_cpu_s` still reports what the grid
+                        // costs to compute.
+                        slot.report = std::move(plan.outcome->report);
+                        slot.engine_error = plan.outcome->engine_error;
+                        slot.error = std::move(plan.outcome->error);
+                        slot.elapsed_s = plan.outcome->elapsed_s;
+                        hit = true;
+                    } else {
                         // A retry starts clean: only the final attempt's
                         // outcome is this scenario's verdict.
                         slot.engine_error = false;
                         slot.error.clear();
-                        slot.report =
-                            run_with_dag(materialised, digests[i], share_depth,
-                                         shared, attempt, i, store_ptr);
+                        slot.report = run_with_dag(*plan.config, plan.digests,
+                                                   shared, attempt, i,
+                                                   store_ptr);
                     }
                 } catch (const contract_violation& e) {
                     // Deterministic config rejection: re-running
@@ -820,7 +812,7 @@ campaign_result campaign_runner::run(const run_hooks& hooks) const {
             // matter how it finished (error, success, or a hit on a retried
             // lookup): the last claim frees the slot.  No-op for rows that
             // planned no pooled stage.
-            shared.release(digests[i]);
+            shared.release(plan.digests);
             // A gave-up or timed-out verdict is environment-dependent —
             // never persisted, so a rerun (or resume) re-attempts it.
             const bool deterministic = !slot.gave_up && !slot.timed_out;
@@ -830,22 +822,13 @@ campaign_result campaign_runner::run(const run_hooks& hooks) const {
             } else if (cache) {
                 misses.fetch_add(1, std::memory_order_relaxed);
                 telemetry::count(telemetry::counter::cache_misses);
-                if (!key.empty() && deterministic)
-                    cache->store(key, slot);
+                if (plan.config && deterministic)
+                    cache->store(plan.key, slot);
             }
-            if (journal && deterministic) {
-                std::string journal_key = key;
-                if (journal_key.empty()) {
-                    try {
-                        journal_key = scenario_cache::key(
-                            grid[i], scenario_config(config_, grid[i]));
-                    } catch (const std::exception&) {
-                        // Deterministic rejection: journalled with an
-                        // empty key; resume re-validates the same way.
-                    }
-                }
-                journal->append(journal_key, slot);
-            }
+            // A rejected config is journalled with an empty key; resume
+            // re-validates the same way.
+            if (journal && deterministic)
+                journal->append(plan.key, slot);
             if (hooks.on_scenario)
                 hooks.on_scenario(slot);
         };
@@ -861,21 +844,22 @@ campaign_result campaign_runner::run(const run_hooks& hooks) const {
         std::array<std::unordered_map<std::uint64_t, std::size_t>,
                    shareable_stages.size()>
             owner_node;
-        for (int k = 0; k < share_depth; ++k) {
+        for (int k = 0; k < shareable_levels; ++k) {
             for (const std::size_t i : pending) {
-                if (shared.deepest_pooled(digests[i], share_depth) < k)
+                const stage_digests& digests = plans[i].digests;
+                if (shared.deepest_pooled(digests) < k)
                     continue;
-                const std::uint64_t d = digests[i][k];
+                const std::uint64_t d = digests[k];
                 if (owner_node[k].count(d) != 0)
                     continue;
                 std::vector<std::size_t> deps;
                 if (k > 0)
-                    deps.push_back(owner_node[k - 1].at(digests[i][k - 1]));
+                    deps.push_back(owner_node[k - 1].at(digests[k - 1]));
                 // `i` is the lowest pooled consumer: the owner binds to its
                 // config (any consumer's is digest-equal).
                 owner_node[k][d] = graph.add(
                     [&, i, k] {
-                        run_owner_node(config_, grid[i], digests[i], k,
+                        run_owner_node(*plans[i].config, plans[i].digests, k,
                                        shared, store_ptr);
                     },
                     deps);
@@ -885,11 +869,12 @@ campaign_result campaign_runner::run(const run_hooks& hooks) const {
         // deepest pooled slot; the owner chain orders the rest.  Served
         // and un-pooled rows are dependency-free.
         for (const std::size_t i : pending) {
-            const int deepest = shared.deepest_pooled(digests[i], share_depth);
+            const stage_digests& digests = plans[i].digests;
+            const int deepest = shared.deepest_pooled(digests);
             std::vector<std::size_t> deps;
             if (deepest >= 0)
                 deps.push_back(owner_node[static_cast<std::size_t>(deepest)].at(
-                    digests[i][static_cast<std::size_t>(deepest)]));
+                    digests[static_cast<std::size_t>(deepest)]));
             graph.add([&, i] { scenario_body(i); }, deps);
         }
         sched.run(std::move(graph));

@@ -23,7 +23,6 @@
 
 #include "bist/engine.hpp"
 #include "bist/faults.hpp"
-#include "bist/stages.hpp"
 #include "core/telemetry.hpp"
 #include "waveform/standard.hpp"
 
@@ -104,19 +103,6 @@ struct campaign_config {
     /// `off` = the historical `false`).
     reseed_policy reseed = reseed_policy::device;
     trial_perturbation perturb{};
-
-    /// Deepest pipeline stage whose results the runner pools across
-    /// scenarios (prefix sharing: a stage is adopted only when every stage
-    /// upstream of it is too).  The pool is *planned*: after the scenario
-    /// cache lookups, stage input digests are computed up front for the
-    /// rows the cache does not serve (every pending row without a cache),
-    /// only results with more than one such consumer are ever retained,
-    /// and each entry is dropped the moment its last consumer finishes —
-    /// so memory is bounded by the actual overlap, and grids with no
-    /// overlap (e.g. fully device-reseeded trials) pay nothing.  Results are bit-
-    /// identical with sharing on, off, or at any level (equal digests
-    /// guarantee equal outputs).  nullopt disables pooling entirely.
-    std::optional<bist::stage> stage_sharing = bist::stage::reconstruction;
 
     std::size_t threads = 0;                ///< worker count; 0 = hardware
 
@@ -248,12 +234,12 @@ struct campaign_result {
     std::size_t store_misses = 0;
     std::uintmax_t store_bytes = 0;
 
-    // Stage-pool accounting (both 0 when `stage_sharing` is off or the
-    // rows the cache does not serve have no overlap).  Unlike the cache
-    // counters these do not depend on timing — the pool is planned from
-    // the digest multiplicities of those rows, so adopted/computed totals
-    // are a pure function of the grid, the sharing level and the cache
-    // contents, independent of thread count and completion order.
+    // Stage-pool accounting (both 0 when the rows the cache does not
+    // serve have no overlap).  Unlike the cache counters these do not
+    // depend on timing — the pool is planned from the digest
+    // multiplicities of those rows, so adopted/computed totals are a pure
+    // function of the grid and the cache contents, independent of thread
+    // count and completion order.
     std::size_t stage_reuse_hits = 0;     ///< pooled stage results adopted
     std::size_t stage_reuse_computes = 0; ///< pooled stage results computed
 
@@ -347,6 +333,15 @@ public:
     /// shard's rows when `config.shard` says so).  Results are in grid
     /// order and bit-identical for any thread count; with `cache_dir` set,
     /// already-graded scenarios are restored from disk instead of re-run.
+    ///
+    /// Rows the cache does not serve share pipeline work: the runner
+    /// pools every stimulus → reconstruction stage whose input digest
+    /// more than one of them needs (prefix sharing: a stage is adopted
+    /// only when every stage upstream of it is too), computes it once and
+    /// frees it when its last consumer finishes — so memory is bounded by
+    /// the actual overlap, and grids with none (e.g. fully
+    /// device-reseeded trials) pay nothing.  Equal digests guarantee equal
+    /// outputs, so pooling never changes a result.
     [[nodiscard]] campaign_result run() const { return run(run_hooks{}); }
     [[nodiscard]] campaign_result run(const run_hooks& hooks) const;
 

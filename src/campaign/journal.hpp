@@ -48,7 +48,7 @@ inline constexpr int journal_format_version = 1;
 /// scenarios exist and what each one computes — seed, trials, reseed
 /// policy, perturbations, mask relaxation, shard, preset/fault axes and
 /// the canonical base config.  Execution knobs (threads, cache_dir,
-/// stage_sharing, retry/deadline settings) are deliberately excluded:
+/// stage_store_dir, retry/deadline settings) are deliberately excluded:
 /// they cannot change any deterministic result, so a resume may use
 /// different ones.
 std::string campaign_identity(const campaign_config& cfg);

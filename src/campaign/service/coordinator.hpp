@@ -46,13 +46,10 @@ struct service_config {
     std::uint16_t port = 0;    ///< 0 = bind an ephemeral port (see port())
     std::size_t lease_size = 4; ///< scenarios per lease
     double heartbeat_s = 5.0;  ///< worker beat period while computing
-    /// Grants with no beat for this long are re-queued; 0 derives the
-    /// default 3 × heartbeat_s (one lost beat is jitter, three is death).
-    double lease_timeout_s = 0.0;
 
-    [[nodiscard]] double timeout() const {
-        return lease_timeout_s > 0.0 ? lease_timeout_s : 3.0 * heartbeat_s;
-    }
+    /// Grants with no beat for this long are re-queued: one lost beat is
+    /// jitter, three is death.
+    [[nodiscard]] double timeout() const { return 3.0 * heartbeat_s; }
 };
 
 /// What `serve()` hands back, beyond the merged result.

@@ -91,8 +91,7 @@ enum class counter : int {
                           ///< of re-queued leases)
     service_requeues,     ///< leases re-queued after a lapsed heartbeat or a
                           ///< dead worker connection
-    service_heartbeats,   ///< heartbeats accepted on a live lease (rows
-                          ///< streamed mid-lease count as beats too)
+    service_heartbeats,   ///< heartbeat frames accepted on a live lease
     store_hits,           ///< stage-artefact store entries adopted
     store_misses,         ///< stage-artefact store lookups that missed
     store_evictions,      ///< entries evicted by store GC (cache-gc)

@@ -83,6 +83,20 @@ TEST(BandPlan, PrefersCentredBandsAtGoodCarriers) {
     EXPECT_TRUE(calib::dual_rate_conditions_ok(plan.fast, plan.slow));
 }
 
+TEST(BandPlan, ReportsTheDiscriminationOfThePlanItReturns) {
+    // Both exits: the first plan over the threshold, and (with an
+    // unreachable threshold) the most discriminating fallback.
+    for (const double threshold : {1e-2, 1e300}) {
+        SCOPED_TRACE(threshold);
+        double reported = -1.0;
+        const auto plan = calib::choose_band_plan(
+            1.0 * GHz, 90.0 * MHz, 45.0 * MHz, 15.0 * MHz, 0.0, threshold,
+            &reported);
+        EXPECT_EQ(reported, calib::dual_rate_discrimination(plan, 1.0 * GHz,
+                                                            15.0 * MHz));
+    }
+}
+
 class BandPlanCarriers : public ::testing::TestWithParam<double> {};
 
 TEST_P(BandPlanCarriers, AlwaysProducesAdmissiblePlan) {

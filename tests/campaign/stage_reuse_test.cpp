@@ -1,12 +1,13 @@
 // Cross-scenario stage sharing: the runner's planned stage pool must be
-// invisible in the results (bit-identical at every sharing level and
-// thread count), deterministic in its accounting, and engaged exactly
+// invisible in the results (bit-identical to grading every row alone, at
+// any thread count), deterministic in its accounting, and engaged exactly
 // where digests overlap.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "campaign/campaign.hpp"
 #include "campaign/export.hpp"
@@ -78,22 +79,25 @@ void prime_first_three_rows(campaign_config cfg) {
     static_cast<void>(campaign_runner(cfg).run());
 }
 
-TEST(StageReuse, EverySharingLevelIsBitIdentical) {
-    auto cfg = reuse_campaign();
-    cfg.stage_sharing.reset();
-    const auto baseline = campaign_runner(cfg).run();
-    EXPECT_EQ(baseline.stage_reuse_hits, 0u);
-    EXPECT_EQ(baseline.stage_reuse_computes, 0u);
-
-    for (const bist::stage level :
-         {bist::stage::stimulus, bist::stage::tx_capture,
-          bist::stage::calibration, bist::stage::reconstruction}) {
-        SCOPED_TRACE(bist::to_string(level));
-        cfg.stage_sharing = level;
-        const auto shared = campaign_runner(cfg).run();
-        EXPECT_EQ(timing_free(shared), timing_free(baseline));
-        EXPECT_GT(shared.stage_reuse_hits, 0u);
+/// The sharing-free reference: every row graded as its own one-row shard
+/// (so no run has anything to pool), merged back into one result.
+campaign_result merged_one_row_shards(campaign_config cfg) {
+    const std::size_t rows = expand_grid(cfg).size();
+    std::vector<campaign_result> shards;
+    for (std::size_t k = 0; k < rows; ++k) {
+        cfg.shard = {k, rows};
+        shards.push_back(campaign_runner(cfg).run());
+        EXPECT_EQ(shards.back().stage_reuse_hits, 0u) << "shard " << k;
+        EXPECT_EQ(shards.back().stage_reuse_computes, 0u) << "shard " << k;
     }
+    return merge_results(shards);
+}
+
+TEST(StageReuse, PooledRunEqualsMergedOneRowShards) {
+    const auto cfg = reuse_campaign();
+    const auto pooled = campaign_runner(cfg).run();
+    EXPECT_GT(pooled.stage_reuse_hits, 0u);
+    EXPECT_EQ(timing_free(pooled), timing_free(merged_one_row_shards(cfg)));
 }
 
 TEST(StageReuse, PoolAccountingMatchesTheDigestPlan) {
@@ -103,7 +107,6 @@ TEST(StageReuse, PoolAccountingMatchesTheDigestPlan) {
     //  - calibration: fault x probe trial        -> 4 computes, 4 adopts
     //  - reconstruction: fault x probe trial     -> 4 computes, 4 adopts
     auto cfg = reuse_campaign();
-    cfg.stage_sharing = bist::stage::reconstruction;
     const auto result = campaign_runner(cfg).run();
     EXPECT_EQ(result.stage_reuse_computes, 1u + 2u + 4u + 4u);
     EXPECT_EQ(result.stage_reuse_hits, 7u + 6u + 4u + 4u);
@@ -128,7 +131,6 @@ TEST(StageReuse, PartiallyWarmCachePlansOnlyUncachedRows) {
     // single uncached consumer each: not pooled, computed in the row.
     const quiet_globals quiet;
     auto cfg = reuse_campaign();
-    cfg.stage_sharing = bist::stage::reconstruction;
     const std::string cache_off = timing_free(campaign_runner(cfg).run());
 
     for (const std::size_t threads : {std::size_t{1}, std::size_t{5}}) {
@@ -162,7 +164,6 @@ TEST(StageReuse, LookupPhaseTransientIsRetriedByItsRow) {
     // no trace in the exports.
     const quiet_globals quiet;
     auto cfg = reuse_campaign();
-    cfg.stage_sharing = bist::stage::reconstruction;
     const std::string fault_free = timing_free(campaign_runner(cfg).run());
 
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -191,21 +192,18 @@ TEST(StageReuse, DeviceReseedHasNoOverlapToPool) {
     cfg.faults = {bist::fault_kind::none};
     cfg.trials = 3;
     cfg.reseed = reseed_policy::device;
-    cfg.stage_sharing = bist::stage::reconstruction;
     const auto result = campaign_runner(cfg).run();
     EXPECT_EQ(result.stage_reuse_computes, 1u); // stimulus only
     EXPECT_EQ(result.stage_reuse_hits, 2u);
 
-    // And it stays bit-identical to the unshared run.
-    cfg.stage_sharing.reset();
-    EXPECT_EQ(timing_free(campaign_runner(cfg).run()), timing_free(result));
+    // And it stays bit-identical to grading every row alone.
+    EXPECT_EQ(timing_free(merged_one_row_shards(cfg)), timing_free(result));
 }
 
 TEST(StageReuse, SharedScenarioResultsMatchIsolatedEngineRuns) {
     // Every pooled scenario must equal the result of grading it alone —
     // adoption may never leak another scenario's configuration.
     auto cfg = reuse_campaign();
-    cfg.stage_sharing = bist::stage::reconstruction;
     const auto shared = campaign_runner(cfg).run();
     const auto grid = expand_grid(cfg);
     ASSERT_EQ(shared.results.size(), grid.size());

@@ -100,7 +100,6 @@ TEST_F(CampaignTelemetry, StageReuseCountersMatchTheResultExactly) {
     cfg.faults = {bist::fault_kind::none};
     cfg.trials = 3;
     cfg.reseed = reseed_policy::probes;
-    cfg.stage_sharing = bist::stage::reconstruction;
     cfg.threads = 2;
 
     tm::enable();
@@ -124,7 +123,6 @@ TEST_F(CampaignTelemetry, StageAccountingIsUnchangedByThreadCount) {
     cfg.faults = {bist::fault_kind::none};
     cfg.trials = 3;
     cfg.reseed = reseed_policy::probes;
-    cfg.stage_sharing = bist::stage::reconstruction;
 
     std::vector<campaign_result> results;
     tm::enable();
@@ -185,7 +183,7 @@ TEST_F(CampaignTelemetry, SchedCountersAreExactUnderConcurrency) {
 }
 
 TEST_F(CampaignTelemetry, WarmCacheDoesNoStageWork) {
-    // On a warm cache the lookup phase serves every row before the pool
+    // On a warm cache the plan pass serves every row before the pool
     // is planned, so nothing is pooled: all stage work (and its counters)
     // stays at zero.
     const scratch_dir dir("sched_warm_owners");
@@ -266,9 +264,14 @@ TEST_F(CampaignTelemetry, CacheOffRunCountsNoMisses) {
 // ---- summaries merge additively across shards -------------------------------
 
 TEST_F(CampaignTelemetry, ShardSummariesMergeAdditively) {
+    // Four distinct presets, golden, one trial: no two scenarios share a
+    // stage, so every scenario runs all five.
     auto cfg = small_campaign();
-    cfg.trials = 2; // 4 scenarios
-    cfg.stage_sharing.reset(); // every scenario runs all five stages
+    cfg.presets.clear();
+    for (const char* name :
+         {"paper-qpsk-10M", "tactical-bpsk-2M", "psk8-5M", "qam16-10M"})
+        cfg.presets.push_back(waveform::find_preset(name));
+    cfg.faults = {bist::fault_kind::none};
 
     tm::enable();
     const auto full = campaign_runner(cfg).run();
