@@ -33,12 +33,12 @@ int main() {
     std::cout << "search interval ]0, " << tx.max_search_delay_s / ps
               << " ps[  (paper: m = 483 ps)\n\n";
 
+    const calib::dual_rate_cost cost(capture, probe_times, config.lms.recon);
     text_table table({"D-hat [ps]", "cost function"});
     double best_d = 0.0;
     double best_cost = 1e300;
     for (double d = 120.0 * ps; d <= 260.0 * ps + 1e-15; d += 5.0 * ps) {
-        const double c =
-            calib::skew_cost(capture, d, probe_times, config.lms.recon);
+        const double c = cost(d);
         if (c < best_cost) {
             best_cost = c;
             best_d = d;

@@ -436,13 +436,28 @@ int main() {
     // compiled into the hot paths permanently, so the disarmed cost is a
     // repeat-run wall delta — reported, and only sanity-bounded, because
     // a loaded CI host produces wall noise of the same magnitude (the
-    // trace-overhead section above sets that precedent).
+    // trace-overhead section above sets that precedent).  The two sides
+    // run interleaved, three runs each, and the delta compares each side's
+    // fastest run: a single pair of ~0.2 s runs is too short to resolve
+    // 20% under transient host load.
     campaign::campaign_config fault_cfg = trace_cfg;
     fault_cfg.max_retries = 8;
     fault_cfg.retry_backoff_ms = 0.0;
 
+    // The first run is also the clean reference of the containment check.
+    const std::size_t disarmed_runs = 3;
     const auto disarmed_a = campaign::campaign_runner(fault_cfg).run();
-    const auto disarmed_b = campaign::campaign_runner(fault_cfg).run();
+    double disarmed_a_wall_s = disarmed_a.wall_s;
+    double disarmed_b_wall_s =
+        campaign::campaign_runner(fault_cfg).run().wall_s;
+    for (std::size_t r = 1; r < disarmed_runs; ++r) {
+        disarmed_a_wall_s =
+            std::min(disarmed_a_wall_s,
+                     campaign::campaign_runner(fault_cfg).run().wall_s);
+        disarmed_b_wall_s =
+            std::min(disarmed_b_wall_s,
+                     campaign::campaign_runner(fault_cfg).run().wall_s);
+    }
 
     fault_injection::arm("*:throw-transient:p=0.05,seed=3917");
     const auto faulted = campaign::campaign_runner(fault_cfg).run();
@@ -462,9 +477,9 @@ int main() {
     }
 
     const double disarmed_overhead_pct =
-        100.0 * (disarmed_b.wall_s - disarmed_a.wall_s) / disarmed_a.wall_s;
+        100.0 * (disarmed_b_wall_s - disarmed_a_wall_s) / disarmed_a_wall_s;
     const double faulted_overhead_pct =
-        100.0 * (faulted.wall_s - disarmed_a.wall_s) / disarmed_a.wall_s;
+        100.0 * (faulted.wall_s - disarmed_a_wall_s) / disarmed_a_wall_s;
     std::cout << "\nfault tolerance (" << faulted.scenario_count()
               << " scenarios, p=0.05 at every site): "
               << faulted.scenario_retries << " retries, bit-identical ("
@@ -474,8 +489,9 @@ int main() {
 
     benchutil::json_record fault_rec;
     fault_rec.add("scenarios", faulted.scenario_count());
-    fault_rec.add("clean_wall_s", disarmed_a.wall_s);
-    fault_rec.add("disarmed_repeat_wall_s", disarmed_b.wall_s);
+    fault_rec.add("clean_wall_s", disarmed_a_wall_s);
+    fault_rec.add("disarmed_repeat_wall_s", disarmed_b_wall_s);
+    fault_rec.add("disarmed_runs_per_side", disarmed_runs);
     fault_rec.add("disarmed_overhead_pct", disarmed_overhead_pct);
     fault_rec.add("faulted_wall_s", faulted.wall_s);
     fault_rec.add("faulted_overhead_pct", faulted_overhead_pct);

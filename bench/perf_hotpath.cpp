@@ -27,6 +27,12 @@
 //    (tests/support/evm_yardstick.hpp), per matched output, at the
 //    dqpsk-1M preset's shape (sps ≈ 14.9, α = 0.35).
 //
+//  * Dual-rate cost — calib::dual_rate_cost (even sums precomputed once,
+//    only the odd stream filled per hypothesis) against the direct
+//    per-evaluation reconstruction of both captures
+//    (tests/support/skew_cost_yardstick.hpp), per cost evaluation, at the
+//    paper's shape (90 + 45 MHz captures, 300 probes, 61 taps).
+//
 //  * SIMD backend primitives — every compiled-in, CPU-supported kernel
 //    backend (scalar/AVX2/NEON) timed on the primitive shapes the hot
 //    paths dispatch to, reported as speedup vs the scalar backend.
@@ -45,6 +51,7 @@
 
 #include "bench_util.hpp"
 #include "bist/spectrum.hpp"
+#include "calib/dual_rate.hpp"
 #include "core/random.hpp"
 #include "core/simd/kernel_backend.hpp"
 #include "core/stats.hpp"
@@ -59,6 +66,7 @@
 #include "support/evm_yardstick.hpp"
 #include "support/interp_yardstick.hpp"
 #include "support/pnbs_yardstick.hpp"
+#include "support/skew_cost_yardstick.hpp"
 #include "waveform/evm.hpp"
 
 namespace {
@@ -460,6 +468,99 @@ void bench_evm(std::size_t symbols, std::size_t offsets, int reps) {
               << " B, max rel err " << worst << ")\n";
 }
 
+/// Dual-rate cost bench at the paper's shape: noise-free dual-rate captures
+/// of a multitone (1 GHz carrier, 90 MHz fast band, 45 MHz slow band, D =
+/// 180 ps), 300 probes, 61 taps, evaluated at `hypotheses` D̂ spread over
+/// ]0.1·m, 0.9·m[ — the LMS search's range.  The error is the largest
+/// |factored - yardstick| over the yardstick's cost.
+void bench_dual_rate_cost(std::size_t hypotheses, int reps) {
+    const double fc = 1.0 * GHz;
+    const double b = 90.0 * MHz;
+    const double d_true = 180.0 * ps;
+    const std::size_t n_fast = 720;
+
+    rng gen(0xDC05);
+    std::vector<rf::tone> tones;
+    for (int i = 0; i < 5; ++i)
+        tones.push_back({gen.uniform(fc - 18.0 * MHz, fc + 18.0 * MHz),
+                         gen.uniform(0.1, 0.25), gen.uniform(0.0, two_pi)});
+    const rf::multitone_signal sig(
+        std::move(tones), static_cast<double>(n_fast) / b + 1.0 * us);
+
+    calib::dual_rate_capture cap;
+    cap.band_fast = sampling::band_around(fc, b);
+    cap.band_slow = sampling::band_around(fc, b / 2.0);
+    auto sample = [&](adc::nonuniform_capture& rec, double period,
+                      std::size_t n) {
+        rec.period_s = period;
+        rec.true_delay_s = d_true;
+        rec.even.resize(n);
+        rec.odd.resize(n);
+        for (std::size_t k = 0; k < n; ++k) {
+            const double t = static_cast<double>(k) * period;
+            rec.even[k] = sig.value(t);
+            rec.odd[k] = sig.value(t + d_true);
+        }
+    };
+    sample(cap.fast, 1.0 / b, n_fast);
+    sample(cap.slow, 2.0 / b, n_fast / 2);
+    const sampling::pnbs_options opt{61, 8.0};
+    const auto [lo, hi] = calib::valid_probe_interval(cap, opt);
+    rng probe_gen(0xDC06);
+    const auto probes = calib::make_probe_times(probe_gen, 300, lo, hi);
+
+    const double m = calib::max_search_delay(cap);
+    std::vector<double> d_hat;
+    for (std::size_t i = 0; i < hypotheses; ++i) {
+        const double d = (0.1 + 0.8 * (static_cast<double>(i) + 0.5) /
+                                     static_cast<double>(hypotheses)) *
+                         m;
+        if (sampling::kohlenberg_kernel::delay_is_stable(cap.band_fast, d) &&
+            sampling::kohlenberg_kernel::delay_is_stable(cap.band_slow, d))
+            d_hat.push_back(d);
+    }
+    const double evals = static_cast<double>(d_hat.size());
+
+    const calib::dual_rate_cost cost(cap, probes, opt);
+    std::vector<double> fast(d_hat.size()), ref(d_hat.size());
+    const double s_build = best_seconds(
+        [&] { (void)calib::dual_rate_cost(cap, probes, opt); }, reps);
+    const double s_fast = best_seconds(
+        [&] {
+            for (std::size_t i = 0; i < d_hat.size(); ++i)
+                fast[i] = cost(d_hat[i]);
+        },
+        reps);
+    const double s_ref = best_seconds(
+        [&] {
+            for (std::size_t i = 0; i < d_hat.size(); ++i)
+                ref[i] = sdrbist::testing::skew_cost_reference(cap, d_hat[i],
+                                                               probes, opt);
+        },
+        reps);
+    double worst = 0.0;
+    for (std::size_t i = 0; i < d_hat.size(); ++i)
+        worst = std::max(worst, std::abs(fast[i] - ref[i]) / ref[i]);
+
+    benchutil::json_record rec;
+    rec.add("kernel", std::string("dual_rate_cost"));
+    rec.add("backend", std::string(simd::kernel_backend::select().name));
+    rec.add("probes", probes.size());
+    rec.add("taps", opt.taps);
+    rec.add("hypotheses", d_hat.size());
+    rec.add("us_per_eval", 1e6 * s_fast / evals);
+    rec.add("yardstick_us_per_eval", 1e6 * s_ref / evals);
+    rec.add("build_us", 1e6 * s_build);
+    rec.add("speedup", s_ref / s_fast);
+    rec.add("max_rel_error", worst);
+    benchutil::emit_bench_json("perf_hotpath", rec);
+
+    std::cout << "dual-rate cost: " << 1e6 * s_ref / evals << " -> "
+              << 1e6 * s_fast / evals << " us/evaluation  (x"
+              << s_ref / s_fast << ", build " << 1e6 * s_build
+              << " us, max rel err " << worst << ")\n";
+}
+
 /// Per-backend primitive bench: every CPU-supported backend timed on the
 /// kernel shapes the hot paths dispatch to (PNBS 61-tap coefficient fill
 /// and dual dot, 64-tap polyphase blends, 4096-sample capture records),
@@ -670,6 +771,7 @@ int main(int argc, char** argv) {
     bench_envelope(quick ? 2000 : 7200, reps);
     const double ddc_diff = bench_ddc(quick ? 40000 : 155031, reps);
     bench_evm(quick ? 60 : 96, quick ? 9 : 45, reps);
+    bench_dual_rate_cost(quick ? 8 : 32, reps);
     bench_backend_kernels(reps);
     if (ddc_diff != 0.0) {
         std::cerr << "FAIL: digital_downconvert differs from "

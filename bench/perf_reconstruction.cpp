@@ -92,9 +92,9 @@ BENCHMARK(bm_reconstruct_point)->Arg(21)->Arg(61)->Arg(121);
 
 void bm_skew_cost(benchmark::State& state) {
     const auto& f = fix();
+    const calib::dual_rate_cost cost(f.capture, f.probes, {61, 8.0});
     for (auto _ : state)
-        benchmark::DoNotOptimize(
-            calib::skew_cost(f.capture, 200.0 * ps, f.probes, {61, 8.0}));
+        benchmark::DoNotOptimize(cost(200.0 * ps));
 }
 BENCHMARK(bm_skew_cost)->Unit(benchmark::kMillisecond);
 

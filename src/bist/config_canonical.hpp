@@ -63,7 +63,7 @@ inline constexpr int canonical_config_version = 4;
 // ---------------------------------------------------------------------------
 
 /// Version of the stage-slice serialisation (field assignment + rendering).
-inline constexpr int stage_canonical_version = 4;
+inline constexpr int stage_canonical_version = 5;
 
 /// Canonical text of the configuration subset stage `s` consumes directly
 /// (upstream fields are covered by the upstream stages' slices).

@@ -6,7 +6,9 @@
 
 #include "core/contracts.hpp"
 #include "core/math_util.hpp"
+#include "core/simd/kernel_backend.hpp"
 #include "core/stats.hpp"
+#include "core/units.hpp"
 
 namespace sdrbist::calib {
 
@@ -203,14 +205,15 @@ double dual_rate_discrimination(const band_plan& plan, double carrier_hz,
     const auto probes = make_probe_times(gen, 120, lo, hi);
 
     double power = 0.0;
-    for (double t : probes)
-        power += sig.value(t) * sig.value(t);
+    for (double t : probes) {
+        const double v = sig.value(t);
+        power += v * v;
+    }
     power /= static_cast<double>(probes.size());
     SDRBIST_ENSURES(power > 0.0);
 
-    const double c_low = skew_cost(cap, d_low, probes, opt);
-    const double c_high = skew_cost(cap, d_high, probes, opt);
-    return std::min(c_low, c_high) / power;
+    const dual_rate_cost cost(cap, probes, opt);
+    return std::min(cost(d_low), cost(d_high)) / power;
 }
 
 band_plan choose_band_plan(double carrier_hz, double fast_bandwidth,
@@ -269,28 +272,152 @@ band_plan choose_band_plan(double carrier_hz, double fast_bandwidth,
     return best;
 }
 
-double skew_cost(const dual_rate_capture& capture, double delay_hypothesis,
-                 std::span<const double> probe_times,
-                 const sampling::pnbs_options& opt) {
+dual_rate_cost::dual_rate_cost(const dual_rate_capture& capture,
+                               std::span<const double> probe_times,
+                               const sampling::pnbs_options& opt)
+    : ops_(&simd::kernel_backend::select()),
+      fast_(make_stream(capture.fast, capture.band_fast, probe_times, opt)),
+      slow_(make_stream(capture.slow, capture.band_slow, probe_times, opt)) {
     SDRBIST_EXPECTS(!probe_times.empty());
+}
 
-    const sampling::pnbs_reconstructor fast(
-        capture.fast.even, capture.fast.odd, capture.fast.period_s,
-        capture.fast.t_start, capture.band_fast, delay_hypothesis, opt);
-    const sampling::pnbs_reconstructor slow(
-        capture.slow.even, capture.slow.odd, capture.slow.period_s,
-        capture.slow.t_start, capture.band_slow, delay_hypothesis, opt);
+dual_rate_cost::stream
+dual_rate_cost::make_stream(const adc::nonuniform_capture& rec,
+                            const sampling::band_spec& band,
+                            std::span<const double> probe_times,
+                            const sampling::pnbs_options& opt) const {
+    stream s{band, sampling::pnbs_tap_tables(band, rec.period_s, opt),
+             rec.odd, {}};
+    SDRBIST_EXPECTS(rec.even.size() == rec.odd.size());
+    SDRBIST_EXPECTS(rec.even.size() > opt.taps);
+    SDRBIST_EXPECTS(approx_equal(rec.period_s * band.bandwidth(), 1.0, 1e-9));
+    const auto& tb = s.tables;
+    const double kd = static_cast<double>(tb.k);
 
-    // Batch evaluation of both reconstructions over the probe set (the
-    // LMS inner loop — this runs once per cost evaluation per scenario).
-    const auto v_fast = fast.values(probe_times);
-    const auto v_slow = slow.values(probe_times);
+    std::vector<double> ce0(tb.taps), ce1(tb.taps), unused(tb.taps);
+    s.frames.reserve(probe_times.size());
+    for (const double t : probe_times) {
+        frame f;
+        const double pos = (t - rec.t_start) / tb.period;
+        const long centre = std::llround(pos);
+        f.frac = pos - static_cast<double>(centre);
+        SDRBIST_EXPECTS(centre - tb.half >= 0 &&
+                        centre + tb.half <
+                            static_cast<long>(rec.even.size()));
+        f.first = static_cast<std::size_t>(centre - tb.half);
+        const double a0 = tb.del0 * f.frac;
+        const double a1 = tb.del1 * f.frac;
+        f.sin_a0 = std::sin(a0);
+        f.cos_a0 = std::cos(a0);
+        f.sin_a1 = std::sin(a1);
+        f.cos_a1 = std::cos(a1);
+        const double thk = pi * kd * f.frac;
+        const double thp = pi * (kd + 1.0) * f.frac;
+        f.sin_k = std::sin(thk);
+        f.cos_k = std::cos(thk);
+        f.sin_p = std::sin(thp);
+        f.cos_p = std::cos(thp);
+
+        // E_m: the even record against term m's signed, windowed sinc
+        // coefficients — the fill run with the other term's weights zeroed
+        // (its odd half is not read), the zero crossing patched.
+        auto args = tb.fill_args(f.frac, -tb.half, 0.0);
+        args.even[0] = tb.inv_del0 * f.sin_a0;
+        args.even[1] = -tb.inv_del0 * f.cos_a0;
+        ops_->pnbs_fill(args, tb.taps, ce0.data(), unused.data());
+        args.even[0] = args.even[1] = 0.0;
+        args.even[2] = tb.inv_del1 * f.sin_a1;
+        args.even[3] = -tb.inv_del1 * f.cos_a1;
+        ops_->pnbs_fill(args, tb.taps, ce1.data(), unused.data());
+        const long j_e = std::llround(f.frac);
+        const double fj = f.frac - static_cast<double>(j_e);
+        const auto i = static_cast<std::size_t>(j_e + tb.half);
+        ce0[i] = tb.crossing(j_e, fj * tb.inv_span, fj * tb.period, 1.0, 0.0);
+        ce1[i] = tb.crossing(j_e, fj * tb.inv_span, fj * tb.period, 0.0, 1.0);
+
+        const double* ev = rec.even.data() + f.first;
+        ops_->dot2(ev, ce0.data(), ev, ce1.data(), tb.taps, &f.e0, &f.e1);
+        s.frames.push_back(f);
+    }
+    return s;
+}
+
+dual_rate_cost::hypothesis dual_rate_cost::hypothesis_of(const stream& s,
+                                                         double d_hat) {
+    // The kernel's constructor rejects an unstable D̂ (paper eq. (3)).
+    const sampling::kohlenberg_kernel kern(s.band, d_hat);
+    hypothesis h;
+    h.d_hat = d_hat;
+    h.d_frac = d_hat / s.tables.period;
+    h.g0 = kern.s0_vanishes() ? 0.0 : kern.c0() / kern.sin_phi();
+    h.g1 = kern.c1() / kern.sin_psi();
+    h.cos_phi = std::cos(kern.phi());
+    h.sin_phi = kern.sin_phi();
+    h.cos_psi = std::cos(kern.psi());
+    h.sin_psi = kern.sin_psi();
+    const double eps0 = pi * kern.f0() * d_hat;
+    const double eps1 = pi * kern.f1() * d_hat;
+    h.sin_eps0 = std::sin(eps0);
+    h.cos_eps0 = std::cos(eps0);
+    h.sin_eps1 = std::sin(eps1);
+    h.cos_eps1 = std::cos(eps1);
+    return h;
+}
+
+double dual_rate_cost::probe_terms(const stream& s, const hypothesis& h,
+                                   const frame& f, double* co) const {
+    // Odd stream: the NCO weights sin(π·k_m·frac)·g_m and the sinc
+    // numerator phases π·f_m·D̂ − del_m·frac, then the odd-only fill.
+    const auto& tb = s.tables;
+    const double s0o = f.sin_k * h.g0;
+    const double s1o = f.sin_p * h.g1;
+    const double o0 = s0o * tb.inv_del0;
+    const double o1 = s1o * tb.inv_del1;
+    auto args = tb.fill_args(f.frac, -tb.half, h.d_frac);
+    args.odd[0] = o0 * (h.sin_eps0 * f.cos_a0 - h.cos_eps0 * f.sin_a0);
+    args.odd[1] = o0 * (h.cos_eps0 * f.cos_a0 + h.sin_eps0 * f.sin_a0);
+    args.odd[2] = o1 * (h.sin_eps1 * f.cos_a1 - h.cos_eps1 * f.sin_a1);
+    args.odd[3] = o1 * (h.cos_eps1 * f.cos_a1 + h.sin_eps1 * f.sin_a1);
+    ops_->pnbs_odd_fill(args, tb.taps, co);
+
+    // Patch the tap where the odd argument crosses zero.
+    const long j_o = std::llround(f.frac - h.d_frac);
+    if (j_o >= -tb.half && j_o <= tb.half) {
+        const double fj = f.frac - static_cast<double>(j_o);
+        co[j_o + tb.half] =
+            tb.crossing(j_o, (fj - h.d_frac) * tb.inv_span,
+                        h.d_hat - fj * tb.period, s0o, s1o);
+    }
+
+    // Even stream: term m is E_m scaled by −sin(π·k_m·frac − φ_m)·g_m.
+    const double s0e = -(f.sin_k * h.cos_phi - f.cos_k * h.sin_phi) * h.g0;
+    const double s1e = -(f.sin_p * h.cos_psi - f.cos_p * h.sin_psi) * h.g1;
+    return s0e * f.e0 + s1e * f.e1;
+}
+
+double dual_rate_cost::operator()(double delay_hypothesis) const {
+    const hypothesis hf = hypothesis_of(fast_, delay_hypothesis);
+    const hypothesis hs = hypothesis_of(slow_, delay_hypothesis);
+    const std::size_t taps = fast_.tables.taps;
+    std::vector<double> co(2 * taps);
+    double* co_fast = co.data();
+    double* co_slow = co.data() + taps;
+    const std::size_t probes = fast_.frames.size();
     double acc = 0.0;
-    for (std::size_t i = 0; i < probe_times.size(); ++i) {
-        const double d = v_fast[i] - v_slow[i];
+    for (std::size_t i = 0; i < probes; ++i) {
+        const frame& ff = fast_.frames[i];
+        const frame& fs = slow_.frames[i];
+        const double even_fast = probe_terms(fast_, hf, ff, co_fast);
+        const double even_slow = probe_terms(slow_, hs, fs, co_slow);
+        double odd_fast = 0.0;
+        double odd_slow = 0.0;
+        ops_->dot2(fast_.odd.data() + ff.first, co_fast,
+                   slow_.odd.data() + fs.first, co_slow, taps, &odd_fast,
+                   &odd_slow);
+        const double d = (even_fast + odd_fast) - (even_slow + odd_slow);
         acc += d * d;
     }
-    return acc / static_cast<double>(probe_times.size());
+    return acc / static_cast<double>(probes);
 }
 
 std::vector<double> make_probe_times(rng& gen, std::size_t n, double t_lo,

@@ -9,14 +9,37 @@
 /// disagreement is the cost.  At D̂ = D both reconstructions equal f(t) and
 /// agree; anywhere else they distort differently (different k, different
 /// kernels) and disagree.
+///
+/// `dual_rate_cost` evaluates the cost factored by D̂.  In the kernel's
+/// product form (sampling/pnbs.hpp) the even stream's term m at probe t is
+///   −sin(π·k_m·frac − φ_m)·g_m·E_m(t),
+///   E_m(t) = Σ_n e[n]·(−1)^{k_m·n}·sinc(f_m(t − nT))·w(t − nT),
+/// with g_m = c_m / sin φ_m and φ_m = π·k_m·B·D̂: the windowed, sign-
+/// modulated sums E_m do not depend on D̂, so they are computed once per
+/// capture and probe when the object is built.  Each evaluation derives
+/// the per-hypothesis scalars (g_m, φ_m, π·f_m·D̂) once, scales E_m by one
+/// NCO factor per probe and term, and runs only the odd stream's
+/// coefficient fill (the dispatched `pnbs_odd_fill`, the odd half of
+/// `pnbs_fill`) and its dot product.  The odd half is bit-identical to
+/// `pnbs_reconstructor::value`'s; the even half is reassociated (Σ_m of
+/// per-term dots instead of one dot of summed coefficients), so the cost
+/// agrees with the per-evaluation reconstruction (the test yardstick
+/// `testing::skew_cost_reference`, tests/support/skew_cost_yardstick.hpp)
+/// to ≤ 1e-9 relative over D̂ in [0.005·m, 0.995·m]; the catalogue presets'
+/// calibration captures measure ≤ 5e-15.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
 #include "adc/tiadc.hpp"
 #include "core/random.hpp"
 #include "sampling/pnbs.hpp"
+
+namespace sdrbist::simd {
+struct kernel_ops;
+}
 
 namespace sdrbist::calib {
 
@@ -90,15 +113,73 @@ band_plan choose_band_plan(double carrier_hz, double fast_bandwidth,
                            double min_discrimination = 1e-2,
                            double* discrimination = nullptr);
 
-/// The paper's cost (eqs. (7)/(8)): mean squared difference between the
-/// rate-B and rate-B1 reconstructions under hypothesis D̂, evaluated at the
-/// given probe times.
-///
-/// Preconditions: D̂ stable for both bands; probes within the valid spans
-/// of both reconstructors.
-double skew_cost(const dual_rate_capture& capture, double delay_hypothesis,
-                 std::span<const double> probe_times,
-                 const sampling::pnbs_options& opt = {});
+/// The paper's cost (eqs. (7)/(8)) as a function of the delay hypothesis:
+/// the mean squared difference between the rate-B and rate-B1
+/// reconstructions under D̂ at the given probe times, factored by D̂ (see
+/// the file comment).  Built once per calibration; each call evaluates one
+/// hypothesis.
+class dual_rate_cost {
+public:
+    /// Preconditions: probes non-empty, each with its whole tap window
+    /// inside both captures' records (every probe in valid_probe_interval
+    /// qualifies); records and periods as pnbs_reconstructor requires.
+    dual_rate_cost(const dual_rate_capture& capture,
+                   std::span<const double> probe_times,
+                   const sampling::pnbs_options& opt = {});
+
+    /// Cost at hypothesis D̂.  Precondition: D̂ stable for both bands
+    /// (kohlenberg_kernel::delay_is_stable).
+    [[nodiscard]] double operator()(double delay_hypothesis) const;
+
+    /// SIMD kernel backend running the fills and dot products (captured
+    /// from simd::kernel_backend::select() at construction).
+    [[nodiscard]] const simd::kernel_ops& backend() const { return *ops_; }
+
+private:
+    /// One probe on one capture: the first tap's record index, the offset
+    /// from the nearest even sample, the D̂-free sincos (sinc numerator
+    /// phases del_m·frac and NCO phases π·k_m·frac) and the even sums E_m.
+    struct frame {
+        std::size_t first = 0;
+        double frac = 0.0;
+        double sin_a0 = 0.0, cos_a0 = 1.0, sin_a1 = 0.0, cos_a1 = 1.0;
+        double sin_k = 0.0, cos_k = 1.0, sin_p = 0.0, cos_p = 1.0;
+        double e0 = 0.0, e1 = 0.0;
+    };
+
+    /// One capture: its band, D̂-free tap tables, odd record and per-probe
+    /// frames.
+    struct stream {
+        sampling::band_spec band;
+        sampling::pnbs_tap_tables tables;
+        std::vector<double> odd;
+        std::vector<frame> frames;
+    };
+
+    /// The D̂-dependent scalars of one capture's kernel.
+    struct hypothesis {
+        double d_hat = 0.0, d_frac = 0.0;
+        double g0 = 0.0, g1 = 0.0;
+        double cos_phi = 1.0, sin_phi = 0.0, cos_psi = 1.0, sin_psi = 0.0;
+        double sin_eps0 = 0.0, cos_eps0 = 1.0, sin_eps1 = 0.0, cos_eps1 = 1.0;
+    };
+
+    stream make_stream(const adc::nonuniform_capture& rec,
+                       const sampling::band_spec& band,
+                       std::span<const double> probe_times,
+                       const sampling::pnbs_options& opt) const;
+
+    static hypothesis hypothesis_of(const stream& s, double d_hat);
+
+    /// Fills co with the odd stream's tap coefficients at one probe
+    /// (zero crossing patched) and returns the even stream's value there.
+    double probe_terms(const stream& s, const hypothesis& h, const frame& f,
+                       double* co) const;
+
+    const simd::kernel_ops* ops_;
+    stream fast_;
+    stream slow_;
+};
 
 /// N probe times drawn uniformly from [t_lo, t_hi] (paper: N = 300 random
 /// values in [470 ns, 1700 ns]).

@@ -19,6 +19,14 @@ lms_skew_estimator::estimate(const dual_rate_capture& capture, double d0,
                              std::span<const double> probe_times) const {
     const double m = max_search_delay(capture);
     SDRBIST_EXPECTS(d0 > 0.0 && d0 < m);
+    const dual_rate_cost cost(capture, probe_times, options_.recon);
+    return minimise([&cost](double d) { return cost(d); }, d0, m);
+}
+
+skew_estimate
+lms_skew_estimator::minimise(const std::function<double(double)>& cost_of,
+                             double d0, double m) const {
+    SDRBIST_EXPECTS(d0 > 0.0 && d0 < m);
 
     // Keep hypotheses strictly inside the open interval and clear of the
     // kernel's instability at the end points.
@@ -29,7 +37,7 @@ lms_skew_estimator::estimate(const dual_rate_capture& capture, double d0,
     skew_estimate result;
     auto cost = [&](double d) {
         ++result.cost_evaluations;
-        return skew_cost(capture, d, probe_times, options_.recon);
+        return cost_of(d);
     };
 
     // Two starting points for the first finite difference (paper eq. (10)

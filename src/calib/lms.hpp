@@ -8,6 +8,7 @@
 /// to substitute it by a finite difference approximation."
 #pragma once
 
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -55,10 +56,18 @@ public:
 
     /// Run the adaptive estimation from initial guess d0.
     /// The search is confined to ]0, m[ with m = max_search_delay(capture);
-    /// d0 must lie inside.
+    /// d0 must lie inside.  Builds one dual_rate_cost and runs minimise()
+    /// on it.
     [[nodiscard]] skew_estimate
     estimate(const dual_rate_capture& capture, double d0,
              std::span<const double> probe_times) const;
+
+    /// Algorithm 1 over any cost of D̂, confined to ]0, m[ from initial
+    /// guess d0 (which must lie inside); `cost` is called once per
+    /// evaluation counted in skew_estimate::cost_evaluations.
+    [[nodiscard]] skew_estimate
+    minimise(const std::function<double(double)>& cost, double d0,
+             double m) const;
 
     [[nodiscard]] const lms_options& options() const { return options_; }
 

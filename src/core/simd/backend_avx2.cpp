@@ -15,6 +15,7 @@
 ///  * `pnbs_fill` computes each tap's numerators as FMA chains (bounded
 ///    against scalar) and reads the window with gathers that reproduce the
 ///    scalar LUT read bit for bit; its tail taps run the scalar loop.
+///    `pnbs_odd_fill` is its odd half, operation for operation.
 ///  * The elementwise kernels (`quantize_midrise`, `carrier_mix`) use only
 ///    correctly-rounded mul/add/sub/div/min/max/floor in the scalar
 ///    expression order — bit-identical to the scalar backend.  No FMA
@@ -250,6 +251,34 @@ void avx2_pnbs_fill(const pnbs_fill_args& a, std::size_t n, double* ce,
     }
 }
 
+void avx2_pnbs_odd_fill(const pnbs_fill_args& a, std::size_t n, double* co) {
+    const __m256d frac = _mm256_set1_pd(a.frac);
+    const __m256d d_frac = _mm256_set1_pd(a.d_frac);
+    const __m256d inv_span = _mm256_set1_pd(a.inv_span);
+    const __m256d res = _mm256_set1_pd(a.window_res);
+    __m256d j = _mm256_add_pd(_mm256_set1_pd(a.j_first),
+                              _mm256_set_pd(3.0, 2.0, 1.0, 0.0));
+    const __m256d four = _mm256_set1_pd(4.0);
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4, j = _mm256_add_pd(j, four)) {
+        const __m256d q = _mm256_sub_pd(d_frac, _mm256_sub_pd(frac, j));
+        const __m256d wo =
+            lut_window4(a.window, res, _mm256_mul_pd(q, inv_span));
+        _mm256_storeu_pd(co + i,
+                         _mm256_mul_pd(wo, _mm256_div_pd(
+                                               numerator4(a, a.odd, i), q)));
+    }
+    if (i < n) {
+        pnbs_fill_args rest = a;
+        rest.c0 += i;
+        rest.s0 += i;
+        rest.c1 += i;
+        rest.s1 += i;
+        rest.j_first += static_cast<double>(i);
+        scalar_ops().pnbs_odd_fill(rest, n - i, co + i);
+    }
+}
+
 } // namespace
 
 const kernel_ops& avx2_ops() {
@@ -262,6 +291,7 @@ const kernel_ops& avx2_ops() {
         &avx2_quantize,
         &avx2_carrier_mix,
         &avx2_pnbs_fill,
+        &avx2_pnbs_odd_fill,
     };
     return ops;
 }

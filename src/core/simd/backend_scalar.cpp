@@ -46,6 +46,18 @@ void scalar_pnbs_fill(const pnbs_fill_args& a, std::size_t n, double* ce,
     }
 }
 
+void scalar_pnbs_odd_fill(const pnbs_fill_args& a, std::size_t n,
+                          double* co) {
+    for (std::size_t i = 0; i < n; ++i) {
+        const double fj = a.frac - (a.j_first + static_cast<double>(i));
+        const double q = a.d_frac - fj;
+        const double no = a.odd[0] * a.c0[i] + a.odd[1] * a.s0[i] +
+                          a.odd[2] * a.c1[i] + a.odd[3] * a.s1[i];
+        co[i] = lut_window(a.window, a.window_res, q * a.inv_span) *
+                (no / q);
+    }
+}
+
 void scalar_dot2(const double* a, const double* ca, const double* b,
                  const double* cb, std::size_t n, double* out_a,
                  double* out_b) {
@@ -129,6 +141,7 @@ const kernel_ops& scalar_ops() {
         &scalar_quantize,
         &scalar_carrier_mix,
         &scalar_pnbs_fill,
+        &scalar_pnbs_odd_fill,
     };
     return ops;
 }

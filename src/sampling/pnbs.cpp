@@ -126,6 +126,76 @@ double kohlenberg_kernel::required_delay_accuracy(const band_spec& band,
     return delta_f / (pi * b * static_cast<double>(k + 1));
 }
 
+// ---- shared tap tables -------------------------------------------------------
+
+pnbs_tap_tables::pnbs_tap_tables(const band_spec& band, double period,
+                                 const pnbs_options& opt)
+    : period(period), window(opt.kaiser_beta) {
+    band.validate();
+    SDRBIST_EXPECTS(period > 0.0);
+    SDRBIST_EXPECTS(opt.taps >= 5 && opt.taps % 2 == 1);
+    // The kernel's D̂-free coefficients, computed as kohlenberg_kernel does.
+    const double b = band.bandwidth();
+    k = ceil_snapped(2.0 * band.f_lo / b);
+    const double kd = static_cast<double>(k);
+    f0 = kd * b - 2.0 * band.f_lo;
+    f1 = 2.0 * band.f_lo + b - kd * b;
+    s0_vanishes = std::abs(f0 / b) < 1e-12;
+    del0 = pi * f0 * period;
+    del1 = pi * f1 * period;
+    inv_del0 = s0_vanishes ? 0.0 : 1.0 / del0;
+    inv_del1 = 1.0 / del1;
+    taps = opt.taps;
+    half = static_cast<long>(taps / 2);
+    inv_span = 1.0 / (static_cast<double>(half) + 1.0);
+
+    const bool k_odd = (k & 1L) != 0;
+    tabs.resize(4 * taps);
+    for (long j = -half; j <= half; ++j) {
+        const auto i = static_cast<std::size_t>(j + half);
+        const bool j_odd = (j & 1L) != 0;
+        const double sg0 = (k_odd && j_odd) ? -1.0 : 1.0;
+        const double sg1 = (!k_odd && j_odd) ? -1.0 : 1.0;
+        const double p0 = del0 * static_cast<double>(j);
+        const double p1 = del1 * static_cast<double>(j);
+        tabs[i] = sg0 * std::cos(p0);
+        tabs[taps + i] = sg0 * std::sin(p0);
+        tabs[2 * taps + i] = sg1 * std::cos(p1);
+        tabs[3 * taps + i] = sg1 * std::sin(p1);
+    }
+}
+
+simd::pnbs_fill_args pnbs_tap_tables::fill_args(double frac, long j_lo,
+                                                double d_frac) const {
+    const double* tab = tabs.data() + (j_lo + half);
+    const auto lut = window.table();
+    return {
+        tab,
+        tab + taps,
+        tab + 2 * taps,
+        tab + 3 * taps,
+        lut.data(),
+        static_cast<double>(lut.size() - 1),
+        frac,
+        static_cast<double>(j_lo),
+        d_frac,
+        inv_span,
+        {0.0, 0.0, 0.0, 0.0},
+        {0.0, 0.0, 0.0, 0.0},
+    };
+}
+
+double pnbs_tap_tables::crossing(long j, double u, double tau, double w0,
+                                 double w1) const {
+    const bool k_odd = (k & 1L) != 0;
+    const bool j_odd = (j & 1L) != 0;
+    const double sgn_k = (k_odd && j_odd) ? -1.0 : 1.0;
+    const double sgn_kp = (!k_odd && j_odd) ? -1.0 : 1.0;
+    const double snc0 = s0_vanishes ? 0.0 : sinc(f0 * tau);
+    const double snc1 = sinc(f1 * tau);
+    return window(u) * (w0 * sgn_k * snc0 + w1 * sgn_kp * snc1);
+}
+
 // ---- reconstructor ----------------------------------------------------------
 
 pnbs_reconstructor::pnbs_reconstructor(std::vector<double> even,
@@ -135,10 +205,8 @@ pnbs_reconstructor::pnbs_reconstructor(std::vector<double> even,
                                        const pnbs_options& opt)
     : even_(std::move(even)), odd_(std::move(odd)), period_(period),
       t_start_(t_start), kernel_(band, delay_hypothesis), opt_(opt),
-      window_(opt.kaiser_beta), ops_(&simd::kernel_backend::select()) {
-    SDRBIST_EXPECTS(period_ > 0.0);
+      tables_(band, period, opt), ops_(&simd::kernel_backend::select()) {
     SDRBIST_EXPECTS(even_.size() == odd_.size());
-    SDRBIST_EXPECTS(opt_.taps >= 5 && opt_.taps % 2 == 1);
     SDRBIST_EXPECTS(even_.size() > opt_.taps);
     // The kernel assumes T = 1/B; the caller's period must match the band.
     SDRBIST_EXPECTS(approx_equal(period_ * band.bandwidth(), 1.0, 1e-9));
@@ -148,42 +216,19 @@ pnbs_reconstructor::pnbs_reconstructor(std::vector<double> even,
     // evaluated at τ = (frac - j)·T (even stream) and (j - frac)·T + D̂
     // (odd stream) splits into per-call sines, per-tap sign flips
     // (-1)^{k·j}, and per-tap sinc numerators sin(del·(frac - j)) whose
-    // per-tap factors cos/sin(del·j) are tabulated below.
-    half_ = static_cast<long>(opt_.taps / 2);
-    inv_span_ = 1.0 / (static_cast<double>(half_) + 1.0);
+    // per-tap factors cos/sin(del·j) are tabulated in tables_.
     const double d_hat = kernel_.delay();
     d_frac_ = d_hat / period_;
-    const bool s0_zero = kernel_.s0_vanishes();
-    g0_ = s0_zero ? 0.0 : kernel_.c0() / kernel_.sin_phi();
+    g0_ = kernel_.s0_vanishes() ? 0.0 : kernel_.c0() / kernel_.sin_phi();
     g1_ = kernel_.c1() / kernel_.sin_psi();
     cos_phi_ = std::cos(kernel_.phi());
     cos_psi_ = std::cos(kernel_.psi());
-    del0_ = pi * kernel_.f0() * period_;
-    del1_ = pi * kernel_.f1() * period_;
-    inv_del0_ = s0_zero ? 0.0 : 1.0 / del0_;
-    inv_del1_ = 1.0 / del1_;
     const double eps0 = pi * kernel_.f0() * d_hat;
     const double eps1 = pi * kernel_.f1() * d_hat;
     sin_eps0_ = std::sin(eps0);
     cos_eps0_ = std::cos(eps0);
     sin_eps1_ = std::sin(eps1);
     cos_eps1_ = std::cos(eps1);
-
-    const std::size_t taps = opt_.taps;
-    const bool k_odd = (kernel_.k() & 1L) != 0;
-    phase_tabs_.resize(4 * taps);
-    for (long j = -half_; j <= half_; ++j) {
-        const auto i = static_cast<std::size_t>(j + half_);
-        const bool j_odd = (j & 1L) != 0;
-        const double sg0 = (k_odd && j_odd) ? -1.0 : 1.0;
-        const double sg1 = (!k_odd && j_odd) ? -1.0 : 1.0;
-        const double p0 = del0_ * static_cast<double>(j);
-        const double p1 = del1_ * static_cast<double>(j);
-        phase_tabs_[i] = sg0 * std::cos(p0);
-        phase_tabs_[taps + i] = sg0 * std::sin(p0);
-        phase_tabs_[2 * taps + i] = sg1 * std::cos(p1);
-        phase_tabs_[3 * taps + i] = sg1 * std::sin(p1);
-    }
 }
 
 pnbs_reconstructor::point_frame
@@ -197,16 +242,17 @@ pnbs_reconstructor::locate(double t) const {
 
     // Tap offsets j = n - centre, clamped to the records once so the tap
     // loops run branch-free over contiguous memory.
-    p.j_lo = std::max(p.centre - half_, 0L) - p.centre;
-    p.j_hi = std::min(p.centre + half_, n_max) - p.centre;
+    const long half = tables_.half;
+    p.j_lo = std::max(p.centre - half, 0L) - p.centre;
+    p.j_hi = std::min(p.centre + half, n_max) - p.centre;
     if (p.j_lo > p.j_hi)
         return p;
     p.count = static_cast<std::size_t>(p.j_hi - p.j_lo + 1);
 
     // Sinc numerator phases at j = 0: del·frac for the even stream and
     // π·f·D̂ - del·frac for the odd one.
-    const double a0 = del0_ * p.frac;
-    const double a1 = del1_ * p.frac;
+    const double a0 = tables_.del0 * p.frac;
+    const double a1 = tables_.del1 * p.frac;
     p.sin_a0 = std::sin(a0);
     p.cos_a0 = std::cos(a0);
     p.sin_a1 = std::sin(a1);
@@ -227,60 +273,37 @@ void pnbs_reconstructor::fill_taps(const point_frame& p, double s0e,
     // over the even distance fj = frac - j, and the odd one
     //   (s0o/del0)·(sin b0·c0[j] + cos b0·s0[j]) + (s1o/del1)·(...)
     // over the odd distance d_frac - fj.
-    const std::size_t taps = opt_.taps;
-    const double* tab = phase_tabs_.data() + (p.j_lo + half_);
-    const double e0 = s0e * inv_del0_;
-    const double e1 = s1e * inv_del1_;
-    const double o0 = s0o * inv_del0_;
-    const double o1 = s1o * inv_del1_;
-    const auto lut = window_.table();
-    const simd::pnbs_fill_args args{
-        tab,
-        tab + taps,
-        tab + 2 * taps,
-        tab + 3 * taps,
-        lut.data(),
-        static_cast<double>(lut.size() - 1),
-        p.frac,
-        static_cast<double>(p.j_lo),
-        d_frac_,
-        inv_span_,
-        {e0 * p.sin_a0, -e0 * p.cos_a0, e1 * p.sin_a1, -e1 * p.cos_a1},
-        {o0 * p.sin_b0, o0 * p.cos_b0, o1 * p.sin_b1, o1 * p.cos_b1},
-    };
+    const double e0 = s0e * tables_.inv_del0;
+    const double e1 = s1e * tables_.inv_del1;
+    const double o0 = s0o * tables_.inv_del0;
+    const double o1 = s1o * tables_.inv_del1;
+    simd::pnbs_fill_args args = tables_.fill_args(p.frac, p.j_lo, d_frac_);
+    args.even[0] = e0 * p.sin_a0;
+    args.even[1] = -e0 * p.cos_a0;
+    args.even[2] = e1 * p.sin_a1;
+    args.even[3] = -e1 * p.cos_a1;
+    args.odd[0] = o0 * p.sin_b0;
+    args.odd[1] = o0 * p.cos_b0;
+    args.odd[2] = o1 * p.sin_b1;
+    args.odd[3] = o1 * p.cos_b1;
     ops_->pnbs_fill(args, p.count, ce, co);
 
     // The sinc quotients above are ill-conditioned where the kernel
     // argument crosses zero (at most one tap per stream); patch those taps
     // with the exact library sinc.
-    const bool s0_zero = kernel_.s0_vanishes();
-    const bool k_odd = (kernel_.k() & 1L) != 0;
-    const bool kp_odd = !k_odd;
-    const double d_hat = kernel_.delay();
     const double frac = p.frac;
     const long j_e = std::llround(frac); // even-stream zero crossing
     if (j_e >= p.j_lo && j_e <= p.j_hi) {
-        const auto i = static_cast<std::size_t>(j_e - p.j_lo);
         const double fj = frac - static_cast<double>(j_e);
-        const double tau = fj * period_;
-        const double sgn_k = (k_odd && (j_e & 1L) != 0) ? -1.0 : 1.0;
-        const double sgn_kp = (kp_odd && (j_e & 1L) != 0) ? -1.0 : 1.0;
-        const double snc0 = s0_zero ? 0.0 : sinc(kernel_.f0() * tau);
-        const double snc1 = sinc(kernel_.f1() * tau);
-        ce[i] = window_(fj * inv_span_) *
-                (s0e * sgn_k * snc0 + s1e * sgn_kp * snc1);
+        ce[j_e - p.j_lo] = tables_.crossing(j_e, fj * tables_.inv_span,
+                                            fj * period_, s0e, s1e);
     }
     const long j_o = std::llround(frac - d_frac_); // odd-stream crossing
     if (j_o >= p.j_lo && j_o <= p.j_hi) {
-        const auto i = static_cast<std::size_t>(j_o - p.j_lo);
         const double fj = frac - static_cast<double>(j_o);
-        const double tau = d_hat - fj * period_;
-        const double sgn_k = (k_odd && (j_o & 1L) != 0) ? -1.0 : 1.0;
-        const double sgn_kp = (kp_odd && (j_o & 1L) != 0) ? -1.0 : 1.0;
-        const double snc0 = s0_zero ? 0.0 : sinc(kernel_.f0() * tau);
-        const double snc1 = sinc(kernel_.f1() * tau);
-        co[i] = window_((fj - d_frac_) * inv_span_) *
-                (s0o * sgn_k * snc0 + s1o * sgn_kp * snc1);
+        co[j_o - p.j_lo] = tables_.crossing(
+            j_o, (fj - d_frac_) * tables_.inv_span,
+            kernel_.delay() - fj * period_, s0o, s1o);
     }
 }
 
@@ -364,14 +387,6 @@ pnbs_reconstructor::envelope(double t0, double rate, std::size_t n,
         out[i] = std::complex<double>(-acc.imag(), acc.real()) *
                  std::polar(1.0, -(two_pi * f_mix * t));
     }
-    return out;
-}
-
-std::vector<double>
-pnbs_reconstructor::values(std::span<const double> t) const {
-    std::vector<double> out(t.size());
-    for (std::size_t i = 0; i < t.size(); ++i)
-        out[i] = value(t[i]);
     return out;
 }
 

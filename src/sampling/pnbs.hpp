@@ -6,7 +6,6 @@
 
 #include <complex>
 #include <cstddef>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -15,6 +14,7 @@
 
 namespace sdrbist::simd {
 struct kernel_ops;
+struct pnbs_fill_args;
 }
 
 namespace sdrbist::sampling {
@@ -105,6 +105,46 @@ struct pnbs_options {
     double kaiser_beta = 8.0; ///< window shape for kernel truncation
 };
 
+/// The D̂-free half of the fused product form (see pnbs_reconstructor) for
+/// one band, period T = 1/B and tap window: the kernel's k, f0 and f1, the
+/// signed per-tap phase tables and the window LUT.  pnbs_reconstructor and
+/// calib::dual_rate_cost fill their tap coefficients from it.
+struct pnbs_tap_tables {
+    /// Preconditions: band valid; period > 0; taps odd and ≥ 5.
+    pnbs_tap_tables(const band_spec& band, double period,
+                    const pnbs_options& opt);
+
+    /// Arguments of the dispatched pnbs_fill / pnbs_odd_fill for taps
+    /// j_lo, j_lo + 1, ... of a point at offset `frac` from its nearest
+    /// even sample, with odd-stream offset d_frac = D̂/T.  The stream
+    /// weights are left zero.
+    [[nodiscard]] simd::pnbs_fill_args fill_args(double frac, long j_lo,
+                                                 double d_frac) const;
+
+    /// Coefficient of tap j where a stream's kernel argument τ crosses
+    /// zero, with window argument u and weights w0, w1 on the two terms:
+    ///   w(u)·(w0·(-1)^{k·j}·sinc(f0·τ) + w1·(-1)^{k⁺·j}·sinc(f1·τ)),
+    /// the library sinc in place of the fill's ill-conditioned quotient.
+    [[nodiscard]] double crossing(long j, double u, double tau, double w0,
+                                  double w1) const;
+
+    double period;
+    long k;            ///< ceil(2·f_lo/B), as kohlenberg_kernel::k()
+    bool s0_vanishes;  ///< as kohlenberg_kernel::s0_vanishes()
+    double f0, f1;     ///< sinc frequencies, as kohlenberg_kernel's
+    double del0, del1; ///< π·f·T, the per-tap sinc phase steps
+    double inv_del0;   ///< 1 / del0 (0 when s0 vanishes)
+    double inv_del1;   ///< 1 / del1
+    std::size_t taps;  ///< window length (odd)
+    long half;         ///< taps / 2
+    double inv_span;   ///< 1 / (half + 1), window normalisation
+    dsp::kaiser_lut window; ///< shared continuous Kaiser window LUT
+    /// Signed per-tap phase tables, taps entries each, indexed by j + half:
+    /// [(-1)^{k·j}·cos(del0·j) | (-1)^{k·j}·sin(del0·j) |
+    ///  (-1)^{k⁺·j}·cos(del1·j) | (-1)^{k⁺·j}·sin(del1·j)].
+    std::vector<double> tabs;
+};
+
 /// Practical PNBS reconstructor (paper eq. (6)): evaluates
 ///   f(t) ≈ Σ_{n in window} [ f(nT)·s(t-nT) + f(nT+D̂)·s(nT+D̂-t) ]·w(·)
 /// from finite records of the two sample streams.
@@ -125,8 +165,9 @@ struct pnbs_options {
 /// accumulation runs as the dispatched `dot2` over the even/odd records.
 /// The direct per-tap transcendental evaluation it is bounded against is
 /// the test yardstick `testing::pnbs_yardstick`
-/// (tests/support/pnbs_yardstick.hpp); `values()` and `uniform()` call
-/// `value()` per point and are therefore bit-identical to it.
+/// (tests/support/pnbs_yardstick.hpp); `uniform()` calls `value()` per
+/// point and is therefore bit-identical to it.  calib::dual_rate_cost
+/// reuses the same tables and fill for the dual-rate cost, factored by D̂.
 ///
 /// `envelope()` evaluates the complex envelope about a mix frequency
 /// directly from the same product form (paper §VI).  Per term m (s0 with
@@ -154,9 +195,6 @@ public:
 
     /// Reconstructed value at absolute time t (fused fast path).
     [[nodiscard]] double value(double t) const;
-
-    /// Batch evaluation (bit-identical to per-point value()).
-    [[nodiscard]] std::vector<double> values(std::span<const double> t) const;
 
     /// Uniform-grid evaluation: n values at t0, t0+1/rate, ...
     /// Bit-identical to calling value(t0 + i/rate) per point.
@@ -196,27 +234,17 @@ private:
     double t_start_;
     kohlenberg_kernel kernel_;
     pnbs_options opt_;
-    dsp::kaiser_lut window_; ///< shared continuous Kaiser window LUT
+    pnbs_tap_tables tables_;
     const simd::kernel_ops* ops_;
 
     // Fused fast-path constants (derived from the kernel in the ctor).
-    long half_ = 0;          ///< taps / 2
-    double inv_span_ = 0.0;  ///< 1 / (half + 1), window normalisation
     double d_frac_ = 0.0;    ///< D̂ / T
     double g0_ = 0.0;        ///< c0 / sin φ (0 when s0 vanishes)
     double g1_ = 0.0;        ///< c1 / sin ψ
     double cos_phi_ = 0.0;   ///< cos φ
     double cos_psi_ = 0.0;   ///< cos ψ
-    double del0_ = 0.0;      ///< π·f0·T, per-tap phase step of the s0 sinc
-    double del1_ = 0.0;      ///< π·f1·T
-    double inv_del0_ = 0.0;  ///< 1 / del0 (0 when s0 vanishes)
-    double inv_del1_ = 0.0;  ///< 1 / del1
     double sin_eps0_ = 0.0, cos_eps0_ = 1.0; ///< of π·f0·D̂ (odd stream)
     double sin_eps1_ = 0.0, cos_eps1_ = 1.0; ///< of π·f1·D̂
-    /// Signed per-tap phase tables, taps entries each, indexed by j + half:
-    /// [(-1)^{k·j}·cos(del0·j) | (-1)^{k·j}·sin(del0·j) |
-    ///  (-1)^{k⁺·j}·cos(del1·j) | (-1)^{k⁺·j}·sin(del1·j)].
-    std::vector<double> phase_tabs_;
 
     /// One evaluation instant on the records: nearest even sample, offset
     /// from it, the tap range clamped to the records (count 0 when no tap

@@ -157,25 +157,6 @@ TEST(PnbsFastPath, UniformIsBitIdenticalToPerPointValue) {
     }
 }
 
-TEST(PnbsFastPath, BatchValuesBitIdenticalToPerPoint) {
-    const band_spec band = band_around(1.0 * GHz, 90.0 * MHz);
-    const double period = 1.0 / band.bandwidth();
-    const std::size_t n = 200;
-    const auto sig = in_band_multitone(
-        band, static_cast<double>(n) * period + 10.0 * ns, 0x2E);
-    const double d = 180.0 * ps;
-    const auto s = sample_streams(sig, period, d, n);
-    const pnbs_reconstructor recon(s.even, s.odd, period, 0.0, band, d,
-                                   {61, 8.0});
-    rng gen(0x31);
-    std::vector<double> t(333);
-    for (auto& v : t)
-        v = gen.uniform(recon.valid_begin(), recon.valid_end());
-    const auto batch = recon.values(t);
-    for (std::size_t i = 0; i < t.size(); ++i)
-        EXPECT_EQ(batch[i], recon.value(t[i])) << i;
-}
-
 TEST(PnbsFastPath, ReferencePathStillReconstructs) {
     // Guard the yardstick itself: it must keep reconstructing in-band
     // signals (it is what every fast path is held to).

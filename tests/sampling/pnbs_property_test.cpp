@@ -3,7 +3,7 @@
 // tap count, window shape, record length, delay hypothesis) and under
 // EVERY CPU-supported backend,
 //
-//  * uniform() and values() stay bit-identical to per-point value() —
+//  * uniform() stays bit-identical to per-point value() —
 //    the PR 2 invariant, now quantified over backends;
 //  * the fused fast path stays within its accuracy envelope of the
 //    per-tap transcendental yardstick (support/pnbs_yardstick.hpp);
@@ -93,20 +93,6 @@ TEST(PnbsProperty, BatchEntryPointsBitIdenticalToPerPointUnderEveryBackend) {
             const auto recon = build(s);
             ASSERT_STREQ(recon.backend().name, ops->name);
 
-            // Probes include instants outside the valid span (clamped tap
-            // windows) and outside the records entirely.
-            rng probe(0xAB + static_cast<std::uint64_t>(config));
-            const double lo = recon.valid_begin() - 5.0 * s.period;
-            const double hi = recon.valid_end() + 5.0 * s.period;
-            std::vector<double> ts(120);
-            for (auto& t : ts)
-                t = probe.uniform(lo, hi);
-
-            const auto batch = recon.values(ts);
-            for (std::size_t i = 0; i < ts.size(); ++i)
-                EXPECT_EQ(batch[i], recon.value(ts[i]))
-                    << ops->name << " config=" << config << " t=" << ts[i];
-
             const double rate = 3.1 * s.band.bandwidth();
             const double t0 = recon.valid_begin();
             const auto grid = recon.uniform(t0, rate, 100);
@@ -159,17 +145,15 @@ TEST(PnbsProperty, BackendBuildsAgreeWithScalarTwinWithinBound) {
         for (auto& t : ts)
             t = probe.uniform(scalar_recon.valid_begin(),
                               scalar_recon.valid_end());
-        const auto ref = scalar_recon.values(ts);
 
         for (const auto* ops : kernel_backend::available()) {
             if (std::string_view(ops->name) == "scalar")
                 continue;
             kernel_backend::force(ops->name);
             const auto recon = build(s);
-            const auto got = recon.values(ts);
-            for (std::size_t i = 0; i < ts.size(); ++i)
-                EXPECT_NEAR(got[i], ref[i], 1e-11)
-                    << ops->name << " config=" << config << " t=" << ts[i];
+            for (const double t : ts)
+                EXPECT_NEAR(recon.value(t), scalar_recon.value(t), 1e-11)
+                    << ops->name << " config=" << config << " t=" << t;
         }
     }
 }
