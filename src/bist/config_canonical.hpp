@@ -31,7 +31,7 @@
 namespace sdrbist::bist {
 
 /// Version of the canonical serialisation (see file comment).
-inline constexpr int canonical_config_version = 4;
+inline constexpr int canonical_config_version = 5;
 
 /// Render the configuration in canonical text form.
 [[nodiscard]] std::string canonical_config_text(const bist_config& config);

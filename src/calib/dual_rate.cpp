@@ -294,47 +294,28 @@ dual_rate_cost::make_stream(const adc::nonuniform_capture& rec,
     const auto& tb = s.tables;
     const double kd = static_cast<double>(tb.k);
 
-    std::vector<double> ce0(tb.taps), ce1(tb.taps), unused(tb.taps);
+    std::vector<double> ce0(tb.taps), ce1(tb.taps);
     s.frames.reserve(probe_times.size());
     for (const double t : probe_times) {
         frame f;
         const double pos = (t - rec.t_start) / tb.period;
         const long centre = std::llround(pos);
-        f.frac = pos - static_cast<double>(centre);
         SDRBIST_EXPECTS(centre - tb.half >= 0 &&
                         centre + tb.half <
                             static_cast<long>(rec.even.size()));
         f.first = static_cast<std::size_t>(centre - tb.half);
-        const double a0 = tb.del0 * f.frac;
-        const double a1 = tb.del1 * f.frac;
-        f.sin_a0 = std::sin(a0);
-        f.cos_a0 = std::cos(a0);
-        f.sin_a1 = std::sin(a1);
-        f.cos_a1 = std::cos(a1);
-        const double thk = pi * kd * f.frac;
-        const double thp = pi * (kd + 1.0) * f.frac;
+        f.tap = tb.at(pos - static_cast<double>(centre), -tb.half, tb.half);
+        const double thk = pi * kd * f.tap.frac;
+        const double thp = pi * (kd + 1.0) * f.tap.frac;
         f.sin_k = std::sin(thk);
         f.cos_k = std::cos(thk);
         f.sin_p = std::sin(thp);
         f.cos_p = std::cos(thp);
 
         // E_m: the even record against term m's signed, windowed sinc
-        // coefficients — the fill run with the other term's weights zeroed
-        // (its odd half is not read), the zero crossing patched.
-        auto args = tb.fill_args(f.frac, -tb.half, 0.0);
-        args.even[0] = tb.inv_del0 * f.sin_a0;
-        args.even[1] = -tb.inv_del0 * f.cos_a0;
-        ops_->pnbs_fill(args, tb.taps, ce0.data(), unused.data());
-        args.even[0] = args.even[1] = 0.0;
-        args.even[2] = tb.inv_del1 * f.sin_a1;
-        args.even[3] = -tb.inv_del1 * f.cos_a1;
-        ops_->pnbs_fill(args, tb.taps, ce1.data(), unused.data());
-        const long j_e = std::llround(f.frac);
-        const double fj = f.frac - static_cast<double>(j_e);
-        const auto i = static_cast<std::size_t>(j_e + tb.half);
-        ce0[i] = tb.crossing(j_e, fj * tb.inv_span, fj * tb.period, 1.0, 0.0);
-        ce1[i] = tb.crossing(j_e, fj * tb.inv_span, fj * tb.period, 0.0, 1.0);
-
+        // coefficients — the even fill with the other term's weight zero.
+        tb.fill_even(*ops_, f.tap, 1.0, 0.0, ce0.data());
+        tb.fill_even(*ops_, f.tap, 0.0, 1.0, ce1.data());
         const double* ev = rec.even.data() + f.first;
         ops_->dot2(ev, ce0.data(), ev, ce1.data(), tb.taps, &f.e0, &f.e1);
         s.frames.push_back(f);
@@ -347,47 +328,22 @@ dual_rate_cost::hypothesis dual_rate_cost::hypothesis_of(const stream& s,
     // The kernel's constructor rejects an unstable D̂ (paper eq. (3)).
     const sampling::kohlenberg_kernel kern(s.band, d_hat);
     hypothesis h;
-    h.d_hat = d_hat;
-    h.d_frac = d_hat / s.tables.period;
+    h.shift = s.tables.delay(d_hat);
     h.g0 = kern.s0_vanishes() ? 0.0 : kern.c0() / kern.sin_phi();
     h.g1 = kern.c1() / kern.sin_psi();
     h.cos_phi = std::cos(kern.phi());
     h.sin_phi = kern.sin_phi();
     h.cos_psi = std::cos(kern.psi());
     h.sin_psi = kern.sin_psi();
-    const double eps0 = pi * kern.f0() * d_hat;
-    const double eps1 = pi * kern.f1() * d_hat;
-    h.sin_eps0 = std::sin(eps0);
-    h.cos_eps0 = std::cos(eps0);
-    h.sin_eps1 = std::sin(eps1);
-    h.cos_eps1 = std::cos(eps1);
     return h;
 }
 
 double dual_rate_cost::probe_terms(const stream& s, const hypothesis& h,
                                    const frame& f, double* co) const {
-    // Odd stream: the NCO weights sin(π·k_m·frac)·g_m and the sinc
-    // numerator phases π·f_m·D̂ − del_m·frac, then the odd-only fill.
-    const auto& tb = s.tables;
-    const double s0o = f.sin_k * h.g0;
-    const double s1o = f.sin_p * h.g1;
-    const double o0 = s0o * tb.inv_del0;
-    const double o1 = s1o * tb.inv_del1;
-    auto args = tb.fill_args(f.frac, -tb.half, h.d_frac);
-    args.odd[0] = o0 * (h.sin_eps0 * f.cos_a0 - h.cos_eps0 * f.sin_a0);
-    args.odd[1] = o0 * (h.cos_eps0 * f.cos_a0 + h.sin_eps0 * f.sin_a0);
-    args.odd[2] = o1 * (h.sin_eps1 * f.cos_a1 - h.cos_eps1 * f.sin_a1);
-    args.odd[3] = o1 * (h.cos_eps1 * f.cos_a1 + h.sin_eps1 * f.sin_a1);
-    ops_->pnbs_odd_fill(args, tb.taps, co);
-
-    // Patch the tap where the odd argument crosses zero.
-    const long j_o = std::llround(f.frac - h.d_frac);
-    if (j_o >= -tb.half && j_o <= tb.half) {
-        const double fj = f.frac - static_cast<double>(j_o);
-        co[j_o + tb.half] =
-            tb.crossing(j_o, (fj - h.d_frac) * tb.inv_span,
-                        h.d_hat - fj * tb.period, s0o, s1o);
-    }
+    // Odd stream: the NCO weights sin(π·k_m·frac)·g_m through the odd-only
+    // fill.
+    s.tables.fill_odd(*ops_, f.tap, h.shift, f.sin_k * h.g0, f.sin_p * h.g1,
+                      co);
 
     // Even stream: term m is E_m scaled by −sin(π·k_m·frac − φ_m)·g_m.
     const double s0e = -(f.sin_k * h.cos_phi - f.cos_k * h.sin_phi) * h.g0;

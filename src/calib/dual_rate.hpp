@@ -16,13 +16,15 @@
 ///   E_m(t) = Σ_n e[n]·(−1)^{k_m·n}·sinc(f_m(t − nT))·w(t − nT),
 /// with g_m = c_m / sin φ_m and φ_m = π·k_m·B·D̂: the windowed, sign-
 /// modulated sums E_m do not depend on D̂, so they are computed once per
-/// capture and probe when the object is built.  Each evaluation derives
-/// the per-hypothesis scalars (g_m, φ_m, π·f_m·D̂) once, scales E_m by one
-/// NCO factor per probe and term, and runs only the odd stream's
-/// coefficient fill (the dispatched `pnbs_odd_fill`, the odd half of
-/// `pnbs_fill`) and its dot product.  The odd half is bit-identical to
-/// `pnbs_reconstructor::value`'s; the even half is reassociated (Σ_m of
-/// per-term dots instead of one dot of summed coefficients), so the cost
+/// capture and probe when the object is built (the even-only fill
+/// `pnbs_even_fill`).  Each evaluation derives the per-hypothesis scalars
+/// (g_m, φ_m, π·f_m·D̂) once, scales E_m by one NCO factor per probe and
+/// term, and runs only the odd stream's coefficient fill (the dispatched
+/// `pnbs_odd_fill`) and its dot product.  Both fills go through
+/// sampling::pnbs_tap_tables, as the reconstructor's do, so the odd half is
+/// bit-identical to `pnbs_reconstructor::value`'s; the even half is
+/// reassociated (Σ_m of per-term dots instead of one dot of summed
+/// coefficients), so the cost
 /// agrees with the per-evaluation reconstruction (the test yardstick
 /// `testing::skew_cost_reference`, tests/support/skew_cost_yardstick.hpp)
 /// to ≤ 1e-9 relative over D̂ in [0.005·m, 0.995·m]; the catalogue presets'
@@ -136,13 +138,13 @@ public:
     [[nodiscard]] const simd::kernel_ops& backend() const { return *ops_; }
 
 private:
-    /// One probe on one capture: the first tap's record index, the offset
-    /// from the nearest even sample, the D̂-free sincos (sinc numerator
-    /// phases del_m·frac and NCO phases π·k_m·frac) and the even sums E_m.
+    /// One probe on one capture: the first tap's record index, the tap
+    /// frame (offset from the nearest even sample and sinc numerator
+    /// phases), the sincos of the NCO phases π·k_m·frac and the even sums
+    /// E_m.
     struct frame {
         std::size_t first = 0;
-        double frac = 0.0;
-        double sin_a0 = 0.0, cos_a0 = 1.0, sin_a1 = 0.0, cos_a1 = 1.0;
+        sampling::pnbs_tap_tables::point tap;
         double sin_k = 0.0, cos_k = 1.0, sin_p = 0.0, cos_p = 1.0;
         double e0 = 0.0, e1 = 0.0;
     };
@@ -158,10 +160,9 @@ private:
 
     /// The D̂-dependent scalars of one capture's kernel.
     struct hypothesis {
-        double d_hat = 0.0, d_frac = 0.0;
+        sampling::pnbs_tap_tables::shift shift;
         double g0 = 0.0, g1 = 0.0;
         double cos_phi = 1.0, sin_phi = 0.0, cos_psi = 1.0, sin_psi = 0.0;
-        double sin_eps0 = 0.0, cos_eps0 = 1.0, sin_eps1 = 0.0, cos_eps1 = 1.0;
     };
 
     stream make_stream(const adc::nonuniform_capture& rec,

@@ -149,8 +149,8 @@ void neon_carrier_mix(const std::complex<double>* env, const double* cos_wt,
 } // namespace
 
 const kernel_ops& neon_ops() {
-    // The PNBS fills' window reads are gathers, which NEON lacks; both run
-    // the scalar loops.
+    // The PNBS fills' window reads are gathers, which NEON lacks; all three
+    // run the scalar loops.
     static const kernel_ops ops{
         "neon",
         10,
@@ -160,6 +160,7 @@ const kernel_ops& neon_ops() {
         &neon_quantize,
         &neon_carrier_mix,
         scalar_ops().pnbs_fill,
+        scalar_ops().pnbs_even_fill,
         scalar_ops().pnbs_odd_fill,
     };
     return ops;

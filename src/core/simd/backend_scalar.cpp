@@ -30,32 +30,41 @@ inline double lut_window(const double* lut, double res, double u) {
     return lut[i] + frac * (lut[i + 1] - lut[i]);
 }
 
+/// pnbs_fill's even coefficient of tap i.
+inline double even_coeff(const pnbs_fill_args& a, std::size_t i) {
+    const double fj = a.frac - (a.j_first + static_cast<double>(i));
+    const double ne = a.even[0] * a.c0[i] + a.even[1] * a.s0[i] +
+                      a.even[2] * a.c1[i] + a.even[3] * a.s1[i];
+    return lut_window(a.window, a.window_res, fj * a.inv_span) * (ne / fj);
+}
+
+/// pnbs_fill's odd coefficient of tap i.
+inline double odd_coeff(const pnbs_fill_args& a, std::size_t i) {
+    const double fj = a.frac - (a.j_first + static_cast<double>(i));
+    const double q = a.d_frac - fj;
+    const double no = a.odd[0] * a.c0[i] + a.odd[1] * a.s0[i] +
+                      a.odd[2] * a.c1[i] + a.odd[3] * a.s1[i];
+    return lut_window(a.window, a.window_res, q * a.inv_span) * (no / q);
+}
+
 void scalar_pnbs_fill(const pnbs_fill_args& a, std::size_t n, double* ce,
                       double* co) {
     for (std::size_t i = 0; i < n; ++i) {
-        const double fj = a.frac - (a.j_first + static_cast<double>(i));
-        const double q = a.d_frac - fj;
-        const double ne = a.even[0] * a.c0[i] + a.even[1] * a.s0[i] +
-                          a.even[2] * a.c1[i] + a.even[3] * a.s1[i];
-        const double no = a.odd[0] * a.c0[i] + a.odd[1] * a.s0[i] +
-                          a.odd[2] * a.c1[i] + a.odd[3] * a.s1[i];
-        ce[i] = lut_window(a.window, a.window_res, fj * a.inv_span) *
-                (ne / fj);
-        co[i] = lut_window(a.window, a.window_res, q * a.inv_span) *
-                (no / q);
+        ce[i] = even_coeff(a, i);
+        co[i] = odd_coeff(a, i);
     }
+}
+
+void scalar_pnbs_even_fill(const pnbs_fill_args& a, std::size_t n,
+                           double* ce) {
+    for (std::size_t i = 0; i < n; ++i)
+        ce[i] = even_coeff(a, i);
 }
 
 void scalar_pnbs_odd_fill(const pnbs_fill_args& a, std::size_t n,
                           double* co) {
-    for (std::size_t i = 0; i < n; ++i) {
-        const double fj = a.frac - (a.j_first + static_cast<double>(i));
-        const double q = a.d_frac - fj;
-        const double no = a.odd[0] * a.c0[i] + a.odd[1] * a.s0[i] +
-                          a.odd[2] * a.c1[i] + a.odd[3] * a.s1[i];
-        co[i] = lut_window(a.window, a.window_res, q * a.inv_span) *
-                (no / q);
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        co[i] = odd_coeff(a, i);
 }
 
 void scalar_dot2(const double* a, const double* ca, const double* b,
@@ -141,6 +150,7 @@ const kernel_ops& scalar_ops() {
         &scalar_quantize,
         &scalar_carrier_mix,
         &scalar_pnbs_fill,
+        &scalar_pnbs_even_fill,
         &scalar_pnbs_odd_fill,
     };
     return ops;

@@ -3,8 +3,8 @@
 ///        products of the BIST engine.
 ///
 /// Every per-scenario hot loop reduces to a handful of primitive shapes:
-/// the PNBS coefficient fill (both streams, or the odd stream alone for
-/// the dual-rate cost) and plain dot products (PNBS stages 1 and 2),
+/// the PNBS coefficient fill (both streams, or one stream alone for the
+/// dual-rate cost) and plain dot products (PNBS stages 1 and 2),
 /// 4-row polyphase blended dot products (the windowed-sinc LUT interpolator
 /// behind every capture), and two elementwise record transforms (mid-rise
 /// quantisation, carrier mix).
@@ -28,10 +28,11 @@
 ///    the suite asserts ≤ 1e-14 relative to the tap's Σ|terms| (the sum can
 ///    cancel).  Deterministic within one backend.  Its window read is
 ///    bit-identical to `dsp::kaiser_lut::operator()` on every backend.
-///  * `pnbs_odd_fill` — per backend, bit-identical to that backend's
-///    `pnbs_fill` odd coefficients (same operations in the same order);
-///    across backends therefore the same ≤ 1e-14 relative bound, and the
-///    same bit-identical window read.
+///  * `pnbs_even_fill`, `pnbs_odd_fill` — every backend builds all three
+///    fills from the same per-tap even and odd bodies, so each half-fill is
+///    bit-identical to that backend's `pnbs_fill` half; across backends
+///    therefore the same ≤ 1e-14 relative bound, and the same
+///    bit-identical window read.
 ///  * `quantize_midrise`, `carrier_mix` — elementwise, built only from
 ///    correctly-rounded IEEE operations in the same order as the scalar
 ///    expression, therefore **bit-identical across all backends**.  The
@@ -137,9 +138,14 @@ struct kernel_ops {
     void (*pnbs_fill)(const pnbs_fill_args& a, std::size_t n, double* ce,
                       double* co);
 
+    /// Even-stream half of `pnbs_fill` (the D̂-free sums calib::
+    /// dual_rate_cost precomputes): `pnbs_fill`'s ce alone, bit for bit
+    /// within one backend.  `a.odd` and `a.d_frac` are not read.
+    void (*pnbs_even_fill)(const pnbs_fill_args& a, std::size_t n,
+                           double* ce);
+
     /// Odd-stream half of `pnbs_fill` (the D̂-dependent half of the
-    /// dual-rate cost, calib::dual_rate_cost): co[i] with the same
-    /// arithmetic as `pnbs_fill`'s co, so bit-identical to it within one
+    /// dual-rate cost): `pnbs_fill`'s co alone, bit for bit within one
     /// backend.  `a.even` is not read.
     void (*pnbs_odd_fill)(const pnbs_fill_args& a, std::size_t n,
                           double* co);

@@ -165,35 +165,159 @@ pnbs_tap_tables::pnbs_tap_tables(const band_spec& band, double period,
     }
 }
 
-simd::pnbs_fill_args pnbs_tap_tables::fill_args(double frac, long j_lo,
-                                                double d_frac) const {
-    const double* tab = tabs.data() + (j_lo + half);
-    const auto lut = window.table();
+pnbs_tap_tables::point pnbs_tap_tables::at(double frac, long j_lo,
+                                            long j_hi) const {
+    point p;
+    p.frac = frac;
+    p.j_lo = j_lo;
+    p.j_hi = j_hi;
+    if (j_lo > j_hi)
+        return p;
+    p.count = static_cast<std::size_t>(j_hi - j_lo + 1);
+    // Sinc numerator phases at j = 0 of the even stream; the odd stream's,
+    // π·f·D̂ - del·frac, follow by angle subtraction (set_odd_weights).
+    const double a0 = del0 * frac;
+    const double a1 = del1 * frac;
+    p.sin_a0 = std::sin(a0);
+    p.cos_a0 = std::cos(a0);
+    p.sin_a1 = std::sin(a1);
+    p.cos_a1 = std::cos(a1);
+    return p;
+}
+
+pnbs_tap_tables::shift pnbs_tap_tables::delay(double d_hat) const {
+    shift d;
+    d.d_hat = d_hat;
+    d.d_frac = d_hat / period;
+    const double eps0 = pi * f0 * d_hat;
+    const double eps1 = pi * f1 * d_hat;
+    d.sin_eps0 = std::sin(eps0);
+    d.cos_eps0 = std::cos(eps0);
+    d.sin_eps1 = std::sin(eps1);
+    d.cos_eps1 = std::cos(eps1);
+    return d;
+}
+
+namespace {
+
+using tap_point = pnbs_tap_tables::point;
+using tap_shift = pnbs_tap_tables::shift;
+
+/// Fill arguments of p's taps with both streams' weights zero.
+simd::pnbs_fill_args fill_args(const pnbs_tap_tables& tb, const tap_point& p,
+                               double d_frac) {
+    const double* tab = tb.tabs.data() + (p.j_lo + tb.half);
+    const auto lut = tb.window.table();
     return {
         tab,
-        tab + taps,
-        tab + 2 * taps,
-        tab + 3 * taps,
+        tab + tb.taps,
+        tab + 2 * tb.taps,
+        tab + 3 * tb.taps,
         lut.data(),
         static_cast<double>(lut.size() - 1),
-        frac,
-        static_cast<double>(j_lo),
+        p.frac,
+        static_cast<double>(p.j_lo),
         d_frac,
-        inv_span,
+        tb.inv_span,
         {0.0, 0.0, 0.0, 0.0},
         {0.0, 0.0, 0.0, 0.0},
     };
 }
 
-double pnbs_tap_tables::crossing(long j, double u, double tau, double w0,
-                                 double w1) const {
-    const bool k_odd = (k & 1L) != 0;
+// With the sign flips folded into the tables, tap j's even numerator is
+//   (s0e/del0)·(sin a0·c0[j] - cos a0·s0[j]) + (s1e/del1)·(...)
+// over the even distance fj = frac - j, and the odd one
+//   (s0o/del0)·(sin b0·c0[j] + cos b0·s0[j]) + (s1o/del1)·(...)
+// over the odd distance d_frac - fj, with b = π·f·D̂ - a.
+
+void set_even_weights(const pnbs_tap_tables& tb, simd::pnbs_fill_args& a,
+                      const tap_point& p, double s0e, double s1e) {
+    const double e0 = s0e * tb.inv_del0;
+    const double e1 = s1e * tb.inv_del1;
+    a.even[0] = e0 * p.sin_a0;
+    a.even[1] = -e0 * p.cos_a0;
+    a.even[2] = e1 * p.sin_a1;
+    a.even[3] = -e1 * p.cos_a1;
+}
+
+void set_odd_weights(const pnbs_tap_tables& tb, simd::pnbs_fill_args& a,
+                     const tap_point& p, const tap_shift& d, double s0o,
+                     double s1o) {
+    const double o0 = s0o * tb.inv_del0;
+    const double o1 = s1o * tb.inv_del1;
+    const double sin_b0 = d.sin_eps0 * p.cos_a0 - d.cos_eps0 * p.sin_a0;
+    const double cos_b0 = d.cos_eps0 * p.cos_a0 + d.sin_eps0 * p.sin_a0;
+    const double sin_b1 = d.sin_eps1 * p.cos_a1 - d.cos_eps1 * p.sin_a1;
+    const double cos_b1 = d.cos_eps1 * p.cos_a1 + d.sin_eps1 * p.sin_a1;
+    a.odd[0] = o0 * sin_b0;
+    a.odd[1] = o0 * cos_b0;
+    a.odd[2] = o1 * sin_b1;
+    a.odd[3] = o1 * cos_b1;
+}
+
+/// Coefficient of tap j at window argument u and kernel argument τ with
+/// the library sinc: the fill's sinc quotients are ill-conditioned where τ
+/// crosses zero (at most one tap per stream), so those taps are patched.
+double crossing(const pnbs_tap_tables& tb, long j, double u, double tau,
+                double w0, double w1) {
+    const bool k_odd = (tb.k & 1L) != 0;
     const bool j_odd = (j & 1L) != 0;
     const double sgn_k = (k_odd && j_odd) ? -1.0 : 1.0;
     const double sgn_kp = (!k_odd && j_odd) ? -1.0 : 1.0;
-    const double snc0 = s0_vanishes ? 0.0 : sinc(f0 * tau);
-    const double snc1 = sinc(f1 * tau);
-    return window(u) * (w0 * sgn_k * snc0 + w1 * sgn_kp * snc1);
+    const double snc0 = tb.s0_vanishes ? 0.0 : sinc(tb.f0 * tau);
+    const double snc1 = sinc(tb.f1 * tau);
+    return tb.window(u) * (w0 * sgn_k * snc0 + w1 * sgn_kp * snc1);
+}
+
+void patch_even(const pnbs_tap_tables& tb, const tap_point& p, double s0e,
+                double s1e, double* ce) {
+    const long j_e = std::llround(p.frac);
+    if (j_e >= p.j_lo && j_e <= p.j_hi) {
+        const double fj = p.frac - static_cast<double>(j_e);
+        ce[j_e - p.j_lo] = crossing(tb, j_e, fj * tb.inv_span,
+                                    fj * tb.period, s0e, s1e);
+    }
+}
+
+void patch_odd(const pnbs_tap_tables& tb, const tap_point& p,
+               const tap_shift& d, double s0o, double s1o, double* co) {
+    const long j_o = std::llround(p.frac - d.d_frac);
+    if (j_o >= p.j_lo && j_o <= p.j_hi) {
+        const double fj = p.frac - static_cast<double>(j_o);
+        co[j_o - p.j_lo] = crossing(tb, j_o, (fj - d.d_frac) * tb.inv_span,
+                                    d.d_hat - fj * tb.period, s0o, s1o);
+    }
+}
+
+} // namespace
+
+void pnbs_tap_tables::fill(const simd::kernel_ops& ops, const point& p,
+                           const shift& d, double s0e, double s1e,
+                           double s0o, double s1o, double* ce,
+                           double* co) const {
+    simd::pnbs_fill_args a = fill_args(*this, p, d.d_frac);
+    set_even_weights(*this, a, p, s0e, s1e);
+    set_odd_weights(*this, a, p, d, s0o, s1o);
+    ops.pnbs_fill(a, p.count, ce, co);
+    patch_even(*this, p, s0e, s1e, ce);
+    patch_odd(*this, p, d, s0o, s1o, co);
+}
+
+void pnbs_tap_tables::fill_even(const simd::kernel_ops& ops, const point& p,
+                                double s0e, double s1e, double* ce) const {
+    simd::pnbs_fill_args a = fill_args(*this, p, 0.0);
+    set_even_weights(*this, a, p, s0e, s1e);
+    ops.pnbs_even_fill(a, p.count, ce);
+    patch_even(*this, p, s0e, s1e, ce);
+}
+
+void pnbs_tap_tables::fill_odd(const simd::kernel_ops& ops, const point& p,
+                               const shift& d, double s0o, double s1o,
+                               double* co) const {
+    simd::pnbs_fill_args a = fill_args(*this, p, d.d_frac);
+    set_odd_weights(*this, a, p, d, s0o, s1o);
+    ops.pnbs_odd_fill(a, p.count, co);
+    patch_odd(*this, p, d, s0o, s1o, co);
 }
 
 // ---- reconstructor ----------------------------------------------------------
@@ -217,18 +341,11 @@ pnbs_reconstructor::pnbs_reconstructor(std::vector<double> even,
     // (odd stream) splits into per-call sines, per-tap sign flips
     // (-1)^{k·j}, and per-tap sinc numerators sin(del·(frac - j)) whose
     // per-tap factors cos/sin(del·j) are tabulated in tables_.
-    const double d_hat = kernel_.delay();
-    d_frac_ = d_hat / period_;
+    shift_ = tables_.delay(kernel_.delay());
     g0_ = kernel_.s0_vanishes() ? 0.0 : kernel_.c0() / kernel_.sin_phi();
     g1_ = kernel_.c1() / kernel_.sin_psi();
     cos_phi_ = std::cos(kernel_.phi());
     cos_psi_ = std::cos(kernel_.psi());
-    const double eps0 = pi * kernel_.f0() * d_hat;
-    const double eps1 = pi * kernel_.f1() * d_hat;
-    sin_eps0_ = std::sin(eps0);
-    cos_eps0_ = std::cos(eps0);
-    sin_eps1_ = std::sin(eps1);
-    cos_eps1_ = std::cos(eps1);
 }
 
 pnbs_reconstructor::point_frame
@@ -237,74 +354,15 @@ pnbs_reconstructor::locate(double t) const {
     const double tr = t - t_start_;
     const double pos = tr / period_;
     p.centre = static_cast<long>(std::llround(pos));
-    p.frac = pos - static_cast<double>(p.centre); // in [-0.5, 0.5]
+    const double frac = pos - static_cast<double>(p.centre); // [-0.5, 0.5]
     const auto n_max = static_cast<long>(even_.size()) - 1;
 
     // Tap offsets j = n - centre, clamped to the records once so the tap
     // loops run branch-free over contiguous memory.
     const long half = tables_.half;
-    p.j_lo = std::max(p.centre - half, 0L) - p.centre;
-    p.j_hi = std::min(p.centre + half, n_max) - p.centre;
-    if (p.j_lo > p.j_hi)
-        return p;
-    p.count = static_cast<std::size_t>(p.j_hi - p.j_lo + 1);
-
-    // Sinc numerator phases at j = 0: del·frac for the even stream and
-    // π·f·D̂ - del·frac for the odd one.
-    const double a0 = tables_.del0 * p.frac;
-    const double a1 = tables_.del1 * p.frac;
-    p.sin_a0 = std::sin(a0);
-    p.cos_a0 = std::cos(a0);
-    p.sin_a1 = std::sin(a1);
-    p.cos_a1 = std::cos(a1);
-    p.sin_b0 = sin_eps0_ * p.cos_a0 - cos_eps0_ * p.sin_a0;
-    p.cos_b0 = cos_eps0_ * p.cos_a0 + sin_eps0_ * p.sin_a0;
-    p.sin_b1 = sin_eps1_ * p.cos_a1 - cos_eps1_ * p.sin_a1;
-    p.cos_b1 = cos_eps1_ * p.cos_a1 + sin_eps1_ * p.sin_a1;
+    p.tap = tables_.at(frac, std::max(p.centre - half, 0L) - p.centre,
+                       std::min(p.centre + half, n_max) - p.centre);
     return p;
-}
-
-void pnbs_reconstructor::fill_taps(const point_frame& p, double s0e,
-                                   double s1e, double s0o, double s1o,
-                                   double* ce, double* co) const {
-    // Stage 1: fill the per-tap coefficient arrays.  With the sign flips
-    // folded into the tables, tap j's even numerator is
-    //   (s0e/del0)·(sin a0·c0[j] - cos a0·s0[j]) + (s1e/del1)·(...)
-    // over the even distance fj = frac - j, and the odd one
-    //   (s0o/del0)·(sin b0·c0[j] + cos b0·s0[j]) + (s1o/del1)·(...)
-    // over the odd distance d_frac - fj.
-    const double e0 = s0e * tables_.inv_del0;
-    const double e1 = s1e * tables_.inv_del1;
-    const double o0 = s0o * tables_.inv_del0;
-    const double o1 = s1o * tables_.inv_del1;
-    simd::pnbs_fill_args args = tables_.fill_args(p.frac, p.j_lo, d_frac_);
-    args.even[0] = e0 * p.sin_a0;
-    args.even[1] = -e0 * p.cos_a0;
-    args.even[2] = e1 * p.sin_a1;
-    args.even[3] = -e1 * p.cos_a1;
-    args.odd[0] = o0 * p.sin_b0;
-    args.odd[1] = o0 * p.cos_b0;
-    args.odd[2] = o1 * p.sin_b1;
-    args.odd[3] = o1 * p.cos_b1;
-    ops_->pnbs_fill(args, p.count, ce, co);
-
-    // The sinc quotients above are ill-conditioned where the kernel
-    // argument crosses zero (at most one tap per stream); patch those taps
-    // with the exact library sinc.
-    const double frac = p.frac;
-    const long j_e = std::llround(frac); // even-stream zero crossing
-    if (j_e >= p.j_lo && j_e <= p.j_hi) {
-        const double fj = frac - static_cast<double>(j_e);
-        ce[j_e - p.j_lo] = tables_.crossing(j_e, fj * tables_.inv_span,
-                                            fj * period_, s0e, s1e);
-    }
-    const long j_o = std::llround(frac - d_frac_); // odd-stream crossing
-    if (j_o >= p.j_lo && j_o <= p.j_hi) {
-        const double fj = frac - static_cast<double>(j_o);
-        co[j_o - p.j_lo] = tables_.crossing(
-            j_o, (fj - d_frac_) * tables_.inv_span,
-            kernel_.delay() - fj * period_, s0o, s1o);
-    }
 }
 
 namespace {
@@ -319,15 +377,16 @@ std::pair<double*, double*> tap_buffers(std::size_t count) {
 
 double pnbs_reconstructor::value(double t) const {
     const point_frame p = locate(t);
-    if (p.count == 0)
+    const auto& tap = p.tap;
+    if (tap.count == 0)
         return 0.0;
 
     // Per-call NCO factors: sin(a·τ - φ) at every tap differs from these
     // only by the (-1)^{k·j} flip, so two sincos serve the whole window
     // (g0 is 0 when s0 vanishes).
     const double kd = static_cast<double>(kernel_.k());
-    const double thk = pi * kd * p.frac;
-    const double thp = pi * (kd + 1.0) * p.frac;
+    const double thk = pi * kd * tap.frac;
+    const double thp = pi * (kd + 1.0) * tap.frac;
     const double sin_k = std::sin(thk), cos_k = std::cos(thk);
     const double sin_p = std::sin(thp), cos_p = std::cos(thp);
     const double s0e = -(sin_k * cos_phi_ - cos_k * kernel_.sin_phi()) * g0_;
@@ -335,16 +394,16 @@ double pnbs_reconstructor::value(double t) const {
     const double s0o = sin_k * g0_;
     const double s1o = sin_p * g1_;
 
-    const auto [ce, co] = tap_buffers(p.count);
-    fill_taps(p, s0e, s1e, s0o, s1o, ce, co);
+    const auto [ce, co] = tap_buffers(tap.count);
+    tables_.fill(*ops_, tap, shift_, s0e, s1e, s0o, s1o, ce, co);
 
     // Stage 2: the fused even/odd pair of contiguous dot products, run on
     // the dispatched SIMD backend.
-    const double* ev = even_.data() + (p.centre + p.j_lo);
-    const double* od = odd_.data() + (p.centre + p.j_lo);
+    const double* ev = even_.data() + (p.centre + tap.j_lo);
+    const double* od = odd_.data() + (p.centre + tap.j_lo);
     double acc_e = 0.0;
     double acc_o = 0.0;
-    ops_->dot2(ev, ce, od, co, p.count, &acc_e, &acc_o);
+    ops_->dot2(ev, ce, od, co, tap.count, &acc_e, &acc_o);
     return acc_e + acc_o;
 }
 
@@ -360,11 +419,12 @@ pnbs_reconstructor::envelope(double t0, double rate, std::size_t n,
     for (std::size_t i = 0; i < n; ++i) {
         const double t = t0 + static_cast<double>(i) / rate;
         const point_frame p = locate(t);
-        if (p.count == 0)
+        const auto& tap = p.tap;
+        if (tap.count == 0)
             continue;
-        const auto [ce, co] = tap_buffers(p.count);
-        const double* ev = even_.data() + (p.centre + p.j_lo);
-        const double* od = odd_.data() + (p.centre + p.j_lo);
+        const auto [ce, co] = tap_buffers(tap.count);
+        const double* ev = even_.data() + (p.centre + tap.j_lo);
+        const double* od = odd_.data() + (p.centre + tap.j_lo);
 
         // Term m contributes g_m·e^{jπ·k_m·frac}·(E_m·e^{-jφ_m} - O_m),
         // with E_m / O_m the records dotted with term m's signed, windowed
@@ -374,13 +434,14 @@ pnbs_reconstructor::envelope(double t0, double rate, std::size_t n,
         double o = 0.0;
         std::complex<double> acc{0.0, 0.0};
         if (use_s0) {
-            fill_taps(p, 1.0, 0.0, 1.0, 0.0, ce, co);
-            ops_->dot2(ev, ce, od, co, p.count, &e, &o);
-            acc = g0_ * std::polar(1.0, pi * kd * p.frac) * (e * rot_phi - o);
+            tables_.fill(*ops_, tap, shift_, 1.0, 0.0, 1.0, 0.0, ce, co);
+            ops_->dot2(ev, ce, od, co, tap.count, &e, &o);
+            acc = g0_ * std::polar(1.0, pi * kd * tap.frac) *
+                  (e * rot_phi - o);
         }
-        fill_taps(p, 0.0, 1.0, 0.0, 1.0, ce, co);
-        ops_->dot2(ev, ce, od, co, p.count, &e, &o);
-        acc += g1_ * std::polar(1.0, pi * (kd + 1.0) * p.frac) *
+        tables_.fill(*ops_, tap, shift_, 0.0, 1.0, 0.0, 1.0, ce, co);
+        ops_->dot2(ev, ce, od, co, tap.count, &e, &o);
+        acc += g1_ * std::polar(1.0, pi * (kd + 1.0) * tap.frac) *
                (e * rot_psi - o);
 
         // j·Σ(...) is the analytic signal; mix it down by f_mix.

@@ -14,7 +14,6 @@
 
 namespace sdrbist::simd {
 struct kernel_ops;
-struct pnbs_fill_args;
 }
 
 namespace sdrbist::sampling {
@@ -107,26 +106,57 @@ struct pnbs_options {
 
 /// The D̂-free half of the fused product form (see pnbs_reconstructor) for
 /// one band, period T = 1/B and tap window: the kernel's k, f0 and f1, the
-/// signed per-tap phase tables and the window LUT.  pnbs_reconstructor and
-/// calib::dual_rate_cost fill their tap coefficients from it.
+/// signed per-tap phase tables and the window LUT, and the stage-1 fill of
+/// the tap coefficients built on them.  pnbs_reconstructor and
+/// calib::dual_rate_cost both fill through it, so the weights the kernel
+/// terms get and the zero-crossing patch are decided here only.
 struct pnbs_tap_tables {
     /// Preconditions: band valid; period > 0; taps odd and ≥ 5.
     pnbs_tap_tables(const band_spec& band, double period,
                     const pnbs_options& opt);
 
-    /// Arguments of the dispatched pnbs_fill / pnbs_odd_fill for taps
-    /// j_lo, j_lo + 1, ... of a point at offset `frac` from its nearest
-    /// even sample, with odd-stream offset d_frac = D̂/T.  The stream
-    /// weights are left zero.
-    [[nodiscard]] simd::pnbs_fill_args fill_args(double frac, long j_lo,
-                                                 double d_frac) const;
+    /// The D̂-free frame of one evaluation point: its offset from the
+    /// nearest even sample, its tap range (count 0 when empty) and the
+    /// sincos of the sinc numerator phases del_m·frac at j = 0.
+    struct point {
+        double frac = 0.0;
+        long j_lo = 0, j_hi = -1;
+        std::size_t count = 0;
+        double sin_a0 = 0.0, cos_a0 = 1.0, sin_a1 = 0.0, cos_a1 = 1.0;
+    };
 
-    /// Coefficient of tap j where a stream's kernel argument τ crosses
-    /// zero, with window argument u and weights w0, w1 on the two terms:
-    ///   w(u)·(w0·(-1)^{k·j}·sinc(f0·τ) + w1·(-1)^{k⁺·j}·sinc(f1·τ)),
-    /// the library sinc in place of the fill's ill-conditioned quotient.
-    [[nodiscard]] double crossing(long j, double u, double tau, double w0,
-                                  double w1) const;
+    /// The odd stream's D̂-dependent constants: D̂, D̂/T and the sincos of
+    /// the sinc phase shifts π·f_m·D̂.
+    struct shift {
+        double d_hat = 0.0, d_frac = 0.0;
+        double sin_eps0 = 0.0, cos_eps0 = 1.0, sin_eps1 = 0.0, cos_eps1 = 1.0;
+    };
+
+    /// Frame of a point at offset `frac` with taps j_lo..j_hi (the phases
+    /// are left unset when j_lo > j_hi).
+    [[nodiscard]] point at(double frac, long j_lo, long j_hi) const;
+
+    /// Odd-stream constants of hypothesis D̂.
+    [[nodiscard]] shift delay(double d_hat) const;
+
+    /// Stage 1 for one point: ce[i] / co[i] = the even / odd coefficients
+    /// of tap j_lo + i with NCO weights s0e, s1e (even) and s0o, s1o (odd)
+    /// on the two kernel terms, i.e.
+    ///   w(u)·(s0·(-1)^{k·j}·sinc(f0·τ) + s1·(-1)^{k⁺·j}·sinc(f1·τ))
+    /// at the stream's kernel argument τ, through the dispatched pnbs_fill,
+    /// the zero crossing (at most one tap per stream) patched with the
+    /// library sinc.  p.count taps each.
+    void fill(const simd::kernel_ops& ops, const point& p, const shift& d,
+              double s0e, double s1e, double s0o, double s1o, double* ce,
+              double* co) const;
+
+    /// The even half of fill() alone (pnbs_even_fill), bit for bit.
+    void fill_even(const simd::kernel_ops& ops, const point& p, double s0e,
+                   double s1e, double* ce) const;
+
+    /// The odd half of fill() alone (pnbs_odd_fill), bit for bit.
+    void fill_odd(const simd::kernel_ops& ops, const point& p,
+                  const shift& d, double s0o, double s1o, double* co) const;
 
     double period;
     long k;            ///< ceil(2·f_lo/B), as kohlenberg_kernel::k()
@@ -143,6 +173,7 @@ struct pnbs_tap_tables {
     /// [(-1)^{k·j}·cos(del0·j) | (-1)^{k·j}·sin(del0·j) |
     ///  (-1)^{k⁺·j}·cos(del1·j) | (-1)^{k⁺·j}·sin(del1·j)].
     std::vector<double> tabs;
+
 };
 
 /// Practical PNBS reconstructor (paper eq. (6)): evaluates
@@ -158,11 +189,12 @@ struct pnbs_tap_tables {
 /// (-1)^{k⁺·j}·cos/sin(π·f1·T·j), which depend on band, T and taps only.
 /// Each evaluation makes four sincos calls (two NCO phases, two sinc
 /// phases; the odd stream's follow through cos/sin(π·f·D̂) from the
-/// constructor), then the dispatched `pnbs_fill` kernel computes every
-/// tap independently: four multiply-adds against the tables, one divide
-/// and one window LUT read per stream.  The taps where a stream's
-/// argument crosses zero are patched with the library sinc, and the
-/// accumulation runs as the dispatched `dot2` over the even/odd records.
+/// constructor), then pnbs_tap_tables::fill computes every tap
+/// independently on the dispatched `pnbs_fill` kernel: four multiply-adds
+/// against the tables, one divide and one window LUT read per stream.  The
+/// taps where a stream's argument crosses zero are patched with the
+/// library sinc, and the accumulation runs as the dispatched `dot2` over
+/// the even/odd records.
 /// The direct per-tap transcendental evaluation it is bounded against is
 /// the test yardstick `testing::pnbs_yardstick`
 /// (tests/support/pnbs_yardstick.hpp); `uniform()` calls `value()` per
@@ -238,32 +270,20 @@ private:
     const simd::kernel_ops* ops_;
 
     // Fused fast-path constants (derived from the kernel in the ctor).
-    double d_frac_ = 0.0;    ///< D̂ / T
+    pnbs_tap_tables::shift shift_; ///< odd-stream constants of D̂
     double g0_ = 0.0;        ///< c0 / sin φ (0 when s0 vanishes)
     double g1_ = 0.0;        ///< c1 / sin ψ
     double cos_phi_ = 0.0;   ///< cos φ
     double cos_psi_ = 0.0;   ///< cos ψ
-    double sin_eps0_ = 0.0, cos_eps0_ = 1.0; ///< of π·f0·D̂ (odd stream)
-    double sin_eps1_ = 0.0, cos_eps1_ = 1.0; ///< of π·f1·D̂
 
-    /// One evaluation instant on the records: nearest even sample, offset
-    /// from it, the tap range clamped to the records (count 0 when no tap
-    /// lands inside) and the sinc numerator phases at j = 0.
+    /// One evaluation instant on the records: the nearest even sample and
+    /// the tap frame around it, clamped to the records (count 0 when no
+    /// tap lands inside).
     struct point_frame {
         long centre = 0;
-        double frac = 0.0;
-        long j_lo = 0, j_hi = -1;
-        std::size_t count = 0;
-        double sin_a0 = 0.0, cos_a0 = 1.0, sin_b0 = 0.0, cos_b0 = 1.0;
-        double sin_a1 = 0.0, cos_a1 = 1.0, sin_b1 = 0.0, cos_b1 = 1.0;
+        pnbs_tap_tables::point tap;
     };
     [[nodiscard]] point_frame locate(double t) const;
-
-    /// Stage 1 for one point: ce[i] / co[i] = the even / odd tap
-    /// coefficients with NCO weights s0e, s1e (even) and s0o, s1o (odd) on
-    /// the two kernel terms, zero crossings patched.  count taps each.
-    void fill_taps(const point_frame& p, double s0e, double s1e, double s0o,
-                   double s1o, double* ce, double* co) const;
 };
 
 } // namespace sdrbist::sampling

@@ -352,7 +352,13 @@ TEST(DualRateCost, RejectsProbesWithClampedWindows) {
                  contract_violation);
 }
 
+/// Restores auto-detection when a test forced backends, on every exit.
+struct backend_restore {
+    ~backend_restore() { simd::kernel_backend::reset(); }
+};
+
 TEST(DualRateCost, BackendsAgreeWithScalar) {
+    const backend_restore restore;
     const auto s = make_scenario(180.0 * ps, 3.0 * ps, 10);
     const double m = calib::max_search_delay(s.capture);
     simd::kernel_backend::force("scalar");
@@ -368,7 +374,6 @@ TEST(DualRateCost, BackendsAgreeWithScalar) {
             EXPECT_EQ(cost(f * m), cost(f * m)) << ops->name;
         }
     }
-    simd::kernel_backend::reset();
 }
 
 } // namespace

@@ -142,12 +142,14 @@ TEST(CacheKey, PinnedValueSurvivesTheEntryFormat) {
     // vectorised PNBS coefficient fill (its numbers moved by ~1e-14, so
     // entries and journals primed by the old numerics must miss), and
     // again at 3 for the direct complex-envelope reconstruction (mask
-    // margins moved by up to ~0.008 dB), and at 4 for the tabulated SRRC
-    // matched filter (EVM moved by < 1e-9 percentage points).
+    // margins moved by up to ~0.008 dB), at 4 for the tabulated SRRC
+    // matched filter (EVM moved by < 1e-9 percentage points), and at 5 for
+    // the dual-rate cost factored by D̂ (the reported final cost and plan
+    // discrimination moved by < 1e-14 relative).
     const auto cfg = small_campaign();
     const auto grid = expand_grid(cfg);
     EXPECT_EQ(scenario_cache::key(grid[0], scenario_config(cfg, grid[0])),
-              "897bdbab49cbe118");
+              "d27ac5ccf34738d1");
 }
 
 TEST(CacheKey, IndependentOfGridShape) {

@@ -472,16 +472,29 @@ TEST(BackendEquivalence, PnbsFillWindowIsBitIdenticalToKaiserLut) {
     }
 }
 
-TEST(BackendEquivalence, PnbsOddFillMatchesScalarWithinDocumentedBound) {
-    // The odd-only fill of the dual-rate cost: on every backend it is that
-    // backend's pnbs_fill odd half bit for bit, so against scalar it holds
-    // the pnbs_fill bound.
+/// One half of pnbs_fill run alone (the dual-rate cost's fills).
+enum class fill_half { even, odd };
+
+void half_fill(const kernel_ops& ops, fill_half h,
+               const simd::pnbs_fill_args& a, std::size_t n, double* out) {
+    if (h == fill_half::even)
+        ops.pnbs_even_fill(a, n, out);
+    else
+        ops.pnbs_odd_fill(a, n, out);
+}
+
+/// On every backend a half-fill is that backend's pnbs_fill half bit for
+/// bit, never reads the other half's inputs, and so holds the pnbs_fill
+/// bound against scalar.
+void check_half_fill_bound(fill_half h) {
+    const bool even = h == fill_half::even;
     const dsp::kaiser_lut lut(8.0);
     const long half = 30;
     const double d = 180.0 * ps;
     const sampling::band_spec bands[] = {
         sampling::band_around(1.0 * GHz, 90.0 * MHz),
         sampling::band_around(1.0 * GHz, 100.0 * MHz)};
+    const double nan = std::numeric_limits<double>::quiet_NaN();
     for (const auto* ops : kernel_backend::available()) {
         for (const auto& band : bands) {
             const double d_frac = d * band.bandwidth();
@@ -489,38 +502,43 @@ TEST(BackendEquivalence, PnbsOddFillMatchesScalarWithinDocumentedBound) {
                  {-0.5, 0.0, 0.5, 1e-13, 0.3172, d_frac,
                   std::nextafter(d_frac, 1.0), std::nextafter(d_frac, 0.0)}) {
                 const fill_case c = make_fill_case(band, d, half, frac);
-                const long j_o = std::llround(frac - c.d_frac);
+                const long j_x = std::llround(even ? frac : frac - c.d_frac);
                 for (std::size_t n = 1; n <= 61; ++n) {
                     const long span = static_cast<long>(n) - 1;
                     for (const long j_first :
                          {-half, half - span, -span / 2}) {
                         auto a = fill_args(c, half, j_first, frac, lut);
+                        const double* wt = even ? a.even : a.odd;
                         std::vector<double> ref(n), both_e(n), both_o(n),
                             got(n);
-                        scalar_ops().pnbs_odd_fill(a, n, ref.data());
+                        half_fill(scalar_ops(), h, a, n, ref.data());
                         ops->pnbs_fill(a, n, both_e.data(), both_o.data());
-                        // The even weights must not be read.
-                        a.even[0] = a.even[1] = a.even[2] = a.even[3] =
-                            std::numeric_limits<double>::quiet_NaN();
-                        ops->pnbs_odd_fill(a, n, got.data());
+                        const auto& both = even ? both_e : both_o;
+                        // The other stream's inputs must not be read.
+                        auto blind = a;
+                        double* other = even ? blind.odd : blind.even;
+                        std::fill(other, other + 4, nan);
+                        if (even)
+                            blind.d_frac = nan;
+                        half_fill(*ops, h, blind, n, got.data());
                         for (std::size_t i = 0; i < n; ++i) {
                             EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
-                                      std::bit_cast<std::uint64_t>(both_o[i]))
+                                      std::bit_cast<std::uint64_t>(both[i]))
                                 << ops->name << " frac=" << frac
                                 << " n=" << n << " i=" << i;
                             const long j = j_first + static_cast<long>(i);
-                            if (j == j_o)
+                            if (j == j_x)
                                 continue; // patched by the caller
-                            const double q =
-                                c.d_frac - (frac - static_cast<double>(j));
+                            const double fj = frac - static_cast<double>(j);
+                            const double x = even ? fj : c.d_frac - fj;
                             double mag = 0.0;
                             const double terms[4] = {a.c0[i], a.s0[i],
                                                      a.c1[i], a.s1[i]};
                             for (int m = 0; m < 4; ++m)
-                                mag += std::abs(a.odd[m] * terms[m]);
+                                mag += std::abs(wt[m] * terms[m]);
                             EXPECT_LE(std::abs(got[i] - ref[i]),
-                                      fill_rel_bound * lut(q * a.inv_span) *
-                                          mag / std::abs(q))
+                                      fill_rel_bound * lut(x * a.inv_span) *
+                                          mag / std::abs(x))
                                 << ops->name << " frac=" << frac
                                 << " n=" << n << " j=" << j;
                         }
@@ -531,10 +549,11 @@ TEST(BackendEquivalence, PnbsOddFillMatchesScalarWithinDocumentedBound) {
     }
 }
 
-TEST(BackendEquivalence, PnbsOddFillWindowIsBitIdenticalToKaiserLut) {
-    // Odd weights that make every numerator equal its divisor q, so each
-    // coefficient is the bare window read at q·inv_span.
-    rng gen(0x3A16);
+/// Weights that make every numerator of the half equal its divisor, so
+/// each coefficient is the bare window read at the stream's distance.
+void check_half_fill_window(fill_half h, std::uint64_t seed) {
+    const bool even = h == fill_half::even;
+    rng gen(seed);
     for (const std::size_t res : {std::size_t{2048}, std::size_t{1000}}) {
         const dsp::kaiser_lut lut(8.0, res);
         for (const auto* ops : kernel_backend::available()) {
@@ -545,11 +564,14 @@ TEST(BackendEquivalence, PnbsOddFillWindowIsBitIdenticalToKaiserLut) {
                 const double d_frac = gen.uniform(0.01, 0.99);
                 const double inv_span = gen.uniform(0.01, 0.05);
                 const std::size_t n = 67;
-                std::vector<double> q(n), zero(n, 0.0), co(n);
-                for (std::size_t i = 0; i < n; ++i)
-                    q[i] = d_frac - (frac - (j_first + static_cast<double>(i)));
+                std::vector<double> x(n), zero(n, 0.0), out(n);
+                for (std::size_t i = 0; i < n; ++i) {
+                    const double fj =
+                        frac - (j_first + static_cast<double>(i));
+                    x[i] = even ? fj : d_frac - fj;
+                }
                 simd::pnbs_fill_args a{};
-                a.c0 = q.data();
+                a.c0 = x.data();
                 a.s0 = zero.data();
                 a.c1 = zero.data();
                 a.s1 = zero.data();
@@ -559,17 +581,33 @@ TEST(BackendEquivalence, PnbsOddFillWindowIsBitIdenticalToKaiserLut) {
                 a.j_first = j_first;
                 a.d_frac = d_frac;
                 a.inv_span = inv_span;
-                a.odd[0] = 1.0;
-                ops->pnbs_odd_fill(a, n, co.data());
+                (even ? a.even : a.odd)[0] = 1.0;
+                half_fill(*ops, h, a, n, out.data());
                 for (std::size_t i = 0; i < n; ++i)
-                    EXPECT_EQ(std::bit_cast<std::uint64_t>(co[i]),
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
                               std::bit_cast<std::uint64_t>(
-                                  lut(q[i] * inv_span)))
+                                  lut(x[i] * inv_span)))
                         << ops->name << " res=" << res
-                        << " u=" << q[i] * inv_span;
+                        << " u=" << x[i] * inv_span;
             }
         }
     }
+}
+
+TEST(BackendEquivalence, PnbsOddFillMatchesScalarWithinDocumentedBound) {
+    check_half_fill_bound(fill_half::odd);
+}
+
+TEST(BackendEquivalence, PnbsEvenFillMatchesScalarWithinDocumentedBound) {
+    check_half_fill_bound(fill_half::even);
+}
+
+TEST(BackendEquivalence, PnbsOddFillWindowIsBitIdenticalToKaiserLut) {
+    check_half_fill_window(fill_half::odd, 0x3A16);
+}
+
+TEST(BackendEquivalence, PnbsEvenFillWindowIsBitIdenticalToKaiserLut) {
+    check_half_fill_window(fill_half::even, 0x3A17);
 }
 
 // ---------------------------------------------------------------------------
