@@ -1,10 +1,13 @@
 // Hot-path kernel engine bench: the two inner loops every campaign
 // scenario traverses thousands of times, timed fast-path vs reference.
 //
-//  * PNBS uniform() reconstruction — the fused Kohlenberg evaluation
-//    (per-tap phase tables, the dispatched pnbs_fill and dot2 kernels)
-//    against the per-tap transcendental yardstick (paper eq. (6),
-//    tests/support/pnbs_yardstick.hpp).
+//  * PNBS uniform() reconstruction — the table-driven Kohlenberg
+//    evaluation (per-term polyphase tables read by the dispatched
+//    blend_dot) against the per-tap transcendental yardstick (paper
+//    eq. (6), tests/support/pnbs_yardstick.hpp).
+//
+//  * PNBS kernel tables — sampling::pnbs_tap_tables build time, read time
+//    and read error against the exact windowed kernel.
 //  * Windowed-sinc interpolated capture — the polyphase-LUT interpolator
 //    behind every BP-TIADC capture against the two-Bessel-series-per-tap
 //    yardstick (tests/support/interp_yardstick.hpp).
@@ -28,7 +31,7 @@
 //    dqpsk-1M preset's shape (sps ≈ 14.9, α = 0.35).
 //
 //  * Dual-rate cost — calib::dual_rate_cost (even sums precomputed once,
-//    only the odd stream filled per hypothesis) against the direct
+//    only the odd stream read per hypothesis) against the direct
 //    per-evaluation reconstruction of both captures
 //    (tests/support/skew_cost_yardstick.hpp), per cost evaluation, at the
 //    paper's shape (90 + 45 MHz captures, 300 probes, 61 taps).
@@ -52,6 +55,7 @@
 #include "bench_util.hpp"
 #include "bist/spectrum.hpp"
 #include "calib/dual_rate.hpp"
+#include "core/math_util.hpp"
 #include "core/random.hpp"
 #include "core/simd/kernel_backend.hpp"
 #include "core/stats.hpp"
@@ -468,6 +472,83 @@ void bench_evm(std::size_t symbols, std::size_t offsets, int reps) {
               << " B, max rel err " << worst << ")\n";
 }
 
+/// PNBS kernel table bench at the paper's band (1 GHz, 90 MHz, 61 taps,
+/// β = 8): µs per table build (the shared window grid already built), ns
+/// per read (both terms' blends at one phase over the full window, at
+/// random phases in [−1, 0.5]), and the largest read error against the
+/// exact windowed kernel (−1)^{k_m·j}·w(x/span)·sinc(f_m·T·x) with
+/// dsp::kaiser_window_at, relative to the read's Σ|terms|.
+void bench_pnbs_table(std::size_t reads, int reps) {
+    const auto band = sampling::band_around(1.0 * GHz, 90.0 * MHz);
+    const double period = 1.0 / band.bandwidth();
+    const sampling::pnbs_options opt{61, 8.0};
+    const auto& ops = simd::kernel_backend::select();
+    const sampling::pnbs_tap_tables tables(band, period, opt);
+    const double s_build = best_seconds(
+        [&] { (void)sampling::pnbs_tap_tables(band, period, opt); }, reps);
+
+    rng gen(0x7AB1);
+    const auto x = gen.uniform_vector(opt.taps, -1.0, 1.0);
+    std::vector<double> phases(reads);
+    for (auto& p : phases)
+        p = gen.uniform(-1.0, 0.5);
+    const long half = tables.half;
+    double sink = 0.0;
+    const double s_read = best_seconds(
+        [&] {
+            for (const double p : phases) {
+                const auto s = tables.read(ops, x.data(), p, -half, opt.taps);
+                sink += s.h0 + s.h1;
+            }
+        },
+        reps);
+
+    const double span = static_cast<double>(half) + 1.0;
+    const double gamma[2] = {tables.terms.f0 * period,
+                             tables.terms.f1 * period};
+    const long k_m[2] = {tables.terms.k, tables.terms.k + 1};
+    double worst = 0.0;
+    for (std::size_t i = 0; i < std::min<std::size_t>(reads, 300); ++i) {
+        const double p = phases[i];
+        const auto got = tables.read(ops, x.data(), p, -half, opt.taps);
+        const double sums[2] = {got.h0, got.h1};
+        for (int m = 0; m < 2; ++m) {
+            double want = 0.0;
+            double mag = 0.0;
+            for (long j = -half; j <= half; ++j) {
+                const double xj = p - static_cast<double>(j);
+                const bool flip = (k_m[m] & 1L) != 0 && (j & 1L) != 0;
+                const double term =
+                    x[static_cast<std::size_t>(j + half)] *
+                    (flip ? -1.0 : 1.0) *
+                    dsp::kaiser_window_at(xj / span, opt.kaiser_beta) *
+                    sinc(gamma[m] * xj);
+                want += term;
+                mag += std::abs(term);
+            }
+            worst = std::max(worst, std::abs(sums[m] - want) / mag);
+        }
+    }
+
+    const double n = static_cast<double>(reads);
+    benchutil::json_record rec;
+    rec.add("kernel", std::string("pnbs_table"));
+    rec.add("backend", std::string(ops.name));
+    rec.add("taps", opt.taps);
+    rec.add("phase_steps", sampling::pnbs_tap_tables::phase_steps);
+    rec.add("table_bytes", tables.cells.size() * sizeof(double));
+    rec.add("build_us", 1e6 * s_build);
+    rec.add("ns_per_read", 1e9 * s_read / n);
+    rec.add("max_rel_error", worst);
+    benchutil::emit_bench_json("perf_hotpath", rec);
+
+    std::cout << "pnbs table: build " << 1e6 * s_build << " us, read "
+              << 1e9 * s_read / n << " ns (both terms, " << opt.taps
+              << " taps), max rel err " << worst << "\n";
+    if (sink == 42.25) // defeat dead-code elimination of the timed loop
+        std::cout << "";
+}
+
 /// Dual-rate cost bench at the paper's shape: noise-free dual-rate captures
 /// of a multitone (1 GHz carrier, 90 MHz fast band, 45 MHz slow band, D =
 /// 180 ps), 300 probes, 61 taps, evaluated at `hypotheses` D̂ spread over
@@ -562,8 +643,8 @@ void bench_dual_rate_cost(std::size_t hypotheses, int reps) {
 }
 
 /// Per-backend primitive bench: every CPU-supported backend timed on the
-/// kernel shapes the hot paths dispatch to (PNBS 61-tap coefficient fill
-/// and dual dot, 64-tap polyphase blends, 4096-sample capture records),
+/// kernel shapes the hot paths dispatch to (61-tap dual dot, 64-tap
+/// polyphase blends, 4096-sample capture records),
 /// reported as speedup of each kernel vs the scalar backend.  One
 /// BENCH_JSON record per backend.
 void bench_backend_kernels(int reps) {
@@ -571,32 +652,12 @@ void bench_backend_kernels(int reps) {
     using simd::kernel_ops;
 
     rng gen(0x51BD);
-    // PNBS stage-2 shape: the paper's 61-tap window.
+    // Dual-dot shape: the paper's 61-tap window.
     const std::size_t n_dot = 61;
     const auto ev = gen.uniform_vector(n_dot, -1.0, 1.0);
     const auto ce = gen.uniform_vector(n_dot, -1.0, 1.0);
     const auto od = gen.uniform_vector(n_dot, -1.0, 1.0);
     const auto co = gen.uniform_vector(n_dot, -1.0, 1.0);
-    // PNBS stage-1 shape: one point's 61-tap fill (tables and weights of
-    // unit scale; the window reads cover the whole LUT span).
-    const auto fill_tabs = gen.uniform_vector(4 * n_dot, -1.0, 1.0);
-    const dsp::kaiser_lut fill_lut(8.0);
-    simd::pnbs_fill_args fill{};
-    fill.c0 = fill_tabs.data();
-    fill.s0 = fill_tabs.data() + n_dot;
-    fill.c1 = fill_tabs.data() + 2 * n_dot;
-    fill.s1 = fill_tabs.data() + 3 * n_dot;
-    fill.window = fill_lut.table().data();
-    fill.window_res = static_cast<double>(fill_lut.resolution());
-    fill.frac = 0.2137;
-    fill.j_first = -30.0;
-    fill.d_frac = 0.0162;
-    fill.inv_span = 1.0 / 31.0;
-    for (int m = 0; m < 4; ++m) {
-        fill.even[m] = gen.uniform(-1.0, 1.0);
-        fill.odd[m] = gen.uniform(-1.0, 1.0);
-    }
-    std::vector<double> fill_e(n_dot), fill_o(n_dot);
     // Interpolator shape: 2·half_taps = 64 taps, 4 consecutive LUT rows.
     const std::size_t n_blend = 64;
     const auto rows = gen.uniform_vector(4 * n_blend, -1.0, 1.0);
@@ -626,7 +687,6 @@ void bench_backend_kernels(int reps) {
     double sink = 0.0;
 
     struct timing {
-        double fill_ns = 0.0;       // per point (61 taps)
         double dot2_ns = 0.0;       // per tap
         double blend_ns = 0.0;      // per tap
         double blend_cplx_ns = 0.0; // per tap
@@ -635,17 +695,6 @@ void bench_backend_kernels(int reps) {
     };
     auto time_backend = [&](const kernel_ops& ops) {
         timing t;
-        t.fill_ns = 1e9 *
-                    best_seconds(
-                        [&] {
-                            for (int k = 0; k < calls; ++k) {
-                                ops.pnbs_fill(fill, n_dot, fill_e.data(),
-                                              fill_o.data());
-                                sink += fill_e[k % n_dot] + fill_o[0];
-                            }
-                        },
-                        reps) /
-                    static_cast<double>(calls);
         t.dot2_ns = 1e9 *
                     best_seconds(
                         [&] {
@@ -714,7 +763,6 @@ void bench_backend_kernels(int reps) {
                              ? scalar_t
                              : time_backend(*ops);
         const double speedups[] = {
-            scalar_t.fill_ns / t.fill_ns,
             scalar_t.dot2_ns / t.dot2_ns,
             scalar_t.blend_ns / t.blend_ns,
             scalar_t.blend_cplx_ns / t.blend_cplx_ns,
@@ -730,27 +778,23 @@ void bench_backend_kernels(int reps) {
         rec.add("dispatched",
                 std::size_t{std::strcmp(ops->name, dispatched) == 0 ? 1u
                                                                     : 0u});
-        rec.add("pnbs_fill_ns_per_point", t.fill_ns);
         rec.add("dot2_ns_per_tap", t.dot2_ns);
         rec.add("blend_dot_ns_per_tap", t.blend_ns);
         rec.add("blend_dot_cplx_ns_per_tap", t.blend_cplx_ns);
         rec.add("quantize_ns_per_sample", t.quantize_ns);
         rec.add("carrier_mix_ns_per_sample", t.mix_ns);
-        rec.add("pnbs_fill_speedup", speedups[0]);
-        rec.add("dot2_speedup", speedups[1]);
-        rec.add("blend_dot_speedup", speedups[2]);
-        rec.add("blend_dot_cplx_speedup", speedups[3]);
-        rec.add("quantize_speedup", speedups[4]);
-        rec.add("carrier_mix_speedup", speedups[5]);
+        rec.add("dot2_speedup", speedups[0]);
+        rec.add("blend_dot_speedup", speedups[1]);
+        rec.add("blend_dot_cplx_speedup", speedups[2]);
+        rec.add("quantize_speedup", speedups[3]);
+        rec.add("carrier_mix_speedup", speedups[4]);
         rec.add("best_speedup", best);
         benchutil::emit_bench_json("perf_hotpath", rec);
 
-        std::cout << "backend " << ops->name << ": pnbs_fill "
-                  << t.fill_ns << " ns/point x" << speedups[0] << ", dot2 x"
-                  << speedups[1] << ", blend x" << speedups[2]
-                  << ", blend_cplx x" << speedups[3] << ", quantize x"
-                  << speedups[4] << ", mix x" << speedups[5] << "  (best x"
-                  << best << ")\n";
+        std::cout << "backend " << ops->name << ": dot2 x" << speedups[0]
+                  << ", blend x" << speedups[1] << ", blend_cplx x"
+                  << speedups[2] << ", quantize x" << speedups[3] << ", mix x"
+                  << speedups[4] << "  (best x" << best << ")\n";
     }
     if (sink == 42.25) // defeat dead-code elimination of the timed loops
         std::cout << "";
@@ -771,6 +815,7 @@ int main(int argc, char** argv) {
     bench_envelope(quick ? 2000 : 7200, reps);
     const double ddc_diff = bench_ddc(quick ? 40000 : 155031, reps);
     bench_evm(quick ? 60 : 96, quick ? 9 : 45, reps);
+    bench_pnbs_table(quick ? 2000 : 20000, reps);
     bench_dual_rate_cost(quick ? 8 : 32, reps);
     bench_backend_kernels(reps);
     if (ddc_diff != 0.0) {

@@ -12,12 +12,6 @@
 
 namespace sdrbist::calib {
 
-namespace {
-long kernel_k(const sampling::band_spec& band) {
-    return ceil_snapped(2.0 * band.f_lo / band.bandwidth());
-}
-} // namespace
-
 bool dual_rate_conditions_ok(const sampling::band_spec& band_fast,
                              const sampling::band_spec& band_slow) {
     band_fast.validate();
@@ -26,8 +20,9 @@ bool dual_rate_conditions_ok(const sampling::band_spec& band_fast,
     const double b1 = band_slow.bandwidth();
     SDRBIST_EXPECTS(b1 < b);
 
-    const double kp = static_cast<double>(kernel_k(band_fast) + 1);
-    const double k1 = static_cast<double>(kernel_k(band_slow));
+    const auto k = sampling::kernel_terms(band_fast).k;
+    const double kp = static_cast<double>(k + 1);
+    const double k1 = static_cast<double>(sampling::kernel_terms(band_slow).k);
     const double k1p = k1 + 1.0;
 
     const double lhs = kp * b;
@@ -51,8 +46,10 @@ double max_search_delay(const sampling::band_spec& band_fast,
                         const sampling::band_spec& band_slow) {
     const double b = band_fast.bandwidth();
     const double b1 = band_slow.bandwidth();
-    const double kp = static_cast<double>(kernel_k(band_fast) + 1);
-    const double k1p = static_cast<double>(kernel_k(band_slow) + 1);
+    const auto k = sampling::kernel_terms(band_fast).k;
+    const auto k1 = sampling::kernel_terms(band_slow).k;
+    const double kp = static_cast<double>(k + 1);
+    const double k1p = static_cast<double>(k1 + 1);
     return std::min(1.0 / (kp * b), 1.0 / (k1p * b1));
 }
 
@@ -72,7 +69,8 @@ double try_slow_band_offset(const sampling::band_spec& band_fast,
     const double b1 = slow_bandwidth;
     const double b = band_fast.bandwidth();
     const double fc = band_fast.centre();
-    const double kp_b = static_cast<double>(kernel_k(band_fast) + 1) * b;
+    const auto k = sampling::kernel_terms(band_fast).k;
+    const double kp_b = static_cast<double>(k + 1) * b;
 
     // Largest |slow-band centre - signal centre| that keeps the occupied
     // band inside, with a small guard for the band-select filter skirt.
@@ -286,38 +284,35 @@ dual_rate_cost::make_stream(const adc::nonuniform_capture& rec,
                             const sampling::band_spec& band,
                             std::span<const double> probe_times,
                             const sampling::pnbs_options& opt) const {
-    stream s{band, sampling::pnbs_tap_tables(band, rec.period_s, opt),
-             rec.odd, {}};
+    stream s{band, rec.period_s,
+             sampling::pnbs_tap_tables(band, rec.period_s, opt), rec.odd,
+             {}};
     SDRBIST_EXPECTS(rec.even.size() == rec.odd.size());
     SDRBIST_EXPECTS(rec.even.size() > opt.taps);
     SDRBIST_EXPECTS(approx_equal(rec.period_s * band.bandwidth(), 1.0, 1e-9));
     const auto& tb = s.tables;
-    const double kd = static_cast<double>(tb.k);
+    const double kd = static_cast<double>(tb.terms.k);
 
-    std::vector<double> ce0(tb.taps), ce1(tb.taps);
     s.frames.reserve(probe_times.size());
     for (const double t : probe_times) {
         frame f;
-        const double pos = (t - rec.t_start) / tb.period;
+        const double pos = (t - rec.t_start) / rec.period_s;
         const long centre = std::llround(pos);
         SDRBIST_EXPECTS(centre - tb.half >= 0 &&
                         centre + tb.half <
                             static_cast<long>(rec.even.size()));
         f.first = static_cast<std::size_t>(centre - tb.half);
-        f.tap = tb.at(pos - static_cast<double>(centre), -tb.half, tb.half);
-        const double thk = pi * kd * f.tap.frac;
-        const double thp = pi * (kd + 1.0) * f.tap.frac;
+        f.frac = pos - static_cast<double>(centre);
+        const double thk = pi * kd * f.frac;
+        const double thp = pi * (kd + 1.0) * f.frac;
         f.sin_k = std::sin(thk);
         f.cos_k = std::cos(thk);
         f.sin_p = std::sin(thp);
         f.cos_p = std::cos(thp);
-
-        // E_m: the even record against term m's signed, windowed sinc
-        // coefficients — the even fill with the other term's weight zero.
-        tb.fill_even(*ops_, f.tap, 1.0, 0.0, ce0.data());
-        tb.fill_even(*ops_, f.tap, 0.0, 1.0, ce1.data());
-        const double* ev = rec.even.data() + f.first;
-        ops_->dot2(ev, ce0.data(), ev, ce1.data(), tb.taps, &f.e0, &f.e1);
+        const auto e = tb.read(*ops_, rec.even.data() + f.first, f.frac,
+                               -tb.half, tb.taps);
+        f.e0 = e.h0;
+        f.e1 = e.h1;
         s.frames.push_back(f);
     }
     return s;
@@ -328,7 +323,7 @@ dual_rate_cost::hypothesis dual_rate_cost::hypothesis_of(const stream& s,
     // The kernel's constructor rejects an unstable D̂ (paper eq. (3)).
     const sampling::kohlenberg_kernel kern(s.band, d_hat);
     hypothesis h;
-    h.shift = s.tables.delay(d_hat);
+    h.d_frac = d_hat / s.period;
     h.g0 = kern.s0_vanishes() ? 0.0 : kern.c0() / kern.sin_phi();
     h.g1 = kern.c1() / kern.sin_psi();
     h.cos_phi = std::cos(kern.phi());
@@ -338,39 +333,29 @@ dual_rate_cost::hypothesis dual_rate_cost::hypothesis_of(const stream& s,
     return h;
 }
 
-double dual_rate_cost::probe_terms(const stream& s, const hypothesis& h,
-                                   const frame& f, double* co) const {
-    // Odd stream: the NCO weights sin(π·k_m·frac)·g_m through the odd-only
-    // fill.
-    s.tables.fill_odd(*ops_, f.tap, h.shift, f.sin_k * h.g0, f.sin_p * h.g1,
-                      co);
+double dual_rate_cost::probe_value(const stream& s, const hypothesis& h,
+                                   const frame& f) const {
+    // Odd stream: the term sums at frac − D̂/T with the NCO weights
+    // sin(π·k_m·frac)·g_m.
+    const auto& tb = s.tables;
+    const auto o = tb.read(*ops_, s.odd.data() + f.first, f.frac - h.d_frac,
+                           -tb.half, tb.taps);
 
     // Even stream: term m is E_m scaled by −sin(π·k_m·frac − φ_m)·g_m.
     const double s0e = -(f.sin_k * h.cos_phi - f.cos_k * h.sin_phi) * h.g0;
     const double s1e = -(f.sin_p * h.cos_psi - f.cos_p * h.sin_psi) * h.g1;
-    return s0e * f.e0 + s1e * f.e1;
+    return (s0e * f.e0 + s1e * f.e1) +
+           (f.sin_k * h.g0 * o.h0 + f.sin_p * h.g1 * o.h1);
 }
 
 double dual_rate_cost::operator()(double delay_hypothesis) const {
     const hypothesis hf = hypothesis_of(fast_, delay_hypothesis);
     const hypothesis hs = hypothesis_of(slow_, delay_hypothesis);
-    const std::size_t taps = fast_.tables.taps;
-    std::vector<double> co(2 * taps);
-    double* co_fast = co.data();
-    double* co_slow = co.data() + taps;
     const std::size_t probes = fast_.frames.size();
     double acc = 0.0;
     for (std::size_t i = 0; i < probes; ++i) {
-        const frame& ff = fast_.frames[i];
-        const frame& fs = slow_.frames[i];
-        const double even_fast = probe_terms(fast_, hf, ff, co_fast);
-        const double even_slow = probe_terms(slow_, hs, fs, co_slow);
-        double odd_fast = 0.0;
-        double odd_slow = 0.0;
-        ops_->dot2(fast_.odd.data() + ff.first, co_fast,
-                   slow_.odd.data() + fs.first, co_slow, taps, &odd_fast,
-                   &odd_slow);
-        const double d = (even_fast + odd_fast) - (even_slow + odd_slow);
+        const double d = probe_value(fast_, hf, fast_.frames[i]) -
+                         probe_value(slow_, hs, slow_.frames[i]);
         acc += d * d;
     }
     return acc / static_cast<double>(probes);

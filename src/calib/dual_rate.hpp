@@ -13,22 +13,21 @@
 /// `dual_rate_cost` evaluates the cost factored by D̂.  In the kernel's
 /// product form (sampling/pnbs.hpp) the even stream's term m at probe t is
 ///   −sin(π·k_m·frac − φ_m)·g_m·E_m(t),
-///   E_m(t) = Σ_n e[n]·(−1)^{k_m·n}·sinc(f_m(t − nT))·w(t − nT),
-/// with g_m = c_m / sin φ_m and φ_m = π·k_m·B·D̂: the windowed, sign-
-/// modulated sums E_m do not depend on D̂, so they are computed once per
-/// capture and probe when the object is built (the even-only fill
-/// `pnbs_even_fill`).  Each evaluation derives the per-hypothesis scalars
-/// (g_m, φ_m, π·f_m·D̂) once, scales E_m by one NCO factor per probe and
-/// term, and runs only the odd stream's coefficient fill (the dispatched
-/// `pnbs_odd_fill`) and its dot product.  Both fills go through
-/// sampling::pnbs_tap_tables, as the reconstructor's do, so the odd half is
-/// bit-identical to `pnbs_reconstructor::value`'s; the even half is
-/// reassociated (Σ_m of per-term dots instead of one dot of summed
-/// coefficients), so the cost
-/// agrees with the per-evaluation reconstruction (the test yardstick
-/// `testing::skew_cost_reference`, tests/support/skew_cost_yardstick.hpp)
-/// to ≤ 1e-9 relative over D̂ in [0.005·m, 0.995·m]; the catalogue presets'
-/// calibration captures measure ≤ 5e-15.
+///   E_m(t) = Σ_j e[c + j]·(−1)^{k_m·j}·h_m(frac − j),
+/// with g_m = c_m / sin φ_m, φ_m = π·k_m·B·D̂ and h_m the windowed sinc
+/// that sampling::pnbs_tap_tables tabulates: the sums E_m do not depend on
+/// D̂, so they are read from the tables once per capture and probe when the
+/// object is built.  Each evaluation derives the per-hypothesis scalars
+/// (g_m, φ_m, D̂/T) once, scales E_m by one NCO factor per probe and term,
+/// and reads only the odd stream's two term sums, at the one phase
+/// frac − D̂/T.  The reconstructor reads the same tables the same way and
+/// weights the sums with the same expressions, so the cost matches the
+/// per-evaluation reconstruction through `pnbs_reconstructor::value`
+/// (bit for bit on x86-64 builds).  Against the exact per-tap evaluation,
+/// the test yardstick `testing::skew_cost_reference`
+/// (tests/support/skew_cost_yardstick.hpp), it is within 1e-9 relative
+/// over D̂ in [0.005·m, 0.995·m] on the catalogue presets' calibration
+/// captures.
 #pragma once
 
 #include <cstddef>
@@ -133,26 +132,26 @@ public:
     /// (kohlenberg_kernel::delay_is_stable).
     [[nodiscard]] double operator()(double delay_hypothesis) const;
 
-    /// SIMD kernel backend running the fills and dot products (captured
-    /// from simd::kernel_backend::select() at construction).
+    /// SIMD kernel backend running the table reads (captured from
+    /// simd::kernel_backend::select() at construction).
     [[nodiscard]] const simd::kernel_ops& backend() const { return *ops_; }
 
 private:
-    /// One probe on one capture: the first tap's record index, the tap
-    /// frame (offset from the nearest even sample and sinc numerator
-    /// phases), the sincos of the NCO phases π·k_m·frac and the even sums
-    /// E_m.
+    /// One probe on one capture: the first tap's record index, the offset
+    /// frac from the nearest even sample, the sincos of the NCO phases
+    /// π·k_m·frac and the even sums E_m.
     struct frame {
         std::size_t first = 0;
-        sampling::pnbs_tap_tables::point tap;
+        double frac = 0.0;
         double sin_k = 0.0, cos_k = 1.0, sin_p = 0.0, cos_p = 1.0;
         double e0 = 0.0, e1 = 0.0;
     };
 
-    /// One capture: its band, D̂-free tap tables, odd record and per-probe
-    /// frames.
+    /// One capture: its band, period, D̂-free tables, odd record and
+    /// per-probe frames.
     struct stream {
         sampling::band_spec band;
+        double period;
         sampling::pnbs_tap_tables tables;
         std::vector<double> odd;
         std::vector<frame> frames;
@@ -160,7 +159,7 @@ private:
 
     /// The D̂-dependent scalars of one capture's kernel.
     struct hypothesis {
-        sampling::pnbs_tap_tables::shift shift;
+        double d_frac = 0.0; ///< D̂ / T
         double g0 = 0.0, g1 = 0.0;
         double cos_phi = 1.0, sin_phi = 0.0, cos_psi = 1.0, sin_psi = 0.0;
     };
@@ -172,10 +171,9 @@ private:
 
     static hypothesis hypothesis_of(const stream& s, double d_hat);
 
-    /// Fills co with the odd stream's tap coefficients at one probe
-    /// (zero crossing patched) and returns the even stream's value there.
-    double probe_terms(const stream& s, const hypothesis& h, const frame& f,
-                       double* co) const;
+    /// The capture's reconstruction at one probe under hypothesis h.
+    double probe_value(const stream& s, const hypothesis& h,
+                       const frame& f) const;
 
     const simd::kernel_ops* ops_;
     stream fast_;

@@ -149,9 +149,7 @@ void neon_carrier_mix(const std::complex<double>* env, const double* cos_wt,
 } // namespace
 
 const kernel_ops& neon_ops() {
-    // The PNBS fills' window reads are gathers, which NEON lacks; all three
-    // run the scalar loops.
-    static const kernel_ops ops{
+    static constexpr kernel_ops ops{
         "neon",
         10,
         &neon_dot2,
@@ -159,9 +157,6 @@ const kernel_ops& neon_ops() {
         &neon_blend_dot_cplx,
         &neon_quantize,
         &neon_carrier_mix,
-        scalar_ops().pnbs_fill,
-        scalar_ops().pnbs_even_fill,
-        scalar_ops().pnbs_odd_fill,
     };
     return ops;
 }

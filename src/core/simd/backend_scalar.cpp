@@ -12,60 +12,10 @@
 #include "core/simd/kernel_backend.hpp"
 
 #include <cmath>
-#include <cstdint>
 
 namespace sdrbist::simd {
 
 namespace {
-
-/// dsp::kaiser_lut::operator() on a raw table: the index is truncated to
-/// int32, the same value as the class's size_t cast for 0 ≤ pos < res.
-inline double lut_window(const double* lut, double res, double u) {
-    u = u < 0.0 ? -u : u;
-    if (u >= 1.0)
-        return 0.0;
-    const double pos = u * res;
-    const auto i = static_cast<std::int32_t>(pos);
-    const double frac = pos - static_cast<double>(i);
-    return lut[i] + frac * (lut[i + 1] - lut[i]);
-}
-
-/// pnbs_fill's even coefficient of tap i.
-inline double even_coeff(const pnbs_fill_args& a, std::size_t i) {
-    const double fj = a.frac - (a.j_first + static_cast<double>(i));
-    const double ne = a.even[0] * a.c0[i] + a.even[1] * a.s0[i] +
-                      a.even[2] * a.c1[i] + a.even[3] * a.s1[i];
-    return lut_window(a.window, a.window_res, fj * a.inv_span) * (ne / fj);
-}
-
-/// pnbs_fill's odd coefficient of tap i.
-inline double odd_coeff(const pnbs_fill_args& a, std::size_t i) {
-    const double fj = a.frac - (a.j_first + static_cast<double>(i));
-    const double q = a.d_frac - fj;
-    const double no = a.odd[0] * a.c0[i] + a.odd[1] * a.s0[i] +
-                      a.odd[2] * a.c1[i] + a.odd[3] * a.s1[i];
-    return lut_window(a.window, a.window_res, q * a.inv_span) * (no / q);
-}
-
-void scalar_pnbs_fill(const pnbs_fill_args& a, std::size_t n, double* ce,
-                      double* co) {
-    for (std::size_t i = 0; i < n; ++i) {
-        ce[i] = even_coeff(a, i);
-        co[i] = odd_coeff(a, i);
-    }
-}
-
-void scalar_pnbs_even_fill(const pnbs_fill_args& a, std::size_t n,
-                           double* ce) {
-    for (std::size_t i = 0; i < n; ++i)
-        ce[i] = even_coeff(a, i);
-}
-
-void scalar_pnbs_odd_fill(const pnbs_fill_args& a, std::size_t n,
-                          double* co) {
-    for (std::size_t i = 0; i < n; ++i)
-        co[i] = odd_coeff(a, i);
-}
 
 void scalar_dot2(const double* a, const double* ca, const double* b,
                  const double* cb, std::size_t n, double* out_a,
@@ -149,9 +99,6 @@ const kernel_ops& scalar_ops() {
         &scalar_blend_dot_cplx,
         &scalar_quantize,
         &scalar_carrier_mix,
-        &scalar_pnbs_fill,
-        &scalar_pnbs_even_fill,
-        &scalar_pnbs_odd_fill,
     };
     return ops;
 }

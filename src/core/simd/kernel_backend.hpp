@@ -3,11 +3,11 @@
 ///        products of the BIST engine.
 ///
 /// Every per-scenario hot loop reduces to a handful of primitive shapes:
-/// the PNBS coefficient fill (both streams, or one stream alone for the
-/// dual-rate cost) and plain dot products (PNBS stages 1 and 2),
 /// 4-row polyphase blended dot products (the windowed-sinc LUT interpolator
-/// behind every capture), and two elementwise record transforms (mid-rise
-/// quantisation, carrier mix).
+/// behind every capture, the PNBS kernel tables behind every
+/// reconstruction and LMS cost evaluation, the EVM matched filter), a
+/// fused pair of plain dot products, and two elementwise record transforms
+/// (mid-rise quantisation, carrier mix).
 /// This header is the layer that lets those shapes run on explicit SIMD:
 /// each backend fills one `kernel_ops` table, and `kernel_backend`
 /// dispatches to the best table the CPU supports — overridable with the
@@ -22,17 +22,6 @@
 ///    ≤ 1e-12 of that magnitude for every record shape it generates.
 ///    Within one backend, results are deterministic (same inputs, same
 ///    lengths → bit-identical outputs, call after call).
-///  * `pnbs_fill` — each coefficient's four-term numerator is a fused
-///    multiply-add chain on the SIMD backends and separate multiplies and
-///    adds on scalar, so it is bounded, not bit-identical, across backends:
-///    the suite asserts ≤ 1e-14 relative to the tap's Σ|terms| (the sum can
-///    cancel).  Deterministic within one backend.  Its window read is
-///    bit-identical to `dsp::kaiser_lut::operator()` on every backend.
-///  * `pnbs_even_fill`, `pnbs_odd_fill` — every backend builds all three
-///    fills from the same per-tap even and odd bodies, so each half-fill is
-///    bit-identical to that backend's `pnbs_fill` half; across backends
-///    therefore the same ≤ 1e-14 relative bound, and the same
-///    bit-identical window read.
 ///  * `quantize_midrise`, `carrier_mix` — elementwise, built only from
 ///    correctly-rounded IEEE operations in the same order as the scalar
 ///    expression, therefore **bit-identical across all backends**.  The
@@ -66,30 +55,6 @@ struct quantize_params {
     double lsb = 0.0;     ///< quantisation step
 };
 
-/// Per-point inputs of the PNBS stage-1 coefficient fill (`pnbs_fill`,
-/// see sampling::pnbs_reconstructor).  Tap i of the window has offset
-/// j = j_first + i from the nearest even sample, even-stream distance
-/// fj = frac - j and odd-stream distance q = d_frac - fj (in periods).
-struct pnbs_fill_args {
-    /// Signed per-tap phase tables at the first tap: (-1)^{k·j}·cos(δ0·j),
-    /// (-1)^{k·j}·sin(δ0·j), and the same pair for δ1 with k⁺.
-    const double* c0;
-    const double* s0;
-    const double* c1;
-    const double* s1;
-    /// Kaiser window LUT (dsp::kaiser_lut::table()): window_res + 1
-    /// samples over u in [0, 1].
-    const double* window;
-    double window_res;
-    double frac;     ///< point position minus its nearest even sample
-    double j_first;  ///< tap offset of the first tap (an integer)
-    double d_frac;   ///< D̂ / T
-    double inv_span; ///< window normalisation 1 / (taps/2 + 1)
-    /// Numerator weights against (c0, s0, c1, s1) for each stream.
-    double even[4];
-    double odd[4];
-};
-
 /// One backend: a named table of hot-loop primitives.  All pointers are
 /// always populated (backends may share implementations for shapes they
 /// do not accelerate).
@@ -97,13 +62,13 @@ struct kernel_ops {
     const char* name;  ///< "scalar", "avx2", "neon", ...
     int priority;      ///< dispatch preference; higher wins when supported
 
-    /// Fused pair of dot products sharing one loop (PNBS even/odd stage 2):
+    /// Fused pair of dot products sharing one loop:
     /// *out_a = Σ a[i]·ca[i], *out_b = Σ b[i]·cb[i].
     void (*dot2)(const double* a, const double* ca, const double* b,
                  const double* cb, std::size_t n, double* out_a,
                  double* out_b);
 
-    /// Polyphase 4-row blended dot product (windowed-sinc interpolator):
+    /// Polyphase 4-row blended dot product (every polyphase table read):
     ///   coeff[i] = w[0]·rows[i] + w[1]·rows[i+stride]
     ///            + w[2]·rows[i+2·stride] + w[3]·rows[i+3·stride]
     ///   return Σ x[i]·coeff[i]
@@ -128,27 +93,6 @@ struct kernel_ops {
     /// Bit-identical across backends.
     void (*carrier_mix)(const std::complex<double>* env, const double* cos_wt,
                         const double* sin_wt, double* out, std::size_t n);
-
-    /// PNBS stage-1 coefficient fill over n taps (independent per tap):
-    ///   ce[i] = w(fj·inv_span)·((Σ even[m]·tab_m[i]) / fj)
-    ///   co[i] = w(q·inv_span)·((Σ odd[m]·tab_m[i]) / q)
-    /// with tab = (c0, s0, c1, s1) and w the Kaiser LUT read of
-    /// dsp::kaiser_lut (0 for |u| ≥ 1).  A tap with fj = 0 or q = 0 yields
-    /// a non-finite coefficient; the caller patches those.
-    void (*pnbs_fill)(const pnbs_fill_args& a, std::size_t n, double* ce,
-                      double* co);
-
-    /// Even-stream half of `pnbs_fill` (the D̂-free sums calib::
-    /// dual_rate_cost precomputes): `pnbs_fill`'s ce alone, bit for bit
-    /// within one backend.  `a.odd` and `a.d_frac` are not read.
-    void (*pnbs_even_fill)(const pnbs_fill_args& a, std::size_t n,
-                           double* ce);
-
-    /// Odd-stream half of `pnbs_fill` (the D̂-dependent half of the
-    /// dual-rate cost): `pnbs_fill`'s co alone, bit for bit within one
-    /// backend.  `a.even` is not read.
-    void (*pnbs_odd_fill)(const pnbs_fill_args& a, std::size_t n,
-                          double* co);
 };
 
 /// CPU feature set relevant to the compiled-in backends.  Kept explicit so

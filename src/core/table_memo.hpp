@@ -3,9 +3,9 @@
 ///        exact build parameters.
 ///
 /// Several kernels precompute a table that depends only on a few scalar
-/// parameters (the continuous Kaiser window LUT, the windowed-sinc
-/// polyphase LUT) and are constructed far more often than those
-/// parameters change — every LMS cost evaluation builds a reconstructor.
+/// parameters (the windowed-sinc polyphase LUT, the PNBS kernel tables'
+/// window grid, the SRRC matched-filter table) and are constructed far
+/// more often than those parameters change.
 /// A `table_memo` builds each table once, on first request, and hands
 /// every later request with the same key a shared pointer to that one
 /// immutable copy.  Tables are never evicted: the key space in a process is

@@ -55,18 +55,10 @@ std::vector<double> sinc_interpolator<T>::build_lut(std::size_t half_taps,
     std::vector<double> lut(rows * stride);
 
     const double inv_half = 1.0 / static_cast<double>(half_taps);
-    const double inv_i0b = 1.0 / bessel_i0(beta);
-    // Pad-row cells fall (just) outside the window support; tabulating the
-    // window's smooth analytic continuation there — I0(β√(1-u²)) becomes
-    // J0(β√(u²-1)) for |u| > 1 — keeps the tabulated function C^∞ through
-    // the support edge, so the cubic phase blend keeps its full order.
-    // Points inside the support never read a continued value directly.
-    auto window = [&](double u) {
-        u = std::abs(u);
-        if (u > 1.0)
-            return bessel_j0(beta * std::sqrt(u * u - 1.0)) * inv_i0b;
-        return bessel_i0(beta * std::sqrt(1.0 - u * u)) * inv_i0b;
-    };
+    // Pad-row cells fall (just) outside the window support and read the
+    // window's analytic continuation (dsp::continued_kaiser); points inside
+    // the support never read a continued value directly.
+    const continued_kaiser window(beta);
 
     // The coefficient g(frac, c) = sinc(d)·w(d/half) with
     // d = frac - (c - half + 1) obeys g(1 - frac, c) = g(frac, stride-1-c),

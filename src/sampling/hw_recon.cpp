@@ -31,39 +31,27 @@ hw_pnbs_reconstructor::hw_pnbs_reconstructor(
 
 void hw_pnbs_reconstructor::build_tables() {
     const double b = band_.bandwidth();
-    const double fl = band_.f_lo;
-    const long k = ceil_snapped(2.0 * fl / b);
+    const kernel_terms terms(band_);
+    const long k = terms.k;
     const double kd = static_cast<double>(k);
     const double kp = kd + 1.0;
 
-    const double f0 = kd * b - 2.0 * fl;
-    const double f1 = 2.0 * fl + b - kd * b;
-    const double c0 = f0 / b;
-    const double c1 = f1 / b;
     a0_ = pi * kd * b;
     a1_ = pi * kp * b;
     phi_ = kd * pi * b * delay_;
     psi_ = kp * pi * b * delay_;
-    s0_vanishes_ = std::abs(c0) < 1e-12;
+    s0_vanishes_ = terms.s0_vanishes;
     const double sin_phi = std::sin(phi_);
     const double sin_psi = std::sin(psi_);
     if (!s0_vanishes_)
         SDRBIST_EXPECTS(std::abs(sin_phi) > 1e-9);
     SDRBIST_EXPECTS(std::abs(sin_psi) > 1e-9);
 
-    // Tap-index sign flips: sin(x - pi*k*j) = (-1)^{k j} sin(x).
-    sign_k_ = (k % 2 == 0) ? 1.0 : -1.0;   // sign base for s0 tables
-    sign_kp_ = ((k + 1) % 2 == 0) ? 1.0 : -1.0;
-
     const auto half = static_cast<long>(opt_.taps / 2);
     const double half_span = static_cast<double>(half) + 1.0;
     const std::size_t rows = opt_.phase_steps + 1;
     const std::size_t cols = opt_.taps;
-
-    // Shared continuous-window LUT (same table the software reconstructor
-    // evaluates through), so both reconstructors see identical window
-    // values and the Bessel series runs once per LUT node, not per cell.
-    const dsp::kaiser_lut window(opt_.kaiser_beta);
+    const double beta = opt_.kaiser_beta; // the exact continuous window
 
     auto alloc = [&] {
         return std::vector<std::vector<double>>(rows,
@@ -74,8 +62,8 @@ void hw_pnbs_reconstructor::build_tables() {
     env0_odd_ = alloc();
     env1_odd_ = alloc();
 
-    const double g0 = s0_vanishes_ ? 0.0 : c0 / sin_phi;
-    const double g1 = c1 / sin_psi;
+    const double g0 = s0_vanishes_ ? 0.0 : terms.c0 / sin_phi;
+    const double g1 = terms.c1 / sin_psi;
 
     for (std::size_t p = 0; p < rows; ++p) {
         const double frac =
@@ -88,19 +76,20 @@ void hw_pnbs_reconstructor::build_tables() {
 
             // Even stream: kernel argument tau = (frac - j)·T.
             const double tau = (frac - static_cast<double>(j)) * period_;
-            const double w_even =
-                window((frac - static_cast<double>(j)) / half_span);
-            env0_even_[p][col] = sj_k * g0 * sinc(f0 * tau) * w_even;
-            env1_even_[p][col] = sj_kp * g1 * sinc(f1 * tau) * w_even;
+            const double w_even = dsp::kaiser_window_at(
+                (frac - static_cast<double>(j)) / half_span, beta);
+            env0_even_[p][col] = sj_k * g0 * sinc(terms.f0 * tau) * w_even;
+            env1_even_[p][col] = sj_kp * g1 * sinc(terms.f1 * tau) * w_even;
 
             // Odd stream: argument (j - frac)·T + D.
             const double tau_o =
                 (static_cast<double>(j) - frac) * period_ + delay_;
-            const double w_odd =
-                window((frac - static_cast<double>(j) - delay_ / period_) /
-                       half_span);
-            env0_odd_[p][col] = sj_k * g0 * sinc(f0 * tau_o) * w_odd;
-            env1_odd_[p][col] = sj_kp * g1 * sinc(f1 * tau_o) * w_odd;
+            const double w_odd = dsp::kaiser_window_at(
+                (frac - static_cast<double>(j) - delay_ / period_) /
+                    half_span,
+                beta);
+            env0_odd_[p][col] = sj_k * g0 * sinc(terms.f0 * tau_o) * w_odd;
+            env1_odd_[p][col] = sj_kp * g1 * sinc(terms.f1 * tau_o) * w_odd;
         }
     }
 
@@ -127,8 +116,7 @@ void hw_pnbs_reconstructor::build_tables() {
 
 double hw_pnbs_reconstructor::dot(
     const std::vector<std::vector<double>>& table,
-    const std::vector<double>& samples, long n0, double frac,
-    double /*tap_sign*/) const {
+    const std::vector<double>& samples, long n0, double frac) const {
     const auto half = static_cast<long>(opt_.taps / 2);
     const auto n_max = static_cast<long>(samples.size()) - 1;
     const double x = frac * static_cast<double>(opt_.phase_steps);
@@ -171,11 +159,11 @@ double hw_pnbs_reconstructor::value(double t) const {
 
     double acc = 0.0;
     if (!s0_vanishes_) {
-        acc += c0_even * dot(env0_even_, even_, n0, frac, 1.0);
-        acc += c0_odd * dot(env0_odd_, odd_, n0, frac, 1.0);
+        acc += c0_even * dot(env0_even_, even_, n0, frac);
+        acc += c0_odd * dot(env0_odd_, odd_, n0, frac);
     }
-    acc += c1_even * dot(env1_even_, even_, n0, frac, 1.0);
-    acc += c1_odd * dot(env1_odd_, odd_, n0, frac, 1.0);
+    acc += c1_even * dot(env1_even_, even_, n0, frac);
+    acc += c1_odd * dot(env1_odd_, odd_, n0, frac);
     return acc;
 }
 

@@ -77,8 +77,8 @@ private:
     hw_recon_options opt_;
 
     // Carrier (NCO) parameters.
-    double a0_ = 0.0, phi_ = 0.0, sign_k_ = 1.0;   // s0 term
-    double a1_ = 0.0, psi_ = 0.0, sign_kp_ = 1.0;  // s1 term
+    double a0_ = 0.0, phi_ = 0.0; // s0 term
+    double a1_ = 0.0, psi_ = 0.0; // s1 term
     bool s0_vanishes_ = false;
 
     // Envelope tables [phase][tap]: even-stream s0/s1, odd-stream s0/s1.
@@ -89,7 +89,7 @@ private:
     void build_tables();
     [[nodiscard]] double dot(const std::vector<std::vector<double>>& table,
                              const std::vector<double>& samples, long n0,
-                             double frac, double tap_sign) const;
+                             double frac) const;
 };
 
 } // namespace sdrbist::sampling

@@ -1,7 +1,8 @@
 /// \file pnbs.hpp
 /// \brief Second-order Periodically Nonuniform Bandpass Sampling (PNBS):
 ///        the Kohlenberg interpolation kernel (paper eqs. (1)–(3)) and the
-///        truncated, Kaiser-windowed reconstructor (eq. (6)).
+///        truncated, Kaiser-windowed reconstructor (eq. (6)), evaluated
+///        through per-term polyphase tables of the windowed kernel.
 #pragma once
 
 #include <complex>
@@ -9,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "dsp/window.hpp"
 #include "sampling/band.hpp"
 
 namespace sdrbist::simd {
@@ -17,6 +17,20 @@ struct kernel_ops;
 }
 
 namespace sdrbist::sampling {
+
+/// The D̂-free coefficients of the Kohlenberg kernel of one band (paper
+/// eq. (2)), derived here only: k = ceil(2·f_lo/B), the sinc frequencies
+/// f0 = k·B - 2·f_lo and f1 = B - f0 of the two terms, their t = 0
+/// envelopes c = f/B, and whether s0 vanishes (2·f_lo/B an integer).
+struct kernel_terms {
+    /// Precondition: band valid.
+    explicit kernel_terms(const band_spec& band);
+
+    long k;           ///< ceil(2·f_lo/B)  (paper eq. (2d)); k⁺ = k + 1
+    double f0, f1;    ///< sinc frequencies of s0 and s1
+    double c0, c1;    ///< f0/B and f1/B
+    bool s0_vanishes; ///< |c0| < 1e-12: s0 is identically zero
+};
 
 /// Kohlenberg second-order interpolation kernel s(t) = s0(t) + s1(t) for a
 /// band [f_lo, f_hi] sampled as two uniform streams f(nT), f(nT+D) with
@@ -46,26 +60,26 @@ public:
     [[nodiscard]] double s1(double t) const;
 
     /// k = ceil(2·f_lo/B)  (paper eq. (2d)).
-    [[nodiscard]] long k() const { return k_; }
+    [[nodiscard]] long k() const { return terms_.k; }
 
     /// k⁺ = k + 1.
-    [[nodiscard]] long k_plus() const { return k_ + 1; }
+    [[nodiscard]] long k_plus() const { return terms_.k + 1; }
 
     [[nodiscard]] double delay() const { return delay_; }
     [[nodiscard]] const band_spec& band() const { return band_; }
 
     // Product-form coefficients, exposed so reconstructors can fuse the
-    // kernel evaluation (per-tap phase tables instead of per-tap
+    // kernel evaluation (per-term tables instead of per-tap
     // transcendentals).
-    [[nodiscard]] double f0() const { return f0_; }  ///< s0 sinc frequency
-    [[nodiscard]] double f1() const { return f1_; }  ///< s1 sinc frequency
-    [[nodiscard]] double c0() const { return c0_; }  ///< s0 envelope at t=0
-    [[nodiscard]] double c1() const { return c1_; }  ///< s1 envelope at t=0
+    [[nodiscard]] double f0() const { return terms_.f0; } ///< s0 sinc frequency
+    [[nodiscard]] double f1() const { return terms_.f1; } ///< s1 sinc frequency
+    [[nodiscard]] double c0() const { return terms_.c0; } ///< s0 envelope at t=0
+    [[nodiscard]] double c1() const { return terms_.c1; } ///< s1 envelope at t=0
     [[nodiscard]] double phi() const { return phi_; }       ///< k·π·B·D
     [[nodiscard]] double psi() const { return psi_; }       ///< k⁺·π·B·D
     [[nodiscard]] double sin_phi() const { return sin_phi_; }
     [[nodiscard]] double sin_psi() const { return sin_psi_; }
-    [[nodiscard]] bool s0_vanishes() const { return s0_vanishes_; }
+    [[nodiscard]] bool s0_vanishes() const { return terms_.s0_vanishes; }
 
     /// Stability test of a candidate delay (paper eq. (3)): D must not be a
     /// multiple of T/k or T/k⁺ (within a relative tolerance of T).
@@ -91,11 +105,10 @@ public:
 private:
     band_spec band_;
     double delay_;
-    long k_;
+    kernel_terms terms_;
     // Precomputed coefficients of the product form.
-    double a0_, f0_, c0_, sin_phi_, phi_;
-    double a1_, f1_, c1_, sin_psi_, psi_;
-    bool s0_vanishes_;
+    double a0_, sin_phi_, phi_;
+    double a1_, sin_psi_, psi_;
 };
 
 /// Reconstruction options for the truncated kernel (paper: 61 taps, Kaiser).
@@ -104,109 +117,89 @@ struct pnbs_options {
     double kaiser_beta = 8.0; ///< window shape for kernel truncation
 };
 
-/// The D̂-free half of the fused product form (see pnbs_reconstructor) for
-/// one band, period T = 1/B and tap window: the kernel's k, f0 and f1, the
-/// signed per-tap phase tables and the window LUT, and the stage-1 fill of
-/// the tap coefficients built on them.  pnbs_reconstructor and
-/// calib::dual_rate_cost both fill through it, so the weights the kernel
-/// terms get and the zero-crossing patch are decided here only.
+/// The D̂-free half of the truncated kernel for one band, period T = 1/B
+/// and tap window, tabulated.  Tap j of kernel term m (s0 with k, s1 with
+/// k⁺) carries the coefficient (−1)^{k_m·j}·s_m·h_m(x) with a per-point
+/// NCO weight s_m and
+///   h_m(x) = w(x/(taps/2 + 1))·sinc(γ_m·x),  γ_m = f_m·T,
+/// w the exact continuous Kaiser window.  The even stream reads it at
+/// x = φ − j with φ = frac, the instant's offset from its nearest even
+/// sample, and the odd stream at φ = frac − D̂/T over the same taps (h_m is
+/// even).  One table holds, for each term, the signed cells
+/// (−1)^{k_m·j}·h_m(φ − j) (the sign depends on the column only, so it
+/// folds into the cells and the records are read as they are) over the
+/// tap offsets j and `phase_steps` rows
+/// per unit of φ on [−1, 0.5] (plus the cubic blend's pad rows): with
+/// frac in [−0.5, 0.5] and 0 < D̂/T ≤ 1/2 (the paper's search interval
+/// ]0, m[ has m < T/k⁺ ≤ T/2) that range covers every even and odd read.
+/// A read blends four rows with `dsp::cubic_phase_blend` through the
+/// dispatched `blend_dot`; h_m is analytic through x = 0, so no tap needs
+/// a patch.
+///
+/// Cells are (window grid) × (sinc by angle addition): the grid of
+/// w(x/span)/(π·x) (w where x = 0) depends only on (taps, β) and is built
+/// once per process; a band then costs one sincos per row and per column
+/// (~50 µs at 61 taps).  Pad cells beyond the window support hold the
+/// window's J0 continuation (`dsp::continued_kaiser`), so the blend keeps
+/// its order at the ends of the range.  The band tables themselves are not
+/// memoised: band keys are unbounded across carriers, and each table holds
+/// ~0.4 MB at 61 taps.
+///
+/// Accuracy: the cubic blend's error falls as phase_steps^-4 and grows
+/// with γ_m^4.  At 256 rows per unit a read is within 5e-10 of the exact
+/// kernel relative to its Σ|terms| (measured ≤ 1.5e-10 on the catalogue's
+/// band plans, worst for γ_m near 1), so a reconstruction stays within
+/// 1e-9 of the exact per-tap evaluation (`testing::pnbs_yardstick`)
+/// relative to the signal RMS.  256 is the smallest power of two that
+/// does: at 128 the record-edge probes of PnbsFastPath measure 1.5e-9.
 struct pnbs_tap_tables {
+    /// Phase rows per unit of φ.
+    static constexpr std::size_t phase_steps = 256;
+
     /// Preconditions: band valid; period > 0; taps odd and ≥ 5.
     pnbs_tap_tables(const band_spec& band, double period,
                     const pnbs_options& opt);
 
-    /// The D̂-free frame of one evaluation point: its offset from the
-    /// nearest even sample, its tap range (count 0 when empty) and the
-    /// sincos of the sinc numerator phases del_m·frac at j = 0.
-    struct point {
-        double frac = 0.0;
-        long j_lo = 0, j_hi = -1;
-        std::size_t count = 0;
-        double sin_a0 = 0.0, cos_a0 = 1.0, sin_a1 = 0.0, cos_a1 = 1.0;
+    /// Both terms' sums over `count` taps from offset j_lo.
+    struct sums {
+        double h0 = 0.0; ///< Σ x[i]·(−1)^{k·j}·h_0(φ − j) (0 if s0 vanishes)
+        double h1 = 0.0; ///< Σ x[i]·(−1)^{k⁺·j}·h_1(φ − j)
     };
 
-    /// The odd stream's D̂-dependent constants: D̂, D̂/T and the sincos of
-    /// the sinc phase shifts π·f_m·D̂.
-    struct shift {
-        double d_hat = 0.0, d_frac = 0.0;
-        double sin_eps0 = 0.0, cos_eps0 = 1.0, sin_eps1 = 0.0, cos_eps1 = 1.0;
-    };
+    /// The record x (x[i] at tap j = j_lo + i) against both terms' table
+    /// rows at phase φ.  Preconditions: φ in [−1, 0.5];
+    /// −half ≤ j_lo and j_lo + count ≤ half + 1.
+    [[nodiscard]] sums read(const simd::kernel_ops& ops, const double* x,
+                            double phi, long j_lo, std::size_t count) const;
 
-    /// Frame of a point at offset `frac` with taps j_lo..j_hi (the phases
-    /// are left unset when j_lo > j_hi).
-    [[nodiscard]] point at(double frac, long j_lo, long j_hi) const;
-
-    /// Odd-stream constants of hypothesis D̂.
-    [[nodiscard]] shift delay(double d_hat) const;
-
-    /// Stage 1 for one point: ce[i] / co[i] = the even / odd coefficients
-    /// of tap j_lo + i with NCO weights s0e, s1e (even) and s0o, s1o (odd)
-    /// on the two kernel terms, i.e.
-    ///   w(u)·(s0·(-1)^{k·j}·sinc(f0·τ) + s1·(-1)^{k⁺·j}·sinc(f1·τ))
-    /// at the stream's kernel argument τ, through the dispatched pnbs_fill,
-    /// the zero crossing (at most one tap per stream) patched with the
-    /// library sinc.  p.count taps each.
-    void fill(const simd::kernel_ops& ops, const point& p, const shift& d,
-              double s0e, double s1e, double s0o, double s1o, double* ce,
-              double* co) const;
-
-    /// The even half of fill() alone (pnbs_even_fill), bit for bit.
-    void fill_even(const simd::kernel_ops& ops, const point& p, double s0e,
-                   double s1e, double* ce) const;
-
-    /// The odd half of fill() alone (pnbs_odd_fill), bit for bit.
-    void fill_odd(const simd::kernel_ops& ops, const point& p,
-                  const shift& d, double s0o, double s1o, double* co) const;
-
-    double period;
-    long k;            ///< ceil(2·f_lo/B), as kohlenberg_kernel::k()
-    bool s0_vanishes;  ///< as kohlenberg_kernel::s0_vanishes()
-    double f0, f1;     ///< sinc frequencies, as kohlenberg_kernel's
-    double del0, del1; ///< π·f·T, the per-tap sinc phase steps
-    double inv_del0;   ///< 1 / del0 (0 when s0 vanishes)
-    double inv_del1;   ///< 1 / del1
-    std::size_t taps;  ///< window length (odd)
-    long half;         ///< taps / 2
-    double inv_span;   ///< 1 / (half + 1), window normalisation
-    dsp::kaiser_lut window; ///< shared continuous Kaiser window LUT
-    /// Signed per-tap phase tables, taps entries each, indexed by j + half:
-    /// [(-1)^{k·j}·cos(del0·j) | (-1)^{k·j}·sin(del0·j) |
-    ///  (-1)^{k⁺·j}·cos(del1·j) | (-1)^{k⁺·j}·sin(del1·j)].
-    std::vector<double> tabs;
-
+    kernel_terms terms;
+    std::size_t taps; ///< window length (odd)
+    long half;        ///< taps / 2
+    /// Row-major cells: row r (φ = −1 + (r − 1)/phase_steps) holds the
+    /// term-0 cells then the term-1 cells, taps each, indexed by j + half.
+    std::vector<double> cells;
 };
 
 /// Practical PNBS reconstructor (paper eq. (6)): evaluates
 ///   f(t) ≈ Σ_{n in window} [ f(nT)·s(t-nT) + f(nT+D̂)·s(nT+D̂-t) ]·w(·)
 /// from finite records of the two sample streams.
 ///
-/// The default evaluation path fuses s0 + s1 into per-call factors and
-/// per-tap tables.  The tap index j enters the kernel's NCO sin()
-/// arguments only through integer multiples of π·k / π·k⁺ (pure sign
-/// flips), and the sinc numerators' phases π·f·T·(frac - j) split by angle
-/// addition into a per-call part and a per-tap part.  The constructor
-/// therefore builds four signed tables (-1)^{k·j}·cos/sin(π·f0·T·j) and
-/// (-1)^{k⁺·j}·cos/sin(π·f1·T·j), which depend on band, T and taps only.
-/// Each evaluation makes four sincos calls (two NCO phases, two sinc
-/// phases; the odd stream's follow through cos/sin(π·f·D̂) from the
-/// constructor), then pnbs_tap_tables::fill computes every tap
-/// independently on the dispatched `pnbs_fill` kernel: four multiply-adds
-/// against the tables, one divide and one window LUT read per stream.  The
-/// taps where a stream's argument crosses zero are patched with the
-/// library sinc, and the accumulation runs as the dispatched `dot2` over
-/// the even/odd records.
-/// The direct per-tap transcendental evaluation it is bounded against is
-/// the test yardstick `testing::pnbs_yardstick`
-/// (tests/support/pnbs_yardstick.hpp); `uniform()` calls `value()` per
-/// point and is therefore bit-identical to it.  calib::dual_rate_cost
-/// reuses the same tables and fill for the dual-rate cost, factored by D̂.
+/// The tap index j enters the kernel's NCO sin() arguments only through
+/// integer multiples of π·k / π·k⁺ (pure sign flips), so each stream's sum
+/// splits into per-term sums against the signed, windowed sincs that
+/// pnbs_tap_tables tabulates, scaled by per-point NCO weights.  Each
+/// evaluation reads four blends (two terms × two streams) and makes two
+/// sincos calls for the NCO phases.  The direct per-tap transcendental
+/// evaluation it is bounded against is the test yardstick
+/// `testing::pnbs_yardstick` (tests/support/pnbs_yardstick.hpp);
+/// `uniform()` calls `value()` per point and is therefore bit-identical to
+/// it.  calib::dual_rate_cost reads the same tables for the dual-rate
+/// cost, factored by D̂.
 ///
 /// `envelope()` evaluates the complex envelope about a mix frequency
-/// directly from the same product form (paper §VI).  Per term m (s0 with
-/// k, φ; s1 with k⁺, ψ) it runs the fill once with the other term's
-/// weights zeroed, patches the zero crossings and dots both records, giving
-/// E_m / O_m: the even / odd records against term m's signed, windowed
-/// sinc coefficients.  With g_m = c_m / sin φ_m,
+/// directly from the same product form (paper §VI).  With E_m / O_m the
+/// even / odd records against term m's table sums (s0 with k, φ; s1 with
+/// k⁺, ψ) and g_m = c_m / sin φ_m,
 ///   e(t) = j·Σ_m g_m·e^{j(π·k_m·frac - 2π·f_mix·t)}·(E_m·e^{-jφ_m} - O_m),
 /// and Re{e(t)·e^{j2π·f_mix·t}} = value(t): the NCO sines are the real
 /// parts of the rotations, so mixing needs no passband grid and leaves no
@@ -219,13 +212,13 @@ public:
     /// \param period   T = 1/B
     /// \param t_start  absolute time of even[0]
     /// \param band     assumed signal band (defines the kernel)
-    /// \param delay_hypothesis D̂ used for reconstruction
+    /// \param delay_hypothesis D̂ used for reconstruction, at most T/2
     /// \param opt      taps / window
     pnbs_reconstructor(std::vector<double> even, std::vector<double> odd,
                        double period, double t_start, const band_spec& band,
                        double delay_hypothesis, const pnbs_options& opt = {});
 
-    /// Reconstructed value at absolute time t (fused fast path).
+    /// Reconstructed value at absolute time t.
     [[nodiscard]] double value(double t) const;
 
     /// Uniform-grid evaluation: n values at t0, t0+1/rate, ...
@@ -254,9 +247,8 @@ public:
     [[nodiscard]] const kohlenberg_kernel& kernel() const { return kernel_; }
     [[nodiscard]] double period() const { return period_; }
 
-    /// SIMD kernel backend running the coefficient fill and the stage-2
-    /// dot products (captured from simd::kernel_backend::select() at
-    /// construction).
+    /// SIMD kernel backend running the table reads (captured from
+    /// simd::kernel_backend::select() at construction).
     [[nodiscard]] const simd::kernel_ops& backend() const { return *ops_; }
 
 private:
@@ -269,21 +261,27 @@ private:
     pnbs_tap_tables tables_;
     const simd::kernel_ops* ops_;
 
-    // Fused fast-path constants (derived from the kernel in the ctor).
-    pnbs_tap_tables::shift shift_; ///< odd-stream constants of D̂
-    double g0_ = 0.0;        ///< c0 / sin φ (0 when s0 vanishes)
-    double g1_ = 0.0;        ///< c1 / sin ψ
-    double cos_phi_ = 0.0;   ///< cos φ
-    double cos_psi_ = 0.0;   ///< cos ψ
+    // Per-call constants derived from the kernel in the ctor.
+    double d_frac_ = 0.0;  ///< D̂ / T
+    double g0_ = 0.0;      ///< c0 / sin φ (0 when s0 vanishes)
+    double g1_ = 0.0;      ///< c1 / sin ψ
+    double cos_phi_ = 0.0; ///< cos φ
+    double cos_psi_ = 0.0; ///< cos ψ
 
-    /// One evaluation instant on the records: the nearest even sample and
-    /// the tap frame around it, clamped to the records (count 0 when no
-    /// tap lands inside).
+    /// One evaluation instant on the records: the nearest even sample, the
+    /// offset from it, and the tap range around it clamped to the records
+    /// (count 0 when no tap lands inside).
     struct point_frame {
         long centre = 0;
-        pnbs_tap_tables::point tap;
+        double frac = 0.0;
+        long j_lo = 0;
+        std::size_t count = 0;
     };
     [[nodiscard]] point_frame locate(double t) const;
+
+    /// The even and odd records' term sums at p.
+    [[nodiscard]] std::pair<pnbs_tap_tables::sums, pnbs_tap_tables::sums>
+    read(const point_frame& p) const;
 };
 
 } // namespace sdrbist::sampling

@@ -185,8 +185,16 @@ TEST(DualRateCost, RejectsEmptyProbes) {
 
 // ---- factored cost against the per-evaluation yardstick --------------------
 
-/// Documented bound of dual_rate_cost against skew_cost_reference.
+/// Documented bound of dual_rate_cost against skew_cost_reference, the
+/// exact per-tap evaluation (calib/dual_rate.hpp): the tables' read error
+/// (sampling/pnbs.hpp) measures ≤ 1.8e-10 of the cost here.
 constexpr double cost_rel_bound = 1e-9;
+
+/// Documented bound of the calibration stage's D̂ against a yardstick-driven
+/// LMS run.  Algorithm 1 moves only on cost comparisons, and the factored
+/// cost's error (≤ cost_rel_bound) flips none of them on these captures:
+/// both runs take the same path and D̂ agrees to the last bit.
+constexpr double d_hat_bound = 1e-15;
 
 /// A catalogue preset's estimation capture and calibration probes, with the
 /// calibration stage's own LMS result for the drift check.
@@ -291,7 +299,7 @@ TEST(DualRateCost, LmsEstimateMatchesYardstickDrivenLms) {
                                            c.lms.recon);
             },
             c.d0, c.m);
-        EXPECT_LE(std::abs(c.skew.d_hat - ref.d_hat), 1e-15) << c.name;
+        EXPECT_LE(std::abs(c.skew.d_hat - ref.d_hat), d_hat_bound) << c.name;
         EXPECT_EQ(c.skew.converged, ref.converged) << c.name;
         EXPECT_EQ(c.skew.cost_evaluations, ref.cost_evaluations) << c.name;
     }
@@ -305,7 +313,7 @@ TEST(DualRateCost, LmsEstimateMatchesYardstickDrivenLms) {
                 return skew_cost_reference(s.capture, d, s.probes);
             },
             0.5 * m, m);
-        EXPECT_LE(std::abs(got.d_hat - ref.d_hat), 1e-15);
+        EXPECT_LE(std::abs(got.d_hat - ref.d_hat), d_hat_bound);
         EXPECT_EQ(got.cost_evaluations, ref.cost_evaluations);
     }
 }

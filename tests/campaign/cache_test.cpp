@@ -145,11 +145,14 @@ TEST(CacheKey, PinnedValueSurvivesTheEntryFormat) {
     // margins moved by up to ~0.008 dB), at 4 for the tabulated SRRC
     // matched filter (EVM moved by < 1e-9 percentage points), and at 5 for
     // the dual-rate cost factored by D̂ (the reported final cost and plan
-    // discrimination moved by < 1e-14 relative).
+    // discrimination moved by < 1e-14 relative), and at 6 for the
+    // tabulated PNBS kernel with the exact Kaiser window (mask margins
+    // moved by < 3e-5 dB, ACPR by < 5e-6 dB, EVM by < 4e-7 relative; D̂
+    // did not move).
     const auto cfg = small_campaign();
     const auto grid = expand_grid(cfg);
     EXPECT_EQ(scenario_cache::key(grid[0], scenario_config(cfg, grid[0])),
-              "d27ac5ccf34738d1");
+              "c97716b6412edc96");
 }
 
 TEST(CacheKey, IndependentOfGridShape) {

@@ -95,8 +95,9 @@ TEST_F(CampaignJournal, IdentityIsPinned) {
     // deliberate mover is canonical_config_version, which the identity
     // hashes through the base configuration's canonical text: a journal
     // whose rows were computed by older numerics must not resume.
-    // Re-pinned when it went to 5 (dual-rate cost factored by D̂).
-    EXPECT_EQ(campaign_identity(small_campaign()), "393f5d216c96600e");
+    // Re-pinned when it went to 5 (dual-rate cost factored by D̂) and to 6
+    // (the tabulated PNBS kernel with the exact Kaiser window).
+    EXPECT_EQ(campaign_identity(small_campaign()), "bfe8ded03654cc43");
 }
 
 TEST_F(CampaignJournal, JournalledRunRoundTripsThroughReadJournal) {

@@ -2,9 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <thread>
 #include <vector>
 
 #include "core/contracts.hpp"
@@ -97,70 +95,23 @@ TEST(Windows, SingleElementAndErrors) {
     EXPECT_THROW(kaiser_window(8, -1.0), sdrbist::contract_violation);
 }
 
-TEST(KaiserLut, SharedTableEqualsFreshBuild) {
-    for (const double beta : {0.0, 3.5, 8.0, 10.0})
-        for (const std::size_t res : {std::size_t{16}, std::size_t{2048}}) {
-            const kaiser_lut lut(beta, res);
-            const auto fresh = kaiser_lut::build_table(beta, res);
-            const auto shared = lut.table();
-            ASSERT_EQ(shared.size(), res + 1);
-            ASSERT_EQ(fresh.size(), res + 1);
-            // The exact samples the table promises, built independently.
-            const double inv_i0b = 1.0 / sdrbist::bessel_i0(beta);
-            for (std::size_t i = 0; i <= res; ++i) {
-                const double u =
-                    static_cast<double>(i) / static_cast<double>(res);
-                const double direct =
-                    sdrbist::bessel_i0(beta *
-                                       std::sqrt(std::max(0.0, 1.0 - u * u))) *
-                    inv_i0b;
-                EXPECT_EQ(shared[i], fresh[i]) << "beta=" << beta << " i=" << i;
-                EXPECT_EQ(shared[i], direct) << "beta=" << beta << " i=" << i;
-            }
-        }
-}
-
-TEST(KaiserLut, EqualParametersShareOneTable) {
-    const kaiser_lut a(8.0);
-    const kaiser_lut b(8.0);
-    const kaiser_lut copy = a;
-    EXPECT_EQ(a.table().data(), b.table().data());
-    EXPECT_EQ(a.table().data(), copy.table().data());
-    EXPECT_DOUBLE_EQ(a(0.3), b(0.3));
-
-    const kaiser_lut other_beta(8.5);
-    const kaiser_lut other_res(8.0, 1024);
-    EXPECT_NE(a.table().data(), other_beta.table().data());
-    EXPECT_NE(a.table().data(), other_res.table().data());
-    EXPECT_EQ(other_res.resolution(), 1024u);
-    EXPECT_NE(a(0.7), other_beta(0.7));
-}
-
-TEST(KaiserLut, ConcurrentConstructionSharesOneTable) {
-    // A key no other test uses, so the eight threads race on its first
-    // build.
-    constexpr int n_threads = 8;
-    std::vector<const double*> seen(n_threads, nullptr);
-    std::atomic<int> ready{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < n_threads; ++t)
-        threads.emplace_back([&, t] {
-            ready.fetch_add(1);
-            while (ready.load() < n_threads) {
-            }
-            const kaiser_lut lut(6.125, 4096);
-            seen[static_cast<std::size_t>(t)] = lut.table().data();
-        });
-    for (auto& th : threads)
-        th.join();
-    for (const double* p : seen)
-        EXPECT_EQ(p, seen.front());
-    EXPECT_EQ(kaiser_lut(6.125, 4096).table().data(), seen.front());
-}
-
-TEST(KaiserLut, Preconditions) {
-    EXPECT_THROW(kaiser_lut(-1.0), sdrbist::contract_violation);
-    EXPECT_THROW(kaiser_lut(8.0, 15), sdrbist::contract_violation);
+TEST(Windows, ContinuedKaiserExtendsTheExactWindowSmoothly) {
+    for (const double beta : {0.0, 3.5, 8.0, 10.0}) {
+        const continued_kaiser w(beta);
+        // Inside the support: the exact window (the quotient is computed
+        // as a product with 1/I0(β), so allow a few ulps).
+        for (double u = -1.0; u <= 1.0; u += 1.0 / 64.0)
+            EXPECT_NEAR(w(u), kaiser_window_at(u, beta), 4e-16)
+                << "beta=" << beta << " u=" << u;
+        // Past it: J0(β·√(u²-1))/I0(β), even in u.
+        const double u = 1.0 + 1.0 / 32.0;
+        EXPECT_DOUBLE_EQ(w(u), sdrbist::bessel_j0(beta * std::sqrt(u * u - 1.0)) /
+                                   sdrbist::bessel_i0(beta));
+        EXPECT_EQ(w(-u), w(u));
+        // Continuous through the support edge.
+        EXPECT_NEAR(w(1.0 + 1e-9), w(1.0), 1e-7) << "beta=" << beta;
+    }
+    EXPECT_THROW(continued_kaiser(-1.0), sdrbist::contract_violation);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 // Direct complex envelope of the PNBS product form
 // (pnbs_reconstructor::envelope): its real part after remixing is value()
 // on every CPU-supported backend, including a band where the s0 term
-// vanishes (the fill then runs for s1 alone), and for an in-band tone it
+// vanishes (only the s1 table is read), and for an in-band tone it
 // is the tone's phasor, so the imaginary part is the analytic one.
 #include <gtest/gtest.h>
 

@@ -1,7 +1,8 @@
-// Accuracy regression for the fused PNBS fast path (per-call NCO factors,
-// per-tap phase tables) against the per-tap transcendental yardstick
-// (support/pnbs_yardstick.hpp), across a delay × taps grid, plus the
-// uniform()/value() bit-for-bit guarantee and the forbidden-delay drift fix.
+// Accuracy regression for the table-driven PNBS path (per-call NCO
+// factors, per-term polyphase kernel tables) against the per-tap
+// transcendental yardstick (support/pnbs_yardstick.hpp), across a delay ×
+// taps grid, plus the uniform()/value() bit-for-bit guarantee and the
+// forbidden-delay drift fix.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -113,8 +114,8 @@ TEST(PnbsFastPath, MatchesReferenceAtRecordEdges) {
 }
 
 TEST(PnbsFastPath, MatchesReferenceAtSampleInstantsAndMidpoints) {
-    // frac = 0 (the ill-conditioned sinc quotient, patched with the exact
-    // library sinc) and frac = ±0.5 (the tap-window boundary).
+    // frac = 0 (where a tap's sinc argument crosses zero) and frac = ±0.5
+    // (the tap-window boundary).
     const band_spec band = band_around(1.0 * GHz, 90.0 * MHz);
     const double period = 1.0 / band.bandwidth();
     const std::size_t n = 300;

@@ -4,9 +4,11 @@
 ///        `sampling::pnbs_reconstructor` fast path is bounded against.
 ///
 /// Built from the reconstructor's own constructor inputs.  Every tap calls
-/// the Kohlenberg kernel's transcendentals (`kohlenberg_kernel::s`) and
-/// reads the Kaiser window LUT at the tap's distance in periods, skipping
-/// taps outside the records.
+/// the Kohlenberg kernel's transcendentals (`kohlenberg_kernel::s`) and the
+/// exact continuous Kaiser window (`dsp::kaiser_window_at`) at the tap's
+/// distance in periods, skipping taps outside the records.  It rejects what
+/// the reconstructor rejects: unequal or too-short records, a tap count
+/// that is even or below 5, a period that is not 1/B, an unstable D̂.
 #pragma once
 
 #include <cmath>
@@ -14,6 +16,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/contracts.hpp"
+#include "core/math_util.hpp"
 #include "dsp/window.hpp"
 #include "sampling/band.hpp"
 #include "sampling/pnbs.hpp"
@@ -28,7 +32,12 @@ public:
                    const sampling::pnbs_options& opt = {})
         : even_(std::move(even)), odd_(std::move(odd)), period_(period),
           t_start_(t_start), kernel_(band, delay_hypothesis), taps_(opt.taps),
-          window_(opt.kaiser_beta) {}
+          beta_(opt.kaiser_beta) {
+        SDRBIST_EXPECTS(even_.size() == odd_.size());
+        SDRBIST_EXPECTS(taps_ >= 5 && taps_ % 2 == 1);
+        SDRBIST_EXPECTS(even_.size() > taps_);
+        SDRBIST_EXPECTS(approx_equal(period_ * band.bandwidth(), 1.0, 1e-9));
+    }
 
     /// f(t) ≈ Σ_n f(nT)·s(t - nT)·w + f(nT + D̂)·s(nT + D̂ - t)·w.
     [[nodiscard]] double value(double t) const {
@@ -49,12 +58,13 @@ public:
             // Even stream: f(nT)·s(t - nT), windowed by distance in periods.
             const double u0 = (pos - static_cast<double>(n)) / half_span;
             acc += even_[static_cast<std::size_t>(n)] * kernel_.s(tr - nt) *
-                   window_(u0);
+                   dsp::kaiser_window_at(u0, beta_);
             // Odd stream: f(nT+D)·s(nT + D - t).
             const double u1 =
                 (pos - static_cast<double>(n) - d_frac) / half_span;
             acc += odd_[static_cast<std::size_t>(n)] *
-                   kernel_.s(nt + d_hat - tr) * window_(u1);
+                   kernel_.s(nt + d_hat - tr) *
+                   dsp::kaiser_window_at(u1, beta_);
         }
         return acc;
     }
@@ -75,7 +85,7 @@ private:
     double t_start_;
     sampling::kohlenberg_kernel kernel_;
     std::size_t taps_;
-    dsp::kaiser_lut window_;
+    double beta_;
 };
 
 } // namespace sdrbist::testing

@@ -1,8 +1,9 @@
 /// \file skew_cost_yardstick.hpp
 /// \brief The dual-rate cost evaluated directly (paper eqs. (7)/(8)): both
-///        captures reconstructed under D̂ at every probe, once per
-///        evaluation.  The reference the factored `calib::dual_rate_cost`
-///        is bounded against.
+///        captures reconstructed under D̂ at every probe by the exact
+///        per-tap evaluation (`testing::pnbs_yardstick`), once per
+///        evaluation.  The reference the factored, table-driven
+///        `calib::dual_rate_cost` is bounded against.
 #pragma once
 
 #include <cstddef>
@@ -11,6 +12,7 @@
 #include "calib/dual_rate.hpp"
 #include "core/contracts.hpp"
 #include "sampling/pnbs.hpp"
+#include "support/pnbs_yardstick.hpp"
 
 namespace sdrbist::testing {
 
@@ -24,11 +26,10 @@ inline double skew_cost_reference(const calib::dual_rate_capture& capture,
                                   std::span<const double> probe_times,
                                   const sampling::pnbs_options& opt = {}) {
     SDRBIST_EXPECTS(!probe_times.empty());
-
-    const sampling::pnbs_reconstructor fast(
+    const pnbs_yardstick fast(
         capture.fast.even, capture.fast.odd, capture.fast.period_s,
         capture.fast.t_start, capture.band_fast, delay_hypothesis, opt);
-    const sampling::pnbs_reconstructor slow(
+    const pnbs_yardstick slow(
         capture.slow.even, capture.slow.odd, capture.slow.period_s,
         capture.slow.t_start, capture.band_slow, delay_hypothesis, opt);
 
