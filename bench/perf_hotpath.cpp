@@ -643,8 +643,8 @@ void bench_dual_rate_cost(std::size_t hypotheses, int reps) {
 }
 
 /// Per-backend primitive bench: every CPU-supported backend timed on the
-/// kernel shapes the hot paths dispatch to (61-tap dual dot, 64-tap
-/// polyphase blends, 4096-sample capture records),
+/// kernel shapes the hot paths dispatch to (64-tap polyphase blends,
+/// 4096-sample capture records),
 /// reported as speedup of each kernel vs the scalar backend.  One
 /// BENCH_JSON record per backend.
 void bench_backend_kernels(int reps) {
@@ -652,12 +652,6 @@ void bench_backend_kernels(int reps) {
     using simd::kernel_ops;
 
     rng gen(0x51BD);
-    // Dual-dot shape: the paper's 61-tap window.
-    const std::size_t n_dot = 61;
-    const auto ev = gen.uniform_vector(n_dot, -1.0, 1.0);
-    const auto ce = gen.uniform_vector(n_dot, -1.0, 1.0);
-    const auto od = gen.uniform_vector(n_dot, -1.0, 1.0);
-    const auto co = gen.uniform_vector(n_dot, -1.0, 1.0);
     // Interpolator shape: 2·half_taps = 64 taps, 4 consecutive LUT rows.
     const std::size_t n_blend = 64;
     const auto rows = gen.uniform_vector(4 * n_blend, -1.0, 1.0);
@@ -687,7 +681,6 @@ void bench_backend_kernels(int reps) {
     double sink = 0.0;
 
     struct timing {
-        double dot2_ns = 0.0;       // per tap
         double blend_ns = 0.0;      // per tap
         double blend_cplx_ns = 0.0; // per tap
         double quantize_ns = 0.0;   // per sample
@@ -695,18 +688,6 @@ void bench_backend_kernels(int reps) {
     };
     auto time_backend = [&](const kernel_ops& ops) {
         timing t;
-        t.dot2_ns = 1e9 *
-                    best_seconds(
-                        [&] {
-                            double a = 0.0, b = 0.0;
-                            for (int k = 0; k < calls; ++k) {
-                                ops.dot2(ev.data(), ce.data(), od.data(),
-                                         co.data(), n_dot, &a, &b);
-                                sink += a + b;
-                            }
-                        },
-                        reps) /
-                    (static_cast<double>(calls) * static_cast<double>(n_dot));
         t.blend_ns =
             1e9 *
             best_seconds(
@@ -763,7 +744,6 @@ void bench_backend_kernels(int reps) {
                              ? scalar_t
                              : time_backend(*ops);
         const double speedups[] = {
-            scalar_t.dot2_ns / t.dot2_ns,
             scalar_t.blend_ns / t.blend_ns,
             scalar_t.blend_cplx_ns / t.blend_cplx_ns,
             scalar_t.quantize_ns / t.quantize_ns,
@@ -778,23 +758,21 @@ void bench_backend_kernels(int reps) {
         rec.add("dispatched",
                 std::size_t{std::strcmp(ops->name, dispatched) == 0 ? 1u
                                                                     : 0u});
-        rec.add("dot2_ns_per_tap", t.dot2_ns);
         rec.add("blend_dot_ns_per_tap", t.blend_ns);
         rec.add("blend_dot_cplx_ns_per_tap", t.blend_cplx_ns);
         rec.add("quantize_ns_per_sample", t.quantize_ns);
         rec.add("carrier_mix_ns_per_sample", t.mix_ns);
-        rec.add("dot2_speedup", speedups[0]);
-        rec.add("blend_dot_speedup", speedups[1]);
-        rec.add("blend_dot_cplx_speedup", speedups[2]);
-        rec.add("quantize_speedup", speedups[3]);
-        rec.add("carrier_mix_speedup", speedups[4]);
+        rec.add("blend_dot_speedup", speedups[0]);
+        rec.add("blend_dot_cplx_speedup", speedups[1]);
+        rec.add("quantize_speedup", speedups[2]);
+        rec.add("carrier_mix_speedup", speedups[3]);
         rec.add("best_speedup", best);
         benchutil::emit_bench_json("perf_hotpath", rec);
 
-        std::cout << "backend " << ops->name << ": dot2 x" << speedups[0]
-                  << ", blend x" << speedups[1] << ", blend_cplx x"
-                  << speedups[2] << ", quantize x" << speedups[3] << ", mix x"
-                  << speedups[4] << "  (best x" << best << ")\n";
+        std::cout << "backend " << ops->name << ": blend x" << speedups[0]
+                  << ", blend_cplx x" << speedups[1] << ", quantize x"
+                  << speedups[2] << ", mix x" << speedups[3] << "  (best x"
+                  << best << ")\n";
     }
     if (sink == 42.25) // defeat dead-code elimination of the timed loops
         std::cout << "";

@@ -4,8 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <list>
 #include <mutex>
 #include <optional>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -43,7 +45,6 @@ struct coordinator::impl {
     lease_ledger ledger;
     tcp_listener listener;
 
-    std::atomic<bool> done{false};
     std::atomic<std::uint64_t> next_owner{0};
     std::atomic<std::size_t> workers_seen{0};
     std::atomic<std::size_t> dropped{0};
@@ -51,8 +52,29 @@ struct coordinator::impl {
     std::mutex results_mu;
     std::vector<std::optional<campaign_result>> lease_results;
 
-    std::mutex reaper_mu;
-    std::condition_variable reaper_cv;
+    /// Ledger transitions that can unblock a held request (an accepted
+    /// `complete`, a re-queue, the grid completing) bump `changes` and
+    /// wake every waiter: held requests, the reaper and serve().  `done`
+    /// is set by the `complete` that finishes the grid (or ~coordinator).
+    std::mutex wake_mu;
+    std::condition_variable wake_cv;
+    std::uint64_t changes = 0;
+    bool done = false;
+
+    /// One accepted connection and the thread serving it.  A list, so a
+    /// handler's reference to its own entry survives later accepts.
+    struct connection {
+        tcp_socket sock;
+        std::thread thread;
+    };
+    /// Guards `connections`, `serve_hooks` and every socket's close().
+    std::mutex conn_mu;
+    std::list<connection> connections;
+    /// The hooks of the running serve(); null before it and once it has
+    /// taken its handlers to join, so later handlers get no hooks.
+    const run_hooks* serve_hooks = nullptr;
+    std::thread reaper;   ///< started by serve()
+    std::thread acceptor; ///< started by serve(), joined by ~coordinator
 
     std::chrono::steady_clock::time_point epoch =
         std::chrono::steady_clock::now();
@@ -72,21 +94,63 @@ struct coordinator::impl {
             .count();
     }
 
-    void finish() {
-        done.store(true, std::memory_order_release);
-        reaper_cv.notify_all();
+    void notify(bool finished = false) {
+        {
+            const std::lock_guard<std::mutex> lock(wake_mu);
+            ++changes;
+            done = done || finished;
+        }
+        wake_cv.notify_all();
     }
 
     /// Periodically re-queue grants whose heartbeats lapsed — the slow
     /// detection path, for workers that wedge without dropping the
     /// connection.  (A dead connection re-queues immediately instead.)
     void reap() {
-        std::unique_lock<std::mutex> lock(reaper_mu);
         const auto period = std::chrono::duration<double>(
             std::max(svc.timeout() / 4.0, 0.05));
-        while (!done.load(std::memory_order_acquire)) {
-            reaper_cv.wait_for(lock, period);
-            ledger.requeue_lapsed(now_s(), svc.timeout());
+        std::unique_lock<std::mutex> lock(wake_mu);
+        while (!done) {
+            wake_cv.wait_for(lock, period, [this] { return done; });
+            lock.unlock();
+            if (ledger.requeue_lapsed(now_s(), svc.timeout()) > 0)
+                notify();
+            lock.lock();
+        }
+    }
+
+    /// Answer a `request`.  When nothing can be granted yet the request is
+    /// held until a transition makes a grant possible, the grid completes,
+    /// or `heartbeat_s` passes (then `wait`, and the worker asks again).
+    /// `changes` is read before each grant attempt, so a transition that
+    /// lands between the attempt and the wait is never slept through.
+    std::string answer_request(std::uint64_t owner) {
+        const auto deadline =
+            std::chrono::steady_clock::now() +
+            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                std::chrono::duration<double>(svc.heartbeat_s));
+        std::unique_lock<std::mutex> lock(wake_mu);
+        for (;;) {
+            const std::uint64_t seen = changes;
+            if (done)
+                return simple_msg("done");
+            lock.unlock();
+            if (const auto g = ledger.grant(owner, now_s())) {
+                json_object_writer o;
+                o.string_field("type", "lease");
+                o.size_field("lease", g->lease);
+                o.size_field("generation",
+                             static_cast<std::size_t>(g->generation));
+                o.size_field("begin", g->range.begin);
+                o.size_field("end", g->range.end);
+                return o.str();
+            }
+            if (ledger.all_complete())
+                return simple_msg("done");
+            lock.lock();
+            if (!wake_cv.wait_until(lock, deadline,
+                                    [&] { return changes != seen; }))
+                return simple_msg("wait");
         }
     }
 
@@ -123,7 +187,32 @@ struct coordinator::impl {
         return true;
     }
 
-    void handle(tcp_socket sock, const run_hooks& hooks) {
+    /// Serve every connection until ~coordinator stops the listener.
+    /// Connections that arrive after the grid completed still get a
+    /// `welcome` and then `done`.
+    void accept_loop() {
+        static const run_hooks no_hooks;
+        while (!listener.stopped()) {
+            tcp_socket sock = listener.accept(/*timeout_s=*/0.0);
+            if (!sock.valid())
+                continue;
+            const std::lock_guard<std::mutex> lock(conn_mu);
+            connection& c = connections.emplace_back();
+            c.sock = std::move(sock);
+            const run_hooks& hooks = serve_hooks ? *serve_hooks : no_hooks;
+            try {
+                c.thread = std::thread([this, &c, &hooks] {
+                    handle(c.sock, hooks);
+                    const std::lock_guard<std::mutex> closing(conn_mu);
+                    c.sock.close();
+                });
+            } catch (const std::system_error&) {
+                connections.pop_back(); // out of threads: hang up on it
+            }
+        }
+    }
+
+    void handle(tcp_socket& sock, const run_hooks& hooks) {
         const std::uint64_t owner = next_owner.fetch_add(1) + 1;
         // Bound every recv so a silent peer cannot pin this thread (and
         // the final join) forever.
@@ -170,27 +259,8 @@ struct coordinator::impl {
                 }
 
                 if (type == "request") {
-                    if (done.load(std::memory_order_acquire)) {
-                        send_frame(sock, simple_msg("done"));
-                        continue; // the worker disconnects; recv EOFs us out
-                    }
-                    if (const auto g = ledger.grant(owner, now_s())) {
-                        json_object_writer o;
-                        o.string_field("type", "lease");
-                        o.size_field("lease", g->lease);
-                        o.size_field("generation",
-                                     static_cast<std::size_t>(g->generation));
-                        o.size_field("begin", g->range.begin);
-                        o.size_field("end", g->range.end);
-                        send_frame(sock, o.str());
-                    } else if (ledger.all_complete()) {
-                        send_frame(sock, simple_msg("done"));
-                    } else {
-                        // Everything still outstanding is granted
-                        // elsewhere; the worker naps and asks again (it
-                        // may inherit a re-queued lease).
-                        send_frame(sock, simple_msg("wait"));
-                    }
+                    // After `done` the worker disconnects; recv EOFs us out.
+                    send_frame(sock, answer_request(owner));
                     continue;
                 }
 
@@ -228,10 +298,7 @@ struct coordinator::impl {
                             for (const auto& row :
                                  lease_results[lease]->results)
                                 hooks.on_scenario(row);
-                        if (ledger.all_complete())
-                            finish(); // the accept loop re-checks within
-                                      // its timeout and stops
-
+                        notify(/*finished=*/ledger.all_complete());
                         send_frame(sock, simple_msg("ok"));
                     } else {
                         send_frame(sock, simple_msg("stale"));
@@ -246,8 +313,10 @@ struct coordinator::impl {
             // Expected event: the worker died (SIGKILL included), timed
             // out, or sent garbage.  Contain it — re-queue whatever it
             // held and let the remaining fleet finish the grid.
-            if (ledger.requeue_owner(owner) > 0)
+            if (ledger.requeue_owner(owner) > 0) {
                 dropped.fetch_add(1, std::memory_order_relaxed);
+                notify();
+            }
         }
     }
 };
@@ -262,28 +331,48 @@ coordinator::coordinator(campaign_config grid, service_config svc) {
     impl_ = std::make_unique<impl>(std::move(grid), svc);
 }
 
-coordinator::~coordinator() = default;
+coordinator::~coordinator() {
+    impl& im = *impl_;
+    // Release held requests and the reaper even if serve() threw.
+    im.notify(/*finished=*/true);
+    im.listener.stop();
+    for (std::thread* t : {&im.reaper, &im.acceptor})
+        if (t->joinable())
+            t->join();
+    {
+        // Late connections hold no lease; wake their blocked recv.
+        const std::lock_guard<std::mutex> lock(im.conn_mu);
+        for (auto& c : im.connections)
+            c.sock.shutdown();
+    }
+    for (auto& c : im.connections)
+        c.thread.join();
+}
 
 std::uint16_t coordinator::port() const { return impl_->listener.port(); }
 
 service_report coordinator::serve(const run_hooks& hooks) {
     impl& im = *impl_;
-    std::thread reaper([&im] { im.reap(); });
-    std::vector<std::thread> handlers;
-    while (!im.done.load(std::memory_order_acquire)) {
-        tcp_socket sock = im.listener.accept(/*timeout_s=*/0.2);
-        if (!sock.valid())
-            continue; // accept timeout or listener closed; re-check done
-        handlers.emplace_back(
-            [&im, &hooks, s = std::move(sock)]() mutable {
-                im.handle(std::move(s), hooks);
-            });
+    SDRBIST_EXPECTS(!im.acceptor.joinable()); // one serve() per coordinator
+    im.reaper = std::thread([&im] { im.reap(); });
+    im.serve_hooks = &hooks; // no handler runs yet
+    im.acceptor = std::thread([&im] { im.accept_loop(); });
+    {
+        std::unique_lock<std::mutex> lock(im.wake_mu);
+        im.wake_cv.wait(lock, [&im] { return im.done; });
     }
+    im.reaper.join();
     // Drain: handlers exit when their worker disconnects after "done" (or
-    // on their bounded recv timeout); the reaper wakes on finish().
-    for (std::thread& t : handlers)
-        t.join();
-    reaper.join();
+    // on their bounded recv timeout).  They may still be inside
+    // `hooks.on_scenario`, so join them all before `hooks` goes away.
+    std::list<impl::connection> served;
+    {
+        const std::lock_guard<std::mutex> lock(im.conn_mu);
+        im.serve_hooks = nullptr;
+        served.splice(served.end(), im.connections);
+    }
+    for (auto& c : served)
+        c.thread.join();
 
     service_report report;
     std::vector<campaign_result> pieces;

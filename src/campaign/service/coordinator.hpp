@@ -21,9 +21,17 @@
 /// `campaign_identity()` digests — the wire never carries the engine
 /// config, only lease ranges and result rows.
 ///
-/// Threading: one accept loop (inside `serve()`), one detached-joinable
-/// handler thread per connection, one reaper thread re-queueing lapsed
-/// leases.  All lease state lives in the internally-locked ledger.
+/// Serving is event-driven.  A `request` that cannot be granted yet is held
+/// until a ledger transition makes a grant possible (an accepted
+/// `complete`, a re-queue), the grid completes, or `heartbeat_s` passes
+/// (then `wait`).  One condition variable carries every such transition,
+/// so a held request never polls.
+///
+/// Threading: `serve()` starts one accept thread and one reaper thread
+/// re-queueing lapsed leases; each connection gets its own handler
+/// thread.  All lease state lives in the internally-locked ledger.  The
+/// accept thread outlives `serve()`: it blocks on the listener and a
+/// self-pipe together, and only `~coordinator` stops it.
 #pragma once
 
 #include <cstdint>
@@ -68,17 +76,27 @@ public:
     /// The grid config must be unsharded and journal-free — the
     /// coordinator delegates all grading.
     coordinator(campaign_config grid, service_config svc);
+    /// Stops accepting, wakes the connections still open (they hold no
+    /// lease once the grid completed) and joins every thread.  From
+    /// `serve()` until then the coordinator answers every connection, even
+    /// after `serve()` returned: a worker that starts after the grid
+    /// completed gets `welcome` and then `done`, with 0 rows.
     ~coordinator();
     coordinator(const coordinator&) = delete;
     coordinator& operator=(const coordinator&) = delete;
 
     [[nodiscard]] std::uint16_t port() const;
 
-    /// Serve workers until every lease completes, then merge and return.
-    /// `hooks.on_scenario` fires once per grid row, for the rows of each
-    /// `complete` the ledger accepts, so `--jsonl` carries exactly the rows
-    /// the merge reads.  Like a local run's, calls may be concurrent (one
-    /// per connection handler); the callee synchronises.
+    /// Serve workers until every lease completes, then merge and return;
+    /// call it at most once.  It returns as soon as the last lease is
+    /// accepted and every handler that started before then has finished
+    /// (their workers hang up after `done`).  `hooks.on_scenario` fires
+    /// once per grid row, for the rows of each `complete` the ledger
+    /// accepts, so `--jsonl` carries exactly the rows the merge reads.
+    /// Like a local run's, calls may be concurrent (one per connection
+    /// handler); the callee synchronises.  Handlers that start after
+    /// `serve()` returned get no hooks; they can never accept a
+    /// `complete`, because the ledger is already complete.
     service_report serve(const run_hooks& hooks = {});
 
 private:

@@ -1,5 +1,6 @@
 #include "campaign/service/protocol.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -8,8 +9,10 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -42,6 +45,16 @@ sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
     addr.sin_port = htons(port);
     SDRBIST_EXPECTS(::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1);
     return addr;
+}
+
+/// Per-connection options for both ends: every frame is one write that
+/// the peer answers, so Nagle would only hold it back for an ACK.
+void configure_stream(int fd) {
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+#if defined(SO_NOSIGPIPE)
+    ::setsockopt(fd, SOL_SOCKET, SO_NOSIGPIPE, &one, sizeof(one));
+#endif
 }
 
 /// write(2) until done.  EPIPE/ECONNRESET → the peer died: transient.
@@ -88,6 +101,11 @@ void tcp_socket::set_recv_timeout(double seconds) {
     set_timeout(fd_, SO_RCVTIMEO, seconds);
 }
 
+void tcp_socket::shutdown() {
+    if (fd_ >= 0)
+        ::shutdown(fd_, SHUT_RDWR);
+}
+
 void tcp_socket::close() {
     if (fd_ >= 0) {
         ::close(fd_);
@@ -100,10 +118,7 @@ tcp_socket tcp_connect(const std::string& host, std::uint16_t port) {
     if (fd < 0)
         throw_errno("cannot create socket");
     tcp_socket sock(fd);
-#if defined(SO_NOSIGPIPE)
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_NOSIGPIPE, &one, sizeof(one));
-#endif
+    configure_stream(fd);
     const sockaddr_in addr = make_addr(host, port);
     if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                   sizeof(addr)) != 0)
@@ -117,12 +132,16 @@ tcp_listener::tcp_listener(const std::string& host, std::uint16_t port) {
     const int one = 1;
     ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
     const sockaddr_in addr = make_addr(host, port);
+    // Non-blocking, so an accept() after poll() never blocks on a
+    // connection that was reset in between; the wake pipe likewise.
     if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
             0 ||
-        ::listen(fd_, 16) != 0) {
+        ::listen(fd_, 16) != 0 ||
+        ::fcntl(fd_, F_SETFL, ::fcntl(fd_, F_GETFL) | O_NONBLOCK) != 0 ||
+        ::pipe(wake_) != 0 ||
+        ::fcntl(wake_[1], F_SETFL, O_NONBLOCK) != 0) {
         const std::string what = std::strerror(errno);
-        ::close(fd_);
-        fd_ = -1;
+        close_fds();
         throw contract_violation("cannot listen on " + host + ":" +
                                  std::to_string(port) + ": " + what);
     }
@@ -133,30 +152,43 @@ tcp_listener::tcp_listener(const std::string& host, std::uint16_t port) {
     port_ = ntohs(bound.sin_port);
 }
 
-tcp_listener::~tcp_listener() { close(); }
+tcp_listener::~tcp_listener() { close_fds(); }
+
+void tcp_listener::close_fds() {
+    for (int* fd : {&fd_, &wake_[0], &wake_[1]}) {
+        if (*fd >= 0)
+            ::close(*fd);
+        *fd = -1;
+    }
+}
 
 tcp_socket tcp_listener::accept(double timeout_s) {
-    if (fd_ < 0)
+    if (stopped())
         return tcp_socket{};
-    if (timeout_s > 0.0)
-        set_timeout(fd_, SO_RCVTIMEO, timeout_s);
+    pollfd fds[2] = {{fd_, POLLIN, 0}, {wake_[0], POLLIN, 0}};
+    const int timeout_ms =
+        timeout_s > 0.0
+            ? static_cast<int>(std::min(timeout_s * 1e3 + 1.0, 2.0e9))
+            : -1;
+    if (::poll(fds, 2, timeout_ms) <= 0 || fds[1].revents != 0)
+        return tcp_socket{}; // timeout, EINTR or stop(): caller decides
     const int client = ::accept(fd_, nullptr, nullptr);
     if (client < 0)
-        return tcp_socket{}; // timeout, EINTR or closed: caller decides
+        return tcp_socket{};
     tcp_socket sock(client);
-#if defined(SO_NOSIGPIPE)
-    const int one = 1;
-    ::setsockopt(client, SOL_SOCKET, SO_NOSIGPIPE, &one, sizeof(one));
-#endif
+    // BSD accept() inherits the listener's O_NONBLOCK; framing blocks.
+    ::fcntl(client, F_SETFL, ::fcntl(client, F_GETFL) & ~O_NONBLOCK);
+    configure_stream(client);
     return sock;
 }
 
-void tcp_listener::close() {
-    if (fd_ >= 0) {
-        ::shutdown(fd_, SHUT_RDWR);
-        ::close(fd_);
-        fd_ = -1;
-    }
+void tcp_listener::stop() {
+    if (stopped_.exchange(true))
+        return;
+    const char byte = 1;
+    // The pipe is empty and non-blocking; the byte stays unread, so the
+    // wake is latched for every later poll too.
+    [[maybe_unused]] const ssize_t w = ::write(wake_[1], &byte, 1);
 }
 
 void send_frame(tcp_socket& s, std::string payload) {
@@ -169,7 +201,9 @@ void send_frame(tcp_socket& s, std::string payload) {
                             static_cast<char>((n >> 16) & 0xFF),
                             static_cast<char>((n >> 8) & 0xFF),
                             static_cast<char>(n & 0xFF)};
-    send_all(s.fd(), header, 4);
+    // One write per frame: a separate 4-byte header write would leave the
+    // payload waiting on the peer's delayed ACK (Nagle).
+    payload.insert(0, header, 4);
     send_all(s.fd(), payload.data(), payload.size());
 }
 
@@ -201,14 +235,16 @@ namespace {
 } // namespace
 
 void tcp_socket::set_recv_timeout(double) { unsupported(); }
+void tcp_socket::shutdown() {}
 void tcp_socket::close() { fd_ = -1; }
 tcp_socket tcp_connect(const std::string&, std::uint16_t) { unsupported(); }
 tcp_listener::tcp_listener(const std::string&, std::uint16_t) {
     unsupported();
 }
 tcp_listener::~tcp_listener() = default;
+void tcp_listener::close_fds() {}
 tcp_socket tcp_listener::accept(double) { unsupported(); }
-void tcp_listener::close() {}
+void tcp_listener::stop() { stopped_ = true; }
 void send_frame(tcp_socket&, std::string) { unsupported(); }
 std::string recv_frame(tcp_socket&) { unsupported(); }
 

@@ -11,6 +11,11 @@
 /// its heartbeat thread and its lease loop behind one mutex.  Rows travel
 /// only inside a lease's `complete` frame.
 ///
+/// Every exchange is one small frame each way, so latency is the cost:
+/// each frame leaves in a single write (header and payload together) and
+/// both ends set `TCP_NODELAY`.  A header written on its own would hold
+/// the payload back until the peer's delayed ACK.
+///
 /// Failure taxonomy (PR 7 vocabulary):
 ///  * A dead peer — EOF, ECONNRESET, recv timeout — raises
 ///    `fault_injection::transient_fault`.  Worker death is an *expected
@@ -30,6 +35,7 @@
 /// `contract_violation`, keeping the library linkable everywhere.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -72,6 +78,9 @@ public:
     /// Bound how long any single recv may block (0 = forever).  Framing
     /// surfaces an expired bound as a transient fault.
     void set_recv_timeout(double seconds);
+    /// Shut both directions down: a recv blocked in another thread returns
+    /// EOF.  The fd stays open until close().
+    void shutdown();
     void close();
 
 private:
@@ -83,7 +92,9 @@ private:
 tcp_socket tcp_connect(const std::string& host, std::uint16_t port);
 
 /// Listening socket.  Binding failures are deterministic configuration
-/// errors (`contract_violation`); accept timeouts are not errors.
+/// errors (`contract_violation`); accept timeouts are not errors.  A
+/// blocked accept() waits on the listener and a self-pipe together, so
+/// stop() wakes it without touching the listening fd from another thread.
 class tcp_listener {
 public:
     /// Bind + listen on `host:port`.  Port 0 binds an ephemeral port —
@@ -95,21 +106,29 @@ public:
 
     [[nodiscard]] std::uint16_t port() const { return port_; }
 
-    /// Accept one connection, waiting at most `timeout_s` (0 = forever).
-    /// Returns an invalid socket on timeout or after close() — the
-    /// caller's loop decides whether to keep waiting.
+    /// Accept one connection, waiting at most `timeout_s` (0 = until a
+    /// connection or stop()).  Returns an invalid socket on timeout, on a
+    /// failed accept or once stopped — the caller's loop decides whether
+    /// to keep waiting.
     tcp_socket accept(double timeout_s);
 
-    /// Shut the listener down; a concurrently blocked accept() unblocks.
-    void close();
+    /// Wake a blocked accept(); every later accept() returns at once.
+    /// Safe from any thread.
+    void stop();
+    [[nodiscard]] bool stopped() const { return stopped_.load(); }
 
 private:
+    void close_fds();
+
     int fd_ = -1;
+    int wake_[2] = {-1, -1}; ///< self-pipe: stop() writes, accept() polls
+    std::atomic<bool> stopped_{false};
     std::uint16_t port_ = 0;
 };
 
-/// Send one frame (length prefix + payload).  Fires the `service.send`
-/// probe (corrupt-bytes clauses mangle the payload before framing).
+/// Send one frame (length prefix + payload) in one write.  Fires the
+/// `service.send` probe (corrupt-bytes clauses mangle the payload before
+/// framing).
 /// Throws `transient_fault` when the peer is gone.
 void send_frame(tcp_socket& s, std::string payload);
 

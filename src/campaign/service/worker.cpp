@@ -100,6 +100,14 @@ worker_report run_worker(campaign_config grid, const service_config& svc) {
         sock.set_recv_timeout(std::max(2.0 * cadence.timeout(), 5.0));
     }
 
+    // The journal exists, header included, even if no lease ever arrives
+    // (a worker that joins a finished grid is told `done` at once).
+    if (!grid.journal_path.empty()) {
+        const campaign_journal created(grid.journal_path,
+                                       campaign_identity(grid),
+                                       /*resume=*/true);
+    }
+
     worker_report report;
     std::atomic<std::size_t> beats{0};
 

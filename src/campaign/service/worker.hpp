@@ -26,7 +26,11 @@
 /// spans every lease this worker executes (the identity excludes the
 /// lease range), so a restarted worker re-grades only what its journal
 /// misses.  Cold start — resume against a journal that does not exist
-/// yet — just creates it.
+/// yet — just creates it, before the first request, so a worker that
+/// never gets a lease still leaves its journal, header included.
+///
+/// A `wait` reply means the coordinator held the request for a full beat
+/// period without a grant; the worker naps briefly and asks again.
 #pragma once
 
 #include <cstddef>

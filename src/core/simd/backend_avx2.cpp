@@ -36,28 +36,6 @@ inline double hsum(__m256d v) {
     return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
 }
 
-void avx2_dot2(const double* a, const double* ca, const double* b,
-               const double* cb, std::size_t n, double* out_a,
-               double* out_b) {
-    __m256d acc_a = _mm256_setzero_pd();
-    __m256d acc_b = _mm256_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        acc_a = _mm256_fmadd_pd(_mm256_loadu_pd(a + i),
-                                _mm256_loadu_pd(ca + i), acc_a);
-        acc_b = _mm256_fmadd_pd(_mm256_loadu_pd(b + i),
-                                _mm256_loadu_pd(cb + i), acc_b);
-    }
-    double ra = hsum(acc_a);
-    double rb = hsum(acc_b);
-    for (; i < n; ++i) {
-        ra += a[i] * ca[i];
-        rb += b[i] * cb[i];
-    }
-    *out_a = ra;
-    *out_b = rb;
-}
-
 /// coeff vector for taps [i, i+4): the cubic blend of four LUT rows.
 inline __m256d blend4(const double* r0, const double* r1, const double* r2,
                       const double* r3, std::size_t i, __m256d w0, __m256d w1,
@@ -190,7 +168,6 @@ const kernel_ops& avx2_ops() {
     static constexpr kernel_ops ops{
         "avx2",
         20,
-        &avx2_dot2,
         &avx2_blend_dot,
         &avx2_blend_dot_cplx,
         &avx2_quantize,

@@ -20,26 +20,6 @@ namespace sdrbist::simd {
 
 namespace {
 
-void neon_dot2(const double* a, const double* ca, const double* b,
-               const double* cb, std::size_t n, double* out_a,
-               double* out_b) {
-    float64x2_t acc_a = vdupq_n_f64(0.0);
-    float64x2_t acc_b = vdupq_n_f64(0.0);
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        acc_a = vfmaq_f64(acc_a, vld1q_f64(a + i), vld1q_f64(ca + i));
-        acc_b = vfmaq_f64(acc_b, vld1q_f64(b + i), vld1q_f64(cb + i));
-    }
-    double ra = vaddvq_f64(acc_a);
-    double rb = vaddvq_f64(acc_b);
-    for (; i < n; ++i) {
-        ra += a[i] * ca[i];
-        rb += b[i] * cb[i];
-    }
-    *out_a = ra;
-    *out_b = rb;
-}
-
 /// coeff vector for taps [i, i+2): the cubic blend of four LUT rows.
 inline float64x2_t blend2(const double* r0, const double* r1,
                           const double* r2, const double* r3, std::size_t i,
@@ -152,7 +132,6 @@ const kernel_ops& neon_ops() {
     static constexpr kernel_ops ops{
         "neon",
         10,
-        &neon_dot2,
         &neon_blend_dot,
         &neon_blend_dot_cplx,
         &neon_quantize,

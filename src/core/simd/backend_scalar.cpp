@@ -17,21 +17,6 @@ namespace sdrbist::simd {
 
 namespace {
 
-void scalar_dot2(const double* a, const double* ca, const double* b,
-                 const double* cb, std::size_t n, double* out_a,
-                 double* out_b) {
-    // Two separate sequential loops — the exact accumulation order of the
-    // pre-backend PNBS stage 2.
-    double acc_a = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-        acc_a += a[i] * ca[i];
-    double acc_b = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-        acc_b += b[i] * cb[i];
-    *out_a = acc_a;
-    *out_b = acc_b;
-}
-
 double scalar_blend_dot(const double* x, const double* rows,
                         std::size_t stride, const double* w, std::size_t n) {
     const double* r0 = rows;
@@ -94,7 +79,6 @@ const kernel_ops& scalar_ops() {
     static constexpr kernel_ops ops{
         "scalar",
         0,
-        &scalar_dot2,
         &scalar_blend_dot,
         &scalar_blend_dot_cplx,
         &scalar_quantize,

@@ -15,7 +15,7 @@
 /// (`kernel_backend::force`, the CLI's `--backend`).
 ///
 /// Accuracy contract (locked down by tests/dsp/backend_equivalence_test):
-///  * `dot2`, `blend_dot`, `blend_dot_cplx` — SIMD backends split
+///  * `blend_dot`, `blend_dot_cplx` — SIMD backends split
 ///    the accumulation across vector lanes, so results are *reassociated*
 ///    relative to the scalar backend's sequential sum.  The deviation is
 ///    bounded by ~n·eps relative to Σ|aᵢ·bᵢ|; the equivalence suite asserts
@@ -61,12 +61,6 @@ struct quantize_params {
 struct kernel_ops {
     const char* name;  ///< "scalar", "avx2", "neon", ...
     int priority;      ///< dispatch preference; higher wins when supported
-
-    /// Fused pair of dot products sharing one loop:
-    /// *out_a = Σ a[i]·ca[i], *out_b = Σ b[i]·cb[i].
-    void (*dot2)(const double* a, const double* ca, const double* b,
-                 const double* cb, std::size_t n, double* out_a,
-                 double* out_b);
 
     /// Polyphase 4-row blended dot product (every polyphase table read):
     ///   coeff[i] = w[0]·rows[i] + w[1]·rows[i+stride]

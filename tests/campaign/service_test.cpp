@@ -10,6 +10,9 @@
 // `complete` frames that are not exactly the granted grid slice, drop
 // that one connection instead of reaching an out-of-range conversion or
 // the merge.  `--jsonl` streaming sees only rows of accepted leases.
+// Event-driven serving: a worker that connects after the grid completed
+// is told `done` at once and still leaves its journal, and a held request
+// takes a re-queued lease as soon as its holder hangs up.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -17,6 +20,7 @@
 #include <chrono>
 #include <filesystem>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -567,6 +571,92 @@ TEST(CampaignService, ScenarioStreamCarriesOnlyAcceptedRows) {
         ASSERT_EQ(seen[i].size(), 1u);
         EXPECT_EQ(seen[i][0], scenario_json(reference.results[i], no_timing));
     }
+}
+
+/// Serves `cfg` to one worker until serve() has returned; the coordinator
+/// keeps answering connections until it is destroyed.
+std::unique_ptr<coordinator> finished_coordinator(const campaign_config& cfg,
+                                                  service_config& svc) {
+    auto coord = std::make_unique<coordinator>(cfg, svc);
+    svc.port = coord->port();
+    auto served =
+        std::async(std::launch::async, [&] { return coord->serve(); });
+    const worker_report wr = run_worker(cfg, svc);
+    EXPECT_EQ(wr.rows, 4u);
+    EXPECT_EQ(served.get().result.results.size(), 4u);
+    return coord;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+}
+
+/// A worker started after serve() returned gets `welcome` and `done`
+/// (0 rows) at once, instead of waiting out its receive timeout (6 ×
+/// the default 5 s beat) for a reply nobody sends.
+TEST(CampaignService, LateWorkerAfterCompletionGetsDone) {
+    service_config svc; // default beat: the worker's recv bound is 30 s
+    const auto coord = finished_coordinator(small_grid(), svc);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    const worker_report late = run_worker(small_grid(), svc);
+    EXPECT_LT(seconds_since(t0), 5.0);
+    EXPECT_EQ(late.leases, 0u);
+    EXPECT_EQ(late.rows, 0u);
+    EXPECT_EQ(late.stale, 0u);
+}
+
+/// A journalled worker that never gets a lease still leaves its journal,
+/// header included, so a reader finds 0 rows instead of no file.
+TEST(CampaignService, ZeroLeaseWorkerLeavesJournal) {
+    const scratch_dir dir("service-zero-lease");
+    service_config svc;
+    const auto coord = finished_coordinator(small_grid(), svc);
+
+    auto late_cfg = small_grid();
+    late_cfg.journal_path = dir.file("journal-late.jsonl");
+    EXPECT_EQ(run_worker(late_cfg, svc).leases, 0u);
+    const journal_replay replay = read_journal(late_cfg.journal_path);
+    EXPECT_EQ(replay.identity, campaign_identity(late_cfg));
+    EXPECT_TRUE(replay.rows.empty());
+}
+
+/// A request that cannot be granted is held, and the re-queue of a dead
+/// holder's lease wakes it.  With a 30 s beat every timer path — the
+/// hold's own bound (30 s), the reaper (90 s) — takes far longer than
+/// the 5 s allowed, so only the wake-up passes, on any host.
+TEST(CampaignService, HeldRequestTakesRequeuedLease) {
+    const scratch_dir dir("service-held");
+    auto cfg = small_grid();
+    cfg.cache_dir = dir.file("cache"); // warm: the worker's lease is cheap
+    const auto reference = campaign_runner(cfg).run();
+
+    service_config svc;
+    svc.lease_size = 4; // one lease
+    svc.heartbeat_s = 30.0;
+    coordinator coord(cfg, svc);
+    svc.port = coord.port();
+    auto served = std::async(std::launch::async, [&] { return coord.serve(); });
+
+    tcp_socket holder = welcomed_peer(cfg, svc.port);
+    take_lease(holder);
+    const auto t0 = std::chrono::steady_clock::now();
+    auto worker =
+        std::async(std::launch::async, [&] { return run_worker(cfg, svc); });
+    // Give the worker's request time to arrive and be held.
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    holder.close(); // hang up holding the last lease
+
+    const worker_report wr = worker.get();
+    EXPECT_LT(seconds_since(t0), 5.0);
+    EXPECT_EQ(wr.leases, 1u);
+    EXPECT_EQ(wr.rows, 4u);
+    const service_report report = served.get();
+    EXPECT_EQ(fingerprint(report.result), fingerprint(reference));
+    EXPECT_EQ(report.leases.requeues, 1u);
+    EXPECT_EQ(report.leases.leases, 2u);
 }
 
 /// Serves one worker connection from a fake coordinator: answers the

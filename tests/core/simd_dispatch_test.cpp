@@ -177,7 +177,6 @@ TEST(SimdDispatch, ResetReturnsToAutoDetection) {
 TEST(SimdDispatch, BackendTablesAreFullyPopulated) {
     for (const auto* ops : kernel_backend::compiled()) {
         EXPECT_NE(ops->name, nullptr);
-        EXPECT_NE(ops->dot2, nullptr) << ops->name;
         EXPECT_NE(ops->blend_dot, nullptr) << ops->name;
         EXPECT_NE(ops->blend_dot_cplx, nullptr) << ops->name;
         EXPECT_NE(ops->quantize_midrise, nullptr) << ops->name;

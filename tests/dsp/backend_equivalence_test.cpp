@@ -4,7 +4,7 @@
 // unaligned pointer offsets — and must honour the per-kernel accuracy
 // contract of kernel_backend.hpp:
 //
-//  * dot / dot2 / blend_dot / blend_dot_cplx: reassociated accumulation,
+//  * blend_dot / blend_dot_cplx: reassociated accumulation,
 //    deviation ≤ 1e-12 relative to Σ|aᵢ·bᵢ| (the documented ULP-style
 //    bound; the true reassociation error is ~n·eps of that magnitude);
 //  * quantize_midrise / carrier_mix: bit-identical.
@@ -71,42 +71,6 @@ std::vector<const kernel_ops*> simd_backends() {
         if (std::string_view(ops->name) != "scalar")
             out.push_back(ops);
     return out;
-}
-
-TEST(BackendEquivalence, Dot2MatchesTwoSeparateDots) {
-    rng gen(0xD072);
-    for (const auto* ops : simd_backends()) {
-        for (const std::size_t n : lengths) {
-            for (const std::size_t off : offsets) {
-                const auto a = random_record(gen, n + off);
-                const auto ca = random_record(gen, n + off);
-                const auto b = random_record(gen, n + off);
-                const auto cb = random_record(gen, n + off);
-                double ref_a = 0.0, ref_b = 0.0;
-                scalar_ops().dot2(a.data() + off, ca.data() + off,
-                                  b.data() + off, cb.data() + off, n, &ref_a,
-                                  &ref_b);
-                double got_a = 0.0, got_b = 0.0;
-                ops->dot2(a.data() + off, ca.data() + off, b.data() + off,
-                          cb.data() + off, n, &got_a, &got_b);
-                double mag_a = 0.0, mag_b = 0.0;
-                for (std::size_t i = 0; i < n; ++i) {
-                    mag_a += std::abs(a[off + i] * ca[off + i]);
-                    mag_b += std::abs(b[off + i] * cb[off + i]);
-                }
-                EXPECT_LE(std::abs(got_a - ref_a), accum_rel_bound * mag_a)
-                    << ops->name << " n=" << n << " off=" << off;
-                EXPECT_LE(std::abs(got_b - ref_b), accum_rel_bound * mag_b)
-                    << ops->name << " n=" << n << " off=" << off;
-                // Deterministic: same inputs, same result, call after call.
-                double again_a = 0.0, again_b = 0.0;
-                ops->dot2(a.data() + off, ca.data() + off, b.data() + off,
-                          cb.data() + off, n, &again_a, &again_b);
-                EXPECT_EQ(got_a, again_a);
-                EXPECT_EQ(got_b, again_b);
-            }
-        }
-    }
 }
 
 TEST(BackendEquivalence, BlendDotMatchesScalarWithinDocumentedBound) {
