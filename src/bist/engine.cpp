@@ -5,17 +5,6 @@
 
 namespace sdrbist::bist {
 
-sampling::band_spec bist_config::fast_band() const {
-    return sampling::band_around(preset.default_carrier_hz,
-                                 tiadc.channel_rate_hz);
-}
-
-sampling::band_spec bist_config::slow_band() const {
-    return sampling::band_around(preset.default_carrier_hz,
-                                 tiadc.channel_rate_hz /
-                                     static_cast<double>(slow_divider));
-}
-
 bist_engine::bist_engine(bist_config config) : config_(std::move(config)) {
     SDRBIST_EXPECTS(config_.fast_samples >= 64);
     SDRBIST_EXPECTS(config_.slow_divider >= 2);

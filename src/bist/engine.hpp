@@ -8,8 +8,8 @@
 /// The flow itself lives in the staged pipeline (bist/pipeline.hpp):
 /// `bist_engine` is the one-shot convenience wrapper that runs a
 /// `bist_session` end to end.  Use the session directly to read a stage's
-/// typed output, run stages individually, resume, re-run with a modified
-/// downstream config, or share upstream stage results across executions.
+/// typed output, run stages individually, resume, or share upstream stage
+/// results across executions.
 #pragma once
 
 #include <cstdint>
@@ -64,11 +64,6 @@ struct bist_config {
     double acpr_limit_dbc = -30.0; ///< adjacent-channel limit (0 = disabled)
     double acpr_offset_hz = 0.0;   ///< adjacent-channel offset (0 = auto,
                                    ///< 1.5 × occupied bandwidth)
-
-    /// Band the reconstruction assumes for the fast capture (centred on the
-    /// carrier, width B).  Derived, exposed for diagnostics.
-    [[nodiscard]] sampling::band_spec fast_band() const;
-    [[nodiscard]] sampling::band_spec slow_band() const;
 };
 
 /// BIST orchestration engine: thin one-shot wrapper over `bist_session`

@@ -346,17 +346,6 @@ void bist_session::drop_from(stage s) {
     }
 }
 
-void bist_session::reconfigure(bist_config config) {
-    bist_session fresh(std::move(config)); // re-validates the contracts
-    for (const stage s : stage_order) {
-        if (input_digest(s) != stage_input_digest(fresh.config_, s)) {
-            drop_from(s);
-            break;
-        }
-    }
-    config_ = std::move(fresh.config_);
-}
-
 bool bist_session::completed(stage s) const {
     switch (s) {
     case stage::stimulus: return stimulus_ != nullptr;
@@ -368,36 +357,65 @@ bool bist_session::completed(stage s) const {
     return false;
 }
 
-bool bist_session::run_until(stage target) {
-    if (!stimulus_)
-        stimulus_ = std::make_shared<const stimulus_output>(
-            run_stimulus(config_));
-    if (stage_index(target) <= stage_index(stage::stimulus))
-        return true;
+bool bist_session::run_until(stage target, stage_snapshot_store* store) {
+    bool lookup = store != nullptr;
+    for (const stage s : stage_order) {
+        if (stage_index(s) > stage_index(target))
+            break;
+        if (completed(s))
+            continue;
+        if (lookup && load(*store, s))
+            continue;
+        lookup = false; // adoption needs every upstream stage present
+        compute(s);
+        if (store)
+            publish_to_store(*store, s);
+    }
+    return true;
+}
 
-    if (!tx_capture_)
+bool bist_session::load(stage_snapshot_store& store, stage s) {
+    const std::uint64_t digest = input_digest(s);
+    switch (s) {
+    case stage::stimulus: stimulus_ = store.load_stimulus(digest); break;
+    case stage::tx_capture:
+        tx_capture_ = store.load_tx_capture(digest);
+        break;
+    case stage::calibration:
+        calibration_ = store.load_calibration(digest);
+        break;
+    case stage::reconstruction:
+        reconstruction_ = store.load_reconstruction(digest);
+        break;
+    case stage::grading: grading_ = store.load_grading(digest); break;
+    }
+    return completed(s);
+}
+
+void bist_session::compute(stage s) {
+    switch (s) {
+    case stage::stimulus:
+        stimulus_ =
+            std::make_shared<const stimulus_output>(run_stimulus(config_));
+        break;
+    case stage::tx_capture:
         tx_capture_ = std::make_shared<const tx_capture_output>(
             run_tx_capture(config_, *stimulus_));
-    if (halted() || stage_index(target) <= stage_index(stage::tx_capture))
-        return completed(target);
-
-    if (!calibration_)
+        break;
+    case stage::calibration:
         calibration_ = std::make_shared<const calibration_output>(
             run_calibration(config_, *tx_capture_));
-    if (stage_index(target) <= stage_index(stage::calibration))
-        return true;
-
-    if (!reconstruction_)
+        break;
+    case stage::reconstruction:
         reconstruction_ = std::make_shared<const reconstruction_output>(
             run_reconstruction(config_, *stimulus_, *tx_capture_,
                                *calibration_));
-    if (stage_index(target) <= stage_index(stage::reconstruction))
-        return true;
-
-    if (!grading_)
+        break;
+    case stage::grading:
         grading_ = std::make_shared<const grading_output>(
             run_grading(config_, *stimulus_, *reconstruction_));
-    return true;
+        break;
+    }
 }
 
 const stimulus_output& bist_session::stimulus() const {
@@ -429,100 +447,15 @@ std::uint64_t bist_session::input_digest(stage s) const {
     return stage_input_digest(config_, s);
 }
 
-void bist_session::adopt_stimulus(std::shared_ptr<const stimulus_output> out) {
-    SDRBIST_EXPECTS(out != nullptr);
-    if (out == stimulus_)
-        return;
-    drop_from(stage::tx_capture);
-    stimulus_ = std::move(out);
-}
-
-void bist_session::adopt_tx_capture(
-    std::shared_ptr<const tx_capture_output> out) {
-    SDRBIST_EXPECTS(out != nullptr);
-    SDRBIST_EXPECTS(stimulus_ != nullptr);
-    if (out == tx_capture_)
-        return;
-    drop_from(stage::calibration);
-    tx_capture_ = std::move(out);
-}
-
-void bist_session::adopt_calibration(
-    std::shared_ptr<const calibration_output> out) {
-    SDRBIST_EXPECTS(out != nullptr);
-    SDRBIST_EXPECTS(tx_capture_ != nullptr);
-    if (out == calibration_)
-        return;
-    drop_from(stage::reconstruction);
-    calibration_ = std::move(out);
-}
-
-void bist_session::adopt_reconstruction(
-    std::shared_ptr<const reconstruction_output> out) {
-    SDRBIST_EXPECTS(out != nullptr);
-    SDRBIST_EXPECTS(calibration_ != nullptr);
-    if (out == reconstruction_)
-        return;
-    drop_from(stage::grading);
-    reconstruction_ = std::move(out);
-}
-
-void bist_session::adopt_grading(std::shared_ptr<const grading_output> out) {
-    SDRBIST_EXPECTS(out != nullptr);
-    SDRBIST_EXPECTS(reconstruction_ != nullptr);
-    if (out == grading_)
-        return;
-    grading_ = std::move(out);
-}
-
-std::size_t bist_session::adopt_from_store(stage_snapshot_store& store) {
-    std::size_t adopted = 0;
-    for (const stage s : stage_order) {
-        if (halted())
-            break;
-        if (completed(s))
-            continue;
-        const std::uint64_t digest = input_digest(s);
-        switch (s) {
-        case stage::stimulus: {
-            auto out = store.load_stimulus(digest);
-            if (!out)
-                return adopted;
-            adopt_stimulus(std::move(out));
-            break;
-        }
-        case stage::tx_capture: {
-            auto out = store.load_tx_capture(digest);
-            if (!out)
-                return adopted;
-            adopt_tx_capture(std::move(out));
-            break;
-        }
-        case stage::calibration: {
-            auto out = store.load_calibration(digest);
-            if (!out)
-                return adopted;
-            adopt_calibration(std::move(out));
-            break;
-        }
-        case stage::reconstruction: {
-            auto out = store.load_reconstruction(digest);
-            if (!out)
-                return adopted;
-            adopt_reconstruction(std::move(out));
-            break;
-        }
-        case stage::grading: {
-            auto out = store.load_grading(digest);
-            if (!out)
-                return adopted;
-            adopt_grading(std::move(out));
-            break;
-        }
-        }
-        ++adopted;
-    }
-    return adopted;
+void bist_session::adopt_from(const bist_session& donor, stage through) {
+    SDRBIST_EXPECTS(donor.completed(through));
+    stimulus_ = donor.stimulus_;
+    tx_capture_ = donor.tx_capture_;
+    calibration_ = donor.calibration_;
+    reconstruction_ = donor.reconstruction_;
+    grading_ = donor.grading_;
+    if (through != stage::grading)
+        drop_from(static_cast<stage>(stage_index(through) + 1));
 }
 
 void bist_session::publish_to_store(stage_snapshot_store& store,

@@ -1,9 +1,8 @@
 /// \file pipeline.hpp
 /// \brief The staged BIST pipeline: a `bist_session` materialises the
 ///        paper's flow as typed stages that can be run individually,
-///        resumed, re-run with a modified downstream configuration, or
-///        shared across sessions whose upstream configuration is provably
-///        identical.
+///        resumed, or shared across sessions whose upstream configuration
+///        is provably identical.
 ///
 /// Dataflow (see stages.hpp for the per-stage artefacts):
 ///
@@ -106,11 +105,11 @@ public:
 ///
 /// Stages run lazily and in order: `run_until(stage::calibration)` runs
 /// stimulus, tx_capture and calibration (skipping any already complete),
-/// and a later `run_until(stage::grading)` resumes from there.  When the
-/// tx_capture stage finds the eq. (9) identifiability conditions violated
-/// the session *halts*: downstream stages never run and the report carries
-/// the diagnostics gathered so far — exactly the monolithic engine's early
-/// return.
+/// and a later `run_until(stage::grading)` resumes from there.  The flow
+/// never halts: the stimulus stage only plans bands that satisfy the
+/// eq. (9) identifiability conditions (`calib::choose_band_plan` ensures
+/// them), so the tx_capture check that reports them always passes, and
+/// calibration rejects a capture that fails it as a contract violation.
 ///
 /// Stage outputs are held as shared immutable snapshots, so sessions with
 /// provably equal upstream configuration (equal `input_digest`) can adopt
@@ -121,28 +120,18 @@ public:
 
     [[nodiscard]] const bist_config& config() const { return config_; }
 
-    /// Re-target the session onto a modified configuration.  Stages whose
-    /// input digest is unchanged keep their outputs; the first stage whose
-    /// digest moved — and everything downstream of it — is dropped and will
-    /// be recomputed on the next run.  Changing only downstream knobs
-    /// (e.g. the spectral mask or EVM limit) therefore re-runs only the
-    /// downstream stages.
-    void reconfigure(bist_config config);
+    /// Run stages in order until `target` is complete; returns true.
+    /// With a store, first adopt what it holds for the stages not yet
+    /// complete, in dataflow order up to `target`, stopping at the first
+    /// miss; then compute the rest and publish exactly the stages this
+    /// call computed (adopted ones are someone else's publication).  A
+    /// store changes where a snapshot comes from, never what it is.
+    bool run_until(stage target, stage_snapshot_store* store = nullptr);
 
-    /// Run stages in order until `target` is complete.  Returns true when
-    /// `target` completed; false when the session halted upstream of it.
-    bool run_until(stage target);
-
-    /// Run the full flow (to grading, or to the halt point).
+    /// Run the full flow (to grading).
     void run() { run_until(stage::grading); }
 
     [[nodiscard]] bool completed(stage s) const;
-
-    /// True when tx_capture found the dual-rate identifiability conditions
-    /// violated: the flow cannot proceed past stage::tx_capture.
-    [[nodiscard]] bool halted() const {
-        return tx_capture_ && !tx_capture_->dual_rate_conditions_ok;
-    }
 
     /// Typed stage accessors.  Precondition: completed(stage).
     [[nodiscard]] const stimulus_output& stimulus() const;
@@ -156,47 +145,11 @@ public:
     /// Pure function of the configuration (see config_canonical.hpp).
     [[nodiscard]] std::uint64_t input_digest(stage s) const;
 
-    /// Shared immutable snapshots for cross-session reuse (null until the
-    /// stage completes).
-    [[nodiscard]] std::shared_ptr<const stimulus_output>
-    share_stimulus() const {
-        return stimulus_;
-    }
-    [[nodiscard]] std::shared_ptr<const tx_capture_output>
-    share_tx_capture() const {
-        return tx_capture_;
-    }
-    [[nodiscard]] std::shared_ptr<const calibration_output>
-    share_calibration() const {
-        return calibration_;
-    }
-    [[nodiscard]] std::shared_ptr<const reconstruction_output>
-    share_reconstruction() const {
-        return reconstruction_;
-    }
-    [[nodiscard]] std::shared_ptr<const grading_output>
-    share_grading() const {
-        return grading_;
-    }
-
-    /// Adopt a stage output computed elsewhere.  The caller must guarantee
-    /// the donor session's `input_digest` for this stage equals this
-    /// session's (equal digests mean bit-identical outputs); each adopt
-    /// requires every upstream stage to be present already and drops any
-    /// previously-computed downstream outputs.
-    void adopt_stimulus(std::shared_ptr<const stimulus_output> out);
-    void adopt_tx_capture(std::shared_ptr<const tx_capture_output> out);
-    void adopt_calibration(std::shared_ptr<const calibration_output> out);
-    void adopt_reconstruction(std::shared_ptr<const reconstruction_output> out);
-    void adopt_grading(std::shared_ptr<const grading_output> out);
-
-    /// Adopt completed stage outputs from a persistent snapshot store:
-    /// walks the stages in dataflow order, skipping ones already complete,
-    /// adopting each store hit and stopping at the first miss (adoption
-    /// requires every upstream stage to be present).  Stops early when an
-    /// adopted tx_capture halts the session — nothing downstream of a halt
-    /// is ever stored or adopted.  Returns the number of stages adopted.
-    std::size_t adopt_from_store(stage_snapshot_store& store);
+    /// Share `donor`'s snapshots of every stage up to `through` (which the
+    /// donor must have completed) and drop this session's outputs
+    /// downstream of it.  The caller guarantees `donor.input_digest(through)
+    /// == input_digest(through)`: equal digests mean bit-identical outputs.
+    void adopt_from(const bist_session& donor, stage through);
 
     /// Persist stage `s`'s completed output to the store, keyed by this
     /// session's input digest for `s`.  Precondition: completed(s).
@@ -211,6 +164,10 @@ public:
 private:
     /// Drop `s` and everything downstream.
     void drop_from(stage s);
+    /// Adopt stage `s` from the store; false on a miss.
+    bool load(stage_snapshot_store& store, stage s);
+    /// Compute stage `s` from the completed upstream stages.
+    void compute(stage s);
 
     bist_config config_;
     std::shared_ptr<const stimulus_output> stimulus_;

@@ -68,9 +68,11 @@ struct stimulus_output {
 
 /// Stage 2 — transmission and dual-rate estimation capture.  The DUT runs
 /// both waveforms on the BIST carrier; the calibration output is captured
-/// at both rates through the narrow band-select filter.  Also evaluates
-/// the eq. (9) identifiability conditions: when they fail the pipeline
-/// halts here (nothing downstream is meaningful).
+/// at both rates through the narrow band-select filter.  Also re-checks
+/// the eq. (9) identifiability conditions on the two capture bands.  The
+/// stimulus stage's band plan already ensures them, so the check passes;
+/// calibration rejects a capture that fails it (say, a forged snapshot)
+/// as a contract violation.
 struct tx_capture_output {
     rf::tx_output tx_out;             ///< DUT output, graded waveform
     rf::tx_output calibration_tx_out; ///< DUT output, calibration waveform

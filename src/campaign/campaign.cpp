@@ -10,7 +10,6 @@
 #include <limits>
 #include <mutex>
 #include <optional>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -90,20 +89,23 @@ void aggregate(campaign_result& out) {
 //
 // The runner's plan pass looks every pending scenario up in the scenario
 // result cache and computes the stage input digests of the rows the cache
-// did not serve; the pool keeps one slot per digest that has MORE than one
-// such consumer.  Cache-served rows never touch the pool, so a warm run
-// does no stage work.  The task-DAG schedule fills the slots: a dedicated
-// owner node per slot computes the stage before any consumer runs (graph
-// dependency), so consumers `peek` the finished snapshot without ever
-// blocking.  The lowest-indexed consumer of each slot is *credited* when
-// the plan is made: its adoption stands in for the compute in the reuse
-// accounting, so adopted/computed totals stay a pure function of the grid
-// and the cache contents, independent of thread count.
+// did not serve; the pool keeps one slot per (level, digest) that has MORE
+// than one such consumer.  Cache-served rows never touch the pool, so a
+// warm run does no stage work.  A slot holds a donor session whose stages
+// are complete through that level.  The task-DAG schedule fills the
+// slots: a dedicated owner node per slot adopts the level above's donor,
+// runs its own stage, and publishes the session (or the exception it
+// threw) before any consumer runs (graph dependency), so consumers `peek`
+// the finished donor without ever blocking.  The lowest-indexed consumer
+// of each slot is *credited* when the plan is made: its adoption stands
+// in for the compute in the reuse accounting, so adopted/computed totals
+// stay a pure function of the grid and the cache contents, independent of
+// thread count.
 //
-// With a stage-artefact store configured, the owner's compute consults
-// the store first — a hit publishes the decoded snapshot and still counts
-// as the slot's one compute, so the reuse accounting is identical with
-// the store cold, warm, or disabled.
+// With a stage-artefact store configured, the owner's run consults the
+// store for its own stage first — a hit adopts the decoded snapshot and
+// still counts as the slot's one compute, so the reuse accounting is
+// identical with the store cold, warm, or disabled.
 //
 // Every consumer releases its claim when its scenario finishes, and the
 // slot is freed with the last release, so retained memory is bounded by
@@ -116,11 +118,10 @@ constexpr std::array<bist::stage, 4> shareable_stages{
     bist::stage::calibration, bist::stage::reconstruction};
 constexpr int shareable_levels = static_cast<int>(shareable_stages.size());
 
-template <typename T>
+using donor_session = std::shared_ptr<const bist::bist_session>;
+
 class stage_slot_map {
 public:
-    using snapshot = std::shared_ptr<const T>;
-
     /// Plan phase (single-threaded): register one expected consumer.
     void expect(std::uint64_t digest, std::size_t consumer) {
         plan& p = expected_[digest];
@@ -147,14 +148,13 @@ public:
         return expected_.find(digest) != expected_.end();
     }
 
-    /// Owner node: run `compute` and publish its snapshot (or the
-    /// exception it threw) exactly once, before any consumer peeks.
-    /// Returns true when a snapshot was published — the slot's one
-    /// compute; a null (the flow halts before this stage) or a failure
+    /// Owner node: run `compute` and publish its donor (or the exception
+    /// it threw) exactly once, before any consumer peeks.  Returns true
+    /// when a donor was published — the slot's one compute; a failure
     /// (consumers rethrow it on attempt 1) is not one.
     template <typename Fn>
     bool publish(std::uint64_t digest, Fn&& compute) {
-        snapshot value;
+        donor_session value;
         std::exception_ptr error;
         try {
             value = compute();
@@ -169,15 +169,14 @@ public:
         it->second.value = value;
         it->second.error = error;
         it->second.done = true;
-        return value != nullptr;
+        return !error;
     }
 
-    /// A published slot as its consumers see it.  A null snapshot with no
-    /// error marks a flow that halts before this stage (so the adopting
-    /// scenario's will too).  `credited` is the slot's lowest planned
+    /// A published slot as its consumers see it: a donor or the owner's
+    /// exception, never neither.  `credited` is the slot's lowest planned
     /// consumer.
     struct published_view {
-        snapshot value;
+        donor_session value;
         std::exception_ptr error;
         std::size_t credited = std::numeric_limits<std::size_t>::max();
     };
@@ -214,7 +213,7 @@ private:
     struct slot {
         std::size_t remaining = 0;
         bool done = false;
-        snapshot value;
+        donor_session value;
         std::exception_ptr error;
     };
     std::mutex mutex_;
@@ -226,199 +225,100 @@ private:
 using stage_digests = std::array<std::uint64_t, shareable_stages.size()>;
 
 struct stage_pool {
-    stage_slot_map<bist::stimulus_output> stimulus;
-    stage_slot_map<bist::tx_capture_output> tx_capture;
-    stage_slot_map<bist::calibration_output> calibration;
-    stage_slot_map<bist::reconstruction_output> reconstruction;
+    /// One slot map per shareable prefix level.
+    std::array<stage_slot_map, shareable_stages.size()> levels;
 
     std::atomic<std::size_t> hits{0};
     std::atomic<std::size_t> computes{0};
 
-    /// Call `fn(slots, adopt, share, load)` with the slot map of prefix
-    /// level `level` and the session / store members for its stage.
-    template <typename Fn>
-    void at_level(int level, Fn&& fn) {
-        using S = bist::bist_session;
-        using store_t = bist::stage_snapshot_store;
-        switch (level) {
-        case 0:
-            fn(stimulus, &S::adopt_stimulus, &S::share_stimulus,
-               &store_t::load_stimulus);
-            break;
-        case 1:
-            fn(tx_capture, &S::adopt_tx_capture, &S::share_tx_capture,
-               &store_t::load_tx_capture);
-            break;
-        case 2:
-            fn(calibration, &S::adopt_calibration, &S::share_calibration,
-               &store_t::load_calibration);
-            break;
-        case 3:
-            fn(reconstruction, &S::adopt_reconstruction,
-               &S::share_reconstruction, &store_t::load_reconstruction);
-            break;
-        default:
-            SDRBIST_EXPECTS(false);
-        }
-    }
-
     void expect(const stage_digests& d, std::size_t consumer) {
-        for (int k = 0; k < shareable_levels; ++k)
-            at_level(k, [&](auto& slots, auto&&...) {
-                slots.expect(d[k], consumer);
-            });
+        for (std::size_t k = 0; k < levels.size(); ++k)
+            levels[k].expect(d[k], consumer);
     }
     void finalise_plan() {
-        for (int k = 0; k < shareable_levels; ++k)
-            at_level(k, [](auto& slots, auto&&...) { slots.finalise_plan(); });
+        for (auto& slots : levels)
+            slots.finalise_plan();
     }
     /// Deepest pooled prefix level of `d` (-1 = none).  The prefix-digest
     /// chain makes consumer sets monotone along the pipeline, so pooling
     /// always covers a contiguous prefix.
-    [[nodiscard]] int deepest_pooled(const stage_digests& d) {
+    [[nodiscard]] int deepest_pooled(const stage_digests& d) const {
         int deepest = -1;
-        for (int k = 0; k < shareable_levels; ++k) {
-            bool pooled = false;
-            at_level(k, [&](auto& slots, auto&&...) {
-                pooled = slots.pooled(d[k]);
-            });
-            if (!pooled)
-                break;
-            deepest = k;
-        }
+        for (std::size_t k = 0; k < levels.size() && levels[k].pooled(d[k]);
+             ++k)
+            deepest = static_cast<int>(k);
         return deepest;
     }
     void release(const stage_digests& d) {
-        for (int k = 0; k < shareable_levels; ++k)
-            at_level(k, [&](auto& slots, auto&&...) { slots.release(d[k]); });
+        for (std::size_t k = 0; k < levels.size(); ++k)
+            levels[k].release(d[k]);
     }
 };
 
-/// Finish a session against the stage-artefact store: adopt whatever the
-/// store already holds beyond the stages adopted so far, run the rest,
-/// and publish the stages this call actually computed (adopted ones are
-/// someone else's publication — the pool owner's, or a previous run's).
-/// Store adoption changes *where* a snapshot comes from, never what it
-/// is (equal digests, element-exact codec), so the report is untouched.
-/// With no store this is exactly session.run().
-void run_stages_with_store(bist::bist_session& session,
-                           bist::stage_snapshot_store* store) {
-    if (store == nullptr) {
-        session.run();
-        return;
-    }
-    session.adopt_from_store(*store);
-    std::array<bool, bist::stage_order.size()> had{};
-    for (const bist::stage s : bist::stage_order)
-        had[static_cast<std::size_t>(bist::stage_index(s))] =
-            session.completed(s);
-    session.run();
-    for (const bist::stage s : bist::stage_order)
-        if (!had[static_cast<std::size_t>(bist::stage_index(s))] &&
-            session.completed(s))
-            session.publish_to_store(*store, s);
-}
-
-/// Adopt the published pool slots of the first `levels` prefix stages of
-/// `digests` into `session`, in pipeline order (graph dependencies
-/// published them already).  Stops at the first stage that is not pooled,
-/// whose donor flow halted before it (a null snapshot: this session's
-/// flow halts there too), or whose owner failed — rethrowing that failure
-/// when `rethrow` is set.  `on_adopt(credited)` runs for every adopted
-/// slot with the slot's credited consumer.  Returns the stages adopted.
-template <typename OnAdopt>
-int adopt_published(bist::bist_session& session, stage_pool& pool,
-                     const stage_digests& digests, int levels, bool rethrow,
-                     OnAdopt&& on_adopt) {
-    int adopted = 0;
-    for (; adopted < levels; ++adopted) {
-        const std::uint64_t digest = digests[adopted];
-        bool ok = false;
-        pool.at_level(adopted, [&](auto& slots, auto adopt_fn, auto&&...) {
-            if (!slots.pooled(digest))
-                return;
-            const auto v = slots.peek(digest);
-            if (v.error && rethrow)
-                std::rethrow_exception(v.error);
-            if (!v.value)
-                return; // halted donor, or a failure this retry computes
-            on_adopt(v.credited);
-            (session.*adopt_fn)(v.value);
-            ok = true;
-        });
-        if (!ok)
-            break;
-    }
-    return adopted;
-}
-
 /// DAG owner node: compute pooled slot (`level`, `digests[level]`) on a
 /// session built from the owning scenario's materialised config — any
-/// consumer's would do, equal digests guarantee equal stage inputs —
-/// adopting the already published upstream slots.  Publishes the
-/// snapshot, a null (the flow halts before this stage; every consumer's
-/// halts identically), or the exception (consumers rethrow it as their own
-/// attempt-1 failure, so the retry path stays per-scenario).
-///
-/// With a stage-artefact store, the compute consults the store first: a
-/// hit publishes the decoded snapshot without touching the pipeline — and
-/// still counts as the compute, so the stage-reuse accounting is identical
-/// with the store cold, warm, or disabled (a store hit must publish a
-/// real snapshot: consumers read null as "the donor's flow halted").  A
-/// real compute persists its snapshot for the next run.
+/// consumer's would do, equal digests guarantee equal stage inputs — that
+/// adopts the level above's published donor and runs this level's stage
+/// through the store.  Publishes the session, or the exception (an
+/// upstream owner's included: consumers rethrow it as their own attempt-1
+/// failure, so the retry path stays per-scenario).
 void run_owner_node(const bist::bist_config& owner_config,
                     const stage_digests& digests, int level,
                     stage_pool& pool, bist::stage_snapshot_store* store) {
-    const bist::stage target = shareable_stages[level];
-    const std::uint64_t digest = digests[level];
-    pool.at_level(level, [&](auto& slots, auto, auto share_fn,
-                             auto load_fn) {
-        using snapshot = typename std::decay_t<decltype(slots)>::snapshot;
-        const bool computed = slots.publish(digest, [&]() -> snapshot {
-            if (store) {
-                if (auto cached = (store->*load_fn)(digest))
-                    return cached;
-            }
-            bist::bist_session session(owner_config);
-            if (adopt_published(session, pool, digests, level, true,
-                                [](std::size_t) {}) < level)
-                return nullptr; // upstream halted: cascade the null
-            session.run_until(target);
-            if (store && session.completed(target))
-                session.publish_to_store(*store, target);
-            return (session.*share_fn)();
-        });
-        if (computed) {
-            pool.computes.fetch_add(1, std::memory_order_relaxed);
-            telemetry::count(telemetry::counter::stage_computes);
+    const auto k = static_cast<std::size_t>(level);
+    const bool computed = pool.levels[k].publish(digests[k], [&] {
+        auto session = std::make_shared<bist::bist_session>(owner_config);
+        if (k > 0) {
+            const auto up = pool.levels[k - 1].peek(digests[k - 1]);
+            if (up.error)
+                std::rethrow_exception(up.error);
+            session->adopt_from(*up.value, shareable_stages[k - 1]);
         }
+        session->run_until(shareable_stages[k], store);
+        return donor_session(std::move(session));
     });
+    if (computed) {
+        pool.computes.fetch_add(1, std::memory_order_relaxed);
+        telemetry::count(telemetry::counter::stage_computes);
+    }
 }
 
 /// Run one scenario's pipeline under the dag schedule: every pooled
 /// prefix slot was published by its owner node before this runs, so
-/// adoption is a lock-peek, never a wait.  Attempt 1 inherits a failed
-/// owner's exception; retries stop adopting at the failed level and
-/// compute privately instead (the slot is not re-armed — transient faults
-/// stay per-attempt).  The credited consumer's adoption books no
+/// adoption is a lock-peek, never a wait.  The walk over the pooled levels
+/// books the reuse accounting and finds the deepest usable donor: attempt
+/// 1 inherits a failed owner's exception; retries stop at the failed level
+/// and compute privately instead (the slot is not re-armed — transient
+/// faults stay per-attempt).  The credited consumer's adoption books no
 /// `stage.adopts`: it stands in for the compute the owner node already
-/// booked.  Stages below the pooled prefix (never pooled, or nothing
-/// pooled at all) go through the stage-artefact store when one is
-/// attached.
+/// booked.  Stages below the adopted prefix go through the stage-artefact
+/// store when one is attached.
 bist::bist_report run_with_dag(const bist::bist_config& materialised,
                                const stage_digests& digests,
                                stage_pool& pool, std::size_t attempt,
                                std::size_t my_index,
                                bist::stage_snapshot_store* store) {
     bist::bist_session session(materialised);
-    adopt_published(session, pool, digests, shareable_levels, attempt <= 1,
-                    [&](std::size_t credited) {
-                        if (credited != my_index) {
-                            pool.hits.fetch_add(1, std::memory_order_relaxed);
-                            telemetry::count(telemetry::counter::stage_adopts);
-                        }
-                    });
-    run_stages_with_store(session, store);
+    donor_session donor;
+    std::size_t adopted = 0;
+    for (; adopted < pool.levels.size() &&
+           pool.levels[adopted].pooled(digests[adopted]);
+         ++adopted) {
+        const auto v = pool.levels[adopted].peek(digests[adopted]);
+        if (v.error) {
+            if (attempt <= 1)
+                std::rethrow_exception(v.error);
+            break;
+        }
+        if (v.credited != my_index) {
+            pool.hits.fetch_add(1, std::memory_order_relaxed);
+            telemetry::count(telemetry::counter::stage_adopts);
+        }
+        donor = v.value;
+    }
+    if (donor)
+        session.adopt_from(*donor, shareable_stages[adopted - 1]);
+    session.run_until(bist::stage::grading, store);
     return session.report();
 }
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <iterator>
 #include <list>
 #include <mutex>
 #include <optional>
@@ -62,16 +63,21 @@ struct coordinator::impl {
     bool done = false;
 
     /// One accepted connection and the thread serving it.  A list, so a
-    /// handler's reference to its own entry survives later accepts.
+    /// handler's reference to its own entry survives later accepts and
+    /// serve()'s splice.  `welcomed` is set once, under `conn_mu`, by the
+    /// handler that answered the connection's `hello`.
     struct connection {
         tcp_socket sock;
         std::thread thread;
+        bool welcomed = false;
     };
-    /// Guards `connections`, `serve_hooks` and every socket's close().
+    /// Guards `connections`, `serve_hooks`, every `welcomed` write and
+    /// every socket's close().
     std::mutex conn_mu;
     std::list<connection> connections;
     /// The hooks of the running serve(); null before it and once it has
-    /// taken its handlers to join, so later handlers get no hooks.
+    /// taken the welcomed handlers to join.  A handler reads it when it
+    /// accepts a `complete`: non-null then means serve() will join it.
     const run_hooks* serve_hooks = nullptr;
     std::thread reaper;   ///< started by serve()
     std::thread acceptor; ///< started by serve(), joined by ~coordinator
@@ -191,7 +197,6 @@ struct coordinator::impl {
     /// Connections that arrive after the grid completed still get a
     /// `welcome` and then `done`.
     void accept_loop() {
-        static const run_hooks no_hooks;
         while (!listener.stopped()) {
             tcp_socket sock = listener.accept(/*timeout_s=*/0.0);
             if (!sock.valid())
@@ -199,10 +204,9 @@ struct coordinator::impl {
             const std::lock_guard<std::mutex> lock(conn_mu);
             connection& c = connections.emplace_back();
             c.sock = std::move(sock);
-            const run_hooks& hooks = serve_hooks ? *serve_hooks : no_hooks;
             try {
-                c.thread = std::thread([this, &c, &hooks] {
-                    handle(c.sock, hooks);
+                c.thread = std::thread([this, &c] {
+                    handle(c);
                     const std::lock_guard<std::mutex> closing(conn_mu);
                     c.sock.close();
                 });
@@ -212,12 +216,12 @@ struct coordinator::impl {
         }
     }
 
-    void handle(tcp_socket& sock, const run_hooks& hooks) {
+    void handle(connection& c) {
+        tcp_socket& sock = c.sock;
         const std::uint64_t owner = next_owner.fetch_add(1) + 1;
         // Bound every recv so a silent peer cannot pin this thread (and
         // the final join) forever.
         sock.set_recv_timeout(std::max(2.0 * svc.timeout(), 2.0));
-        bool welcomed = false;
         try {
             for (;;) {
                 const json_value msg = recv_message(sock);
@@ -238,7 +242,10 @@ struct coordinator::impl {
                                       "coordinator's"));
                         return;
                     }
-                    welcomed = true;
+                    {
+                        const std::lock_guard<std::mutex> lock(conn_mu);
+                        c.welcomed = true;
+                    }
                     workers_seen.fetch_add(1, std::memory_order_relaxed);
                     json_object_writer o;
                     o.string_field("type", "welcome");
@@ -253,7 +260,7 @@ struct coordinator::impl {
                     send_frame(sock, o.str());
                     continue;
                 }
-                if (!welcomed) {
+                if (!c.welcomed) {
                     send_frame(sock, error_msg("hello required first"));
                     return;
                 }
@@ -294,10 +301,15 @@ struct coordinator::impl {
                         // Only accepted rows reach --jsonl, so the stream
                         // and the merge read the same rows.  The slot is
                         // final: the ledger accepts each lease once.
-                        if (hooks.on_scenario)
+                        const run_hooks* hooks = nullptr;
+                        {
+                            const std::lock_guard<std::mutex> lock(conn_mu);
+                            hooks = serve_hooks;
+                        }
+                        if (hooks && hooks->on_scenario)
                             for (const auto& row :
                                  lease_results[lease]->results)
-                                hooks.on_scenario(row);
+                                hooks->on_scenario(row);
                         notify(/*finished=*/ledger.all_complete());
                         send_frame(sock, simple_msg("ok"));
                     } else {
@@ -362,14 +374,21 @@ service_report coordinator::serve(const run_hooks& hooks) {
         im.wake_cv.wait(lock, [&im] { return im.done; });
     }
     im.reaper.join();
-    // Drain: handlers exit when their worker disconnects after "done" (or
-    // on their bounded recv timeout).  They may still be inside
-    // `hooks.on_scenario`, so join them all before `hooks` goes away.
+    // Drain: welcomed handlers exit when their worker disconnects after
+    // "done" (or on their bounded recv timeout).  They may still be inside
+    // `hooks.on_scenario`, so join them before `hooks` goes away.  A
+    // connection not welcomed by now holds no lease and never reads the
+    // hooks: like a late one, it is answered until ~coordinator.
     std::list<impl::connection> served;
     {
         const std::lock_guard<std::mutex> lock(im.conn_mu);
         im.serve_hooks = nullptr;
-        served.splice(served.end(), im.connections);
+        for (auto it = im.connections.begin(); it != im.connections.end();) {
+            const auto next = std::next(it);
+            if (it->welcomed)
+                served.splice(served.end(), im.connections, it);
+            it = next;
+        }
     }
     for (auto& c : served)
         c.thread.join();

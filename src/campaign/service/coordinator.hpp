@@ -89,14 +89,17 @@ public:
 
     /// Serve workers until every lease completes, then merge and return;
     /// call it at most once.  It returns as soon as the last lease is
-    /// accepted and every handler that started before then has finished
-    /// (their workers hang up after `done`).  `hooks.on_scenario` fires
-    /// once per grid row, for the rows of each `complete` the ledger
+    /// accepted and every connection that completed `hello` before then
+    /// has finished (its worker hangs up after `done`).  A connection not
+    /// welcomed by then holds no lease, so it is not waited for: like a
+    /// late one, it is answered until ~coordinator.  `hooks.on_scenario`
+    /// fires once per grid row, for the rows of each `complete` the ledger
     /// accepts, so `--jsonl` carries exactly the rows the merge reads.
     /// Like a local run's, calls may be concurrent (one per connection
-    /// handler); the callee synchronises.  Handlers that start after
-    /// `serve()` returned get no hooks; they can never accept a
-    /// `complete`, because the ledger is already complete.
+    /// handler); the callee synchronises.  A handler reads the hooks when
+    /// it accepts a `complete`; once `serve()` has stopped waiting for
+    /// handlers it finds none, and it can never accept a `complete` then,
+    /// because the ledger is already complete.
     service_report serve(const run_hooks& hooks = {});
 
 private:

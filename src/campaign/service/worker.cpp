@@ -116,11 +116,8 @@ worker_report run_worker(campaign_config grid, const service_config& svc) {
         const std::string type = reply.at("type").as_string();
         if (type == "done")
             break;
-        if (type == "wait") {
-            std::this_thread::sleep_for(std::chrono::duration<double>(
-                std::clamp(cadence.heartbeat_s / 2.0, 0.05, 0.5)));
-            continue;
-        }
+        if (type == "wait")
+            continue; // held for a full beat already: ask again at once
         if (type == "error")
             throw contract_violation("coordinator error: " +
                                      reply.at("what").as_string());

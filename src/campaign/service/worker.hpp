@@ -30,7 +30,8 @@
 /// never gets a lease still leaves its journal, header included.
 ///
 /// A `wait` reply means the coordinator held the request for a full beat
-/// period without a grant; the worker naps briefly and asks again.
+/// period without a grant; the worker asks again at once (the hold is the
+/// pacing, so there is nothing to nap for).
 #pragma once
 
 #include <cstddef>

@@ -8,12 +8,15 @@
 //    must equal the monolith's artefact records element-exactly.  This is
 //    the same retained-reference idiom the fast kernels use (the
 //    yardsticks in tests/support/).
-// 2. Session mechanics: run_until/resume, reconfigure-keeps-upstream,
-//    adopt (shared-stage reuse), and the per-stage digest slicing the
-//    campaign runner's stage pool relies on.
+// 2. Session mechanics: run_until/resume, adopt_from (shared-stage reuse),
+//    run_until through a snapshot store, and the per-stage digest slicing
+//    the campaign runner's stage pool relies on.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <map>
+#include <memory>
 
 #include "bist/config_canonical.hpp"
 #include "bist/faults.hpp"
@@ -381,7 +384,6 @@ TEST(PipelineSession, RunUntilStopsAndResumes) {
     EXPECT_FALSE(session.completed(stage::grading));
     EXPECT_THROW(static_cast<void>(session.reconstruction()),
                  contract_violation);
-    EXPECT_FALSE(session.halted());
 
     // The partial report carries exactly the completed stages' fields.
     const auto partial = session.report();
@@ -397,39 +399,142 @@ TEST(PipelineSession, RunUntilStopsAndResumes) {
               campaign::report_json(one_shot));
 }
 
-TEST(PipelineSession, ReconfigureKeepsProvablyUnchangedStages) {
+TEST(PipelineSession, AdoptFromKeepsProvablyUnchangedStages) {
     auto cfg = golden_config();
-    bist_session session(cfg);
-    session.run();
-    const auto stim_before = session.share_stimulus();
-    const auto recon_before = session.share_reconstruction();
+    bist_session donor(cfg);
+    donor.run();
 
-    // A grading-only change: everything up to reconstruction survives
+    // A grading-only change: everything up to reconstruction is shared
     // (same objects, not recomputed equals).
     auto graded = cfg;
     graded.evm_limit_percent = 1.0;
     graded.preset.mask = waveform::make_strict_mask(10e6, 0.5);
-    session.reconfigure(graded);
-    EXPECT_TRUE(session.completed(stage::reconstruction));
-    EXPECT_FALSE(session.completed(stage::grading));
-    EXPECT_EQ(session.share_stimulus(), stim_before);
-    EXPECT_EQ(session.share_reconstruction(), recon_before);
+    bist_session adopted(graded);
+    adopted.adopt_from(donor, stage::reconstruction);
+    EXPECT_TRUE(adopted.completed(stage::reconstruction));
+    EXPECT_FALSE(adopted.completed(stage::grading));
+    EXPECT_EQ(&adopted.stimulus(), &donor.stimulus());
+    EXPECT_EQ(&adopted.reconstruction(), &donor.reconstruction());
 
-    session.run();
-    EXPECT_EQ(campaign::report_json(session.report()),
+    adopted.run();
+    EXPECT_EQ(campaign::report_json(adopted.report()),
               campaign::report_json(bist_engine(graded).run()));
 
-    // An upstream change (different Tx seed) keeps only the stimulus.
+    // An upstream change (different Tx seed) shares only the stimulus, and
+    // adopting it drops the adopting session's own downstream stages.
     auto reseeded = graded;
     reseeded.tx.seed = 0x1234;
-    session.reconfigure(reseeded);
+    bist_session session(reseeded);
+    session.run_until(stage::calibration);
+    session.adopt_from(donor, stage::stimulus);
     EXPECT_TRUE(session.completed(stage::stimulus));
     EXPECT_FALSE(session.completed(stage::tx_capture));
-    EXPECT_EQ(session.share_stimulus(), stim_before);
+    EXPECT_EQ(&session.stimulus(), &donor.stimulus());
 
     session.run();
     EXPECT_EQ(campaign::report_json(session.report()),
               campaign::report_json(bist_engine(reseeded).run()));
+}
+
+/// In-memory snapshot store that tallies its traffic per stage.
+class counting_store final : public stage_snapshot_store {
+public:
+    std::array<int, stage_order.size()> loads{};
+    std::array<int, stage_order.size()> stores{};
+
+    std::shared_ptr<const stimulus_output>
+    load_stimulus(std::uint64_t d) override {
+        return find(stimulus_, d, stage::stimulus);
+    }
+    std::shared_ptr<const tx_capture_output>
+    load_tx_capture(std::uint64_t d) override {
+        return find(tx_capture_, d, stage::tx_capture);
+    }
+    std::shared_ptr<const calibration_output>
+    load_calibration(std::uint64_t d) override {
+        return find(calibration_, d, stage::calibration);
+    }
+    std::shared_ptr<const reconstruction_output>
+    load_reconstruction(std::uint64_t d) override {
+        return find(reconstruction_, d, stage::reconstruction);
+    }
+    std::shared_ptr<const grading_output>
+    load_grading(std::uint64_t d) override {
+        return find(grading_, d, stage::grading);
+    }
+
+    void store_stimulus(std::uint64_t d, const stimulus_output& o) override {
+        keep(stimulus_, d, o, stage::stimulus);
+    }
+    void store_tx_capture(std::uint64_t d,
+                          const tx_capture_output& o) override {
+        keep(tx_capture_, d, o, stage::tx_capture);
+    }
+    void store_calibration(std::uint64_t d,
+                           const calibration_output& o) override {
+        keep(calibration_, d, o, stage::calibration);
+    }
+    void store_reconstruction(std::uint64_t d,
+                              const reconstruction_output& o) override {
+        keep(reconstruction_, d, o, stage::reconstruction);
+    }
+    void store_grading(std::uint64_t d, const grading_output& o) override {
+        keep(grading_, d, o, stage::grading);
+    }
+
+private:
+    template <typename T>
+    using entries = std::map<std::uint64_t, std::shared_ptr<const T>>;
+
+    template <typename T>
+    std::shared_ptr<const T> find(const entries<T>& m, std::uint64_t d,
+                                  stage s) {
+        ++loads[static_cast<std::size_t>(stage_index(s))];
+        const auto it = m.find(d);
+        return it == m.end() ? nullptr : it->second;
+    }
+    template <typename T>
+    void keep(entries<T>& m, std::uint64_t d, const T& o, stage s) {
+        ++stores[static_cast<std::size_t>(stage_index(s))];
+        m[d] = std::make_shared<const T>(o);
+    }
+
+    entries<stimulus_output> stimulus_;
+    entries<tx_capture_output> tx_capture_;
+    entries<calibration_output> calibration_;
+    entries<reconstruction_output> reconstruction_;
+    entries<grading_output> grading_;
+};
+
+TEST(PipelineSession, RunUntilAdoptsStoredPrefixAndPublishesWhatItComputes) {
+    const auto cfg = golden_config();
+    counting_store store;
+
+    // Cold: one lookup misses, then every stage through the target is
+    // computed and published.
+    bist_session cold(cfg);
+    EXPECT_TRUE(cold.run_until(stage::calibration, &store));
+    EXPECT_EQ(store.loads, (std::array<int, 5>{1, 0, 0, 0, 0}));
+    EXPECT_EQ(store.stores, (std::array<int, 5>{1, 1, 1, 0, 0}));
+
+    // Warm: the stored prefix is adopted up to the first miss, and only the
+    // stages computed after it are published.
+    store.loads = store.stores = {};
+    bist_session warm(cfg);
+    EXPECT_TRUE(warm.run_until(stage::grading, &store));
+    EXPECT_EQ(store.loads, (std::array<int, 5>{1, 1, 1, 1, 0}));
+    EXPECT_EQ(store.stores, (std::array<int, 5>{0, 0, 0, 1, 1}));
+    EXPECT_EQ(campaign::report_json(warm.report()),
+              campaign::report_json(bist_engine(cfg).run()));
+
+    // Stages already complete are neither looked up nor published.
+    store.loads = store.stores = {};
+    bist_session adopted(cfg);
+    adopted.adopt_from(warm, stage::tx_capture);
+    EXPECT_TRUE(adopted.run_until(stage::grading, &store));
+    EXPECT_EQ(store.loads, (std::array<int, 5>{0, 0, 1, 1, 1}));
+    EXPECT_EQ(store.stores, (std::array<int, 5>{0, 0, 0, 0, 0}));
+    EXPECT_EQ(&adopted.tx_capture(), &warm.tx_capture());
 }
 
 TEST(PipelineSession, AdoptedPrefixMatchesIsolatedRunBitForBit) {
@@ -451,10 +556,7 @@ TEST(PipelineSession, AdoptedPrefixMatchesIsolatedRunBitForBit) {
     donor.run();
 
     bist_session adopted(downstream);
-    adopted.adopt_stimulus(donor.share_stimulus());
-    adopted.adopt_tx_capture(donor.share_tx_capture());
-    adopted.adopt_calibration(donor.share_calibration());
-    adopted.adopt_reconstruction(donor.share_reconstruction());
+    adopted.adopt_from(donor, stage::reconstruction);
     adopted.run();
 
     EXPECT_EQ(campaign::report_json(adopted.report()),

@@ -11,8 +11,9 @@
 // that one connection instead of reaching an out-of-range conversion or
 // the merge.  `--jsonl` streaming sees only rows of accepted leases.
 // Event-driven serving: a worker that connects after the grid completed
-// is told `done` at once and still leaves its journal, and a held request
-// takes a re-queued lease as soon as its holder hangs up.
+// is told `done` at once and still leaves its journal, a connection that
+// never says `hello` does not hold serve(), and a held request takes a
+// re-queued lease as soon as its holder hangs up.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -621,6 +622,28 @@ TEST(CampaignService, ZeroLeaseWorkerLeavesJournal) {
     const journal_replay replay = read_journal(late_cfg.journal_path);
     EXPECT_EQ(replay.identity, campaign_identity(late_cfg));
     EXPECT_TRUE(replay.rows.empty());
+}
+
+/// A connection that never sends a byte was never welcomed and holds no
+/// lease, so serve() must not wait for it: with a 30 s beat its handler's
+/// receive bound is 180 s, far beyond the 5 s allowed.
+TEST(CampaignService, SilentConnectionDoesNotHoldServe) {
+    service_config svc;
+    svc.heartbeat_s = 30.0;
+    coordinator coord(small_grid(), svc);
+    svc.port = coord.port();
+    auto served = std::async(std::launch::async, [&] { return coord.serve(); });
+
+    const tcp_socket silent = tcp_connect("127.0.0.1", svc.port);
+    // Give the accept loop time to take the silent connection first.
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    const worker_report wr = run_worker(small_grid(), svc);
+    const auto t0 = std::chrono::steady_clock::now();
+    const service_report report = served.get();
+    EXPECT_LT(seconds_since(t0), 5.0);
+    EXPECT_EQ(wr.rows, 4u);
+    EXPECT_EQ(report.result.results.size(), 4u);
+    EXPECT_EQ(report.workers_seen, 1u);
 }
 
 /// A request that cannot be granted is held, and the re-queue of a dead

@@ -184,6 +184,36 @@ TEST(StageReuse, LookupPhaseTransientIsRetriedByItsRow) {
     }
 }
 
+TEST(StageReuse, FailedOwnerFailsEveryConsumerOnceThenRetriesPrivately) {
+    // 1 preset x 3 faults x 2 probe trials: every row shares the stimulus
+    // slot and each fault's two trials share a tx_capture slot.  The
+    // stimulus owner node is the first arrival at the stimulus stage, so
+    // the armed fault fails it; the tx_capture owners inherit that failure.
+    // Every consumer rethrows it on attempt 1 and its retry computes
+    // privately, adopting nothing.
+    const quiet_globals quiet;
+    auto cfg = reuse_campaign();
+    cfg.presets = {waveform::find_preset("paper-qpsk-10M")};
+    cfg.faults = {bist::fault_kind::none, bist::fault_kind::pa_gain_drop,
+                  bist::fault_kind::iq_imbalance};
+    const std::string clean = timing_free(campaign_runner(cfg).run());
+
+    fi::arm("stage.stimulus:throw-transient:count=1");
+    const auto faulted = campaign_runner(cfg).run();
+    fi::disarm();
+
+    EXPECT_EQ(timing_free(faulted), clean);
+    ASSERT_EQ(faulted.results.size(), 6u);
+    for (const auto& r : faulted.results) {
+        EXPECT_EQ(r.attempts, 2u) << "scenario " << r.sc.index;
+        EXPECT_FALSE(r.engine_error) << "scenario " << r.sc.index;
+    }
+    EXPECT_EQ(faulted.scenario_retries, 6u);
+    EXPECT_EQ(faulted.scenario_gave_up, 0u);
+    EXPECT_EQ(faulted.stage_reuse_hits, 0u);
+    EXPECT_EQ(faulted.stage_reuse_computes, 0u);
+}
+
 TEST(StageReuse, DeviceReseedHasNoOverlapToPool) {
     // Fully device-reseeded trials are distinct devices: every tx_capture
     // digest is unique, so only the (preset-wide) stimulus stage pools.
