@@ -31,10 +31,12 @@
 //    dqpsk-1M preset's shape (sps ≈ 14.9, α = 0.35).
 //
 //  * Dual-rate cost — calib::dual_rate_cost (even sums precomputed once,
-//    only the odd stream read per hypothesis) against the direct
-//    per-evaluation reconstruction of both captures
-//    (tests/support/skew_cost_yardstick.hpp), per cost evaluation, at the
-//    paper's shape (90 + 45 MHz captures, 300 probes, 61 taps).
+//    odd-stream row sums filled on first use) driven by Algorithm 1 from
+//    d0 = m/2 on a fresh cost per repetition, so every repetition pays the
+//    build and the row-sum fills a calibration pays; per cost evaluation
+//    against the direct per-evaluation reconstruction of both captures
+//    (tests/support/skew_cost_yardstick.hpp), at the paper's shape (90 +
+//    45 MHz captures, 300 probes, 61 taps).
 //
 //  * SIMD backend primitives — every compiled-in, CPU-supported kernel
 //    backend (scalar/AVX2/NEON) timed on the primitive shapes the hot
@@ -55,6 +57,7 @@
 #include "bench_util.hpp"
 #include "bist/spectrum.hpp"
 #include "calib/dual_rate.hpp"
+#include "calib/lms.hpp"
 #include "core/math_util.hpp"
 #include "core/random.hpp"
 #include "core/simd/kernel_backend.hpp"
@@ -551,9 +554,13 @@ void bench_pnbs_table(std::size_t reads, int reps) {
 
 /// Dual-rate cost bench at the paper's shape: noise-free dual-rate captures
 /// of a multitone (1 GHz carrier, 90 MHz fast band, 45 MHz slow band, D =
-/// 180 ps), 300 probes, 61 taps, evaluated at `hypotheses` D̂ spread over
-/// ]0.1·m, 0.9·m[ — the LMS search's range.  The error is the largest
-/// |factored - yardstick| over the yardstick's cost.
+/// 180 ps), 300 probes, 61 taps.  Timed: a fresh cost's build, and build
+/// plus lms_skew_estimator::minimise from d0 = m/2 (the calibration
+/// stage's path); us_per_eval is the LMS run's time beyond the build over
+/// its cost evaluations.  The yardstick and the error use `hypotheses` D̂
+/// spread over ]0.1·m, 0.9·m[ — the LMS search's range — on a fresh cost;
+/// the error is the largest |factored - yardstick| over the yardstick's
+/// cost.
 void bench_dual_rate_cost(std::size_t hypotheses, int reps) {
     const double fc = 1.0 * GHz;
     const double b = 90.0 * MHz;
@@ -602,16 +609,26 @@ void bench_dual_rate_cost(std::size_t hypotheses, int reps) {
     }
     const double evals = static_cast<double>(d_hat.size());
 
-    const calib::dual_rate_cost cost(cap, probes, opt);
-    std::vector<double> fast(d_hat.size()), ref(d_hat.size());
     const double s_build = best_seconds(
         [&] { (void)calib::dual_rate_cost(cap, probes, opt); }, reps);
-    const double s_fast = best_seconds(
+    const calib::lms_skew_estimator estimator;
+    std::size_t lms_evals = 0;
+    const double s_lms = best_seconds(
         [&] {
-            for (std::size_t i = 0; i < d_hat.size(); ++i)
-                fast[i] = cost(d_hat[i]);
+            const calib::dual_rate_cost cost(cap, probes, opt);
+            lms_evals = estimator
+                            .minimise([&](double d) { return cost(d); },
+                                      0.5 * m, m)
+                            .cost_evaluations;
         },
         reps);
+    const double s_eval =
+        (s_lms - s_build) / static_cast<double>(lms_evals);
+
+    std::vector<double> fast(d_hat.size()), ref(d_hat.size());
+    const calib::dual_rate_cost cost(cap, probes, opt);
+    for (std::size_t i = 0; i < d_hat.size(); ++i)
+        fast[i] = cost(d_hat[i]);
     const double s_ref = best_seconds(
         [&] {
             for (std::size_t i = 0; i < d_hat.size(); ++i)
@@ -619,6 +636,7 @@ void bench_dual_rate_cost(std::size_t hypotheses, int reps) {
                                                                probes, opt);
         },
         reps);
+    const double s_ref_eval = s_ref / evals;
     double worst = 0.0;
     for (std::size_t i = 0; i < d_hat.size(); ++i)
         worst = std::max(worst, std::abs(fast[i] - ref[i]) / ref[i]);
@@ -629,22 +647,25 @@ void bench_dual_rate_cost(std::size_t hypotheses, int reps) {
     rec.add("probes", probes.size());
     rec.add("taps", opt.taps);
     rec.add("hypotheses", d_hat.size());
-    rec.add("us_per_eval", 1e6 * s_fast / evals);
-    rec.add("yardstick_us_per_eval", 1e6 * s_ref / evals);
+    rec.add("lms_evals", lms_evals);
+    rec.add("lms_us", 1e6 * s_lms);
+    rec.add("us_per_eval", 1e6 * s_eval);
+    rec.add("yardstick_us_per_eval", 1e6 * s_ref_eval);
     rec.add("build_us", 1e6 * s_build);
-    rec.add("speedup", s_ref / s_fast);
+    rec.add("speedup", s_ref_eval / s_eval);
     rec.add("max_rel_error", worst);
     benchutil::emit_bench_json("perf_hotpath", rec);
 
-    std::cout << "dual-rate cost: " << 1e6 * s_ref / evals << " -> "
-              << 1e6 * s_fast / evals << " us/evaluation  (x"
-              << s_ref / s_fast << ", build " << 1e6 * s_build
+    std::cout << "dual-rate cost: " << 1e6 * s_ref_eval << " -> "
+              << 1e6 * s_eval << " us/evaluation  (x" << s_ref_eval / s_eval
+              << "; fresh cost + LMS " << 1e6 * s_lms << " us over "
+              << lms_evals << " evaluations, build " << 1e6 * s_build
               << " us, max rel err " << worst << ")\n";
 }
 
 /// Per-backend primitive bench: every CPU-supported backend timed on the
-/// kernel shapes the hot paths dispatch to (64-tap polyphase blends,
-/// 4096-sample capture records),
+/// kernel shapes the hot paths dispatch to (61-tap PNBS row sums, 64-tap
+/// polyphase blends, 4096-sample capture records),
 /// reported as speedup of each kernel vs the scalar backend.  One
 /// BENCH_JSON record per backend.
 void bench_backend_kernels(int reps) {
@@ -654,6 +675,8 @@ void bench_backend_kernels(int reps) {
     rng gen(0x51BD);
     // Interpolator shape: 2·half_taps = 64 taps, 4 consecutive LUT rows.
     const std::size_t n_blend = 64;
+    // LMS row-sum shape: one 61-tap PNBS table row.
+    const std::size_t n_dot = 61;
     const auto rows = gen.uniform_vector(4 * n_blend, -1.0, 1.0);
     const auto w = gen.uniform_vector(4, -1.0, 1.0);
     const auto xr = gen.uniform_vector(n_blend, -1.0, 1.0);
@@ -681,6 +704,7 @@ void bench_backend_kernels(int reps) {
     double sink = 0.0;
 
     struct timing {
+        double dot_ns = 0.0;        // per tap
         double blend_ns = 0.0;      // per tap
         double blend_cplx_ns = 0.0; // per tap
         double quantize_ns = 0.0;   // per sample
@@ -688,6 +712,15 @@ void bench_backend_kernels(int reps) {
     };
     auto time_backend = [&](const kernel_ops& ops) {
         timing t;
+        t.dot_ns =
+            1e9 *
+            best_seconds(
+                [&] {
+                    for (int k = 0; k < calls; ++k)
+                        sink += ops.dot(xr.data(), rows.data(), n_dot);
+                },
+                reps) /
+            (static_cast<double>(calls) * static_cast<double>(n_dot));
         t.blend_ns =
             1e9 *
             best_seconds(
@@ -744,6 +777,7 @@ void bench_backend_kernels(int reps) {
                              ? scalar_t
                              : time_backend(*ops);
         const double speedups[] = {
+            scalar_t.dot_ns / t.dot_ns,
             scalar_t.blend_ns / t.blend_ns,
             scalar_t.blend_cplx_ns / t.blend_cplx_ns,
             scalar_t.quantize_ns / t.quantize_ns,
@@ -758,21 +792,24 @@ void bench_backend_kernels(int reps) {
         rec.add("dispatched",
                 std::size_t{std::strcmp(ops->name, dispatched) == 0 ? 1u
                                                                     : 0u});
+        rec.add("dot_ns_per_tap", t.dot_ns);
         rec.add("blend_dot_ns_per_tap", t.blend_ns);
         rec.add("blend_dot_cplx_ns_per_tap", t.blend_cplx_ns);
         rec.add("quantize_ns_per_sample", t.quantize_ns);
         rec.add("carrier_mix_ns_per_sample", t.mix_ns);
-        rec.add("blend_dot_speedup", speedups[0]);
-        rec.add("blend_dot_cplx_speedup", speedups[1]);
-        rec.add("quantize_speedup", speedups[2]);
-        rec.add("carrier_mix_speedup", speedups[3]);
+        rec.add("dot_speedup", speedups[0]);
+        rec.add("blend_dot_speedup", speedups[1]);
+        rec.add("blend_dot_cplx_speedup", speedups[2]);
+        rec.add("quantize_speedup", speedups[3]);
+        rec.add("carrier_mix_speedup", speedups[4]);
         rec.add("best_speedup", best);
         benchutil::emit_bench_json("perf_hotpath", rec);
 
-        std::cout << "backend " << ops->name << ": blend x" << speedups[0]
-                  << ", blend_cplx x" << speedups[1] << ", quantize x"
-                  << speedups[2] << ", mix x" << speedups[3] << "  (best x"
-                  << best << ")\n";
+        std::cout << "backend " << ops->name << ": dot x" << speedups[0]
+                  << ", blend x" << speedups[1] << ", blend_cplx x"
+                  << speedups[2] << ", quantize x" << speedups[3]
+                  << ", mix x" << speedups[4] << "  (best x" << best
+                  << ")\n";
     }
     if (sink == 42.25) // defeat dead-code elimination of the timed loops
         std::cout << "";

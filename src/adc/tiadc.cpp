@@ -1,5 +1,8 @@
 #include "adc/tiadc.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "core/contracts.hpp"
 
 namespace sdrbist::adc {
@@ -37,7 +40,6 @@ ranging_result bp_tiadc::auto_range(const rf::passband_signal& x,
                                     double t_start, std::size_t n,
                                     double headroom) {
     SDRBIST_EXPECTS(n >= 16);
-    SDRBIST_EXPECTS(headroom > 0.0 && headroom < 1.0);
     // Coarse asynchronous peak scan: sample faster than the channel rate to
     // catch envelope peaks (8 points per channel period, offset-free).
     // One batch request so the signal's whole-record path is used.
@@ -45,9 +47,22 @@ ranging_result bp_tiadc::auto_range(const rf::passband_signal& x,
     std::vector<double> t(8 * n);
     for (std::size_t k = 0; k < t.size(); ++k)
         t[k] = t_start + static_cast<double>(k) * dt;
+    nonuniform_capture scan;
+    scan.even = x.values(t);
+    return range({&scan}, headroom);
+}
+
+ranging_result
+bp_tiadc::range(std::initializer_list<const nonuniform_capture*> analog,
+                double headroom) {
+    SDRBIST_EXPECTS(headroom > 0.0 && headroom < 1.0);
     double peak = 0.0;
-    for (double v : x.values(t))
-        peak = std::max(peak, std::abs(v));
+    for (const nonuniform_capture* rec : analog) {
+        for (const double v : rec->even)
+            peak = std::max(peak, std::abs(v));
+        for (const double v : rec->odd)
+            peak = std::max(peak, std::abs(v));
+    }
     SDRBIST_EXPECTS(peak > 0.0);
 
     ranging_result r;
@@ -58,16 +73,10 @@ ranging_result bp_tiadc::auto_range(const rf::passband_signal& x,
     return r;
 }
 
-nonuniform_capture bp_tiadc::capture(const rf::passband_signal& x,
-                                     double t_start, std::size_t n,
-                                     std::uint64_t capture_index) const {
-    return capture_divided(x, t_start, n, 1, capture_index);
-}
-
-nonuniform_capture
-bp_tiadc::capture_divided(const rf::passband_signal& x, double t_start,
-                          std::size_t n, std::size_t rate_divider,
-                          std::uint64_t capture_index) const {
+nonuniform_capture bp_tiadc::sample(const rf::passband_signal& x,
+                                    double t_start, std::size_t n,
+                                    std::size_t rate_divider,
+                                    std::uint64_t capture_index) const {
     SDRBIST_EXPECTS(n >= 2);
     SDRBIST_EXPECTS(rate_divider >= 1);
     const double period =
@@ -91,11 +100,30 @@ bp_tiadc::capture_divided(const rf::passband_signal& x, double t_start,
     cap.t_start = t_start;
     cap.true_delay_s = d_true;
     // Whole-record batch evaluation: one signal request per channel
-    // instead of one virtual call per instant, then one SIMD quantisation
-    // pass per record.
-    cap.even = quant0_.process_scaled(x.values(t0), input_scale_);
-    cap.odd = quant1_.process_scaled(x.values(t1), input_scale_);
+    // instead of one virtual call per instant.
+    cap.even = x.values(t0);
+    cap.odd = x.values(t1);
     return cap;
+}
+
+nonuniform_capture bp_tiadc::quantize(nonuniform_capture analog) const {
+    // One SIMD quantisation pass per record.
+    analog.even = quant0_.process_scaled(analog.even, input_scale_);
+    analog.odd = quant1_.process_scaled(analog.odd, input_scale_);
+    return analog;
+}
+
+nonuniform_capture bp_tiadc::capture(const rf::passband_signal& x,
+                                     double t_start, std::size_t n,
+                                     std::uint64_t capture_index) const {
+    return capture_divided(x, t_start, n, 1, capture_index);
+}
+
+nonuniform_capture
+bp_tiadc::capture_divided(const rf::passband_signal& x, double t_start,
+                          std::size_t n, std::size_t rate_divider,
+                          std::uint64_t capture_index) const {
+    return quantize(sample(x, t_start, n, rate_divider, capture_index));
 }
 
 } // namespace sdrbist::adc

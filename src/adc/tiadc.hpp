@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "adc/clock.hpp"
@@ -42,14 +43,21 @@ struct tiadc_config {
     std::uint64_t seed = 0xADC0; ///< jitter seed base
 };
 
-/// Result of the auto-ranging step (see bp_tiadc::auto_range).
+/// Result of a ranging step (see bp_tiadc::range).
 struct ranging_result {
     double input_scale = 1.0; ///< attenuator setting chosen
-    double observed_peak = 0.0;
+    double observed_peak = 0.0; ///< largest |sample| before the attenuator
     bool clipped = false; ///< peak exceeded full scale before ranging
 };
 
 /// Two-channel nonuniform sampler.
+///
+/// A capture is two steps: `sample` evaluates the analog input at the
+/// jittered clock edges of both channels, and `quantize` passes those
+/// records through the front-end attenuator and the converters.  Ranging
+/// sits between them: `range` takes the peak of the records the BIST is
+/// about to quantise, so the attenuator is set from exactly the instants
+/// the converters see (no separate scan of the input).
 class bp_tiadc {
 public:
     explicit bp_tiadc(tiadc_config config);
@@ -67,14 +75,38 @@ public:
     void set_input_scale(double scale);
     [[nodiscard]] double input_scale() const { return input_scale_; }
 
-    /// Auto-ranging: take a coarse peak measurement of x and choose the
-    /// attenuation that places the peak at `headroom` of full scale.
+    /// The analog channel records of a capture at rate B / `rate_divider`:
+    /// x at n jittered edges per channel from t_start, before the
+    /// attenuator and the converters.  `capture_index` decorrelates the
+    /// jitter streams of repeated captures (each hardware capture sees
+    /// fresh jitter); the draws do not depend on the attenuator.
+    [[nodiscard]] nonuniform_capture sample(const rf::passband_signal& x,
+                                            double t_start, std::size_t n,
+                                            std::size_t rate_divider,
+                                            std::uint64_t capture_index) const;
+
+    /// Ranging on sampled records: set the attenuator so that the largest
+    /// |sample| over every record in `analog` (both channels of each)
+    /// lands at `headroom` of full scale.  `observed_peak` is that
+    /// largest |sample|, and `clipped` says it exceeded full scale.
+    ranging_result
+    range(std::initializer_list<const nonuniform_capture*> analog,
+          double headroom = 0.7);
+
+    /// The converters' records of sampled records: each channel through
+    /// the attenuator and its quantiser.
+    [[nodiscard]] nonuniform_capture quantize(nonuniform_capture analog) const;
+
+    /// Scan ranging: the peak of x at 8 points per channel period over n
+    /// channel periods from t_start, then the attenuation placing it at
+    /// `headroom` of full scale.  The pipeline ranges on its captured
+    /// records instead (see range); this scan is kept for the benchmark's
+    /// replay of the older capture layer.
     ranging_result auto_range(const rf::passband_signal& x, double t_start,
                               std::size_t n, double headroom = 0.7);
 
-    /// Capture n samples per channel starting at t_start.
-    /// `capture_index` decorrelates the jitter streams of repeated captures
-    /// (each hardware capture sees fresh jitter).
+    /// Capture n samples per channel starting at t_start:
+    /// quantize(sample(x, t_start, n, 1, capture_index)).
     [[nodiscard]] nonuniform_capture capture(const rf::passband_signal& x,
                                              double t_start, std::size_t n,
                                              std::uint64_t capture_index = 0) const;

@@ -157,8 +157,8 @@ tx_capture_output run_tx_capture(const bist_config& config,
     out.programmed_delay_s = config.dcde_target_delay_s;
 
     // Estimation-phase dual-rate capture of the calibration waveform.
-    // Start after the pulse shaper's leading transient so the ranging scan
-    // and the record see the waveform at its steady level.
+    // Start after the pulse shaper's leading transient so the records see
+    // the waveform at its steady level.
     const double cal_ramp =
         static_cast<double>(stim.calibration.shaper_delay_samples) /
         stim.calibration.sample_rate;
@@ -173,16 +173,17 @@ tx_capture_output run_tx_capture(const bist_config& config,
     SDRBIST_EXPECTS(cal_t_start + static_cast<double>(cal_samples) / b <
                     out.capture_input->end_time());
 
+    // Both records are sampled first and ranged together: one attenuator
+    // setting puts the larger of their peaks at the ranging headroom.
+    auto fast = sampler.sample(*out.capture_input, cal_t_start, cal_samples,
+                               1, /*capture*/ 0);
+    auto slow = sampler.sample(*out.capture_input, cal_t_start,
+                               cal_samples / config.slow_divider,
+                               config.slow_divider, /*capture*/ 1);
     if (config.auto_range)
-        out.ranging =
-            sampler.auto_range(*out.capture_input, cal_t_start, cal_samples);
-
-    out.capture.fast = sampler.capture(*out.capture_input, cal_t_start,
-                                       cal_samples, /*capture*/ 0);
-    out.capture.slow = sampler.capture_divided(
-        *out.capture_input, cal_t_start, cal_samples / config.slow_divider,
-        config.slow_divider,
-        /*capture*/ 1);
+        out.ranging = sampler.range({&fast, &slow});
+    out.capture.fast = sampler.quantize(std::move(fast));
+    out.capture.slow = sampler.quantize(std::move(slow));
     out.capture.band_fast = stim.plan.fast;
     out.capture.band_slow = stim.plan.slow;
 
@@ -243,12 +244,11 @@ reconstruction_output run_reconstruction(const bist_config& config,
                     cap.spectrum_input->end_time());
 
     adc::bp_tiadc sampler = make_programmed_sampler(config);
+    auto spectrum = sampler.sample(*cap.spectrum_input, spec_t_start,
+                                   spec_samples, 1, /*capture*/ 2);
     if (config.auto_range)
-        out.spectrum_ranging = sampler.auto_range(*cap.spectrum_input,
-                                                  spec_t_start, spec_samples);
-    out.spectrum_capture = sampler.capture(*cap.spectrum_input, spec_t_start,
-                                           spec_samples,
-                                           /*capture*/ 2);
+        out.spectrum_ranging = sampler.range({&spectrum});
+    out.spectrum_capture = sampler.quantize(std::move(spectrum));
 
     const sampling::pnbs_reconstructor recon(
         out.spectrum_capture.even, out.spectrum_capture.odd,
@@ -364,18 +364,23 @@ bool bist_session::run_until(stage target, stage_snapshot_store* store) {
             break;
         if (completed(s))
             continue;
-        if (lookup && load(*store, s))
+        if (store == nullptr) {
+            compute(s);
+            continue;
+        }
+        // One digest per stage keys both the lookup and the publication.
+        const std::uint64_t digest = input_digest(s);
+        if (lookup && load(*store, s, digest))
             continue;
         lookup = false; // adoption needs every upstream stage present
         compute(s);
-        if (store)
-            publish_to_store(*store, s);
+        publish(*store, s, digest);
     }
     return true;
 }
 
-bool bist_session::load(stage_snapshot_store& store, stage s) {
-    const std::uint64_t digest = input_digest(s);
+bool bist_session::load(stage_snapshot_store& store, stage s,
+                        std::uint64_t digest) {
     switch (s) {
     case stage::stimulus: stimulus_ = store.load_stimulus(digest); break;
     case stage::tx_capture:
@@ -460,8 +465,12 @@ void bist_session::adopt_from(const bist_session& donor, stage through) {
 
 void bist_session::publish_to_store(stage_snapshot_store& store,
                                     stage s) const {
+    publish(store, s, input_digest(s));
+}
+
+void bist_session::publish(stage_snapshot_store& store, stage s,
+                           std::uint64_t digest) const {
     SDRBIST_EXPECTS(completed(s));
-    const std::uint64_t digest = input_digest(s);
     switch (s) {
     case stage::stimulus: store.store_stimulus(digest, *stimulus_); break;
     case stage::tx_capture:

@@ -164,8 +164,12 @@ public:
 private:
     /// Drop `s` and everything downstream.
     void drop_from(stage s);
-    /// Adopt stage `s` from the store; false on a miss.
-    bool load(stage_snapshot_store& store, stage s);
+    /// Adopt stage `s` from the store under its input digest; false on a
+    /// miss.
+    bool load(stage_snapshot_store& store, stage s, std::uint64_t digest);
+    /// publish_to_store with the input digest already computed.
+    void publish(stage_snapshot_store& store, stage s,
+                 std::uint64_t digest) const;
     /// Compute stage `s` from the completed upstream stages.
     void compute(stage s);
 

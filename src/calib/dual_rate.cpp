@@ -286,7 +286,7 @@ dual_rate_cost::make_stream(const adc::nonuniform_capture& rec,
                             const sampling::pnbs_options& opt) const {
     stream s{band, rec.period_s,
              sampling::pnbs_tap_tables(band, rec.period_s, opt), rec.odd,
-             {}};
+             {}, {}};
     SDRBIST_EXPECTS(rec.even.size() == rec.odd.size());
     SDRBIST_EXPECTS(rec.even.size() > opt.taps);
     SDRBIST_EXPECTS(approx_equal(rec.period_s * band.bandwidth(), 1.0, 1e-9));
@@ -313,8 +313,10 @@ dual_rate_cost::make_stream(const adc::nonuniform_capture& rec,
                                -tb.half, tb.taps);
         f.e0 = e.h0;
         f.e1 = e.h1;
+        f.base = tb.blend_at(f.frac).row + 3;
         s.frames.push_back(f);
     }
+    s.slabs.resize(tb.rows());
     return s;
 }
 
@@ -333,19 +335,49 @@ dual_rate_cost::hypothesis dual_rate_cost::hypothesis_of(const stream& s,
     return h;
 }
 
-double dual_rate_cost::probe_value(const stream& s, const hypothesis& h,
-                                   const frame& f) const {
-    // Odd stream: the term sums at frac − D̂/T with the NCO weights
-    // sin(π·k_m·frac)·g_m.
+const double* dual_rate_cost::slab(const stream& s, std::size_t o) const {
+    std::vector<double>& sums = s.slabs[o];
+    if (!sums.empty())
+        return sums.data();
     const auto& tb = s.tables;
-    const auto o = tb.read(*ops_, s.odd.data() + f.first, f.frac - h.d_frac,
-                           -tb.half, tb.taps);
+    const std::size_t probes = s.frames.size();
+    sums.assign(2 * probes, std::numeric_limits<double>::quiet_NaN());
+    for (std::size_t i = 0; i < probes; ++i) {
+        const frame& f = s.frames[i];
+        if (o > f.base || f.base - o >= tb.rows())
+            continue;
+        const std::size_t r = f.base - o;
+        const double* x = s.odd.data() + f.first;
+        sums[i] = tb.terms.s0_vanishes ? 0.0 : ops_->dot(x, tb.row(r, 0),
+                                                         tb.taps);
+        sums[probes + i] = ops_->dot(x, tb.row(r, 1), tb.taps);
+    }
+    return sums.data();
+}
+
+double dual_rate_cost::probe_value(const stream& s, const hypothesis& h,
+                                   std::size_t i) const {
+    const frame& f = s.frames[i];
+    // Odd stream: the term sums at frac − D̂/T, blended from the row sums
+    // of rows base − o … base − o + 3, with the NCO weights
+    // sin(π·k_m·frac)·g_m.
+    const auto blend = s.tables.blend_at(f.frac - h.d_frac);
+    const std::size_t o = f.base - blend.row;
+    SDRBIST_EXPECTS(o >= 3);
+    const std::size_t probes = s.frames.size();
+    double o0 = 0.0;
+    double o1 = 0.0;
+    for (std::size_t q = 0; q < 4; ++q) {
+        const double* sums = slab(s, o - q);
+        o0 += blend.w[q] * sums[i];
+        o1 += blend.w[q] * sums[probes + i];
+    }
 
     // Even stream: term m is E_m scaled by −sin(π·k_m·frac − φ_m)·g_m.
     const double s0e = -(f.sin_k * h.cos_phi - f.cos_k * h.sin_phi) * h.g0;
     const double s1e = -(f.sin_p * h.cos_psi - f.cos_p * h.sin_psi) * h.g1;
     return (s0e * f.e0 + s1e * f.e1) +
-           (f.sin_k * h.g0 * o.h0 + f.sin_p * h.g1 * o.h1);
+           (f.sin_k * h.g0 * o0 + f.sin_p * h.g1 * o1);
 }
 
 double dual_rate_cost::operator()(double delay_hypothesis) const {
@@ -354,8 +386,8 @@ double dual_rate_cost::operator()(double delay_hypothesis) const {
     const std::size_t probes = fast_.frames.size();
     double acc = 0.0;
     for (std::size_t i = 0; i < probes; ++i) {
-        const double d = probe_value(fast_, hf, fast_.frames[i]) -
-                         probe_value(slow_, hs, slow_.frames[i]);
+        const double d =
+            probe_value(fast_, hf, i) - probe_value(slow_, hs, i);
         acc += d * d;
     }
     return acc / static_cast<double>(probes);

@@ -19,12 +19,26 @@
 /// D̂, so they are read from the tables once per capture and probe when the
 /// object is built.  Each evaluation derives the per-hypothesis scalars
 /// (g_m, φ_m, D̂/T) once, scales E_m by one NCO factor per probe and term,
-/// and reads only the odd stream's two term sums, at the one phase
-/// frac − D̂/T.  The reconstructor reads the same tables the same way and
-/// weights the sums with the same expressions, so the cost matches the
-/// per-evaluation reconstruction through `pnbs_reconstructor::value`
-/// (bit for bit on x86-64 builds).  Against the exact per-tap evaluation,
-/// the test yardstick `testing::skew_cost_reference`
+/// and needs only the odd stream's two term sums, at the one phase
+/// frac − D̂/T: the cubic blend of four table rows.
+///
+/// An LMS run evaluates ~40 hypotheses over the same probes, but each
+/// probe's odd reads visit only ~16 distinct rows.  So the cost blends
+/// row sums instead of rows: the first time any probe needs a row offset
+/// o (its row at phase frac plus 3, minus the blend's first row), one
+/// slab of Σ_j odd[c + j]·cells[row][m][j] at that offset is filled for
+/// every probe and term through the dispatched `dot`, and each evaluation
+/// weights four slab entries per probe and term.  A sum depends only on
+/// (probe, term, row), so the cost does not depend on the order in which
+/// hypotheses are evaluated; the slabs a calibration fills take ≤ 75 KB
+/// per capture on the benchmark's fault grid (median 35 KB).  The lazily
+/// filled slabs make a cost object unsafe to share between threads: use
+/// one per thread.
+///
+/// The blend of sums reassociates `pnbs_reconstructor::value`'s blend of
+/// rows, so the cost agrees with the per-evaluation reconstruction to
+/// ~1e-14 relative (tested at 1e-12).  Against the exact per-tap
+/// evaluation, the test yardstick `testing::skew_cost_reference`
 /// (tests/support/skew_cost_yardstick.hpp), it is within 1e-9 relative
 /// over D̂ in [0.005·m, 0.995·m] on the catalogue presets' calibration
 /// captures.
@@ -129,7 +143,8 @@ public:
                    const sampling::pnbs_options& opt = {});
 
     /// Cost at hypothesis D̂.  Precondition: D̂ stable for both bands
-    /// (kohlenberg_kernel::delay_is_stable).
+    /// (kohlenberg_kernel::delay_is_stable).  Fills the odd-stream row
+    /// sums it needs that no earlier call filled (see the file comment).
     [[nodiscard]] double operator()(double delay_hypothesis) const;
 
     /// SIMD kernel backend running the table reads (captured from
@@ -139,22 +154,29 @@ public:
 private:
     /// One probe on one capture: the first tap's record index, the offset
     /// frac from the nearest even sample, the sincos of the NCO phases
-    /// π·k_m·frac and the even sums E_m.
+    /// π·k_m·frac, the even sums E_m, and `base`, the first blended row at
+    /// phase frac plus the blend's reach of 3.  Every odd read (phase
+    /// frac − D̂/T, D̂ > 0) blends rows base − o … base − o + 3 with o ≥ 3.
     struct frame {
         std::size_t first = 0;
         double frac = 0.0;
         double sin_k = 0.0, cos_k = 1.0, sin_p = 0.0, cos_p = 1.0;
         double e0 = 0.0, e1 = 0.0;
+        std::size_t base = 0;
     };
 
-    /// One capture: its band, period, D̂-free tables, odd record and
-    /// per-probe frames.
+    /// One capture: its band, period, D̂-free tables, odd record,
+    /// per-probe frames and the odd-stream row sums filled so far:
+    /// slabs[o][m·probes + i] = Σ_j odd[first_i + j]·cells[base_i − o][m][j]
+    /// (empty until a probe first needs offset o; NaN where that row is
+    /// outside the table, which no read of probe i reaches).
     struct stream {
         sampling::band_spec band;
         double period;
         sampling::pnbs_tap_tables tables;
         std::vector<double> odd;
         std::vector<frame> frames;
+        mutable std::vector<std::vector<double>> slabs;
     };
 
     /// The D̂-dependent scalars of one capture's kernel.
@@ -171,9 +193,13 @@ private:
 
     static hypothesis hypothesis_of(const stream& s, double d_hat);
 
-    /// The capture's reconstruction at one probe under hypothesis h.
+    /// The odd-stream row sums of every probe at row offset o, filled on
+    /// first use.
+    const double* slab(const stream& s, std::size_t o) const;
+
+    /// The capture's reconstruction at probe i under hypothesis h.
     double probe_value(const stream& s, const hypothesis& h,
-                       const frame& f) const;
+                       std::size_t i) const;
 
     const simd::kernel_ops* ops_;
     stream fast_;

@@ -36,6 +36,18 @@ inline double hsum(__m256d v) {
     return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
 }
 
+double avx2_dot(const double* a, const double* b, std::size_t n) {
+    __m256d acc = _mm256_setzero_pd();
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4)
+        acc = _mm256_fmadd_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i),
+                              acc);
+    double r = hsum(acc);
+    for (; i < n; ++i)
+        r += a[i] * b[i];
+    return r;
+}
+
 /// coeff vector for taps [i, i+4): the cubic blend of four LUT rows.
 inline __m256d blend4(const double* r0, const double* r1, const double* r2,
                       const double* r3, std::size_t i, __m256d w0, __m256d w1,
@@ -168,6 +180,7 @@ const kernel_ops& avx2_ops() {
     static constexpr kernel_ops ops{
         "avx2",
         20,
+        &avx2_dot,
         &avx2_blend_dot,
         &avx2_blend_dot_cplx,
         &avx2_quantize,

@@ -20,6 +20,17 @@ namespace sdrbist::simd {
 
 namespace {
 
+double neon_dot(const double* a, const double* b, std::size_t n) {
+    float64x2_t acc = vdupq_n_f64(0.0);
+    std::size_t i = 0;
+    for (; i + 2 <= n; i += 2)
+        acc = vfmaq_f64(acc, vld1q_f64(a + i), vld1q_f64(b + i));
+    double r = vaddvq_f64(acc);
+    for (; i < n; ++i)
+        r += a[i] * b[i];
+    return r;
+}
+
 /// coeff vector for taps [i, i+2): the cubic blend of four LUT rows.
 inline float64x2_t blend2(const double* r0, const double* r1,
                           const double* r2, const double* r3, std::size_t i,
@@ -132,6 +143,7 @@ const kernel_ops& neon_ops() {
     static constexpr kernel_ops ops{
         "neon",
         10,
+        &neon_dot,
         &neon_blend_dot,
         &neon_blend_dot_cplx,
         &neon_quantize,

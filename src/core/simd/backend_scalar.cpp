@@ -17,6 +17,13 @@ namespace sdrbist::simd {
 
 namespace {
 
+double scalar_dot(const double* a, const double* b, std::size_t n) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+        acc += a[i] * b[i];
+    return acc;
+}
+
 double scalar_blend_dot(const double* x, const double* rows,
                         std::size_t stride, const double* w, std::size_t n) {
     const double* r0 = rows;
@@ -79,6 +86,7 @@ const kernel_ops& scalar_ops() {
     static constexpr kernel_ops ops{
         "scalar",
         0,
+        &scalar_dot,
         &scalar_blend_dot,
         &scalar_blend_dot_cplx,
         &scalar_quantize,

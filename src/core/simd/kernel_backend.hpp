@@ -5,9 +5,9 @@
 /// Every per-scenario hot loop reduces to a handful of primitive shapes:
 /// 4-row polyphase blended dot products (the windowed-sinc LUT interpolator
 /// behind every capture, the PNBS kernel tables behind every
-/// reconstruction and LMS cost evaluation, the EVM matched filter), a
-/// fused pair of plain dot products, and two elementwise record transforms
-/// (mid-rise quantisation, carrier mix).
+/// reconstruction, the EVM matched filter), plain dot products (the LMS
+/// cost's per-row sums of the PNBS tables), and two elementwise record
+/// transforms (mid-rise quantisation, carrier mix).
 /// This header is the layer that lets those shapes run on explicit SIMD:
 /// each backend fills one `kernel_ops` table, and `kernel_backend`
 /// dispatches to the best table the CPU supports — overridable with the
@@ -15,7 +15,7 @@
 /// (`kernel_backend::force`, the CLI's `--backend`).
 ///
 /// Accuracy contract (locked down by tests/dsp/backend_equivalence_test):
-///  * `blend_dot`, `blend_dot_cplx` — SIMD backends split
+///  * `dot`, `blend_dot`, `blend_dot_cplx` — SIMD backends split
 ///    the accumulation across vector lanes, so results are *reassociated*
 ///    relative to the scalar backend's sequential sum.  The deviation is
 ///    bounded by ~n·eps relative to Σ|aᵢ·bᵢ|; the equivalence suite asserts
@@ -61,6 +61,9 @@ struct quantize_params {
 struct kernel_ops {
     const char* name;  ///< "scalar", "avx2", "neon", ...
     int priority;      ///< dispatch preference; higher wins when supported
+
+    /// Plain dot product: return Σ a[i]·b[i].
+    double (*dot)(const double* a, const double* b, std::size_t n);
 
     /// Polyphase 4-row blended dot product (every polyphase table read):
     ///   coeff[i] = w[0]·rows[i] + w[1]·rows[i+stride]

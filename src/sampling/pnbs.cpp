@@ -218,13 +218,16 @@ pnbs_tap_tables::pnbs_tap_tables(const band_spec& band, double period,
               terms.k + 1);
 }
 
+dsp::phase_blend pnbs_tap_tables::blend_at(double phi) const {
+    SDRBIST_EXPECTS(phi >= phase_lo && phi <= phase_lo + phase_span);
+    return dsp::cubic_phase_blend((phi - phase_lo) / phase_span, range_steps);
+}
+
 pnbs_tap_tables::sums pnbs_tap_tables::read(const simd::kernel_ops& ops,
                                             const double* x, double phi,
                                             long j_lo,
                                             std::size_t count) const {
-    SDRBIST_EXPECTS(phi >= phase_lo && phi <= phase_lo + phase_span);
-    const auto blend =
-        dsp::cubic_phase_blend((phi - phase_lo) / phase_span, range_steps);
+    const auto blend = blend_at(phi);
     const std::size_t stride = 2 * taps;
     const double* rows = cells.data() + blend.row * stride +
                          static_cast<std::size_t>(j_lo + half);

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "dsp/phase_blend.hpp"
 #include "sampling/band.hpp"
 
 namespace sdrbist::simd {
@@ -171,6 +172,18 @@ struct pnbs_tap_tables {
     /// −half ≤ j_lo and j_lo + count ≤ half + 1.
     [[nodiscard]] sums read(const simd::kernel_ops& ops, const double* x,
                             double phi, long j_lo, std::size_t count) const;
+
+    /// The four rows `read` blends at phase φ and their weights; the first
+    /// row never decreases as φ grows.  Precondition: φ in [−1, 0.5].
+    [[nodiscard]] dsp::phase_blend blend_at(double phi) const;
+
+    /// Row r's cells of term m (taps of them, tap j at index j + half).
+    [[nodiscard]] const double* row(std::size_t r, int m) const {
+        return cells.data() + r * 2 * taps + (m == 0 ? 0 : taps);
+    }
+
+    /// Rows in the table, the blend's pad rows included.
+    [[nodiscard]] std::size_t rows() const { return cells.size() / (2 * taps); }
 
     kernel_terms terms;
     std::size_t taps; ///< window length (odd)

@@ -1,6 +1,7 @@
 // BP-TIADC capture engine tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "adc/tiadc.hpp"
@@ -117,6 +118,69 @@ TEST(BpTiadc, AutoRangeTargetsHeadroom) {
     EXPECT_FALSE(r.clipped);
     const auto cap = adc.capture(sig, 1.0 * us, 512, 0);
     EXPECT_NEAR(max_abs(cap.even), 0.7 * 1.5, 0.05);
+}
+
+TEST(BpTiadc, RangesOnTheCapturedSamples) {
+    // Two tones peaking above full scale: unranged, the converters clip.
+    const rf::multitone_signal sig({{1.0 * GHz, 1.2, 0.3},
+                                    {1.013 * GHz, 0.9, 1.1}},
+                                   20.0 * us);
+    const auto tc = ideal_config(10, 3.0 * ps);
+    bp_tiadc ranged(tc);
+    ranged.program_delay(180.0 * ps);
+    const auto fast = ranged.sample(sig, 1.0 * us, 512, 1, 0);
+    const auto slow = ranged.sample(sig, 1.0 * us, 256, 2, 1);
+    const auto r = ranged.range({&fast, &slow});
+    EXPECT_EQ(ranged.input_scale(), r.input_scale);
+
+    double peak = 0.0;
+    double scaled_peak = 0.0;
+    for (const auto* rec : {&fast, &slow})
+        for (const auto* channel : {&rec->even, &rec->odd})
+            for (const double v : *channel) {
+                peak = std::max(peak, std::abs(v));
+                scaled_peak =
+                    std::max(scaled_peak, std::abs(r.input_scale * v));
+            }
+    EXPECT_EQ(r.observed_peak, peak);
+    EXPECT_TRUE(r.clipped);
+    // The largest attenuated sample lands at the headroom, to the ulp.
+    const double target = 0.7 * tc.quant.full_scale;
+    EXPECT_LE(std::abs(scaled_peak - target),
+              std::nextafter(target, 2.0 * target) - target);
+
+    // No captured sample clips: every one stays inside the rails, whose
+    // quantised value is ±(full scale − LSB/2).
+    const double rail =
+        tc.quant.full_scale - 0.5 * quantizer(tc.quant).lsb();
+    const auto q_fast = ranged.quantize(fast);
+    const auto q_slow = ranged.quantize(slow);
+    for (const auto* rec : {&q_fast, &q_slow}) {
+        EXPECT_LT(max_abs(rec->even), rail);
+        EXPECT_LT(max_abs(rec->odd), rail);
+    }
+
+    // The jitter draws are the unranged sampler's: its records, quantised
+    // through the same attenuator, are the ranged capture bit for bit.
+    bp_tiadc unranged(tc);
+    unranged.program_delay(180.0 * ps);
+    const auto plain = unranged.sample(sig, 1.0 * us, 512, 1, 0);
+    EXPECT_EQ(plain.even, fast.even);
+    EXPECT_EQ(plain.odd, fast.odd);
+    unranged.set_input_scale(r.input_scale);
+    const auto c_fast = unranged.capture(sig, 1.0 * us, 512, 0);
+    const auto c_slow = unranged.capture_divided(sig, 1.0 * us, 256, 2, 1);
+    EXPECT_EQ(c_fast.even, q_fast.even);
+    EXPECT_EQ(c_fast.odd, q_fast.odd);
+    EXPECT_EQ(c_slow.even, q_slow.even);
+    EXPECT_EQ(c_slow.odd, q_slow.odd);
+
+    // A silent record cannot be ranged, nor a headroom outside ]0, 1[.
+    nonuniform_capture silent;
+    silent.even.assign(4, 0.0);
+    silent.odd.assign(4, 0.0);
+    EXPECT_THROW(ranged.range({&silent}), contract_violation);
+    EXPECT_THROW(ranged.range({&fast}, 1.0), contract_violation);
 }
 
 TEST(BpTiadc, CaptureIndexDecorrelatesJitter) {

@@ -34,7 +34,9 @@ using namespace sdrbist::bist;
 
 // ---------------------------------------------------------------------------
 // Retained monolithic reference (the pre-pipeline one-shot engine).
-// Do not "improve" this copy: its whole value is staying frozen.
+// Do not "improve" this copy: its whole value is staying frozen.  The one
+// deliberate edit follows a change of the capture hardware model: ranging
+// now runs on the sampled records (bp_tiadc::range) instead of a scan.
 // ---------------------------------------------------------------------------
 
 /// Every intermediate record the monolith produced.
@@ -158,16 +160,15 @@ monolithic_run_verbose(const bist_config& config) {
     SDRBIST_EXPECTS(cal_t_start + static_cast<double>(cal_samples) / b <
                     art.capture_input->end_time());
 
+    auto fast = sampler.sample(*art.capture_input, cal_t_start, cal_samples,
+                               1, /*capture*/ 0);
+    auto slow = sampler.sample(*art.capture_input, cal_t_start,
+                               cal_samples / config.slow_divider,
+                               config.slow_divider, /*capture*/ 1);
     if (config.auto_range)
-        art.ranging =
-            sampler.auto_range(*art.capture_input, cal_t_start, cal_samples);
-
-    art.capture.fast = sampler.capture(*art.capture_input, cal_t_start,
-                                       cal_samples, /*capture*/ 0);
-    art.capture.slow = sampler.capture_divided(
-        *art.capture_input, cal_t_start, cal_samples / config.slow_divider,
-        config.slow_divider,
-        /*capture*/ 1);
+        art.ranging = sampler.range({&fast, &slow});
+    art.capture.fast = sampler.quantize(std::move(fast));
+    art.capture.slow = sampler.quantize(std::move(slow));
     art.capture.band_fast = plan.fast;
     art.capture.band_slow = plan.slow;
 
@@ -202,12 +203,11 @@ monolithic_run_verbose(const bist_config& config) {
     SDRBIST_EXPECTS(spec_t_start + static_cast<double>(spec_samples) / b <
                     art.spectrum_input->end_time());
 
+    auto spectrum = sampler.sample(*art.spectrum_input, spec_t_start,
+                                   spec_samples, 1, /*capture*/ 2);
     if (config.auto_range)
-        art.spectrum_ranging = sampler.auto_range(*art.spectrum_input,
-                                                  spec_t_start, spec_samples);
-    art.spectrum_capture = sampler.capture(*art.spectrum_input, spec_t_start,
-                                           spec_samples,
-                                           /*capture*/ 2);
+        art.spectrum_ranging = sampler.range({&spectrum});
+    art.spectrum_capture = sampler.quantize(std::move(spectrum));
 
     const sampling::pnbs_reconstructor recon(
         art.spectrum_capture.even, art.spectrum_capture.odd,

@@ -360,6 +360,53 @@ TEST(DualRateCost, RejectsProbesWithClampedWindows) {
                  contract_violation);
 }
 
+/// The cost as the mean square of two per-hypothesis reconstructions,
+/// whose table reads (pnbs_tap_tables::read) blend rows, not row sums.
+double direct_read_cost(const dual_rate_capture& cap,
+                        const std::vector<double>& probes, double d) {
+    const sampling::pnbs_reconstructor fast(
+        cap.fast.even, cap.fast.odd, cap.fast.period_s, cap.fast.t_start,
+        cap.band_fast, d);
+    const sampling::pnbs_reconstructor slow(
+        cap.slow.even, cap.slow.odd, cap.slow.period_s, cap.slow.t_start,
+        cap.band_slow, d);
+    double acc = 0.0;
+    for (const double t : probes) {
+        const double diff = fast.value(t) - slow.value(t);
+        acc += diff * diff;
+    }
+    return acc / static_cast<double>(probes.size());
+}
+
+TEST(DualRateCost, OddRowSumsAreOrderIndependent) {
+    // The row sums are filled on first use; a sweep run ascending on one
+    // cost and descending on a fresh one fills them in opposite orders.
+    for (const auto& s : {make_scenario(180.0 * ps, 3.0 * ps, 10),
+                          vanishing_s0_scenario()}) {
+        const double m = calib::max_search_delay(s.capture);
+        std::vector<double> d_hat;
+        for (int i = 0; i < 40; ++i) {
+            const double d = (0.005 + 0.99 * (i + 0.5) / 40.0) * m;
+            if (delay_is_stable(s.capture, d))
+                d_hat.push_back(d);
+        }
+        const calib::dual_rate_cost ascending(s.capture, s.probes);
+        const calib::dual_rate_cost descending(s.capture, s.probes);
+        std::vector<double> up(d_hat.size());
+        std::vector<double> down(d_hat.size());
+        for (std::size_t i = 0; i < d_hat.size(); ++i)
+            up[i] = ascending(d_hat[i]);
+        for (std::size_t i = d_hat.size(); i-- > 0;)
+            down[i] = descending(d_hat[i]);
+        for (std::size_t i = 0; i < d_hat.size(); ++i) {
+            EXPECT_EQ(up[i], down[i]) << "d = " << d_hat[i] / ps << " ps";
+            const double ref = direct_read_cost(s.capture, s.probes, d_hat[i]);
+            EXPECT_NEAR(up[i], ref, 1e-12 * ref)
+                << "d = " << d_hat[i] / ps << " ps";
+        }
+    }
+}
+
 /// Restores auto-detection when a test forced backends, on every exit.
 struct backend_restore {
     ~backend_restore() { simd::kernel_backend::reset(); }

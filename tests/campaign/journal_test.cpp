@@ -95,9 +95,10 @@ TEST_F(CampaignJournal, IdentityIsPinned) {
     // deliberate mover is canonical_config_version, which the identity
     // hashes through the base configuration's canonical text: a journal
     // whose rows were computed by older numerics must not resume.
-    // Re-pinned when it went to 5 (dual-rate cost factored by D̂) and to 6
-    // (the tabulated PNBS kernel with the exact Kaiser window).
-    EXPECT_EQ(campaign_identity(small_campaign()), "bfe8ded03654cc43");
+    // Re-pinned when it went to 5 (dual-rate cost factored by D̂), to 6
+    // (the tabulated PNBS kernel with the exact Kaiser window) and to 7
+    // (ranging on the captured samples, the LMS cost's row sums).
+    EXPECT_EQ(campaign_identity(small_campaign()), "e5383cd108b5bd58");
 }
 
 TEST_F(CampaignJournal, JournalledRunRoundTripsThroughReadJournal) {

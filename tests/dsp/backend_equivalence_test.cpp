@@ -4,7 +4,7 @@
 // unaligned pointer offsets — and must honour the per-kernel accuracy
 // contract of kernel_backend.hpp:
 //
-//  * blend_dot / blend_dot_cplx: reassociated accumulation,
+//  * dot / blend_dot / blend_dot_cplx: reassociated accumulation,
 //    deviation ≤ 1e-12 relative to Σ|aᵢ·bᵢ| (the documented ULP-style
 //    bound; the true reassociation error is ~n·eps of that magnitude);
 //  * quantize_midrise / carrier_mix: bit-identical.
@@ -71,6 +71,30 @@ std::vector<const kernel_ops*> simd_backends() {
         if (std::string_view(ops->name) != "scalar")
             out.push_back(ops);
     return out;
+}
+
+TEST(BackendEquivalence, DotMatchesScalarWithinDocumentedBound) {
+    rng gen(0xD07);
+    for (const auto* ops : simd_backends()) {
+        for (const std::size_t n : lengths) {
+            for (const std::size_t off : offsets) {
+                const auto a = random_record(gen, n + off);
+                const auto b = random_record(gen, n + off, -1.0, 1.0);
+                const double* pa = a.data() + off;
+                const double* pb = b.data() + off;
+                const double ref = scalar_ops().dot(pa, pb, n);
+                const double got = ops->dot(pa, pb, n);
+                double mag = 0.0;
+                for (std::size_t i = 0; i < n; ++i)
+                    mag += std::abs(pa[i] * pb[i]);
+                EXPECT_LE(std::abs(got - ref), accum_rel_bound * mag)
+                    << ops->name << " n=" << n << " off=" << off;
+                // Deterministic: same inputs, same result, call after call.
+                EXPECT_EQ(got, ops->dot(pa, pb, n))
+                    << ops->name << " n=" << n << " off=" << off;
+            }
+        }
+    }
 }
 
 TEST(BackendEquivalence, BlendDotMatchesScalarWithinDocumentedBound) {
