@@ -171,8 +171,7 @@ void bench_sinc_capture(std::size_t n_points, int reps) {
         env[i] = std::polar(1.0, two_pi * 11.0 * MHz * tt + 0.4) +
                  std::polar(0.6, -two_pi * 23.0 * MHz * tt + 1.1);
     }
-    const dsp::complex_interpolator interp(std::move(env), env_rate, 32,
-                                           10.0);
+    const dsp::sinc_interpolator interp(std::move(env), env_rate, 32, 10.0);
 
     const double t_lo = interp.valid_begin();
     const double t_hi = interp.valid_end();
@@ -189,7 +188,7 @@ void bench_sinc_capture(std::size_t n_points, int reps) {
         [&] {
             ref.resize(t.size());
             for (std::size_t i = 0; i < t.size(); ++i)
-                ref[i] = testing::interp_reference<std::complex<double>>(
+                ref[i] = testing::interp_reference(
                     interp.samples(), env_rate, 32, 10.0, t[i]);
         },
         reps);

@@ -20,29 +20,11 @@ quantizer::quantizer(quantizer_config config)
     params_.lsb = lsb_;
 }
 
-double quantizer::quantize(double x) const {
-    // The scalar table (not the dispatched one) keeps single-sample results
-    // independent of backend selection; the kernel is bit-identical across
-    // backends anyway, so process()/process_scaled() agree with this.
-    double out = 0.0;
-    simd::scalar_ops().quantize_midrise(&x, &out, 1, 1.0, params_);
-    return out;
-}
-
-std::vector<double> quantizer::process(std::span<const double> x) const {
-    return process_scaled(x, 1.0);
-}
-
 std::vector<double> quantizer::process_scaled(std::span<const double> x,
                                               double scale) const {
     std::vector<double> out(x.size());
     ops_->quantize_midrise(x.data(), out.data(), x.size(), scale, params_);
     return out;
-}
-
-double quantizer::ideal_snr_db(int bits) {
-    SDRBIST_EXPECTS(bits >= 1);
-    return 6.0206 * static_cast<double>(bits) + 1.7609;
 }
 
 } // namespace sdrbist::adc

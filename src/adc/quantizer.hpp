@@ -22,25 +22,15 @@ class quantizer {
 public:
     explicit quantizer(quantizer_config config);
 
-    /// Quantise one sample (applies gain and offset error first).
-    /// Evaluated through the scalar kernel table so that per-sample and
-    /// batched results stay bit-identical on every architecture.
-    [[nodiscard]] double quantize(double x) const;
-
-    /// Quantise a record (SIMD batch path; bit-identical to per-sample
-    /// quantize() — the kernel is elementwise on every backend).
-    [[nodiscard]] std::vector<double> process(std::span<const double> x) const;
-
-    /// Quantise a record with a front-end attenuator applied first:
-    /// out[k] = quantize(scale·x[k]).  The BP-TIADC capture path.
+    /// Quantise a record with a front-end attenuator applied first: each
+    /// scale·x[k] gets the gain and offset error, then the mid-rise
+    /// characteristic.  The BP-TIADC capture path; the kernel is
+    /// elementwise and bit-identical on every SIMD backend.
     [[nodiscard]] std::vector<double>
     process_scaled(std::span<const double> x, double scale) const;
 
     /// LSB size.
     [[nodiscard]] double lsb() const { return lsb_; }
-
-    /// Ideal quantisation SNR for a full-scale sine: 6.02·bits + 1.76 dB.
-    [[nodiscard]] static double ideal_snr_db(int bits);
 
     [[nodiscard]] const quantizer_config& config() const { return config_; }
 

@@ -166,10 +166,6 @@ std::string canonical_config_text(const bist_config& config) {
     return w.str();
 }
 
-std::uint64_t config_digest(const bist_config& config) {
-    return fnv1a64::hash(canonical_config_text(config));
-}
-
 // ---------------------------------------------------------------------------
 // Per-stage slices
 // ---------------------------------------------------------------------------

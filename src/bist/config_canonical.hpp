@@ -36,11 +36,6 @@ inline constexpr int canonical_config_version = 7;
 /// Render the configuration in canonical text form.
 [[nodiscard]] std::string canonical_config_text(const bist_config& config);
 
-/// FNV-1a digest of `canonical_config_text` (convenience for diagnostics;
-/// the campaign cache mixes this with grid coordinates, see
-/// campaign/cache.hpp).
-[[nodiscard]] std::uint64_t config_digest(const bist_config& config);
-
 // ---------------------------------------------------------------------------
 // Per-stage canonical slices (the staged pipeline, bist/pipeline.hpp).
 //

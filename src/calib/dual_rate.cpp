@@ -59,10 +59,13 @@ double max_search_delay(const dual_rate_capture& capture) {
 
 namespace {
 
-// Core of choose_slow_band_offset, returning NaN instead of throwing so
-// choose_band_plan can probe fast-band placements.  The fit constraint is
-// relative to `signal_centre` (the carrier), which may differ from the fast
-// band's centre when the fast band itself was shifted.
+// Choose a slow-band centre offset (relative to the fast band centre) such
+// that eq. (9) holds and the occupied signal still fits the shifted band;
+// NaN when no candidate offset works (e.g. the carrier is an exact
+// multiple of B1), so choose_band_plan can probe fast-band placements
+// instead.  The fit constraint is relative to `signal_centre` (the
+// carrier), which may differ from the fast band's centre when the fast
+// band itself was shifted.
 double try_slow_band_offset(const sampling::band_spec& band_fast,
                             double slow_bandwidth, double occupied_bw,
                             double signal_centre) {
@@ -123,20 +126,6 @@ double try_slow_band_offset(const sampling::band_spec& band_fast,
 }
 
 } // namespace
-
-double choose_slow_band_offset(const sampling::band_spec& band_fast,
-                               double slow_bandwidth, double occupied_bw) {
-    band_fast.validate();
-    SDRBIST_EXPECTS(slow_bandwidth > 0.0);
-    SDRBIST_EXPECTS(occupied_bw > 0.0);
-    const double off = try_slow_band_offset(band_fast, slow_bandwidth,
-                                            occupied_bw, band_fast.centre());
-    SDRBIST_EXPECTS(!std::isnan(off));
-    SDRBIST_ENSURES(dual_rate_conditions_ok(
-        band_fast,
-        sampling::band_around(band_fast.centre() + off, slow_bandwidth)));
-    return off;
-}
 
 double dual_rate_discrimination(const band_plan& plan, double carrier_hz,
                                 double occupied_bw) {

@@ -81,14 +81,6 @@ double max_search_delay(const sampling::band_spec& band_fast,
                         const sampling::band_spec& band_slow);
 double max_search_delay(const dual_rate_capture& capture);
 
-/// Choose a slow-band centre offset (relative to the fast band centre) such
-/// that eq. (9) holds and the occupied signal still fits the shifted band.
-/// Returns the offset in Hz; throws contract_violation when no candidate
-/// offset works (e.g. the carrier is an exact multiple of B1 — use
-/// choose_band_plan, which may also shift the fast band).
-double choose_slow_band_offset(const sampling::band_spec& band_fast,
-                               double slow_bandwidth, double occupied_bw);
-
 /// A reconstruction-band placement satisfying the eq. (9) identifiability
 /// conditions for a signal of `occupied_bw` centred on the carrier.
 struct band_plan {

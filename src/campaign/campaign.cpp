@@ -418,13 +418,6 @@ bist::bist_config scenario_config(const campaign_config& cfg,
     return out;
 }
 
-const coverage_cell& campaign_result::cell(std::size_t preset_index,
-                                           std::size_t fault_index) const {
-    SDRBIST_EXPECTS(preset_index < matrix.size());
-    SDRBIST_EXPECTS(fault_index < matrix[preset_index].size());
-    return matrix[preset_index][fault_index];
-}
-
 campaign_runner::campaign_runner(campaign_config config)
     : config_(std::move(config)) {
     SDRBIST_EXPECTS(!config_.presets.empty());

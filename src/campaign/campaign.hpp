@@ -200,7 +200,6 @@ struct coverage_cell {
                          : static_cast<double>(flagged) /
                                static_cast<double>(runs);
     }
-    [[nodiscard]] double pass_rate() const { return 1.0 - fail_rate(); }
 };
 
 /// Aggregated campaign artefacts.
@@ -299,8 +298,6 @@ struct campaign_result {
         return wall_s <= 0.0 ? 0.0
                              : static_cast<double>(results.size()) / wall_s;
     }
-    [[nodiscard]] const coverage_cell& cell(std::size_t preset_index,
-                                            std::size_t fault_index) const;
 };
 
 /// Expand the grid (preset-major, then fault, then trial) with derived

@@ -218,9 +218,6 @@ std::string json_quote(const std::string& s);
 /// same double; `null` for non-finite values (JSON has no nan/inf).
 std::string json_number(double v);
 
-/// Parse CSV text (RFC-4180-style quoting) into rows of cells.
-std::vector<std::vector<std::string>> parse_csv(const std::string& text);
-
 /// Emits one JSON object with caller-controlled field order (std::map
 /// would sort keys; exports fix their own order).  Shared by the campaign
 /// exporters and the result-cache serialiser.

@@ -181,27 +181,10 @@ bool campaign_journal::append(const std::string& key,
     } catch (const std::exception&) {
         // Best-effort: an injected (or real) serialisation failure drops
         // the line — recovery recomputes this scenario.
-        const std::lock_guard<std::mutex> lock(mutex_);
-        ++dropped_;
         return false;
     }
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (write_line(line)) {
-        ++rows_;
-        return true;
-    }
-    ++dropped_;
-    return false;
-}
-
-std::size_t campaign_journal::rows() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return rows_;
-}
-
-std::size_t campaign_journal::dropped() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return dropped_;
+    return write_line(line);
 }
 
 } // namespace sdrbist::campaign

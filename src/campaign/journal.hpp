@@ -84,20 +84,15 @@ public:
     campaign_journal& operator=(const campaign_journal&) = delete;
 
     /// Durably append one completed scenario (thread-safe).  Returns
-    /// false (and counts a drop) when the line could not be written whole
-    /// — a partial write is rolled back so the journal stays parseable.
+    /// false when the line could not be written whole — a partial write
+    /// is rolled back so the journal stays parseable.
     bool append(const std::string& key, const scenario_result& r);
-
-    [[nodiscard]] std::size_t rows() const;    ///< lines appended here
-    [[nodiscard]] std::size_t dropped() const; ///< appends that failed
 
 private:
     bool write_line(const std::string& line);
 
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::FILE* file_ = nullptr; ///< append stream; fsync'd per line on POSIX
-    std::size_t rows_ = 0;
-    std::size_t dropped_ = 0;
 };
 
 } // namespace sdrbist::campaign

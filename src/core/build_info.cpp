@@ -1,7 +1,5 @@
 #include "core/build_info.hpp"
 
-#include <algorithm>
-
 #include "core/simd/kernel_backend.hpp"
 
 namespace sdrbist {
@@ -68,23 +66,6 @@ std::vector<std::pair<std::string, std::string>> build_info_fields() {
                         backend_names(simd::kernel_backend::available()));
     fields.emplace_back("simd_active", simd::kernel_backend::select().name);
     return fields;
-}
-
-std::string build_info_text() {
-    const auto fields = build_info_fields();
-    std::size_t width = 0;
-    for (const auto& [key, value] : fields)
-        width = std::max(width, key.size());
-    std::string out;
-    for (const auto& [key, value] : fields) {
-        out += "  ";
-        out += key;
-        out += ':';
-        out.append(width - key.size() + 2, ' ');
-        out += value;
-        out += '\n';
-    }
-    return out;
 }
 
 } // namespace sdrbist

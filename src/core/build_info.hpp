@@ -21,8 +21,4 @@ namespace sdrbist {
 /// kernel_backend::force().
 std::vector<std::pair<std::string, std::string>> build_info_fields();
 
-/// The same facts rendered as an aligned text block (one "  key: value"
-/// line each).
-std::string build_info_text();
-
 } // namespace sdrbist

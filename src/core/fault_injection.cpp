@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -48,9 +50,8 @@ struct clause {
 };
 
 struct registry {
-    std::mutex mutex;              ///< guards clauses/spec install + scan
+    std::mutex mutex;              ///< guards the clause install and scan
     std::vector<clause> clauses;
-    std::string spec;
     std::array<std::atomic<std::uint64_t>, site_count> arrivals{};
     std::array<std::atomic<std::uint64_t>, site_count> fired{};
 };
@@ -123,24 +124,20 @@ int parse_site(const std::string& name, const std::string& text) {
 }
 
 std::uint64_t parse_u64(const std::string& s, const std::string& text) {
-    try {
-        std::size_t pos = 0;
-        const unsigned long long v = std::stoull(s, &pos);
-        if (pos != s.size())
-            bad_spec("trailing junk in number `" + s + "`", text);
-        return v;
-    } catch (const contract_violation&) {
-        throw;
-    } catch (const std::exception&) {
+    // from_chars on an unsigned type takes digits only (no sign, no
+    // whitespace) and reports overflow; a full match rejects the rest.
+    std::uint64_t v = 0;
+    const auto res = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (res.ec != std::errc() || res.ptr != s.data() + s.size())
         bad_spec("bad number `" + s + "`", text);
-    }
+    return v;
 }
 
 double parse_probability(const std::string& s, const std::string& text) {
     try {
         std::size_t pos = 0;
         const double v = std::stod(s, &pos);
-        if (pos != s.size() || v < 0.0 || v > 1.0)
+        if (pos != s.size() || !(v >= 0.0 && v <= 1.0))
             bad_spec("probability must be in [0, 1], got `" + s + "`", text);
         return v;
     } catch (const contract_violation&) {
@@ -190,7 +187,11 @@ clause parse_clause(const std::string& text) {
         c.action = action_kind::corrupt_bytes;
     } else if (action.rfind("delay-ms=", 0) == 0) {
         c.action = action_kind::delay;
-        c.delay_ms = static_cast<int>(parse_u64(action.substr(9), text));
+        const std::uint64_t ms = parse_u64(action.substr(9), text);
+        if (ms > static_cast<std::uint64_t>(std::numeric_limits<int>::max()))
+            bad_spec("delay-ms must fit in int, got `" + action.substr(9) + "`",
+                     text);
+        c.delay_ms = static_cast<int>(ms);
     } else {
         bad_spec("unknown action `" + action + "`", text);
     }
@@ -199,11 +200,10 @@ clause parse_clause(const std::string& text) {
     return c;
 }
 
-void install(std::vector<clause> clauses, std::string spec) {
+void install(std::vector<clause> clauses) {
     registry& r = reg();
     const std::lock_guard<std::mutex> lock(r.mutex);
     r.clauses = std::move(clauses);
-    r.spec = std::move(spec);
     for (auto& a : r.arrivals)
         a.store(0, std::memory_order_relaxed);
     for (auto& f : r.fired)
@@ -228,7 +228,7 @@ void fire_slow(site s) {
     const auto idx = static_cast<std::size_t>(s);
     const std::uint64_t ordinal =
         r.arrivals[idx].fetch_add(1, std::memory_order_relaxed) + 1;
-    int delay_ms = 0;
+    std::int64_t delay_ms = 0; // a sum of int clauses cannot overflow it
     bool throw_transient = false;
     bool throw_contract = false;
     {
@@ -302,7 +302,7 @@ void arm(const std::string& spec) {
             continue;
         clauses.push_back(parse_clause(text));
     }
-    install(std::move(clauses), spec);
+    install(std::move(clauses));
 }
 
 bool arm_from_env() {
@@ -313,16 +313,10 @@ bool arm_from_env() {
     return armed();
 }
 
-void disarm() { install({}, std::string()); }
+void disarm() { install({}); }
 
 bool armed() {
     return detail::g_armed.load(std::memory_order_relaxed) != 0;
-}
-
-std::string current_spec() {
-    registry& r = reg();
-    const std::lock_guard<std::mutex> lock(r.mutex);
-    return r.spec;
 }
 
 std::uint64_t arrivals(site s) {

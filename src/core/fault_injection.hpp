@@ -32,7 +32,9 @@
 ///
 /// e.g. `SDRBIST_FAULT_SPEC='*:throw-transient:p=0.05,seed=7'` or
 /// `store.load:corrupt-bytes:count=2;stage.grading:delay-ms=40:every=3`.
-/// Omitting the trigger fires on every arrival.
+/// Omitting the trigger fires on every arrival.  Integers are unsigned
+/// decimal digits only (no sign, no blanks, no overflow) and `delay-ms`
+/// must fit in an int; `p` must be a number in [0, 1] (NaN is rejected).
 ///
 /// Contracts (same cost discipline as `core/telemetry`):
 ///  * **Off by default, one relaxed atomic load when disarmed.**  `fire()`
@@ -136,9 +138,6 @@ void disarm();
 
 /// True while a spec is installed.
 bool armed();
-
-/// The currently installed spec text ("" while disarmed).
-std::string current_spec();
 
 /// Arrivals counted at `s` since the last arm()/disarm().
 std::uint64_t arrivals(site s);

@@ -34,10 +34,6 @@ public:
     /// Derive an independent child generator (stable: consumes one draw).
     rng fork() { return rng(next_u64()); }
 
-    /// n i.i.d. samples from N(mean, sigma^2).
-    std::vector<double> gaussian_vector(std::size_t n, double mean = 0.0,
-                                        double sigma = 1.0);
-
     /// n i.i.d. samples from U[lo, hi).
     std::vector<double> uniform_vector(std::size_t n, double lo = 0.0,
                                        double hi = 1.0);

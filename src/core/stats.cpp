@@ -7,48 +7,12 @@
 
 namespace sdrbist {
 
-double mean(std::span<const double> x) {
-    SDRBIST_EXPECTS(!x.empty());
-    double s = 0.0;
-    for (double v : x)
-        s += v;
-    return s / static_cast<double>(x.size());
-}
-
-double variance(std::span<const double> x) {
-    SDRBIST_EXPECTS(x.size() >= 2);
-    const double m = mean(x);
-    double s = 0.0;
-    for (double v : x)
-        s += (v - m) * (v - m);
-    return s / static_cast<double>(x.size() - 1);
-}
-
-double stddev(std::span<const double> x) { return std::sqrt(variance(x)); }
-
 double rms(std::span<const double> x) {
     SDRBIST_EXPECTS(!x.empty());
     double s = 0.0;
     for (double v : x)
         s += v * v;
     return std::sqrt(s / static_cast<double>(x.size()));
-}
-
-double max_abs(std::span<const double> x) {
-    double m = 0.0;
-    for (double v : x)
-        m = std::max(m, std::abs(v));
-    return m;
-}
-
-double mean_squared_error(std::span<const double> a,
-                          std::span<const double> b) {
-    SDRBIST_EXPECTS(!a.empty());
-    SDRBIST_EXPECTS(a.size() == b.size());
-    double s = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        s += (a[i] - b[i]) * (a[i] - b[i]);
-    return s / static_cast<double>(a.size());
 }
 
 double relative_rms_error(std::span<const double> ref,

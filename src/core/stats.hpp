@@ -1,5 +1,6 @@
 /// \file stats.hpp
-/// \brief Basic descriptive statistics and error metrics on sample vectors.
+/// \brief Error metrics and order statistics on sample vectors.  The
+///        moments tests grade results with live in tests/support/.
 #pragma once
 
 #include <span>
@@ -7,25 +8,8 @@
 
 namespace sdrbist {
 
-/// Arithmetic mean.  Precondition: !x.empty().
-double mean(std::span<const double> x);
-
-/// Unbiased sample variance.  Precondition: x.size() >= 2.
-double variance(std::span<const double> x);
-
-/// Standard deviation (sqrt of unbiased variance).
-double stddev(std::span<const double> x);
-
 /// Root-mean-square value.  Precondition: !x.empty().
 double rms(std::span<const double> x);
-
-/// Largest absolute value (0 for empty input).
-double max_abs(std::span<const double> x);
-
-/// Mean of squared element-wise differences:  sum((a-b)^2)/n.
-/// This is the paper's cost metric shape (eq. (8)).
-/// Precondition: equal non-zero sizes.
-double mean_squared_error(std::span<const double> a, std::span<const double> b);
 
 /// Relative RMS error  ||est - ref||_2 / ||ref||_2.
 /// Precondition: equal non-zero sizes and ||ref|| > 0.

@@ -288,25 +288,6 @@ summary since(const summary& baseline) {
     return now;
 }
 
-std::string summary_csv(const summary& s) {
-    std::string out = "category,count,total_ns,mean_ns,max_ns\n";
-    for (std::size_t i = 0; i < category_count; ++i) {
-        const category_stats& c = s.categories[i];
-        out += to_string(static_cast<category>(i));
-        out += ',';
-        out += std::to_string(c.count);
-        out += ',';
-        out += std::to_string(c.total_ns);
-        out += ',';
-        out += std::to_string(
-            static_cast<std::uint64_t>(c.mean_ns() + 0.5));
-        out += ',';
-        out += std::to_string(c.max_ns);
-        out += '\n';
-    }
-    return out;
-}
-
 void set_thread_name(const std::string& name) {
     if (!active())
         return;

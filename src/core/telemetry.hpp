@@ -203,10 +203,6 @@ summary snapshot();
 /// maximum since enable()/reset().
 summary since(const summary& baseline);
 
-/// Summary as CSV: `category,count,total_ns,mean_ns,max_ns`, one row per
-/// category in declaration order.
-std::string summary_csv(const summary& s);
-
 /// RAII trace span.  Constructing while telemetry is off costs one
 /// relaxed atomic load and arms nothing.
 class scoped_span {

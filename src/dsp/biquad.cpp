@@ -7,13 +7,6 @@
 
 namespace sdrbist::dsp {
 
-std::complex<double> biquad::response(double f_norm) const {
-    const std::complex<double> z = std::polar(1.0, two_pi * f_norm);
-    const std::complex<double> z1 = 1.0 / z;
-    const std::complex<double> z2 = z1 * z1;
-    return (b0 + b1 * z1 + b2 * z2) / (1.0 + a1 * z1 + a2 * z2);
-}
-
 iir_cascade::iir_cascade(std::vector<biquad> sections)
     : sections_(std::move(sections)), state_(sections_.size(), {0.0, 0.0}) {}
 
@@ -57,18 +50,9 @@ void iir_cascade::reset() {
         s = {0.0, 0.0};
 }
 
-std::complex<double> iir_cascade::response(double f_norm) const {
-    std::complex<double> h{1.0, 0.0};
-    for (const auto& s : sections_)
-        h *= s.response(f_norm);
-    return h;
-}
-
-namespace {
-
 // Bilinear transform of the analog prototype H(s) = wc^N / prod(s - p_k)
 // with pre-warping so the -3 dB point lands exactly at cutoff_hz.
-iir_cascade butterworth(int order, double cutoff_hz, double fs, bool highpass) {
+iir_cascade butterworth_lowpass(int order, double cutoff_hz, double fs) {
     SDRBIST_EXPECTS(order >= 1 && order <= 12);
     SDRBIST_EXPECTS(cutoff_hz > 0.0 && cutoff_hz < fs / 2.0);
 
@@ -87,15 +71,9 @@ iir_cascade butterworth(int order, double cutoff_hz, double fs, bool highpass) {
         // Bilinear: s = k·(1 - z^-1)/(1 + z^-1).
         const double den = k * k + a * k + b;
         biquad s;
-        if (!highpass) {
-            s.b0 = b / den;
-            s.b1 = 2.0 * b / den;
-            s.b2 = b / den;
-        } else {
-            s.b0 = k * k / den;
-            s.b1 = -2.0 * k * k / den;
-            s.b2 = k * k / den;
-        }
+        s.b0 = b / den;
+        s.b1 = 2.0 * b / den;
+        s.b2 = b / den;
         s.a1 = (2.0 * b - 2.0 * k * k) / den;
         s.a2 = (k * k - a * k + b) / den;
         sections.push_back(s);
@@ -104,27 +82,12 @@ iir_cascade butterworth(int order, double cutoff_hz, double fs, bool highpass) {
         // Real pole at s = -wc.
         const double den = k + wc;
         biquad s;
-        if (!highpass) {
-            s.b0 = wc / den;
-            s.b1 = wc / den;
-        } else {
-            s.b0 = k / den;
-            s.b1 = -k / den;
-        }
+        s.b0 = wc / den;
+        s.b1 = wc / den;
         s.a1 = (wc - k) / den;
         sections.push_back(s);
     }
     return iir_cascade(std::move(sections));
-}
-
-} // namespace
-
-iir_cascade butterworth_lowpass(int order, double cutoff_hz, double fs) {
-    return butterworth(order, cutoff_hz, fs, /*highpass=*/false);
-}
-
-iir_cascade butterworth_highpass(int order, double cutoff_hz, double fs) {
-    return butterworth(order, cutoff_hz, fs, /*highpass=*/true);
 }
 
 } // namespace sdrbist::dsp

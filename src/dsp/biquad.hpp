@@ -1,9 +1,12 @@
 /// \file biquad.hpp
-/// \brief Biquad IIR sections and Butterworth designs (bilinear transform).
+/// \brief Biquad IIR sections and the Butterworth lowpass design (bilinear
+///        transform).
 ///
 /// Models the analog anti-image lowpass after the Tx DACs and (baseband
 /// equivalent of) the RF band-select filter: both are smooth maximally-flat
-/// responses well captured by low-order Butterworth prototypes.
+/// responses well captured by low-order Butterworth prototypes.  The
+/// cascade's frequency response, which tests check the design against, is
+/// the yardstick `testing::cascade_response` (tests/support/).
 #pragma once
 
 #include <complex>
@@ -17,9 +20,6 @@ namespace sdrbist::dsp {
 struct biquad {
     double b0 = 1.0, b1 = 0.0, b2 = 0.0;
     double a1 = 0.0, a2 = 0.0;
-
-    /// Complex response at normalised frequency f (cycles/sample).
-    [[nodiscard]] std::complex<double> response(double f_norm) const;
 };
 
 /// Cascade of biquad sections with per-channel state.
@@ -41,9 +41,6 @@ public:
     /// Clear the delay lines.
     void reset();
 
-    /// Cascade frequency response at normalised frequency f.
-    [[nodiscard]] std::complex<double> response(double f_norm) const;
-
     [[nodiscard]] std::size_t section_count() const { return sections_.size(); }
     [[nodiscard]] const std::vector<biquad>& sections() const {
         return sections_;
@@ -59,8 +56,5 @@ private:
 /// discretised at rate `fs` by the pre-warped bilinear transform.
 /// Preconditions: order in [1, 12], 0 < cutoff_hz < fs/2.
 iir_cascade butterworth_lowpass(int order, double cutoff_hz, double fs);
-
-/// Butterworth highpass, same parameter rules.
-iir_cascade butterworth_highpass(int order, double cutoff_hz, double fs);
 
 } // namespace sdrbist::dsp

@@ -93,24 +93,6 @@ std::vector<cplx> fft(std::vector<cplx> x) {
     return bluestein(x);
 }
 
-std::vector<cplx> ifft(std::vector<cplx> x) {
-    SDRBIST_EXPECTS(!x.empty());
-    for (auto& v : x)
-        v = std::conj(v);
-    x = fft(std::move(x));
-    const double scale = 1.0 / static_cast<double>(x.size());
-    for (auto& v : x)
-        v = std::conj(v) * scale;
-    return x;
-}
-
-std::vector<cplx> fft_real(std::span<const double> x) {
-    std::vector<cplx> c(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i)
-        c[i] = cplx{x[i], 0.0};
-    return fft(std::move(c));
-}
-
 std::vector<double> fft_frequencies(std::size_t n, double fs) {
     SDRBIST_EXPECTS(n >= 1);
     SDRBIST_EXPECTS(fs > 0.0);
@@ -124,25 +106,15 @@ std::vector<double> fft_frequencies(std::size_t n, double fs) {
     return f;
 }
 
-namespace {
-template <class T> std::vector<T> fftshift_impl(std::vector<T> x) {
+std::vector<double> fftshift(std::vector<double> x) {
     const std::size_t n = x.size();
     const std::size_t half = (n + 1) / 2;
-    std::vector<T> out(n);
+    std::vector<double> out(n);
     for (std::size_t i = 0; i < n - half; ++i)
         out[i] = x[half + i];
     for (std::size_t i = 0; i < half; ++i)
         out[n - half + i] = x[i];
     return out;
-}
-} // namespace
-
-std::vector<cplx> fftshift(std::vector<cplx> x) {
-    return fftshift_impl(std::move(x));
-}
-
-std::vector<double> fftshift(std::vector<double> x) {
-    return fftshift_impl(std::move(x));
 }
 
 } // namespace sdrbist::dsp

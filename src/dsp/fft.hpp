@@ -5,7 +5,6 @@
 #pragma once
 
 #include <complex>
-#include <span>
 #include <vector>
 
 namespace sdrbist::dsp {
@@ -18,21 +17,12 @@ void fft_pow2_inplace(std::vector<cplx>& x);
 /// Forward FFT of arbitrary length (radix-2 when possible, else Bluestein).
 std::vector<cplx> fft(std::vector<cplx> x);
 
-/// Inverse FFT (any length); satisfies ifft(fft(x)) == x to rounding error.
-std::vector<cplx> ifft(std::vector<cplx> x);
-
-/// FFT of a real sequence (returns the full complex spectrum, length n).
-std::vector<cplx> fft_real(std::span<const double> x);
-
 /// Bin centre frequencies for an n-point FFT at sample rate fs
 /// (0, fs/n, ..., positive then negative frequencies, numpy layout).
 std::vector<double> fft_frequencies(std::size_t n, double fs);
 
-/// Rotate an FFT output so that frequency 0 sits in the middle
-/// (negative frequencies first).
-std::vector<cplx> fftshift(std::vector<cplx> x);
-
-/// Same rotation for a real-valued vector (e.g. the frequency axis).
+/// Rotate a per-bin vector in FFT order (a PSD, the frequency axis) so
+/// that frequency 0 sits in the middle (negative frequencies first).
 std::vector<double> fftshift(std::vector<double> x);
 
 } // namespace sdrbist::dsp

@@ -5,7 +5,6 @@
 
 #include "core/contracts.hpp"
 #include "core/math_util.hpp"
-#include "core/units.hpp"
 
 namespace sdrbist::dsp {
 
@@ -30,55 +29,24 @@ std::vector<double> design_lowpass_fir(std::size_t taps, double cutoff_norm,
     return h;
 }
 
-std::vector<double> design_bandpass_fir(std::size_t taps, double f1, double f2,
-                                        window_kind kind, double kaiser_beta) {
-    SDRBIST_EXPECTS(taps >= 3);
-    SDRBIST_EXPECTS(f1 > 0.0 && f1 < f2 && f2 < 0.5);
-    const auto w = make_window(kind, taps, kaiser_beta);
-    const double centre = static_cast<double>(taps - 1) / 2.0;
-    std::vector<double> h(taps);
-    for (std::size_t n = 0; n < taps; ++n) {
-        const double m = static_cast<double>(n) - centre;
-        h[n] = (2.0 * f2 * sinc(2.0 * f2 * m) - 2.0 * f1 * sinc(2.0 * f1 * m)) *
-               w[n];
-    }
-    // Normalise gain to 1 at the band centre.
-    const double fc = 0.5 * (f1 + f2);
-    const double g = std::abs(fir_response(h, fc));
-    SDRBIST_ENSURES(g > 0.0);
-    for (double& v : h)
-        v /= g;
-    return h;
-}
-
-std::vector<double> convolve(std::span<const double> a,
-                             std::span<const double> b) {
-    SDRBIST_EXPECTS(!a.empty() && !b.empty());
-    std::vector<double> out(a.size() + b.size() - 1, 0.0);
-    for (std::size_t i = 0; i < a.size(); ++i)
-        for (std::size_t j = 0; j < b.size(); ++j)
-            out[i + j] += a[i] * b[j];
-    return out;
-}
-
-namespace {
-template <class T>
-std::vector<T> filter_decimate_impl(std::span<const double> h,
-                                    std::span<const T> x,
-                                    std::size_t decimation) {
+std::vector<std::complex<double>>
+filter_decimate(std::span<const double> h,
+                std::span<const std::complex<double>> x,
+                std::size_t decimation) {
     SDRBIST_EXPECTS(h.size() % 2 == 1);
     SDRBIST_EXPECTS(!x.empty());
     SDRBIST_EXPECTS(decimation >= 1);
     const std::size_t half = h.size() / 2;
     const std::size_t last = x.size() - 1;
-    std::vector<T> y((x.size() + decimation - 1) / decimation, T{});
+    std::vector<std::complex<double>> y((x.size() + decimation - 1) /
+                                        decimation);
     for (std::size_t m = 0; m < y.size(); ++m) {
         // y[m] = sum_k h[k] * x[c - k] with c = m·D + half; clamp k so that
         // c - k stays inside the record.
         const std::size_t c = m * decimation + half;
         const std::size_t k_lo = c > last ? c - last : 0;
         const std::size_t k_hi = std::min(c, h.size() - 1);
-        T acc{};
+        std::complex<double> acc{};
         for (std::size_t k = k_lo; k <= k_hi; ++k)
             acc += h[k] * x[c - k];
         y[m] = acc;
@@ -86,18 +54,18 @@ std::vector<T> filter_decimate_impl(std::span<const double> h,
     return y;
 }
 
-template <class T>
-std::vector<T> upfirdn_impl(std::span<const double> h, std::span<const T> x,
-                            std::size_t up, std::size_t down) {
+std::vector<std::complex<double>>
+upfirdn(std::span<const double> h, std::span<const std::complex<double>> x,
+        std::size_t up, std::size_t down) {
     SDRBIST_EXPECTS(up >= 1 && down >= 1);
     SDRBIST_EXPECTS(!h.empty() && !x.empty());
     // Virtual upsampled-and-filtered length.
     const std::size_t full = x.size() * up + h.size() - 1;
     const std::size_t out_len = (full + down - 1) / down;
-    std::vector<T> y(out_len, T{});
+    std::vector<std::complex<double>> y(out_len);
     for (std::size_t m = 0; m < out_len; ++m) {
         const std::size_t pos = m * down; // index in upsampled+filtered stream
-        T acc{};
+        std::complex<double> acc{};
         // Only indices where the upsampled stream is non-zero contribute:
         // pos - k = up * i  =>  k = pos - up*i.
         const std::size_t i_max = std::min(pos / up, x.size() - 1);
@@ -113,39 +81,6 @@ std::vector<T> upfirdn_impl(std::span<const double> h, std::span<const T> x,
         y[m] = acc;
     }
     return y;
-}
-} // namespace
-
-std::vector<double> filter_decimate(std::span<const double> h,
-                                    std::span<const double> x,
-                                    std::size_t decimation) {
-    return filter_decimate_impl<double>(h, x, decimation);
-}
-
-std::vector<std::complex<double>>
-filter_decimate(std::span<const double> h,
-                std::span<const std::complex<double>> x,
-                std::size_t decimation) {
-    return filter_decimate_impl<std::complex<double>>(h, x, decimation);
-}
-
-std::vector<double> upfirdn(std::span<const double> h,
-                            std::span<const double> x, std::size_t up,
-                            std::size_t down) {
-    return upfirdn_impl<double>(h, x, up, down);
-}
-
-std::vector<std::complex<double>>
-upfirdn(std::span<const double> h, std::span<const std::complex<double>> x,
-        std::size_t up, std::size_t down) {
-    return upfirdn_impl<std::complex<double>>(h, x, up, down);
-}
-
-std::complex<double> fir_response(std::span<const double> h, double f_norm) {
-    std::complex<double> acc{0.0, 0.0};
-    for (std::size_t n = 0; n < h.size(); ++n)
-        acc += h[n] * std::polar(1.0, -two_pi * f_norm * static_cast<double>(n));
-    return acc;
 }
 
 } // namespace sdrbist::dsp

@@ -1,7 +1,8 @@
 /// \file fir.hpp
-/// \brief FIR filter design (windowed sinc) and filtering: the decimating
-///        `filter_decimate` behind the DDC and the rational-rate `upfirdn`
-///        used by the pulse shaper.
+/// \brief Windowed-sinc lowpass design and complex-envelope filtering: the
+///        decimating `filter_decimate` behind the DDC and the rational-rate
+///        `upfirdn` used by the pulse shaper.  Coefficients are real;
+///        samples are complex baseband.
 #pragma once
 
 #include <complex>
@@ -22,16 +23,6 @@ std::vector<double> design_lowpass_fir(std::size_t taps, double cutoff_norm,
                                        window_kind kind = window_kind::kaiser,
                                        double kaiser_beta = 8.6);
 
-/// Windowed-sinc bandpass design with band edges (cycles/sample)
-/// 0 < f1 < f2 < 0.5.  Gain normalised to 1 at the band centre.
-std::vector<double> design_bandpass_fir(std::size_t taps, double f1, double f2,
-                                        window_kind kind = window_kind::kaiser,
-                                        double kaiser_beta = 8.6);
-
-/// Full linear convolution (output length a.size() + b.size() - 1).
-std::vector<double> convolve(std::span<const double> a,
-                             std::span<const double> b);
-
 /// Delay-compensated FIR filtering evaluated only at the kept outputs of a
 /// decimation by `decimation`: returns
 ///   y[m] = (h * x)[m·decimation + (taps-1)/2],  m = 0 .. ceil(N/decimation)-1
@@ -42,11 +33,6 @@ std::vector<double> convolve(std::span<const double> a,
 /// and then keeping every decimation-th output, at 1/decimation of the
 /// multiply-adds.
 /// Odd-length h only; decimation >= 1.
-std::vector<double> filter_decimate(std::span<const double> h,
-                                    std::span<const double> x,
-                                    std::size_t decimation);
-
-/// Complex-input variant of filter_decimate (same real coefficients).
 std::vector<std::complex<double>>
 filter_decimate(std::span<const double> h,
                 std::span<const std::complex<double>> x,
@@ -56,17 +42,8 @@ filter_decimate(std::span<const double> h,
 /// insert (up-1) zeros between samples, filter with h, keep every down-th.
 /// Output length: ceil((x.size()*up + h.size() - 1) / down) - but trimmed to
 /// full convolution; no group-delay compensation (callers track delay).
-std::vector<double> upfirdn(std::span<const double> h,
-                            std::span<const double> x, std::size_t up,
-                            std::size_t down);
-
-/// Complex-input upfirdn with real coefficients.
 std::vector<std::complex<double>>
 upfirdn(std::span<const double> h, std::span<const std::complex<double>> x,
         std::size_t up, std::size_t down);
-
-/// Frequency response H(e^{j2πf}) of an FIR at normalised frequency
-/// f in cycles/sample.
-std::complex<double> fir_response(std::span<const double> h, double f_norm);
 
 } // namespace sdrbist::dsp

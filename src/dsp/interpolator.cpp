@@ -16,22 +16,8 @@ namespace sdrbist::dsp {
 
 namespace {
 
-/// Dispatch the blended tap loop to the backend entry matching T.
-inline double backend_blend(const simd::kernel_ops& ops, const double* x,
-                            const double* rows, std::size_t stride,
-                            const double* w, std::size_t n) {
-    return ops.blend_dot(x, rows, stride, w, n);
-}
-
-inline std::complex<double>
-backend_blend(const simd::kernel_ops& ops, const std::complex<double>* x,
-              const double* rows, std::size_t stride, const double* w,
-              std::size_t n) {
-    return ops.blend_dot_cplx(x, rows, stride, w, n);
-}
-
 /// The process-wide copy of build_lut(half_taps, beta, phase_steps), shared
-/// by real and complex interpolators alike (the table does not depend on T).
+/// by every interpolator with those parameters.
 shared_table shared_lut(std::size_t half_taps, double beta,
                         std::size_t phase_steps) {
     static table_memo<std::tuple<std::size_t, std::uint64_t, std::size_t>>
@@ -39,17 +25,15 @@ shared_table shared_lut(std::size_t half_taps, double beta,
     return memo.get(
         {half_taps, std::bit_cast<std::uint64_t>(beta), phase_steps},
         [&] {
-            return sinc_interpolator<double>::build_lut(half_taps, beta,
-                                                        phase_steps);
+            return sinc_interpolator::build_lut(half_taps, beta, phase_steps);
         });
 }
 
 } // namespace
 
-template <class T>
-std::vector<double> sinc_interpolator<T>::build_lut(std::size_t half_taps,
-                                                    double beta,
-                                                    std::size_t phase_steps) {
+std::vector<double> sinc_interpolator::build_lut(std::size_t half_taps,
+                                                 double beta,
+                                                 std::size_t phase_steps) {
     const std::size_t stride = 2 * half_taps;
     const std::size_t rows = phase_steps + 3;
     std::vector<double> lut(rows * stride);
@@ -84,10 +68,9 @@ std::vector<double> sinc_interpolator<T>::build_lut(std::size_t half_taps,
     return lut;
 }
 
-template <class T>
-sinc_interpolator<T>::sinc_interpolator(std::vector<T> samples, double rate,
-                                        std::size_t half_taps, double beta,
-                                        std::size_t phase_steps)
+sinc_interpolator::sinc_interpolator(std::vector<std::complex<double>> samples,
+                                     double rate, std::size_t half_taps,
+                                     double beta, std::size_t phase_steps)
     : samples_(std::move(samples)), rate_(rate), half_taps_(half_taps),
       phase_steps_(phase_steps), ops_(&simd::kernel_backend::select()) {
     SDRBIST_EXPECTS(rate_ > 0.0);
@@ -98,7 +81,7 @@ sinc_interpolator<T>::sinc_interpolator(std::vector<T> samples, double rate,
     lut_ = shared_lut(half_taps_, beta, phase_steps_);
 }
 
-template <class T> T sinc_interpolator<T>::eval(double pos) const {
+std::complex<double> sinc_interpolator::eval(double pos) const {
     const double fpos = std::floor(pos);
     const auto centre = static_cast<long>(fpos);
     const double frac = pos - fpos;
@@ -117,33 +100,19 @@ template <class T> T sinc_interpolator<T>::eval(double pos) const {
     const long n0 = std::max(lo, 0L);
     const long n1 = std::min(centre + half, n_samples - 1);
     if (n1 < n0)
-        return T{};
+        return {};
 
-    return backend_blend(*ops_, samples_.data() + n0,
-                         r0 + static_cast<std::size_t>(n0 - lo), stride,
-                         blend.w, static_cast<std::size_t>(n1 - n0 + 1));
+    return ops_->blend_dot_cplx(samples_.data() + n0,
+                                r0 + static_cast<std::size_t>(n0 - lo), stride,
+                                blend.w, static_cast<std::size_t>(n1 - n0 + 1));
 }
 
-template <class T>
-std::vector<T> sinc_interpolator<T>::at(const std::vector<double>& t) const {
-    std::vector<T> out(t.size());
+std::vector<std::complex<double>>
+sinc_interpolator::at(const std::vector<double>& t) const {
+    std::vector<std::complex<double>> out(t.size());
     for (std::size_t i = 0; i < t.size(); ++i)
         out[i] = eval(t[i] * rate_);
     return out;
 }
-
-template <class T>
-std::vector<T> sinc_interpolator<T>::uniform_grid(double t0, double rate_out,
-                                                  std::size_t n) const {
-    SDRBIST_EXPECTS(rate_out > 0.0);
-    std::vector<T> out(n);
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] =
-            eval((t0 + static_cast<double>(i) / rate_out) * rate_);
-    return out;
-}
-
-template class sinc_interpolator<double>;
-template class sinc_interpolator<std::complex<double>>;
 
 } // namespace sdrbist::dsp

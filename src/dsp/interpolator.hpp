@@ -22,7 +22,8 @@ struct kernel_ops;
 
 namespace sdrbist::dsp {
 
-/// Windowed-sinc interpolator over samples x[n] taken at t = n / rate.
+/// Windowed-sinc interpolator over complex-envelope samples x[n] taken at
+/// t = n / rate.
 ///
 /// Evaluation uses `half_taps` samples on each side of t, weighted by
 /// sinc(rate·t - n) and a continuous Kaiser window.  Out-of-range samples
@@ -38,12 +39,12 @@ namespace sdrbist::dsp {
 /// the EVM matched filter's SRRC table reads through too.  The LUT depends only on
 /// (half_taps, beta, phase_steps), not on the samples or on T, so it is
 /// built once per process for each exact parameter set and shared by every
-/// interpolator (real or complex) constructed with it — the same
-/// build_lut() output a private table would be, value for value.
+/// interpolator constructed with it — the same build_lut() output a
+/// private table would be, value for value.
 /// The exact two-Bessel-series-per-tap evaluation it is bounded against is
 /// the test yardstick `testing::interp_reference`
 /// (tests/support/interp_yardstick.hpp).
-template <class T> class sinc_interpolator {
+class sinc_interpolator {
 public:
     /// \param samples     uniform samples, x[n] at t = n/rate
     /// \param rate        sample rate in Hz (> 0)
@@ -51,20 +52,18 @@ public:
     /// \param beta        Kaiser window beta (sidelobe control)
     /// \param phase_steps polyphase LUT rows per unit fractional offset
     ///                    (>= 64; accuracy improves as phase_steps^-4)
-    sinc_interpolator(std::vector<T> samples, double rate,
+    sinc_interpolator(std::vector<std::complex<double>> samples, double rate,
                       std::size_t half_taps = 32, double beta = 10.0,
                       std::size_t phase_steps = 1024);
 
     /// Interpolated value at time t (seconds).  LUT fast path.
-    [[nodiscard]] T at(double t) const { return eval(t * rate_); }
+    [[nodiscard]] std::complex<double> at(double t) const {
+        return eval(t * rate_);
+    }
 
     /// Batch evaluation (bit-identical to per-point at()).
-    [[nodiscard]] std::vector<T> at(const std::vector<double>& t) const;
-
-    /// Uniform-grid evaluation: n values at t0, t0 + 1/rate_out, ...
-    /// Bit-identical to calling at(t0 + i/rate_out) per point.
-    [[nodiscard]] std::vector<T> uniform_grid(double t0, double rate_out,
-                                              std::size_t n) const;
+    [[nodiscard]] std::vector<std::complex<double>>
+    at(const std::vector<double>& t) const;
 
     /// First instant free of edge truncation.
     [[nodiscard]] double valid_begin() const {
@@ -79,9 +78,10 @@ public:
 
     [[nodiscard]] double rate() const { return rate_; }
     [[nodiscard]] std::size_t size() const { return samples_.size(); }
-    [[nodiscard]] const std::vector<T>& samples() const { return samples_; }
+    [[nodiscard]] const std::vector<std::complex<double>>& samples() const {
+        return samples_;
+    }
     [[nodiscard]] std::size_t half_taps() const { return half_taps_; }
-    [[nodiscard]] std::size_t phase_steps() const { return phase_steps_; }
 
     /// SIMD kernel backend evaluating the tap loop (captured from
     /// simd::kernel_backend::select() at construction).
@@ -98,20 +98,14 @@ public:
                                          std::size_t phase_steps);
 
 private:
-    std::vector<T> samples_;
+    std::vector<std::complex<double>> samples_;
     double rate_;
     std::size_t half_taps_;
     std::size_t phase_steps_;
     const simd::kernel_ops* ops_;
     std::shared_ptr<const std::vector<double>> lut_; ///< see lut()
 
-    [[nodiscard]] T eval(double pos) const;
+    [[nodiscard]] std::complex<double> eval(double pos) const;
 };
-
-extern template class sinc_interpolator<double>;
-extern template class sinc_interpolator<std::complex<double>>;
-
-using real_interpolator = sinc_interpolator<double>;
-using complex_interpolator = sinc_interpolator<std::complex<double>>;
 
 } // namespace sdrbist::dsp

@@ -29,13 +29,10 @@ double psd_result::peak_density(double f_lo, double f_hi) const {
     return m;
 }
 
-namespace {
-
-// Shared Welch machinery over complex segments.  `two_sided` selects the
-// output layout; scale follows the standard Welch normalisation
-// Pxx = |X|^2 / (fs * sum(w^2)), with one-sided doubling for real input.
-psd_result welch_impl(std::span<const std::complex<double>> x, double fs,
-                      const welch_options& opt, bool two_sided) {
+// Scale follows the standard Welch normalisation
+// Pxx = |X|^2 / (fs * sum(w^2)).
+psd_result welch_psd(std::span<const std::complex<double>> x, double fs,
+                     const welch_options& opt) {
     SDRBIST_EXPECTS(fs > 0.0);
     SDRBIST_EXPECTS(opt.segment_length >= 8);
     SDRBIST_EXPECTS(opt.overlap >= 0.0 && opt.overlap < 1.0);
@@ -67,37 +64,9 @@ psd_result welch_impl(std::span<const std::complex<double>> x, double fs,
 
     psd_result out;
     out.resolution_bw = fs * w_pow / (window_sum(w) * window_sum(w));
-    if (two_sided) {
-        out.frequency = fftshift(fft_frequencies(seg, fs));
-        out.density = fftshift(std::move(acc));
-    } else {
-        const std::size_t half = seg / 2 + 1;
-        out.frequency.resize(half);
-        out.density.resize(half);
-        const double df = fs / static_cast<double>(seg);
-        for (std::size_t i = 0; i < half; ++i) {
-            out.frequency[i] = df * static_cast<double>(i);
-            // One-sided: double all bins except DC and Nyquist.
-            const bool edge = (i == 0) || (seg % 2 == 0 && i == half - 1);
-            out.density[i] = acc[i] * (edge ? 1.0 : 2.0);
-        }
-    }
+    out.frequency = fftshift(fft_frequencies(seg, fs));
+    out.density = fftshift(std::move(acc));
     return out;
-}
-
-} // namespace
-
-psd_result welch_psd(std::span<const double> x, double fs,
-                     const welch_options& opt) {
-    std::vector<std::complex<double>> c(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i)
-        c[i] = {x[i], 0.0};
-    return welch_impl(c, fs, opt, /*two_sided=*/false);
-}
-
-psd_result welch_psd(std::span<const std::complex<double>> x, double fs,
-                     const welch_options& opt) {
-    return welch_impl(x, fs, opt, /*two_sided=*/true);
 }
 
 } // namespace sdrbist::dsp

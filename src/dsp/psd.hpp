@@ -1,9 +1,9 @@
 /// \file psd.hpp
-/// \brief Power spectral density estimation (periodogram / Welch).
+/// \brief Power spectral density estimation (Welch) of a complex envelope.
 ///
 /// The BIST verdict compares the Welch PSD of the reconstructed PA-output
 /// envelope against a spectral emission mask, so the estimator must have a
-/// calibrated power scale (one-sided/two-sided density in V^2/Hz).
+/// calibrated power scale (two-sided density in V^2/Hz).
 #pragma once
 
 #include <complex>
@@ -34,10 +34,6 @@ struct welch_options {
     window_kind window = window_kind::hann; ///< per-segment window
     double kaiser_beta = 8.6;               ///< when window == kaiser
 };
-
-/// Welch PSD of a real signal; one-sided result on [0, fs/2].
-psd_result welch_psd(std::span<const double> x, double fs,
-                     const welch_options& opt = {});
 
 /// Welch PSD of a complex (baseband) signal; two-sided result on
 /// [-fs/2, fs/2), fftshifted to ascending frequency.

@@ -4,35 +4,9 @@
 #include <vector>
 
 #include "core/contracts.hpp"
-#include "core/math_util.hpp"
 #include "core/units.hpp"
 
 namespace sdrbist::dsp {
-
-std::complex<double> goertzel_bin(std::span<const double> x, std::size_t k) {
-    SDRBIST_EXPECTS(!x.empty());
-    SDRBIST_EXPECTS(k < x.size());
-    const double n = static_cast<double>(x.size());
-    const double w = two_pi * static_cast<double>(k) / n;
-    const double coeff = 2.0 * std::cos(w);
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0;
-    for (double v : x) {
-        s0 = v + coeff * s1 - s2;
-        s2 = s1;
-        s1 = s0;
-    }
-    // Standard Goertzel finalisation to the complex DFT bin:
-    // X(k) = s1·e^{jw} - s2  (the e^{-jw(N-1)} phase factor reduces to
-    // e^{jw} because w·N = 2πk).
-    return {s1 * std::cos(w) - s2, s1 * std::sin(w)};
-}
-
-std::complex<double> single_tone_dft(std::span<const double> x, double f_norm) {
-    std::complex<double> acc{0.0, 0.0};
-    for (std::size_t n = 0; n < x.size(); ++n)
-        acc += x[n] * std::polar(1.0, -two_pi * f_norm * static_cast<double>(n));
-    return acc;
-}
 
 sine_fit_result sine_fit_3param(std::span<const double> x, double f_norm) {
     SDRBIST_EXPECTS(x.size() >= 4);

@@ -1,23 +1,13 @@
 /// \file tone.hpp
-/// \brief Single-frequency analysis: Goertzel bins, arbitrary-frequency DFT
-///        and IEEE-1057-style three-parameter sine fitting.
+/// \brief IEEE-1057-style three-parameter sine fitting.
 ///
 /// The Jamal-style time-skew baseline estimates per-channel phase of a known
 /// test sinusoid; the sine fit here is its measurement core.
 #pragma once
 
-#include <complex>
 #include <span>
 
 namespace sdrbist::dsp {
-
-/// Goertzel evaluation of the DFT at integer bin k of an n-point transform.
-/// Equivalent to fft(x)[k] but O(n) for one bin.
-std::complex<double> goertzel_bin(std::span<const double> x, std::size_t k);
-
-/// Direct DFT-style correlation at an arbitrary normalised frequency
-/// f_norm in cycles/sample: sum x[n]·exp(-j·2π·f_norm·n).
-std::complex<double> single_tone_dft(std::span<const double> x, double f_norm);
 
 /// Result of a three-parameter least-squares sine fit
 /// x[n] ≈ amplitude·cos(2π·f_norm·n + phase) + offset.

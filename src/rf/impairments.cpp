@@ -31,18 +31,6 @@ cvec iq_imbalance::apply(const cvec& env) const {
     return out;
 }
 
-double iq_imbalance::image_rejection_db() const {
-    const double g = amplitude_from_db(gain_db);
-    const double phi = phase_deg * pi / 180.0;
-    // IRR = |mu|^2/|nu|^2 with mu = (1 + g·e^{j·phi})/2, nu = (1 - g·e^{j·phi})/2.
-    const std::complex<double> ge = g * std::polar(1.0, phi);
-    const double num = std::norm(1.0 + ge);
-    const double den = std::norm(1.0 - ge);
-    if (den < 1e-30)
-        return 300.0; // ideal quadrature: effectively infinite rejection
-    return db_from_power(num / den);
-}
-
 cvec lo_leakage::apply(const cvec& env) const {
     const double rms = envelope_rms(env);
     const std::complex<double> leak =

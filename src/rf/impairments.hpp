@@ -26,9 +26,6 @@ struct iq_imbalance {
 
     /// Apply to an envelope (returns a new vector).
     [[nodiscard]] cvec apply(const cvec& env) const;
-
-    /// Image-rejection ratio implied by the imbalance, dB (for docs/tests).
-    [[nodiscard]] double image_rejection_db() const;
 };
 
 /// Carrier (LO) leakage: constant complex offset added to the envelope,

@@ -68,52 +68,4 @@ std::complex<double> saleh_pa::amplify(std::complex<double> in) const {
     return std::polar(amp, std::arg(in) + phi);
 }
 
-// ---- memory polynomial -------------------------------------------------------
-
-memory_polynomial_pa::memory_polynomial_pa(
-    std::vector<std::vector<std::complex<double>>> coefficients)
-    : coeff_(std::move(coefficients)) {
-    SDRBIST_EXPECTS(!coeff_.empty());
-    SDRBIST_EXPECTS(!coeff_[0].empty());
-}
-
-std::complex<double>
-memory_polynomial_pa::amplify(std::complex<double> in) const {
-    std::complex<double> acc{0.0, 0.0};
-    const double r2 = std::norm(in);
-    double pw = 1.0;
-    for (std::size_t j = 0; j < coeff_[0].size(); ++j) {
-        acc += coeff_[0][j] * in * pw;
-        pw *= r2;
-    }
-    return acc;
-}
-
-std::vector<std::complex<double>> memory_polynomial_pa::process(
-    const std::vector<std::complex<double>>& env) const {
-    std::vector<std::complex<double>> out(env.size(), {0.0, 0.0});
-    for (std::size_t n = 0; n < env.size(); ++n) {
-        std::complex<double> acc{0.0, 0.0};
-        for (std::size_t q = 0; q < coeff_.size() && q <= n; ++q) {
-            const std::complex<double> x = env[n - q];
-            const double r2 = std::norm(x);
-            double pw = 1.0;
-            for (std::size_t j = 0; j < coeff_[q].size(); ++j) {
-                acc += coeff_[q][j] * x * pw;
-                pw *= r2;
-            }
-        }
-        out[n] = acc;
-    }
-    return out;
-}
-
-double memory_polynomial_pa::small_signal_gain() const {
-    // Sum of the linear taps across delays (DC small-signal response).
-    std::complex<double> g{0.0, 0.0};
-    for (const auto& row : coeff_)
-        g += row[0];
-    return std::abs(g);
-}
-
 } // namespace sdrbist::rf

@@ -1,6 +1,5 @@
 /// \file pa.hpp
-/// \brief Power-amplifier behavioural models (memoryless AM/AM–AM/PM plus a
-///        memory-polynomial extension).
+/// \brief Memoryless power-amplifier behavioural models (AM/AM and AM/PM).
 ///
 /// The BIST's reason to exist is observing the PA output: compression and
 /// spectral regrowth are what the spectral mask check must catch.
@@ -21,9 +20,8 @@ public:
     [[nodiscard]] virtual std::complex<double>
     amplify(std::complex<double> in) const = 0;
 
-    /// Apply to a whole envelope (default: sample-wise; memory models
-    /// override).
-    [[nodiscard]] virtual std::vector<std::complex<double>>
+    /// Apply amplify() sample by sample to a whole envelope.
+    [[nodiscard]] std::vector<std::complex<double>>
     process(const std::vector<std::complex<double>>& env) const;
 
     /// Small-signal voltage gain (linear).
@@ -76,25 +74,6 @@ public:
 
 private:
     double aa_, ba_, ap_, bp_;
-};
-
-/// Odd-order memory polynomial:
-///   y[n] = sum_{q=0}^{Q-1} sum_{k in {1,3,5,...}} c[q][k]·x[n-q]·|x[n-q]|^{k-1}
-/// Captures dynamic (memory) PA effects the memoryless models cannot.
-class memory_polynomial_pa final : public pa_model {
-public:
-    /// coefficients[q][j] multiplies x[n-q]·|x[n-q]|^{2j} (j = 0 is linear).
-    explicit memory_polynomial_pa(
-        std::vector<std::vector<std::complex<double>>> coefficients);
-
-    [[nodiscard]] std::complex<double>
-    amplify(std::complex<double> in) const override; ///< memoryless part only
-    [[nodiscard]] std::vector<std::complex<double>>
-    process(const std::vector<std::complex<double>>& env) const override;
-    [[nodiscard]] double small_signal_gain() const override;
-
-private:
-    std::vector<std::vector<std::complex<double>>> coeff_; // [delay][order]
 };
 
 } // namespace sdrbist::rf

@@ -63,10 +63,6 @@ double envelope_passband::begin_time() const { return interp_.valid_begin(); }
 
 double envelope_passband::end_time() const { return interp_.valid_end(); }
 
-std::complex<double> envelope_passband::envelope_at(double t) const {
-    return interp_.at(t);
-}
-
 multitone_signal::multitone_signal(std::vector<tone> tones, double duration_s)
     : tones_(std::move(tones)), duration_(duration_s) {
     SDRBIST_EXPECTS(!tones_.empty());

@@ -64,9 +64,6 @@ public:
     [[nodiscard]] std::vector<double>
     values(const std::vector<double>& t) const override;
 
-    /// Complex envelope at arbitrary t (used by reference computations).
-    [[nodiscard]] std::complex<double> envelope_at(double t) const;
-
     [[nodiscard]] double carrier() const { return carrier_hz_; }
 
     // Construction parameters, exposed so a serialiser can round-trip the
@@ -83,7 +80,7 @@ public:
     }
 
 private:
-    dsp::complex_interpolator interp_;
+    dsp::sinc_interpolator interp_;
     double carrier_hz_;
     const simd::kernel_ops* ops_; ///< backend for the batch carrier mix
 };

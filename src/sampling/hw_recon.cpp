@@ -167,14 +167,6 @@ double hw_pnbs_reconstructor::value(double t) const {
     return acc;
 }
 
-std::vector<double>
-hw_pnbs_reconstructor::values(const std::vector<double>& t) const {
-    std::vector<double> out(t.size());
-    for (std::size_t i = 0; i < t.size(); ++i)
-        out[i] = value(t[i]);
-    return out;
-}
-
 double hw_pnbs_reconstructor::valid_begin() const {
     return t_start_ + static_cast<double>(opt_.taps / 2 + 1) * period_;
 }

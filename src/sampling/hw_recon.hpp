@@ -54,10 +54,6 @@ public:
     /// Reconstructed value at absolute time t.
     [[nodiscard]] double value(double t) const;
 
-    /// Batch evaluation.
-    [[nodiscard]] std::vector<double>
-    values(const std::vector<double>& t) const;
-
     [[nodiscard]] double valid_begin() const;
     [[nodiscard]] double valid_end() const;
 

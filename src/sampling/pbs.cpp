@@ -53,41 +53,4 @@ double min_alias_free_rate(const band_spec& band) {
     return 2.0 * band.f_hi / static_cast<double>(n_max);
 }
 
-double aliasing_margin(const band_spec& band, double fs) {
-    band.validate();
-    SDRBIST_EXPECTS(fs > 0.0);
-    const double b = band.bandwidth();
-    const auto n_max = static_cast<int>(std::floor(band.f_hi / b + 1e-12));
-    double best = -std::numeric_limits<double>::infinity();
-    for (int n = 1; n <= n_max; ++n) {
-        const double lo = 2.0 * band.f_hi / static_cast<double>(n);
-        const double hi = n == 1 ? std::numeric_limits<double>::infinity()
-                                 : 2.0 * band.f_lo / static_cast<double>(n - 1);
-        if (fs >= lo && fs <= hi) {
-            // Inside: margin is the distance to the closer edge.
-            const double m = std::isinf(hi) ? fs - lo
-                                            : std::min(fs - lo, hi - fs);
-            return m;
-        }
-        // Outside: negative distance to this window.
-        const double d = fs < lo ? fs - lo : hi - fs; // both negative
-        best = std::max(best, d);
-    }
-    return best;
-}
-
-int nyquist_zone(double f, double fs) {
-    SDRBIST_EXPECTS(fs > 0.0);
-    SDRBIST_EXPECTS(f >= 0.0);
-    return static_cast<int>(std::floor(2.0 * f / fs));
-}
-
-double folded_frequency(double f, double fs) {
-    SDRBIST_EXPECTS(fs > 0.0);
-    double r = std::fmod(std::abs(f), fs);
-    if (r > fs / 2.0)
-        r = fs - r;
-    return r;
-}
-
 } // namespace sdrbist::sampling

@@ -34,17 +34,4 @@ bool is_alias_free(const band_spec& band, double fs);
 /// The lowest alias-free rate (>= 2·B, equality iff f_hi/B is an integer).
 double min_alias_free_rate(const band_spec& band);
 
-/// Distance from fs to the nearest aliasing boundary: positive inside an
-/// alias-free window (margin available to clock error), negative when fs
-/// aliases (distance to the nearest valid window edge).
-double aliasing_margin(const band_spec& band, double fs);
-
-/// Index of the Nyquist zone [m·fs/2, (m+1)·fs/2) containing frequency f
-/// (m = 0 is baseband).
-int nyquist_zone(double f, double fs);
-
-/// Frequency to which a tone at f folds after sampling at fs
-/// (result in [0, fs/2]).
-double folded_frequency(double f, double fs);
-
 } // namespace sdrbist::sampling

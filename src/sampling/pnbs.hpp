@@ -63,9 +63,6 @@ public:
     /// k = ceil(2·f_lo/B)  (paper eq. (2d)).
     [[nodiscard]] long k() const { return terms_.k; }
 
-    /// k⁺ = k + 1.
-    [[nodiscard]] long k_plus() const { return terms_.k + 1; }
-
     [[nodiscard]] double delay() const { return delay_; }
     [[nodiscard]] const band_spec& band() const { return band_; }
 

@@ -1,7 +1,6 @@
 #include "waveform/constellation.hpp"
 
 #include <cmath>
-#include <limits>
 
 #include "core/contracts.hpp"
 #include "core/units.hpp"
@@ -139,32 +138,6 @@ constellation::map_stream(std::span<const int> bits) const {
         out[s] = map(bits.subspan(s * bits_per_symbol_,
                                   static_cast<std::size_t>(bits_per_symbol_)));
     return out;
-}
-
-std::size_t constellation::demap(std::complex<double> received) const {
-    std::size_t best = 0;
-    double best_d = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < points_.size(); ++i) {
-        const double d = std::norm(received - points_[i]);
-        if (d < best_d) {
-            best_d = d;
-            best = i;
-        }
-    }
-    return best;
-}
-
-std::complex<double> constellation::point(std::size_t index) const {
-    SDRBIST_EXPECTS(index < points_.size());
-    return points_[index];
-}
-
-double constellation::min_distance() const {
-    double d = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < points_.size(); ++i)
-        for (std::size_t j = i + 1; j < points_.size(); ++j)
-            d = std::min(d, std::abs(points_[i] - points_[j]));
-    return d;
 }
 
 std::string to_string(modulation m) {

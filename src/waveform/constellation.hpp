@@ -41,19 +41,10 @@ public:
     [[nodiscard]] std::vector<std::complex<double>>
     map_stream(std::span<const int> bits) const;
 
-    /// Nearest-point hard decision; returns the point index.
-    [[nodiscard]] std::size_t demap(std::complex<double> received) const;
-
-    /// Point by index.
-    [[nodiscard]] std::complex<double> point(std::size_t index) const;
-
     /// All points.
     [[nodiscard]] const std::vector<std::complex<double>>& points() const {
         return points_;
     }
-
-    /// Minimum distance between distinct points.
-    [[nodiscard]] double min_distance() const;
 
     /// Differential modulations encode bits in symbol-to-symbol phase
     /// rotations; map() of a single symbol is then undefined (use

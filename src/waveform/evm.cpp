@@ -14,10 +14,6 @@
 
 namespace sdrbist::waveform {
 
-double evm_result::evm_db() const {
-    return 20.0 * std::log10(std::max(evm_rms, 1e-300));
-}
-
 namespace {
 
 /// The table srrc_matched_filter reads (see its class comment).

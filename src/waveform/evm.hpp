@@ -36,8 +36,6 @@ struct evm_result {
 
     /// EVM in percent.
     [[nodiscard]] double evm_percent() const { return 100.0 * evm_rms; }
-    /// EVM in dB (20·log10).
-    [[nodiscard]] double evm_db() const;
 };
 
 /// EVM meter options.

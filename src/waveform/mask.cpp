@@ -55,15 +55,6 @@ mask_report spectral_mask::check(const dsp::psd_result& psd) const {
     return report;
 }
 
-double spectral_mask::limit_at(double offset_hz) const {
-    const double off = std::abs(offset_hz);
-    double limit = std::numeric_limits<double>::infinity();
-    for (const auto& s : segments_)
-        if (off >= s.offset_lo_hz && off < s.offset_hi_hz)
-            limit = std::min(limit, s.limit_dbc);
-    return limit;
-}
-
 spectral_mask make_narrowband_mask(double symbol_rate_hz, double rolloff) {
     SDRBIST_EXPECTS(symbol_rate_hz > 0.0);
     SDRBIST_EXPECTS(rolloff > 0.0 && rolloff <= 1.0);

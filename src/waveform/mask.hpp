@@ -54,9 +54,6 @@ public:
     /// limits; the worst of the two sides is reported per segment.
     [[nodiscard]] mask_report check(const dsp::psd_result& psd) const;
 
-    /// Mask limit at a given offset (dBc); +inf inside no segment.
-    [[nodiscard]] double limit_at(double offset_hz) const;
-
     [[nodiscard]] const std::string& name() const { return name_; }
     [[nodiscard]] double reference_bandwidth() const { return ref_bw_hz_; }
     [[nodiscard]] const std::vector<mask_segment>& segments() const {

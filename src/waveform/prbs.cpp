@@ -55,8 +55,4 @@ std::vector<int> prbs_generator::bits(std::size_t n) {
     return out;
 }
 
-std::uint64_t prbs_generator::period() const {
-    return (std::uint64_t{1} << nbits_) - 1;
-}
-
 } // namespace sdrbist::waveform

@@ -33,9 +33,6 @@ public:
     /// Generate n bits.
     std::vector<int> bits(std::size_t n);
 
-    /// Sequence period (2^order - 1).
-    [[nodiscard]] std::uint64_t period() const;
-
     /// Register width in bits.
     [[nodiscard]] int order() const { return nbits_; }
 

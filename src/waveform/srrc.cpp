@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "core/contracts.hpp"
-#include "core/math_util.hpp"
 #include "core/units.hpp"
 
 namespace sdrbist::waveform {
@@ -26,19 +25,6 @@ double srrc_value(double t, double a) {
                        4.0 * a * t * std::cos(pi * t * (1.0 + a));
     const double den = pi * t * (1.0 - 16.0 * a * a * t * t);
     return num / den;
-}
-
-double raised_cosine_value(double t, double a) {
-    SDRBIST_EXPECTS(a > 0.0 && a <= 1.0);
-    const double at = std::abs(t);
-    const double sing = 1.0 / (2.0 * a);
-    double shape;
-    if (std::abs(at - sing) < 1e-9)
-        shape = pi / 4.0 * sinc(1.0 / (2.0 * a));
-    else
-        shape = sinc(t) * std::cos(pi * a * t) /
-                (1.0 - 4.0 * a * a * t * t);
-    return shape;
 }
 
 std::vector<double> srrc_taps(double rolloff, std::size_t oversample,

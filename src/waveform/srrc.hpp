@@ -28,9 +28,4 @@ std::vector<double> srrc_taps(double rolloff, std::size_t oversample,
 /// bounded against.
 double srrc_value(double t_symbols, double rolloff);
 
-/// Raised-cosine (full Nyquist) value at t in symbol periods — the
-/// autocorrelation of the SRRC; used by tests to verify the ISI-free
-/// property of the matched cascade.
-double raised_cosine_value(double t_symbols, double rolloff);
-
 } // namespace sdrbist::waveform

@@ -5,11 +5,13 @@
 #include "core/contracts.hpp"
 #include "core/stats.hpp"
 #include "core/units.hpp"
+#include "support/sample_stats.hpp"
 
 namespace {
 
 using namespace sdrbist;
 using namespace sdrbist::adc;
+using sdrbist::testing::mean;
 
 TEST(SamplingClock, NominalEdgesWhenJitterFree) {
     sampling_clock clk({1.0 / (90.0 * MHz), 0.5 * us, 0.0}, 1);

@@ -9,11 +9,14 @@
 #include "core/stats.hpp"
 #include "core/units.hpp"
 #include "rf/passband.hpp"
+#include "support/sample_stats.hpp"
 
 namespace {
 
 using namespace sdrbist;
 using namespace sdrbist::adc;
+using sdrbist::testing::mean;
+using sdrbist::testing::max_abs;
 
 rf::multitone_signal tone_at(double f, double duration) {
     return rf::multitone_signal({{f, 0.8, 0.3}}, duration);

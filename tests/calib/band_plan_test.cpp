@@ -29,10 +29,10 @@ TEST(Eq9Conditions, DegenerateCarrierViolates) {
 }
 
 TEST(SlowBandOffset, CentredWhenAdmissible) {
-    const auto fast = band_around(1.0 * GHz, 90.0 * MHz);
-    const double off =
-        calib::choose_slow_band_offset(fast, 45.0 * MHz, 15.0 * MHz);
-    EXPECT_NEAR(off, 0.0, 1.0 * MHz);
+    const auto plan =
+        calib::choose_band_plan(1.0 * GHz, 90.0 * MHz, 45.0 * MHz, 15.0 * MHz);
+    EXPECT_EQ(plan.fast_offset_hz, 0.0);
+    EXPECT_NEAR(plan.slow_offset_hz, 0.0, 1.0 * MHz);
 }
 
 TEST(SlowBandOffset, ResolvesNonDegenerateCollisions) {
@@ -40,8 +40,10 @@ TEST(SlowBandOffset, ResolvesNonDegenerateCollisions) {
     const auto fast = band_around(1.2 * GHz, 90.0 * MHz);
     const auto centred = band_around(1.2 * GHz, 45.0 * MHz);
     EXPECT_FALSE(calib::dual_rate_conditions_ok(fast, centred));
-    const double off =
-        calib::choose_slow_band_offset(fast, 45.0 * MHz, 15.0 * MHz);
+    const auto plan =
+        calib::choose_band_plan(1.2 * GHz, 90.0 * MHz, 45.0 * MHz, 15.0 * MHz);
+    EXPECT_EQ(plan.fast_offset_hz, 0.0); // the slow band moves, not the fast
+    const double off = plan.slow_offset_hz;
     EXPECT_GT(std::abs(off), 1.0 * MHz);
     EXPECT_TRUE(calib::dual_rate_conditions_ok(
         fast, band_around(1.2 * GHz + off, 45.0 * MHz)));
@@ -128,9 +130,7 @@ TEST(BandPlan, Preconditions) {
     EXPECT_THROW(calib::choose_band_plan(1e9, 90e6, 45e6, 0.0),
                  contract_violation);
     // Occupied bandwidth too large for the slow band.
-    EXPECT_THROW(calib::choose_slow_band_offset(
-                     band_around(1.0 * GHz, 90.0 * MHz), 45.0 * MHz,
-                     44.9 * MHz),
+    EXPECT_THROW(calib::choose_band_plan(1e9, 90e6, 45e6, 44.9e6),
                  contract_violation);
 }
 

@@ -73,12 +73,12 @@ TEST(ConfigCanonical, DigestMovesWithAnyField) {
     const auto cfg = small_campaign();
     const auto grid = expand_grid(cfg);
     const auto base = scenario_config(cfg, grid[0]);
-    const auto reference = bist::config_digest(base);
+    const auto reference = bist::canonical_config_text(base);
 
     auto probe = [&](auto&& mutate) {
         bist::bist_config c = base;
         mutate(c);
-        return bist::config_digest(c);
+        return bist::canonical_config_text(c);
     };
     EXPECT_NE(probe([](auto& c) { c.evm_limit_percent += 0.5; }), reference);
     EXPECT_NE(probe([](auto& c) { c.tx.pa_gain_db += 1e-9; }), reference);
@@ -198,8 +198,8 @@ TEST(ScenarioCache, WarmRerunIsAllHitsAndBitIdentical) {
     ASSERT_EQ(warm.matrix.size(), cold.matrix.size());
     for (std::size_t p = 0; p < cold.matrix.size(); ++p)
         for (std::size_t f = 0; f < cold.matrix[p].size(); ++f) {
-            EXPECT_EQ(warm.cell(p, f).runs, cold.cell(p, f).runs);
-            EXPECT_EQ(warm.cell(p, f).flagged, cold.cell(p, f).flagged);
+            EXPECT_EQ(warm.matrix[p][f].runs, cold.matrix[p][f].runs);
+            EXPECT_EQ(warm.matrix[p][f].flagged, cold.matrix[p][f].flagged);
         }
     // Reports round-tripped bit-exactly through the cache files.
     for (std::size_t i = 0; i < cold.results.size(); ++i) {

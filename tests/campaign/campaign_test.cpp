@@ -177,9 +177,9 @@ TEST(CampaignRunner, ThreadCountInvariance) {
     ASSERT_EQ(serial.matrix.size(), parallel.matrix.size());
     for (std::size_t p = 0; p < serial.matrix.size(); ++p)
         for (std::size_t f = 0; f < serial.matrix[p].size(); ++f) {
-            EXPECT_EQ(serial.cell(p, f).runs, parallel.cell(p, f).runs);
-            EXPECT_EQ(serial.cell(p, f).flagged,
-                      parallel.cell(p, f).flagged);
+            EXPECT_EQ(serial.matrix[p][f].runs, parallel.matrix[p][f].runs);
+            EXPECT_EQ(serial.matrix[p][f].flagged,
+                      parallel.matrix[p][f].flagged);
         }
 
     // The strongest form: the timing-free structured exports are
@@ -206,11 +206,11 @@ TEST(CampaignRunner, CoverageMatrixOnSmallGrid) {
     ASSERT_EQ(result.matrix[0].size(), 3u);
 
     // Golden passes every trial; both PA faults are caught every trial.
-    EXPECT_EQ(result.cell(0, 0).runs, 2u);
-    EXPECT_EQ(result.cell(0, 0).flagged, 0u);
-    EXPECT_EQ(result.cell(0, 1).runs, 2u);
-    EXPECT_EQ(result.cell(0, 1).flagged, 2u);
-    EXPECT_EQ(result.cell(0, 2).flagged, 2u);
+    EXPECT_EQ(result.matrix[0][0].runs, 2u);
+    EXPECT_EQ(result.matrix[0][0].flagged, 0u);
+    EXPECT_EQ(result.matrix[0][1].runs, 2u);
+    EXPECT_EQ(result.matrix[0][1].flagged, 2u);
+    EXPECT_EQ(result.matrix[0][2].flagged, 2u);
 
     EXPECT_EQ(result.golden_runs, 2u);
     EXPECT_EQ(result.golden_passes, 2u);

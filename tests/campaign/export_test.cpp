@@ -12,11 +12,13 @@
 #include "campaign/campaign.hpp"
 #include "campaign/export.hpp"
 #include "core/contracts.hpp"
+#include "support/csv_reader.hpp"
 
 namespace {
 
 using namespace sdrbist;
 using namespace sdrbist::campaign;
+using sdrbist::testing::parse_csv;
 
 const campaign_result& tiny_campaign_result() {
     static const campaign_result result = [] {
@@ -61,9 +63,9 @@ TEST(CampaignExport, JsonRoundTripsThroughParser) {
     ASSERT_EQ(matrix.size(), 2u);
     EXPECT_EQ(matrix.at(std::size_t{0}).at("fault").as_string(), "none");
     EXPECT_DOUBLE_EQ(matrix.at(std::size_t{0}).at("fail_rate").as_number(),
-                     result.cell(0, 0).fail_rate());
+                     result.matrix[0][0].fail_rate());
     EXPECT_DOUBLE_EQ(matrix.at(std::size_t{1}).at("flagged").as_number(),
-                     static_cast<double>(result.cell(0, 1).flagged));
+                     static_cast<double>(result.matrix[0][1].flagged));
 
     const auto& rows = doc.at("scenarios");
     ASSERT_EQ(rows.size(), result.results.size());
@@ -208,9 +210,9 @@ TEST(CampaignExport, CoverageCsvRoundTrips) {
     EXPECT_EQ(rows[1][0], "paper-qpsk-10M");
     EXPECT_EQ(rows[1][1], "none");
     EXPECT_EQ(rows[1][2], "1");
-    EXPECT_EQ(rows[1][3], std::to_string(result.cell(0, 0).flagged));
+    EXPECT_EQ(rows[1][3], std::to_string(result.matrix[0][0].flagged));
     EXPECT_EQ(rows[2][1], "pa-gain-drop");
-    EXPECT_DOUBLE_EQ(std::stod(rows[2][4]), result.cell(0, 1).fail_rate());
+    EXPECT_DOUBLE_EQ(std::stod(rows[2][4]), result.matrix[0][1].fail_rate());
 }
 
 TEST(CampaignExport, ScenariosCsvRoundTrips) {

@@ -54,9 +54,9 @@ void expect_equivalent(const campaign_result& merged,
     ASSERT_EQ(merged.matrix.size(), unsharded.matrix.size());
     for (std::size_t p = 0; p < unsharded.matrix.size(); ++p)
         for (std::size_t f = 0; f < unsharded.matrix[p].size(); ++f) {
-            EXPECT_EQ(merged.cell(p, f).runs, unsharded.cell(p, f).runs);
-            EXPECT_EQ(merged.cell(p, f).flagged,
-                      unsharded.cell(p, f).flagged);
+            EXPECT_EQ(merged.matrix[p][f].runs, unsharded.matrix[p][f].runs);
+            EXPECT_EQ(merged.matrix[p][f].flagged,
+                      unsharded.matrix[p][f].flagged);
         }
     EXPECT_EQ(merged.golden_runs, unsharded.golden_runs);
     EXPECT_EQ(merged.golden_passes, unsharded.golden_passes);

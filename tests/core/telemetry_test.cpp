@@ -119,21 +119,6 @@ TEST_F(Telemetry, SummaryMergeAndWindowArithmetic) {
     EXPECT_EQ(tm::snapshot().of(tm::category::shard).count, 3u);
 }
 
-TEST_F(Telemetry, SummaryCsvListsEveryCategory) {
-    tm::summary s;
-    s.categories[static_cast<std::size_t>(tm::category::cache)] = {2, 10, 6};
-    const std::string csv = tm::summary_csv(s);
-    const auto rows = campaign::parse_csv(csv);
-    ASSERT_EQ(rows.size(), 1u + tm::category_count);
-    EXPECT_EQ(rows[0][0], "category");
-    const auto cache_row =
-        rows[1 + static_cast<std::size_t>(tm::category::cache)];
-    EXPECT_EQ(cache_row[0], "cache");
-    EXPECT_EQ(cache_row[1], "2");
-    EXPECT_EQ(cache_row[2], "10");
-    EXPECT_EQ(cache_row[4], "6");
-}
-
 TEST_F(Telemetry, ConcurrentCountsAreExact) {
     tm::enable();
     constexpr int threads = 8;

@@ -1,44 +1,19 @@
-// Goertzel, single-tone DFT and the IEEE-1057 three-parameter sine fit.
+// The IEEE-1057 three-parameter sine fit.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/contracts.hpp"
 #include "core/random.hpp"
-#include "core/stats.hpp"
 #include "core/units.hpp"
-#include "dsp/fft.hpp"
 #include "dsp/tone.hpp"
+#include "support/sample_stats.hpp"
 
 namespace {
 
 using namespace sdrbist;
 using namespace sdrbist::dsp;
-
-TEST(Goertzel, MatchesFftBins) {
-    rng gen(3);
-    std::vector<double> x(256);
-    for (auto& v : x)
-        v = gen.gaussian();
-    const auto spectrum = fft_real(x);
-    for (std::size_t k : {0u, 1u, 37u, 128u, 200u}) {
-        const auto g = goertzel_bin(x, k);
-        // Goertzel's recurrence loses a few digits relative to the FFT.
-        EXPECT_NEAR(std::abs(g - spectrum[k]), 0.0, 1e-5) << "k=" << k;
-    }
-}
-
-TEST(SingleToneDft, AgreesWithGoertzelOnBins) {
-    rng gen(9);
-    std::vector<double> x(200);
-    for (auto& v : x)
-        v = gen.gaussian();
-    for (std::size_t k : {3u, 10u, 77u}) {
-        const double f = static_cast<double>(k) / 200.0;
-        EXPECT_NEAR(std::abs(single_tone_dft(x, f) - goertzel_bin(x, k)), 0.0,
-                    1e-6);
-    }
-}
+using sdrbist::testing::mean;
 
 TEST(SineFit, ExactRecovery) {
     const double f = 0.1234;
@@ -113,13 +88,6 @@ TEST(SineFit, Preconditions) {
     std::vector<double> y(100, 0.0);
     EXPECT_THROW(sine_fit_3param(y, 0.0), contract_violation);
     EXPECT_THROW(sine_fit_3param(y, 0.5), contract_violation);
-}
-
-TEST(Goertzel, Preconditions) {
-    std::vector<double> x;
-    EXPECT_THROW(goertzel_bin(x, 0), contract_violation);
-    std::vector<double> y(10, 0.0);
-    EXPECT_THROW(goertzel_bin(y, 10), contract_violation);
 }
 
 } // namespace

@@ -89,38 +89,10 @@ TEST(SalehPa, AmPmRotatesPhase) {
     EXPECT_GT(std::arg(out_large), 0.1); // strong AM/PM at high drive
 }
 
-TEST(MemoryPolynomial, SingleTapMatchesMemoryless) {
-    // One delay tap, linear + cubic term.
-    const std::vector<std::vector<std::complex<double>>> coeff{
-        {{10.0, 0.0}, {-2.0, 0.0}}};
-    const memory_polynomial_pa pa(coeff);
-    cvec x{{0.1, 0.0}, {0.0, 0.2}, {-0.15, 0.1}};
-    const auto y = pa.process(x);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        const auto expect =
-            10.0 * x[i] - 2.0 * x[i] * std::norm(x[i]);
-        EXPECT_LT(std::abs(y[i] - expect), 1e-12);
-        EXPECT_LT(std::abs(pa.amplify(x[i]) - expect), 1e-12);
-    }
-}
-
-TEST(MemoryPolynomial, MemoryTapUsesPastInput) {
-    const std::vector<std::vector<std::complex<double>>> coeff{
-        {{1.0, 0.0}}, {{0.5, 0.0}}};
-    const memory_polynomial_pa pa(coeff);
-    cvec x{{1.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}};
-    const auto y = pa.process(x);
-    EXPECT_NEAR(y[0].real(), 1.0, 1e-12);
-    EXPECT_NEAR(y[1].real(), 0.5, 1e-12); // echo of x[0]
-    EXPECT_NEAR(y[2].real(), 0.0, 1e-12);
-    EXPECT_NEAR(pa.small_signal_gain(), 1.5, 1e-12);
-}
-
 TEST(Pa, Preconditions) {
     EXPECT_THROW(rapp_pa(20.0, -1.0, 2.0), contract_violation);
     EXPECT_THROW(rapp_pa(20.0, 1.0, 0.1), contract_violation);
     EXPECT_THROW(saleh_pa(-1.0, 1.0, 1.0, 1.0), contract_violation);
-    EXPECT_THROW(memory_polynomial_pa({}), contract_violation);
     const rapp_pa pa(20.0, 10.0, 2.0);
     EXPECT_THROW(static_cast<void>(pa.input_compression_point(0.0)),
                  contract_violation);

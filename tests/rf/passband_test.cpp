@@ -70,9 +70,11 @@ TEST(EnvelopePassband, EnvelopeInterpolationAccuracy) {
     const envelope_passband sig(std::move(env), fs, 1.0 * GHz);
     for (double t = sig.begin_time() + 1.0 * us; t < sig.begin_time() + 2.0 * us;
          t += 0.173 * us) {
-        const std::complex<double> expect{std::cos(two_pi * f_mod * t),
-                                          std::sin(two_pi * f_mod * t)};
-        EXPECT_NEAR(std::abs(sig.envelope_at(t) - expect), 0.0, 1e-5);
+        // Re{E(t)·e^{j2πfc·t}} with the exact envelope.
+        const std::complex<double> expect =
+            std::polar(1.0, two_pi * f_mod * t) *
+            std::polar(1.0, two_pi * 1.0 * GHz * t);
+        EXPECT_NEAR(sig.value(t), expect.real(), 1e-5);
     }
 }
 

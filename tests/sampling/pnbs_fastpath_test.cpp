@@ -193,7 +193,7 @@ TEST(KohlenbergKernel, ForbiddenDelaysAreExactMultiples) {
     ASSERT_GT(delays.size(), 1000u);
     const kohlenberg_kernel kernel(band, 180.0 * ps);
     const double step_k = t / static_cast<double>(kernel.k());
-    const double step_kp = t / static_cast<double>(kernel.k_plus());
+    const double step_kp = t / static_cast<double>(kernel.k() + 1);
     for (const double d : delays) {
         const double nk = std::round(d / step_k);
         const double nkp = std::round(d / step_kp);

@@ -20,7 +20,6 @@ TEST(KohlenbergKernel, PaperBandIndices) {
     const kohlenberg_kernel kern(paper_band(), 180.0 * ps);
     // k = ceil(2·955/90) = ceil(21.22) = 22.
     EXPECT_EQ(kern.k(), 22);
-    EXPECT_EQ(kern.k_plus(), 23);
 }
 
 TEST(KohlenbergKernel, ValueAtZeroIsOne) {

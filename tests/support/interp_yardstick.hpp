@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cmath>
+#include <complex>
 #include <cstddef>
 #include <span>
 
@@ -17,15 +18,15 @@
 namespace sdrbist::testing {
 
 /// x(t) ≈ Σ_n samples[n]·sinc(rate·t - n)·w((rate·t - n)/half_taps).
-template <class T>
-T interp_reference(std::span<const T> samples, double rate,
-                   std::size_t half_taps, double beta, double t) {
+inline std::complex<double>
+interp_reference(std::span<const std::complex<double>> samples, double rate,
+                 std::size_t half_taps, double beta, double t) {
     const double pos = t * rate; // fractional sample index
     const auto centre = static_cast<long>(std::floor(pos));
     const auto n_samples = static_cast<long>(samples.size());
     const auto half = static_cast<long>(half_taps);
 
-    T acc{};
+    std::complex<double> acc{};
     const long lo = centre - half + 1;
     const long hi = centre + half;
     const double inv_half = 1.0 / static_cast<double>(half);

@@ -76,13 +76,6 @@ TEST(Evm, PeakAtLeastRms) {
     EXPECT_FALSE(r.received_symbols.empty());
 }
 
-TEST(Evm, DbConversion) {
-    evm_result r;
-    r.evm_rms = 0.01;
-    EXPECT_NEAR(r.evm_db(), -40.0, 1e-9);
-    EXPECT_NEAR(r.evm_percent(), 1.0, 1e-12);
-}
-
 TEST(Evm, Preconditions) {
     const auto wf = evm_waveform();
     std::vector<std::complex<double>> tiny(8, {0.0, 0.0});

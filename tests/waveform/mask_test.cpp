@@ -1,7 +1,9 @@
 // Spectral mask definition and compliance checking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/contracts.hpp"
 #include "core/units.hpp"
@@ -11,6 +13,17 @@ namespace {
 
 using namespace sdrbist;
 using namespace sdrbist::waveform;
+
+/// The mask limit at an offset (dBc): the tightest segment covering |f|,
+/// +inf inside no segment.
+double limit_at(const spectral_mask& mask, double offset_hz) {
+    const double off = std::abs(offset_hz);
+    double limit = std::numeric_limits<double>::infinity();
+    for (const auto& s : mask.segments())
+        if (off >= s.offset_lo_hz && off < s.offset_hi_hz)
+            limit = std::min(limit, s.limit_dbc);
+    return limit;
+}
 
 // Synthetic baseband PSD: flat in-band plateau + configurable shoulders.
 dsp::psd_result synthetic_psd(double shoulder_dbc, double floor_dbc) {
@@ -65,18 +78,18 @@ TEST(SpectralMask, HotFloorFailsOnlyFarSegment) {
 TEST(SpectralMask, LimitAtLookup) {
     const auto mask = make_narrowband_mask(10.0 * MHz, 0.5);
     // occ = 15 MHz: shoulders 11.25..22.5, floor 22.5..60.
-    EXPECT_TRUE(std::isinf(mask.limit_at(5.0 * MHz)));
-    EXPECT_DOUBLE_EQ(mask.limit_at(15.0 * MHz), -35.0);
-    EXPECT_DOUBLE_EQ(mask.limit_at(-15.0 * MHz), -35.0); // symmetric
-    EXPECT_DOUBLE_EQ(mask.limit_at(30.0 * MHz), -42.0);
-    EXPECT_TRUE(std::isinf(mask.limit_at(100.0 * MHz)));
+    EXPECT_TRUE(std::isinf(limit_at(mask, 5.0 * MHz)));
+    EXPECT_DOUBLE_EQ(limit_at(mask, 15.0 * MHz), -35.0);
+    EXPECT_DOUBLE_EQ(limit_at(mask, -15.0 * MHz), -35.0); // symmetric
+    EXPECT_DOUBLE_EQ(limit_at(mask, 30.0 * MHz), -42.0);
+    EXPECT_TRUE(std::isinf(limit_at(mask, 100.0 * MHz)));
 }
 
 TEST(SpectralMask, StrictMaskIsStricter) {
     const auto normal = make_narrowband_mask(10.0 * MHz, 0.5);
     const auto strict = make_strict_mask(10.0 * MHz, 0.5);
-    EXPECT_LT(strict.limit_at(15.0 * MHz), normal.limit_at(15.0 * MHz));
-    EXPECT_LT(strict.limit_at(30.0 * MHz), normal.limit_at(30.0 * MHz));
+    EXPECT_LT(limit_at(strict, 15.0 * MHz), limit_at(normal, 15.0 * MHz));
+    EXPECT_LT(limit_at(strict, 30.0 * MHz), limit_at(normal, 30.0 * MHz));
 }
 
 TEST(MeasurementFloor, FormulaAndMonotonicity) {
@@ -102,8 +115,8 @@ TEST(MeasurementFloor, RelaxationRaisesOnlyViolatedLimits) {
     const auto mask = make_narrowband_mask(10.0 * MHz, 0.5);
     const auto relaxed = relax_to_measurement_floor(mask, -40.0, 4.0);
     // -42 floor limit below -36 -> raised; -35 shoulder stays.
-    EXPECT_DOUBLE_EQ(relaxed.limit_at(15.0 * MHz), -35.0);
-    EXPECT_DOUBLE_EQ(relaxed.limit_at(30.0 * MHz), -36.0);
+    EXPECT_DOUBLE_EQ(limit_at(relaxed, 15.0 * MHz), -35.0);
+    EXPECT_DOUBLE_EQ(limit_at(relaxed, 30.0 * MHz), -36.0);
     EXPECT_NE(relaxed.name(), mask.name());
 }
 
