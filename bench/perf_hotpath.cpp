@@ -6,8 +6,14 @@
 //    blend_dot) against the per-tap transcendental yardstick (paper
 //    eq. (6), tests/support/pnbs_yardstick.hpp).
 //
-//  * PNBS kernel tables — sampling::pnbs_tap_tables build time, read time
-//    and read error against the exact windowed kernel.
+//  * PNBS kernel tables — sampling::pnbs_tap_tables read time and read
+//    error against the exact windowed kernel; build time and page faults
+//    on fresh and on recycled storage (sampling::table_storage_scope).
+//
+//  * Band-plan search — the stimulus stage's search
+//    (bist::choose_bist_band_plan) per catalogue preset: ms and the
+//    dual-rate discriminations it evaluates.
+//
 //  * Windowed-sinc interpolated capture — the polyphase-LUT interpolator
 //    behind every BP-TIADC capture against the two-Bessel-series-per-tap
 //    yardstick (tests/support/interp_yardstick.hpp).
@@ -52,9 +58,13 @@
 #include <complex>
 #include <cstring>
 #include <iostream>
+#include <utility>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "bench_util.hpp"
+#include "bist/pipeline.hpp"
 #include "bist/spectrum.hpp"
 #include "calib/dual_rate.hpp"
 #include "calib/lms.hpp"
@@ -75,6 +85,7 @@
 #include "support/pnbs_yardstick.hpp"
 #include "support/skew_cost_yardstick.hpp"
 #include "waveform/evm.hpp"
+#include "waveform/standard.hpp"
 
 namespace {
 
@@ -475,10 +486,9 @@ void bench_evm(std::size_t symbols, std::size_t offsets, int reps) {
 }
 
 /// PNBS kernel table bench at the paper's band (1 GHz, 90 MHz, 61 taps,
-/// β = 8): µs per table build (the shared window grid already built), ns
-/// per read (both terms' blends at one phase over the full window, at
-/// random phases in [−1, 0.5]), and the largest read error against the
-/// exact windowed kernel (−1)^{k_m·j}·w(x/span)·sinc(f_m·T·x) with
+/// β = 8): ns per read (both terms' blends at one phase over the full
+/// window, at random phases in [−1, 0.5]), and the largest read error
+/// against the exact windowed kernel (−1)^{k_m·j}·w(x/span)·sinc(f_m·T·x) with
 /// dsp::kaiser_window_at, relative to the read's Σ|terms|.
 void bench_pnbs_table(std::size_t reads, int reps) {
     const auto band = sampling::band_around(1.0 * GHz, 90.0 * MHz);
@@ -486,8 +496,6 @@ void bench_pnbs_table(std::size_t reads, int reps) {
     const sampling::pnbs_options opt{61, 8.0};
     const auto& ops = simd::kernel_backend::select();
     const sampling::pnbs_tap_tables tables(band, period, opt);
-    const double s_build = best_seconds(
-        [&] { (void)sampling::pnbs_tap_tables(band, period, opt); }, reps);
 
     rng gen(0x7AB1);
     const auto x = gen.uniform_vector(opt.taps, -1.0, 1.0);
@@ -539,16 +547,104 @@ void bench_pnbs_table(std::size_t reads, int reps) {
     rec.add("taps", opt.taps);
     rec.add("phase_steps", sampling::pnbs_tap_tables::phase_steps);
     rec.add("table_bytes", tables.cells.size() * sizeof(double));
-    rec.add("build_us", 1e6 * s_build);
     rec.add("ns_per_read", 1e9 * s_read / n);
     rec.add("max_rel_error", worst);
     benchutil::emit_bench_json("perf_hotpath", rec);
 
-    std::cout << "pnbs table: build " << 1e6 * s_build << " us, read "
-              << 1e9 * s_read / n << " ns (both terms, " << opt.taps
-              << " taps), max rel err " << worst << "\n";
+    std::cout << "pnbs table: read " << 1e9 * s_read / n
+              << " ns (both terms, " << opt.taps << " taps), max rel err "
+              << worst << "\n";
     if (sink == 42.25) // defeat dead-code elimination of the timed loop
         std::cout << "";
+}
+
+/// Minor page faults of this process so far.
+long minor_faults() {
+    rusage u{};
+    getrusage(RUSAGE_SELF, &u);
+    return u.ru_minflt;
+}
+
+/// PNBS table builds at the paper's band and 61 taps, per build: on fresh
+/// storage (`builds` tables kept alive together, so each is written to
+/// memory no table used before and takes its page faults) and on storage
+/// recycled through a sampling::table_storage_scope (built one after
+/// another, each on the cells the last one left, as the tables of a
+/// bist_session::run_until are), with the minor page faults per build.
+void bench_pnbs_table_build(std::size_t builds, int reps) {
+    const auto band = sampling::band_around(1.0 * GHz, 90.0 * MHz);
+    const double period = 1.0 / band.bandwidth();
+    const sampling::pnbs_options opt{61, 8.0};
+    (void)sampling::pnbs_tap_tables(band, period, opt); // the window grid
+    const auto per_build = [&](auto&& build_all) {
+        long faults = 0;
+        const double s = best_seconds(
+            [&] {
+                const long f0 = minor_faults();
+                build_all();
+                faults = minor_faults() - f0;
+            },
+            reps);
+        const double n = static_cast<double>(builds);
+        return std::pair{1e6 * s / n, static_cast<double>(faults) / n};
+    };
+    const auto [fresh_us, fresh_faults] = per_build([&] {
+        std::vector<sampling::pnbs_tap_tables> alive;
+        alive.reserve(builds);
+        for (std::size_t i = 0; i < builds; ++i)
+            alive.emplace_back(band, period, opt);
+    });
+    const auto [reused_us, reused_faults] = per_build([&] {
+        const sampling::table_storage_scope scope;
+        for (std::size_t i = 0; i < builds; ++i)
+            (void)sampling::pnbs_tap_tables(band, period, opt);
+    });
+
+    benchutil::json_record rec;
+    rec.add("kernel", std::string("pnbs_table_build"));
+    rec.add("taps", opt.taps);
+    rec.add("builds", builds);
+    rec.add("fresh_us", fresh_us);
+    rec.add("fresh_faults", fresh_faults);
+    rec.add("reused_us", reused_us);
+    rec.add("reused_faults", reused_faults);
+    benchutil::emit_bench_json("perf_hotpath", rec);
+
+    std::cout << "pnbs table build: fresh " << fresh_us << " us ("
+              << fresh_faults << " page faults), reused " << reused_us
+              << " us (" << reused_faults << " page faults)\n";
+}
+
+/// The stimulus stage's band-plan search (bist::choose_bist_band_plan)
+/// per catalogue preset, in a table storage scope as a session runs it:
+/// ms per search (best of reps) and the discriminations it evaluates.
+void bench_band_plan_search(int reps) {
+    for (const auto& preset : waveform::standard_catalogue()) {
+        bist::bist_config cfg;
+        cfg.preset = preset;
+        const auto stim = bist::run_stimulus(cfg);
+        std::size_t evaluated = 0;
+        const double s = best_seconds(
+            [&] {
+                const sampling::table_storage_scope scope;
+                evaluated = bist::choose_bist_band_plan(
+                                cfg, stim.occupied_bw_calibration_hz,
+                                stim.occupied_bw_graded_hz)
+                                .evaluated;
+            },
+            reps);
+
+        benchutil::json_record rec;
+        rec.add("kernel", std::string("band_plan_search"));
+        rec.add("preset", preset.name);
+        rec.add("ms", 1e3 * s);
+        rec.add("discriminations", evaluated);
+        rec.add("carrier_hz", stim.carrier_hz);
+        benchutil::emit_bench_json("perf_hotpath", rec);
+
+        std::cout << "band-plan search " << preset.name << ": " << 1e3 * s
+                  << " ms, " << evaluated << " discriminations\n";
+    }
 }
 
 /// Dual-rate cost bench at the paper's shape: noise-free dual-rate captures
@@ -830,6 +926,8 @@ int main(int argc, char** argv) {
     const double ddc_diff = bench_ddc(quick ? 40000 : 155031, reps);
     bench_evm(quick ? 60 : 96, quick ? 9 : 45, reps);
     bench_pnbs_table(quick ? 2000 : 20000, reps);
+    bench_pnbs_table_build(quick ? 8 : 32, reps);
+    bench_band_plan_search(reps);
     bench_dual_rate_cost(quick ? 8 : 32, reps);
     bench_backend_kernels(reps);
     if (ddc_diff != 0.0) {

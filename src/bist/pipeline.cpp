@@ -1,5 +1,7 @@
 #include "bist/pipeline.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <utility>
 
@@ -10,6 +12,7 @@
 #include "core/telemetry.hpp"
 #include "core/units.hpp"
 #include "dsp/biquad.hpp"
+#include "sampling/pnbs.hpp"
 
 namespace sdrbist::bist {
 
@@ -46,6 +49,56 @@ adc::bp_tiadc make_programmed_sampler(const bist_config& config) {
 // Stage runners
 // ---------------------------------------------------------------------------
 
+calib::band_plan_choice
+choose_bist_band_plan(const bist_config& config,
+                      double occupied_bw_calibration_hz,
+                      double occupied_bw_graded_hz) {
+    // Band plan (eq. (9) + numerical identifiability).  When every plan at
+    // the nominal carrier is blind (e.g. the carrier is a multiple of B1),
+    // the SDR's own agility is used: the BIST transmits its test waveforms
+    // on a slightly nudged carrier.
+    //
+    // Why a plan is blind.  Kohlenberg's kernel splits the band
+    // [f_lo, f_lo + B] at k·B − f_lo: term 0 reconstructs [f_lo, k·B − f_lo],
+    // which is symmetric about k·B/2, and term 1 the rest, symmetric about
+    // k⁺·B/2; each term's kernel is flat over its sub-band.  At rate B the
+    // negative-frequency half of a tone at f in term m's sub-band aliases
+    // onto k_m·B − f, the tone's mirror in the same sub-band, and the odd
+    // stream sees that alias with a phase 2·φ_m (φ_m = π·k_m·B·D) away from
+    // a true tone's at k_m·B − f.  The kernel cancels the alias exactly when
+    // D̂ = D; for D̂ ≠ D what is left, a gain error on the tone and an image
+    // at k_m·B − f, depends on (φ_m, φ̂_m) alone.  So if the slow capture
+    // reconstructs every tone with a term m' whose k1_m'·B1 equals k_m·B,
+    // both rates fold about the same frequency with the same φ, leave the
+    // same error, and the fast-minus-slow cost is zero up to rounding: the
+    // plan cannot see the skew.  Eq. (9) excludes k⁺·B = k1·B1 and
+    // k⁺·B = k1⁺·B1, so only the fast term 0 can be blind this way.
+    //
+    // The guard.  The truncated kernels split the band only as sharply as
+    // their windows resolve: 61 taps at period 1/B resolve B/61 (1.48 MHz
+    // at 90 MHz); the slow window, twice as long, resolves half that.  A
+    // tone nearer than B/taps to a sub-band edge is reconstructed partly by
+    // the other term or the band's skirt, differently at the two rates, and
+    // the cost is no longer zero.  calib::plan_is_blind asks that the
+    // discrimination's tones, widened by B/taps on each side, lie in one
+    // sub-band of each rate with equal fold frequencies.  Such a plan
+    // cannot pass the threshold, so the search measures it only when no
+    // plan passes; its choice is the same as measuring every plan in order.
+    const double nominal = config.preset.default_carrier_hz;
+    const double b = config.tiadc.channel_rate_hz;
+    const double b1 = b / static_cast<double>(config.slow_divider);
+    constexpr std::array<double, 7> nudges{0.0,    0.25,  -0.25, 0.125,
+                                           -0.125, 0.375, -0.375};
+    std::array<double, nudges.size()> carriers{};
+    for (std::size_t i = 0; i < nudges.size(); ++i)
+        carriers[i] = nominal + nudges[i] * b1;
+    constexpr double disc_threshold = 1e-2;
+    return calib::search_band_plans(
+        carriers, b, b1, occupied_bw_calibration_hz,
+        std::max(occupied_bw_calibration_hz, occupied_bw_graded_hz),
+        disc_threshold);
+}
+
 stimulus_output run_stimulus(const bist_config& config) {
     const telemetry::scoped_span span(telemetry::category::stage_stimulus,
                                       "stimulus");
@@ -53,8 +106,8 @@ stimulus_output run_stimulus(const bist_config& config) {
     stimulus_output out;
 
     const double nominal_carrier = config.preset.default_carrier_hz;
-    const double b = config.tiadc.channel_rate_hz;
-    const double b1 = b / static_cast<double>(config.slow_divider);
+    const double b1 = config.tiadc.channel_rate_hz /
+                      static_cast<double>(config.slow_divider);
 
     // Stimuli (repeatable: PRBS-seeded).  The graded waveform is the
     // preset's; skew calibration uses a wideband waveform whose occupied
@@ -69,39 +122,13 @@ stimulus_output run_stimulus(const bist_config& config) {
     out.calibration = waveform::generate_baseband(cal_cfg);
     out.calibration_config = cal_cfg;
 
-    // Band plan (eq. (9) + numerical identifiability).  When every plan
-    // at the nominal carrier is blind (e.g. the carrier is a multiple of
-    // B1 so the skew-error image self-folds for both rates), the SDR's own
-    // agility is used: the BIST transmits its test waveforms on a slightly
-    // nudged carrier.
     out.occupied_bw_calibration_hz = occupied_bandwidth(cal_cfg);
     out.occupied_bw_graded_hz = occupied_bandwidth(config.preset.stimulus);
-    const double occ_max =
-        std::max(out.occupied_bw_calibration_hz, out.occupied_bw_graded_hz);
-    constexpr double disc_threshold = 1e-2;
-    {
-        double best_disc = -1.0;
-        calib::band_plan best_plan{};
-        double best_carrier = nominal_carrier;
-        for (const double frac :
-             {0.0, 0.25, -0.25, 0.125, -0.125, 0.375, -0.375}) {
-            const double cand_carrier = nominal_carrier + frac * b1;
-            double disc = 0.0;
-            const auto cand_plan = calib::choose_band_plan(
-                cand_carrier, b, b1, out.occupied_bw_calibration_hz, occ_max,
-                disc_threshold, &disc);
-            if (disc > best_disc) {
-                best_disc = disc;
-                best_plan = cand_plan;
-                best_carrier = cand_carrier;
-            }
-            if (disc >= disc_threshold)
-                break;
-        }
-        out.plan = best_plan;
-        out.carrier_hz = best_carrier;
-        out.plan_discrimination = best_disc;
-    }
+    const auto choice = choose_bist_band_plan(
+        config, out.occupied_bw_calibration_hz, out.occupied_bw_graded_hz);
+    out.plan = choice.plan;
+    out.carrier_hz = choice.carrier_hz;
+    out.plan_discrimination = choice.discrimination;
     out.carrier_nudge_hz = out.carrier_hz - nominal_carrier;
     return out;
 }
@@ -358,6 +385,7 @@ bool bist_session::completed(stage s) const {
 }
 
 bool bist_session::run_until(stage target, stage_snapshot_store* store) {
+    const sampling::table_storage_scope table_storage;
     bool lookup = store != nullptr;
     for (const stage s : stage_order) {
         if (stage_index(s) > stage_index(target))

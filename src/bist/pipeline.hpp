@@ -38,6 +38,17 @@ namespace sdrbist::bist {
 // ---------------------------------------------------------------------------
 
 [[nodiscard]] stimulus_output run_stimulus(const bist_config& config);
+
+/// The stimulus stage's band-plan search: calib::search_band_plans at the
+/// preset's carrier, then nudged by ±B1/4, ±B1/8 and ±3·B1/8, with the
+/// slow band keeping the calibration signal and the fast band the wider of
+/// the two signals.  Plans blind by construction are measured only when
+/// no plan passes (the derivation is in pipeline.cpp).
+[[nodiscard]] calib::band_plan_choice
+choose_bist_band_plan(const bist_config& config,
+                      double occupied_bw_calibration_hz,
+                      double occupied_bw_graded_hz);
+
 [[nodiscard]] tx_capture_output run_tx_capture(const bist_config& config,
                                                const stimulus_output& stim);
 [[nodiscard]] calibration_output
@@ -107,8 +118,8 @@ public:
 /// stimulus, tx_capture and calibration (skipping any already complete),
 /// and a later `run_until(stage::grading)` resumes from there.  The flow
 /// never halts: the stimulus stage only plans bands that satisfy the
-/// eq. (9) identifiability conditions (`calib::choose_band_plan` ensures
-/// them), so the tx_capture check that reports them always passes, and
+/// eq. (9) identifiability conditions (`calib::candidate_band_plans`
+/// ensures them), so the tx_capture check that reports them always passes, and
 /// calibration rejects a capture that fails it as a contract violation.
 ///
 /// Stage outputs are held as shared immutable snapshots, so sessions with
@@ -125,7 +136,9 @@ public:
     /// complete, in dataflow order up to `target`, stopping at the first
     /// miss; then compute the rest and publish exactly the stages this
     /// call computed (adopted ones are someone else's publication).  A
-    /// store changes where a snapshot comes from, never what it is.
+    /// store changes where a snapshot comes from, never what it is.  The
+    /// call's PNBS tables recycle each other's storage through a
+    /// sampling::table_storage_scope that ends with the call.
     bool run_until(stage target, stage_snapshot_store* store = nullptr);
 
     /// Run the full flow (to grading).

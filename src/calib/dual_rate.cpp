@@ -125,6 +125,11 @@ double try_slow_band_offset(const sampling::band_spec& band_fast,
     return best_offset;
 }
 
+// The discrimination's probe: five tones spread evenly over
+// carrier ± tone_spread/2 · occupied, read through 61-tap kernels.
+constexpr double tone_spread = 0.8;
+constexpr sampling::pnbs_options discrimination_opt{61, 8.0};
+
 } // namespace
 
 double dual_rate_discrimination(const band_plan& plan, double carrier_hz,
@@ -152,7 +157,7 @@ double dual_rate_discrimination(const band_plan& plan, double carrier_hz,
     for (int i = 0; i < 5; ++i) {
         rf::tone t;
         t.frequency_hz = carrier_hz + (static_cast<double>(i) / 4.0 - 0.5) *
-                                          0.8 * occupied_bw;
+                                          tone_spread * occupied_bw;
         t.amplitude = 1.0;
         t.phase_rad = 0.7 * static_cast<double>(i) + 0.3;
         tones.push_back(t);
@@ -186,8 +191,7 @@ double dual_rate_discrimination(const band_plan& plan, double carrier_hz,
         cap.slow.odd[k] = sig.value(t + d_true);
     }
 
-    const sampling::pnbs_options opt{61, 8.0};
-    const auto [lo, hi] = valid_probe_interval(cap, opt);
+    const auto [lo, hi] = valid_probe_interval(cap, discrimination_opt);
     rng gen(0x51C3);
     const auto probes = make_probe_times(gen, 120, lo, hi);
 
@@ -199,15 +203,37 @@ double dual_rate_discrimination(const band_plan& plan, double carrier_hz,
     power /= static_cast<double>(probes.size());
     SDRBIST_ENSURES(power > 0.0);
 
-    const dual_rate_cost cost(cap, probes, opt);
+    const dual_rate_cost cost(cap, probes, discrimination_opt);
     return std::min(cost(d_low), cost(d_high)) / power;
 }
 
-band_plan choose_band_plan(double carrier_hz, double fast_bandwidth,
-                           double slow_bandwidth, double occupied_bw,
-                           double fast_occupied_bw,
-                           double min_discrimination,
-                           double* discrimination) {
+bool plan_is_blind(const band_plan& plan, double carrier_hz,
+                   double occupied_bw) {
+    const double guard =
+        plan.fast.bandwidth() / static_cast<double>(discrimination_opt.taps);
+    const double lo = carrier_hz - 0.5 * tone_spread * occupied_bw - guard;
+    const double hi = carrier_hz + 0.5 * tone_spread * occupied_bw + guard;
+    // k_m·B of the kernel term whose sub-band holds [lo, hi] (term 0:
+    // [f_lo, f_lo + f0], term 1: the rest of the band), 0 if neither does.
+    const auto fold = [&](const sampling::band_spec& band) {
+        const sampling::kernel_terms terms(band);
+        const double split = band.f_lo + terms.f0;
+        const double k = static_cast<double>(terms.k);
+        if (lo >= band.f_lo && hi <= split)
+            return k * band.bandwidth();
+        if (lo >= split && hi <= band.f_hi)
+            return (k + 1.0) * band.bandwidth();
+        return 0.0;
+    };
+    const double fast = fold(plan.fast);
+    return fast > 0.0 && std::abs(fold(plan.slow) - fast) < 1e-6 * fast;
+}
+
+std::vector<band_plan> candidate_band_plans(double carrier_hz,
+                                            double fast_bandwidth,
+                                            double slow_bandwidth,
+                                            double occupied_bw,
+                                            double fast_occupied_bw) {
     SDRBIST_EXPECTS(carrier_hz > 0.0);
     SDRBIST_EXPECTS(slow_bandwidth > 0.0 &&
                     slow_bandwidth < fast_bandwidth);
@@ -221,8 +247,7 @@ band_plan choose_band_plan(double carrier_hz, double fast_bandwidth,
     const double b = fast_bandwidth;
     const double budget =
         b / 2.0 - std::max(occupied_bw, fast_occupied_bw) / 2.0 - 0.05 * b;
-    band_plan best{};
-    double best_disc = -1.0;
+    std::vector<band_plan> plans;
     for (const double frac : {0.0, 0.025, -0.025, 0.05, -0.05, 0.075, -0.075,
                               0.1, -0.1}) {
         const double off_f = frac * b;
@@ -240,23 +265,76 @@ band_plan choose_band_plan(double carrier_hz, double fast_bandwidth,
         plan.fast_offset_hz = off_f;
         plan.slow_offset_hz = fast.centre() + off_s - carrier_hz;
         SDRBIST_ENSURES(dual_rate_conditions_ok(plan.fast, plan.slow));
+        plans.push_back(plan);
+    }
+    return plans;
+}
 
-        const double disc =
-            dual_rate_discrimination(plan, carrier_hz, occupied_bw);
-        if (disc >= min_discrimination) {
-            if (discrimination)
-                *discrimination = disc;
-            return plan;
-        }
-        if (disc > best_disc) {
-            best_disc = disc;
-            best = plan;
+band_plan_choice search_band_plans(std::span<const double> carriers,
+                                   double fast_bandwidth,
+                                   double slow_bandwidth, double occupied_bw,
+                                   double fast_occupied_bw,
+                                   double min_discrimination) {
+    SDRBIST_EXPECTS(!carriers.empty());
+    // A blind plan reads at most blind_discrimination, so it cannot pass a
+    // higher threshold: it only matters to the fallback below.
+    const bool defer = min_discrimination > blind_discrimination;
+    struct candidate {
+        band_plan plan;
+        double carrier_hz;
+        double discrimination; // NaN while deferred
+    };
+    std::vector<candidate> tried;
+    band_plan_choice choice;
+    for (const double carrier : carriers) {
+        const auto plans = candidate_band_plans(
+            carrier, fast_bandwidth, slow_bandwidth, occupied_bw,
+            fast_occupied_bw);
+        SDRBIST_EXPECTS(!plans.empty()); // no admissible plan at all
+        for (const band_plan& plan : plans) {
+            double disc = std::numeric_limits<double>::quiet_NaN();
+            if (!defer || !plan_is_blind(plan, carrier, occupied_bw)) {
+                disc = dual_rate_discrimination(plan, carrier, occupied_bw);
+                ++choice.evaluated;
+                if (disc >= min_discrimination) {
+                    choice.plan = plan;
+                    choice.carrier_hz = carrier;
+                    choice.discrimination = disc;
+                    return choice;
+                }
+            }
+            tried.push_back({plan, carrier, disc});
         }
     }
-    SDRBIST_EXPECTS(best_disc >= 0.0); // no admissible plan at all
+    // No plan passed: the first maximum in search order, deferred plans
+    // measured now.
+    for (candidate& c : tried) {
+        if (std::isnan(c.discrimination)) {
+            c.discrimination =
+                dual_rate_discrimination(c.plan, c.carrier_hz, occupied_bw);
+            ++choice.evaluated;
+        }
+        if (c.discrimination > choice.discrimination) {
+            choice.plan = c.plan;
+            choice.carrier_hz = c.carrier_hz;
+            choice.discrimination = c.discrimination;
+        }
+    }
+    SDRBIST_ENSURES(choice.discrimination >= 0.0);
+    return choice;
+}
+
+band_plan choose_band_plan(double carrier_hz, double fast_bandwidth,
+                           double slow_bandwidth, double occupied_bw,
+                           double fast_occupied_bw,
+                           double min_discrimination,
+                           double* discrimination) {
+    const auto choice = search_band_plans(
+        {&carrier_hz, 1}, fast_bandwidth, slow_bandwidth, occupied_bw,
+        fast_occupied_bw, min_discrimination);
     if (discrimination)
-        *discrimination = best_disc;
-    return best;
+        *discrimination = choice.discrimination;
+    return choice.plan;
 }
 
 dual_rate_cost::dual_rate_cost(const dual_rate_capture& capture,

@@ -102,12 +102,65 @@ struct band_plan {
 double dual_rate_discrimination(const band_plan& plan, double carrier_hz,
                                 double occupied_bw);
 
-/// Plan both band placements.  Prefers centred bands; shifts the slow band
-/// first, and nudges the fast band only for degenerate carriers (carrier an
-/// exact multiple of B1, where no slow shift can satisfy eq. (9)).  Among
+/// The most a blind plan's dual_rate_discrimination reads: the window
+/// ripple and rounding left when the skew-error image cancels between the
+/// rates (≤ 5.6e-7 over a 150 MHz–3 GHz carrier sweep, where every other
+/// admissible plan reads ≥ 3.3e-5).
+inline constexpr double blind_discrimination = 1e-6;
+
+/// Whether `plan` is blind by construction for the multitone
+/// dual_rate_discrimination probes it with: every tone, with a guard of the
+/// fast kernel's resolution B/taps, lies in one kernel term's sub-band of
+/// each rate, and the two terms fold about the same frequency
+/// (k_m·B = k1_m'·B1), so a delay error leaves the same image in both
+/// reconstructions.  The derivation is in bist::choose_bist_band_plan.
+/// Precondition: plan admissible (eq. (9)).
+bool plan_is_blind(const band_plan& plan, double carrier_hz,
+                   double occupied_bw);
+
+/// The admissible plans for one carrier, in search order: the fast band
+/// centred on the carrier, then shifted by ±2.5 %, ±5 %, ±7.5 %, ±10 % of
+/// B while the widest graded signal keeps a skirt guard inside it; for
+/// each, the slow band shifted as little as eq. (9) and the calibration
+/// signal allow (shifts with no admissible slow band are left out).
+/// `occupied_bw` and `fast_occupied_bw` (0 = same) as choose_band_plan.
+std::vector<band_plan> candidate_band_plans(double carrier_hz,
+                                            double fast_bandwidth,
+                                            double slow_bandwidth,
+                                            double occupied_bw,
+                                            double fast_occupied_bw = 0.0);
+
+/// Outcome of a band-plan search (search_band_plans).
+struct band_plan_choice {
+    band_plan plan;
+    double carrier_hz = 0.0;
+    double discrimination = -1.0; ///< the plan's dual_rate_discrimination
+    std::size_t evaluated = 0;    ///< discriminations the search computed
+};
+
+/// The band-plan search over `carriers` (tried in order), each carrier's
+/// candidate_band_plans in order: the first plan whose
+/// dual_rate_discrimination reaches `min_discrimination` wins; if none
+/// does, the most discriminating plan, the first in search order on ties.
+/// While `min_discrimination` exceeds blind_discrimination, a plan that
+/// plan_is_blind cannot win, so its discrimination is computed only when
+/// no plan passes: the choice is the same as evaluating every plan in
+/// order, with fewer evaluations.  Throws contract_violation when a
+/// carrier the search reaches has no admissible plan.
+band_plan_choice search_band_plans(std::span<const double> carriers,
+                                   double fast_bandwidth,
+                                   double slow_bandwidth, double occupied_bw,
+                                   double fast_occupied_bw,
+                                   double min_discrimination);
+
+/// Plan both band placements for one carrier: search_band_plans over
+/// {carrier_hz}.  Prefers centred bands; shifts the slow band first, and
+/// nudges the fast band only for degenerate carriers (carrier an exact
+/// multiple of B1, where no slow shift can satisfy eq. (9)).  Among
 /// admissible plans the first with dual_rate_discrimination above
 /// `min_discrimination` wins; if none qualifies the most discriminating
-/// plan is returned.  `discrimination`, when non-null, receives the
+/// plan is returned.  Blind plans (plan_is_blind) are measured only when
+/// no plan qualifies.  `discrimination`, when non-null, receives the
 /// returned plan's dual_rate_discrimination (so callers deciding whether
 /// to move the BIST carrier need not measure it again).
 /// `occupied_bw` is the signal width the *slow* band must keep (the

@@ -203,7 +203,22 @@ void fill_term(double* out, const std::vector<double>& grid, std::size_t taps,
     }
 }
 
+/// The outermost live table_storage_scope of this thread, if any.
+thread_local table_storage_scope* storage_scope = nullptr;
+
 } // namespace
+
+table_storage_scope::table_storage_scope() : owner_(storage_scope == nullptr) {
+    if (!owner_)
+        return;
+    spares_.reserve(max_spares); // so handing cells back never allocates
+    storage_scope = this;
+}
+
+table_storage_scope::~table_storage_scope() {
+    if (owner_)
+        storage_scope = nullptr;
+}
 
 pnbs_tap_tables::pnbs_tap_tables(const band_spec& band, double period,
                                  const pnbs_options& opt)
@@ -211,11 +226,26 @@ pnbs_tap_tables::pnbs_tap_tables(const band_spec& band, double period,
     SDRBIST_EXPECTS(period > 0.0);
     SDRBIST_EXPECTS(opt.taps >= 5 && opt.taps % 2 == 1);
     const shared_table grid = window_grid(taps, opt.kaiser_beta);
-    cells.assign(table_rows * 2 * taps, 0.0);
-    if (!terms.s0_vanishes)
+    if (storage_scope != nullptr && !storage_scope->spares_.empty()) {
+        cells = std::move(storage_scope->spares_.back());
+        storage_scope->spares_.pop_back();
+    }
+    // Reused cells hold an earlier band's values: write every cell.
+    cells.resize(table_rows * 2 * taps);
+    if (terms.s0_vanishes) {
+        for (std::size_t r = 0; r < table_rows; ++r)
+            std::fill_n(cells.data() + r * 2 * taps, taps, 0.0);
+    } else {
         fill_term(cells.data(), *grid, taps, terms.f0 * period, terms.k);
+    }
     fill_term(cells.data() + taps, *grid, taps, terms.f1 * period,
               terms.k + 1);
+}
+
+pnbs_tap_tables::~pnbs_tap_tables() {
+    if (storage_scope != nullptr && !cells.empty() &&
+        storage_scope->spares_.size() < table_storage_scope::max_spares)
+        storage_scope->spares_.push_back(std::move(cells));
 }
 
 dsp::phase_blend pnbs_tap_tables::blend_at(double phi) const {

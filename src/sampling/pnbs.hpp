@@ -141,7 +141,9 @@ struct pnbs_options {
 /// window's J0 continuation (`dsp::continued_kaiser`), so the blend keeps
 /// its order at the ends of the range.  The band tables themselves are not
 /// memoised: band keys are unbounded across carriers, and each table holds
-/// ~0.4 MB at 61 taps.
+/// ~0.4 MB at 61 taps.  Inside a table_storage_scope a table reuses the
+/// cells of one destroyed earlier on the same thread; every build writes
+/// all its cells, so where the storage came from never shows.
 ///
 /// Accuracy: the cubic blend's error falls as phase_steps^-4 and grows
 /// with γ_m^4.  At 256 rows per unit a read is within 5e-10 of the exact
@@ -157,6 +159,13 @@ struct pnbs_tap_tables {
     /// Preconditions: band valid; period > 0; taps odd and ≥ 5.
     pnbs_tap_tables(const band_spec& band, double period,
                     const pnbs_options& opt);
+
+    pnbs_tap_tables(const pnbs_tap_tables&) = default;
+    pnbs_tap_tables(pnbs_tap_tables&&) noexcept = default;
+    pnbs_tap_tables& operator=(const pnbs_tap_tables&) = default;
+    pnbs_tap_tables& operator=(pnbs_tap_tables&&) noexcept = default;
+    /// Hands the cells to this thread's table_storage_scope, if any.
+    ~pnbs_tap_tables();
 
     /// Both terms' sums over `count` taps from offset j_lo.
     struct sums {
@@ -188,6 +197,31 @@ struct pnbs_tap_tables {
     /// Row-major cells: row r (φ = −1 + (r − 1)/phase_steps) holds the
     /// term-0 cells then the term-1 cells, taps each, indexed by j + half.
     std::vector<double> cells;
+};
+
+/// While alive, recycles the cells of the pnbs_tap_tables destroyed on
+/// the thread that created it into the tables built there next, instead
+/// of a fresh allocation per table.  A fresh table's ~0.4 MB is mapped
+/// page by page as its build first writes it (~100 minor page faults,
+/// more system time than the build's arithmetic); recycled cells are
+/// already mapped.  At most max_spares cells are held, and they are freed
+/// with the scope, so nothing outlives it.  Scopes nest: an inner scope
+/// leaves the outermost one in charge.  Open one per unit of work (a
+/// `bist::bist_session::run_until` call opens one), on the stack.
+class table_storage_scope {
+public:
+    /// Spare cells held at most: the tables one stage keeps alive at once.
+    static constexpr std::size_t max_spares = 2;
+
+    table_storage_scope();
+    ~table_storage_scope();
+    table_storage_scope(const table_storage_scope&) = delete;
+    table_storage_scope& operator=(const table_storage_scope&) = delete;
+
+private:
+    friend struct pnbs_tap_tables;
+    std::vector<std::vector<double>> spares_;
+    bool owner_;
 };
 
 /// Practical PNBS reconstructor (paper eq. (6)): evaluates

@@ -279,8 +279,10 @@ bist_config golden_config() {
 
 /// Configurations spanning the flow's branches: defaults, DCDE static
 /// error + d0 hint, an injected fault with power/ACPR limits, manual
-/// filter/welch/ranging settings, and a second preset without the
-/// dedicated calibration stimulus.
+/// filter/welch/ranging settings, a second preset without the dedicated
+/// calibration stimulus, and the two presets whose nominal carriers have
+/// band plans that are blind by construction (the stimulus stage defers
+/// them; the monolith measures every plan of every carrier it tries).
 std::vector<std::pair<std::string, bist_config>> equivalence_configs() {
     std::vector<std::pair<std::string, bist_config>> cases;
     cases.emplace_back("golden", golden_config());
@@ -311,6 +313,16 @@ std::vector<std::pair<std::string, bist_config>> equivalence_configs() {
         cfg.preset = waveform::find_preset("tactical-bpsk-2M");
         cfg.use_calibration_stimulus = false;
         cases.emplace_back("bpsk-no-cal-stimulus", cfg);
+    }
+    {
+        auto cfg = golden_config();
+        cfg.preset = waveform::find_preset("tactical-bpsk-2M");
+        cases.emplace_back("bpsk-cal-stimulus", cfg);
+    }
+    {
+        auto cfg = golden_config();
+        cfg.preset = waveform::find_preset("psk8-5M");
+        cases.emplace_back("psk8", cfg);
     }
     return cases;
 }

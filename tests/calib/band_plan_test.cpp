@@ -2,7 +2,10 @@
 // identifiability (discrimination) metric and degenerate-carrier handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "calib/dual_rate.hpp"
 #include "core/contracts.hpp"
@@ -85,18 +88,84 @@ TEST(BandPlan, PrefersCentredBandsAtGoodCarriers) {
     EXPECT_TRUE(calib::dual_rate_conditions_ok(plan.fast, plan.slow));
 }
 
+/// The search without deferral: every candidate plan measured in order,
+/// the first reaching `threshold` kept, else the first maximum.
+std::pair<band_plan, double> measure_every_plan(double fc, double threshold) {
+    band_plan best{};
+    double best_disc = -1.0;
+    for (const auto& plan : calib::candidate_band_plans(
+             fc, 90.0 * MHz, 45.0 * MHz, 15.0 * MHz)) {
+        const double disc =
+            calib::dual_rate_discrimination(plan, fc, 15.0 * MHz);
+        if (disc >= threshold)
+            return {plan, disc};
+        if (disc > best_disc) {
+            best_disc = disc;
+            best = plan;
+        }
+    }
+    return {best, best_disc};
+}
+
+void expect_same_plan(const band_plan& a, const band_plan& b) {
+    EXPECT_EQ(a.fast.f_lo, b.fast.f_lo);
+    EXPECT_EQ(a.fast.f_hi, b.fast.f_hi);
+    EXPECT_EQ(a.slow.f_lo, b.slow.f_lo);
+    EXPECT_EQ(a.slow.f_hi, b.slow.f_hi);
+    EXPECT_EQ(a.fast_offset_hz, b.fast_offset_hz);
+    EXPECT_EQ(a.slow_offset_hz, b.slow_offset_hz);
+}
+
 TEST(BandPlan, ReportsTheDiscriminationOfThePlanItReturns) {
     // Both exits: the first plan over the threshold, and (with an
-    // unreachable threshold) the most discriminating fallback.
-    for (const double threshold : {1e-2, 1e300}) {
-        SCOPED_TRACE(threshold);
-        double reported = -1.0;
-        const auto plan = calib::choose_band_plan(
-            1.0 * GHz, 90.0 * MHz, 45.0 * MHz, 15.0 * MHz, 0.0, threshold,
-            &reported);
-        EXPECT_EQ(reported, calib::dual_rate_discrimination(plan, 1.0 * GHz,
-                                                            15.0 * MHz));
+    // unreachable threshold) the most discriminating fallback.  At 900 MHz
+    // every plan is blind, so at 1e-2 all are deferred and measured only
+    // for the fallback; at threshold 0 nothing is deferred and the first
+    // plan passes.  Each choice equals measuring every plan in order.
+    for (const double fc : {1.0 * GHz, 900.0 * MHz}) {
+        for (const double threshold : {1e-2, 1e300, 0.0}) {
+            SCOPED_TRACE(::testing::Message()
+                         << fc << " Hz, threshold " << threshold);
+            double reported = -1.0;
+            const auto plan =
+                calib::choose_band_plan(fc, 90.0 * MHz, 45.0 * MHz,
+                                        15.0 * MHz, 0.0, threshold, &reported);
+            EXPECT_EQ(reported,
+                      calib::dual_rate_discrimination(plan, fc, 15.0 * MHz));
+            const auto [want, want_disc] = measure_every_plan(fc, threshold);
+            expect_same_plan(plan, want);
+            EXPECT_EQ(reported, want_disc);
+        }
     }
+}
+
+TEST(BandPlan, DeferredCandidatesAreBlindOverTheSweep) {
+    // Every candidate plan of carriers 150 MHz–3 GHz in 2.5 MHz steps
+    // (B 90 MHz, B1 45 MHz, 15 MHz occupied): each one the predictor flags
+    // reads at most the blind bound.  Over the same sweep the plans it does
+    // not flag read ≥ 3.3e-5 (measuring all 8253 takes ~6 s, so that half
+    // is not run here).
+    std::size_t candidates = 0;
+    std::size_t flagged = 0;
+    double worst = 0.0;
+    for (int i = 0; i <= 1140; ++i) {
+        const double fc = 150.0 * MHz + 2.5 * MHz * static_cast<double>(i);
+        for (const auto& plan : calib::candidate_band_plans(
+                 fc, 90.0 * MHz, 45.0 * MHz, 15.0 * MHz)) {
+            ++candidates;
+            if (!calib::plan_is_blind(plan, fc, 15.0 * MHz))
+                continue;
+            ++flagged;
+            const double disc =
+                calib::dual_rate_discrimination(plan, fc, 15.0 * MHz);
+            EXPECT_LE(disc, calib::blind_discrimination)
+                << fc << " Hz, fast offset " << plan.fast_offset_hz;
+            worst = std::max(worst, disc);
+        }
+    }
+    EXPECT_EQ(candidates, 8253u);
+    EXPECT_EQ(flagged, 1701u);
+    RecordProperty("worst_flagged_discrimination", std::to_string(worst));
 }
 
 class BandPlanCarriers : public ::testing::TestWithParam<double> {};

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "bist/pipeline.hpp"
+#include "campaign/artefact_store/stage_codec.hpp"
+#include "core/fault_injection.hpp"
 #include "core/contracts.hpp"
 #include "core/math_util.hpp"
 #include "core/random.hpp"
@@ -256,6 +258,66 @@ TEST(PnbsTable, ConcurrentBuildsAreBitIdentical) {
     for (const auto& c : cells)
         EXPECT_EQ(c, cells.front());
     EXPECT_EQ(pnbs_tap_tables(band, period, opt).cells, cells.front());
+}
+
+TEST(PnbsTable, ReusedStorageMatchesFreshBuild) {
+    // Inside a storage scope each build takes the cells the last destroyed
+    // table left.  A band whose s0 vanishes built on the cells of one with
+    // s0, and the reverse, must equal fresh builds cell for cell; the
+    // vanishing band's term-0 cells must read 0.
+    const band_spec with_s0 = band_around(1.0 * GHz, 90.0 * MHz);
+    const band_spec no_s0 = band_around(990.0 * MHz, 45.0 * MHz); // 2·f_lo/B 43
+    ASSERT_FALSE(sampling::kernel_terms(with_s0).s0_vanishes);
+    ASSERT_TRUE(sampling::kernel_terms(no_s0).s0_vanishes);
+    const auto build = [](const band_spec& band) {
+        return pnbs_tap_tables(band, 1.0 / band.bandwidth(), {});
+    };
+    const auto fresh_with = build(with_s0).cells;
+    const auto fresh_without = build(no_s0).cells;
+
+    const sampling::table_storage_scope scope;
+    for (const bool vanishing_second : {true, false}) {
+        SCOPED_TRACE(vanishing_second ? "s0 then none" : "none then s0");
+        const double* storage = nullptr;
+        {
+            const auto first = build(vanishing_second ? with_s0 : no_s0);
+            storage = first.cells.data();
+        }
+        const auto second = build(vanishing_second ? no_s0 : with_s0);
+        EXPECT_EQ(second.cells.data(), storage); // the cells were reused
+        EXPECT_EQ(second.cells, vanishing_second ? fresh_without : fresh_with);
+        if (vanishing_second) {
+            for (std::size_t r = 0; r < second.rows(); ++r) {
+                const double* row = second.row(r, 0);
+                EXPECT_TRUE(std::all_of(row, row + second.taps,
+                                        [](double c) { return c == 0.0; }))
+                    << "row " << r;
+            }
+        }
+    }
+}
+
+TEST(PnbsTable, ReusedStorageSurvivesAFailedStage) {
+    // A transient fault at the calibration stage's entry unwinds run_until
+    // after the stimulus stage recycled its discriminations' cells; the
+    // retry, in a new storage scope, must match a clean run bit for bit.
+    bist::bist_config cfg;
+    cfg.preset = waveform::find_preset("tactical-bpsk-2M");
+    bist::bist_session clean(cfg);
+    clean.run();
+
+    bist::bist_session retried(cfg);
+    fault_injection::arm("stage.calibration:throw-transient:count=1");
+    EXPECT_THROW(retried.run(), fault_injection::transient_fault);
+    fault_injection::disarm();
+    ASSERT_TRUE(retried.completed(bist::stage::tx_capture));
+    ASSERT_FALSE(retried.completed(bist::stage::calibration));
+    retried.run();
+
+    EXPECT_EQ(campaign::report_json(retried.report()),
+              campaign::report_json(clean.report()));
+    EXPECT_EQ(retried.reconstruction().envelope.samples,
+              clean.reconstruction().envelope.samples);
 }
 
 TEST(PnbsTable, Preconditions) {
