@@ -16,6 +16,8 @@
 ///    correctly-rounded mul/add/sub/div/min/max/floor in the scalar
 ///    expression order — bit-identical to the scalar backend.  No FMA
 ///    there, and `-ffp-contract=off` keeps the loop tails honest.
+///  * `mt_refill` is the shared integer twist (mt_recurrence.hpp), which
+///    the compiler vectorises under these flags; bit-identical to scalar.
 
 #include "core/simd/kernel_backend.hpp"
 
@@ -23,6 +25,8 @@
 
 #include <cmath>
 #include <immintrin.h>
+
+#include "core/simd/mt_recurrence.hpp"
 
 namespace sdrbist::simd {
 
@@ -185,6 +189,7 @@ const kernel_ops& avx2_ops() {
         &avx2_blend_dot_cplx,
         &avx2_quantize,
         &avx2_carrier_mix,
+        &mt_twist,
     };
     return ops;
 }

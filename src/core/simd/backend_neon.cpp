@@ -16,6 +16,8 @@
 #include <arm_neon.h>
 #include <cmath>
 
+#include "core/simd/mt_recurrence.hpp"
+
 namespace sdrbist::simd {
 
 namespace {
@@ -148,6 +150,7 @@ const kernel_ops& neon_ops() {
         &neon_blend_dot_cplx,
         &neon_quantize,
         &neon_carrier_mix,
+        &mt_twist,
     };
     return ops;
 }

@@ -10,6 +10,7 @@
 /// targets whose baseline ISA has fused multiply-add (AArch64).
 
 #include "core/simd/kernel_backend.hpp"
+#include "core/simd/mt_recurrence.hpp"
 
 #include <cmath>
 
@@ -91,6 +92,7 @@ const kernel_ops& scalar_ops() {
         &scalar_blend_dot_cplx,
         &scalar_quantize,
         &scalar_carrier_mix,
+        &mt_twist,
     };
     return ops;
 }

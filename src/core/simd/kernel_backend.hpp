@@ -6,8 +6,9 @@
 /// 4-row polyphase blended dot products (the windowed-sinc LUT interpolator
 /// behind every capture, the PNBS kernel tables behind every
 /// reconstruction, the EVM matched filter), plain dot products (the LMS
-/// cost's per-row sums of the PNBS tables), and two elementwise record
-/// transforms (mid-rise quantisation, carrier mix).
+/// cost's per-row sums of the PNBS tables), two elementwise record
+/// transforms (mid-rise quantisation, carrier mix), and the MT19937-64
+/// state refill behind every random draw (core/random.hpp).
 /// This header is the layer that lets those shapes run on explicit SIMD:
 /// each backend fills one `kernel_ops` table, and `kernel_backend`
 /// dispatches to the best table the CPU supports — overridable with the
@@ -27,6 +28,8 @@
 ///    expression, therefore **bit-identical across all backends**.  The
 ///    backend translation units are compiled with `-ffp-contract=off` so
 ///    no toolchain can fuse the multiply-add pairs behind our back.
+///  * `mt_refill` — integer-only, so **bit-identical across all backends**;
+///    the backends differ only in the ISA the same loops compile to.
 ///
 /// Adding a backend (AVX-512, SVE, ...): implement one translation unit
 /// returning a `kernel_ops`, register it in kernel_backend.cpp behind a
@@ -37,6 +40,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -54,6 +58,9 @@ struct quantize_params {
     double clip_hi = 0.0; ///< upper clip rail (full_scale - eps)
     double lsb = 0.0;     ///< quantisation step
 };
+
+/// Words of MT19937-64 state (the recurrence's degree n).
+inline constexpr std::size_t mt_state_words = 312;
 
 /// One backend: a named table of hot-loop primitives.  All pointers are
 /// always populated (backends may share implementations for shapes they
@@ -90,6 +97,11 @@ struct kernel_ops {
     /// Bit-identical across backends.
     void (*carrier_mix)(const std::complex<double>* env, const double* cos_wt,
                         const double* sin_wt, double* out, std::size_t n);
+
+    /// Advance `mt_state_words` words of MT19937-64 state in place by one
+    /// full twist (the standard recurrence, untempered).  Bit-identical
+    /// across backends.
+    void (*mt_refill)(std::uint64_t* x);
 };
 
 /// CPU feature set relevant to the compiled-in backends.  Kept explicit so

@@ -7,47 +7,34 @@
 
 namespace sdrbist::dsp {
 
-iir_cascade::iir_cascade(std::vector<biquad> sections)
-    : sections_(std::move(sections)), state_(sections_.size(), {0.0, 0.0}) {}
-
-double iir_cascade::process(double x) {
-    for (std::size_t i = 0; i < sections_.size(); ++i) {
-        const biquad& s = sections_[i];
-        auto& [z1, z2] = state_[i];
-        const double y = s.b0 * x + z1;
-        z1 = s.b1 * x - s.a1 * y + z2;
-        z2 = s.b2 * x - s.a2 * y;
-        x = y;
-    }
-    return x;
-}
-
-std::vector<double> iir_cascade::filter(std::span<const double> x) {
-    reset();
-    std::vector<double> y(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i)
-        y[i] = process(x[i]);
-    return y;
-}
-
 std::vector<std::complex<double>>
-iir_cascade::filter(std::span<const std::complex<double>> x) {
-    std::vector<double> re(x.size()), im(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        re[i] = x[i].real();
-        im[i] = x[i].imag();
-    }
-    const auto yre = filter(re);
-    const auto yim = filter(im);
+iir_cascade::filter(std::span<const std::complex<double>> x) const {
+    // I and Q run through the sections together, each channel with its own
+    // direct-form-II-transposed delay line and the same expression order,
+    // so the two latency-bound recurrences overlap.
+    struct delay {
+        double z1i = 0.0, z2i = 0.0, z1q = 0.0, z2q = 0.0;
+    };
+    std::vector<delay> state(sections_.size());
     std::vector<std::complex<double>> y(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i)
-        y[i] = {yre[i], yim[i]};
+    for (std::size_t n = 0; n < x.size(); ++n) {
+        double xi = x[n].real();
+        double xq = x[n].imag();
+        for (std::size_t i = 0; i < sections_.size(); ++i) {
+            const biquad& s = sections_[i];
+            delay& d = state[i];
+            const double yi = s.b0 * xi + d.z1i;
+            const double yq = s.b0 * xq + d.z1q;
+            d.z1i = s.b1 * xi - s.a1 * yi + d.z2i;
+            d.z1q = s.b1 * xq - s.a1 * yq + d.z2q;
+            d.z2i = s.b2 * xi - s.a2 * yi;
+            d.z2q = s.b2 * xq - s.a2 * yq;
+            xi = yi;
+            xq = yq;
+        }
+        y[n] = {xi, xq};
+    }
     return y;
-}
-
-void iir_cascade::reset() {
-    for (auto& s : state_)
-        s = {0.0, 0.0};
 }
 
 // Bilinear transform of the analog prototype H(s) = wc^N / prod(s - p_k)

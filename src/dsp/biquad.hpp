@@ -6,11 +6,14 @@
 /// equivalent of) the RF band-select filter: both are smooth maximally-flat
 /// responses well captured by low-order Butterworth prototypes.  The
 /// cascade's frequency response, which tests check the design against, is
-/// the yardstick `testing::cascade_response` (tests/support/).
+/// the yardstick `testing::cascade_response`, and its one-channel
+/// recurrence, which tests check the filter against, is
+/// `testing::cascade_filter_channel` (tests/support/).
 #pragma once
 
 #include <complex>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace sdrbist::dsp {
@@ -22,24 +25,19 @@ struct biquad {
     double a1 = 0.0, a2 = 0.0;
 };
 
-/// Cascade of biquad sections with per-channel state.
+/// Cascade of biquad sections.
 class iir_cascade {
 public:
     iir_cascade() = default;
-    explicit iir_cascade(std::vector<biquad> sections);
+    explicit iir_cascade(std::vector<biquad> sections)
+        : sections_(std::move(sections)) {}
 
-    /// Process one sample through all sections (stateful).
-    double process(double x);
-
-    /// Filter a whole sequence (resets state first).
-    [[nodiscard]] std::vector<double> filter(std::span<const double> x);
-
-    /// Filter a complex sequence by filtering I and Q identically.
+    /// Filter a complex sequence from cleared delay lines, I and Q
+    /// identically: each channel's output is the cascade's recurrence run
+    /// on that channel alone, bit for bit.  The cascade keeps no state
+    /// between calls.
     [[nodiscard]] std::vector<std::complex<double>>
-    filter(std::span<const std::complex<double>> x);
-
-    /// Clear the delay lines.
-    void reset();
+    filter(std::span<const std::complex<double>> x) const;
 
     [[nodiscard]] std::size_t section_count() const { return sections_.size(); }
     [[nodiscard]] const std::vector<biquad>& sections() const {
@@ -48,8 +46,6 @@ public:
 
 private:
     std::vector<biquad> sections_;
-    // One (z1, z2) pair per section, direct form II transposed.
-    std::vector<std::pair<double, double>> state_;
 };
 
 /// Butterworth lowpass of the given order with -3 dB cutoff `cutoff_hz`,

@@ -7,7 +7,7 @@
 //  * dot / blend_dot / blend_dot_cplx: reassociated accumulation,
 //    deviation ≤ 1e-12 relative to Σ|aᵢ·bᵢ| (the documented ULP-style
 //    bound; the true reassociation error is ~n·eps of that magnitude);
-//  * quantize_midrise / carrier_mix: bit-identical.
+//  * quantize_midrise / carrier_mix / mt_refill: bit-identical.
 //
 // On top of the primitive shapes, the object-level paths (windowed-sinc
 // interpolator, PNBS reconstructor) are rebuilt under every forced backend
@@ -242,6 +242,23 @@ TEST(BackendEquivalence, CarrierMixIsBitIdenticalAcrossBackends) {
                         << ops->name << " n=" << n << " off=" << off
                         << " i=" << i;
             }
+        }
+    }
+}
+
+TEST(BackendEquivalence, MtRefillIsBitIdenticalAcrossBackends) {
+    // Arbitrary states (not only reachable ones), twisted repeatedly so each
+    // round starts from the previous round's output.
+    rng gen(0x3719);
+    for (const auto* ops : simd_backends()) {
+        std::vector<std::uint64_t> ref(simd::mt_state_words);
+        for (auto& w : ref)
+            w = gen.next_u64();
+        std::vector<std::uint64_t> got = ref;
+        for (int round = 0; round < 64; ++round) {
+            scalar_ops().mt_refill(ref.data());
+            ops->mt_refill(got.data());
+            ASSERT_EQ(got, ref) << ops->name << " round " << round;
         }
     }
 }

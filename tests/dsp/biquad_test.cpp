@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
+#include <span>
+#include <vector>
 
 #include "core/contracts.hpp"
 #include "core/units.hpp"
@@ -12,7 +15,19 @@ namespace {
 
 using namespace sdrbist;
 using namespace sdrbist::dsp;
+using sdrbist::testing::cascade_filter_channel;
 using sdrbist::testing::cascade_response;
+
+/// Filter a real sequence as the I channel of a complex one.
+std::vector<double> filter_real(const iir_cascade& c,
+                                const std::vector<double>& x) {
+    std::vector<std::complex<double>> xc(x.begin(), x.end());
+    const auto y = c.filter(std::span<const std::complex<double>>(xc));
+    std::vector<double> out(y.size());
+    for (std::size_t n = 0; n < y.size(); ++n)
+        out[n] = y[n].real();
+    return out;
+}
 
 TEST(Butterworth, MinusThreeDbAtCutoff) {
     for (int order : {1, 2, 3, 5, 8}) {
@@ -53,7 +68,7 @@ TEST(Butterworth, TimeDomainMatchesResponse) {
     std::vector<double> x(4000);
     for (std::size_t n = 0; n < x.size(); ++n)
         x[n] = std::cos(two_pi * f_norm * static_cast<double>(n));
-    const auto y = lpf.filter(x);
+    const auto y = filter_real(lpf, x);
     double peak = 0.0;
     for (std::size_t n = 2000; n < 4000; ++n)
         peak = std::max(peak, std::abs(y[n]));
@@ -64,7 +79,7 @@ TEST(Butterworth, ImpulseResponseDecays) {
     auto lpf = butterworth_lowpass(6, 5.0 * MHz, 100.0 * MHz);
     std::vector<double> x(3000, 0.0);
     x[0] = 1.0;
-    const auto y = lpf.filter(x);
+    const auto y = filter_real(lpf, x);
     double tail = 0.0;
     for (std::size_t n = 2000; n < 3000; ++n)
         tail = std::max(tail, std::abs(y[n]));
@@ -72,19 +87,26 @@ TEST(Butterworth, ImpulseResponseDecays) {
 }
 
 TEST(Butterworth, ComplexFilteringMatchesPerComponent) {
-    auto lpf = butterworth_lowpass(3, 10.0 * MHz, 100.0 * MHz);
+    auto lpf = butterworth_lowpass(5, 10.0 * MHz, 100.0 * MHz);
     std::vector<std::complex<double>> x(500);
     for (std::size_t n = 0; n < x.size(); ++n)
         x[n] = {std::cos(0.3 * static_cast<double>(n)),
                 std::sin(0.2 * static_cast<double>(n))};
     const auto y = lpf.filter(
         std::span<const std::complex<double>>(x.data(), x.size()));
-    std::vector<double> re(x.size());
-    for (std::size_t n = 0; n < x.size(); ++n)
+    std::vector<double> re(x.size()), im(x.size());
+    for (std::size_t n = 0; n < x.size(); ++n) {
         re[n] = x[n].real();
-    const auto yre = lpf.filter(re);
-    for (std::size_t n = 0; n < x.size(); ++n)
-        EXPECT_DOUBLE_EQ(y[n].real(), yre[n]);
+        im[n] = x[n].imag();
+    }
+    const auto yre = cascade_filter_channel(lpf, re);
+    const auto yim = cascade_filter_channel(lpf, im);
+    for (std::size_t n = 0; n < x.size(); ++n) {
+        EXPECT_EQ(y[n].real(), yre[n]) << n; // bit for bit
+        EXPECT_EQ(y[n].imag(), yim[n]) << n;
+    }
+    // No state carries over: a second call returns the same output.
+    EXPECT_EQ(lpf.filter(std::span<const std::complex<double>>(x)), y);
 }
 
 TEST(Butterworth, SectionCounts) {
@@ -102,8 +124,9 @@ TEST(Butterworth, Preconditions) {
 }
 
 TEST(Biquad, PassthroughDefault) {
-    iir_cascade empty;
-    EXPECT_DOUBLE_EQ(empty.process(1.5), 1.5);
+    const iir_cascade empty;
+    const std::vector<std::complex<double>> x{{1.5, -0.5}, {0.25, 2.0}};
+    EXPECT_EQ(empty.filter(std::span<const std::complex<double>>(x)), x);
     EXPECT_NEAR(std::abs(cascade_response(empty, 0.2)), 1.0, 1e-12);
 }
 

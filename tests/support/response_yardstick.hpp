@@ -1,11 +1,14 @@
 /// \file response_yardstick.hpp
 /// \brief Frequency responses of the library's filters, evaluated directly
 ///        from their coefficients: the yardsticks the FIR and Butterworth
-///        designs are checked against.
+///        designs are checked against; and the biquad cascade's plain
+///        one-channel recurrence, the yardstick of its complex filter.
 #pragma once
 
 #include <complex>
+#include <utility>
 #include <span>
+#include <vector>
 
 #include "core/units.hpp"
 #include "dsp/biquad.hpp"
@@ -37,6 +40,28 @@ inline std::complex<double> cascade_response(const dsp::iir_cascade& c,
     for (const auto& s : c.sections())
         h *= biquad_response(s, f_norm);
     return h;
+}
+
+/// One real channel through the cascade from cleared delay lines, sample
+/// by sample through every section (direct form II transposed):
+///   y = b0·x + z1;  z1 = b1·x − a1·y + z2;  z2 = b2·x − a2·y.
+inline std::vector<double> cascade_filter_channel(const dsp::iir_cascade& c,
+                                                  std::span<const double> x) {
+    std::vector<std::pair<double, double>> z(c.section_count(), {0.0, 0.0});
+    std::vector<double> out(x.size());
+    for (std::size_t n = 0; n < x.size(); ++n) {
+        double v = x[n];
+        for (std::size_t i = 0; i < z.size(); ++i) {
+            const dsp::biquad& s = c.sections()[i];
+            auto& [z1, z2] = z[i];
+            const double y = s.b0 * v + z1;
+            z1 = s.b1 * v - s.a1 * y + z2;
+            z2 = s.b2 * v - s.a2 * y;
+            v = y;
+        }
+        out[n] = v;
+    }
+    return out;
 }
 
 } // namespace sdrbist::testing
