@@ -44,6 +44,11 @@
 //    (tests/support/skew_cost_yardstick.hpp), at the paper's shape (90 +
 //    45 MHz captures, 300 probes, 61 taps).
 //
+//  * Random streams — core/random.hpp's MT19937-64 per engine word (and
+//    its state twist per word on every CPU-supported backend), per
+//    gaussian() draw, and per draw of gaussian_fill (both polar outputs
+//    kept; what the transmitter noise and the clock jitter use).
+//
 //  * SIMD backend primitives — every compiled-in, CPU-supported kernel
 //    backend (scalar/AVX2/NEON) timed on the primitive shapes the hot
 //    paths dispatch to, reported as speedup vs the scalar backend.
@@ -758,6 +763,79 @@ void bench_dual_rate_cost(std::size_t hypotheses, int reps) {
               << " us, max rel err " << worst << ")\n";
 }
 
+/// Random-stream bench: ns per engine word (next_u64 through the
+/// dispatched twist), per gaussian() and per gaussian_fill draw (fills of
+/// 4096, the shape of a capture record's jitter), plus the bare twist per
+/// word on each CPU-supported backend.  One BENCH_JSON record.
+void bench_rng(std::size_t draws, int reps) {
+    const double n = static_cast<double>(draws);
+    std::uint64_t words_sink = 0;
+    double sink = 0.0;
+    const double word_ns = 1e9 *
+                           best_seconds(
+                               [&] {
+                                   rng gen(0xB17);
+                                   for (std::size_t i = 0; i < draws; ++i)
+                                       words_sink += gen.next_u64();
+                               },
+                               reps) /
+                           n;
+    const double gaussian_ns = 1e9 *
+                               best_seconds(
+                                   [&] {
+                                       rng gen(0xB17);
+                                       for (std::size_t i = 0; i < draws; ++i)
+                                           sink += gen.gaussian(0.0, 3e-12);
+                                   },
+                                   reps) /
+                               n;
+    std::vector<double> block(4096);
+    const std::size_t blocks = std::max<std::size_t>(1, draws / block.size());
+    const double fill_ns =
+        1e9 *
+        best_seconds(
+            [&] {
+                rng gen(0xB17);
+                for (std::size_t b = 0; b < blocks; ++b) {
+                    gen.gaussian_fill(block, 3e-12);
+                    sink += block[b % block.size()];
+                }
+            },
+            reps) /
+        static_cast<double>(blocks * block.size());
+
+    benchutil::json_record rec;
+    rec.add("kernel", std::string("rng"));
+    rec.add("draws", draws);
+    rec.add("ns_per_word", word_ns);
+    rec.add("ns_per_gaussian", gaussian_ns);
+    rec.add("ns_per_fill_draw", fill_ns);
+    rec.add("fill_speedup", gaussian_ns / fill_ns);
+    std::cout << "rng: " << word_ns << " ns/word, " << gaussian_ns
+              << " ns/gaussian, " << fill_ns << " ns/fill draw; twist";
+    for (const auto* ops : simd::kernel_backend::available()) {
+        std::vector<std::uint64_t> state(simd::mt_state_words, 0x5EEDull);
+        const int twists = 2000;
+        const double twist_ns =
+            1e9 *
+            best_seconds(
+                [&] {
+                    for (int t = 0; t < twists; ++t)
+                        ops->mt_refill(state.data());
+                },
+                reps) /
+            (static_cast<double>(twists) *
+             static_cast<double>(simd::mt_state_words));
+        words_sink += state[0];
+        rec.add(std::string("twist_ns_per_word_") + ops->name, twist_ns);
+        std::cout << " " << ops->name << " " << twist_ns << " ns/word";
+    }
+    std::cout << "\n";
+    benchutil::emit_bench_json("perf_hotpath", rec);
+    if (sink == 42.25 || words_sink == 42) // keep the timed loops
+        std::cout << "";
+}
+
 /// Per-backend primitive bench: every CPU-supported backend timed on the
 /// kernel shapes the hot paths dispatch to (61-tap PNBS row sums, 64-tap
 /// polyphase blends, 4096-sample capture records),
@@ -929,6 +1007,7 @@ int main(int argc, char** argv) {
     bench_pnbs_table_build(quick ? 8 : 32, reps);
     bench_band_plan_search(reps);
     bench_dual_rate_cost(quick ? 8 : 32, reps);
+    bench_rng(quick ? 400000 : 4000000, reps);
     bench_backend_kernels(reps);
     if (ddc_diff != 0.0) {
         std::cerr << "FAIL: digital_downconvert differs from "

@@ -12,8 +12,9 @@ sampling_clock::sampling_clock(clock_config config, std::uint64_t seed)
 
 std::vector<double> sampling_clock::edges(std::size_t n) {
     std::vector<double> t(n);
+    gen_.gaussian_fill(t, config_.jitter_rms_s);
     for (std::size_t k = 0; k < n; ++k)
-        t[k] = nominal_edge(k) + gen_.gaussian(0.0, config_.jitter_rms_s);
+        t[k] = nominal_edge(k) + t[k];
     return t;
 }
 

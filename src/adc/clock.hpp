@@ -27,7 +27,9 @@ public:
     /// \param seed   jitter stream seed (deterministic)
     sampling_clock(clock_config config, std::uint64_t seed);
 
-    /// n edge times starting at edge index 0: t_k = offset + k·T + j_k.
+    /// n edge times starting at edge index 0: t_k = offset + k·T + j_k,
+    /// the jitters j_k one rng::gaussian_fill of n (each call continues the
+    /// clock's stream).
     [[nodiscard]] std::vector<double> edges(std::size_t n);
 
     /// Nominal (jitter-free) edge time of index k.

@@ -1,5 +1,6 @@
 #include "core/random.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 
@@ -15,7 +16,6 @@ rng::rng(std::uint64_t seed) {
         state_[i] = 6364136223846793005ull *
                         (state_[i - 1] ^ (state_[i - 1] >> 62)) +
                     i;
-    next_ = state_words;
 }
 
 void rng::refill() {
@@ -40,10 +40,7 @@ double rng::canonical() {
     return u < 1.0 ? u : 1.0 - 0x1p-53;
 }
 
-double rng::gaussian(double mean, double sigma) {
-    SDRBIST_EXPECTS(sigma >= 0.0);
-    if (sigma == 0.0)
-        return mean; // no draw
+std::pair<double, double> rng::polar() {
     double x, y, r2;
     do {
         x = 2.0 * canonical() - 1.0;
@@ -51,7 +48,30 @@ double rng::gaussian(double mean, double sigma) {
         r2 = x * x + y * y;
     } while (r2 > 1.0 || r2 == 0.0);
     const double mult = std::sqrt(-2.0 * std::log(r2) / r2);
-    return y * mult * sigma + mean;
+    return {y * mult, x * mult};
+}
+
+double rng::gaussian(double mean, double sigma) {
+    SDRBIST_EXPECTS(sigma >= 0.0);
+    if (sigma == 0.0)
+        return mean; // no draw
+    return polar().first * sigma + mean;
+}
+
+void rng::gaussian_fill(std::span<double> out, double sigma) {
+    SDRBIST_EXPECTS(sigma >= 0.0);
+    if (sigma == 0.0) {
+        std::fill(out.begin(), out.end(), 0.0);
+        return;
+    }
+    std::size_t i = 0;
+    for (; i + 1 < out.size(); i += 2) {
+        const auto [y, x] = polar();
+        out[i] = y * sigma;
+        out[i + 1] = x * sigma;
+    }
+    if (i < out.size())
+        out[i] = polar().first * sigma;
 }
 
 double rng::uniform(double lo, double hi) {

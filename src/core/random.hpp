@@ -18,6 +18,11 @@
 ///    (two canonicals), rejecting r² = x² + y² > 1 and r² = 0; with
 ///    mult = √(−2·ln r² / r²) it returns (y·mult)·σ + μ and discards
 ///    x·mult.  σ = 0 returns μ without a draw.
+///  * `gaussian_fill(out, σ)` keeps both polar outputs: each accepted pair
+///    writes y·mult·σ, then x·mult·σ — the stream one
+///    `std::normal_distribution(0, σ)` kept for the whole fill returns.
+///    An odd length drops the last pair's x.  σ = 0 writes zeros without a
+///    draw.
 ///  * `uniform_int` is `std::uniform_int_distribution<int>` over this
 ///    generator, so it is portable only across standard libraries that
 ///    implement that distribution alike.
@@ -29,6 +34,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace sdrbist {
@@ -44,6 +51,10 @@ public:
 
     /// One sample from N(mean, sigma^2).
     double gaussian(double mean = 0.0, double sigma = 1.0);
+
+    /// Fill `out` with i.i.d. samples from N(0, sigma^2), two per polar
+    /// pair (half the draws and logarithms of one gaussian() per sample).
+    void gaussian_fill(std::span<double> out, double sigma);
 
     /// One sample from U[lo, hi).
     double uniform(double lo = 0.0, double hi = 1.0);
@@ -86,8 +97,11 @@ private:
     /// One sample from U[0, 1): one raw draw scaled by 2⁻⁶⁴.
     double canonical();
 
+    /// One accepted polar pair (y·mult, x·mult) of unit variance.
+    std::pair<double, double> polar();
+
     std::uint64_t state_[state_words];
-    std::size_t next_;
+    std::size_t next_ = state_words; ///< next word to temper
 };
 
 } // namespace sdrbist

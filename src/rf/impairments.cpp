@@ -1,6 +1,7 @@
 #include "rf/impairments.hpp"
 
 #include <cmath>
+#include <span>
 
 #include "core/contracts.hpp"
 #include "core/units.hpp"
@@ -70,10 +71,14 @@ cvec thermal_noise::apply(const cvec& env, rng& gen) const {
     const double rms = envelope_rms(env);
     const double sigma =
         rms * amplitude_from_db(-snr_db) / std::sqrt(2.0); // per dimension
-    cvec out(env);
-    for (auto& v : out)
-        v += std::complex<double>(gen.gaussian(0.0, sigma),
-                                  gen.gaussian(0.0, sigma));
+    // One polar pair per sample: re = y·mult·σ, im = x·mult·σ
+    // (std::complex<double> is two contiguous doubles, [complex.numbers]).
+    cvec out(env.size());
+    gen.gaussian_fill(std::span<double>(reinterpret_cast<double*>(out.data()),
+                                        2 * out.size()),
+                      sigma);
+    for (std::size_t n = 0; n < out.size(); ++n)
+        out[n] += env[n];
     return out;
 }
 

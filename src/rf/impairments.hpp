@@ -50,7 +50,8 @@ struct phase_noise {
     [[nodiscard]] cvec apply(const cvec& env, double fs, rng& gen) const;
 };
 
-/// Additive white Gaussian noise at a target in-band SNR.
+/// Additive white Gaussian noise at a target in-band SNR; each sample's I
+/// and Q are the two outputs of one polar pair (rng::gaussian_fill).
 struct thermal_noise {
     double snr_db = 120.0; ///< SNR relative to envelope power
 

@@ -151,11 +151,13 @@ TEST(CacheKey, PinnedValueSurvivesTheEntryFormat) {
     // did not move), and at 7 for ranging on the captured samples plus the
     // LMS cost's odd-stream row sums (the attenuator setting moved by
     // −7.4…+5.6 %, mask margins by ≤ 1.04 dB, D̂ by ≤ 0.54 %; no verdict
-    // moved on the benchmark grids).
+    // moved on the benchmark grids), and at 8 for the paired Gaussian
+    // fills of the transmitter noise and the sampling-clock jitter (a new
+    // realisation of the same noise model; see CHANGES.md for the drift).
     const auto cfg = small_campaign();
     const auto grid = expand_grid(cfg);
     EXPECT_EQ(scenario_cache::key(grid[0], scenario_config(cfg, grid[0])),
-              "b4d8186064589117");
+              "81fee42b3d100c44");
 }
 
 TEST(CacheKey, IndependentOfGridShape) {

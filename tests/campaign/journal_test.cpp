@@ -96,9 +96,10 @@ TEST_F(CampaignJournal, IdentityIsPinned) {
     // hashes through the base configuration's canonical text: a journal
     // whose rows were computed by older numerics must not resume.
     // Re-pinned when it went to 5 (dual-rate cost factored by D̂), to 6
-    // (the tabulated PNBS kernel with the exact Kaiser window) and to 7
-    // (ranging on the captured samples, the LMS cost's row sums).
-    EXPECT_EQ(campaign_identity(small_campaign()), "e5383cd108b5bd58");
+    // (the tabulated PNBS kernel with the exact Kaiser window), to 7
+    // (ranging on the captured samples, the LMS cost's row sums) and to 8
+    // (paired Gaussian fills for the transmitter noise and clock jitter).
+    EXPECT_EQ(campaign_identity(small_campaign()), "5bdfb5a131aa1d1d");
 }
 
 TEST_F(CampaignJournal, JournalledRunRoundTripsThroughReadJournal) {

@@ -39,6 +39,17 @@ TEST(Rng, GaussianMoments) {
         v = g.gaussian(1.5, 2.0);
     EXPECT_NEAR(mean(x), 1.5, 0.05);
     EXPECT_NEAR(stddev(x), 2.0, 0.05);
+
+    // The paired fill (odd length: the last pair's x is dropped), whose two
+    // outputs per pair must also be uncorrelated.
+    std::vector<double> f(40001);
+    g.gaussian_fill(f, 2.0);
+    EXPECT_NEAR(mean(f), 0.0, 0.05);
+    EXPECT_NEAR(stddev(f), 2.0, 0.05);
+    double cross = 0.0;
+    for (std::size_t i = 0; i + 1 < f.size(); i += 2)
+        cross += f[i] * f[i + 1];
+    EXPECT_NEAR(cross / 20000.0 / 4.0, 0.0, 0.03);
 }
 
 TEST(Rng, UniformRangeAndMoments) {
@@ -125,6 +136,38 @@ TEST(Rng, FirstDrawsArePinned) {
     }
 }
 
+TEST(Rng, GaussianFillPairsTheStream) {
+    // Both outputs of each polar pair land in the fill; its first output of
+    // every pair is what gaussian() returns from the same state.
+    rng fill(0xF111), one(0xF111);
+    std::vector<double> x(6);
+    fill.gaussian_fill(x, 2.5);
+    EXPECT_EQ(x[0], one.gaussian(0.0, 2.5));
+    EXPECT_EQ(x[2], one.gaussian(0.0, 2.5));
+    EXPECT_EQ(x[4], one.gaussian(0.0, 2.5));
+    EXPECT_EQ(fill.next_u64(), one.next_u64()); // same pairs consumed
+
+    // An odd length consumes as many pairs as the next even one and agrees
+    // with it on every sample it writes.
+    rng odd(0xF111);
+    std::vector<double> y(5);
+    odd.gaussian_fill(y, 2.5);
+    for (std::size_t i = 0; i < y.size(); ++i)
+        EXPECT_EQ(y[i], x[i]) << i;
+    rng even(0xF111);
+    even.gaussian_fill(x, 2.5);
+    EXPECT_EQ(odd.next_u64(), even.next_u64());
+
+    // σ = 0 writes zeros and draws nothing.
+    rng quiet(0xF111), twin(0xF111);
+    std::vector<double> z(7, 1.0);
+    quiet.gaussian_fill(z, 0.0);
+    for (const double v : z)
+        EXPECT_EQ(v, 0.0);
+    EXPECT_EQ(quiet.next_u64(), twin.next_u64());
+    EXPECT_THROW(quiet.gaussian_fill(z, -1.0), contract_violation);
+}
+
 #if defined(__GLIBCXX__) && !defined(__FP_FAST_FMA)
 // The library's distributions never fuse a multiply-add (random.cpp is
 // built with -ffp-contract=off); libstdc++'s, instantiated here, match them
@@ -156,6 +199,30 @@ TEST(Rng, UniformMatchesLibstdcxx) {
         std::uniform_real_distribution<double> dist(-2.0, 6.0);
         ASSERT_EQ(ours.uniform(-2.0, 6.0), dist(ref)) << "draw " << i;
     }
+}
+
+TEST(Rng, GaussianFillIsOnePersistentPolarStream) {
+    // One std::normal_distribution kept for the whole fill returns y·mult
+    // and then its saved x·mult: the fill's stream, fill after fill (even
+    // lengths, so no pair straddles two fills).
+    rng ours(0x9A12);
+    std::mt19937_64 ref(0x9A12);
+    for (const double sigma : {1.0, 3e-12, 0.7}) {
+        std::normal_distribution<double> dist(0.0, sigma);
+        std::vector<double> x(10'000);
+        ours.gaussian_fill(x, sigma);
+        for (std::size_t i = 0; i < x.size(); ++i)
+            ASSERT_EQ(x[i], dist(ref)) << "sigma " << sigma << " i " << i;
+    }
+    // An odd fill drops the last x, which the persistent distribution
+    // would have returned next.
+    std::normal_distribution<double> dist(0.0, 1.0);
+    std::vector<double> x(3);
+    ours.gaussian_fill(x, 1.0);
+    for (const double v : x)
+        EXPECT_EQ(v, dist(ref));
+    (void)dist(ref); // the dropped x
+    EXPECT_EQ(ours.next_u64(), ref());
 }
 
 #endif
