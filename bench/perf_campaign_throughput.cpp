@@ -8,8 +8,11 @@
 /// also smoke-checks the determinism contract while measuring scaling: all
 /// thread counts must export byte-identical timing-free artefacts and
 /// identical stage-reuse accounting.  On hosts with >= 4 hardware threads
-/// the dag schedule must reach >= 3x at 4 threads.  Machine-readable
-/// results are printed as `BENCH_JSON {...}` lines (see bench_util.hpp).
+/// the dag schedule must reach >= 3x at 4 threads.  Every check runs: a
+/// failed one prints a `... VIOLATION:` line, the bench carries on through
+/// every section, and the exit code is 1 if any check failed.
+/// Machine-readable results are printed as `BENCH_JSON {...}` lines (see
+/// bench_util.hpp).
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
@@ -59,6 +62,14 @@ int main() {
     // per-stage breakdowns below read); trace buffering only in the
     // dedicated overhead section.
     telemetry::enable(/*capture_trace=*/false);
+
+    // A failed check prints its line and the bench goes on, so every
+    // section still runs and emits its record; the exit code reports them.
+    std::size_t violations = 0;
+    const auto violation = [&](const char* check) -> std::ostream& {
+        ++violations;
+        return std::cerr << check << " VIOLATION: ";
+    };
 
     // A 32-scenario grid with a pooled stage prefix: `reseed_policy::probes`
     // keeps the device fixed across probe-draw trials, so scenarios share
@@ -114,9 +125,8 @@ int main() {
         if (baseline_json.empty())
             baseline_json = artefact;
         else if (artefact != baseline_json) {
-            std::cerr << "DETERMINISM VIOLATION: results differ at "
-                      << threads << " threads\n";
-            return 1;
+            violation("DETERMINISM")
+                << "results differ at " << threads << " threads\n";
         }
 
         // Counter≡result exactness: the credited-consumer rule books the
@@ -126,12 +136,11 @@ int main() {
         if (ti == 0)
             baseline_reuse = reuse;
         else if (reuse != baseline_reuse) {
-            std::cerr << "SCHEDULER VIOLATION: reuse accounting "
-                      << reuse.first << "/" << reuse.second
-                      << " differs from single-threaded "
-                      << baseline_reuse.first << "/" << baseline_reuse.second
-                      << " at " << threads << " threads\n";
-            return 1;
+            violation("SCHEDULER")
+                << "reuse accounting " << reuse.first << "/" << reuse.second
+                << " differs from single-threaded " << baseline_reuse.first
+                << "/" << baseline_reuse.second << " at " << threads
+                << " threads\n";
         }
 
         const double rate = result.scenarios_per_second();
@@ -182,10 +191,10 @@ int main() {
     // meaningful where 4 workers can actually run in parallel.
     if (hw >= 4) {
         if (dag_speedup_at_4t < 3.0) {
-            std::cerr << "THROUGHPUT VIOLATION: dag schedule reached only "
-                      << text_table::num(dag_speedup_at_4t, 2)
-                      << "x at 4 threads (< 3x)\n";
-            return 1;
+            violation("THROUGHPUT")
+                << "dag schedule reached only "
+                << text_table::num(dag_speedup_at_4t, 2)
+                << "x at 4 threads (< 3x)\n";
         }
     } else {
         std::cout << "note: host has < 4 hardware threads; the 3x-at-4-"
@@ -208,15 +217,12 @@ int main() {
     campaign::export_options opt;
     opt.include_timing = false;
     if (campaign::to_json(warm, opt) != baseline_json) {
-        std::cerr << "CACHE VIOLATION: warm run is not bit-identical\n";
-        return 1;
+        violation("CACHE") << "warm run is not bit-identical\n";
     }
     if (warm.cache_hits != warm.scenario_count() || warm.cache_misses != 0) {
-        std::cerr << "CACHE VIOLATION: warm run expected "
-                  << warm.scenario_count() << " hits, got "
-                  << warm.cache_hits << " hits / " << warm.cache_misses
-                  << " misses\n";
-        return 1;
+        violation("CACHE") << "warm run expected " << warm.scenario_count()
+                           << " hits, got " << warm.cache_hits << " hits / "
+                           << warm.cache_misses << " misses\n";
     }
 
     const double warm_speedup = cold.wall_s / warm.wall_s;
@@ -237,9 +243,8 @@ int main() {
     // Loading ~KB JSON entries is orders of magnitude cheaper than engine
     // runs; anything below 5x means the cache is broken, not merely slow.
     if (warm_speedup < 5.0) {
-        std::cerr << "CACHE VIOLATION: warm speedup "
-                  << text_table::num(warm_speedup, 2) << "x < 5x\n";
-        return 1;
+        violation("CACHE") << "warm speedup "
+                           << text_table::num(warm_speedup, 2) << "x < 5x\n";
     }
 
     // ---- stage-shared pipelines on an overlapping grid -------------------
@@ -293,13 +298,10 @@ int main() {
     const auto shared = campaign::campaign_runner(reuse_cfg).run();
 
     if (campaign::to_json(shared, opt) != campaign::to_json(unshared, opt)) {
-        std::cerr << "STAGE-REUSE VIOLATION: shared run is not "
-                     "bit-identical\n";
-        return 1;
+        violation("STAGE-REUSE") << "shared run is not bit-identical\n";
     }
     if (shared.stage_reuse_hits == 0) {
-        std::cerr << "STAGE-REUSE VIOLATION: pool never hit\n";
-        return 1;
+        violation("STAGE-REUSE") << "pool never hit\n";
     }
 
     const double reuse_speedup = unshared_wall_s / shared.wall_s;
@@ -325,9 +327,9 @@ int main() {
     // The pool removes ~10 of 12 calibration+reconstruction runs on this
     // grid; anything below 1.3x means sharing has stopped engaging.
     if (reuse_speedup < 1.3) {
-        std::cerr << "STAGE-REUSE VIOLATION: speedup "
-                  << text_table::num(reuse_speedup, 2) << "x < 1.3x\n";
-        return 1;
+        violation("STAGE-REUSE") << "speedup "
+                                 << text_table::num(reuse_speedup, 2)
+                                 << "x < 1.3x\n";
     }
 
     // ---- persistent stage-artefact store: warm over cold -----------------
@@ -348,15 +350,14 @@ int main() {
 
     if (campaign::to_json(store_cold, opt) != campaign::to_json(shared, opt) ||
         campaign::to_json(store_warm, opt) != campaign::to_json(shared, opt)) {
-        std::cerr << "STAGE-STORE VIOLATION: store-enabled run is not "
-                     "bit-identical to the store-disabled run\n";
-        return 1;
+        violation("STAGE-STORE") << "store-enabled run is not "
+                                    "bit-identical to the store-disabled "
+                                    "run\n";
     }
     if (store_warm.store_hits == 0 || store_warm.store_misses != 0) {
-        std::cerr << "STAGE-STORE VIOLATION: warm run expected all hits, "
-                     "got " << store_warm.store_hits << " hits / "
-                  << store_warm.store_misses << " misses\n";
-        return 1;
+        violation("STAGE-STORE")
+            << "warm run expected all hits, got " << store_warm.store_hits
+            << " hits / " << store_warm.store_misses << " misses\n";
     }
 
     const double store_speedup = store_cold.wall_s / store_warm.wall_s;
@@ -381,9 +382,9 @@ int main() {
     // Decompress-and-decode is far cheaper than the pipeline stages it
     // replaces; below 2x the store has stopped engaging.
     if (store_speedup < 2.0) {
-        std::cerr << "STAGE-STORE VIOLATION: warm speedup "
-                  << text_table::num(store_speedup, 2) << "x < 2x\n";
-        return 1;
+        violation("STAGE-STORE") << "warm speedup "
+                                 << text_table::num(store_speedup, 2)
+                                 << "x < 2x\n";
     }
 
     // ---- trace-capture overhead ------------------------------------------
@@ -405,8 +406,7 @@ int main() {
     telemetry::disable();
 
     if (campaign::to_json(traced, opt) != campaign::to_json(plain, opt)) {
-        std::cerr << "TRACE VIOLATION: traced run is not bit-identical\n";
-        return 1;
+        violation("TRACE") << "traced run is not bit-identical\n";
     }
 
     const double overhead_pct =
@@ -465,15 +465,14 @@ int main() {
 
     if (campaign::to_json(faulted, opt) !=
         campaign::to_json(disarmed_a, opt)) {
-        std::cerr << "FAULT-TOLERANCE VIOLATION: injected run is not "
-                     "bit-identical to the clean run\n";
-        return 1;
+        violation("FAULT-TOLERANCE")
+            << "injected run is not bit-identical to the clean run\n";
     }
     if (faulted.scenario_gave_up != 0) {
-        std::cerr << "FAULT-TOLERANCE VIOLATION: " << faulted.scenario_gave_up
-                  << " scenarios gave up under p=0.05 with "
-                  << fault_cfg.max_retries << " retries\n";
-        return 1;
+        violation("FAULT-TOLERANCE")
+            << faulted.scenario_gave_up
+            << " scenarios gave up under p=0.05 with "
+            << fault_cfg.max_retries << " retries\n";
     }
 
     const double disarmed_overhead_pct =
@@ -501,10 +500,9 @@ int main() {
     // Catastrophic-regression guard only (e.g. a disarmed probe growing a
     // lock); genuine sub-percent costs drown in scheduler noise here.
     if (disarmed_overhead_pct > 20.0) {
-        std::cerr << "FAULT-PROBE VIOLATION: disarmed repeat delta "
-                  << text_table::num(disarmed_overhead_pct, 1)
-                  << "% > 20%\n";
-        return 1;
+        violation("FAULT-PROBE")
+            << "disarmed repeat delta "
+            << text_table::num(disarmed_overhead_pct, 1) << "% > 20%\n";
     }
 
     // ---- distributed-service overhead ------------------------------------
@@ -536,9 +534,8 @@ int main() {
             .count();
 
     if (campaign::to_json(dist.result, opt) != campaign::to_json(plain, opt)) {
-        std::cerr << "SERVICE VIOLATION: distributed run is not "
-                     "bit-identical to the local run\n";
-        return 1;
+        violation("SERVICE")
+            << "distributed run is not bit-identical to the local run\n";
     }
 
     const double service_overhead_pct =
@@ -561,5 +558,10 @@ int main() {
     svc_rec.add("requeues", dist.leases.requeues);
     svc_rec.add("workers", std::size_t{2});
     benchutil::emit_bench_json("campaign_service_overhead", svc_rec);
+
+    if (violations > 0) {
+        std::cerr << violations << " check(s) failed\n";
+        return 1;
+    }
     return 0;
 }

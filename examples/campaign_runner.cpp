@@ -267,8 +267,6 @@ int list_backends() {
 /// `--build-info` block and the `otherData` of every exported trace.
 std::vector<std::pair<std::string, std::string>> provenance_fields() {
     auto fields = build_info_fields();
-    fields.emplace_back("canonical_config_version",
-                        std::to_string(bist::canonical_config_version));
     fields.emplace_back("stage_canonical_version",
                         std::to_string(bist::stage_canonical_version));
     fields.emplace_back("store_format_version",

@@ -71,15 +71,6 @@ void write_mask(canonical_writer& w, const std::string& prefix,
     }
 }
 
-void write_preset(canonical_writer& w, const std::string& prefix,
-                  const waveform::standard_preset& preset) {
-    w.text(prefix + ".name", preset.name);
-    write_generator(w, prefix + ".stimulus", preset.stimulus);
-    write_mask(w, prefix + ".mask", preset.mask);
-    w.real(prefix + ".default_carrier_hz", preset.default_carrier_hz);
-    w.real(prefix + ".acpr_offset_hz", preset.acpr_offset_hz);
-}
-
 void write_tx(canonical_writer& w, const rf::tx_config& tx) {
     w.real("tx.carrier_hz", tx.carrier_hz);
     w.integer("tx.recon_filter_order", tx.recon_filter_order);
@@ -122,53 +113,6 @@ void write_tiadc(canonical_writer& w, const adc::tiadc_config& t) {
 }
 
 } // namespace
-
-std::string canonical_config_text(const bist_config& config) {
-    canonical_writer w;
-    w.integer("canon", canonical_config_version);
-    write_preset(w, "preset", config.preset);
-    write_tx(w, config.tx);
-    write_tiadc(w, config.tiadc);
-    w.real("dcde_target_delay_s", config.dcde_target_delay_s);
-    w.boolean("use_calibration_stimulus", config.use_calibration_stimulus);
-    write_generator(w, "calibration_stimulus", config.calibration_stimulus);
-    w.unsigned_integer("fast_samples", config.fast_samples);
-    w.unsigned_integer("slow_divider", config.slow_divider);
-    w.real("capture_start_s", config.capture_start_s);
-    w.integer("capture_filter_order", config.capture_filter_order);
-    w.real("capture_filter_halfwidth_hz", config.capture_filter_halfwidth_hz);
-    w.real("spectrum_filter_halfwidth_hz",
-           config.spectrum_filter_halfwidth_hz);
-    w.boolean("auto_range", config.auto_range);
-    w.unsigned_integer("probe_count", config.probe_count);
-    w.unsigned_integer("probe_seed", config.probe_seed);
-    w.real("d0_hint_s", config.d0_hint_s);
-    w.real("lms.mu0", config.lms.mu0);
-    w.unsigned_integer("lms.max_iterations", config.lms.max_iterations);
-    w.real("lms.cost_tolerance", config.lms.cost_tolerance);
-    w.real("lms.min_mu", config.lms.min_mu);
-    w.real("lms.step_tolerance", config.lms.step_tolerance);
-    w.real("lms.initial_probe_s", config.lms.initial_probe_s);
-    w.unsigned_integer("lms.max_halvings", config.lms.max_halvings);
-    w.unsigned_integer("lms.recon.taps", config.lms.recon.taps);
-    w.real("lms.recon.kaiser_beta", config.lms.recon.kaiser_beta);
-    w.real("spectrum.dense_rate_factor", config.spectrum.dense_rate_factor);
-    w.real("spectrum.envelope_rate_min", config.spectrum.envelope_rate_min);
-    w.unsigned_integer("spectrum.ddc_taps", config.spectrum.ddc_taps);
-    w.real("spectrum.ddc_cutoff_hz", config.spectrum.ddc_cutoff_hz);
-    w.unsigned_integer("spectrum.welch_segment",
-                       config.spectrum.welch_segment);
-    w.real("spectrum.mix_frequency", config.spectrum.mix_frequency);
-    w.real("evm_limit_percent", config.evm_limit_percent);
-    w.real("min_output_rms", config.min_output_rms);
-    w.real("acpr_limit_dbc", config.acpr_limit_dbc);
-    w.real("acpr_offset_hz", config.acpr_offset_hz);
-    return w.str();
-}
-
-// ---------------------------------------------------------------------------
-// Per-stage slices
-// ---------------------------------------------------------------------------
 
 std::string canonical_stage_text(const bist_config& config, stage s) {
     canonical_writer w;

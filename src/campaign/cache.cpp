@@ -26,7 +26,13 @@ std::string scenario_cache::key(const scenario& sc,
     h.update("fault=" + bist::to_string(sc.fault) + "\n");
     h.update("trial=" + std::to_string(sc.trial) + "\n");
     h.update("scenario_seed=" + std::to_string(sc.seed) + "\n");
-    h.update(bist::canonical_config_text(materialised));
+    // The grading input digest chains every stage's canonical slice, so
+    // it covers every field the engine reads; only the preset name is
+    // left out of it, and that is hashed above as a coordinate.
+    h.update("config=" +
+             fnv1a64::hex_digest(bist::stage_input_digest(
+                 materialised, bist::stage::grading)) +
+             "\n");
     return h.hex();
 }
 

@@ -12,9 +12,11 @@
 ///     every key),
 ///   - the scenario grid coordinates (preset name, fault name, trial) and
 ///     the derived scenario seed,
-///   - the canonical serialisation of the fully *materialised* engine
+///   - the grading-stage input digest of the fully *materialised* engine
 ///     config (bist/config_canonical.hpp) — preset applied, fault
-///     injected, seeds and Monte-Carlo perturbations baked in.
+///     injected, seeds and Monte-Carlo perturbations baked in.  The digest
+///     chains the canonical slices of all five stages, the same form that
+///     keys the stage entries.
 ///
 /// Because the materialised config determines the report bit-for-bit, a
 /// hit can stand in for an engine run: a warm rerun reproduces the cold

@@ -501,8 +501,8 @@ campaign_result campaign_runner::run(const run_hooks& hooks) const {
         std::error_code journal_ec;
         if (config_.resume &&
             std::filesystem::exists(config_.journal_path, journal_ec)) {
-            journal_replay replay = read_journal(config_.journal_path);
-            SDRBIST_EXPECTS(replay.identity == identity);
+            journal_replay replay =
+                read_journal(config_.journal_path, identity);
             std::unordered_map<std::size_t, std::size_t> local;
             for (std::size_t i = 0; i < grid.size(); ++i)
                 local.emplace(grid[i].index, i);

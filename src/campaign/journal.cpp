@@ -29,16 +29,16 @@ std::string campaign_identity(const campaign_config& cfg) {
              "\n");
     h.update("dcde_static_sigma_s=" +
              json_number(cfg.perturb.dcde_static_sigma_s) + "\n");
-    // Every scenario relaxes its mask to the measurement floor; the line
-    // stays so identities (and resumes) match journals that hashed it.
-    h.update("relax_mask_to_floor=1\n");
     h.update("shard=" + std::to_string(cfg.shard.index) + "/" +
              std::to_string(cfg.shard.count) + "\n");
     for (const auto& p : cfg.presets)
         h.update("preset=" + p.name + "\n");
     for (const auto f : cfg.faults)
         h.update(std::string("fault=") + bist::to_string(f) + "\n");
-    h.update(bist::canonical_config_text(cfg.base));
+    h.update("base_config=" +
+             fnv1a64::hex_digest(
+                 bist::stage_input_digest(cfg.base, bist::stage::grading)) +
+             "\n");
     return h.hex();
 }
 
@@ -52,6 +52,7 @@ journal_replay read_journal(const std::string& path) {
 
     journal_replay out;
     bool saw_header = false;
+    std::size_t version = 0;
     std::size_t offset = 0;
     while (offset < text.size()) {
         const std::size_t nl = text.find('\n', offset);
@@ -64,12 +65,17 @@ journal_replay read_journal(const std::string& path) {
             const json_value doc = parse_json(line);
             const std::string row = doc.at("row").as_string();
             if (!saw_header) {
-                if (row != "header" ||
-                    doc.at("journal_version").as_size() !=
-                        static_cast<std::size_t>(journal_format_version))
-                    throw contract_violation("header/version mismatch");
-                out.identity = doc.at("identity").as_string();
+                if (row != "header")
+                    throw contract_violation("first row is not the header");
+                version = doc.at("journal_version").as_size();
+                const bool readable =
+                    version ==
+                    static_cast<std::size_t>(journal_format_version);
+                if (readable)
+                    out.identity = doc.at("identity").as_string();
                 saw_header = true;
+                if (!readable)
+                    break; // nothing else of another format is read
             } else if (row == "scenario") {
                 journal_row jr;
                 jr.key = doc.at("key").as_string();
@@ -95,6 +101,22 @@ journal_replay read_journal(const std::string& path) {
     }
     if (!saw_header)
         throw contract_violation("journal has no header: " + path);
+    if (version != static_cast<std::size_t>(journal_format_version))
+        throw contract_violation(
+            "journal " + path + " has format version " +
+            std::to_string(version) + "; this build reads version " +
+            std::to_string(journal_format_version));
+    return out;
+}
+
+journal_replay read_journal(const std::string& path,
+                            const std::string& identity) {
+    journal_replay out = read_journal(path);
+    if (out.identity != identity)
+        throw contract_violation(
+            "journal " + path +
+            " was written for a different campaign: its identity is " +
+            out.identity + ", this campaign's is " + identity);
     return out;
 }
 
@@ -105,9 +127,7 @@ campaign_journal::campaign_journal(const std::string& path,
     bool need_header = true;
     std::error_code exists_ec;
     if (resume && std::filesystem::exists(path, exists_ec)) {
-        const journal_replay replay = read_journal(path);
-        SDRBIST_EXPECTS(replay.identity == identity);
-        keep = replay.valid_bytes;
+        keep = read_journal(path, identity).valid_bytes;
         need_header = false;
     }
     // A resume against a journal that does not exist yet is a cold start,

@@ -22,7 +22,7 @@
 ///    and dropped — recovery just recomputes that scenario.  The journal
 ///    can make a rerun cheaper, never a run wronger.
 ///  * **Identity-guarded.**  The header carries a digest of the campaign
-///    shape (seed, grid axes, shard, canonical base config).  Resuming
+///    shape (seed, grid axes, shard, base config digest).  Resuming
 ///    against a different campaign is a contract violation; per-row
 ///    digests then re-validate each restored scenario individually.
 ///  * **Only deterministic outcomes are journalled** (success or contract
@@ -41,16 +41,18 @@
 
 namespace sdrbist::campaign {
 
-/// Journal line-format version; read_journal rejects other versions.
-inline constexpr int journal_format_version = 1;
+/// Journal format version: the line format and the identity text.
+/// read_journal rejects other versions; a change to either bumps it.
+inline constexpr int journal_format_version = 2;
 
 /// Digest of the campaign *shape*: everything that decides which
 /// scenarios exist and what each one computes — seed, trials, reseed
-/// policy, perturbations, mask relaxation, shard, preset/fault axes and
-/// the canonical base config.  Execution knobs (threads, cache_dir,
-/// stage_store_dir, retry/deadline settings) are deliberately excluded:
-/// they cannot change any deterministic result, so a resume may use
-/// different ones.
+/// policy, perturbations, shard, preset/fault axes and the base config's
+/// grading input digest (bist/config_canonical.hpp), so a bump of
+/// `stage_canonical_version` stops journals of older numerics resuming.
+/// Execution knobs (threads, cache_dir, stage_store_dir, retry/deadline
+/// settings) are deliberately excluded: they cannot change any
+/// deterministic result, so a resume may use different ones.
 std::string campaign_identity(const campaign_config& cfg);
 
 /// One replayed journal row.
@@ -69,8 +71,15 @@ struct journal_replay {
 
 /// Parse a journal.  Tolerates a torn/garbled tail (counted, prefix
 /// kept); throws contract_violation when the file cannot be read or the
-/// header line itself is missing, malformed or version-skewed.
+/// header line itself is missing, malformed or version-skewed (the
+/// message names the path and the version found vs expected).
 journal_replay read_journal(const std::string& path);
+
+/// read_journal for resuming the campaign `identity`: also throws
+/// contract_violation, naming the path and both identities, when the
+/// journal was written for a different campaign.
+journal_replay read_journal(const std::string& path,
+                            const std::string& identity);
 
 /// Append-side handle.  Construction either starts a fresh journal
 /// (truncate + header) or — with `resume` — validates the existing one

@@ -23,7 +23,7 @@ namespace sdrbist {
 ///
 ///   fnv1a64 h;
 ///   h.update("campaign-cache-v1\n");
-///   h.update(canonical_config_text);
+///   h.update(canonical_stage_text);
 ///   const std::string key = h.hex();
 class fnv1a64 {
 public:

@@ -48,24 +48,29 @@ campaign_config small_campaign() {
     return cfg;
 }
 
-// ---- canonical config text --------------------------------------------------
+// ---- canonical form: the stage-slice chain ---------------------------------
 
 TEST(ConfigCanonical, IsPureAndVersioned) {
     const auto cfg = small_campaign();
     const auto grid = expand_grid(cfg);
     const auto materialised = scenario_config(cfg, grid[0]);
-    const auto text = bist::canonical_config_text(materialised);
-    EXPECT_EQ(text, bist::canonical_config_text(materialised));
-    EXPECT_EQ(text.rfind("canon=" +
-                             std::to_string(bist::canonical_config_version) +
-                             "\n",
-                         0),
-              0u)
-        << "serialisation must lead with its version line";
-    // Every leaf is a key=value line.
-    EXPECT_NE(text.find("tx.pa_gain_db="), std::string::npos);
-    EXPECT_NE(text.find("tiadc.jitter_rms_s="), std::string::npos);
-    EXPECT_NE(text.find("preset.mask.segment.0.limit_dbc="),
+    const std::string version_line =
+        "stage_canon=" + std::to_string(bist::stage_canonical_version) + "\n";
+    for (const bist::stage s : bist::stage_order) {
+        const auto text = bist::canonical_stage_text(materialised, s);
+        EXPECT_EQ(text, bist::canonical_stage_text(materialised, s));
+        EXPECT_EQ(text.rfind(version_line, 0), 0u)
+            << "serialisation must lead with its version line";
+    }
+    EXPECT_EQ(bist::stage_input_digest(materialised, bist::stage::grading),
+              bist::stage_input_digest(materialised, bist::stage::grading));
+    // Every leaf is a key=value line in the slice of the stage reading it.
+    const auto tx = bist::canonical_stage_text(materialised,
+                                               bist::stage::tx_capture);
+    EXPECT_NE(tx.find("tx.pa_gain_db="), std::string::npos);
+    EXPECT_NE(tx.find("tiadc.jitter_rms_s="), std::string::npos);
+    EXPECT_NE(bist::canonical_stage_text(materialised, bist::stage::grading)
+                  .find("preset.mask.segment.0.limit_dbc="),
               std::string::npos);
 }
 
@@ -73,21 +78,43 @@ TEST(ConfigCanonical, DigestMovesWithAnyField) {
     const auto cfg = small_campaign();
     const auto grid = expand_grid(cfg);
     const auto base = scenario_config(cfg, grid[0]);
-    const auto reference = bist::canonical_config_text(base);
+    const auto reference =
+        bist::stage_input_digest(base, bist::stage::grading);
 
     auto probe = [&](auto&& mutate) {
         bist::bist_config c = base;
         mutate(c);
-        return bist::canonical_config_text(c);
+        return bist::stage_input_digest(c, bist::stage::grading);
     };
     EXPECT_NE(probe([](auto& c) { c.evm_limit_percent += 0.5; }), reference);
     EXPECT_NE(probe([](auto& c) { c.tx.pa_gain_db += 1e-9; }), reference);
     EXPECT_NE(probe([](auto& c) { c.tiadc.seed ^= 1; }), reference);
     EXPECT_NE(probe([](auto& c) { c.probe_count += 1; }), reference);
     EXPECT_NE(probe([](auto& c) { c.lms.recon.taps += 2; }), reference);
-    EXPECT_NE(probe([](auto& c) { c.preset.name += "x"; }), reference);
     EXPECT_NE(probe([](auto& c) { c.spectrum.dense_rate_factor *= 1.001; }),
               reference);
+    EXPECT_NE(probe([](auto& c) { c.calibration_stimulus.prbs_seed ^= 1; }),
+              reference);
+    EXPECT_NE(probe([](auto& c) { c.preset.stimulus.rolloff += 0.01; }),
+              reference);
+    EXPECT_NE(probe([](auto& c) {
+                  auto segments = c.preset.mask.segments();
+                  segments[0].limit_dbc -= 0.5;
+                  c.preset.mask = waveform::spectral_mask(
+                      c.preset.mask.name(),
+                      c.preset.mask.reference_bandwidth(), segments);
+              }),
+              reference);
+    EXPECT_NE(probe([](auto& c) { c.dcde_target_delay_s += 1e-12; }),
+              reference);
+    EXPECT_NE(probe([](auto& c) { c.capture_filter_halfwidth_hz = 1e6; }),
+              reference);
+    EXPECT_NE(probe([](auto& c) { c.spectrum.mix_frequency += 1.0; }),
+              reference);
+    EXPECT_NE(probe([](auto& c) { c.acpr_offset_hz += 1e3; }), reference);
+    // The preset name is cosmetic: no stage reads it (the scenario key
+    // hashes it as a grid coordinate instead).
+    EXPECT_EQ(probe([](auto& c) { c.preset.name += "x"; }), reference);
 }
 
 // ---- cache keys -------------------------------------------------------------
@@ -127,6 +154,15 @@ TEST(CacheKey, MovesWithGridCoordinatesAndConfig) {
     EXPECT_NE(scenario_cache::key(tgrid[0], scenario_config(tweaked, tgrid[0])),
               k_trial0);
 
+    // The preset name is a grid coordinate: renaming an otherwise
+    // identical preset moves the key.
+    auto renamed = cfg;
+    renamed.presets[0].name += "-renamed";
+    const auto ngrid = expand_grid(renamed);
+    ASSERT_EQ(ngrid[0].seed, grid[0].seed) << "seed derivation unchanged";
+    EXPECT_NE(scenario_cache::key(ngrid[0], scenario_config(renamed, ngrid[0])),
+              k_trial0);
+
     // Monte-Carlo perturbations materialise into the config, hence the key.
     auto perturbed = cfg;
     perturbed.perturb.jitter_rel_sigma = 0.1;
@@ -136,28 +172,16 @@ TEST(CacheKey, MovesWithGridCoordinatesAndConfig) {
 }
 
 TEST(CacheKey, PinnedValueSurvivesTheEntryFormat) {
-    // Computed by the release that still wrote `<key>.json` entries:
-    // journals that carry keys must keep resuming across format moves.
-    // Re-pinned when canonical_config_version went to 2 for the
-    // vectorised PNBS coefficient fill (its numbers moved by ~1e-14, so
-    // entries and journals primed by the old numerics must miss), and
-    // again at 3 for the direct complex-envelope reconstruction (mask
-    // margins moved by up to ~0.008 dB), at 4 for the tabulated SRRC
-    // matched filter (EVM moved by < 1e-9 percentage points), and at 5 for
-    // the dual-rate cost factored by D̂ (the reported final cost and plan
-    // discrimination moved by < 1e-14 relative), and at 6 for the
-    // tabulated PNBS kernel with the exact Kaiser window (mask margins
-    // moved by < 3e-5 dB, ACPR by < 5e-6 dB, EVM by < 4e-7 relative; D̂
-    // did not move), and at 7 for ranging on the captured samples plus the
-    // LMS cost's odd-stream row sums (the attenuator setting moved by
-    // −7.4…+5.6 %, mask margins by ≤ 1.04 dB, D̂ by ≤ 0.54 %; no verdict
-    // moved on the benchmark grids), and at 8 for the paired Gaussian
-    // fills of the transmitter noise and the sampling-clock jitter (a new
-    // realisation of the same noise model; see CHANGES.md for the drift).
+    // Keys name store entries and are carried by journals, so the key text
+    // must not move by accident: it survived the move from `<key>.json`
+    // files to store entries unchanged.  The one deliberate mover is
+    // stage_canonical_version, which the key hashes through the grading
+    // input digest: entries and journal rows primed by older numerics must
+    // miss rather than mix into exports.
     const auto cfg = small_campaign();
     const auto grid = expand_grid(cfg);
     EXPECT_EQ(scenario_cache::key(grid[0], scenario_config(cfg, grid[0])),
-              "81fee42b3d100c44");
+              "d5f433a92a8d7c1c");
 }
 
 TEST(CacheKey, IndependentOfGridShape) {

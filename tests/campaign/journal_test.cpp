@@ -91,15 +91,11 @@ TEST_F(CampaignJournal, IdentityCoversShapeNotExecution) {
 TEST_F(CampaignJournal, IdentityIsPinned) {
     // Journals written by earlier builds must keep resuming: a change to
     // the identity text (a field added, dropped or renamed) moves this
-    // literal and needs a journal_format_version bump instead.  The one
-    // deliberate mover is canonical_config_version, which the identity
-    // hashes through the base configuration's canonical text: a journal
-    // whose rows were computed by older numerics must not resume.
-    // Re-pinned when it went to 5 (dual-rate cost factored by D̂), to 6
-    // (the tabulated PNBS kernel with the exact Kaiser window), to 7
-    // (ranging on the captured samples, the LMS cost's row sums) and to 8
-    // (paired Gaussian fills for the transmitter noise and clock jitter).
-    EXPECT_EQ(campaign_identity(small_campaign()), "5bdfb5a131aa1d1d");
+    // literal and needs a journal_format_version bump.  The one deliberate
+    // mover is stage_canonical_version, which the identity hashes through
+    // the base configuration's grading input digest: a journal whose rows
+    // were computed by older numerics must not resume.
+    EXPECT_EQ(campaign_identity(small_campaign()), "e73cae9a34e8e9d4");
 }
 
 TEST_F(CampaignJournal, JournalledRunRoundTripsThroughReadJournal) {
@@ -189,6 +185,52 @@ TEST_F(CampaignJournal, ResumeAgainstADifferentCampaignIsRejected) {
     other.resume = true;
     EXPECT_THROW(static_cast<void>(campaign_runner(other).run()),
                  contract_violation);
+}
+
+TEST_F(CampaignJournal, ResumeErrorsNameTheJournalAndWhatDiffers) {
+    const scratch_dir dir("resume_errors");
+    auto cfg = small_campaign();
+    cfg.journal_path = dir.file("run.jsonl");
+    // A header-only journal is enough: identity and version are checked
+    // before any scenario is planned.
+    {
+        const campaign_journal created(cfg.journal_path,
+                                       campaign_identity(cfg),
+                                       /*resume=*/false);
+    }
+    auto other = cfg;
+    other.seed ^= 0xBEEF;
+    other.resume = true;
+    try {
+        static_cast<void>(campaign_runner(other).run());
+        ADD_FAILURE() << "a journal of another campaign resumed";
+    } catch (const contract_violation& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(cfg.journal_path), std::string::npos) << what;
+        EXPECT_NE(what.find("different campaign"), std::string::npos) << what;
+        EXPECT_NE(what.find(campaign_identity(cfg)), std::string::npos)
+            << what;
+        EXPECT_NE(what.find(campaign_identity(other)), std::string::npos)
+            << what;
+    }
+
+    std::ofstream(cfg.journal_path, std::ios::binary | std::ios::trunc)
+        << R"({"row":"header","journal_version":1,"identity":")"
+        << campaign_identity(cfg) << "\"}\n";
+    auto same = cfg;
+    same.resume = true;
+    try {
+        static_cast<void>(campaign_runner(same).run());
+        ADD_FAILURE() << "a journal of another format version resumed";
+    } catch (const contract_violation& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(cfg.journal_path), std::string::npos) << what;
+        EXPECT_NE(what.find("format version 1;"), std::string::npos) << what;
+        EXPECT_NE(what.find("reads version " +
+                            std::to_string(journal_format_version)),
+                  std::string::npos)
+            << what;
+    }
 }
 
 TEST_F(CampaignJournal, ResumeRequiresAJournalPath) {
