@@ -47,6 +47,7 @@
 #include "core/contracts.hpp"
 #include "core/fault_injection.hpp"
 #include "core/hash.hpp"
+#include "support/record_values.hpp"
 #include "support/scratch_dir.hpp"
 
 namespace {
@@ -54,7 +55,7 @@ namespace {
 namespace fs = std::filesystem;
 using namespace sdrbist;
 using namespace sdrbist::campaign;
-using sdrbist::testing::scratch_dir;
+using namespace sdrbist::testing;
 
 /// Fixed seed: every run replays the same mutants.
 constexpr std::uint64_t suite_seed = 0x5EEDC0DEC0FFEEull;
@@ -182,96 +183,6 @@ void spit(const std::string& path, const std::string& bytes) {
 
 // ---- small valid records ----------------------------------------------------
 
-std::vector<std::complex<double>> ramp(std::size_t n) {
-    std::vector<std::complex<double>> out;
-    for (std::size_t i = 0; i < n; ++i)
-        out.emplace_back(0.125 * static_cast<double>(i),
-                         -0.0625 * static_cast<double>(i));
-    return out;
-}
-
-bist::bist_report small_report() {
-    bist::bist_report r;
-    r.preset_name = "paper-qpsk-10M";
-    r.carrier_hz = 1.0e9;
-    r.skew.d_hat = 1.8e-10;
-    r.skew.iterations = 17;
-    r.skew.cost_evaluations = 40;
-    r.skew.trace = {{1, 2.0e-10, 5.0e-9, 0.5}, {2, 1.9e-10, 4.0e-9, 0.25}};
-    r.mask.reference_dbhz = std::numeric_limits<double>::quiet_NaN();
-    r.mask.segments.push_back({{10e6, 20e6, -30.0}, -35.5, 5.5, true});
-    r.evm.evm_rms = 0.015625;
-    r.evm.received_symbols = ramp(3);
-    r.acpr.lower_dbc = -42.5;
-    return r;
-}
-
-scenario_result small_row(std::size_t index) {
-    scenario_result row;
-    row.sc.index = index;
-    row.sc.preset_name = "paper-qpsk-10M";
-    row.sc.fault = bist::fault_kind::none;
-    row.sc.seed = 0xFFFFFFFFFFFFFFF5ull - index;
-    row.elapsed_s = 0.25;
-    row.attempts = 1;
-    row.report = small_report();
-    return row;
-}
-
-campaign_result small_result(std::size_t rows) {
-    campaign_result r;
-    r.preset_names = {"paper-qpsk-10M"};
-    r.fault_names = {"none"};
-    r.trials = rows;
-    r.seed = 0x8000000000000001ull;
-    r.grid_size = rows;
-    r.threads_used = 1;
-    for (std::size_t i = 0; i < rows; ++i) {
-        r.results.push_back(small_row(i));
-        r.results.back().sc.trial = i;
-    }
-    return r;
-}
-
-waveform::baseband_waveform small_waveform() {
-    waveform::baseband_waveform w;
-    w.samples = ramp(6);
-    w.sample_rate = 2.0e6;
-    w.symbol_rate = 1.0e6;
-    w.rolloff = 0.35;
-    w.oversample = 2;
-    w.shaper_delay_samples = 3;
-    w.symbols = ramp(3);
-    w.mod = waveform::modulation::dqpsk_pi4;
-    return w;
-}
-
-/// Few samples and the shortest interpolator, so a mutated half-taps value
-/// stays cheap to rebuild.
-std::shared_ptr<const rf::envelope_passband> small_passband() {
-    return std::make_shared<const rf::envelope_passband>(ramp(24), 1.0e6,
-                                                         1.0e9, 4);
-}
-
-rf::tx_output small_tx() {
-    rf::tx_output t;
-    t.envelope = ramp(24);
-    t.envelope_rate = 1.0e6;
-    t.carrier_hz = 1.0e9;
-    t.passband = std::make_shared<const rf::envelope_passband>(
-        t.envelope, t.envelope_rate, t.carrier_hz, 4);
-    return t;
-}
-
-adc::nonuniform_capture small_capture() {
-    adc::nonuniform_capture c;
-    c.even = {0.5, -0.25, 0.125};
-    c.odd = {0.25, 0.5, -0.5};
-    c.period_s = 1.0e-8;
-    c.true_delay_s = 1.8e-10;
-    return c;
-}
-
 /// One valid encoding per store record kind, with the direct decoder for
 /// the five stage kinds (the scenario kind decodes inside the cache).
 struct record_kind {
@@ -281,34 +192,12 @@ struct record_kind {
 };
 
 std::vector<record_kind> stage_records() {
-    bist::stimulus_output stim;
-    stim.stimulus = small_waveform();
-    stim.calibration = small_waveform();
-    stim.calibration_config.mod = waveform::modulation::qam64;
-    stim.calibration_config.data = waveform::prbs_order::prbs31;
-    stim.calibration_config.prbs_seed = 0xFFFFFFFFu;
-    stim.carrier_hz = 1.0e9;
-
-    bist::tx_capture_output tx;
-    tx.tx_out = small_tx();
-    tx.calibration_tx_out = small_tx();
-    tx.capture_input = small_passband();
-    tx.spectrum_input = small_passband();
-    tx.capture.fast = small_capture();
-    tx.capture.slow = small_capture();
-
-    bist::calibration_output cal;
-    cal.probe_times = {0.125, 0.25, 0.5};
-    cal.skew = small_report().skew;
-
-    bist::reconstruction_output rec;
-    rec.spectrum_capture = small_capture();
-    rec.envelope.samples = ramp(5);
-    rec.envelope.rate = 1.0e6;
-
-    bist::grading_output grade;
-    grade.mask = small_report().mask;
-    grade.evm = small_report().evm;
+    const small_stage_outputs small;
+    const auto& stim = small.stimulus;
+    const auto& tx = small.tx_capture;
+    const auto& cal = small.calibration;
+    const auto& rec = small.reconstruction;
+    const auto& grade = small.grading;
 
     using bist::stage;
     return {
