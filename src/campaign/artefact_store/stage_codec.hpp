@@ -4,6 +4,13 @@
 ///        the raw payloads of the artefact store, and the report every
 ///        journal line, shard file and service frame carries.
 ///
+/// One field list per record type.  Each type has one
+/// `describe(io, value)` template naming its members in wire order;
+/// `record_writer` walks it to encode and `record_reader` walks the same
+/// list to decode, so a member cannot be written without being read.
+/// Irregular members (a complex split into two numbers, a flattened
+/// nested struct, a rebuilt evaluator) are spelled out inside that list.
+///
 /// Fidelity rules: doubles in shortest round-trip form (bijective on every
 /// platform), complex vectors as flat `[re,im,...]` arrays, 64-bit
 /// integers as decimal strings, NaN/inf through JSON `null` back to quiet
@@ -11,8 +18,9 @@
 /// element-exactly — which is what lets a store hit stand in for a stage
 /// compute under the byte-identity contract.  Every number is read back
 /// through json_value's checked accessors (`as_number_or_nan`, `as_size`,
-/// `as_u64`), and enumerators are range-checked, so a garbled record
-/// throws contract_violation instead of converting out of range.
+/// `as_u64`), enumerators are range-checked, and every member is
+/// required, so a garbled or incomplete record throws contract_violation
+/// instead of decoding to a value the encoder never wrote.
 ///
 /// The nested `envelope_passband` evaluators (tx outputs, capture inputs)
 /// are serialised by their construction parameters (envelope samples,
@@ -22,14 +30,23 @@
 ///
 /// Field-set or rendering changes MUST bump the store format version
 /// (artefact_store.hpp) so stale entries read as misses — and, for the
-/// report, the shard-file and journal versions too.
+/// report, the shard-file and journal versions too.  The golden record
+/// fixtures (tests/campaign/golden/records/) pin every record's bytes, so
+/// a change that moves them shows as a fixture diff to review with the
+/// bump.
 #pragma once
 
+#include <complex>
+#include <cstddef>
+#include <cstdint>
 #include <string>
+#include <vector>
 
+#include "bist/faults.hpp"
 #include "bist/report.hpp"
 #include "bist/stages.hpp"
 #include "campaign/export.hpp"
+#include "core/contracts.hpp"
 
 namespace sdrbist::campaign {
 
@@ -59,5 +76,183 @@ reconstruction_from_json(const json_value& v);
 /// byte-identity survives even for degenerate reports.
 [[nodiscard]] std::string report_json(const bist::bist_report& report);
 [[nodiscard]] bist::bist_report report_from_json(const json_value& v);
+
+// ---------------------------------------------------------------------------
+// Field lists
+// ---------------------------------------------------------------------------
+
+/// A 64-bit member that travels as a decimal string: a JSON number
+/// carries 53 bits exactly.  Spelled out at each use because
+/// `std::uint64_t` and `std::size_t` are one type on LP64, so an overload
+/// cannot tell a seed from a count.
+struct decimal {
+    std::uint64_t& value;
+};
+
+/// An enumerator or narrow integer written as a number and range-checked
+/// against `last` before the conversion back.
+template <class T> struct bounded {
+    T& value;
+    T last;
+};
+
+/// The two doubles a complex member is laid out as ([complex.numbers]):
+/// `parts(z)[0]` is the real part, `parts(z)[1]` the imaginary one.
+inline double (&parts(std::complex<double>& z))[2] {
+    return reinterpret_cast<double(&)[2]>(z);
+}
+
+/// The field list of a bist_report, for records that nest one.
+template <class Io> void describe(Io& io, bist::bist_report& r);
+
+/// Walks a field list and encodes each member into one JSON object.
+/// Members are only read: `describe` takes its value by non-const
+/// reference so that one list serves both directions.
+class record_writer {
+public:
+    static constexpr bool reads = false;
+
+    void operator()(const char* key, double x) { out_.number_field(key, x); }
+    void operator()(const char* key, std::size_t x) {
+        out_.size_field(key, x);
+    }
+    void operator()(const char* key, bool x) { out_.bool_field(key, x); }
+    void operator()(const char* key, const std::string& x) {
+        out_.string_field(key, x);
+    }
+    void operator()(const char* key, bist::fault_kind f) {
+        out_.string_field(key, bist::to_string(f));
+    }
+    void operator()(const char* key, decimal x) {
+        out_.string_field(key, std::to_string(x.value));
+    }
+    template <class T> void operator()(const char* key, bounded<T> x) {
+        out_.size_field(key, static_cast<std::size_t>(x.value));
+    }
+    void operator()(const char* key, const std::vector<double>& xs);
+    void operator()(const char* key,
+                    const std::vector<std::complex<double>>& xs);
+    void operator()(const char* key, const std::vector<std::string>& xs);
+    template <class T>
+    void operator()(const char* key, const std::vector<T>& records) {
+        std::string out = "[";
+        for (const T& r : records) {
+            if (out.size() > 1)
+                out += ',';
+            out += encode(r);
+        }
+        out += ']';
+        out_.field(key, out);
+    }
+    /// A nested record: its own field list, as a JSON object.
+    template <class T> void operator()(const char* key, const T& record) {
+        out_.field(key, encode(record));
+    }
+
+    /// A member whose value is fixed (a version, a name): written as is,
+    /// checked on read.
+    template <class T> void expect(const char* key, const T& value) {
+        (*this)(key, value);
+    }
+
+    /// A fixed-length array of records described by `element(io, e, i)`.
+    template <class A, class F>
+    void each(const char* key, A& elements, const F& element) {
+        std::string out = "[";
+        for (std::size_t i = 0; i < elements.size(); ++i) {
+            if (i)
+                out += ',';
+            record_writer nested;
+            element(nested, elements[i], i);
+            out += nested.str();
+        }
+        out += ']';
+        out_.field(key, out);
+    }
+
+    [[nodiscard]] std::string str() const { return out_.str(); }
+
+    template <class T> [[nodiscard]] static std::string encode(const T& v) {
+        record_writer w;
+        describe(w, const_cast<T&>(v)); // the writer only reads
+        return w.str();
+    }
+
+private:
+    json_object_writer out_;
+};
+
+/// Walks a field list and decodes each member from one JSON object,
+/// through the checked accessors.  A missing member throws
+/// contract_violation.
+class record_reader {
+public:
+    static constexpr bool reads = true;
+
+    explicit record_reader(const json_value& object) : in_(object) {}
+
+    void operator()(const char* key, double& x) {
+        x = in_.at(key).as_number_or_nan();
+    }
+    void operator()(const char* key, std::size_t& x) {
+        x = in_.at(key).as_size();
+    }
+    void operator()(const char* key, bool& x) { x = in_.at(key).as_bool(); }
+    void operator()(const char* key, std::string& x) {
+        x = in_.at(key).as_string();
+    }
+    void operator()(const char* key, bist::fault_kind& f) {
+        f = bist::fault_from_string(in_.at(key).as_string());
+    }
+    void operator()(const char* key, decimal x) {
+        x.value = in_.at(key).as_u64();
+    }
+    template <class T> void operator()(const char* key, bounded<T> x) {
+        const std::size_t i = in_.at(key).as_size();
+        SDRBIST_EXPECTS(i <= static_cast<std::size_t>(x.last));
+        x.value = static_cast<T>(i);
+    }
+    void operator()(const char* key, std::vector<double>& xs);
+    void operator()(const char* key, std::vector<std::complex<double>>& xs);
+    void operator()(const char* key, std::vector<std::string>& xs);
+    template <class T>
+    void operator()(const char* key, std::vector<T>& records) {
+        const auto& arr = in_.at(key).as_array();
+        records.clear();
+        records.reserve(arr.size());
+        for (const json_value& e : arr)
+            records.push_back(decode<T>(e));
+    }
+    template <class T> void operator()(const char* key, T& record) {
+        record_reader nested(in_.at(key));
+        describe(nested, record);
+    }
+
+    template <class T> void expect(const char* key, const T& value) {
+        T read{};
+        (*this)(key, read);
+        SDRBIST_EXPECTS(read == value);
+    }
+
+    template <class A, class F>
+    void each(const char* key, A& elements, const F& element) {
+        const auto& arr = in_.at(key).as_array();
+        SDRBIST_EXPECTS(arr.size() == elements.size());
+        for (std::size_t i = 0; i < arr.size(); ++i) {
+            record_reader nested(arr[i]);
+            element(nested, elements[i], i);
+        }
+    }
+
+    template <class T> [[nodiscard]] static T decode(const json_value& v) {
+        T value{};
+        record_reader r(v);
+        describe(r, value);
+        return value;
+    }
+
+private:
+    const json_value& in_;
+};
 
 } // namespace sdrbist::campaign

@@ -36,16 +36,33 @@ std::string scenario_cache::key(const scenario& sc,
     return h.hex();
 }
 
+namespace {
+
+/// The scenario record: a graded outcome and the grid coordinates it was
+/// graded at.  The running grid owns its coordinates, so a hit restores
+/// only the outcome; the coordinates are read all the same, which keeps
+/// every member of the record required.
+template <class Io> void describe_entry(Io& io, scenario_result& r) {
+    io("preset", r.sc.preset_name);
+    io("fault", r.sc.fault);
+    io("trial", r.sc.trial);
+    io("seed", decimal{r.sc.seed});
+    io("engine_error", r.engine_error);
+    io("error", r.error);
+    io("elapsed_s", r.elapsed_s);
+    io("report", r.report);
+}
+
+} // namespace
+
 std::optional<scenario_result>
 scenario_cache::load(const std::string& key) const {
     std::optional<scenario_result> out;
     entries_.load(key, scenario_record_kind, [&](const std::string& raw) {
         const json_value doc = parse_json(raw);
         scenario_result r;
-        r.engine_error = doc.at("engine_error").as_bool();
-        r.error = doc.at("error").as_string();
-        r.elapsed_s = doc.at("elapsed_s").as_number_or_nan();
-        r.report = report_from_json(doc.at("report"));
+        record_reader in(doc);
+        describe_entry(in, r);
         out = std::move(r);
     });
     return out;
@@ -53,18 +70,9 @@ scenario_cache::load(const std::string& key) const {
 
 void scenario_cache::store(const std::string& key,
                            const scenario_result& r) const {
-    json_object_writer doc;
-    // Human-debuggable provenance (load() ignores these: the running grid
-    // owns its scenario coordinates).
-    doc.string_field("preset", r.sc.preset_name);
-    doc.string_field("fault", bist::to_string(r.sc.fault));
-    doc.size_field("trial", r.sc.trial);
-    doc.string_field("seed", std::to_string(r.sc.seed));
-    doc.bool_field("engine_error", r.engine_error);
-    doc.string_field("error", r.error);
-    doc.number_field("elapsed_s", r.elapsed_s);
-    doc.field("report", report_json(r.report));
-    entries_.store(key, scenario_record_kind, doc.str());
+    record_writer out;
+    describe_entry(out, const_cast<scenario_result&>(r)); // only read
+    entries_.store(key, scenario_record_kind, out.str());
 }
 
 } // namespace sdrbist::campaign

@@ -10,6 +10,10 @@
 // file or journal) fails here: stale entries and files of the old layout
 // would otherwise be read by the new decoder.
 //
+// RecordMembers then deletes each object member of each fixture, at any
+// depth, and checks that the record no longer decodes: every member is
+// required, so a record with one missing never reads as a default.
+//
 // Regenerate after an intentional format change (and its version bump):
 //   SDRBIST_REGEN_GOLDEN=1 ./test_campaign --gtest_filter='GoldenRecords*'
 // and commit the resulting fixture diff.
@@ -22,6 +26,8 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "campaign/artefact_store/artefact_store.hpp"
 #include "campaign/artefact_store/byte_codec.hpp"
@@ -30,6 +36,7 @@
 #include "campaign/export.hpp"
 #include "campaign/journal.hpp"
 #include "campaign/shard_io.hpp"
+#include "core/contracts.hpp"
 #include "core/hash.hpp"
 #include "core/telemetry.hpp"
 #include "support/record_values.hpp"
@@ -188,13 +195,11 @@ TEST(GoldenRecords, ScenarioCacheRecord) {
         fixture("scenario_record.json", entry_record(cache.path_for(key)));
     EXPECT_EQ(entry_record(cache.path_for(key)), golden);
 
-    // Decode the fixture through the cache's own reader, then store the
-    // outcome again.  The reader restores only the outcome, so the
-    // coordinates come from the row.
+    // Decode the fixture through the cache's own reader, then store what
+    // it read.
     entry_store(dir.path.string()).store(key, scenario_record_kind, golden);
-    auto loaded = cache.load(key);
+    const auto loaded = cache.load(key);
     ASSERT_TRUE(loaded.has_value());
-    loaded->sc = row.sc;
     cache.store(key, *loaded);
     EXPECT_EQ(entry_record(cache.path_for(key)), golden);
 }
@@ -223,6 +228,147 @@ TEST(GoldenRecords, JournalHeaderAndScenarioLine) {
                                    replay.rows[0].result));
     }
     EXPECT_EQ(slurp(rewritten), golden);
+}
+
+// ---- every member is required ----------------------------------------------
+
+/// Every copy of `v` with exactly one object member removed, at any depth
+/// (inside arrays of objects too).
+std::vector<json_value> one_member_removed(const json_value& v) {
+    std::vector<json_value> out;
+    if (v.is_object()) {
+        const auto& members = v.as_object();
+        for (const auto& [key, member] : members) {
+            json_value::object without = members;
+            without.erase(key);
+            out.emplace_back(std::move(without));
+            for (json_value& inner : one_member_removed(member)) {
+                json_value::object with = members;
+                with[key] = std::move(inner);
+                out.emplace_back(std::move(with));
+            }
+        }
+    } else if (v.is_array()) {
+        const auto& elements = v.as_array();
+        for (std::size_t i = 0; i < elements.size(); ++i)
+            for (json_value& inner : one_member_removed(elements[i])) {
+                json_value::array with = elements;
+                with[i] = std::move(inner);
+                out.emplace_back(std::move(with));
+            }
+    }
+    return out;
+}
+
+/// JSON text of a parsed document, for the decoders that read text.
+std::string to_text(const json_value& v) {
+    if (v.is_null())
+        return "null";
+    if (v.is_bool())
+        return v.as_bool() ? "true" : "false";
+    if (v.is_number())
+        return json_number(v.as_number());
+    if (v.is_string())
+        return json_quote(v.as_string());
+    std::string out;
+    if (v.is_array()) {
+        for (const json_value& e : v.as_array())
+            out += (out.empty() ? "" : ",") + to_text(e);
+        return "[" + out + "]";
+    }
+    for (const auto& [key, member] : v.as_object())
+        out += (out.empty() ? "" : ",") + json_quote(key) + ":" +
+               to_text(member);
+    return "{" + out + "}";
+}
+
+/// Decoding the fixture succeeds; decoding it with any one member removed
+/// throws contract_violation.
+void expect_every_member_required(
+    const std::string& name,
+    const std::function<void(const json_value&)>& decode) {
+    const json_value golden = parse_json(slurp(records_dir / name));
+    ASSERT_NO_THROW(decode(golden)) << name;
+    const auto variants = one_member_removed(golden);
+    ASSERT_FALSE(variants.empty()) << name;
+    for (std::size_t i = 0; i < variants.size(); ++i)
+        EXPECT_THROW(decode(variants[i]), contract_violation)
+            << name << " decoded with a member missing: "
+            << to_text(variants[i]).substr(0, 200);
+}
+
+TEST(RecordMembers, StageRecordsAndReport) {
+    expect_every_member_required("stimulus.json", [](const json_value& v) {
+        (void)stimulus_from_json(v);
+    });
+    expect_every_member_required("tx_capture.json", [](const json_value& v) {
+        (void)tx_capture_from_json(v);
+    });
+    expect_every_member_required("calibration.json", [](const json_value& v) {
+        (void)calibration_from_json(v);
+    });
+    expect_every_member_required(
+        "reconstruction.json",
+        [](const json_value& v) { (void)reconstruction_from_json(v); });
+    expect_every_member_required("grading.json", [](const json_value& v) {
+        (void)grading_from_json(v);
+    });
+    expect_every_member_required("report.json", [](const json_value& v) {
+        (void)report_from_json(v);
+    });
+}
+
+TEST(RecordMembers, ScenarioRowAndShardFile) {
+    expect_every_member_required("scenario_row.json", [](const json_value& v) {
+        (void)scenario_row_from_json(v);
+    });
+    expect_every_member_required("shard.json", [](const json_value& v) {
+        (void)result_from_json(v);
+    });
+}
+
+TEST(RecordMembers, ScenarioCacheRecordMissesAndQuarantines) {
+    // The cache reads the record inside entry_store::load, which turns a
+    // decode failure into a miss and moves the entry to quarantine/.
+    const scratch_dir dir("members_scenario_record");
+    const std::string key = fnv1a64::hex_digest(record_digest);
+    const entry_store entries(dir.path.string());
+    const scenario_cache cache(dir.path.string());
+    expect_every_member_required(
+        "scenario_record.json", [&](const json_value& v) {
+            entries.store(key, scenario_record_kind, to_text(v));
+            const std::size_t before = cache.quarantined();
+            if (!cache.load(key).has_value()) {
+                EXPECT_EQ(cache.quarantined(), before + 1);
+                throw contract_violation("scenario record did not decode");
+            }
+        });
+}
+
+TEST(RecordMembers, JournalHeaderThrowsAndScenarioLineTears) {
+    const scratch_dir dir("members_journal");
+    const std::string golden = slurp(records_dir / "journal.jsonl");
+    const std::size_t nl = golden.find('\n');
+    ASSERT_NE(nl, std::string::npos);
+    const std::string header = golden.substr(0, nl + 1);
+    const std::string line = golden.substr(nl + 1);
+    const std::string path = dir.file("run.jsonl");
+
+    // A header with a member missing fails the whole read.
+    for (const json_value& v : one_member_removed(parse_json(header))) {
+        spit(path, to_text(v) + "\n" + line);
+        EXPECT_THROW((void)read_journal(path), contract_violation)
+            << to_text(v);
+    }
+    // A scenario line with a member missing is untrusted: it is dropped
+    // as torn, and a resuming writer truncates it away.
+    for (const json_value& v : one_member_removed(parse_json(line))) {
+        spit(path, header + to_text(v) + "\n");
+        const journal_replay replay = read_journal(path);
+        EXPECT_TRUE(replay.rows.empty()) << to_text(v).substr(0, 200);
+        EXPECT_EQ(replay.torn_lines, 1u);
+        EXPECT_EQ(replay.valid_bytes, header.size());
+    }
 }
 
 } // namespace
