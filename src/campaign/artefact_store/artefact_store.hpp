@@ -52,7 +52,9 @@ class json_value;
 /// On-disk entry format version (header layout, stage_codec field sets and
 /// the scenario record's field set).  Any change to any of them MUST bump
 /// this so stale entries read as misses.
-inline constexpr int store_format_version = 2;
+/// v3: the tx_capture record's passbands and tx outputs dropped their
+///     interpolator half-taps (every passband uses the default).
+inline constexpr int store_format_version = 3;
 
 /// The record kind of a finished scenario outcome; the five stage kinds
 /// are named by `bist::to_string(stage)`.

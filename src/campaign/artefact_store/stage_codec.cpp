@@ -116,45 +116,31 @@ template <class Io> void describe(Io& io, calib::band_plan& p) {
 
 // ---- passbands and captures -------------------------------------------------
 
+/// A passband evaluator travels as its construction parameters and is
+/// rebuilt through the public constructor on read.
 template <class Io>
 void describe(Io& io, std::shared_ptr<const rf::envelope_passband>& p) {
-    const auto fields = [&io](auto&& envelope, auto&& rate, auto&& carrier,
-                              auto&& half_taps) {
+    const auto fields = [&io](auto&& envelope, auto&& rate, auto&& carrier) {
         io("envelope", envelope);
         io("envelope_rate", rate);
         io("carrier_hz", carrier);
-        io("half_taps", half_taps);
     };
     if constexpr (Io::reads) {
         std::vector<std::complex<double>> envelope;
         double rate = 0.0;
         double carrier = 0.0;
-        std::size_t half_taps = 0;
-        fields(envelope, rate, carrier, half_taps);
-        p = std::make_shared<const rf::envelope_passband>(
-            std::move(envelope), rate, carrier, half_taps);
+        fields(envelope, rate, carrier);
+        p = std::make_shared<const rf::envelope_passband>(std::move(envelope),
+                                                          rate, carrier);
     } else {
-        fields(p->envelope_samples(), p->envelope_rate(), p->carrier(),
-               p->interp_half_taps());
+        fields(p->envelope_samples(), p->envelope_rate(), p->carrier());
     }
 }
 
 template <class Io> void describe(Io& io, rf::tx_output& t) {
-    // The passband evaluator is the same (envelope, rate, carrier) triple
-    // realised as an interpolator, so it is rebuilt rather than stored
-    // twice.
     io("envelope", t.envelope);
     io("envelope_rate", t.envelope_rate);
     io("carrier_hz", t.carrier_hz);
-    if constexpr (Io::reads) {
-        std::size_t half_taps = 0;
-        io("passband_half_taps", half_taps);
-        t.passband = std::make_shared<const rf::envelope_passband>(
-            t.envelope, t.envelope_rate, t.carrier_hz, half_taps);
-    } else {
-        SDRBIST_EXPECTS(t.passband != nullptr);
-        io("passband_half_taps", t.passband->interp_half_taps());
-    }
 }
 
 template <class Io> void describe(Io& io, adc::ranging_result& r) {

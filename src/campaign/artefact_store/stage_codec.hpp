@@ -22,11 +22,11 @@
 /// required, so a garbled or incomplete record throws contract_violation
 /// instead of decoding to a value the encoder never wrote.
 ///
-/// The nested `envelope_passband` evaluators (tx outputs, capture inputs)
-/// are serialised by their construction parameters (envelope samples,
-/// rate, carrier, interpolator half-taps) and rebuilt through the public
-/// constructor: the polyphase LUT is a deterministic function of those, so
-/// the rebuilt object evaluates bit-identically.
+/// The nested `envelope_passband` evaluators (capture inputs) are
+/// serialised by their construction parameters (envelope samples, rate,
+/// carrier) and rebuilt through the public constructor: the polyphase LUT
+/// is a deterministic function of those, so the rebuilt object evaluates
+/// bit-identically.
 ///
 /// Field-set or rendering changes MUST bump the store format version
 /// (artefact_store.hpp) so stale entries read as misses — and, for the

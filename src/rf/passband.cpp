@@ -18,8 +18,8 @@ passband_signal::values(const std::vector<double>& t) const {
 
 envelope_passband::envelope_passband(
     std::vector<std::complex<double>> envelope, double envelope_rate,
-    double carrier_hz, std::size_t interp_half_taps)
-    : interp_(std::move(envelope), envelope_rate, interp_half_taps),
+    double carrier_hz)
+    : interp_(std::move(envelope), envelope_rate),
       carrier_hz_(carrier_hz), ops_(&simd::kernel_backend::select()) {
     SDRBIST_EXPECTS(carrier_hz_ > 0.0);
     // The envelope must be strictly oversampled for interpolation to hold.

@@ -51,9 +51,9 @@ public:
     /// \param envelope   complex envelope samples at `envelope_rate`
     /// \param envelope_rate  Hz; must comfortably oversample the envelope
     /// \param carrier_hz carrier frequency fc
+    /// The interpolator is the default 32-half-tap windowed sinc.
     envelope_passband(std::vector<std::complex<double>> envelope,
-                      double envelope_rate, double carrier_hz,
-                      std::size_t interp_half_taps = 32);
+                      double envelope_rate, double carrier_hz);
 
     [[nodiscard]] double value(double t) const override;
     [[nodiscard]] double begin_time() const override;
@@ -67,16 +67,13 @@ public:
     [[nodiscard]] double carrier() const { return carrier_hz_; }
 
     // Construction parameters, exposed so a serialiser can round-trip the
-    // signal: rebuilding with (envelope_samples, envelope_rate, carrier,
-    // half_taps) reproduces this object bit-identically (the LUT is a
-    // deterministic function of them).
+    // signal: rebuilding with (envelope_samples, envelope_rate, carrier)
+    // reproduces this object bit-identically (the LUT is a deterministic
+    // function of them).
     [[nodiscard]] double envelope_rate() const { return interp_.rate(); }
     [[nodiscard]] const std::vector<std::complex<double>>&
     envelope_samples() const {
         return interp_.samples();
-    }
-    [[nodiscard]] std::size_t interp_half_taps() const {
-        return interp_.half_taps();
     }
 
 private:

@@ -101,11 +101,9 @@ tx_output homodyne_tx::transmit(const waveform::baseband_waveform& bb) const {
     }
 
     tx_output out;
-    out.envelope = env;
+    out.envelope = std::move(env);
     out.envelope_rate = fs;
     out.carrier_hz = config_.carrier_hz;
-    out.passband = std::make_shared<envelope_passband>(std::move(env), fs,
-                                                       config_.carrier_hz);
     return out;
 }
 

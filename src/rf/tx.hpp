@@ -54,15 +54,13 @@ struct tx_config {
     std::uint64_t seed = 0xC0FFEE; ///< drives phase noise + thermal noise
 };
 
-/// Transmitter output: the processed envelope and its passband realisation.
+/// Transmitter output: the processed complex envelope on its carrier.
+/// `envelope_passband(envelope, envelope_rate, carrier_hz)` realises it
+/// as the continuous-time passband x(t).
 struct tx_output {
     std::vector<std::complex<double>> envelope; ///< post-PA envelope
     double envelope_rate = 0.0;
     double carrier_hz = 0.0;
-    std::shared_ptr<const envelope_passband> passband; ///< x(t) evaluator
-
-    /// Convenience: evaluate the passband waveform at time t.
-    [[nodiscard]] double at(double t) const { return passband->value(t); }
 };
 
 /// Homodyne transmitter behavioural model.

@@ -25,9 +25,10 @@ TEST(IntegrationSmoke, TxThenCaptureProducesLiveSamples) {
     adc::bp_tiadc sampler(tc);
     sampler.program_delay(180.0 * ps);
 
-    const auto cap = sampler.capture(*out.passband,
-                                     out.passband->begin_time() + 0.1 * us,
-                                     512, 0);
+    const rf::envelope_passband passband(out.envelope, out.envelope_rate,
+                                         out.carrier_hz);
+    const auto cap = sampler.capture(passband,
+                                     passband.begin_time() + 0.1 * us, 512, 0);
     EXPECT_EQ(cap.even.size(), 512u);
     EXPECT_EQ(cap.odd.size(), 512u);
     // Both channels see signal (nonzero RMS, comparable levels).

@@ -25,14 +25,15 @@ TEST(HomodyneTx, ProducesPassbandOutput) {
     const auto out = tx.transmit(stimulus());
     EXPECT_EQ(out.carrier_hz, cfg.carrier_hz);
     EXPECT_GT(out.envelope_rate, 0.0);
-    ASSERT_TRUE(out.passband != nullptr);
+    const envelope_passband passband(out.envelope, out.envelope_rate,
+                                     out.carrier_hz);
     // The passband waveform oscillates at ~the carrier.
-    const double t0 = out.passband->begin_time() + 1.0 * us;
+    const double t0 = passband.begin_time() + 1.0 * us;
     int sign_changes = 0;
-    double prev = out.at(t0);
+    double prev = passband.value(t0);
     const double dt = 1.0 / (8.0 * cfg.carrier_hz);
     for (int i = 1; i < 800; ++i) {
-        const double v = out.at(t0 + static_cast<double>(i) * dt);
+        const double v = passband.value(t0 + static_cast<double>(i) * dt);
         if ((v > 0) != (prev > 0))
             ++sign_changes;
         prev = v;

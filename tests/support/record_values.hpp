@@ -103,8 +103,6 @@ inline rf::tx_output small_tx() {
     t.envelope = ramp(small_envelope_samples);
     t.envelope_rate = 1.0e6;
     t.carrier_hz = 1.0e9;
-    t.passband = std::make_shared<const rf::envelope_passband>(
-        t.envelope, t.envelope_rate, t.carrier_hz);
     return t;
 }
 
