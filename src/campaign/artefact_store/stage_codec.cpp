@@ -346,8 +346,5 @@ bist::grading_output grading_from_json(const json_value& v) {
 std::string report_json(const bist::bist_report& r) {
     return record_writer::encode(r);
 }
-bist::bist_report report_from_json(const json_value& v) {
-    return record_reader::decode<bist::bist_report>(v);
-}
 
 } // namespace sdrbist::campaign

@@ -70,12 +70,12 @@ reconstruction_from_json(const json_value& v);
 [[nodiscard]] std::string grading_json(const bist::grading_output& g);
 [[nodiscard]] bist::grading_output grading_from_json(const json_value& v);
 
-/// A full bist_report as one JSON object.  parse(report_json(r)) recovers
-/// every finite field bit-identically; non-finite values collapse to quiet
-/// NaN through `null` — exports render both as `null`, so artefact
+/// A full bist_report as one JSON object.  Records that nest a report
+/// (scenario rows, cache entries) read it back through its field list:
+/// every finite field bit-identically; non-finite values collapse to
+/// quiet NaN through `null` — exports render both as `null`, so artefact
 /// byte-identity survives even for degenerate reports.
 [[nodiscard]] std::string report_json(const bist::bist_report& report);
-[[nodiscard]] bist::bist_report report_from_json(const json_value& v);
 
 // ---------------------------------------------------------------------------
 // Field lists

@@ -15,8 +15,7 @@ scenario_cache::scenario_cache(std::string dir) : entries_(std::move(dir)) {}
 std::string scenario_cache::key(const scenario& sc,
                                 const bist::bist_config& materialised) {
     fnv1a64 h;
-    // The salt of the retired v1 file format, kept verbatim: keys (and
-    // journals that carry them) stay valid across the entry-format move.
+    // The key-derivation salt: changing it orphans every entry.
     h.update("sdrbist-scenario-cache-v1\n");
     h.update("seed-derivation-v" + std::to_string(seed_derivation_version) +
              "\n");

@@ -56,10 +56,12 @@ public:
     [[nodiscard]] static std::string
     key(const scenario& sc, const bist::bist_config& materialised);
 
-    /// Load a cached outcome.  Only `report`, `engine_error`, `error` and
-    /// `elapsed_s` are meaningful in the returned value — the caller owns
-    /// the scenario coordinates.  nullopt on miss/corruption/version skew;
-    /// a corrupt entry is also quarantined and counted.
+    /// Load a cached outcome: `report`, `engine_error`, `error` and
+    /// `elapsed_s`, plus the preset name, fault, trial and seed it was
+    /// graded at (the caller owns the running grid's coordinates, so it
+    /// restores only the outcome).  Every member of the record is
+    /// required.  nullopt on miss/corruption/version skew; a corrupt or
+    /// incomplete entry is also quarantined and counted.
     [[nodiscard]] std::optional<scenario_result>
     load(const std::string& key) const;
 

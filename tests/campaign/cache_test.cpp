@@ -393,7 +393,8 @@ TEST(ScenarioCache, ReportRoundTripsBitExactly) {
     ASSERT_FALSE(result.results.empty());
     const bist::bist_report& r = result.results[0].report;
 
-    const auto back = report_from_json(parse_json(report_json(r)));
+    const auto back =
+        record_reader::decode<bist::bist_report>(parse_json(report_json(r)));
     EXPECT_EQ(back.preset_name, r.preset_name);
     EXPECT_DOUBLE_EQ(back.carrier_hz, r.carrier_hz);
     EXPECT_DOUBLE_EQ(back.skew.d_hat, r.skew.d_hat);

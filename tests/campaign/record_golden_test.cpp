@@ -165,7 +165,8 @@ TEST(GoldenRecords, Grading) {
 TEST(GoldenRecords, Report) {
     check_record("report.json", report_json(small_report()),
                  [](const json_value& v) {
-                     return report_json(report_from_json(v));
+                     return report_json(
+                         record_reader::decode<bist::bist_report>(v));
                  });
 }
 
@@ -314,7 +315,7 @@ TEST(RecordMembers, StageRecordsAndReport) {
         (void)grading_from_json(v);
     });
     expect_every_member_required("report.json", [](const json_value& v) {
-        (void)report_from_json(v);
+        (void)record_reader::decode<bist::bist_report>(v);
     });
 }
 
