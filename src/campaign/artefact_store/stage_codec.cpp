@@ -7,74 +7,6 @@
 
 namespace sdrbist::campaign {
 
-// ---- member kinds -----------------------------------------------------------
-
-void record_writer::operator()(const char* key,
-                               const std::vector<double>& xs) {
-    std::string out = "[";
-    for (const double x : xs) {
-        if (out.size() > 1)
-            out += ',';
-        out += json_number(x);
-    }
-    out += ']';
-    out_.field(key, out);
-}
-
-void record_writer::operator()(const char* key,
-                               const std::vector<std::complex<double>>& xs) {
-    std::string out = "[";
-    for (const auto& z : xs) {
-        if (out.size() > 1)
-            out += ',';
-        out += json_number(z.real());
-        out += ',';
-        out += json_number(z.imag());
-    }
-    out += ']';
-    out_.field(key, out);
-}
-
-void record_writer::operator()(const char* key,
-                               const std::vector<std::string>& xs) {
-    std::string out = "[";
-    for (const std::string& s : xs) {
-        if (out.size() > 1)
-            out += ',';
-        out += json_quote(s);
-    }
-    out += ']';
-    out_.field(key, out);
-}
-
-void record_reader::operator()(const char* key, std::vector<double>& xs) {
-    const auto& arr = in_.at(key).as_array();
-    xs.clear();
-    xs.reserve(arr.size());
-    for (const auto& e : arr)
-        xs.push_back(e.as_number_or_nan());
-}
-
-void record_reader::operator()(const char* key,
-                               std::vector<std::complex<double>>& xs) {
-    const auto& arr = in_.at(key).as_array();
-    SDRBIST_EXPECTS(arr.size() % 2 == 0);
-    xs.clear();
-    xs.reserve(arr.size() / 2);
-    for (std::size_t i = 0; i < arr.size(); i += 2)
-        xs.emplace_back(arr[i].as_number_or_nan(),
-                        arr[i + 1].as_number_or_nan());
-}
-
-void record_reader::operator()(const char* key,
-                               std::vector<std::string>& xs) {
-    const auto& arr = in_.at(key).as_array();
-    xs.clear();
-    xs.reserve(arr.size());
-    for (const auto& e : arr)
-        xs.push_back(e.as_string());
-}
-
 // ---- waveform ---------------------------------------------------------------
 
 template <class Io> void describe(Io& io, waveform::baseband_waveform& w) {

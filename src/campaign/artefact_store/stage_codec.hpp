@@ -129,20 +129,30 @@ public:
     template <class T> void operator()(const char* key, bounded<T> x) {
         out_.size_field(key, static_cast<std::size_t>(x.value));
     }
-    void operator()(const char* key, const std::vector<double>& xs);
+    void operator()(const char* key, const std::vector<double>& xs) {
+        array(key, xs, [](std::string& out, double x, std::size_t) {
+            out += json_number(x);
+        });
+    }
     void operator()(const char* key,
-                    const std::vector<std::complex<double>>& xs);
-    void operator()(const char* key, const std::vector<std::string>& xs);
+                    const std::vector<std::complex<double>>& xs) {
+        array(key, xs,
+              [](std::string& out, const std::complex<double>& z,
+                 std::size_t) {
+                  out += json_number(z.real());
+                  out += ',';
+                  out += json_number(z.imag());
+              });
+    }
+    void operator()(const char* key, const std::vector<std::string>& xs) {
+        array(key, xs, [](std::string& out, const std::string& x,
+                          std::size_t) { out += json_quote(x); });
+    }
     template <class T>
     void operator()(const char* key, const std::vector<T>& records) {
-        std::string out = "[";
-        for (const T& r : records) {
-            if (out.size() > 1)
-                out += ',';
+        array(key, records, [](std::string& out, const T& r, std::size_t) {
             out += encode(r);
-        }
-        out += ']';
-        out_.field(key, out);
+        });
     }
     /// A nested record: its own field list, as a JSON object.
     template <class T> void operator()(const char* key, const T& record) {
@@ -158,16 +168,11 @@ public:
     /// A fixed-length array of records described by `element(io, e, i)`.
     template <class A, class F>
     void each(const char* key, A& elements, const F& element) {
-        std::string out = "[";
-        for (std::size_t i = 0; i < elements.size(); ++i) {
-            if (i)
-                out += ',';
+        array(key, elements, [&](std::string& out, auto& e, std::size_t i) {
             record_writer nested;
-            element(nested, elements[i], i);
+            element(nested, e, i);
             out += nested.str();
-        }
-        out += ']';
-        out_.field(key, out);
+        });
     }
 
     [[nodiscard]] std::string str() const { return out_.str(); }
@@ -179,6 +184,19 @@ public:
     }
 
 private:
+    /// `[...]` with `append(out, element, index)` rendering each element.
+    template <class Xs, class F>
+    void array(const char* key, Xs& xs, const F& append) {
+        std::string out = "[";
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+            if (i)
+                out += ',';
+            append(out, xs[i], i);
+        }
+        out += ']';
+        out_.field(key, out);
+    }
+
     json_object_writer out_;
 };
 
@@ -212,16 +230,25 @@ public:
         SDRBIST_EXPECTS(i <= static_cast<std::size_t>(x.last));
         x.value = static_cast<T>(i);
     }
-    void operator()(const char* key, std::vector<double>& xs);
-    void operator()(const char* key, std::vector<std::complex<double>>& xs);
-    void operator()(const char* key, std::vector<std::string>& xs);
+    void operator()(const char* key, std::vector<double>& xs) {
+        list(key, xs, [](const json_value& e) { return e.as_number_or_nan(); });
+    }
+    /// Flat `[re,im,...]`: an odd length is a contract violation.
+    void operator()(const char* key, std::vector<std::complex<double>>& xs) {
+        const auto& arr = in_.at(key).as_array();
+        SDRBIST_EXPECTS(arr.size() % 2 == 0);
+        xs.clear();
+        xs.reserve(arr.size() / 2);
+        for (std::size_t i = 0; i < arr.size(); i += 2)
+            xs.emplace_back(arr[i].as_number_or_nan(),
+                            arr[i + 1].as_number_or_nan());
+    }
+    void operator()(const char* key, std::vector<std::string>& xs) {
+        list(key, xs, [](const json_value& e) { return e.as_string(); });
+    }
     template <class T>
     void operator()(const char* key, std::vector<T>& records) {
-        const auto& arr = in_.at(key).as_array();
-        records.clear();
-        records.reserve(arr.size());
-        for (const json_value& e : arr)
-            records.push_back(decode<T>(e));
+        list(key, records, [](const json_value& e) { return decode<T>(e); });
     }
     template <class T> void operator()(const char* key, T& record) {
         record_reader nested(in_.at(key));
@@ -234,6 +261,7 @@ public:
         SDRBIST_EXPECTS(read == value);
     }
 
+    /// The array must hold exactly `elements.size()` records.
     template <class A, class F>
     void each(const char* key, A& elements, const F& element) {
         const auto& arr = in_.at(key).as_array();
@@ -252,6 +280,15 @@ public:
     }
 
 private:
+    template <class X, class F>
+    void list(const char* key, std::vector<X>& xs, const F& read) {
+        const auto& arr = in_.at(key).as_array();
+        xs.clear();
+        xs.reserve(arr.size());
+        for (const json_value& e : arr)
+            xs.push_back(read(e));
+    }
+
     const json_value& in_;
 };
 
